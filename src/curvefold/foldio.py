@@ -38,7 +38,7 @@ def export_fold(pattern: CreasePattern, state=None):
     is supplied (fold angles in degrees, valley positive)."""
     if state is None:
         coords = [[float(x), float(y)] for x, y in pattern.vertices]
-        angles = [0.0 if c.role == ROLE_BOUNDARY else 0.0 for c in pattern.creases]
+        angles = [0.0] * len(pattern.creases)
         classes = ["creasePattern"]
     else:
         coords = [[float(a) for a in p] for p in state.vertex_coords]
@@ -56,8 +56,7 @@ def export_fold(pattern: CreasePattern, state=None):
         "edges_vertices": [[c.u, c.v] for c in pattern.creases],
         "edges_assignment": [_ASSIGN[c.mv] for c in pattern.creases],
         "edges_foldAngle": angles,
-        "faces_vertices": [[int(v) for v in quad]
-                           for _, _, quad in pattern.face_grid_iter()],
+        "faces_vertices": pattern.faces.reshape(-1, 4).tolist(),
         "curvefold:grid": {
             "rows": pattern.rows,
             "cols": pattern.cols,
@@ -141,49 +140,34 @@ def _rebuild(doc, flat, ext, rows, cols, halting):
                             design=dict(doc.get("curvefold:design", {})))
     except (AssertionError, CreaseIntersection) as e:
         raise SchemaError(str(e))
-    if pat.developability_residual() > 1e-9:
-        raise SchemaError("imported pattern violates developability")
+    # the document's creases in its edge order, carrying its assignment
+    to_grid = dict(zip(ext.ravel().tolist(), pat.ext_id.ravel().tolist()))
+    assign = doc.get("edges_assignment", [])
+    order = []
+    for k, (u, v) in enumerate(doc["edges_vertices"]):
+        try:
+            idx = pat.crease_between(to_grid[u], to_grid[v])
+        except KeyError:
+            raise SchemaError(f"edge ({u},{v}) does not fit the quad grid")
+        cr = pat.creases[idx]
+        if cr.role != ROLE_BOUNDARY and k < len(assign):
+            cr.mv = _ASSIGN_BACK.get(assign[k], 0)
+        order.append(idx)
+    if sorted(order) != list(range(len(pat.creases))):
+        raise SchemaError("edges do not cover the quad grid once each")
     # restore the document's vertex ids (grid inference may relabel)
     new_to_old = np.empty(len(pat.vertices), dtype=int)
-    for r in range(m + 2):
-        for c in range(n + 2):
-            new_to_old[pat.ext_id[r, c]] = ext[r, c]
+    new_to_old[pat.ext_id] = ext
     verts = np.empty_like(pat.vertices)
     verts[new_to_old] = pat.vertices
     pat.vertices = verts
-    pat.ext_id = new_to_old[pat.ext_id]
+    pat.ext_id = ext
     pat.faces = new_to_old[pat.faces]
+    pat.creases = [pat.creases[i] for i in order]
     for cr in pat.creases:
         cr.u = int(new_to_old[cr.u])
         cr.v = int(new_to_old[cr.v])
-    pat.finalize()
-    # carry over assignment in the document's edge order
-    lookup = {(min(c.u, c.v), max(c.u, c.v)): idx for idx, c in enumerate(pat.creases)}
-    assign = doc.get("edges_assignment", ["B"] * len(doc["edges_vertices"]))
-    for (u, v), a in zip(doc["edges_vertices"], assign):
-        idx = lookup.get((min(u, v), max(u, v)))
-        if idx is None:
-            raise SchemaError(f"edge ({u},{v}) does not fit the quad grid")
-        if pat.creases[idx].role != ROLE_BOUNDARY:
-            pat.creases[idx].mv = _ASSIGN_BACK.get(a, 0)
-    # reorder creases to the document's edge order for byte-stable re-export
-    order = []
-    for (u, v) in doc["edges_vertices"]:
-        order.append(lookup[(min(u, v), max(u, v))])
-    pat.creases = [pat.creases[i] for i in order]
-    pat.finalize()
-    _reindex_vertex_creases(pat)
-    return pat
-
-
-def _reindex_vertex_creases(pat):
-    for k in range(1, pat.rows + 1):
-        for i in range(1, pat.cols + 1):
-            vid = pat.inner_id(k, i)
-            nb = {"R": int(pat.ext_id[k, i + 1]), "U": int(pat.ext_id[k - 1, i]),
-                  "L": int(pat.ext_id[k, i - 1]), "D": int(pat.ext_id[k + 1, i])}
-            for j, key in enumerate(("R", "U", "L", "D")):
-                pat.vertex_creases[k - 1, i - 1, j] = pat.crease_between(vid, nb[key])
+    return pat.finalize()
 
 
 def _infer_grid(doc):

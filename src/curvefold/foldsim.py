@@ -1,8 +1,8 @@
 """1-DOF rigid folding simulation of quad-grid crease patterns.
 
 Folding angles are assigned by sweeping the vertex grid row-major with the
-single-vertex propagator, panels are then placed by BFS over the face
-adjacency graph, and every non-tree shared edge is checked for closure.
+single-vertex propagator, panels are then placed along the pattern's BFS
+placement order, and every shared edge is checked for closure.
 The sweep-to-halt driver locates the smallest driving angle at which any
 crease reaches pi (panel coincidence) or two panels interpenetrate.
 """
@@ -47,7 +47,7 @@ class Trajectory:
 def default_driving_crease(pattern: CreasePattern):
     """First row crease adjacent to the halting column: the one leaving
     inner vertex (1, halting_col) toward the next column."""
-    return int(pattern.vertex_creases[0, pattern.halting_col - 1, 0])
+    return int(pattern.row_creases[1, pattern.halting_col])
 
 
 def _rot_about(axis, ang):
@@ -115,42 +115,32 @@ def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None,
 
 
 def place_panels(pattern: CreasePattern, rho):
-    """Rigid placement of every panel: BFS from the top-left panel fixed in
-    the plane z = 0; returns (frames, vertex_coords, closure_residual)."""
-    frames = {(0, 0): (np.eye(3), np.zeros(3))}
+    """Rigid placement of every panel along the pattern's placement order,
+    from face 0 (top left) fixed in the plane z = 0; returns (frames keyed
+    by face, vertex_coords, residuals)."""
+    frames = {0: (np.eye(3), np.zeros(3))}
     pts2 = pattern.vertices
 
     def lift(p):
         return np.array([p[0], p[1], 0.0])
 
-    from collections import deque
-    queue = deque([(0, 0)])
-    visited = {(0, 0)}
-    while queue:
-        face = queue.popleft()
-        R0, t0 = frames[face]
-        for idx, other, is_left in pattern.face_adjacency.get(face, ()):
-            if other in visited:
-                continue
-            cr = pattern.creases[idx]
-            d = lift(pts2[cr.v]) - lift(pts2[cr.u])
-            ang = -rho[idx] if is_left else rho[idx]
-            H = _rot_about(d, ang)
-            p = lift(pts2[cr.u])
-            Rn = R0 @ H
-            tn = R0 @ (p - H @ p) + t0
-            frames[other] = (Rn, tn)
-            visited.add(other)
-            queue.append(other)
+    for face, parent, idx, sign in pattern.placement.tolist():
+        R0, t0 = frames[parent]
+        cr = pattern.creases[idx]
+        d = lift(pts2[cr.v]) - lift(pts2[cr.u])
+        H = _rot_about(d, sign * rho[idx])
+        p = lift(pts2[cr.u])
+        Rn = R0 @ H
+        tn = R0 @ (p - H @ p) + t0
+        frames[face] = (Rn, tn)
 
     # closure on every interior shared edge
     diam = max(pattern.diameter, 1e-12)
     worst = 0.0
-    for idx, cr in enumerate(pattern.creases):
-        sides = pattern.crease_sides[idx]
-        fl, fr = sides["left"], sides["right"]
-        if fl is None or fr is None:
+    for idx, (fl, fr) in enumerate(pattern.crease_faces.tolist()):
+        if fl < 0 or fr < 0:
             continue
+        cr = pattern.creases[idx]
         for vid in (cr.u, cr.v):
             p = lift(pts2[vid])
             Ra, ta = frames[fl]
@@ -165,8 +155,9 @@ def place_panels(pattern: CreasePattern, rho):
     counts = np.zeros(len(pts2))
     spread = 0.0
     placed = {vid: [] for vid in range(len(pts2))}
-    for (r, c), (R0, t0) in frames.items():
-        for vid in pattern.faces[r, c]:
+    quads = pattern.faces.reshape(-1, 4)
+    for face, (R0, t0) in frames.items():
+        for vid in quads[face]:
             w = R0 @ lift(pts2[vid]) + t0
             placed[vid].append(w)
             coords[vid] += w
@@ -190,48 +181,46 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02, driving_crease=None):
     verts = [(k, i) for k in range(m) for i in range(n)]
     tol = 1e-8
 
-    def dfs(idx, rho):
+    rho = np.full(len(pattern.creases), np.nan)
+    rho[dc] = d0
+    # an explicit stack, so grids with more vertices than the recursion
+    # limit still search
+    stack = [(0, rho)]
+    while stack:
+        idx, rho = stack.pop()
         if idx == len(verts):
-            return rho
+            break
         k, i = verts[idx]
         cids = [int(x) for x in pattern.vertex_creases[k, i]]
         known = {j: rho[c] for j, c in enumerate(cids) if not np.isnan(rho[c])}
         if not known:
-            return None
+            continue
         j_in = min(known)
         v = VertexAngles(tuple(pattern.sectors[k, i]))
         try:
             cands = propagate_both_modes(v, j_in, known[j_in])
         except OutOfRange:
-            return None
+            continue
         # prefer fully folding branches over degenerate straight-line ones,
-        # then the branch continuous with the flat state
+        # then the branch continuous with the flat state; the preferred
+        # branch goes on the stack last so it is searched first
         cands = sorted(cands, key=lambda c: (sum(1 for x in c.rho if abs(x) < 1e-12),
                                              float(np.linalg.norm(c.rho))))
-        for cand in cands:
-            ok = all(abs(cand.rho[j] - val) < tol for j, val in known.items())
-            if not ok:
-                continue
-            nxt = rho.copy()
-            for j, c in enumerate(cids):
-                nxt[c] = cand.rho[j]
-            res = dfs(idx + 1, nxt)
-            if res is not None:
-                return res
-        return None
-
-    rho = np.full(len(pattern.creases), np.nan)
-    rho[dc] = d0
-    out = dfs(0, rho)
-    if out is None:
+        for cand in reversed(cands):
+            if all(abs(cand.rho[j] - val) < tol for j, val in known.items()):
+                nxt = rho.copy()
+                for j, c in enumerate(cids):
+                    nxt[c] = cand.rho[j]
+                stack.append((idx + 1, nxt))
+    else:
         raise NotRigidFoldable("no consistent folding branch found near flat")
-    out[np.isnan(out)] = 0.0
+    rho[np.isnan(rho)] = 0.0
     for idx, cr in enumerate(pattern.creases):
         if cr.role == ROLE_BOUNDARY:
             cr.mv = 0
         else:
-            cr.mv = 1 if out[idx] >= 0 else -1
-    return out
+            cr.mv = 1 if rho[idx] >= 0 else -1
+    return rho
 
 
 def propagate(pattern: CreasePattern, driving_rho, prev=None, driving_crease=None):
@@ -250,11 +239,10 @@ def propagate(pattern: CreasePattern, driving_rho, prev=None, driving_crease=Non
 
 def _face_tris(pattern, coords):
     tris = []
-    for r, c, quad in pattern.face_grid_iter():
-        q = [coords[int(v)] for v in quad]
-        ids = [int(v) for v in quad]
-        tris.append(((r, c), ids[:3], np.array([q[0], q[1], q[2]])))
-        tris.append(((r, c), [ids[0], ids[2], ids[3]], np.array([q[0], q[2], q[3]])))
+    for face, ids in enumerate(pattern.faces.reshape(-1, 4).tolist()):
+        q = [coords[v] for v in ids]
+        tris.append((face, ids[:3], np.array([q[0], q[1], q[2]])))
+        tris.append((face, [ids[0], ids[2], ids[3]], np.array([q[0], q[2], q[3]])))
     return tris
 
 
@@ -332,7 +320,8 @@ def _tri_tri_penetration(t1, t2, tol):
 
 
 def clash_test(pattern: CreasePattern, state: FoldedState):
-    """Interpenetrating panel pairs (triangulated along a diagonal).
+    """Interpenetrating panel pairs (triangulated along a diagonal), as
+    sorted pairs of face numbers.
 
     Panels sharing a crease are reported only when that crease has folded
     to pi (coincident panels); other vertex-sharing pairs are hinge
@@ -342,9 +331,8 @@ def clash_test(pattern: CreasePattern, state: FoldedState):
     coords = state.vertex_coords
     tol = 1e-9 * max(pattern.diameter, 1.0)
     hits = []
-    for idx, sides in enumerate(pattern.crease_sides):
-        fl, fr = sides["left"], sides["right"]
-        if fl is not None and fr is not None and abs(state.rho[idx]) >= np.pi - 1e-9:
+    for idx, (fl, fr) in enumerate(pattern.crease_faces.tolist()):
+        if fl >= 0 and fr >= 0 and abs(state.rho[idx]) >= np.pi - 1e-9:
             hits.append(tuple(sorted((fl, fr))))
     tris = _face_tris(pattern, coords)
     lo = np.array([t[2].min(axis=0) for t in tris])
@@ -411,6 +399,8 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, coarse=64, driving_crease=
         lo, hi = limit
         for _ in range(60):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # float resolution: no later step can move lo or hi
             try:
                 st = simulate(mid, last_good)
             except (OutOfRange, NotRigidFoldable):
@@ -427,6 +417,8 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, coarse=64, driving_crease=
     lo, hi = event_lo, event_hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         try:
             st = simulate(mid, last_good)
         except (OutOfRange, NotRigidFoldable):
@@ -458,24 +450,11 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, coarse=64, driving_crease=
 def extract_polylines(pattern: CreasePattern, state: FoldedState, axis, index,
                       include_boundary=False):
     """Folded polyline of inner vertices along one grid row or column."""
-    V = state.vertex_coords
-    ext = pattern.ext_id
-    m, n = pattern.rows, pattern.cols
-    if axis == "row":
-        if not (1 <= index <= m):
-            raise IndexError("row index out of range")
-        ids = [ext[index, c] for c in range(1, n + 1)]
-        if include_boundary:
-            ids = [ext[index, 0]] + ids + [ext[index, n + 1]]
-    elif axis == "column":
-        if not (1 <= index <= n):
-            raise IndexError("column index out of range")
-        ids = [ext[r, index] for r in range(1, m + 1)]
-        if include_boundary:
-            ids = [ext[0, index]] + ids + [ext[m + 1, index]]
-    else:
+    if axis not in ("row", "column"):
         raise ValueError("axis must be 'row' or 'column'")
-    pts = np.array([V[int(i)] for i in ids])
+    if not (1 <= index <= (pattern.rows if axis == "row" else pattern.cols)):
+        raise IndexError(f"{axis} index out of range")
+    pts = state.vertex_coords[pattern.line_ids(axis, index, include_boundary)]
     if len(pts) == 1:
         pts = np.vstack([pts, pts + [[1e-9, 0, 0]]])
     return PolyCurve(pts, np.arange(len(pts), dtype=float))

@@ -31,6 +31,11 @@ def _unit(v):
     return v / n
 
 
+def _arc(u, v):
+    """Angle between two unit vectors."""
+    return float(np.arccos(np.clip(u @ v, -1.0, 1.0)))
+
+
 @dataclass(frozen=True)
 class PolyCurve:
     """Sampled parametric curve in R^2 or R^3.
@@ -78,9 +83,6 @@ class PolyCurve:
         ts.append([self.param[-1]])
         t = np.concatenate(ts)
         return PolyCurve(self.point_at(t), t, closed=self.closed)
-
-    def reversed(self):
-        return PolyCurve(self.samples[::-1].copy(), -self.param[::-1], closed=self.closed)
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,10 @@ def is_admissible(f: PolyCurve, a: AffineParams):
     return ok, img
 
 
-def search_theta(f: PolyCurve, xi, grid=720, refine=0):
+def search_theta(f: PolyCurve, xi, grid=720):
     """Scan theta over [0, 2pi) at 2pi*k/grid and return the admissible ones.
 
-    An empty result is a legitimate outcome.  refine > 0 bisects around each
-    passing cell boundary that many times to sharpen the admissible interval
-    edges (the returned list stays sorted and deduplicated)."""
+    An empty result is a legitimate outcome."""
     if grid < 1:
         raise ValueError("grid must be >= 1")
     thetas = TAU * np.arange(grid) / grid
@@ -209,21 +209,6 @@ def search_theta(f: PolyCurve, xi, grid=720, refine=0):
         ok, _ = is_admissible(f, AffineParams(t, xi))
         if ok:
             passing.append(float(t))
-    if refine and passing:
-        step = TAU / grid
-        extra = []
-        for t in passing:
-            for side in (-1.0, 1.0):
-                lo, hi = t, t + side * step
-                for _ in range(refine):
-                    mid = 0.5 * (lo + hi)
-                    ok, _ = is_admissible(f, AffineParams(mid % TAU, xi))
-                    if ok:
-                        lo = mid
-                    else:
-                        hi = mid
-                extra.append(lo % TAU)
-        passing = sorted(set(passing) | set(extra))
     return passing
 
 
@@ -278,6 +263,18 @@ def staircase(f: PolyCurve, a: AffineParams, n, phase="x"):
     lengths, beta, theta = measure_polyline(back)
     _check_turns(beta)
     return Partition(back, lengths, beta, theta)
+
+
+def staircase_segments(stair: Partition, a: AffineParams):
+    """Image-frame axis ('x' or 'y') and base length |dx| + |dy| of each
+    staircase segment."""
+    img = affine_map(stair.points, a)
+    segs = []
+    for k in range(len(img) - 1):
+        d = img[k + 1] - img[k]
+        axis = "x" if abs(d[0]) > abs(d[1]) else "y"
+        segs.append((axis, float(abs(d[0]) + abs(d[1]))))
+    return segs
 
 
 def partition_uniform(c: PolyCurve, n):

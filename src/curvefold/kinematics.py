@@ -21,11 +21,9 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoSolution, OutOfRange
-
-TAU = 2.0 * np.pi
+from .geometry import TAU, _arc, _unit
 
 DEV_TOL = 1e-10          # developability: sector sum vs 2*pi
 CLAMP_SLACK = 1e-12      # |arccos arg| may exceed 1 by at most this
@@ -36,14 +34,6 @@ SECTOR_MARGIN = 1e-6     # sectors valid in (margin, pi - margin)
 
 #: lexicographic enumeration of the four +- slots of the transfer equations
 BRANCH_ORDER = tuple(product((1, -1), repeat=4))
-
-
-def _unit(v):
-    return v / np.linalg.norm(v)
-
-
-def _arc(u, v):
-    return float(np.arccos(np.clip(u @ v, -1.0, 1.0)))
 
 
 def guarded_arccos(x):
@@ -106,14 +96,17 @@ def fold_from_beta(alpha1, alpha2, beta1):
     return 2.0 * guarded_arccos(x2), 2.0 * guarded_arccos(x4)
 
 
-def solve_first_vertex(beta1, rho4, scan=2048, return_all=False):
+def solve_first_vertex(beta1, rho4, scan=2048):
     """Sector angles (alpha1, alpha2) of the halting vertex: left row crease
     fully folded (rho2 = pi) while the right row crease carries rho4.
 
     rho2 = pi forces cos(alpha1) = cos(alpha2) cos(beta1); alpha2 then comes
     from a bracketing scan + Brent root find of the rho4 equation.  When two
-    roots exist the one with smaller |alpha1 - alpha2| is returned (the
-    other is available via return_all)."""
+    roots exist the one with smaller |alpha1 - alpha2| is returned."""
+    # imported here: scipy.optimize takes longer to load than the rest of
+    # the package together
+    from scipy.optimize import brentq
+
     if not (0.0 < beta1 < np.pi):
         raise OutOfRange(f"beta1 = {beta1:.6g} outside (0, pi)")
     if not (0.0 < rho4 < np.pi):
@@ -141,8 +134,6 @@ def solve_first_vertex(beta1, rho4, scan=2048, return_all=False):
         raise NoSolution(f"no alpha2 in (0, pi) reaches rho4 = {rho4:.6g} "
                          f"at beta1 = {beta1:.6g}")
     pairs = sorted(((alpha1_of(r), r) for r in roots), key=lambda p: abs(p[0] - p[1]))
-    if return_all:
-        return pairs
     return pairs[0]
 
 
@@ -261,6 +252,8 @@ def planar_transfer(prev_pair, beta_i, beta_ip1):
     The single ratio equation fixes a' (= b' by the flat-foldability
     choice); the required dihedral theta_i is 0 when consecutive vertices
     bend the row polyline the same way and pi otherwise."""
+    from scipy.optimize import brentq
+
     p1, p2 = prev_pair
     for x in (p1, p2, beta_i, beta_ip1):
         if not (0.0 < x < np.pi):

@@ -17,19 +17,10 @@ import numpy as np
 
 from .errors import DegenerateAngle, NotAdmissible, OutOfRange
 from .geometry import (AffineParams, Partition, PolyCurve, affine_map,
-                       hausdorff, is_admissible, partition_tube, staircase)
+                       hausdorff, is_admissible, partition_tube, staircase,
+                       staircase_segments)
 from .kinematics import guarded_arccos
 from .pattern import DesignReport, assemble_grid, check_embeddable
-
-TAU = 2.0 * np.pi
-
-
-def _unit(v):
-    return v / np.linalg.norm(v)
-
-
-def _arc(u, v):
-    return float(np.arccos(np.clip(u @ v, -1.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -202,11 +193,7 @@ def build_ortho_pattern(spec: OrthoDesignSpec):
         raise NotAdmissible("target curve fails admissibility at (theta, xi_1); "
                             "run search_theta for candidates")
     stair = staircase(spec.target, aff1, spec.m, phase=spec.phase)
-    img = affine_map(stair.points, aff1)
-    base = []
-    for k in range(len(img) - 1):
-        d = img[k + 1] - img[k]
-        base.append(float(abs(d[0]) + abs(d[1])))
+    base = [b for _, b in staircase_segments(stair, aff1)]
     scales = np.sin(a1col[0]) / np.sin(a1col)
 
     pattern = _draw_ortho(spec, part, col0, a1col, base, scales)

@@ -16,23 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSolution, NotAdmissible, OutOfRange
-from .geometry import (AffineParams, Partition, PolyCurve, affine_map,
-                       hausdorff, is_admissible, measure_polyline,
-                       partition_uniform, staircase)
+from .geometry import (AffineParams, Partition, PolyCurve, _arc, _unit,
+                       affine_map, hausdorff, is_admissible,
+                       partition_uniform, staircase, staircase_segments)
 from .kinematics import (BRANCH_ORDER, VertexAngles, guarded_arccos,
                          row_transfer_residual, solve_first_vertex)
 from .pattern import (DesignReport, assemble_grid, assign_mv_from_state,
-                      check_embeddable, signed_fold_angles)
-
-TAU = 2.0 * np.pi
-
-
-def _unit(v):
-    return v / np.linalg.norm(v)
-
-
-def _arc(u, v):
-    return float(np.arccos(np.clip(u @ v, -1.0, 1.0)))
+                      check_embeddable, panel_distances)
 
 
 def _rot2(v, ang):
@@ -273,22 +263,6 @@ def column_curves(f1: PolyCurve, theta, row_vertices, phase="x"):
     return profiles
 
 
-def _staircase_segments(stair: Partition, a: AffineParams, phase):
-    """Per-segment (axis, base length) of the image-frame staircase."""
-    img = affine_map(stair.points, a)
-    segs = []
-    for k in range(len(img) - 1):
-        d = img[k + 1] - img[k]
-        axis = "x" if abs(d[0]) > abs(d[1]) else "y"
-        segs.append((axis, float(abs(d[0]) + abs(d[1]))))
-    want = phase
-    for axis, _ in segs:
-        if axis != want:
-            raise AssertionError("staircase segment axis/phase mismatch")
-        want = "y" if want == "x" else "x"
-    return segs
-
-
 def build_pattern(spec: ParallelDesignSpec):
     """Full planar pattern plus design report.
 
@@ -308,7 +282,12 @@ def build_pattern(spec: ParallelDesignSpec):
         raise NotAdmissible("target curve fails admissibility at (theta, xi_1); "
                             "run search_theta for candidates")
     stair = staircase(spec.target, aff1, m, phase=spec.phase)
-    base_segs = _staircase_segments(stair, aff1, spec.phase)
+    base_segs = staircase_segments(stair, aff1)
+    want = spec.phase
+    for axis, _ in base_segs:
+        if axis != want:
+            raise AssertionError("staircase segment axis/phase mismatch")
+        want = "y" if want == "x" else "x"
     cumx, cumy = column_scales(slots, spec.phase)
 
     def seg_len(k, i):
@@ -443,14 +422,8 @@ def _halting_state(spec, part: Partition, state: _RowState, m, seg_len, pattern)
             V[ext[k + 1, i + 1]] = inner[k, i]
 
     # design-consistency residuals: panel isometry against the pattern
-    iso = 0.0
-    for r, c, quad in pattern.face_grid_iter():
-        for a in range(4):
-            for b in range(a + 1, 4):
-                d2 = np.linalg.norm(pattern.vertices[quad[a]] - pattern.vertices[quad[b]])
-                d3 = np.linalg.norm(V[quad[a]] - V[quad[b]])
-                iso = max(iso, abs(d2 - d3))
-    residuals["isometry"] = float(iso)
+    d2, d3 = panel_distances(pattern, V)
+    residuals["isometry"] = float(np.max(np.abs(d2 - d3)))
     xi_geo = max(abs(_arc(state.U[i], state.D[i]) - x)
                  for i, x in enumerate(xi_list(state.slots)))
     residuals["xi_vs_recurrence"] = float(xi_geo)

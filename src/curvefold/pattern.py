@@ -28,6 +28,17 @@ class Crease:
 
 @dataclass
 class CreasePattern:
+    """Planar grid plus the grid index that `finalize` derives from it.
+
+    Faces are numbered row-major, face (r, c) as r * (cols + 1) + c.  The
+    index attributes are `vertex_creases` (rows, cols, 4), the crease at
+    each inner vertex in (R, U, L, D) order; `row_creases` (rows+2, cols+1)
+    and `col_creases` (rows+1, cols+2), the crease from ext_id[r, c] to
+    its right and lower neighbour; `crease_faces` (C, 2), the faces left
+    and right of each directed crease u->v, -1 on the outside; and
+    `placement`, rows (face, parent face, crease, fold sign) in the BFS
+    order that places every panel from face 0."""
+
     rows: int
     cols: int
     vertices: np.ndarray          # (V, 2) planar coordinates
@@ -35,13 +46,18 @@ class CreasePattern:
     creases: list
     faces: np.ndarray             # (rows+1, cols+1, 4) vertex ids, CCW in the plane
     sectors: np.ndarray           # (rows, cols, 4) sector angles, (R, U, L, D) order
-    vertex_creases: np.ndarray    # (rows, cols, 4) crease index at each inner vertex
     halting_col: int = 1
     design: dict = field(default_factory=dict)
 
     def inner_id(self, k, i):
         """Vertex id of inner grid position (row k, col i), 1-based."""
         return int(self.ext_id[k, i])
+
+    def line_ids(self, axis, index, include_boundary=False):
+        """Vertex ids along grid row or column `index` (1-based): the inner
+        vertices, plus the two boundary ends when asked."""
+        line = self.ext_id[index] if axis == "row" else self.ext_id[:, index]
+        return line if include_boundary else line[1:-1]
 
     @property
     def diameter(self):
@@ -58,27 +74,39 @@ class CreasePattern:
         for idx, c in enumerate(self.creases):
             c.length = float(np.linalg.norm(self.vertices[c.u] - self.vertices[c.v]))
             self._edge_lookup[(min(c.u, c.v), max(c.u, c.v))] = idx
+        R, C = self.ext_id.shape
+        ext = self.ext_id.tolist()
+        H = self.row_creases = np.array(
+            [[self.crease_between(ext[r][c], ext[r][c + 1]) for c in range(C - 1)]
+             for r in range(R)])
+        V = self.col_creases = np.array(
+            [[self.crease_between(ext[r][c], ext[r + 1][c]) for c in range(C)]
+             for r in range(R - 1)])
+        self.vertex_creases = np.stack(
+            [H[1:-1, 1:], V[:-1, 1:-1], H[1:-1, :-1], V[1:, 1:-1]], axis=-1)
         # face on each side of every oriented crease, from the CCW winding:
         # a face listing the directed edge u->v lies on its left
-        self.crease_sides = [{"left": None, "right": None} for _ in self.creases]
-        for r in range(self.rows + 1):
-            for c in range(self.cols + 1):
-                quad = self.faces[r, c]
-                for j in range(4):
-                    a, b = int(quad[j]), int(quad[(j + 1) % 4])
-                    idx = self._edge_lookup.get((min(a, b), max(a, b)))
-                    if idx is None:
-                        continue
-                    cr = self.creases[idx]
-                    side = "left" if (a, b) == (cr.u, cr.v) else "right"
-                    self.crease_sides[idx][side] = (r, c)
-        self.face_adjacency = {}
-        for idx, sides in enumerate(self.crease_sides):
-            fl, fr = sides["left"], sides["right"]
-            if fl is None or fr is None:
-                continue
-            self.face_adjacency.setdefault(fl, []).append((idx, fr, True))
-            self.face_adjacency.setdefault(fr, []).append((idx, fl, False))
+        self.crease_faces = np.full((len(self.creases), 2), -1)
+        for f, quad in enumerate(self.faces.reshape(-1, 4).tolist()):
+            for j in range(4):
+                a, b = quad[j], quad[(j + 1) % 4]
+                idx = self.crease_between(a, b)
+                cr = self.creases[idx]
+                self.crease_faces[idx, 0 if (a, b) == (cr.u, cr.v) else 1] = f
+        # seen from its left face a crease folds the other way
+        adjacency = [[] for _ in range(self.faces.shape[0] * self.faces.shape[1])]
+        for idx, (fl, fr) in enumerate(self.crease_faces.tolist()):
+            if fl >= 0 and fr >= 0:
+                adjacency[fl].append((fr, idx, -1))
+                adjacency[fr].append((fl, idx, 1))
+        queue, placed, placement = [0], {0}, []
+        for parent in queue:
+            for face, idx, sign in adjacency[parent]:
+                if face not in placed:
+                    placed.add(face)
+                    queue.append(face)
+                    placement.append((face, parent, idx, sign))
+        self.placement = np.array(placement, dtype=int).reshape(-1, 4)
         return self
 
     def face_grid_iter(self):
@@ -88,6 +116,19 @@ class CreasePattern:
 
     def developability_residual(self):
         return float(np.max(np.abs(self.sectors.sum(axis=2) - 2.0 * np.pi)))
+
+
+def panel_distances(pattern: CreasePattern, coords):
+    """Planar and placed length of every vertex-to-vertex chord of every
+    panel, as two arrays in the same order."""
+    P = pattern.vertices
+    planar, placed = [], []
+    for _, _, quad in pattern.face_grid_iter():
+        for a in range(4):
+            for b in range(a + 1, 4):
+                planar.append(np.linalg.norm(P[quad[a]] - P[quad[b]]))
+                placed.append(np.linalg.norm(coords[quad[a]] - coords[quad[b]]))
+    return np.array(planar), np.array(placed)
 
 
 def _orient(a, b, c):
@@ -150,8 +191,8 @@ def assemble_grid(m, n, inner, top, bottom, left, right, corners, halting_col, d
     """Build a CreasePattern from planar vertex blocks.
 
     inner: (m, n, 2); top/bottom: (n, 2); left/right: (m, 2); corners:
-    dict tl/tr/bl/br.  Sector angles are measured from the drawing and the
-    vertex-to-crease map is filled in (R, U, L, D) order."""
+    dict tl/tr/bl/br.  Sector angles are measured from the drawing in
+    (R, U, L, D) order."""
     verts = []
 
     def add(p):
@@ -196,7 +237,6 @@ def assemble_grid(m, n, inner, top, bottom, left, right, corners, halting_col, d
     pat = CreasePattern(rows=m, cols=n, vertices=verts, ext_id=ext,
                         creases=creases, faces=faces,
                         sectors=np.zeros((m, n, 4)),
-                        vertex_creases=np.zeros((m, n, 4), dtype=int),
                         halting_col=halting_col, design=design)
     pat.finalize()
     tau = 2.0 * np.pi
@@ -215,8 +255,6 @@ def assemble_grid(m, n, inner, top, bottom, left, right, corners, halting_col, d
                 aR, aN = angs[order[j]], angs[order[(j + 1) % 4]]
                 secs.append((aN - aR) % tau)
             pat.sectors[k - 1, i - 1] = secs
-            for j, key in enumerate(order):
-                pat.vertex_creases[k - 1, i - 1, j] = pat.crease_between(vid, nb[key])
     if pat.developability_residual() > 1e-9:
         # a winding inversion means the drawn layout folds back on itself
         raise CreaseIntersection(
@@ -234,17 +272,12 @@ def face_normal(coords, quad):
 def signed_fold_angles(pattern: CreasePattern, coords):
     """Signed fold angle per crease of a folded vertex placement (valley
     positive); boundary edges get 0."""
-    normals = {}
-    for r, c, quad in pattern.face_grid_iter():
-        normals[(r, c)] = face_normal(coords, quad)
+    normals = [face_normal(coords, quad) for quad in pattern.faces.reshape(-1, 4)]
     out = np.zeros(len(pattern.creases))
-    for idx, cr in enumerate(pattern.creases):
-        if cr.role == ROLE_BOUNDARY:
+    for idx, (fl, fr) in enumerate(pattern.crease_faces.tolist()):
+        if fl < 0 or fr < 0:
             continue
-        sides = pattern.crease_sides[idx]
-        fr, fl = sides["right"], sides["left"]
-        if fr is None or fl is None:
-            continue
+        cr = pattern.creases[idx]
         e = coords[cr.v] - coords[cr.u]
         e = e / np.linalg.norm(e)
         nr, nl = normals[fr], normals[fl]

@@ -6,7 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pattern import CreasePattern
+from .errors import NotRigidFoldable
+from .foldsim import CLOSURE_REL, place_panels
+from .ortho import OrthoAngleGrid
+from .pattern import CreasePattern, panel_distances
 
 #: every check tolerance lives here; tests must not invent their own
 TOLERANCES = {
@@ -15,9 +18,8 @@ TOLERANCES = {
     "coplanarity": 1e-8,          # x pattern diameter
     "xi": 1e-8,
     "row_fold_equal": 1e-8,
-    "closure": 1e-9,              # x pattern diameter
+    "closure": CLOSURE_REL,       # x pattern diameter
     "separability": 1e-10,        # relative on tan ratios
-    "surface_assembly": 1e-6,
     "phi": 1e-8,
     # all halting-column creases are designed to reach pi together, but
     # the sweep stops when the first one crosses pi - 1e-6, leaving the
@@ -58,34 +60,20 @@ def _plane_fit_residual(pts):
     return float(np.linalg.svd(q, compute_uv=False)[-1])
 
 
-def _grid_line(pattern, state, axis, index, include_boundary=False):
-    V = state.vertex_coords
-    ext = pattern.ext_id
-    if axis == "row":
-        ids = [ext[index, c] for c in range(1, pattern.cols + 1)]
-        if include_boundary:
-            ids = [ext[index, 0]] + ids + [ext[index, pattern.cols + 1]]
-    else:
-        ids = [ext[r, index] for r in range(1, pattern.rows + 1)]
-        if include_boundary:
-            ids = [ext[0, index]] + ids + [ext[pattern.rows + 1, index]]
-    return np.array([V[int(i)] for i in ids])
-
-
 def check_developability(pattern: CreasePattern):
     return _result("developability", pattern.developability_residual(),
                    "developability")
 
 
 def check_coplanarity(pattern, state, axis, index):
-    pts = _grid_line(pattern, state, axis, index)
+    pts = state.vertex_coords[pattern.line_ids(axis, index)]
     res = _plane_fit_residual(pts) / max(pattern.diameter, 1e-12)
     return _result(f"coplanarity-{axis}-{index}", res, "coplanarity")
 
 
 def measure_xi(pattern, state, index, axis="column"):
     """Folded angles between consecutive inner creases along a grid line."""
-    pts = _grid_line(pattern, state, axis, index, include_boundary=True)
+    pts = state.vertex_coords[pattern.line_ids(axis, index, include_boundary=True)]
     out = []
     for k in range(1, len(pts) - 1):
         u = pts[k - 1] - pts[k]
@@ -112,41 +100,34 @@ def check_xi(pattern, state, index, expected_xi, axis="column", skip_first=False
 
 def check_row_fold_equal(pattern, state, row):
     """All row creases of one grid row carry equal fold magnitude."""
-    ext = pattern.ext_id
-    vals = []
-    for c in range(1, pattern.cols):
-        idx = pattern.crease_between(int(ext[row, c]), int(ext[row, c + 1]))
-        vals.append(abs(state.rho[idx]))
-    res = (max(vals) - min(vals)) if vals else 0.0
+    vals = np.abs(state.rho[pattern.row_creases[row, 1:pattern.cols]])
+    res = (vals.max() - vals.min()) if len(vals) else 0.0
     return _result(f"row-fold-equal-{row}", res, "row_fold_equal")
 
 
 def check_opposite_row_folds(pattern, state):
     """Row creases of consecutive grid rows fold with opposite signs and
     equal magnitudes (the longitudinal accordion of the repeating unit)."""
-    ext = pattern.ext_id
-    res = 0.0
-    for r in range(1, pattern.rows):
-        for c in range(1, pattern.cols + 1):
-            a = pattern.crease_between(int(ext[r, c - 1]), int(ext[r, c]))
-            b = pattern.crease_between(int(ext[r + 1, c - 1]), int(ext[r + 1, c]))
-            res = max(res, abs(state.rho[a] + state.rho[b]))
+    rc = pattern.row_creases[1:pattern.rows + 1, :pattern.cols]
+    res = np.abs(state.rho[rc[:-1]] + state.rho[rc[1:]]).max(initial=0.0)
     return _result("opposite-row-folds", res, "opposite_folds")
 
 
-def check_closure(state):
-    return _result("closure", state.residuals.get("closure", np.inf), "closure")
+def check_closure(pattern, state):
+    """Panel-loop closure of a state; a state read from a file carries none,
+    so it is recomputed from the state's fold angles."""
+    closure = state.residuals.get("closure")
+    if closure is None:
+        try:
+            closure = place_panels(pattern, state.rho)[2]["closure"]
+        except NotRigidFoldable as e:
+            closure = e.residual
+    return _result("closure", closure, "closure")
 
 
 def check_isometry(pattern, state):
-    V = state.vertex_coords
-    res = 0.0
-    for _, _, quad in pattern.face_grid_iter():
-        for a in range(4):
-            for b in range(a + 1, 4):
-                d2 = np.linalg.norm(pattern.vertices[quad[a]] - pattern.vertices[quad[b]])
-                d3 = np.linalg.norm(V[quad[a]] - V[quad[b]])
-                res = max(res, abs(d3 - d2) / max(d2, 1e-12))
+    d2, d3 = panel_distances(pattern, state.vertex_coords)
+    res = np.max(np.abs(d3 - d2) / np.maximum(d2, 1e-12))
     return _result("isometry", res, "isometry")
 
 
@@ -161,13 +142,7 @@ def check_kawasaki(pattern: CreasePattern, columns):
 
 
 def check_separability(grid_alpha):
-    t = np.tan(np.asarray(grid_alpha, dtype=float))
-    res = 0.0
-    for i in range(t.shape[0] - 1):
-        for j in range(t.shape[1] - 1):
-            lhs = t[i, j] / t[i, j + 1]
-            rhs = t[i + 1, j] / t[i + 1, j + 1]
-            res = max(res, abs(lhs - rhs) / max(abs(lhs), 1e-30))
+    res = OrthoAngleGrid(np.asarray(grid_alpha, dtype=float)).separability_residual()
     return _result("separability", res, "separability")
 
 
@@ -184,29 +159,12 @@ def rigid_align(src, dst):
     return R, cd - R @ cs
 
 
-def check_surface_assembly(pattern, state, column_profiles):
-    """Folded column polylines against the designed transformed curves'
-    staircase offsets, after rigid alignment per column."""
-    res = 0.0
-    ext = pattern.ext_id
-    V = state.vertex_coords
-    hs = pattern.design.get("halting_state")
-    if hs is None:
-        return _result("surface-assembly", np.inf, "surface_assembly")
-    Va = hs["coords"]
-    R, t = rigid_align(Va, V)
-    for i in range(1, pattern.cols + 1):
-        for r in range(1, pattern.rows + 1):
-            pred = R @ Va[int(ext[r, i])] + t
-            res = max(res, float(np.linalg.norm(pred - V[int(ext[r, i])])))
-    return _result("surface-assembly", res, "surface_assembly")
-
-
 def measure_phi(pattern, state, i):
     """Dihedral between the planes of folded columns i and i+1, measured
     from the cross products of their inner-crease directions."""
-    a = _grid_line(pattern, state, "column", i, include_boundary=True)
-    b = _grid_line(pattern, state, "column", i + 1, include_boundary=True)
+    V = state.vertex_coords
+    a = V[pattern.line_ids("column", i, include_boundary=True)]
+    b = V[pattern.line_ids("column", i + 1, include_boundary=True)]
 
     def plane_normal(pts):
         n = np.cross(pts[0] - pts[1], pts[2] - pts[1])
@@ -226,21 +184,16 @@ def check_phi(pattern, state, i, expected_phi):
 
 def check_halt(pattern, state):
     """The designated halting creases reach pi at the halting state."""
-    ext = pattern.ext_id
-    h = pattern.halting_col
-    res = 0.0
-    for r in range(1, pattern.rows + 1):
-        idx = pattern.crease_between(int(ext[r, h - 1]), int(ext[r, h]))
-        res = max(res, np.pi - abs(state.rho[idx]))
+    stubs = pattern.row_creases[1:pattern.rows + 1, pattern.halting_col - 1]
+    res = (np.pi - np.abs(state.rho[stubs])).max(initial=0.0)
     return _result("halt-fold", res, "halt_fold")
 
 
 def check_perpendicular_rows(pattern, state):
     """Orthodiagonal: each folded row plane contains the local datum chord
     and is perpendicular to the datum plane."""
-    ext = pattern.ext_id
     V = state.vertex_coords
-    dat = np.array([V[int(ext[r, 1])] for r in range(0, pattern.rows + 2)])
+    dat = V[pattern.line_ids("column", 1, include_boundary=True)]
     dn = np.cross(dat[1] - dat[0], dat[2] - dat[0])
     for k in range(2, len(dat) - 1):
         cand = np.cross(dat[k] - dat[0], dat[k + 1] - dat[0])
@@ -249,7 +202,7 @@ def check_perpendicular_rows(pattern, state):
     dn = dn / np.linalg.norm(dn)
     res, res_t = 0.0, 0.0
     for r in range(1, pattern.rows + 1):
-        row = _grid_line(pattern, state, "row", r)
+        row = V[pattern.line_ids("row", r)]
         q = row - row.mean(axis=0)
         _, _, Vt = np.linalg.svd(q)
         nrm = Vt[-1]
@@ -281,7 +234,7 @@ def run_pattern_checks(pattern, state=None, trajectory=None):
     if trajectory is not None:
         states.extend(trajectory.states[1:])
     for st in states[-4:]:
-        out.append(check_closure(st))
+        out.append(check_closure(pattern, st))
         out.append(check_isometry(pattern, st))
         for i in range(1, pattern.cols + 1):
             out.append(check_coplanarity(pattern, st, "column", i))

@@ -44,6 +44,14 @@ class TestDesign:
         assert main(["design", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "NotAdmissible" in capsys.readouterr().err
 
+    def test_large_ortho_design(self, tmp_path):
+        # 34 x 34 = 1156 inner vertices, more than the default recursion limit
+        spec = write_spec(tmp_path, {
+            "type": "orthodiagonal",
+            "datum": {"builtin": "fig7-sine"}, "target": {"builtin": "fig7-tlnt"},
+            "n": 34, "m": 34, "theta": "auto", "eps": 0.2})
+        assert main(["design", str(spec), "--out", str(tmp_path / "o")]) == 0
+
     def test_determinism(self, tmp_path):
         spec = write_spec(tmp_path, SMALL_PARALLEL_SPEC)
         outs = []
@@ -86,6 +94,24 @@ class TestFoldVerify:
         bad.write_text(json.dumps(doc))
         rc = main(["verify", str(bad), "--states", "3"])
         assert rc == 2
+
+    def test_verify_folded_state(self, designed, tmp_path, capsys):
+        assert main(["fold", str(designed / "pattern.fold"), "--out", str(tmp_path),
+                     "--states", "4"]) == 0
+        halt = tmp_path / "halt.fold"
+        capsys.readouterr()
+        assert main(["verify", str(halt)]) == 0
+        checks = {c["check_id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["closure"]["residual"] < 1e-9
+        # one column crease bent by 0.01 degrees no longer closes
+        doc = json.loads(halt.read_text())
+        idx = doc["curvefold:roles"].index("column-crease")
+        doc["edges_foldAngle"][idx] += 0.01
+        bad = tmp_path / "bad.fold"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad)]) == 2
+        checks = {c["check_id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not checks["closure"]["ok"]
 
     def test_export_roundtrip(self, designed, tmp_path):
         rc = main(["export", str(designed / "pattern.fold"), "--out", str(tmp_path),

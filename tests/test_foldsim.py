@@ -145,8 +145,7 @@ class TestClash:
         st.rho = st.rho.copy()
         idx = default_driving_crease(pattern)
         st.rho[idx] = np.pi  # fake a fully folded crease
-        sides = pattern.crease_sides[idx]
-        pair = tuple(sorted((sides["left"], sides["right"])))
+        pair = tuple(sorted(pattern.crease_faces[idx].tolist()))
         assert pair in clash_test(pattern, st)
 
 

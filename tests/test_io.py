@@ -35,6 +35,26 @@ class TestFoldRoundTrip:
         t2 = export_fold(pat2, state=st2)
         assert t1 == t2
 
+    @pytest.mark.parametrize("design", ["fig5_design", "fig7_design"])
+    def test_shuffled_edge_order_keeps_grid_index(self, design, request):
+        pattern, _ = request.getfixturevalue(design)
+        doc = json.loads(export_fold(pattern))
+        perm = np.random.default_rng(3).permutation(len(pattern.creases))
+        for key in ("edges_vertices", "edges_assignment", "edges_foldAngle",
+                    "curvefold:roles"):
+            doc[key] = [doc[key][i] for i in perm]
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        pat2, _ = import_fold(text)
+
+        def ends(pat, idx):
+            return {pat.creases[idx].u, pat.creases[idx].v}
+
+        for a, b in zip(pattern.vertex_creases.ravel(), pat2.vertex_creases.ravel()):
+            assert ends(pattern, a) == ends(pat2, b)
+        # crease k of the re-import is crease perm[k] of the original
+        assert np.array_equal(pat2.crease_faces, pattern.crease_faces[perm])
+        assert export_fold(pat2) == text
+
     def test_flat_state_zero_angles(self, small_parallel):
         pattern, _ = small_parallel
         from curvefold.foldsim import propagate

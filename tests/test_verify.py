@@ -16,7 +16,7 @@ class TestTolerances:
     def test_table_complete(self):
         for key in ("developability", "kawasaki", "coplanarity", "xi",
                     "row_fold_equal", "closure", "separability",
-                    "surface_assembly", "phi", "halt_fold", "isometry"):
+                    "phi", "halt_fold", "isometry"):
             assert key in TOLERANCES
 
     def test_results_reference_table(self, small_parallel):
