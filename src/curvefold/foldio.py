@@ -329,6 +329,9 @@ def _load_curve(node, dim=2):
         extra = set(node) - {"builtin", "samples_n", "scale"}
         if extra:
             raise SchemaError(f"unknown curve fields: {sorted(extra)}")
+        if not (isinstance(node["builtin"], str) and node["builtin"] in curves_mod.BUILTIN):
+            raise SchemaError(f"unknown builtin curve {node['builtin']!r}; "
+                              f"have {sorted(curves_mod.BUILTIN)}")
         c = curves_mod.builtin(node["builtin"], n=node.get("samples_n", 257))
         if scale != 1.0:
             c = PolyCurve(c.samples * scale, c.param, closed=c.closed)

@@ -8,18 +8,20 @@ crease reaches pi (panel coincidence) or two panels interpenetrate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoHalt, NotRigidFoldable, OutOfRange
 from .geometry import PolyCurve
-from .kinematics import VertexAngles, propagate_both_modes
+from .kinematics import _cross, _dot, propagate_both_modes
 from .pattern import ROLE_BOUNDARY, CreasePattern
 
 HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
 CLOSURE_REL = 1e-9       # coordinate closure, relative to pattern diameter
 FOLD_CONSISTENCY = 1e-7  # fold-angle agreement between vertex sweeps (rad)
+CLASH_BLOCK = 64         # triangles whose candidate pairs clash_test gathers at once
 
 
 @dataclass
@@ -50,14 +52,6 @@ def default_driving_crease(pattern: CreasePattern):
     return int(pattern.row_creases[1, pattern.halting_col])
 
 
-def _rot_about(axis, ang):
-    axis = axis / np.linalg.norm(axis)
-    K = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    return np.eye(3) + np.sin(ang) * K + (1.0 - np.cos(ang)) * (K @ K)
-
-
 def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None,
                        driving_crease=None):
     """Per-crease folding angles for one driving value.
@@ -65,107 +59,102 @@ def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None,
     Branches are picked by closeness to prev_rho when given, else by the
     pattern's mountain/valley signs.  Disagreement with already-assigned
     creases beyond FOLD_CONSISTENCY raises NotRigidFoldable."""
-    m, n = pattern.rows, pattern.cols
     if driving_crease is None:
         driving_crease = default_driving_crease(pattern)
-    rho = np.full(len(pattern.creases), np.nan)
-    rho[driving_crease] = driving_rho
-    mv = np.array([c.mv for c in pattern.creases])
+    verts = pattern.vertex_angles()
+    rho = [None] * len(pattern.creases)
+    rho[driving_crease] = float(driving_rho)
+    mv = [c.mv for c in pattern.creases]
     use_mv = prev_rho is None or float(np.abs(prev_rho).max()) < 1e-8
+    prev = None if use_mv else np.asarray(prev_rho, dtype=float).tolist()
     worst = 0.0
-    for k in range(m):
-        for i in range(n):
-            cids = [int(x) for x in pattern.vertex_creases[k, i]]
-            known = {j: rho[c] for j, c in enumerate(cids) if not np.isnan(rho[c])}
-            if not known:
-                raise NotRigidFoldable(
-                    f"sweep reached vertex ({k + 1},{i + 1}) with no known crease")
-            j_in = min(known)  # deterministic input choice
-            try:
-                v = VertexAngles(tuple(pattern.sectors[k, i]))
-            except ValueError as e:
-                raise NotRigidFoldable(f"vertex ({k + 1},{i + 1}): {e}")
-            cands = propagate_both_modes(v, j_in, known[j_in])
-            best = None
-            for cand in cands:
-                if use_mv:
-                    # sign agreement first; break ties toward the state
-                    # continuous with flat (other branches through the flat
-                    # configuration carry large folds at tiny driving)
-                    matches = -sum(
-                        1 for j, c in enumerate(cids)
-                        if mv[c] != 0 and np.sign(cand.rho[j]) == mv[c]
-                        and abs(cand.rho[j]) > 1e-12)
-                    score = (matches, float(np.linalg.norm(cand.rho)))
-                else:
-                    score = (float(np.linalg.norm(
-                        [cand.rho[j] - prev_rho[c] for j, c in enumerate(cids)])),)
-                if best is None or score < best[0]:
-                    best = (score, cand)
-            cand = best[1]
-            for j, c in enumerate(cids):
-                if j in known:
-                    worst = max(worst, abs(cand.rho[j] - known[j]))
-                rho[c] = cand.rho[j]
+    for vi, cids in enumerate(pattern.vertex_creases.reshape(-1, 4).tolist()):
+        known = [(j, rho[c]) for j, c in enumerate(cids) if rho[c] is not None]
+        if not known:
+            k, i = divmod(vi, pattern.cols)
+            raise NotRigidFoldable(
+                f"sweep reached vertex ({k + 1},{i + 1}) with no known crease")
+        j_in, rho_in = known[0]  # deterministic input choice
+        best = None
+        for cand in propagate_both_modes(verts[vi], j_in, rho_in):
+            r = cand.rho
+            if use_mv:
+                # sign agreement first; break ties toward the state
+                # continuous with flat (other branches through the flat
+                # configuration carry large folds at tiny driving)
+                matches = -sum(1 for j, c in enumerate(cids)
+                               if mv[c] != 0 and abs(r[j]) > 1e-12
+                               and (r[j] > 0) == (mv[c] > 0))
+                score = (matches, r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + r[3] * r[3])
+            else:
+                score = sum((r[j] - prev[c]) ** 2 for j, c in enumerate(cids))
+            if best is None or score < best[0]:
+                best = (score, r)
+        r = best[1]
+        for j, val in known:
+            worst = max(worst, abs(r[j] - val))
+        for j, c in enumerate(cids):
+            rho[c] = r[j]
     if worst > FOLD_CONSISTENCY:
         raise NotRigidFoldable(
             f"fold-angle loop mismatch {worst:.3g} rad", residual=worst)
-    rho[np.isnan(rho)] = 0.0
-    return rho, worst
+    return np.array([0.0 if x is None else x for x in rho]), worst
+
+
+def _rotations(axes, angles):
+    """Rodrigues rotation matrices, (N, 3, 3), about unit axes (N, 3)."""
+    K = np.zeros((len(axes), 3, 3))
+    K[:, 0, 1], K[:, 0, 2] = -axes[:, 2], axes[:, 1]
+    K[:, 1, 0], K[:, 1, 2] = axes[:, 2], -axes[:, 0]
+    K[:, 2, 0], K[:, 2, 1] = -axes[:, 1], axes[:, 0]
+    return (np.eye(3) + np.sin(angles)[:, None, None] * K
+            + (1.0 - np.cos(angles))[:, None, None] * (K @ K))
 
 
 def place_panels(pattern: CreasePattern, rho):
     """Rigid placement of every panel along the pattern's placement order,
     from face 0 (top left) fixed in the plane z = 0; returns (frames keyed
     by face, vertex_coords, residuals)."""
-    frames = {0: (np.eye(3), np.zeros(3))}
-    pts2 = pattern.vertices
-
-    def lift(p):
-        return np.array([p[0], p[1], 0.0])
-
-    for face, parent, idx, sign in pattern.placement.tolist():
-        R0, t0 = frames[parent]
-        cr = pattern.creases[idx]
-        d = lift(pts2[cr.v]) - lift(pts2[cr.u])
-        H = _rot_about(d, sign * rho[idx])
-        p = lift(pts2[cr.u])
-        Rn = R0 @ H
-        tn = R0 @ (p - H @ p) + t0
-        frames[face] = (Rn, tn)
+    rho = np.asarray(rho, dtype=float)
+    pts = np.zeros((len(pattern.vertices), 3))
+    pts[:, :2] = pattern.vertices
+    ends = np.array([(c.u, c.v) for c in pattern.creases])
+    face, parent, idx, sign = pattern.placement.T
+    # hinge frames: rotation H about the crease line through p maps x to
+    # H x + (p - H p)
+    p = pts[ends[idx, 0]]
+    d = pts[ends[idx, 1]] - p
+    H = _rotations(d / np.linalg.norm(d, axis=1)[:, None], sign * rho[idx])
+    shift = p - np.einsum("nij,nj->ni", H, p)
+    R = np.empty((pattern.faces.shape[0] * pattern.faces.shape[1], 3, 3))
+    t = np.empty((len(R), 3))
+    R[0], t[0] = np.eye(3), 0.0
+    for f, par, Hk, ck in zip(face.tolist(), parent.tolist(), H, shift):
+        R[f] = R[par] @ Hk
+        t[f] = R[par] @ ck + t[par]
 
     # closure on every interior shared edge
     diam = max(pattern.diameter, 1e-12)
-    worst = 0.0
-    for idx, (fl, fr) in enumerate(pattern.crease_faces.tolist()):
-        if fl < 0 or fr < 0:
-            continue
-        cr = pattern.creases[idx]
-        for vid in (cr.u, cr.v):
-            p = lift(pts2[vid])
-            Ra, ta = frames[fl]
-            Rb, tb = frames[fr]
-            worst = max(worst, float(np.linalg.norm((Ra @ p + ta) - (Rb @ p + tb))))
+    fl, fr = pattern.crease_faces.T
+    inner = np.nonzero((fl >= 0) & (fr >= 0))[0]
+    q = pts[ends[inner]]                                   # (n, 2, 3)
+    gap = (np.einsum("nij,nkj->nki", R[fl[inner]], q) + t[fl[inner], None]
+           - np.einsum("nij,nkj->nki", R[fr[inner]], q) - t[fr[inner], None])
+    worst = float(np.sqrt((gap * gap).sum(axis=2)).max(initial=0.0))
     closure = worst / diam
     if closure > CLOSURE_REL:
         raise NotRigidFoldable(f"panel loop closure {closure:.3g} x diameter",
                                residual=closure)
 
-    coords = np.zeros((len(pts2), 3))
-    counts = np.zeros(len(pts2))
-    spread = 0.0
-    placed = {vid: [] for vid in range(len(pts2))}
-    quads = pattern.faces.reshape(-1, 4)
-    for face, (R0, t0) in frames.items():
-        for vid in quads[face]:
-            w = R0 @ lift(pts2[vid]) + t0
-            placed[vid].append(w)
-            coords[vid] += w
-            counts[vid] += 1
-    coords /= counts[:, None]
-    for vid, ws in placed.items():
-        for w in ws:
-            spread = max(spread, float(np.linalg.norm(w - coords[vid])))
+    order = np.concatenate([[0], face])
+    quads = pattern.faces.reshape(-1, 4)[order]
+    placed = np.einsum("fij,fkj->fki", R[order], pts[quads]) + t[order, None]
+    coords = np.zeros_like(pts)
+    np.add.at(coords, quads.ravel(), placed.reshape(-1, 3))
+    coords /= np.bincount(quads.ravel(), minlength=len(pts))[:, None]
+    off = placed - coords[quads]
+    spread = float(np.sqrt((off * off).sum(axis=2)).max())
+    frames = {f: (R[f], t[f]) for f in order.tolist()}
     return frames, coords, {"closure": closure, "vertex_spread": spread / diam}
 
 
@@ -176,12 +165,12 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02, driving_crease=None):
     Branch choices are pruned against already-assigned creases, so the
     search settles on the pattern's folding branch without any prior
     sign information.  Returns the signed fold angles at d0."""
-    m, n = pattern.rows, pattern.cols
     dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
-    verts = [(k, i) for k in range(m) for i in range(n)]
+    verts = pattern.vertex_angles()
+    vertex_creases = pattern.vertex_creases.reshape(-1, 4).tolist()
     tol = 1e-8
 
-    rho = np.full(len(pattern.creases), np.nan)
+    rho = [None] * len(pattern.creases)
     rho[dc] = d0
     # an explicit stack, so grids with more vertices than the recursion
     # limit still search
@@ -190,15 +179,13 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02, driving_crease=None):
         idx, rho = stack.pop()
         if idx == len(verts):
             break
-        k, i = verts[idx]
-        cids = [int(x) for x in pattern.vertex_creases[k, i]]
-        known = {j: rho[c] for j, c in enumerate(cids) if not np.isnan(rho[c])}
+        cids = vertex_creases[idx]
+        known = {j: rho[c] for j, c in enumerate(cids) if rho[c] is not None}
         if not known:
             continue
         j_in = min(known)
-        v = VertexAngles(tuple(pattern.sectors[k, i]))
         try:
-            cands = propagate_both_modes(v, j_in, known[j_in])
+            cands = propagate_both_modes(verts[idx], j_in, known[j_in])
         except OutOfRange:
             continue
         # prefer fully folding branches over degenerate straight-line ones,
@@ -208,13 +195,13 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02, driving_crease=None):
                                              float(np.linalg.norm(c.rho))))
         for cand in reversed(cands):
             if all(abs(cand.rho[j] - val) < tol for j, val in known.items()):
-                nxt = rho.copy()
+                nxt = list(rho)
                 for j, c in enumerate(cids):
                     nxt[c] = cand.rho[j]
                 stack.append((idx + 1, nxt))
     else:
         raise NotRigidFoldable("no consistent folding branch found near flat")
-    rho[np.isnan(rho)] = 0.0
+    rho = np.array([0.0 if x is None else x for x in rho])
     for idx, cr in enumerate(pattern.creases):
         if cr.role == ROLE_BOUNDARY:
             cr.mv = 0
@@ -237,18 +224,22 @@ def propagate(pattern: CreasePattern, driving_rho, prev=None, driving_crease=Non
     return FoldedState(dc, driving_rho, rho, coords, frames, residuals=residuals)
 
 
-def _face_tris(pattern, coords):
-    tris = []
-    for face, ids in enumerate(pattern.faces.reshape(-1, 4).tolist()):
-        q = [coords[v] for v in ids]
-        tris.append((face, ids[:3], np.array([q[0], q[1], q[2]])))
-        tris.append((face, [ids[0], ids[2], ids[3]], np.array([q[0], q[2], q[3]])))
-    return tris
+def _sub(u, v):
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
+
+
+def _unit_normal(tri):
+    """Unit normal of a triangle, None when it is degenerate."""
+    n = _cross(_sub(tri[1], tri[0]), _sub(tri[2], tri[0]))
+    nn = math.sqrt(_dot(n, n))
+    if nn < 1e-30:
+        return None
+    return (n[0] / nn, n[1] / nn, n[2] / nn)
 
 
 def _interval_on_line(tri, dist, line_dir):
     """Parametric interval where the triangle crosses its plane-line."""
-    proj = tri @ line_dir
+    proj = [_dot(p, line_dir) for p in tri]
     pts = []
     for i in range(3):
         j = (i + 1) % 3
@@ -266,10 +257,10 @@ def _interval_on_line(tri, dist, line_dir):
 def _coplanar_overlap(t1, t2, n, tol):
     """Proper 2D overlap of coplanar triangles; contact along shared lines
     does not count (vertices must land strictly inside)."""
-    k = int(np.argmax(np.abs(n)))
-    keep = [ax for ax in range(3) if ax != k]
-    a = t1[:, keep]
-    b = t2[:, keep]
+    k = max(range(3), key=lambda ax: abs(n[ax]))
+    x, y = [ax for ax in range(3) if ax != k]
+    a = [(p[x], p[y]) for p in t1]
+    b = [(p[x], p[y]) for p in t2]
 
     def strictly_inside(p, tri):
         s = 0.0
@@ -287,36 +278,44 @@ def _coplanar_overlap(t1, t2, n, tol):
 
 
 def _tri_tri_penetration(t1, t2, tol):
-    n2 = np.cross(t2[1] - t2[0], t2[2] - t2[0])
-    nn2 = np.linalg.norm(n2)
-    if nn2 < 1e-30:
+    """Exact test of two triangles, each three 3-vectors."""
+    n2 = _unit_normal(t2)
+    if n2 is None:
         return False
-    n2 /= nn2
-    d1 = np.array([(p - t2[0]) @ n2 for p in t1])
-    if np.all(d1 > tol) or np.all(d1 < -tol):
+    d1 = [_dot(_sub(p, t2[0]), n2) for p in t1]
+    if all(d > tol for d in d1) or all(d < -tol for d in d1):
         return False
-    n1 = np.cross(t1[1] - t1[0], t1[2] - t1[0])
-    nn1 = np.linalg.norm(n1)
-    if nn1 < 1e-30:
+    n1 = _unit_normal(t1)
+    if n1 is None:
         return False
-    n1 /= nn1
-    d2 = np.array([(p - t1[0]) @ n1 for p in t2])
-    if np.all(d2 > tol) or np.all(d2 < -tol):
+    d2 = [_dot(_sub(p, t1[0]), n1) for p in t2]
+    if all(d > tol for d in d2) or all(d < -tol for d in d2):
         return False
-    if np.all(np.abs(d1) <= tol) or np.all(np.abs(d2) <= tol):
+    if all(abs(d) <= tol for d in d1) or all(abs(d) <= tol for d in d2):
         # coplanar: coincident-panel overlap counts, line contact does not
         return _coplanar_overlap(t1, t2, n2, tol)
-    line = np.cross(n1, n2)
-    ln = np.linalg.norm(line)
+    line = _cross(n1, n2)
+    ln = math.sqrt(_dot(line, line))
     if ln < 1e-12:
         return False
-    line /= ln
+    line = (line[0] / ln, line[1] / ln, line[2] / ln)
     i1 = _interval_on_line(t1, d1, line)
     i2 = _interval_on_line(t2, d2, line)
     if i1 is None or i2 is None:
         return False
     overlap = min(i1[1], i2[1]) - max(i1[0], i2[0])
     return overlap > tol
+
+
+def _side(d, n):
+    """Dot products of the 3-vectors d (..., 3) with n, in the operation
+    order of `_dot`, so they equal the scalar values bit for bit."""
+    return d[..., 0] * n[..., 0] + d[..., 1] * n[..., 1] + d[..., 2] * n[..., 2]
+
+
+def _off_plane(d, tol):
+    """Rows of signed distances (B, 3) wholly on one side of a plane."""
+    return (d > tol).all(axis=1) | (d < -tol).all(axis=1)
 
 
 def clash_test(pattern: CreasePattern, state: FoldedState):
@@ -328,28 +327,43 @@ def clash_test(pattern: CreasePattern, state: FoldedState):
     contact by design.  Distinct pairs must interpenetrate by more than
     1e-9 x diameter; the same threshold treats near-coplanar overlap as
     the coincidence case."""
-    coords = state.vertex_coords
     tol = 1e-9 * max(pattern.diameter, 1.0)
-    hits = []
-    for idx, (fl, fr) in enumerate(pattern.crease_faces.tolist()):
-        if fl >= 0 and fr >= 0 and abs(state.rho[idx]) >= np.pi - 1e-9:
-            hits.append(tuple(sorted((fl, fr))))
-    tris = _face_tris(pattern, coords)
-    lo = np.array([t[2].min(axis=0) for t in tris])
-    hi = np.array([t[2].max(axis=0) for t in tris])
-    for a in range(len(tris)):
-        fa, ia, ta = tris[a]
-        ok = np.all(lo[a + 1:] <= hi[a] + tol, axis=1) & \
-             np.all(hi[a + 1:] >= lo[a] - tol, axis=1)
-        for off in np.nonzero(ok)[0]:
-            b = a + 1 + off
-            fb, ib, tb = tris[b]
-            if fa == fb or set(ia) & set(ib):
-                continue
-            if _tri_tri_penetration(ta, tb, tol):
-                pair = tuple(sorted((fa, fb)))
-                if pair not in hits:
-                    hits.append(pair)
+    fl, fr = pattern.crease_faces.T
+    folded = (fl >= 0) & (fr >= 0) & (np.abs(state.rho) >= np.pi - 1e-9)
+    hits = {(min(a, b), max(a, b)) for a, b in zip(fl[folded].tolist(), fr[folded].tolist())}
+
+    # two triangles per panel, (0, 1, 2) and (0, 2, 3), and the same
+    # scalar steps as _tri_tri_penetration for the prefilter
+    quads = pattern.faces.reshape(-1, 4)
+    ids = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    face = np.repeat(np.arange(len(quads)), 2)
+    T = np.asarray(state.vertex_coords, dtype=float)[ids]     # (n, 3, 3)
+    lo, hi = T.min(axis=1), T.max(axis=1)
+    e1, e2 = T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
+    nrm = np.stack([e1[:, 1] * e2[:, 2] - e1[:, 2] * e2[:, 1],
+                    e1[:, 2] * e2[:, 0] - e1[:, 0] * e2[:, 2],
+                    e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]], axis=1)
+    nn = np.sqrt(_side(nrm, nrm))
+    flat = nn < 1e-30
+    with np.errstate(divide="ignore", invalid="ignore"):
+        N = nrm / nn[:, None]
+    tris = T.tolist()
+    pos = np.arange(len(T))
+    # candidate pairs a < b for a block of triangles at a time, so memory
+    # stays O(block x triangles)
+    for a0 in range(0, len(T), CLASH_BLOCK):
+        blk = pos[a0:a0 + CLASH_BLOCK]
+        near = ((lo <= hi[blk, None] + tol) & (hi >= lo[blk, None] - tol)).all(axis=2)
+        ia, ib = np.nonzero(near & (pos > blk[:, None]))
+        ia += a0
+        keep = ((face[ia] != face[ib]) & ~flat[ia] & ~flat[ib]
+                & ~(ids[ia][:, :, None] == ids[ib][:, None, :]).any(axis=(1, 2)))
+        ia, ib = ia[keep], ib[keep]
+        miss = (_off_plane(_side(T[ia] - T[ib, :1], N[ib, None]), tol)
+                | _off_plane(_side(T[ib] - T[ia, :1], N[ia, None]), tol))
+        for a, b in zip(ia[~miss].tolist(), ib[~miss].tolist()):
+            if _tri_tri_penetration(tris[a], tris[b], tol):
+                hits.add((int(face[a]), int(face[b])))
     return sorted(hits)
 
 

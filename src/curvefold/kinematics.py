@@ -17,13 +17,14 @@ The interior family (a, b, pi-a, pi-b) is flat-foldable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import NoSolution, OutOfRange
-from .geometry import TAU, _arc, _unit
+from .geometry import TAU
 
 DEV_TOL = 1e-10          # developability: sector sum vs 2*pi
 CLAMP_SLACK = 1e-12      # |arccos arg| may exceed 1 by at most this
@@ -277,21 +278,48 @@ def planar_transfer(prev_pair, beta_i, beta_ip1):
     return a, a, theta
 
 
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _unit3(v):
+    n = math.sqrt(_dot(v, v))
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def _arc3(u, v):
+    return math.acos(min(max(_dot(u, v), -1.0), 1.0))
+
+
+def _allclose(a, b, atol):
+    """np.allclose(a, b, atol=atol): |a - b| <= atol + 1e-5 |b| throughout."""
+    return all(abs(x - y) <= atol + 1e-5 * abs(y) for x, y in zip(a, b))
+
+
 def place_fourth(u, v, arc_u, arc_v, sign):
     """Unit direction w with arc(u, w) = arc_u, arc(v, w) = arc_v; sign
     selects which side of the (u, v) plane.  None if the cones miss."""
-    c = float(u @ v)
+    c = _dot(u, v)
     s2 = 1.0 - c * c
     if s2 < 1e-14:
         return None
-    al = (np.cos(arc_u) - c * np.cos(arc_v)) / s2
-    be = (np.cos(arc_v) - c * np.cos(arc_u)) / s2
+    cu, cv = math.cos(arc_u), math.cos(arc_v)
+    al = (cu - c * cv) / s2
+    be = (cv - c * cu) / s2
     g2 = 1.0 - al * al - be * be - 2.0 * al * be * c
     if g2 < -1e-10:
         return None
-    g = np.sqrt(max(g2, 0.0))
-    n = _unit(np.cross(u, v))
-    return al * u + be * v + sign * g * n
+    g = sign * math.sqrt(max(g2, 0.0))
+    n = _unit3(_cross(u, v))
+    return (al * u[0] + be * v[0] + g * n[0],
+            al * u[1] + be * v[1] + g * n[1],
+            al * u[2] + be * v[2] + g * n[2])
 
 
 def vertex_fold_angles(dirs):
@@ -299,14 +327,9 @@ def vertex_fold_angles(dirs):
 
     dirs: unit crease directions in cyclic (R, U, L, D) order with panel
     P_j spanned by (dirs[j], dirs[j+1]); valley positive."""
-    N = []
-    for j in range(4):
-        N.append(_unit(np.cross(dirs[j], dirs[(j + 1) % 4])))
-    rho = []
-    for j in range(4):
-        n0, n1 = N[j - 1], N[j]
-        rho.append(float(np.arctan2(np.cross(n0, n1) @ dirs[j], n0 @ n1)))
-    return rho
+    N = [_unit3(_cross(dirs[j], dirs[(j + 1) % 4])) for j in range(4)]
+    return [math.atan2(_dot(_cross(N[j - 1], N[j]), dirs[j]), _dot(N[j - 1], N[j]))
+            for j in range(4)]
 
 
 def _collinear_input_states(s, a, input_rho):
@@ -319,42 +342,39 @@ def _collinear_input_states(s, a, input_rho):
     branch, and the diagonal arc follows from one stable trig solve."""
     o, f1, f2 = (a + 2) % 4, (a + 1) % 4, (a - 1) % 4
     mag = abs(input_rho)
-    ea = np.array([1.0, 0.0, 0.0])
-    yhat = np.array([0.0, 1.0, 0.0])
-    zhat = np.array([0.0, 0.0, 1.0])
+    ca, sa = math.cos(s[a]), math.sin(s[a])
+    cf2, sf2 = math.cos(s[f2]), math.sin(s[f2])
+    C = math.cos(s[f1])
     states = []
-    for ang in (mag / 2.0, np.pi - mag / 2.0):
-        A = np.cos(s[a])
-        B = np.sin(s[a]) * np.cos(ang)
-        C = np.cos(s[f1])
-        r0 = np.hypot(A, B)
+    for ang in (mag / 2.0, math.pi - mag / 2.0):
+        cang, sang = math.cos(ang), math.sin(ang)
+        B = sa * cang
+        r0 = math.hypot(ca, B)
         if r0 < 1e-14 or abs(C) > r0 * (1.0 + 1e-12):
             continue
-        delta = np.arctan2(B, A)
-        h = np.arccos(np.clip(C / r0, -1.0, 1.0))
+        delta = math.atan2(B, ca)
+        h = math.acos(min(max(C / r0, -1.0), 1.0))
         for xi in ((delta + h) % TAU, (delta - h) % TAU):
-            if not (1e-9 < xi < np.pi - 1e-9):
+            if not (1e-9 < xi < math.pi - 1e-9):
                 continue
             e = [None] * 4
-            e[a] = ea
-            e[o] = np.array([np.cos(xi), np.sin(xi), 0.0])
+            e[a] = (1.0, 0.0, 0.0)
+            e[o] = (math.cos(xi), math.sin(xi), 0.0)
             # flanking creases from their corner angles at the input crease
             # (the mirror property puts them at ang and pi - ang); stable
             # even when the diagonal approaches pi
             for sgn1 in (1, -1):
-                d1 = np.cos(ang) * yhat + sgn1 * np.sin(ang) * zhat
-                w1 = np.cos(s[a]) * ea + np.sin(s[a]) * d1
-                if abs(_arc(e[o], w1) - s[f1]) > 1e-8:
+                w1 = (ca, B, sa * (sgn1 * sang))
+                if abs(_arc3(e[o], w1) - s[f1]) > 1e-8:
                     continue
                 for sgn2 in (1, -1):
-                    d2 = -np.cos(ang) * yhat + sgn2 * np.sin(ang) * zhat
-                    w2 = np.cos(s[f2]) * ea + np.sin(s[f2]) * d2
-                    if abs(_arc(e[o], w2) - s[o]) > 1e-8:
+                    w2 = (cf2, sf2 * -cang, sf2 * (sgn2 * sang))
+                    if abs(_arc3(e[o], w2) - s[o]) > 1e-8:
                         continue
                     e[f1], e[f2] = w1, w2
                     rho = vertex_fold_angles(e)
                     if abs(rho[a] - input_rho) < 1e-9:
-                        if not any(np.allclose(rho, q, atol=1e-9) for q in states):
+                        if not any(_allclose(rho, q, 1e-9) for q in states):
                             states.append(rho)
     # larger fold magnitude at the opposite crease first, for determinism
     states.sort(key=lambda q: -abs(q[o]))
@@ -371,7 +391,7 @@ def degree4_propagate(v: VertexAngles, input_crease, input_rho, mode=+1):
     Vertices with a straight crease line through them get a dedicated
     stable route when driven from a crease flanked by that line.
     Raises OutOfRange beyond the vertex's folding range."""
-    if abs(input_rho) > np.pi:
+    if abs(input_rho) > math.pi:
         raise OutOfRange(f"|rho| = {abs(input_rho):.6g} > pi")
     if abs(input_rho) < 1e-14:
         # exactly flat; also the degenerate moment for vertices with a
@@ -379,20 +399,19 @@ def degree4_propagate(v: VertexAngles, input_crease, input_rho, mode=+1):
         return FoldAngles((0.0, 0.0, 0.0, 0.0), mode=mode)
     s = v.sectors
     a = input_crease % 4
-    if abs(s[(a - 1) % 4] + s[a] - np.pi) < 1e-9:
+    if abs(s[(a - 1) % 4] + s[a] - math.pi) < 1e-9:
         states = _collinear_input_states(s, a, input_rho)
         if not states:
             raise OutOfRange("configuration beyond the vertex folding range")
         idx = 0 if mode == +1 else min(1, len(states) - 1)
         return FoldAngles(tuple(states[idx]), mode=mode)
     e = [None] * 4
-    e[a] = np.array([1.0, 0.0, 0.0])
+    e[a] = (1.0, 0.0, 0.0)
     sa = s[a]                    # sector between crease a and a+1
     sprev = s[(a - 1) % 4]       # sector between crease a-1 and a
-    e[(a + 1) % 4] = np.array([np.cos(sa), np.sin(sa), 0.0])
-    cp, sp = np.cos(sprev), np.sin(sprev)
-    r = input_rho
-    e[(a - 1) % 4] = np.array([cp, -sp * np.cos(r), sp * np.sin(r)])
+    e[(a + 1) % 4] = (math.cos(sa), math.sin(sa), 0.0)
+    cp, sp = math.cos(sprev), math.sin(sprev)
+    e[(a - 1) % 4] = (cp, -sp * math.cos(input_rho), sp * math.sin(input_rho))
     w = place_fourth(e[(a + 1) % 4], e[(a - 1) % 4],
                      s[(a + 1) % 4], s[(a + 2) % 4], mode)
     if w is None:
@@ -409,7 +428,7 @@ def propagate_both_modes(v: VertexAngles, input_crease, input_rho):
             f = degree4_propagate(v, input_crease, input_rho, mode)
         except OutOfRange:
             continue
-        if not any(np.allclose(f.rho, g.rho, atol=1e-12) for g in out):
+        if not any(_allclose(f.rho, g.rho, 1e-12) for g in out):
             out.append(f)
     if not out:
         raise OutOfRange("configuration beyond the vertex folding range")

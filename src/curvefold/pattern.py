@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CreaseIntersection
+from .errors import CreaseIntersection, NotRigidFoldable
+from .kinematics import VertexAngles
 
 ROLE_ROW = "row-crease"
 ROLE_COL = "column-crease"
@@ -108,6 +109,24 @@ class CreasePattern:
                     placement.append((face, parent, idx, sign))
         self.placement = np.array(placement, dtype=int).reshape(-1, 4)
         return self
+
+    def vertex_angles(self):
+        """VertexAngles of every inner vertex, row-major, as a list.
+
+        Built once per content of `sectors`; a vertex that is not a valid
+        degree-4 vertex raises NotRigidFoldable."""
+        key = self.sectors.tobytes()
+        cached = getattr(self, "_vertex_angles", None)
+        if cached is None or cached[0] != key:
+            table = []
+            for k, row in enumerate(self.sectors.tolist()):
+                for i, sec in enumerate(row):
+                    try:
+                        table.append(VertexAngles(tuple(sec)))
+                    except ValueError as e:
+                        raise NotRigidFoldable(f"vertex ({k + 1},{i + 1}): {e}")
+            cached = self._vertex_angles = (key, table)
+        return cached[1]
 
     def face_grid_iter(self):
         for r in range(self.rows + 1):

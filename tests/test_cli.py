@@ -37,6 +37,13 @@ class TestDesign:
         assert main(["design", str(spec), "--out", str(tmp_path / "o")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_builtin_curve_exit_1(self, tmp_path, capsys):
+        doc = dict(SMALL_PARALLEL_SPEC, datum={"builtin": "nope"})
+        spec = write_spec(tmp_path, doc)
+        assert main(["design", str(spec), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown builtin curve 'nope'")
+
     def test_design_failure_exit_2(self, tmp_path, capsys):
         doc = dict(SMALL_PARALLEL_SPEC)
         doc["theta"] = 0.0  # not admissible for the exp target

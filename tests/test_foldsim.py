@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from curvefold import curves
+from curvefold import curves, foldsim
 from curvefold.errors import NotRigidFoldable, OutOfRange
-from curvefold.foldsim import (clash_test, default_driving_crease,
-                               extract_polylines, propagate, sweep_to_halt)
+from curvefold.foldsim import (_tri_tri_penetration, bootstrap_mv, clash_test,
+                               default_driving_crease, extract_polylines,
+                               propagate, sweep_to_halt)
 from curvefold.geometry import measure_polyline, partition_uniform
 from curvefold.verify import rigid_align
 
@@ -64,6 +67,45 @@ class TestPropagate:
         pattern, _ = small_parallel
         with pytest.raises(OutOfRange):
             propagate(pattern, 3.5)
+
+
+class TestVertexTable:
+    def test_invalid_vertex_is_typed_in_both_callers(self, fig7_design):
+        # a sector sum off 2*pi by 1e-6 is no developable vertex
+        pattern, _ = fig7_design
+        sectors = pattern.sectors.copy()
+        mv = [c.mv for c in pattern.creases]
+        try:
+            pattern.sectors[4, 4, 0] += 1e-6
+            with pytest.raises(NotRigidFoldable, match=r"vertex \(5,5\)"):
+                bootstrap_mv(pattern)
+            with pytest.raises(NotRigidFoldable, match=r"vertex \(5,5\)"):
+                propagate(pattern, 0.1)
+        finally:
+            pattern.sectors = sectors
+            for c, m in zip(pattern.creases, mv):
+                c.mv = m
+        assert np.isfinite(propagate(pattern, 0.1).rho).all()
+
+
+class TestCounts:
+    def test_fig5_sweep_counts(self, fig5_design, monkeypatch):
+        # deterministic call counts of the 64-state fig5 sweep; more calls
+        # than these would be a regression of the halt search
+        pattern, _ = fig5_design
+        calls = {"propagate": 0, "propagate_both_modes": 0}
+        for name in calls:
+            fn = getattr(foldsim, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(foldsim, name, counted)
+        traj = sweep_to_halt(pattern, samples=64)
+        assert abs(traj.driving_values[-1] - RHO4) < 1e-6
+        assert calls["propagate"] <= 307
+        assert calls["propagate_both_modes"] <= 23667
 
 
 class TestSweep:
@@ -147,6 +189,61 @@ class TestClash:
         st.rho[idx] = np.pi  # fake a fully folded crease
         pair = tuple(sorted(pattern.crease_faces[idx].tolist()))
         assert pair in clash_test(pattern, st)
+
+
+def _brute_force_clash(pattern, coords):
+    """Every pair of triangles of distinct panels that share no vertex,
+    through the exact triangle test: clash_test without its prefilters."""
+    tol = 1e-9 * max(pattern.diameter, 1.0)
+    tris = []
+    for f, q in enumerate(pattern.faces.reshape(-1, 4).tolist()):
+        tris += [(f, q[:3]), (f, [q[0], q[2], q[3]])]
+    hits = set()
+    for (fa, ia), (fb, ib) in itertools.combinations(tris, 2):
+        if fa != fb and not set(ia) & set(ib) and \
+                _tri_tri_penetration(coords[ia].tolist(), coords[ib].tolist(), tol):
+            hits.add((min(fa, fb), max(fa, fb)))
+    return sorted(hits)
+
+
+class TestClashPenetration:
+    def test_panel_pushed_through_another(self, fig5_design, fig5_halt):
+        # the last panel, moved onto the first one and turned a quarter
+        # about the first one's edge direction through its centre, pierces
+        # it along a segment across its middle
+        pattern, _ = fig5_design
+        mid = fig5_halt.states[len(fig5_halt.states) // 2]
+        st = propagate(pattern, mid.driving_rho, prev=mid)
+        quads = pattern.faces.reshape(-1, 4)
+        first, last = 0, len(quads) - 1
+        assert not set(quads[first]) & set(quads[last])
+        assert clash_test(pattern, st) == []
+        qa = st.vertex_coords[quads[first]]
+        c = qa.mean(axis=0)
+        u = (qa[1] - qa[0]) / np.linalg.norm(qa[1] - qa[0])
+        K = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
+        R = np.eye(3) + K + K @ K       # quarter turn about u
+        coords = st.vertex_coords.copy()
+        coords[quads[last]] = c + (qa - c) @ R.T
+        st.vertex_coords = coords
+        assert (first, last) in clash_test(pattern, st)
+
+    def test_matches_brute_force_on_perturbed_states(self, small_parallel):
+        pattern, _ = small_parallel
+        sgn = pattern.creases[default_driving_crease(pattern)].mv or 1
+        rng = np.random.default_rng(11)
+        hits = 0
+        for d in (0.5, 1.5, 2.5):
+            st = propagate(pattern, sgn * d)
+            assert np.abs(st.rho).max() < np.pi - 1e-9
+            base = st.vertex_coords
+            for scale in np.linspace(0.005, 0.1, 8):
+                noise = rng.normal(scale=scale * pattern.diameter, size=base.shape)
+                st.vertex_coords = base + noise
+                want = _brute_force_clash(pattern, st.vertex_coords)
+                assert clash_test(pattern, st) == want
+                hits += len(want)
+        assert hits > 100
 
 
 class TestExtract:

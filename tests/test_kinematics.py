@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import kinematics_oracle as oracle
+
 from curvefold.errors import NoSolution, OutOfRange
-from curvefold.kinematics import (VertexAngles, degree4_propagate,
+from curvefold.kinematics import (VertexAngles, _allclose, degree4_propagate,
                                   fold_from_beta, place_fourth,
                                   planar_transfer, propagate_both_modes,
                                   row_transfer_residual, solve_first_vertex,
@@ -305,3 +307,97 @@ class TestDegree4Propagate:
         assert abs(abs(f.rho[2]) - np.pi) < 1e-9
         with pytest.raises(OutOfRange):
             degree4_propagate(v, 0, np.pi + 1e-6)
+
+
+def _random_vertex(rng, family):
+    """Sector quadruple of one kind: flat-foldable (two-cone route from
+    every crease), halting family (collinear column creases) or a straight
+    row line (collinear row creases)."""
+    while True:
+        a, b = rng.uniform(0.3, np.pi - 0.3, 2)
+        if abs(a + b - np.pi) > 0.05 and abs(a - b) > 0.05:
+            break
+    return {"flat-foldable": flat_foldable_quad(a, b),
+            "halting": halting_quad(a, b),
+            "collinear": (a, np.pi - a, b, np.pi - b)}[family]
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("family", ["flat-foldable", "halting", "collinear"])
+    def test_matches_numpy_kernel(self, family):
+        # same states in the same mode order as the numpy 3-vector kernel;
+        # only where the two states tie on the collinear route's sort key
+        # (|fold| at the opposite crease, equal for mirror images) does the
+        # order rest on rounding, and there they are matched as a set
+        rng = np.random.default_rng({"flat-foldable": 3, "halting": 5, "collinear": 7}[family])
+        compared = 0
+        for _ in range(400):
+            v = VertexAngles(_random_vertex(rng, family))
+            crease = int(rng.integers(4))
+            rho_in = rng.uniform(-2.8, 2.8)
+            try:
+                got = [f.rho for f in propagate_both_modes(v, crease, rho_in)]
+            except OutOfRange:
+                with pytest.raises(OutOfRange):
+                    oracle.propagate_both_modes(v.sectors, crease, rho_in)
+                continue
+            want = oracle.propagate_both_modes(v.sectors, crease, rho_in)
+            assert len(got) == len(want)
+            o = (crease + 2) % 4
+            s = v.sectors
+            collinear_route = abs(s[crease - 1] + s[crease] - np.pi) < 1e-9
+            if collinear_route and len(want) == 2 and \
+                    abs(abs(want[0][o]) - abs(want[1][o])) < 1e-12:
+                want = sorted(want, key=lambda q: np.abs(np.subtract(q, got[0])).max())
+            assert np.abs(np.subtract(got, want)).max() < 1e-12
+            compared += 1
+        assert compared > 300
+
+    def test_dedup_rule_is_numpy_allclose(self):
+        rng = np.random.default_rng(59)
+        for atol in (1e-12, 1e-9):
+            for _ in range(2000):
+                b = rng.uniform(-np.pi, np.pi, 4) * 10.0 ** rng.integers(-12, 1)
+                a = b + rng.choice([-1, 1], 4) * (atol + 1e-5 * np.abs(b)) \
+                    * rng.uniform(0.9, 1.1, 4)
+                assert _allclose(a.tolist(), b.tolist(), atol) == \
+                    np.allclose(a, b, atol=atol)
+
+    def test_numpy_vector_inputs(self):
+        u = np.array([1.0, 0.0, 0.0])
+        v = np.array([np.cos(1.2), np.sin(1.2), 0.0])
+        got = place_fourth(u, v, 1.0, 0.9, 1)
+        want = oracle.place_fourth(u, v, 1.0, 0.9, 1)
+        assert np.abs(np.subtract(got, want)).max() < 1e-15
+        dirs = [np.asarray(d) for d in place_state(halting_quad(1.1, 1.4), 1.3)]
+        assert np.abs(np.subtract(vertex_fold_angles(dirs),
+                                  oracle.vertex_fold_angles(dirs))).max() < 1e-15
+
+    def test_tangent_ratios_constant_along_branches(self):
+        # Huffman / Tachi & Hull: on a flat-foldable vertex (a, b, pi-a,
+        # pi-b) every branch keeps tan(rho_j/2) / tan(rho_0/2) constant,
+        # equal to (1, -cos(s)/cos(d), 1, cos(s)/cos(d)) on one branch and
+        # (1, sin(s)/sin(d), -1, sin(s)/sin(d)) on the other, s = (a+b)/2,
+        # d = (a-b)/2
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            a, b = _random_vertex(rng, "flat-foldable")[:2]
+            v = VertexAngles(flat_foldable_quad(a, b))
+            s, d = (a + b) / 2, (a - b) / 2
+            closed = [np.array([1, -np.cos(s) / np.cos(d), 1, np.cos(s) / np.cos(d)]),
+                      np.array([1, np.sin(s) / np.sin(d), -1, np.sin(s) / np.sin(d)])]
+            for mode in (1, -1):
+                for sign in (1, -1):
+                    ratios = []
+                    for mag in np.linspace(0.1, 2.8, 12):
+                        try:
+                            f = degree4_propagate(v, 0, sign * mag, mode)
+                        except OutOfRange:
+                            continue
+                        t = np.tan(np.array(f.rho) / 2)
+                        ratios.append(t / t[0])
+                    assert len(ratios) >= 2
+                    ratios = np.array(ratios)
+                    spread = np.abs(ratios - ratios[0]).max(axis=0)
+                    assert (spread <= 1e-9 * np.maximum(1.0, np.abs(ratios[0]))).all()
+                    assert min(np.abs(ratios[0] - c).max() for c in closed) < 1e-9
