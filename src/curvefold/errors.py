@@ -33,6 +33,11 @@ class NoSolution(CurvefoldError):
         self.index = index
 
 
+class LayoutError(CurvefoldError):
+    """A drawn layout failed its own consistency check (staircase corners,
+    segment axes, row translation, column alignment)."""
+
+
 class DegenerateAngle(CurvefoldError):
     """A sector angle collided with 0, pi/2 or pi."""
 

@@ -138,7 +138,7 @@ def _rebuild(doc, flat, ext, rows, cols, halting):
         pat = assemble_grid(m, n, inner, top, bottom, left, right, corners,
                             halting_col=halting,
                             design=dict(doc.get("curvefold:design", {})))
-    except (AssertionError, CreaseIntersection) as e:
+    except CreaseIntersection as e:
         raise SchemaError(str(e))
     # the document's creases in its edge order, carrying its assignment
     to_grid = dict(zip(ext.ravel().tolist(), pat.ext_id.ravel().tolist()))

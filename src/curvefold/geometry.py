@@ -16,12 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from .errors import ClosedCurve, DegenerateTurn, NotAdmissible, TubeSelfIntersect
+from .errors import (ClosedCurve, DegenerateTurn, LayoutError, NotAdmissible,
+                     TubeSelfIntersect)
 
 TAU = 2.0 * np.pi
 
 # monotonicity tie tolerance: a tie would drive a staircase turn to 0 or pi
 MONOTONE_TOL = 1e-10
+
+# array elements (point-segment pairs, samples x thetas) per array pass
+_PAIR_BLOCK = 1 << 14
+# dense samples per exactly evaluated one in the first hausdorff pass
+_HAUSDORFF_STRIDE = 16
+# consecutive segments per bounding ball in min_dist_to_polyline
+_RUN = 32
 
 
 def _unit(v):
@@ -77,11 +85,8 @@ class PolyCurve:
 
     def refined(self, factor):
         """Same geometric polyline re-sampled `factor` times denser."""
-        ts = []
-        for a, b in zip(self.param[:-1], self.param[1:]):
-            ts.append(np.linspace(a, b, factor + 1)[:-1])
-        ts.append([self.param[-1]])
-        t = np.concatenate(ts)
+        t = np.linspace(self.param[:-1], self.param[1:], factor + 1, axis=1)[:, :-1]
+        t = np.append(t.ravel(), self.param[-1])
         return PolyCurve(self.point_at(t), t, closed=self.closed)
 
 
@@ -154,11 +159,14 @@ class AffineParams:
         if not (self.margin <= self.xi <= np.pi - self.margin):
             raise ValueError(f"xi = {self.xi:.6g} too close to 0 or pi")
 
+    def shear(self):
+        x = self.xi
+        return np.array([[1.0, -1.0 / np.tan(x)], [0.0, 1.0 / np.sin(x)]])
+
     def matrix(self):
-        t, x = self.theta, self.xi
-        shear = np.array([[1.0, -1.0 / np.tan(x)], [0.0, 1.0 / np.sin(x)]])
+        t = self.theta
         rot = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-        return shear @ rot
+        return self.shear() @ rot
 
     def inverse_matrix(self):
         t, x = self.theta, self.xi
@@ -200,16 +208,47 @@ def is_admissible(f: PolyCurve, a: AffineParams):
 def search_theta(f: PolyCurve, xi, grid=720):
     """Scan theta over [0, 2pi) at 2pi*k/grid and return the admissible ones.
 
+    The same test as `is_admissible`, for a block of thetas per array pass.
+    An image passes in one of the two orientations only when every step
+    has the same x sign, so the sign of the x sum need not be formed.
     An empty result is a legitimate outcome."""
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    shear = AffineParams(0.0, xi).shear()  # validates xi
+    if f.closed:
+        raise ClosedCurve("closed curves admit no monotone image")
+    if f.dim != 2:
+        raise ValueError("admissibility applies to planar curves")
     thetas = TAU * np.arange(grid) / grid
     passing = []
-    for t in thetas:
-        ok, _ = is_admissible(f, AffineParams(t, xi))
-        if ok:
-            passing.append(float(t))
+    step = max(1, _PAIR_BLOCK // len(f.samples))
+    for k in range(0, grid, step):
+        t = thetas[k:k + step]
+        c, s = np.cos(t), np.sin(t)
+        rot = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=1)
+        img = np.matmul(f.samples, np.matmul(shear, rot).transpose(0, 2, 1))
+        d = np.diff(img, axis=1)
+        dx, dy = d[..., 0], d[..., 1]
+        ok = ((np.all(dx > MONOTONE_TOL, axis=1) & np.all(dy < -MONOTONE_TOL, axis=1))
+              | (np.all(dx < -MONOTONE_TOL, axis=1) & np.all(dy > MONOTONE_TOL, axis=1)))
+        passing.extend(t[ok].tolist())
     return passing
+
+
+def _staircase_corners(img, n, phase):
+    """Image-frame staircase points along a monotone image curve.
+
+    On-curve nodes sit at uniform image arc length, with an axis-parallel
+    corner between each two.  Odd n: both curve ends are nodes; even n:
+    the last node only lends its coordinate to a final corner, half a step
+    off the curve end."""
+    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(img, axis=0), axis=1))])
+    t = np.linspace(0.0, s[-1], n // 2 + 2)
+    nodes = np.stack([np.interp(t, s, img[:, 0]), np.interp(t, s, img[:, 1])], axis=1)
+    keep = 0 if phase == "y" else 1  # coordinate a corner keeps from the node before
+    pts = np.repeat(nodes, 2, axis=0)[1:]
+    pts[1::2, keep] = nodes[:-1, keep]
+    return pts if n % 2 else pts[:-1]
 
 
 def staircase(f: PolyCurve, a: AffineParams, n, phase="x"):
@@ -227,38 +266,9 @@ def staircase(f: PolyCurve, a: AffineParams, n, phase="x"):
     ok, img = is_admissible(f, a)
     if not ok:
         raise NotAdmissible("image curve is not strictly monotone decreasing")
-    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(img, axis=0), axis=1))])
-
-    def at_arc(t):
-        return np.array([np.interp(t, s, img[:, 0]), np.interp(t, s, img[:, 1])])
-
-    # On-curve nodes at uniform image arc length.  Odd n: r interior on-curve
-    # corners plus both endpoints; even n: the staircase's far endpoint sits
-    # one half step off the curve end.
-    if n % 2 == 1:
-        r = (n - 1) // 2
-        nodes = [at_arc(t) for t in np.linspace(0.0, s[-1], r + 2)]
-        tail = None
-    else:
-        r = n // 2
-        nodes = [at_arc(t) for t in np.linspace(0.0, s[-1], r + 2)[:-1]]
-        tail = at_arc(s[-1])
-    pts = [nodes[0]]
-    for nx in nodes[1:]:
-        cur = pts[-1]
-        if phase == "x":
-            pts.append(np.array([nx[0], cur[1]]))
-        else:
-            pts.append(np.array([cur[0], nx[1]]))
-        pts.append(nx)
-    if tail is not None:
-        cur = pts[-1]
-        if phase == "x":
-            pts.append(np.array([tail[0], cur[1]]))
-        else:
-            pts.append(np.array([cur[0], tail[1]]))
-    pts = np.asarray(pts)
-    assert len(pts) == n + 2
+    pts = _staircase_corners(img, n, phase)
+    if len(pts) != n + 2:
+        raise LayoutError(f"staircase has {len(pts)} corners, not n + 2 = {n + 2}")
     back = affine_unmap(pts, a)
     lengths, beta, theta = measure_polyline(back)
     _check_turns(beta)
@@ -345,25 +355,6 @@ def _polyline_curvature(pts):
     return worst
 
 
-def _densify(obj, per_segment):
-    if isinstance(obj, PolyCurve):
-        pts = obj.samples
-    elif isinstance(obj, Partition):
-        pts = obj.points
-    else:
-        pts = np.asarray(obj, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-    if len(pts) == 1:
-        return pts
-    out = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        w = np.linspace(0.0, 1.0, per_segment + 1)[:-1]
-        out.append(a[None, :] + w[:, None] * (b - a)[None, :])
-    out.append(pts[-1][None, :])
-    return np.vstack(out)
-
-
 def _vertices_of(obj):
     if isinstance(obj, PolyCurve):
         return obj.samples
@@ -373,30 +364,123 @@ def _vertices_of(obj):
     return pts[None, :] if pts.ndim == 1 else pts
 
 
+def _segment_dist(Q, a, d, l2):
+    """Distance of each point of Q (..., M, dim) to the nearest of the
+    segments from a to a + d (..., S, dim), squared lengths l2 (..., S):
+    the arithmetic of a loop over single segments, in one array pass."""
+    dots = np.matmul(Q[..., None, :, :] - a[..., None, :], d[..., None])[..., 0]
+    pos = l2[..., None] > 0.0
+    t = np.where(pos, np.clip(dots / np.where(pos, l2[..., None], 1.0), 0.0, 1.0), 0.0)
+    proj = a[..., None, :] + t[..., None] * d[..., None, :]
+    return np.linalg.norm(Q[..., None, :, :] - proj, axis=-1).min(axis=-2)
+
+
 def min_dist_to_polyline(points, poly):
-    """Distance from each point to a polyline, exact per segment."""
+    """Distance from each point to a polyline, exact per segment.
+
+    No array pass holds more than about _PAIR_BLOCK point-segment pairs.
+    On a long polyline, a point skips each run of _RUN segments whose
+    bounding ball lies farther from it than the far side of another run's
+    ball, by a slack far above rounding: no segment there can hold its
+    minimum.  BLAS rounds a one-row product (its dot kernel) differently
+    from a taller one, so of two or more points none is evaluated alone."""
     P = np.asarray(points, dtype=float)
     V = _vertices_of(poly)
     if len(V) == 1:
         return np.linalg.norm(P - V[0], axis=1)
+    A, D = V[:-1], np.diff(V, axis=0)
+    L2 = np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]
     best = np.full(len(P), np.inf)
-    for a, b in zip(V[:-1], V[1:]):
-        d = b - a
-        L2 = float(d @ d)
-        t = np.clip(((P - a) @ d) / L2, 0.0, 1.0) if L2 > 0 else 0.0
-        proj = a + t[:, None] * d
-        best = np.minimum(best, np.linalg.norm(P - proj, axis=1))
+    if len(A) <= 2 * _RUN or len(P) < 2:
+        # row chunks of at least _PAIR_BLOCK rows, each against all segments
+        for rows in np.array_split(np.arange(len(P)), max(1, len(P) // _PAIR_BLOCK)):
+            Q = P[rows]
+            step = max(1, _PAIR_BLOCK // max(len(Q), 1))
+            for k in range(0, len(A), step):
+                part = slice(k, k + step)
+                best[rows] = np.minimum(best[rows], _segment_dist(Q, A[part], D[part], L2[part]))
+        return best
+    # runs of _RUN segments, the last one padded with its final segment
+    seg = np.minimum(np.arange(0, len(A), _RUN)[:, None] + np.arange(_RUN), len(A) - 1)
+    ends = np.concatenate([V[seg], V[seg + 1]], axis=1)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    centre, radius = 0.5 * (lo + hi), 0.5 * np.linalg.norm(hi - lo, axis=1)
+    slack = 1e-9 * (np.abs(P).max() + np.abs(V).max())
+    rows = max(2, _PAIR_BLOCK // max(len(seg), _RUN))
+    for r in range(0, len(P), rows):
+        Q = P[r:r + rows]
+        gap = np.linalg.norm(Q[:, None] - centre, axis=-1)
+        near = gap - radius <= (gap + radius).min(axis=1, keepdims=True) + slack
+        runs = np.flatnonzero(near.any(axis=0))
+        # each run against the points near it, padded to a common count
+        # by repeating its first one
+        count = near[:, runs].sum(axis=0)
+        M = max(2, int(count.max()))
+        idx = np.argsort(~near[:, runs], axis=0, kind="stable")[:M].T
+        idx = np.where(np.arange(M) < count[:, None], idx, idx[:, :1])
+        step = max(1, _PAIR_BLOCK // (_RUN * M))
+        for k in range(0, len(runs), step):
+            part = seg[runs[k:k + step]]
+            dist = _segment_dist(Q[idx[k:k + step]], A[part], D[part], L2[part])
+            np.minimum.at(best, r + idx[k:k + step], dist)
     return best
+
+
+def _directed_hausdorff(pts, per_segment, V):
+    """max over the samples of polyline `pts`, per_segment to a segment,
+    of their distance to polyline V.
+
+    The distance is 1-Lipschitz along the samples, so none between
+    samples i and j exceeds (f_i + f_j + arc_ij) / 2.  Samples are
+    evaluated every _HAUSDORFF_STRIDE, then at the midpoint of every gap
+    whose bound reaches the running max less a slack far above rounding,
+    until no gap is left: the max is that of all samples, bit for bit."""
+    S = len(pts) - 1
+    n = S * per_segment + 1
+    w = np.linspace(0.0, 1.0, per_segment + 1)[:-1]
+    D = np.vstack([np.diff(pts, axis=0), np.zeros((1, pts.shape[1]))])
+    seg_len = np.linalg.norm(D, axis=1)
+    seg_arc = np.concatenate([[0.0], np.cumsum(seg_len)])
+
+    def dist(k):
+        # sample k = s * per_segment + r is pts[s] + w[r] (pts[s+1] - pts[s]);
+        # the last is pts[S] + 0 * 0.  BLAS rounds a one-row product (its
+        # dot kernel) differently from a taller one, so a lone sample of
+        # a longer polyline is evaluated twice.
+        s, r = np.divmod(k if len(k) > 1 or n == 1 else np.append(k, k), per_segment)
+        f = min_dist_to_polyline(pts[s] + w[r, None] * D[s], V)[:len(k)]
+        s, r = s[:len(k)], r[:len(k)]
+        return f, seg_arc[s] + w[r] * seg_len[s]
+
+    K = np.append(np.arange(0, n - 1, _HAUSDORFF_STRIDE), n - 1)
+    F, L = dist(K)
+    best = F.max()
+    slack = 1e-9 * (seg_arc[-1] + np.abs(pts).max() + np.abs(V).max())
+    # gaps between evaluated samples, as rows (start, end) of sample
+    # index K, distance F and arc length L
+    K, F, L = (np.stack([x[:-1], x[1:]]) for x in (K, F, L))
+    while True:
+        keep = (K[1] - K[0] > 1) & (F[0] + F[1] + (L[1] - L[0]) >= 2.0 * (best - slack))
+        if not keep.any():
+            return best
+        K, F, L = K[:, keep], F[:, keep], L[:, keep]
+        km = (K[0] + K[1]) // 2
+        fm, lm = dist(km)
+        best = max(best, fm.max())
+        K, F, L = (np.stack([np.append(x[0], m), np.append(m, x[1])])
+                   for x, m in ((K, km), (F, fm), (L, lm)))
 
 
 def hausdorff(a, b, per_segment=64):
     """Symmetric Hausdorff distance: the outer max runs over a dense
     resampling of each input (per_segment subsamples per segment), the
-    inner min is the exact distance to the other polyline."""
-    pa = _densify(a, per_segment)
-    pb = _densify(b, per_segment)
-    if pa.shape[1] != pb.shape[1]:
+    inner min is the exact distance to the other polyline.  Samples that
+    cannot hold the max are skipped (see _directed_hausdorff)."""
+    if per_segment < 1:
+        raise ValueError("per_segment must be >= 1")
+    va, vb = _vertices_of(a), _vertices_of(b)
+    if va.shape[1] != vb.shape[1]:
         raise ValueError("dimension mismatch")
-    d_ab = min_dist_to_polyline(pa, _vertices_of(b)).max()
-    d_ba = min_dist_to_polyline(pb, _vertices_of(a)).max()
+    d_ab = _directed_hausdorff(va, per_segment, vb)
+    d_ba = _directed_hausdorff(vb, per_segment, va)
     return float(max(d_ab, d_ba))

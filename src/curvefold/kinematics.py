@@ -122,14 +122,11 @@ def solve_first_vertex(beta1, rho4, scan=2048):
         return 2.0 * np.arccos(np.clip(x4, -1.0, 1.0)) - rho4
 
     grid = np.linspace(SECTOR_MARGIN, np.pi - SECTOR_MARGIN, scan)
-    vals = np.array([g(a) for a in grid])
-    roots = []
-    for k in range(scan - 1):
-        if np.isfinite(vals[k]) and np.isfinite(vals[k + 1]) and vals[k] * vals[k + 1] <= 0.0:
-            if vals[k] == 0.0:
-                roots.append(grid[k])
-            else:
-                roots.append(brentq(g, grid[k], grid[k + 1], xtol=1e-14))
+    vals = g(grid)  # the scalar g's arithmetic, on the whole grid at once
+    fin = np.isfinite(vals)
+    brackets = np.flatnonzero(fin[:-1] & fin[1:] & (vals[:-1] * vals[1:] <= 0.0))
+    roots = [grid[k] if vals[k] == 0.0 else brentq(g, grid[k], grid[k + 1], xtol=1e-14)
+             for k in brackets]
     roots = [r for r in roots if SECTOR_MARGIN < alpha1_of(r) < np.pi - SECTOR_MARGIN]
     if not roots:
         raise NoSolution(f"no alpha2 in (0, pi) reaches rho4 = {rho4:.6g} "
@@ -376,7 +373,9 @@ def _collinear_input_states(s, a, input_rho):
                     if abs(rho[a] - input_rho) < 1e-9:
                         if not any(_allclose(rho, q, 1e-9) for q in states):
                             states.append(rho)
-    # larger fold magnitude at the opposite crease first, for determinism
+    # the two states mirror each other and tie on |fold| at the opposite
+    # crease up to rounding, so this sort does not fix their order:
+    # rounding decides which state is mode +1
     states.sort(key=lambda q: -abs(q[o]))
     return states
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAngle, NotAdmissible, OutOfRange
+from .errors import DegenerateAngle, LayoutError, NotAdmissible, OutOfRange
 from .geometry import (AffineParams, Partition, PolyCurve, affine_map,
                        hausdorff, is_admissible, partition_tube, staircase,
                        staircase_segments)
@@ -245,7 +245,7 @@ def _draw_ortho(spec, part: Partition, col0, a1col, base, scales):
             step = L * np.array([np.sin(t), np.cos(t)])
             inner[i, j] = inner[i, j - 1] + step
             if abs(inner[i, j, 0] - xcol[j]) > 1e-9 * max(1.0, abs(xcol[j])):
-                raise AssertionError("column line misalignment in ortho layout")
+                raise LayoutError("column line misalignment in ortho layout")
     left = np.array([inner[i, 0] + scales[i] * base[0] *
                      np.array([-np.sin(col0[i]), np.cos(col0[i])]) for i in range(n)])
     tl = a1col if m % 2 == 1 else np.pi - a1col

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSolution, NotAdmissible, OutOfRange
+from .errors import LayoutError, NoSolution, NotAdmissible, OutOfRange
 from .geometry import (AffineParams, Partition, PolyCurve, _arc, _unit,
                        affine_map, hausdorff, is_admissible,
                        partition_uniform, staircase, staircase_segments)
@@ -30,15 +30,32 @@ def _rot2(v, ang):
     return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
 
-def _in_plane_dir(axis, ref, phi):
-    """Unit vector at angle phi from `axis` inside plane(axis, ref), on the
-    ref side of the axis."""
+def _plane_basis(axis, ref):
+    """Unit vector of plane(axis, ref) perpendicular to `axis`, on the ref
+    side of it."""
     w = ref - (ref @ axis) * axis
     n = np.linalg.norm(w)
     if n < 1e-13:
         raise OutOfRange("reference direction collinear with axis")
-    w = w / n
-    return np.cos(phi) * axis + np.sin(phi) * w
+    return w / n
+
+
+def _in_plane(axis, w, phi):
+    """cos(phi) axis + sin(phi) w, for one angle or an array of them."""
+    return np.multiply.outer(np.cos(phi), axis) + np.multiply.outer(np.sin(phi), w)
+
+
+def _in_plane_dir(axis, ref, phi):
+    """Unit vector at angle phi from `axis` inside plane(axis, ref), on the
+    ref side of the axis."""
+    return _in_plane(axis, _plane_basis(axis, ref), phi)
+
+
+def _arcs_to(dirs, v):
+    """_arc(v, d) for every row d of dirs: the per-row product is BLAS's
+    dot kernel, as in the scalar `v @ d`."""
+    dots = np.matmul(dirs[:, None, :], v[:, None])[:, 0, 0]
+    return np.arccos(np.clip(dots, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -116,48 +133,46 @@ def _design_row_state(partition: Partition, rho4):
     U = [np.cos(a2) * L1 + np.sin(a2) * nrm]
     D = [-np.cos(a2) * L1 + np.sin(a2) * nrm]
     branch_log = []
+    grid = np.linspace(1e-4, np.pi - 1e-4, 720)
     for i in range(1, n):
         Lp = _unit(pts[i] - pts[i + 1])
         Rp = _unit(pts[i + 2] - pts[i + 1])
-        Uref, Dref = U[-1], D[-1]
+        wU, wD = _plane_basis(Lp, U[-1]), _plane_basis(Lp, D[-1])
 
         def s1_of(phi):
-            return _arc(Rp, _in_plane_dir(Lp, Uref, phi))
+            return _arc(Rp, _in_plane(Lp, wU, phi))
 
         def g(phi):
             psi = np.pi - s1_of(phi)
-            return phi + _arc(_in_plane_dir(Lp, Dref, psi), Rp) - np.pi
+            return phi + _arc(_in_plane(Lp, wD, psi), Rp) - np.pi
 
-        grid = np.linspace(1e-4, np.pi - 1e-4, 720)
-        vals = np.array([g(p) for p in grid])
-        root = None
-        for k in range(len(grid) - 1):
-            if vals[k] == 0.0:
-                root = grid[k]
-                break
-            if vals[k] * vals[k + 1] < 0.0:
-                lo, hi = grid[k], grid[k + 1]
-                flo = vals[k]
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    fm = g(mid)
-                    if flo * fm <= 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                root = 0.5 * (lo + hi)
-                break
-        if root is None:
+        # g over the grid as arrays, with the arithmetic of the scalar g
+        s1 = _arcs_to(_in_plane(Lp, wU, grid), Rp)
+        vals = grid + _arcs_to(_in_plane(Lp, wD, np.pi - s1), Rp) - np.pi
+        hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+        if not len(hits):
             raise NoSolution(f"no transfer solution at row vertex {i + 1}", index=i + 1)
-        phi = float(root)
+        k = hits[0]
+        if vals[k] == 0.0:
+            phi = float(grid[k])
+        else:
+            lo, hi, flo = grid[k], grid[k + 1], vals[k]
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break  # float resolution: (lo, hi) is a fixed point
+                fm = g(mid)
+                if flo * fm <= 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            phi = float(0.5 * (lo + hi))
         s1p = s1_of(phi)
         psi = np.pi - s1p
-        Up = _in_plane_dir(Lp, Uref, phi)
-        Dp = _in_plane_dir(Lp, Dref, psi)
         quad = (s1p, phi, psi, np.pi - phi)
         slots.append(quad)
-        U.append(Up)
-        D.append(Dp)
+        U.append(_in_plane(Lp, wU, phi))
+        D.append(_in_plane(Lp, wD, psi))
         branch_log.append(_matching_branch(slots[i - 1], quad, beta[i - 1], beta[i],
                                            partition.dihedrals[i - 1]))
     return _RowState(slots, U, D, branch_log, pts)
@@ -286,7 +301,7 @@ def build_pattern(spec: ParallelDesignSpec):
     want = spec.phase
     for axis, _ in base_segs:
         if axis != want:
-            raise AssertionError("staircase segment axis/phase mismatch")
+            raise LayoutError("staircase segment axes do not alternate from the phase")
         want = "y" if want == "x" else "x"
     cumx, cumy = column_scales(slots, spec.phase)
 
@@ -355,7 +370,7 @@ def _draw_pattern(spec, part: Partition, slots, m, seg_len):
             ref = _unit(inner[0, i + 1] - inner[0, i])
             drift = max(drift, abs(seg[0] * ref[1] - seg[1] * ref[0]))
     if drift > 1e-8:
-        raise AssertionError(f"row translation drift {drift:.3g}")
+        raise LayoutError(f"row translation drift {drift:.3g}")
 
     top = np.array([inner[0, i] + seg_len(0, i + 1) * updir[i] for i in range(n)])
     bdir = [downdir[i] if m % 2 == 1 else -updir[i] for i in range(n)]

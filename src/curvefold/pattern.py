@@ -150,48 +150,58 @@ def panel_distances(pattern: CreasePattern, coords):
     return np.array(planar), np.array(placed)
 
 
+#: candidate crease pairs tested per array pass of check_embeddable
+_PAIR_BLOCK = 1 << 14
+
+
 def _orient(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _segments_cross(p1, p2, p3, p4, eps):
-    """Proper or improper crossing away from shared endpoints."""
-    d1 = _orient(p3, p4, p1)
-    d2 = _orient(p3, p4, p2)
-    d3 = _orient(p1, p2, p3)
-    d4 = _orient(p1, p2, p4)
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and \
-       ((d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)):
-        return True
-    return False
+def _straddles(d1, d2, eps):
+    """d1 and d2 lie on opposite sides of zero, each by more than eps."""
+    return ((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))
 
 
 def check_embeddable(pattern: CreasePattern):
     """Raise CreaseIntersection if any two creases cross away from shared
-    vertices.  Brute force pair test behind an x-interval sweep prefilter."""
+    vertices.  An x-interval sweep lists the candidate pairs; blocks of
+    them are tested as arrays, and the first crossing pair in sweep order
+    is reported."""
     pts = pattern.vertices
-    segs = [(c.u, c.v) for c in pattern.creases]
-    boxes = []
-    for u, v in segs:
-        x0, x1 = sorted((pts[u][0], pts[v][0]))
-        boxes.append((x0, x1))
-    order = sorted(range(len(segs)), key=lambda i: boxes[i][0])
+    uv = np.array([(c.u, c.v) for c in pattern.creases], dtype=int).reshape(-1, 2)
+    xs = pts[uv, 0]
+    x0, x1 = xs.min(axis=1), xs.max(axis=1)
+    order = np.argsort(x0, kind="stable")
+    x0s = x0[order]
+    # sweep position p pairs with the count[p] positions after it: the
+    # creases that start before crease order[p] ends
+    count = np.searchsorted(x0s, x1[order], side="right") - np.arange(1, len(order) + 1)
+    total = np.cumsum(count)
     eps = 1e-12 * max(pattern.diameter, 1.0) ** 2
-    for a_pos, i in enumerate(order):
-        for j in order[a_pos + 1:]:
-            if boxes[j][0] > boxes[i][1]:
-                break
-            u1, v1 = segs[i]
-            u2, v2 = segs[j]
-            if len({u1, v1, u2, v2}) < 4:
-                continue
-            if _segments_cross(pts[u1], pts[v1], pts[u2], pts[v2], eps):
-                scale = _suggest_rescale(pts, segs[i], segs[j])
-                raise CreaseIntersection(
-                    f"creases {i} and {j} intersect away from vertices",
-                    pair=(i, j),
-                    suggestion=f"try scaling the target curve by ~{scale:.2f} "
-                               "or refining the partitions")
+    p = 0
+    while p < len(order):
+        done = total[p - 1] if p else 0
+        q = max(p + 1, int(np.searchsorted(total, done + _PAIR_BLOCK, side="right")))
+        k = count[p:q]
+        first = np.repeat(np.arange(p, q), k)
+        second = first + 1 + np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+        i, j = order[first], order[second]
+        (u1, v1), (u2, v2) = uv[i].T, uv[j].T
+        p1, p2, p3, p4 = pts[u1].T, pts[v1].T, pts[u2].T, pts[v2].T
+        hit = (_straddles(_orient(p3, p4, p1), _orient(p3, p4, p2), eps)
+               & _straddles(_orient(p1, p2, p3), _orient(p1, p2, p4), eps)
+               & (u1 != v1) & (u2 != v2) & (u1 != u2) & (u1 != v2)
+               & (v1 != u2) & (v1 != v2))
+        if hit.any():
+            a, b = int(i[hit][0]), int(j[hit][0])
+            scale = _suggest_rescale(pts, tuple(uv[a]), tuple(uv[b]))
+            raise CreaseIntersection(
+                f"creases {a} and {b} intersect away from vertices",
+                pair=(a, b),
+                suggestion=f"try scaling the target curve by ~{scale:.2f} "
+                           "or refining the partitions")
+        p = q
     return True
 
 
