@@ -10,6 +10,18 @@ whose columns of the inverse shear are unit vectors, so axis-parallel
 segments keep their physical length under the map.  A strictly monotone
 decreasing image (x up, y down) admits an axis-aligned staircase whose
 pull-back has every interior turn angle equal to xi.
+
+Bit equality.  The array passes of the design layer (here, in `parallel`
+and in `kinematics`) return the same floats as the loop forms in
+tests/design_oracle.py only while numpy's matmul rounds each batched
+product as the loop's own product; which BLAS kernel numpy picks for a
+shape is not specified.  This was checked with numpy 2.4.6 and its
+bundled OpenBLAS 0.3.31 on x86-64 with AVX-512, where a one-row product
+(the dot kernel) rounds differently from a taller one: hence no point is
+evaluated alone against a polyline of two or more points.  Another numpy
+or BLAS build may move a design output by an ulp with no defect in the
+code; tests/test_design_scans.py names that cause when a rounding-bound
+case fails.
 """
 from __future__ import annotations
 
@@ -191,34 +203,41 @@ def is_admissible(f: PolyCurve, a: AffineParams):
     (ok, transformed) where transformed is the image samples in that
     orientation (useful for staircase construction).
     """
+    _require_open_planar(f)
+    img = affine_map(f.samples, a)
+    d = np.diff(img, axis=0)
+    ok = bool(_monotone(d))
+    if d[:, 0].sum() < 0.0:
+        img = img[::-1]
+    return ok, img
+
+
+def _require_open_planar(f: PolyCurve):
     if f.closed:
         raise ClosedCurve("closed curves admit no monotone image")
     if f.dim != 2:
         raise ValueError("admissibility applies to planar curves")
-    img = affine_map(f.samples, a)
-    dx = np.diff(img[:, 0])
-    if dx.sum() < 0.0:
-        img = img[::-1]
-        dx = -dx[::-1]
-    dy = np.diff(img[:, 1])
-    ok = bool(np.all(dx > MONOTONE_TOL) and np.all(dy < -MONOTONE_TOL))
-    return ok, img
+
+
+def _monotone(d):
+    """Whether image steps d (..., N - 1, 2) are strictly monotone
+    decreasing in one orientation of the curve, over the leading axes:
+    every x step of one sign beyond the tie tolerance, every y step of
+    the other."""
+    dx, dy = d[..., 0], d[..., 1]
+    return ((np.all(dx > MONOTONE_TOL, axis=-1) & np.all(dy < -MONOTONE_TOL, axis=-1))
+            | (np.all(dx < -MONOTONE_TOL, axis=-1) & np.all(dy > MONOTONE_TOL, axis=-1)))
 
 
 def search_theta(f: PolyCurve, xi, grid=720):
     """Scan theta over [0, 2pi) at 2pi*k/grid and return the admissible ones.
 
-    The same test as `is_admissible`, for a block of thetas per array pass.
-    An image passes in one of the two orientations only when every step
-    has the same x sign, so the sign of the x sum need not be formed.
+    The test of `is_admissible`, for a block of thetas per array pass.
     An empty result is a legitimate outcome."""
     if grid < 1:
         raise ValueError("grid must be >= 1")
     shear = AffineParams(0.0, xi).shear()  # validates xi
-    if f.closed:
-        raise ClosedCurve("closed curves admit no monotone image")
-    if f.dim != 2:
-        raise ValueError("admissibility applies to planar curves")
+    _require_open_planar(f)
     thetas = TAU * np.arange(grid) / grid
     passing = []
     step = max(1, _PAIR_BLOCK // len(f.samples))
@@ -227,11 +246,7 @@ def search_theta(f: PolyCurve, xi, grid=720):
         c, s = np.cos(t), np.sin(t)
         rot = np.stack([np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=1)
         img = np.matmul(f.samples, np.matmul(shear, rot).transpose(0, 2, 1))
-        d = np.diff(img, axis=1)
-        dx, dy = d[..., 0], d[..., 1]
-        ok = ((np.all(dx > MONOTONE_TOL, axis=1) & np.all(dy < -MONOTONE_TOL, axis=1))
-              | (np.all(dx < -MONOTONE_TOL, axis=1) & np.all(dy > MONOTONE_TOL, axis=1)))
-        passing.extend(t[ok].tolist())
+        passing.extend(t[_monotone(np.diff(img, axis=1))].tolist())
     return passing
 
 
@@ -382,8 +397,8 @@ def min_dist_to_polyline(points, poly):
     On a long polyline, a point skips each run of _RUN segments whose
     bounding ball lies farther from it than the far side of another run's
     ball, by a slack far above rounding: no segment there can hold its
-    minimum.  BLAS rounds a one-row product (its dot kernel) differently
-    from a taller one, so of two or more points none is evaluated alone."""
+    minimum.  Of two or more points none is evaluated alone (see the
+    bit-equality note above)."""
     P = np.asarray(points, dtype=float)
     V = _vertices_of(poly)
     if len(V) == 1:
@@ -444,9 +459,8 @@ def _directed_hausdorff(pts, per_segment, V):
 
     def dist(k):
         # sample k = s * per_segment + r is pts[s] + w[r] (pts[s+1] - pts[s]);
-        # the last is pts[S] + 0 * 0.  BLAS rounds a one-row product (its
-        # dot kernel) differently from a taller one, so a lone sample of
-        # a longer polyline is evaluated twice.
+        # the last is pts[S] + 0 * 0.  A lone sample of a longer polyline
+        # is evaluated twice, as a one-row product rounds differently.
         s, r = np.divmod(k if len(k) > 1 or n == 1 else np.append(k, k), per_segment)
         f = min_dist_to_polyline(pts[s] + w[r, None] * D[s], V)[:len(k)]
         s, r = s[:len(k)], r[:len(k)]

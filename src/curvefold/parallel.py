@@ -52,8 +52,8 @@ def _in_plane_dir(axis, ref, phi):
 
 
 def _arcs_to(dirs, v):
-    """_arc(v, d) for every row d of dirs: the per-row product is BLAS's
-    dot kernel, as in the scalar `v @ d`."""
+    """_arc(v, d) for every row d of dirs: the per-row product is the dot
+    kernel of the scalar `v @ d` (see the bit-equality note of geometry)."""
     dots = np.matmul(dirs[:, None, :], v[:, None])[:, 0, 0]
     return np.arccos(np.clip(dots, -1.0, 1.0))
 
@@ -140,15 +140,14 @@ def _design_row_state(partition: Partition, rho4):
         wU, wD = _plane_basis(Lp, U[-1]), _plane_basis(Lp, D[-1])
 
         def s1_of(phi):
-            return _arc(Rp, _in_plane(Lp, wU, phi))
+            return _arcs_to(_in_plane(Lp, wU, phi), Rp)
 
         def g(phi):
-            psi = np.pi - s1_of(phi)
-            return phi + _arc(_in_plane(Lp, wD, psi), Rp) - np.pi
+            return phi + _arcs_to(_in_plane(Lp, wD, np.pi - s1_of(phi)), Rp) - np.pi
 
-        # g over the grid as arrays, with the arithmetic of the scalar g
-        s1 = _arcs_to(_in_plane(Lp, wU, grid), Rp)
-        vals = grid + _arcs_to(_in_plane(Lp, wD, np.pi - s1), Rp) - np.pi
+        # one form of g for the grid and the bisection, so g(grid[k]) is
+        # vals[k] bit for bit and flo never changes sign
+        vals = g(grid)
         hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
         if not len(hits):
             raise NoSolution(f"no transfer solution at row vertex {i + 1}", index=i + 1)
@@ -161,13 +160,13 @@ def _design_row_state(partition: Partition, rho4):
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     break  # float resolution: (lo, hi) is a fixed point
-                fm = g(mid)
+                fm = g(np.array([mid]))[0]
                 if flo * fm <= 0.0:
                     hi = mid
                 else:
                     lo, flo = mid, fm
             phi = float(0.5 * (lo + hi))
-        s1p = s1_of(phi)
+        s1p = float(s1_of(np.array([phi]))[0])
         psi = np.pi - s1p
         quad = (s1p, phi, psi, np.pi - phi)
         slots.append(quad)

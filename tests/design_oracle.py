@@ -3,14 +3,14 @@
 `curvefold.geometry`, `curvefold.kinematics`, `curvefold.parallel` and
 `curvefold.pattern` evaluate these scans as array passes.  The loops here
 are the definitions the array code must reproduce bit for bit: the
-per-segment distance, the dense Hausdorff distance, the per-theta
-admissibility scan, the scalar root scans of the first and the next row
+per-segment distance, the dense Hausdorff distance, the one-image
+admissibility test and the per-theta scan over it, the scalar root scans of the first and the next row
 vertices, the staircase corners and the pairwise crease-crossing test."""
 import numpy as np
 
-from curvefold.errors import CreaseIntersection, NoSolution, OutOfRange
-from curvefold.geometry import (TAU, AffineParams, Partition, PolyCurve,
-                                _arc, _unit, is_admissible)
+from curvefold.errors import ClosedCurve, CreaseIntersection, NoSolution, OutOfRange
+from curvefold.geometry import (MONOTONE_TOL, TAU, AffineParams, Partition,
+                                PolyCurve, _arc, _unit, affine_map)
 from curvefold.kinematics import SECTOR_MARGIN
 from curvefold.pattern import _suggest_rescale
 
@@ -75,6 +75,21 @@ def hausdorff(a, b, per_segment=64):
     d_ab = min_dist_to_polyline(pa, vertices_of(b)).max()
     d_ba = min_dist_to_polyline(pb, vertices_of(a)).max()
     return float(max(d_ab, d_ba))
+
+
+def is_admissible(f, a):
+    if f.closed:
+        raise ClosedCurve("closed curves admit no monotone image")
+    if f.dim != 2:
+        raise ValueError("admissibility applies to planar curves")
+    img = affine_map(f.samples, a)
+    dx = np.diff(img[:, 0])
+    if dx.sum() < 0.0:
+        img = img[::-1]
+        dx = -dx[::-1]
+    dy = np.diff(img[:, 1])
+    ok = bool(np.all(dx > MONOTONE_TOL) and np.all(dy < -MONOTONE_TOL))
+    return ok, img
 
 
 def search_theta(f, xi, grid=720):
