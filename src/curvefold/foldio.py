@@ -119,8 +119,7 @@ def import_fold(text):
         from .foldsim import FoldedState
         rho = np.radians(np.asarray(doc.get("edges_foldAngle",
                                             [0.0] * len(pat.creases)), dtype=float))
-        state = FoldedState(-1, 0.0, rho, coords, {},
-                            residuals={"source": "imported"})
+        state = FoldedState(-1, 0.0, rho, coords, residuals={"source": "imported"})
     return pat, state
 
 

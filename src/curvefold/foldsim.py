@@ -4,10 +4,12 @@ Folding angles are assigned by sweeping the vertex grid row-major with the
 single-vertex propagator, panels are then placed along the pattern's BFS
 placement order, and every shared edge is checked for closure.
 The sweep-to-halt driver locates the smallest driving angle at which any
-crease reaches pi (panel coincidence) or two panels interpenetrate.
+crease reaches pi (panel coincidence) or two panels interpenetrate, by a
+march and one secant-safeguarded bracket that keep the states they make.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +24,8 @@ HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
 CLOSURE_REL = 1e-9       # coordinate closure, relative to pattern diameter
 FOLD_CONSISTENCY = 1e-7  # fold-angle agreement between vertex sweeps (rad)
 CLASH_BLOCK = 64         # triangles whose candidate pairs clash_test gathers at once
+MARCH_STEPS = 128        # driving steps per pi: branch continuity needs modest steps
+SECANT_ULPS = 16         # ulps of driving within which the rounding of h sets the secant
 
 
 @dataclass
@@ -30,7 +34,6 @@ class FoldedState:
     driving_rho: float
     rho: np.ndarray
     vertex_coords: np.ndarray
-    face_frames: dict
     halted: bool = False
     halt_reason: str = None
     residuals: dict = field(default_factory=dict)
@@ -113,8 +116,8 @@ def _rotations(axes, angles):
 
 def place_panels(pattern: CreasePattern, rho):
     """Rigid placement of every panel along the pattern's placement order,
-    from face 0 (top left) fixed in the plane z = 0; returns (frames keyed
-    by face, vertex_coords, residuals)."""
+    from face 0 (top left) fixed in the plane z = 0; returns
+    (vertex_coords, residuals)."""
     rho = np.asarray(rho, dtype=float)
     pts = np.zeros((len(pattern.vertices), 3))
     pts[:, :2] = pattern.vertices
@@ -154,8 +157,7 @@ def place_panels(pattern: CreasePattern, rho):
     coords /= np.bincount(quads.ravel(), minlength=len(pts))[:, None]
     off = placed - coords[quads]
     spread = float(np.sqrt((off * off).sum(axis=2)).max())
-    frames = {f: (R[f], t[f]) for f in order.tolist()}
-    return frames, coords, {"closure": closure, "vertex_spread": spread / diam}
+    return coords, {"closure": closure, "vertex_spread": spread / diam}
 
 
 def bootstrap_mv(pattern: CreasePattern, d0=0.02, driving_crease=None):
@@ -218,10 +220,10 @@ def propagate(pattern: CreasePattern, driving_rho, prev=None, driving_crease=Non
         raise OutOfRange("driving angle beyond pi")
     prev_rho = prev.rho if prev is not None else None
     rho, mismatch = assign_fold_angles(pattern, driving_rho, prev_rho, driving_crease)
-    frames, coords, residuals = place_panels(pattern, rho)
+    coords, residuals = place_panels(pattern, rho)
     residuals["fold_mismatch"] = mismatch
     dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
-    return FoldedState(dc, driving_rho, rho, coords, frames, residuals=residuals)
+    return FoldedState(dc, driving_rho, rho, coords, residuals=residuals)
 
 
 def _sub(u, v):
@@ -367,95 +369,96 @@ def clash_test(pattern: CreasePattern, state: FoldedState):
     return sorted(hits)
 
 
-def sweep_to_halt(pattern: CreasePattern, samples=64, coarse=64, driving_crease=None):
-    """Trajectory from flat to the halting state.
+def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
+    """Trajectory of `samples` states evenly spaced from flat to d_halt, the
+    smallest driving value (the designated crease driven with its
+    mountain/valley sign) at which a crease reaches pi - HALT_TOL or panels
+    interpenetrate.
 
-    Drives the designated crease with the sign of its mountain/valley
-    assignment, marching then bisecting to the smallest driving value where
-    any crease reaches pi - HALT_TOL or panels interpenetrate."""
+    Every state propagated is kept, and each new one starts from the
+    nearest kept state at or below it: a state depends only on its driving
+    value and branch choices (`prev` only scores branches), so this changes
+    no bit while the branches agree.  The march steps by pi / MARCH_STEPS
+    and tests for the halt every second step.  The search then holds lo (no
+    event) and hi (a failure or an event).  Each step tries the secant root
+    of h = (pi - max|rho|)^2 - HALT_TOL^2, close to linear near a crease
+    halt, through the last two states tested, or goes SECANT_ULPS ulps past
+    the last one where the rounding of h placed that root.  It bisects when
+    the point leaves (lo, hi) or the bracket did not halve over the last two
+    steps, and stops when the midpoint of lo and hi is one of them.  Each
+    sample is a kept state or is propagated once, at most one march step
+    above one."""
     dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     sgn = pattern.creases[dc].mv or 1
-    max_step = np.pi / 128  # branch continuity needs modest driving steps
+    keys, kept, tested = [], [], []  # tested: (d, h) of the states tested, in order
 
-    def simulate(d, prev):
-        d0 = abs(prev.driving_rho) if prev is not None else 0.0
-        if prev is not None and abs(d - d0) > max_step:
-            steps = int(np.ceil(abs(d - d0) / max_step))
-            st = prev
-            for q in range(1, steps):
-                st = propagate(pattern, sgn * (d0 + (d - d0) * q / steps),
-                               prev=st, driving_crease=dc)
-            return propagate(pattern, sgn * d, prev=st, driving_crease=dc)
-        return propagate(pattern, sgn * d, prev=prev, driving_crease=dc)
+    def state_at(d):
+        i = bisect.bisect_right(keys, d)
+        if i and keys[i - 1] == d:
+            return kept[i - 1]
+        st = propagate(pattern, sgn * d, prev=kept[i - 1] if i else None, driving_crease=dc)
+        keys.insert(i, d)
+        kept.insert(i, st)
+        return st
 
-    def crease_metric(st):
-        others = np.abs(st.rho)
-        return float(others.max() - (np.pi - HALT_TOL))
+    def at_pi(st):
+        return float(np.abs(st.rho).max()) >= np.pi - HALT_TOL
 
-    flat = simulate(0.0, None)
-    last_good, last_d = flat, 0.0
-    event_lo, event_hi = None, None
-    limit = None
-    for k in range(1, coarse + 1):
-        d = np.pi * k / coarse
+    def event(d, st):
+        tested.append((d, (np.pi - float(np.abs(st.rho).max())) ** 2 - HALT_TOL ** 2))
+        return at_pi(st) or bool(clash_test(pattern, st))
+
+    state_at(0.0)
+    lo, found = 0.0, False
+    for j in range(1, MARCH_STEPS + 1):
+        d = np.pi * j / MARCH_STEPS
         try:
-            st = simulate(d, last_good)
+            st = state_at(d)
         except (OutOfRange, NotRigidFoldable):
-            limit = (last_d, d)
+            hi = d
             break
-        if crease_metric(st) >= 0.0 or clash_test(pattern, st):
-            event_lo, event_hi = last_d, d
-            break
-        last_good, last_d = st, d
-    if event_lo is None:
-        if limit is None:
-            raise NoHalt("driving reached pi with no crease at pi and no clash")
-        lo, hi = limit
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break  # float resolution: no later step can move lo or hi
-            try:
-                st = simulate(mid, last_good)
-            except (OutOfRange, NotRigidFoldable):
-                hi = mid
-                continue
-            if crease_metric(st) >= 0.0 or clash_test(pattern, st):
-                event_lo, event_hi = lo, mid
+        if j % 2 == 0:
+            if event(d, st):
+                hi, found = d, True
                 break
-            lo = mid
-            last_good, last_d = st, mid
-        if event_lo is None:
-            raise NoHalt("folding range ends with no crease at pi and no clash")
+            lo = d
+    else:
+        raise NoHalt("driving reached pi with no crease at pi and no clash")
 
-    lo, hi = event_lo, event_hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
+    widths = [math.inf, math.inf]  # bracket widths before the last two steps
+    while lo < 0.5 * (lo + hi) < hi:  # else float resolution: nothing can move lo or hi
+        x = 0.5 * (lo + hi)
+        if len(tested) > 1 and hi - lo <= 0.5 * widths[0]:
+            (d1, h1), (d2, h2) = tested[-2:]
+            res = SECANT_ULPS * math.ulp(d2)
+            s = math.inf
+            if abs(d2 - d1) <= res:
+                s = d2
+            elif h1 != h2:
+                s = d2 - h2 * (d2 - d1) / (h2 - h1)
+            if abs(s - d2) < res:
+                s = d2 + math.copysign(res, lo + hi - 2 * d2)
+            if lo < s < hi:
+                x = s
+        widths = [widths[1], hi - lo]
         try:
-            st = simulate(mid, last_good)
+            st = state_at(x)
         except (OutOfRange, NotRigidFoldable):
-            hi = mid
+            hi = x
             continue
-        if crease_metric(st) >= 0.0 or clash_test(pattern, st):
-            hi = mid
+        if event(x, st):
+            hi, found = x, True
         else:
-            lo = mid
-            last_good = st
-    d_halt = hi
+            lo = x
+    if not found:
+        raise NoHalt("folding range ends with no crease at pi and no clash")
 
-    values = np.linspace(0.0, d_halt, max(samples, 2))
-    states, prevst = [], None
-    for d in values:
-        prevst = simulate(d, prevst)
-        states.append(prevst)
+    values = np.linspace(0.0, hi, max(samples, 2))
+    states = [state_at(d) for d in values]
     halt = states[-1]
     halt.halted = True
-    if clash_test(pattern, halt) and crease_metric(halt) < 0:
-        halt.halt_reason = "panel-interpenetration"
-    else:
-        halt.halt_reason = "crease-at-pi"
+    panels = not at_pi(halt) and clash_test(pattern, halt)
+    halt.halt_reason = "panel-interpenetration" if panels else "crease-at-pi"
     halt.residuals["halting_creases"] = [
         int(i) for i in np.nonzero(np.abs(halt.rho) >= np.pi - 10 * HALT_TOL)[0]]
     return Trajectory(states, values)

@@ -359,15 +359,13 @@ def partition_tube(c: PolyCurve, n, eps, turn_margin=0.05):
 def _polyline_curvature(pts):
     """Max discrete curvature (1/R of circumcircles of sample triples)."""
     p = np.asarray(pts, dtype=float)
-    worst = 0.0
-    for i in range(1, len(p) - 1):
-        a, b, c = p[i - 1], p[i], p[i + 1]
-        ab, bc, ca = b - a, c - b, a - c
-        area2 = abs(ab[0] * bc[1] - ab[1] * bc[0])
-        denom = np.linalg.norm(ab) * np.linalg.norm(bc) * np.linalg.norm(ca)
-        if denom > 0:
-            worst = max(worst, 2.0 * area2 / denom)
-    return worst
+    sides = np.stack([p[1:-1] - p[:-2], p[2:] - p[1:-1], p[:-2] - p[2:]])
+    area2 = np.abs(sides[0, :, 0] * sides[1, :, 1] - sides[0, :, 1] * sides[1, :, 0])
+    # one-row products: the dot kernel np.linalg.norm runs on one vector
+    lens = np.sqrt(np.matmul(sides[..., None, :], sides[..., None])[..., 0, 0])
+    denom = lens[0] * lens[1] * lens[2]
+    pos = denom > 0
+    return float((2.0 * area2[pos] / denom[pos]).max(initial=0.0))
 
 
 def _vertices_of(obj):

@@ -119,7 +119,7 @@ def check_closure(pattern, state):
     closure = state.residuals.get("closure")
     if closure is None:
         try:
-            closure = place_panels(pattern, state.rho)[2]["closure"]
+            closure = place_panels(pattern, state.rho)[1]["closure"]
         except NotRigidFoldable as e:
             closure = e.residual
     return _result("closure", closure, "closure")

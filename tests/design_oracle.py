@@ -5,7 +5,8 @@
 are the definitions the array code must reproduce bit for bit: the
 per-segment distance, the dense Hausdorff distance, the one-image
 admissibility test and the per-theta scan over it, the scalar root scans of the first and the next row
-vertices, the staircase corners and the pairwise crease-crossing test."""
+vertices, the staircase corners, the circumcircle curvature over sample
+triples and the pairwise crease-crossing test."""
 import numpy as np
 
 from curvefold.errors import ClosedCurve, CreaseIntersection, NoSolution, OutOfRange
@@ -50,6 +51,19 @@ def refined(curve, factor):
     ts.append([curve.param[-1]])
     t = np.concatenate(ts)
     return PolyCurve(curve.point_at(t), t, closed=curve.closed)
+
+
+def polyline_curvature(pts):
+    p = np.asarray(pts, dtype=float)
+    worst = 0.0
+    for i in range(1, len(p) - 1):
+        a, b, c = p[i - 1], p[i], p[i + 1]
+        ab, bc, ca = b - a, c - b, a - c
+        area2 = abs(ab[0] * bc[1] - ab[1] * bc[0])
+        denom = np.linalg.norm(ab) * np.linalg.norm(bc) * np.linalg.norm(ca)
+        if denom > 0:
+            worst = max(worst, 2.0 * area2 / denom)
+    return worst
 
 
 def min_dist_to_polyline(points, poly):

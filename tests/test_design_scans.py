@@ -228,6 +228,23 @@ class TestStaircase:
                                   oracle.staircase_corners(img, n, phase))
 
 
+class TestCurvature:
+    @pytest.mark.parametrize("make", [curves.sine_curve, curves.t_minus_ln, curves.exp_curve,
+                                      lambda: curves.space_arc().samples[:, :2]])
+    def test_builtin_curves(self, make):
+        c = make()
+        pts = c.samples if isinstance(c, PolyCurve) else c
+        assert geometry._polyline_curvature(pts) == oracle.polyline_curvature(pts)
+
+    def test_random_walks(self):
+        rng = np.random.default_rng(12)
+        for n in [1, 2, 3, 4, 17, 257] + list(rng.integers(5, 400, size=60)):
+            pts = _walk(rng, n, 2) * 10.0 ** rng.uniform(-5, 3)
+            if n > 3 and rng.random() < 0.3:
+                pts[n // 2] = pts[n // 2 - 1]  # a repeated sample: a zero side
+            assert geometry._polyline_curvature(pts) == oracle.polyline_curvature(pts)
+
+
 def _outcome(check, pattern):
     try:
         return check(pattern)

@@ -88,24 +88,37 @@ class TestVertexTable:
         assert np.isfinite(propagate(pattern, 0.1).rho).all()
 
 
+def _sweep_calls(pattern, monkeypatch):
+    calls = {"propagate": 0, "propagate_both_modes": 0, "clash_test": 0}
+    for name in calls:
+        fn = getattr(foldsim, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(foldsim, name, counted)
+    return sweep_to_halt(pattern, samples=64), calls
+
+
 class TestCounts:
+    # deterministic call counts of the 64-state sweeps; more calls than
+    # these would be a regression of the halt search
     def test_fig5_sweep_counts(self, fig5_design, monkeypatch):
-        # deterministic call counts of the 64-state fig5 sweep; more calls
-        # than these would be a regression of the halt search
         pattern, _ = fig5_design
-        calls = {"propagate": 0, "propagate_both_modes": 0}
-        for name in calls:
-            fn = getattr(foldsim, name)
-
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(foldsim, name, counted)
-        traj = sweep_to_halt(pattern, samples=64)
+        traj, calls = _sweep_calls(pattern, monkeypatch)
         assert abs(traj.driving_values[-1] - RHO4) < 1e-6
-        assert calls["propagate"] <= 307
-        assert calls["propagate_both_modes"] <= 23667
+        assert calls["propagate"] <= 181
+        assert calls["propagate_both_modes"] <= 14501
+        assert calls["clash_test"] <= 62
+
+    def test_fig7_sweep_counts(self, fig7_design, monkeypatch):
+        pattern, _ = fig7_design
+        traj, calls = _sweep_calls(pattern, monkeypatch)
+        assert traj.halt.halt_reason == "crease-at-pi"
+        assert calls["propagate"] <= 111
+        assert calls["propagate_both_modes"] <= 8751
+        assert calls["clash_test"] <= 23
 
 
 class TestSweep:
