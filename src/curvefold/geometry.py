@@ -12,7 +12,7 @@ decreasing image (x up, y down) admits an axis-aligned staircase whose
 pull-back has every interior turn angle equal to xi.
 
 Bit equality.  The array passes of the design layer (here, in `parallel`
-and in `kinematics`) return the same floats as the loop forms in
+and in `pattern`) return the same floats as the loop forms in
 tests/design_oracle.py only while numpy's matmul rounds each batched
 product as the loop's own product; which BLAS kernel numpy picks for a
 shape is not specified.  This was checked with numpy 2.4.6 and its

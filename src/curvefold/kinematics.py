@@ -97,42 +97,25 @@ def fold_from_beta(alpha1, alpha2, beta1):
     return 2.0 * guarded_arccos(x2), 2.0 * guarded_arccos(x4)
 
 
-def solve_first_vertex(beta1, rho4, scan=2048):
+def solve_first_vertex(beta1, rho4):
     """Sector angles (alpha1, alpha2) of the halting vertex: left row crease
     fully folded (rho2 = pi) while the right row crease carries rho4.
 
-    rho2 = pi forces cos(alpha1) = cos(alpha2) cos(beta1); alpha2 then comes
-    from a bracketing scan + Brent root find of the rho4 equation.  When two
-    roots exist the one with smaller |alpha1 - alpha2| is returned."""
-    # imported here: scipy.optimize takes longer to load than the rest of
-    # the package together
-    from scipy.optimize import brentq
-
+    rho2 = pi forces cos(alpha1) = cos(alpha2) cos(beta1); the rho4
+    equation then reads -cos(alpha2) sin(beta1) = cos(rho4/2) sin(alpha1),
+    whose one root in (0, pi) is the closed form below."""
     if not (0.0 < beta1 < np.pi):
         raise OutOfRange(f"beta1 = {beta1:.6g} outside (0, pi)")
     if not (0.0 < rho4 < np.pi):
         raise OutOfRange(f"rho4 = {rho4:.6g} outside (0, pi)")
-
-    def alpha1_of(a2):
-        return np.arccos(np.clip(np.cos(a2) * np.cos(beta1), -1.0, 1.0))
-
-    def g(a2):
-        a1 = alpha1_of(a2)
-        x4 = (np.cos(a1) * np.cos(beta1) - np.cos(a2)) / (np.sin(a1) * np.sin(beta1))
-        return 2.0 * np.arccos(np.clip(x4, -1.0, 1.0)) - rho4
-
-    grid = np.linspace(SECTOR_MARGIN, np.pi - SECTOR_MARGIN, scan)
-    vals = g(grid)  # the scalar g's arithmetic, on the whole grid at once
-    fin = np.isfinite(vals)
-    brackets = np.flatnonzero(fin[:-1] & fin[1:] & (vals[:-1] * vals[1:] <= 0.0))
-    roots = [grid[k] if vals[k] == 0.0 else brentq(g, grid[k], grid[k + 1], xtol=1e-14)
-             for k in brackets]
-    roots = [r for r in roots if SECTOR_MARGIN < alpha1_of(r) < np.pi - SECTOR_MARGIN]
-    if not roots:
+    sb, c = math.sin(beta1), math.cos(rho4 / 2.0)
+    a1 = math.atan2(sb, -c * math.cos(beta1))
+    a2 = math.atan2(sb * math.sin(rho4 / 2.0), -c)
+    if not (SECTOR_MARGIN < a1 < np.pi - SECTOR_MARGIN
+            and SECTOR_MARGIN < a2 < np.pi - SECTOR_MARGIN):
         raise NoSolution(f"no alpha2 in (0, pi) reaches rho4 = {rho4:.6g} "
                          f"at beta1 = {beta1:.6g}")
-    pairs = sorted(((alpha1_of(r), r) for r in roots), key=lambda p: abs(p[0] - p[1]))
-    return pairs[0]
+    return a1, a2
 
 
 def row_transfer_residual(prev, nxt, beta_i, beta_ip1, theta_i, branch):
@@ -248,29 +231,18 @@ def planar_transfer(prev_pair, beta_i, beta_ip1):
     """Next halting-family vertex when the whole row stays in that family.
 
     The single ratio equation fixes a' (= b' by the flat-foldability
-    choice); the required dihedral theta_i is 0 when consecutive vertices
-    bend the row polyline the same way and pi otherwise."""
-    from scipy.optimize import brentq
-
+    choice): -cot(a') tan(beta_ip1 / 2) equals the previous vertex's ratio
+    `lhs`, whose one root in (0, pi) is the closed form below.  The
+    required dihedral theta_i is 0 when consecutive vertices bend the row
+    polyline the same way and pi otherwise."""
     p1, p2 = prev_pair
     for x in (p1, p2, beta_i, beta_ip1):
         if not (0.0 < x < np.pi):
             raise OutOfRange(f"angle {x:.6g} outside (0, pi)")
     lhs = (np.cos(p1) * np.cos(beta_i) - np.cos(p2)) / (np.sin(p1) * np.sin(beta_i))
-
-    def g(a):
-        return (np.cos(a) * np.cos(beta_ip1) - np.cos(a)) / (np.sin(a) * np.sin(beta_ip1)) - lhs
-
-    grid = np.linspace(SECTOR_MARGIN, np.pi - SECTOR_MARGIN, 2048)
-    vals = np.array([g(a) for a in grid])
-    root = None
-    for k in range(len(grid) - 1):
-        if vals[k] * vals[k + 1] <= 0.0:
-            root = brentq(g, grid[k], grid[k + 1], xtol=1e-14)
-            break
-    if root is None:
+    a = math.atan2(math.tan(beta_ip1 / 2.0), -lhs)
+    if not (SECTOR_MARGIN < a < np.pi - SECTOR_MARGIN):
         raise NoSolution("ratio equation has no root in (0, pi)")
-    a = float(root)
     theta = 0.0 if (p1 + p2 - np.pi) * (2 * a - np.pi) > 0 else np.pi
     return a, a, theta
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAngle, LayoutError, NotAdmissible, OutOfRange
+from .foldsim import bootstrap_mv
 from .geometry import (AffineParams, Partition, PolyCurve, affine_map,
                        hausdorff, is_admissible, partition_tube, staircase,
                        staircase_segments)
@@ -197,7 +198,6 @@ def build_ortho_pattern(spec: OrthoDesignSpec):
     scales = np.sin(a1col[0]) / np.sin(a1col)
 
     pattern = _draw_ortho(spec, part, col0, a1col, base, scales)
-    from .foldsim import bootstrap_mv  # local import avoids a cycle
     rho0 = bootstrap_mv(pattern)
     pattern.design["halt_rho_signs"] = np.sign(rho0).tolist()
     check_embeddable(pattern)

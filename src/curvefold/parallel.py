@@ -11,18 +11,20 @@ swept along the datum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LayoutError, NoSolution, NotAdmissible, OutOfRange
+from .foldsim import bootstrap_mv, default_driving_crease
 from .geometry import (AffineParams, Partition, PolyCurve, _arc, _unit,
                        affine_map, hausdorff, is_admissible,
                        partition_uniform, staircase, staircase_segments)
 from .kinematics import (BRANCH_ORDER, VertexAngles, guarded_arccos,
                          row_transfer_residual, solve_first_vertex)
-from .pattern import (DesignReport, assemble_grid, assign_mv_from_state,
-                      check_embeddable, panel_distances)
+from .pattern import (DesignReport, assemble_grid, check_embeddable,
+                      panel_distances, signed_fold_angles)
 
 
 def _rot2(v, ang):
@@ -310,7 +312,11 @@ def build_pattern(spec: ParallelDesignSpec):
 
     pattern = _draw_pattern(spec, part, slots, m, seg_len)
     folded = _halting_state(spec, part, state, m, seg_len, pattern)
-    assign_mv_from_state(pattern, folded["coords"])
+    # M/V from the motion near flat, driven the way the design folds it:
+    # the stubs at pi read no sign of their own from the halting state
+    rho = signed_fold_angles(pattern, folded["coords"])
+    bootstrap_mv(pattern, d0=math.copysign(0.02, rho[default_driving_crease(pattern)]))
+    pattern.design["halt_rho"] = [c.mv * abs(r) for c, r in zip(pattern.creases, rho.tolist())]
     check_embeddable(pattern)
 
     eps_datum = hausdorff(part.points, spec.datum.refined(4))

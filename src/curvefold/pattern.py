@@ -293,35 +293,28 @@ def assemble_grid(m, n, inner, top, bottom, left, right, corners, halting_col, d
     return pat
 
 
-def face_normal(coords, quad):
-    n = np.cross(coords[quad[2]] - coords[quad[0]], coords[quad[3]] - coords[quad[1]])
-    return n / np.linalg.norm(n)
+def _rowdot(a, b):
+    """a[k] @ b[k] for every row k, by the dot kernel of the scalar product
+    (see the bit-equality note of geometry)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def signed_fold_angles(pattern: CreasePattern, coords):
     """Signed fold angle per crease of a folded vertex placement (valley
     positive); boundary edges get 0."""
-    normals = [face_normal(coords, quad) for quad in pattern.faces.reshape(-1, 4)]
+    quads = pattern.faces.reshape(-1, 4)
+    normals = np.cross(coords[quads[:, 2]] - coords[quads[:, 0]],
+                       coords[quads[:, 3]] - coords[quads[:, 1]])
+    normals /= np.sqrt(_rowdot(normals, normals))[:, None]
+    fl, fr = pattern.crease_faces.T
+    inner = np.nonzero((fl >= 0) & (fr >= 0))[0]
+    ends = np.array([(c.u, c.v) for c in pattern.creases])[inner]
+    e = coords[ends[:, 1]] - coords[ends[:, 0]]
+    e /= np.sqrt(_rowdot(e, e))[:, None]
+    nr, nl = normals[fr[inner]], normals[fl[inner]]
     out = np.zeros(len(pattern.creases))
-    for idx, (fl, fr) in enumerate(pattern.crease_faces.tolist()):
-        if fl < 0 or fr < 0:
-            continue
-        cr = pattern.creases[idx]
-        e = coords[cr.v] - coords[cr.u]
-        e = e / np.linalg.norm(e)
-        nr, nl = normals[fr], normals[fl]
-        out[idx] = np.arctan2(np.cross(nr, nl) @ e, nr @ nl)
+    out[inner] = np.arctan2(_rowdot(np.cross(nr, nl), e), _rowdot(nr, nl))
     return out
-
-
-def assign_mv_from_state(pattern: CreasePattern, coords):
-    """Mountain/valley flags from the signed folds of a reference folded
-    state (the designed halting state)."""
-    rho = signed_fold_angles(pattern, coords)
-    for idx, cr in enumerate(pattern.creases):
-        cr.mv = 0 if cr.role == ROLE_BOUNDARY else (1 if rho[idx] >= 0 else -1)
-    pattern.design["halt_rho"] = rho.tolist()
-    return rho
 
 
 @dataclass

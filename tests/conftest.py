@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from curvefold import curves
+import design_oracle
+from curvefold import curves, parallel
 from curvefold.foldsim import sweep_to_halt
 from curvefold.geometry import partition_uniform
 from curvefold.ortho import OrthoDesignSpec, build_ortho_pattern
@@ -17,11 +18,21 @@ def fig4_partition():
     return partition_uniform(curves.space_arc(), 9)
 
 
+FIG5_SPEC = ParallelDesignSpec(datum=curves.space_arc(), target=curves.exp_curve(),
+                               n_row=9, n_col=9, rho4=RHO4, theta=THETA5, eps=0.4)
+
+
 @pytest.fixture(scope="session")
 def fig5_design():
-    spec = ParallelDesignSpec(datum=curves.space_arc(), target=curves.exp_curve(),
-                              n_row=9, n_col=9, rho4=RHO4, theta=THETA5, eps=0.4)
-    return build_pattern(spec)
+    return build_pattern(FIG5_SPEC)
+
+
+@pytest.fixture(scope="session")
+def fig5_root_scan_design():
+    """fig5 with its first vertex from the root scan of design_oracle."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(parallel, "solve_first_vertex", design_oracle.solve_first_vertex)
+        return build_pattern(FIG5_SPEC)
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +60,9 @@ def small_parallel():
     spec = ParallelDesignSpec(datum=curves.space_arc(129), target=curves.exp_curve(129),
                               n_row=4, n_col=3, rho4=RHO4, theta=THETA5, eps=1.0)
     return build_pattern(spec)
+
+
+@pytest.fixture(scope="session")
+def small_parallel_halt(small_parallel):
+    pattern, _ = small_parallel
+    return sweep_to_halt(pattern, samples=8)

@@ -1,12 +1,16 @@
 """Reference design-layer scans in their original loop form.
 
-`curvefold.geometry`, `curvefold.kinematics`, `curvefold.parallel` and
-`curvefold.pattern` evaluate these scans as array passes.  The loops here
-are the definitions the array code must reproduce bit for bit: the
-per-segment distance, the dense Hausdorff distance, the one-image
-admissibility test and the per-theta scan over it, the scalar root scans of the first and the next row
-vertices, the staircase corners, the circumcircle curvature over sample
-triples and the pairwise crease-crossing test."""
+`curvefold.geometry`, `curvefold.parallel` and `curvefold.pattern`
+evaluate these scans as array passes.  The loops here are the definitions
+the array code must reproduce bit for bit: the per-segment distance, the
+dense Hausdorff distance, the one-image admissibility test and the
+per-theta scan over it, the scalar root scan of the next row vertices, the
+staircase corners, the circumcircle curvature over sample triples, the
+pairwise crease-crossing test and the per-crease signed fold angles.  The
+scan-and-Brent root finds of the first row vertex and of
+`planar_transfer` are the references for the closed forms of
+`curvefold.kinematics`, which agree with them to rounding, not bit for
+bit."""
 import numpy as np
 
 from curvefold.errors import ClosedCurve, CreaseIntersection, NoSolution, OutOfRange
@@ -119,8 +123,10 @@ def search_theta(f, xi, grid=720):
 
 
 def solve_first_vertex(beta1, rho4, scan=2048):
-    """`kinematics.solve_first_vertex` with one scalar evaluation per scan
-    point."""
+    """`kinematics.solve_first_vertex` as a root find: rho2 = pi fixes
+    alpha1 from alpha2, then a scan of the rho4 equation g(alpha2) with one
+    scalar evaluation per point and a Brent root find on each bracket; of
+    two roots, the one with smaller |alpha1 - alpha2|."""
     from scipy.optimize import brentq
 
     if not (0.0 < beta1 < np.pi):
@@ -151,6 +157,34 @@ def solve_first_vertex(beta1, rho4, scan=2048):
                          f"at beta1 = {beta1:.6g}")
     pairs = sorted(((alpha1_of(r), r) for r in roots), key=lambda p: abs(p[0] - p[1]))
     return pairs[0]
+
+
+def planar_transfer(prev_pair, beta_i, beta_ip1):
+    """`kinematics.planar_transfer` by a 2048-point scan of its ratio
+    equation and a Brent root find on the first bracket."""
+    from scipy.optimize import brentq
+
+    p1, p2 = prev_pair
+    for x in (p1, p2, beta_i, beta_ip1):
+        if not (0.0 < x < np.pi):
+            raise OutOfRange(f"angle {x:.6g} outside (0, pi)")
+    lhs = (np.cos(p1) * np.cos(beta_i) - np.cos(p2)) / (np.sin(p1) * np.sin(beta_i))
+
+    def g(a):
+        return (np.cos(a) * np.cos(beta_ip1) - np.cos(a)) / (np.sin(a) * np.sin(beta_ip1)) - lhs
+
+    grid = np.linspace(SECTOR_MARGIN, np.pi - SECTOR_MARGIN, 2048)
+    vals = np.array([g(a) for a in grid])
+    root = None
+    for k in range(len(grid) - 1):
+        if vals[k] * vals[k + 1] <= 0.0:
+            root = brentq(g, grid[k], grid[k + 1], xtol=1e-14)
+            break
+    if root is None:
+        raise NoSolution("ratio equation has no root in (0, pi)")
+    a = float(root)
+    theta = 0.0 if (p1 + p2 - np.pi) * (2 * a - np.pi) > 0 else np.pi
+    return a, a, theta
 
 
 def _in_plane_dir(axis, ref, phi):
@@ -291,3 +325,23 @@ def check_embeddable(pattern):
                     suggestion=f"try scaling the target curve by ~{scale:.2f} "
                                "or refining the partitions")
     return True
+
+
+def signed_fold_angles(pattern, coords):
+    """`pattern.signed_fold_angles` with one face normal and one crease at
+    a time."""
+    def face_normal(quad):
+        n = np.cross(coords[quad[2]] - coords[quad[0]], coords[quad[3]] - coords[quad[1]])
+        return n / np.linalg.norm(n)
+
+    normals = [face_normal(quad) for quad in pattern.faces.reshape(-1, 4)]
+    out = np.zeros(len(pattern.creases))
+    for idx, (fl, fr) in enumerate(pattern.crease_faces.tolist()):
+        if fl < 0 or fr < 0:
+            continue
+        cr = pattern.creases[idx]
+        e = coords[cr.v] - coords[cr.u]
+        e = e / np.linalg.norm(e)
+        nr, nl = normals[fr], normals[fl]
+        out[idx] = np.arctan2(np.cross(nr, nl) @ e, nr @ nl)
+    return out

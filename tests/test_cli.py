@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvefold
 from curvefold.cli import main
 
 SMALL_PARALLEL_SPEC = {
@@ -160,3 +164,20 @@ class TestDemo:
         assert main(["demo", "fig4", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["design_type"] == "parallel-repeating"
+
+    def test_fig5_without_scipy(self, tmp_path):
+        # numpy is the one runtime dependency: designing and sweeping fig5
+        # in a fresh interpreter loads no scipy module
+        code = ("import sys\n"
+                "from curvefold.cli import main\n"
+                f"out = {str(tmp_path)!r}\n"
+                "assert main(['demo', 'fig5', '--out', out]) == 0\n"
+                "assert main(['fold', out + '/pattern.fold', '--states', '2', '--out', out]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(curvefold.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"

@@ -4,6 +4,7 @@ import copy
 import json
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,8 +14,8 @@ from curvefold.cli import main
 from curvefold.errors import ClosedCurve, CreaseIntersection, CurvefoldError, NoSolution
 from curvefold.geometry import (AffineParams, PolyCurve, hausdorff, is_admissible,
                                 min_dist_to_polyline, partition_uniform, search_theta)
-from curvefold.kinematics import solve_first_vertex
-from curvefold.pattern import check_embeddable
+from curvefold.kinematics import planar_transfer, solve_first_vertex
+from curvefold.pattern import check_embeddable, signed_fold_angles
 
 
 # the message of a bit-equality failure in a case that hangs on rounding
@@ -180,9 +181,29 @@ class TestSearchTheta:
                 scan(curves.space_arc(), 1.0, grid=8)
 
 
+def _first_vertex_mp(beta1, rho4, a2_near):
+    """(alpha1, alpha2) at a 40-digit root of g, the equation that
+    `design_oracle.solve_first_vertex` scans, bracketed within 1e-9 of
+    a2_near."""
+    with mpmath.workdps(40):
+        b, r = mpmath.mpf(beta1), mpmath.mpf(rho4)
+
+        def alpha1_of(a2):
+            return mpmath.acos(mpmath.cos(a2) * mpmath.cos(b))
+
+        def g(a2):
+            a1 = alpha1_of(a2)
+            x4 = (mpmath.cos(a1) * mpmath.cos(b) - mpmath.cos(a2)) / (mpmath.sin(a1) * mpmath.sin(b))
+            return 2 * mpmath.acos(x4) - r
+
+        a2 = mpmath.findroot(g, (a2_near - 1e-9, a2_near + 1e-9), solver="anderson")
+        return alpha1_of(a2), a2
+
+
 class TestRootScans:
     def test_first_vertex_random(self):
         rng = np.random.default_rng(3)
+        solved = 0
         for _ in range(60):
             beta1 = rng.uniform(0.01, np.pi - 0.01)
             rho4 = rng.uniform(0.01, np.pi - 0.01)
@@ -192,12 +213,41 @@ class TestRootScans:
                 with pytest.raises(NoSolution):
                     solve_first_vertex(beta1, rho4)
                 continue
-            assert solve_first_vertex(beta1, rho4) == want
+            got = solve_first_vertex(beta1, rho4)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            for x, root in zip(got, _first_vertex_mp(beta1, rho4, want[1])):
+                assert abs(mpmath.mpf(x) - root) <= 4 * np.spacing(float(root))
+            solved += 1
+        assert solved > 30
+        for beta1, rho4 in ((1e-9, np.pi / 2), (np.pi - 1e-9, 2.0), (1.0, 1e-9)):
+            with pytest.raises(NoSolution):
+                oracle.solve_first_vertex(beta1, rho4)
+            with pytest.raises(NoSolution):
+                solve_first_vertex(beta1, rho4)
 
-    def test_first_vertex_short_scan(self):
-        for beta1, rho4 in ((0.5, 2.6), (2.0, 1.0), (np.pi / 2, 5 * np.pi / 6)):
-            assert solve_first_vertex(beta1, rho4, scan=64) == \
-                oracle.solve_first_vertex(beta1, rho4, scan=64)
+    def test_planar_transfer_random(self):
+        rng = np.random.default_rng(31)
+        solved = 0
+        for _ in range(200):
+            prev = tuple(rng.uniform(0.05, np.pi - 0.05, 2))
+            bi, bip = rng.uniform(0.05, np.pi - 0.05, 2)
+            try:
+                want = oracle.planar_transfer(prev, bi, bip)
+            except NoSolution:
+                with pytest.raises(NoSolution):
+                    planar_transfer(prev, bi, bip)
+                continue
+            a, b, theta = planar_transfer(prev, bi, bip)
+            assert abs(a - want[0]) <= 1e-13 and b == a
+            assert theta == want[2]
+            solved += 1
+        assert solved > 100
+        # a root within SECTOR_MARGIN of 0 or pi is no vertex
+        for args in (((1.0, 2.0), 1.0, 1e-7), ((2.0, 1.0), 1.0, 1e-7)):
+            with pytest.raises(NoSolution):
+                oracle.planar_transfer(*args)
+            with pytest.raises(NoSolution):
+                planar_transfer(*args)
 
     @pytest.mark.parametrize("rho4", [5 * np.pi / 6, 2.7, 2.2])
     def test_row_state_fig4_datum(self, fig4_partition, rho4):
@@ -250,6 +300,17 @@ def _outcome(check, pattern):
         return check(pattern)
     except CreaseIntersection as e:
         return (str(e), e.pair, e.suggestion)
+
+
+class TestSignedFoldAngles:
+    def test_folded_states(self, fig5_design, fig5_halt, fig7_design, fig7_halt):
+        fig5 = fig5_design[0]
+        cases = [(fig5, fig5.design["halting_state"]["coords"])]
+        for (pattern, _), traj in ((fig5_design, fig5_halt), (fig7_design, fig7_halt)):
+            cases += [(pattern, s.vertex_coords) for s in traj.states[1:]]
+        for pattern, coords in cases:
+            assert np.array_equal(signed_fold_angles(pattern, coords),
+                                  oracle.signed_fold_angles(pattern, coords)), BLAS_ROUNDING
 
 
 class TestEmbeddable:

@@ -8,7 +8,9 @@ from curvefold.errors import NotRigidFoldable, OutOfRange
 from curvefold.foldsim import (_tri_tri_penetration, bootstrap_mv, clash_test,
                                default_driving_crease, extract_polylines,
                                propagate, sweep_to_halt)
-from curvefold.geometry import measure_polyline, partition_uniform
+from curvefold.geometry import PolyCurve, measure_polyline, partition_uniform
+from curvefold.parallel import ParallelDesignSpec, build_pattern
+from curvefold.pattern import ROLE_BOUNDARY
 from curvefold.verify import rigid_align
 
 RHO4 = 5 * np.pi / 6
@@ -103,14 +105,21 @@ def _sweep_calls(pattern, monkeypatch):
 
 class TestCounts:
     # deterministic call counts of the 64-state sweeps; more calls than
-    # these would be a regression of the halt search
-    def test_fig5_sweep_counts(self, fig5_design, monkeypatch):
-        pattern, _ = fig5_design
+    # these would be a regression of the halt search.  fig5 is swept with
+    # its first vertex in closed form and from the root scan of
+    # design_oracle: the two differ in the last bits, which moves the halt
+    # search by two steps
+    @pytest.mark.parametrize("design, bounds", [
+        pytest.param("fig5_design", (183, 14583, 61), id="closed-form"),
+        pytest.param("fig5_root_scan_design", (181, 14501, 62), id="root-scan"),
+    ])
+    def test_fig5_sweep_counts(self, design, bounds, request, monkeypatch):
+        pattern, _ = request.getfixturevalue(design)
         traj, calls = _sweep_calls(pattern, monkeypatch)
         assert abs(traj.driving_values[-1] - RHO4) < 1e-6
-        assert calls["propagate"] <= 181
-        assert calls["propagate_both_modes"] <= 14501
-        assert calls["clash_test"] <= 62
+        assert calls["propagate"] <= bounds[0]
+        assert calls["propagate_both_modes"] <= bounds[1]
+        assert calls["clash_test"] <= bounds[2]
 
     def test_fig7_sweep_counts(self, fig7_design, monkeypatch):
         pattern, _ = fig7_design
@@ -173,8 +182,36 @@ class TestSweep:
             interior = [i for i, c in enumerate(pattern.creases) if c.mv != 0]
             assert all(abs(st.rho[i] - base.rho[i]) > 0 for i in interior)
 
+    def test_small_parallel_halts_at_rho4(self, small_parallel_halt):
+        assert small_parallel_halt.halt.halt_reason == "crease-at-pi"
+        assert abs(small_parallel_halt.driving_values[-1] - RHO4) < 1e-6
+
+    @pytest.mark.parametrize("design, halt", [("fig5_design", "fig5_halt"),
+                                              ("small_parallel", "small_parallel_halt")])
+    def test_mv_is_the_sign_the_motion_folds(self, design, halt, request):
+        # the left row stubs end at pi, where the halting state shows no
+        # sign; the state before the halt shows the one the motion gives
+        pattern, _ = request.getfixturevalue(design)
+        before = request.getfixturevalue(halt).states[-2]
+        interior = [i for i, c in enumerate(pattern.creases) if c.role != ROLE_BOUNDARY]
+        assert all(np.abs(before.rho[interior]) > 1e-3)
+        assert [pattern.creases[i].mv for i in interior] == \
+            [1 if before.rho[i] > 0 else -1 for i in interior]
+
+    def test_explore_3x12_halts_at_rho4(self):
+        # the seed-1 parallel spec of size (3, 12) of the benchmark's explore
+        # batch, theta as its auto scan picks it
+        target = curves.exp_curve(257)
+        spec = ParallelDesignSpec(
+            datum=curves.space_arc(257),
+            target=PolyCurve(target.samples * 0.6990870174183882, target.param),
+            n_row=3, n_col=12, rho4=2.72295144949214, theta=1.2217304763960306, eps=10.0)
+        pattern, _ = build_pattern(spec)
+        traj = sweep_to_halt(pattern, samples=2)
+        assert traj.halt.halt_reason == "crease-at-pi"
+        assert abs(traj.driving_values[-1] - spec.rho4) < 1e-6
+
     def test_single_vertex_flat_foldable_halts_at_pi(self):
-        from curvefold.parallel import ParallelDesignSpec, build_pattern
         spec = ParallelDesignSpec(datum=curves.space_arc(65), target=curves.exp_curve(65),
                                   n_row=1, n_col=1, rho4=RHO4, theta=np.deg2rad(73),
                                   eps=2.0)
