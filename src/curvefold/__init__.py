@@ -12,8 +12,7 @@ from .geometry import (AffineParams, Partition, PolyCurve, affine_map,
                        search_theta, staircase)
 from .kinematics import (FoldAngles, VertexAngles, degree4_propagate,
                          fold_from_beta, planar_transfer,
-                         row_transfer_residual, solve_first_vertex,
-                         solve_next_vertex)
+                         row_transfer_residual, solve_first_vertex)
 from .pattern import CreasePattern, Crease, DesignReport, check_embeddable
 from .parallel import (ColumnProfile, ParallelDesignSpec, build_pattern,
                        column_curves, design_row, xi_recurrence)

@@ -7,13 +7,14 @@ formatting, so export -> import -> export round-trips identically.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from . import curves as curves_mod
 from .errors import CreaseIntersection, NotQuadGrid, SchemaError
 from .geometry import PolyCurve
-from .pattern import ROLE_BOUNDARY, CreasePattern
+from .pattern import ROLE_BOUNDARY, CreasePattern, assemble_grid
 
 _ASSIGN = {1: "V", -1: "M", 0: "B"}
 _ASSIGN_BACK = {"V": 1, "M": -1, "B": 0, "F": 0, "U": 0}
@@ -83,69 +84,122 @@ def import_fold(text):
     """Rebuild a pattern (and folded state, when 3D) from a FOLD document.
 
     Grid structure comes from the curvefold:grid field when present and is
-    inferred combinatorially otherwise.  Developability is re-verified."""
+    inferred combinatorially otherwise.  Developability is re-verified.
+    Malformed documents raise SchemaError, non-grid ones NotQuadGrid."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise SchemaError("FOLD document must be a JSON object")
     for key in ("vertices_coords", "edges_vertices", "faces_vertices"):
         if key not in doc:
             raise SchemaError(f"missing FOLD field {key}")
-    faces = doc["faces_vertices"]
+    coords = _coord_rows(doc["vertices_coords"], "vertices_coords", (2, 3))
+    nv = len(coords)
+    edges = _id_rows(doc["edges_vertices"], "edges_vertices", nv)
+    if any(len(e) != 2 for e in edges):
+        raise SchemaError("every edge in edges_vertices must be a vertex pair")
+    faces = _id_rows(doc["faces_vertices"], "faces_vertices", nv)
     for f in faces:
         if len(f) != 4:
             raise NotQuadGrid(f"face with {len(f)} vertices; quad grid required")
-    coords = np.asarray(doc["vertices_coords"], dtype=float)
-    dim3 = coords.shape[1] == 3
+    design = doc.get("curvefold:design", {})
+    if not isinstance(design, dict):
+        raise SchemaError("curvefold:design must be an object")
+    assign = doc.get("edges_assignment", [])
+    if not (isinstance(assign, list) and all(isinstance(a, str) for a in assign)):
+        raise SchemaError("edges_assignment must be a list of strings")
     if "curvefold:grid" in doc:
-        grid = doc["curvefold:grid"]
-        ext = np.asarray(grid["ext_id"], dtype=int)
-        rows, cols = int(grid["rows"]), int(grid["cols"])
-        halting = int(grid.get("halting_col", 1))
+        ext, halting = _grid_field(doc["curvefold:grid"], nv)
     else:
-        ext = _infer_grid(doc)
-        rows, cols = ext.shape[0] - 2, ext.shape[1] - 2
-        halting = 1
+        ext, halting = _infer_grid(coords, faces), 1
+    if min(ext.shape) < 3 or not np.array_equal(np.sort(ext, axis=None), np.arange(nv)):
+        raise SchemaError("the grid must have at least 3 x 3 nodes and list "
+                          "each vertex id exactly once")
+    dim3 = coords.shape[1] == 3
     if dim3:
         if "curvefold:vertices_flat" not in doc:
             raise SchemaError("3D folded frame without planar coordinates; "
                               "re-export with the crease-pattern frame")
-        flat = np.asarray(doc["curvefold:vertices_flat"], dtype=float)
+        flat = _coord_rows(doc["curvefold:vertices_flat"], "curvefold:vertices_flat", (2,))
+        if len(flat) != nv:
+            raise SchemaError(f"curvefold:vertices_flat has {len(flat)} rows "
+                              f"for {nv} vertices")
+        angles = doc.get("edges_foldAngle", [0.0] * len(edges))
+        if not (isinstance(angles, list) and len(angles) == len(edges)
+                and all(_is_number(a) for a in angles)):
+            raise SchemaError("edges_foldAngle must hold one number per edge")
     else:
-        flat = coords[:, :2]
-    pat = _rebuild(doc, flat, ext, rows, cols, halting)
+        flat = coords
+    pat = _rebuild(edges, assign, design, flat, ext, halting)
     state = None
     if dim3:
         from .foldsim import FoldedState
-        rho = np.radians(np.asarray(doc.get("edges_foldAngle",
-                                            [0.0] * len(pat.creases)), dtype=float))
+        rho = np.radians(np.asarray(angles, dtype=float))
         state = FoldedState(-1, 0.0, rho, coords, residuals={"source": "imported"})
     return pat, state
 
 
-def _rebuild(doc, flat, ext, rows, cols, halting):
-    from .pattern import assemble_grid
-    m, n = rows, cols
-    inner = np.array([[flat[ext[k + 1, i + 1]] for i in range(n)] for k in range(m)])
-    top = np.array([flat[ext[0, i + 1]] for i in range(n)])
-    bottom = np.array([flat[ext[m + 1, i + 1]] for i in range(n)])
-    left = np.array([flat[ext[k + 1, 0]] for k in range(m)])
-    right = np.array([flat[ext[k + 1, n + 1]] for k in range(m)])
-    corners = {"tl": flat[ext[0, 0]], "tr": flat[ext[0, n + 1]],
-               "bl": flat[ext[m + 1, 0]], "br": flat[ext[m + 1, n + 1]]}
+def _is_number(x):
+    """A finite JSON number; booleans are not numbers here."""
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _coord_rows(value, what, dims):
+    """Finite float array of a list of equally long numeric rows, their
+    length one of `dims`."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(p, list) and len(p) == len(value[0]) for p in value)
+            and len(value[0]) in dims and all(_is_number(x) for p in value for x in p)):
+        raise SchemaError(f"{what} must be a non-empty list of numeric rows, "
+                          f"all {' or '.join(map(str, dims))}-D")
+    return np.array(value, dtype=float)
+
+
+def _id_rows(value, what, nv):
+    """A list of lists of vertex ids, each id in range(nv)."""
+    if not (isinstance(value, list) and all(isinstance(r, list) for r in value)
+            and all(type(x) is int and 0 <= x < nv for r in value for x in r)):
+        raise SchemaError(f"{what} must be lists of vertex ids in 0..{nv - 1}")
+    return value
+
+
+def _grid_field(grid, nv):
+    """ext_id and halting column of a curvefold:grid object.  ext_id is a
+    rectangular (rows+2) x (cols+2) array of vertex ids; rows and cols,
+    where given, must match its shape."""
+    if not (isinstance(grid, dict) and isinstance(grid.get("ext_id"), list)):
+        raise SchemaError("curvefold:grid must be an object with an ext_id array")
+    rows = _id_rows(grid["ext_id"], "curvefold:grid ext_id", nv)
+    if not rows or len({len(r) for r in rows}) != 1:
+        raise SchemaError("curvefold:grid ext_id must be a rectangular array")
+    ext = np.array(rows, dtype=int)
+    shape = {"rows": ext.shape[0] - 2, "cols": ext.shape[1] - 2}
+    for key, size in shape.items():
+        if key in grid and grid[key] != size:
+            raise SchemaError(f"curvefold:grid {key} = {grid[key]!r} does not match "
+                              f"the {size} of ext_id")
+    halting = grid.get("halting_col", 1)
+    if not (type(halting) is int and 1 <= halting <= shape["cols"]):
+        raise SchemaError(f"curvefold:grid halting_col must be an integer in "
+                          f"1..{shape['cols']}")
+    return ext, halting
+
+
+def _rebuild(edges, assign, design, flat, ext, halting):
     try:
-        pat = assemble_grid(m, n, inner, top, bottom, left, right, corners,
-                            halting_col=halting,
-                            design=dict(doc.get("curvefold:design", {})))
+        pat = assemble_grid(flat[ext], halting_col=halting, design=dict(design))
     except CreaseIntersection as e:
         raise SchemaError(str(e))
+    # the document's vertex k sits at grid position to_grid[k]
+    new_to_old = ext.ravel()
+    to_grid = np.argsort(new_to_old)
     # the document's creases in its edge order, carrying its assignment
-    to_grid = dict(zip(ext.ravel().tolist(), pat.ext_id.ravel().tolist()))
-    assign = doc.get("edges_assignment", [])
     order = []
-    for k, (u, v) in enumerate(doc["edges_vertices"]):
+    for k, (u, v) in enumerate(edges):
         try:
-            idx = pat.crease_between(to_grid[u], to_grid[v])
+            idx = pat.crease_between(int(to_grid[u]), int(to_grid[v]))
         except KeyError:
             raise SchemaError(f"edge ({u},{v}) does not fit the quad grid")
         cr = pat.creases[idx]
@@ -155,11 +209,7 @@ def _rebuild(doc, flat, ext, rows, cols, halting):
     if sorted(order) != list(range(len(pat.creases))):
         raise SchemaError("edges do not cover the quad grid once each")
     # restore the document's vertex ids (grid inference may relabel)
-    new_to_old = np.empty(len(pat.vertices), dtype=int)
-    new_to_old[pat.ext_id] = ext
-    verts = np.empty_like(pat.vertices)
-    verts[new_to_old] = pat.vertices
-    pat.vertices = verts
+    pat.vertices = flat
     pat.ext_id = ext
     pat.faces = new_to_old[pat.faces]
     pat.creases = [pat.creases[i] for i in order]
@@ -169,16 +219,16 @@ def _rebuild(doc, flat, ext, rows, cols, halting):
     return pat.finalize()
 
 
-def _infer_grid(doc):
+def _infer_grid(coords, quads):
     """Combinatorial grid recovery: faces form an (m+1) x (n+1) array glued
     along opposite quad edges.
 
     All face cycles are first oriented counterclockwise in the plane; the
     consistent chirality then propagates grid axes face to face."""
-    coords = np.asarray(doc["vertices_coords"], dtype=float)[:, :2]
+    if not quads:
+        raise NotQuadGrid("no faces to recover a grid from")
     faces = []
-    for f in doc["faces_vertices"]:
-        f = list(f)
+    for f in quads:
         area = 0.0
         for j in range(4):
             a, b = coords[f[j]], coords[f[(j + 1) % 4]]
@@ -320,10 +370,12 @@ _SPEC_KEYS = {
 }
 
 
-def _load_curve(node, dim=2):
+def _load_curve(node, what):
     if not isinstance(node, dict):
-        raise SchemaError("curve must be an object")
-    scale = float(node.get("scale", 1.0))
+        raise SchemaError(f"{what} curve must be an object")
+    scale = node.get("scale", 1.0)
+    if not _is_number(scale):
+        raise SchemaError(f"{what} curve scale must be a number")
     if "builtin" in node:
         extra = set(node) - {"builtin", "samples_n", "scale"}
         if extra:
@@ -331,23 +383,50 @@ def _load_curve(node, dim=2):
         if not (isinstance(node["builtin"], str) and node["builtin"] in curves_mod.BUILTIN):
             raise SchemaError(f"unknown builtin curve {node['builtin']!r}; "
                               f"have {sorted(curves_mod.BUILTIN)}")
-        c = curves_mod.builtin(node["builtin"], n=node.get("samples_n", 257))
-        if scale != 1.0:
-            c = PolyCurve(c.samples * scale, c.param, closed=c.closed)
+        samples_n = node.get("samples_n", 257)
+        if type(samples_n) is not int:
+            raise SchemaError(f"{what} curve samples_n must be an integer")
+        try:
+            c = curves_mod.builtin(node["builtin"], n=samples_n)
+            if scale != 1.0:
+                c = PolyCurve(c.samples * scale, c.param, closed=c.closed)
+        except ValueError as e:
+            raise SchemaError(f"{what} curve: {e}")
         return c
     if "samples" in node:
         extra = set(node) - {"samples", "param", "closed", "scale"}
         if extra:
             raise SchemaError(f"unknown curve fields: {sorted(extra)}")
-        samples = np.asarray(node["samples"], dtype=float) * scale
-        param = np.asarray(node.get("param", np.arange(len(samples))), dtype=float)
-        return PolyCurve(samples, param, closed=bool(node.get("closed", False)))
-    raise SchemaError("curve needs 'builtin' or 'samples'")
+        try:
+            samples = np.asarray(node["samples"], dtype=float) * scale
+            if not np.isfinite(samples).all():
+                raise SchemaError(f"{what} curve samples must be finite")
+            param = np.asarray(node.get("param", np.arange(len(samples))), dtype=float)
+            return PolyCurve(samples, param, closed=bool(node.get("closed", False)))
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"{what} curve: {e}")
+    raise SchemaError(f"{what} curve needs 'builtin' or 'samples'")
+
+
+def _spec_count(doc, key):
+    x = doc.get(key, 9)
+    if not (type(x) is int and x >= 1):
+        raise SchemaError(f"{key} must be an integer >= 1")
+    return x
+
+
+def _spec_number(doc, key, default, high=None):
+    """A number in (0, high), or positive when high is None."""
+    x = doc.get(key, default)
+    if not (_is_number(x) and 0.0 < x and (high is None or x < high)):
+        raise SchemaError(f"{key} must be a number in (0, {high:.6g})" if high
+                          else f"{key} must be a positive number")
+    return x
 
 
 def load_design_spec(text):
     """Parse and validate a design-spec JSON document, returning the typed
-    spec object.  Unknown fields are rejected."""
+    spec object.  Unknown fields and malformed values are rejected."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -355,23 +434,36 @@ def load_design_spec(text):
     if not isinstance(doc, dict):
         raise SchemaError("design spec must be a JSON object")
     kind = doc.get("type")
-    if kind not in _SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise SchemaError(f"type must be one of {sorted(_SPEC_KEYS)}")
     extra = set(doc) - _SPEC_KEYS[kind]
     if extra:
         raise SchemaError(f"unknown fields: {sorted(extra)}")
-    datum = _load_curve(doc.get("datum", {}))
-    target = _load_curve(doc.get("target", {}))
+    datum = _load_curve(doc.get("datum", {}), "datum")
+    target = _load_curve(doc.get("target", {}), "target")
+    if target.dim != 2 or target.closed:
+        raise SchemaError("target curve must be planar and open")
+    if kind == "orthodiagonal" and datum.dim != 2:
+        raise SchemaError("orthodiagonal datum curve must be planar")
     theta = doc.get("theta", "auto")
-    if not (theta == "auto" or isinstance(theta, (int, float))):
+    if not (theta == "auto" or _is_number(theta)):
         raise SchemaError("theta must be a number or 'auto'")
-    common = dict(eps=float(doc.get("eps", 0.1)), phase=doc.get("phase", "x"))
+    phase = doc.get("phase", "x")
+    if phase not in ("x", "y"):
+        raise SchemaError("phase must be 'x' or 'y'")
+    common = dict(eps=float(_spec_number(doc, "eps", 0.1)), phase=phase)
     if kind == "parallel-repeating":
         spec = dict(datum=datum, target=target,
-                    n_row=int(doc.get("n_row", 9)), n_col=int(doc.get("n_col", 9)),
-                    rho4=float(doc.get("rho4", 5 * np.pi / 6)), **common)
+                    n_row=_spec_count(doc, "n_row"), n_col=_spec_count(doc, "n_col"),
+                    rho4=float(_spec_number(doc, "rho4", 5 * np.pi / 6, high=np.pi)),
+                    **common)
         return ("parallel-repeating", spec, theta)
+    alpha11, tube_eps = doc.get("alpha11"), doc.get("tube_eps")
+    if alpha11 is not None and not _is_number(alpha11):
+        raise SchemaError("alpha11 must be a number")
+    if tube_eps is not None:
+        tube_eps = _spec_number(doc, "tube_eps", None)
     spec = dict(datum=datum, target=target,
-                n=int(doc.get("n", 9)), m=int(doc.get("m", 9)),
-                alpha11=doc.get("alpha11"), tube_eps=doc.get("tube_eps"), **common)
+                n=_spec_count(doc, "n"), m=_spec_count(doc, "m"),
+                alpha11=alpha11, tube_eps=tube_eps, **common)
     return ("orthodiagonal", spec, theta)

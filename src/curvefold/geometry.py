@@ -280,7 +280,8 @@ def staircase(f: PolyCurve, a: AffineParams, n, phase="x"):
         raise ValueError("phase must be 'x' or 'y'")
     ok, img = is_admissible(f, a)
     if not ok:
-        raise NotAdmissible("image curve is not strictly monotone decreasing")
+        raise NotAdmissible(f"target curve fails admissibility at (theta, xi) = "
+                            f"({a.theta:.6g}, {a.xi:.6g}); run search_theta for candidates")
     pts = _staircase_corners(img, n, phase)
     if len(pts) != n + 2:
         raise LayoutError(f"staircase has {len(pts)} corners, not n + 2 = {n + 2}")

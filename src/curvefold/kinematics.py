@@ -28,9 +28,6 @@ from .geometry import TAU
 
 DEV_TOL = 1e-10          # developability: sector sum vs 2*pi
 CLAMP_SLACK = 1e-12      # |arccos arg| may exceed 1 by at most this
-NEWTON_TOL = 1e-12
-NEWTON_MAXIT = 64
-SEED_GRID = 16
 SECTOR_MARGIN = 1e-6     # sectors valid in (margin, pi - margin)
 
 #: lexicographic enumeration of the four +- slots of the transfer equations
@@ -139,92 +136,6 @@ def row_transfer_residual(prev, nxt, beta_i, beta_ip1, theta_i, branch):
     r2 = sT1 * T1 + sT2 * T2 - theta_i
     r2 = (r2 + np.pi) % TAU - np.pi
     return float(r1), float(r2)
-
-
-def _flat_foldable_quad(a, b):
-    return (a, b, np.pi - a, np.pi - b)
-
-
-def solve_next_vertex(prev, beta_i, beta_ip1, theta_i, prefer=None):
-    """Sector angles (a, b) of the next (flat-foldable) row vertex.
-
-    2-D Newton on the transfer residuals with the flat-foldable
-    substitution, seeded on a coarse grid over (0, pi)^2; branch sign
-    patterns are tried in lexicographic order and the first branch with a
-    converged valid root wins.  Among that branch's roots the one closest
-    to `prefer` is returned when given (the row designer passes its
-    geometric continuation), else the one closest to the mirrored
-    previous vertex (p2, p1) -- the repetition a piecewise-spiral datum
-    produces."""
-    p = tuple(prev)
-    h = 1e-7
-
-    def residual(ab, branch):
-        a, b = ab
-        if not (SECTOR_MARGIN < a < np.pi - SECTOR_MARGIN
-                and SECTOR_MARGIN < b < np.pi - SECTOR_MARGIN):
-            return None
-        try:
-            return np.array(row_transfer_residual(
-                p, _flat_foldable_quad(a, b), beta_i, beta_ip1, theta_i, branch))
-        except OutOfRange:
-            return None
-
-    target = np.array(prefer) if prefer is not None else np.array([p[1], p[0]])
-    grid = np.linspace(0.1, np.pi - 0.1, SEED_GRID)
-    base_seeds = [np.array([sa, sb]) for sa in grid for sb in grid]
-    for branch in BRANCH_ORDER:
-        scored = []
-        for ab in base_seeds:
-            r = residual(ab, branch)
-            if r is not None:
-                scored.append((float(np.abs(r).max()), tuple(ab)))
-        scored.sort()
-        seeds = [np.array(s[1]) for s in scored[:12]]
-        if prefer is not None:
-            seeds.insert(0, np.array(prefer, dtype=float))
-        roots = []
-        for seed in seeds:
-            ab = seed.copy()
-            r = residual(ab, branch)
-            if r is None:
-                continue
-            converged = False
-            for _ in range(NEWTON_MAXIT):
-                if np.abs(r).max() > 20.0:
-                    break
-                J = np.empty((2, 2))
-                bad = False
-                for k in range(2):
-                    dp, dm = ab.copy(), ab.copy()
-                    dp[k] += h
-                    dm[k] -= h
-                    rp, rm = residual(dp, branch), residual(dm, branch)
-                    if rp is None or rm is None:
-                        bad = True
-                        break
-                    J[:, k] = (rp - rm) / (2 * h)
-                if bad:
-                    break
-                try:
-                    step = np.linalg.solve(J, r)
-                except np.linalg.LinAlgError:
-                    break
-                ab = ab - step
-                r = residual(ab, branch)
-                if r is None:
-                    break
-                if np.max(np.abs(r)) < NEWTON_TOL:
-                    converged = True
-                    break
-            if converged and np.max(np.abs(r)) < 1e-9:
-                if not any(np.allclose(ab, q, atol=1e-7) for q in roots):
-                    roots.append(ab.copy())
-        if roots:
-            roots.sort(key=lambda q: np.linalg.norm(q - target))
-            a, b = roots[0]
-            return float(a), float(b), branch
-    raise NoSolution("all branches and seeds failed for the transfer equations")
 
 
 def planar_transfer(prev_pair, beta_i, beta_ip1):

@@ -21,7 +21,8 @@ from .geometry import (AffineParams, Partition, PolyCurve, affine_map,
                        hausdorff, is_admissible, partition_tube, staircase,
                        staircase_segments)
 from .kinematics import guarded_arccos
-from .pattern import DesignReport, assemble_grid, check_embeddable
+from .pattern import (DesignReport, assemble_grid, check_embeddable,
+                      set_corners)
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,6 @@ def build_ortho_pattern(spec: OrthoDesignSpec):
         if not (1e-3 < x < np.pi - 1e-3):
             raise OutOfRange(f"row staircase angle xi = {x:.6g} too close to 0 or pi")
     aff1 = AffineParams(spec.theta, xis[0])
-    ok, _ = is_admissible(spec.target, aff1)
-    if not ok:
-        raise NotAdmissible("target curve fails admissibility at (theta, xi_1); "
-                            "run search_theta for candidates")
     stair = staircase(spec.target, aff1, spec.m, phase=spec.phase)
     base = [b for _, b in staircase_segments(stair, aff1)]
     scales = np.sin(a1col[0]) / np.sin(a1col)
@@ -233,7 +230,8 @@ def _draw_ortho(spec, part: Partition, col0, a1col, base, scales):
     widths = [base[k] * np.sin(a1col[0]) for k in range(1, m)]
     xcol = np.concatenate([[0.0], np.cumsum(widths)])
 
-    inner = np.zeros((n, m, 2))
+    nodes = np.zeros((n + 2, m + 2, 2))
+    inner = nodes[1:-1, 1:-1]
     y = 0.0
     for i in range(n):
         if i > 0:
@@ -246,22 +244,13 @@ def _draw_ortho(spec, part: Partition, col0, a1col, base, scales):
             inner[i, j] = inner[i, j - 1] + step
             if abs(inner[i, j, 0] - xcol[j]) > 1e-9 * max(1.0, abs(xcol[j])):
                 raise LayoutError("column line misalignment in ortho layout")
-    left = np.array([inner[i, 0] + scales[i] * base[0] *
-                     np.array([-np.sin(col0[i]), np.cos(col0[i])]) for i in range(n)])
+    nodes[1:-1, 0] = [inner[i, 0] + scales[i] * base[0] *
+                      np.array([-np.sin(col0[i]), np.cos(col0[i])]) for i in range(n)]
     tl = a1col if m % 2 == 1 else np.pi - a1col
-    right = np.array([inner[i, m - 1] + scales[i] * base[m] *
-                      np.array([np.sin(tl[i]), np.cos(tl[i])]) for i in range(n)])
-    top = np.array([inner[0, j] + part.lengths[0] * np.array([0.0, 1.0])
-                    for j in range(m)])
-    bottom = np.array([inner[n - 1, j] + part.lengths[n] * np.array([0.0, -1.0])
-                       for j in range(m)])
-    corners = {
-        "tl": left[0] + (top[0] - inner[0, 0]),
-        "tr": right[0] + (top[m - 1] - inner[0, m - 1]),
-        "bl": left[n - 1] + (bottom[0] - inner[n - 1, 0]),
-        "br": right[n - 1] + (bottom[m - 1] - inner[n - 1, m - 1]),
-    }
-    return assemble_grid(n, m, inner, top, bottom, left, right, corners,
-                         halting_col=1, design={"type": "orthodiagonal",
-                                                "theta": spec.theta,
-                                                "phase": spec.phase})
+    nodes[1:-1, -1] = [inner[i, m - 1] + scales[i] * base[m] *
+                       np.array([np.sin(tl[i]), np.cos(tl[i])]) for i in range(n)]
+    nodes[0, 1:-1] = inner[0] + part.lengths[0] * np.array([0.0, 1.0])
+    nodes[-1, 1:-1] = inner[-1] + part.lengths[n] * np.array([0.0, -1.0])
+    return assemble_grid(set_corners(nodes), halting_col=1,
+                         design={"type": "orthodiagonal", "theta": spec.theta,
+                                 "phase": spec.phase})

@@ -24,7 +24,7 @@ from .geometry import (AffineParams, Partition, PolyCurve, _arc, _unit,
 from .kinematics import (BRANCH_ORDER, VertexAngles, guarded_arccos,
                          row_transfer_residual, solve_first_vertex)
 from .pattern import (DesignReport, assemble_grid, check_embeddable,
-                      panel_distances, signed_fold_angles)
+                      panel_distances, set_corners, signed_fold_angles)
 
 
 def _rot2(v, ang):
@@ -293,10 +293,6 @@ def build_pattern(spec: ParallelDesignSpec):
         if not (1e-3 < x < np.pi - 1e-3):
             raise OutOfRange(f"column crease angle xi = {x:.6g} too close to 0 or pi")
     aff1 = AffineParams(spec.theta, xs[0])
-    ok, _ = is_admissible(spec.target, aff1)
-    if not ok:
-        raise NotAdmissible("target curve fails admissibility at (theta, xi_1); "
-                            "run search_theta for candidates")
     stair = staircase(spec.target, aff1, m, phase=spec.phase)
     base_segs = staircase_segments(stair, aff1)
     want = spec.phase
@@ -311,7 +307,7 @@ def build_pattern(spec: ParallelDesignSpec):
         return base * (cumx[i - 1] if axis == "x" else cumy[i - 1])
 
     pattern = _draw_pattern(spec, part, slots, m, seg_len)
-    folded = _halting_state(spec, part, state, m, seg_len, pattern)
+    folded = _halting_state(part, state, m, seg_len, pattern)
     # M/V from the motion near flat, driven the way the design folds it:
     # the stubs at pi read no sign of their own from the halting state
     rho = signed_fold_angles(pattern, folded["coords"])
@@ -341,6 +337,23 @@ def build_pattern(spec: ParallelDesignSpec):
     return pattern, report
 
 
+def _sweep_columns(row1, up, down, m, seg_len):
+    """(m+2, n+2, dim) node grid with its n columns filled, in the plane or
+    in space: row 1 is `row1`, each next row steps along its column by
+    seg_len(k, column), down the zigzag `down`, -`up`, `down`, ... to the
+    bottom stubs, and the top stubs step from row 1 along `up`."""
+    n, dim = row1.shape
+    nodes = np.zeros((m + 2, n + 2, dim))
+    nodes[1, 1:-1] = row1
+    for k in range(1, m + 1):
+        for i in range(n):
+            d = down[i] if k % 2 == 1 else -up[i]
+            nodes[k + 1, i + 1] = nodes[k, i + 1] + seg_len(k, i + 1) * d
+    for i in range(n):
+        nodes[0, i + 1] = row1[i] + seg_len(0, i + 1) * up[i]
+    return nodes
+
+
 def _draw_pattern(spec, part: Partition, slots, m, seg_len):
     """Planar layout: top row polyline from the partition lengths and
     sector sums, parallel translated rows below it."""
@@ -353,20 +366,14 @@ def _draw_pattern(spec, part: Partition, slots, m, seg_len):
     row1 = [np.zeros(2)]
     for i in range(1, n):
         row1.append(row1[-1] + lengths[i] * headings[i - 1])
-    row1 = np.asarray(row1)
     s0 = slots[0]
     stub_l = _rot2(headings[0], s0[0] + s0[1])          # toward the left boundary
     stub_r = headings[-1]
     updir = [_rot2(headings[i], slots[i][0]) for i in range(n)]
     downdir = [_rot2(headings[i], -slots[i][3]) for i in range(n)]
 
-    # inner grid: rows 1..m translated down the column zigzags
-    inner = np.zeros((m, n, 2))
-    inner[0] = row1
-    for k in range(1, m):
-        for i in range(n):
-            d = downdir[i] if k % 2 == 1 else -updir[i]
-            inner[k, i] = inner[k - 1, i] + seg_len(k, i + 1) * d
+    nodes = _sweep_columns(np.asarray(row1), updir, downdir, m, seg_len)
+    inner = nodes[1:-1, 1:-1]
     # parallel-row closure residual (perpendicular drift between columns)
     drift = 0.0
     for k in range(1, m):
@@ -377,43 +384,22 @@ def _draw_pattern(spec, part: Partition, slots, m, seg_len):
     if drift > 1e-8:
         raise LayoutError(f"row translation drift {drift:.3g}")
 
-    top = np.array([inner[0, i] + seg_len(0, i + 1) * updir[i] for i in range(n)])
-    bdir = [downdir[i] if m % 2 == 1 else -updir[i] for i in range(n)]
-    bottom = np.array([inner[m - 1, i] + seg_len(m, i + 1) * bdir[i] for i in range(n)])
-    left = np.array([inner[k, 0] + part.lengths[0] * stub_l for k in range(m)])
-    right = np.array([inner[k, n - 1] + part.lengths[n] * stub_r for k in range(m)])
-    corners = {
-        "tl": left[0] + (top[0] - inner[0, 0]),
-        "tr": right[0] + (top[n - 1] - inner[0, n - 1]),
-        "bl": left[m - 1] + (bottom[0] - inner[m - 1, 0]),
-        "br": right[m - 1] + (bottom[n - 1] - inner[m - 1, n - 1]),
-    }
-    return assemble_grid(m, n, inner, top, bottom, left, right, corners,
-                          halting_col=1, design={"type": "parallel-repeating",
-                                                 "theta": spec.theta,
-                                                 "phase": spec.phase,
-                                                 "rho4": spec.rho4})
+    nodes[1:-1, 0] = inner[:, 0] + lengths[0] * stub_l
+    nodes[1:-1, -1] = inner[:, -1] + lengths[n] * stub_r
+    return assemble_grid(set_corners(nodes), halting_col=1,
+                         design={"type": "parallel-repeating", "theta": spec.theta,
+                                 "phase": spec.phase, "rho4": spec.rho4})
 
 
-def _halting_state(spec, part: Partition, state: _RowState, m, seg_len, pattern):
+def _halting_state(part: Partition, state: _RowState, m, seg_len, pattern):
     """Analytic folded coordinates at the halting configuration, mirroring
     the pattern's vertex indexing."""
     pts = state.points
     n = len(state.slots)
-    V = np.zeros((pattern.vertices.shape[0], 3))
-    ext = pattern.ext_id
-    inner = np.zeros((m, n, 3))
-    inner[0] = pts[1:n + 1]
-    for i in range(n):
-        Ui, Di = state.U[i], state.D[i]
-        for k in range(1, m):
-            d = Di if k % 2 == 1 else -Ui
-            inner[k, i] = inner[k - 1, i] + seg_len(k, i + 1) * d
-    top = np.array([inner[0, i] + seg_len(0, i + 1) * state.U[i] for i in range(n)])
-    bdir = [state.D[i] if m % 2 == 1 else -state.U[i] for i in range(n)]
-    bottom = np.array([inner[m - 1, i] + seg_len(m, i + 1) * bdir[i] for i in range(n)])
+    nodes = _sweep_columns(pts[1:n + 1], state.U, state.D, m, seg_len)
+    inner = nodes[1:-1, 1:-1]
 
-    # left stubs: chained through the margin panel planes
+    # row stubs: chained through the margin panel planes
     residuals = {}
     ldirs = [_unit(pts[0] - pts[1])]
     for k in range(1, m):
@@ -425,21 +411,10 @@ def _halting_state(spec, part: Partition, state: _RowState, m, seg_len, pattern)
         up = -_unit(inner[k, n - 1] - inner[k - 1, n - 1])
         s = pattern.sectors[k, n - 1]
         rdirs.append(_in_plane_dir(up, rdirs[-1], s[0]))
-    left = np.array([inner[k, 0] + part.lengths[0] * ldirs[k] for k in range(m)])
-    right = np.array([inner[k, n - 1] + part.lengths[n] * rdirs[k] for k in range(m)])
-
-    V[ext[0, 0]] = left[0] + (top[0] - inner[0, 0])
-    V[ext[0, n + 1]] = right[0] + (top[n - 1] - inner[0, n - 1])
-    V[ext[m + 1, 0]] = left[m - 1] + (bottom[0] - inner[m - 1, 0])
-    V[ext[m + 1, n + 1]] = right[m - 1] + (bottom[n - 1] - inner[m - 1, n - 1])
-    for i in range(n):
-        V[ext[0, i + 1]] = top[i]
-        V[ext[m + 1, i + 1]] = bottom[i]
-    for k in range(m):
-        V[ext[k + 1, 0]] = left[k]
-        V[ext[k + 1, n + 1]] = right[k]
-        for i in range(n):
-            V[ext[k + 1, i + 1]] = inner[k, i]
+    nodes[1:-1, 0] = inner[:, 0] + part.lengths[0] * np.array(ldirs)
+    nodes[1:-1, -1] = inner[:, -1] + part.lengths[n] * np.array(rdirs)
+    V = np.zeros((pattern.vertices.shape[0], 3))
+    V[pattern.ext_id] = set_corners(nodes)
 
     # design-consistency residuals: panel isometry against the pattern
     d2, d3 = panel_distances(pattern, V)

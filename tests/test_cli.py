@@ -21,6 +21,39 @@ SMALL_PARALLEL_SPEC = {
 }
 
 
+SMALL_ORTHO_SPEC = {
+    "type": "orthodiagonal",
+    "datum": {"builtin": "fig7-sine"},
+    "target": {"builtin": "fig7-tlnt"},
+    "n": 3, "m": 3,
+    "theta": float(np.deg2rad(30)),
+    "eps": 0.2,
+}
+
+#: (id, base spec, fields replaced) -> SchemaError
+BAD_SPECS = [
+    ("phase", SMALL_PARALLEL_SPEC, {"phase": "z"}),
+    ("n_row-0", SMALL_PARALLEL_SPEC, {"n_row": 0}),
+    ("n_col-0", SMALL_PARALLEL_SPEC, {"n_col": 0}),
+    ("n-0", SMALL_ORTHO_SPEC, {"n": 0}),
+    ("m-0", SMALL_ORTHO_SPEC, {"m": 0}),
+    ("n_row-string", SMALL_PARALLEL_SPEC, {"n_row": "a"}),
+    ("rho4-above-pi", SMALL_PARALLEL_SPEC, {"rho4": 4.0}),
+    ("eps-negative", SMALL_PARALLEL_SPEC, {"eps": -1}),
+    ("eps-string", SMALL_PARALLEL_SPEC, {"eps": "x"}),
+    ("eps-0", SMALL_ORTHO_SPEC, {"eps": 0}),
+    ("tube_eps-negative", SMALL_ORTHO_SPEC, {"tube_eps": -1}),
+    ("samples_n-1", SMALL_PARALLEL_SPEC, {"datum": {"builtin": "fig4-spiralish",
+                                                    "samples_n": 1}}),
+    ("equal-samples", SMALL_ORTHO_SPEC, {"datum": {"samples": [[0, 0], [0, 0], [1, 1]]}}),
+    ("nan-sample", SMALL_ORTHO_SPEC, {"datum": {"samples": [[0, 0], [1, float("nan")],
+                                                            [2, 0], [3, 1]]}}),
+    ("target-3d", SMALL_PARALLEL_SPEC, {"target": {"builtin": "fig4-spiralish"}}),
+    ("scale-string", SMALL_PARALLEL_SPEC, {"target": {"builtin": "fig5-exp",
+                                                      "scale": "a"}}),
+]
+
+
 def write_spec(tmp_path, doc):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(doc))
@@ -54,6 +87,15 @@ class TestDesign:
         spec = write_spec(tmp_path, doc)
         assert main(["design", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "NotAdmissible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base,fields", [c[1:] for c in BAD_SPECS],
+                             ids=[c[0] for c in BAD_SPECS])
+    def test_malformed_spec_exit_1(self, base, fields, tmp_path, capsys):
+        spec = write_spec(tmp_path, dict(base, **fields))
+        assert main(["design", str(spec), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_large_ortho_design(self, tmp_path):
         # 34 x 34 = 1156 inner vertices, more than the default recursion limit

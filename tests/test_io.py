@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvefold import curves
+from curvefold.cli import main
 from curvefold.errors import NotQuadGrid, SchemaError
 from curvefold.foldio import (export_fold, export_svg, import_fold,
                               load_design_spec, report_json, report_text)
@@ -54,6 +55,29 @@ class TestFoldRoundTrip:
         # crease k of the re-import is crease perm[k] of the original
         assert np.array_equal(pat2.crease_faces, pattern.crease_faces[perm])
         assert export_fold(pat2) == text
+
+    @pytest.mark.parametrize("design", ["fig5_design", "fig7_design"])
+    def test_relabelled_vertices_round_trip(self, design, request):
+        pattern, _ = request.getfixturevalue(design)
+        original = export_fold(pattern)
+        pat1, _ = import_fold(original)
+        doc = json.loads(original)
+        perm = np.random.default_rng(5).permutation(len(pattern.vertices))
+
+        def relabel(ids):
+            return perm[np.asarray(ids)].tolist()
+
+        coords = np.empty((len(perm), 2))
+        coords[perm] = doc["vertices_coords"]
+        doc["vertices_coords"] = coords.tolist()
+        doc["edges_vertices"] = relabel(doc["edges_vertices"])
+        doc["faces_vertices"] = relabel(doc["faces_vertices"])
+        doc["curvefold:grid"]["ext_id"] = relabel(doc["curvefold:grid"]["ext_id"])
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        pat2, _ = import_fold(text)
+        assert export_fold(pat2) == text
+        for attr in ("sectors", "vertex_creases", "crease_faces"):
+            assert np.array_equal(getattr(pat2, attr), getattr(pat1, attr)), attr
 
     def test_flat_state_zero_angles(self, small_parallel):
         pattern, _ = small_parallel
@@ -107,12 +131,57 @@ class TestFoldRoundTrip:
         # does), so the corruption surfaces as a rigidity failure instead
         pattern, _ = small_parallel
         doc = json.loads(export_fold(pattern))
-        doc["vertices_coords"][pattern.inner_id(1, 1)][0] += 0.1
+        doc["vertices_coords"][pattern.ext_id[1, 1]][0] += 0.1
         pat2, _ = import_fold(json.dumps(doc))
         from curvefold.errors import NotRigidFoldable, OutOfRange
         from curvefold.foldsim import propagate
         with pytest.raises((NotRigidFoldable, OutOfRange)):
             propagate(pat2, 0.5)
+
+
+def _drop_key(d, key):
+    del d[key]
+
+
+def _one_short(rows):
+    del rows[-1]
+
+
+#: (id, edit of a fig7 FOLD document, folded frame) -> SchemaError
+FOLD_CORRUPTIONS = [
+    ("rows-disagree", lambda d: d["curvefold:grid"].update(rows=12), False),
+    ("ext-id-out-of-range",
+     lambda d: d["curvefold:grid"]["ext_id"][1].__setitem__(1, 10 ** 6), False),
+    ("ext-id-row-dropped", lambda d: _one_short(d["curvefold:grid"]["ext_id"]), False),
+    ("ext-id-ragged", lambda d: _one_short(d["curvefold:grid"]["ext_id"][1]), False),
+    ("grid-without-ext-id", lambda d: _drop_key(d["curvefold:grid"], "ext_id"), False),
+    ("grid-int", lambda d: d.update({"curvefold:grid": 3}), False),
+    ("coordinate-1d", lambda d: d["vertices_coords"].__setitem__(0, [0.0]), False),
+    ("coordinate-string", lambda d: d["vertices_coords"][0].__setitem__(0, "a"), False),
+    ("edge-one-vertex", lambda d: _one_short(d["edges_vertices"][0]), False),
+    ("faces-int", lambda d: d.update(faces_vertices=5), False),
+    ("halting-col-string", lambda d: d["curvefold:grid"].update(halting_col="1"), False),
+    ("inferred-face-id-out-of-range",
+     lambda d: (_drop_key(d, "curvefold:grid"),
+                d["faces_vertices"][0].__setitem__(0, 10 ** 6)), False),
+    ("flat-row-short", lambda d: _one_short(d["curvefold:vertices_flat"]), True),
+    ("fold-angles-empty", lambda d: d.update(edges_foldAngle=[]), True),
+]
+
+
+class TestFoldImportValidation:
+    @pytest.mark.parametrize("edit,folded", [c[1:] for c in FOLD_CORRUPTIONS],
+                             ids=[c[0] for c in FOLD_CORRUPTIONS])
+    def test_export_exit_1(self, edit, folded, fig7_design, fig7_halt, tmp_path, capsys):
+        pattern, _ = fig7_design
+        doc = json.loads(export_fold(pattern, state=fig7_halt.halt if folded else None))
+        edit(doc)
+        bad = tmp_path / "bad.fold"
+        bad.write_text(json.dumps(doc))
+        assert main(["export", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestSvg:

