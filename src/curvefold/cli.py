@@ -13,10 +13,10 @@ import numpy as np
 
 from . import curves as curves_mod
 from .errors import CurvefoldError, SchemaError
-from .foldio import (export_fold, export_svg, import_fold, load_design_spec,
-                     report_json, report_text)
+from .foldio import (_load_curve, export_fold, export_svg, import_fold, json_object,
+                     load_design_spec, report_json, report_text)
 from .foldsim import sweep_to_halt
-from .geometry import AffineParams, PolyCurve, search_theta
+from .geometry import AffineParams, search_theta
 from .ortho import OrthoDesignSpec, build_ortho_pattern
 from .parallel import ParallelDesignSpec, build_pattern
 from .verify import run_pattern_checks
@@ -89,16 +89,22 @@ def _auto_theta(kind, fields):
     return hits[0]
 
 
+def _read(path):
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise SchemaError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"cannot read {path}: {e.reason}")
+
+
 def _write(path, text):
     Path(path).write_text(text)
     print(path)
 
 
 def cmd_design(args):
-    kind, fields, theta = load_design_spec(Path(args.spec).read_text())
-    _apply_overrides(kind, fields, args)
-    if args.theta is not None:
-        theta = args.theta
+    kind, fields, theta = load_design_spec(_spec_text(args))
     pattern, report = _build_from_spec(kind, fields, theta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,23 +115,21 @@ def cmd_design(args):
     return 0
 
 
-def _apply_overrides(kind, fields, args):
-    if args.eps is not None:
-        fields["eps"] = args.eps
-    if kind == "parallel-repeating":
-        if args.n is not None:
-            fields["n_row"] = args.n
-        if args.rho4 is not None:
-            fields["rho4"] = args.rho4
+def _spec_text(args):
+    """The spec file with the command-line values written into it, so that
+    load_design_spec checks them as it checks the file's own."""
+    doc = json_object(_read(args.spec), "design spec")
+    if doc.get("type") == "orthodiagonal":
+        overrides = {"n": args.n, "alpha11": args.alpha11}
     else:
-        if args.n is not None:
-            fields["n"] = args.n
-        if args.alpha11 is not None:
-            fields["alpha11"] = args.alpha11
+        overrides = {"n_row": args.n, "rho4": args.rho4}
+    overrides.update(eps=args.eps, theta=args.theta)
+    doc.update((k, v) for k, v in overrides.items() if v is not None)
+    return json.dumps(doc)
 
 
 def cmd_fold(args):
-    pattern, _ = import_fold(Path(args.pattern).read_text())
+    pattern, _ = import_fold(_read(args.pattern))
     traj = sweep_to_halt(pattern, samples=args.states)
     halt = traj.halt
     out = Path(args.out)
@@ -146,7 +150,7 @@ def cmd_fold(args):
 
 
 def cmd_verify(args):
-    pattern, state = import_fold(Path(args.pattern).read_text())
+    pattern, state = import_fold(_read(args.pattern))
     traj = None
     if state is None:
         traj = sweep_to_halt(pattern, samples=max(args.states, 2))
@@ -162,11 +166,11 @@ def cmd_admissible(args):
     if args.curve in curves_mod.BUILTIN:
         curve = curves_mod.builtin(args.curve)
     else:
-        doc = json.loads(Path(args.curve).read_text())
-        samples = np.asarray(doc["samples"], dtype=float)
-        param = np.asarray(doc.get("param", np.arange(len(samples))), dtype=float)
-        curve = PolyCurve(samples, param, closed=bool(doc.get("closed", False)))
-    hits = search_theta(curve, args.xi, grid=args.grid)
+        curve = _load_curve(json_object(_read(args.curve), "curve file"), "input")
+    try:
+        hits = search_theta(curve, args.xi, grid=args.grid)
+    except ValueError as e:
+        raise SchemaError(str(e))
     if args.format == "json":
         sys.stdout.write(json.dumps({"theta": hits}, separators=(",", ":")) + "\n")
     else:
@@ -176,7 +180,7 @@ def cmd_admissible(args):
 
 
 def cmd_export(args):
-    pattern, state = import_fold(Path(args.pattern).read_text())
+    pattern, state = import_fold(_read(args.pattern))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "svg":

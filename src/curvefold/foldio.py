@@ -34,6 +34,17 @@ def _dump(doc):
     return json.dumps(_round_floats(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def json_object(text, what):
+    """The JSON object of `text`; anything else raises SchemaError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    return doc
+
+
 def export_fold(pattern: CreasePattern, state=None):
     """FOLD v1.1 document string; planar coords, or 3D when a folded state
     is supplied (fold angles in degrees, valley positive)."""
@@ -86,12 +97,7 @@ def import_fold(text):
     Grid structure comes from the curvefold:grid field when present and is
     inferred combinatorially otherwise.  Developability is re-verified.
     Malformed documents raise SchemaError, non-grid ones NotQuadGrid."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"not valid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise SchemaError("FOLD document must be a JSON object")
+    doc = json_object(text, "FOLD document")
     for key in ("vertices_coords", "edges_vertices", "faces_vertices"):
         if key not in doc:
             raise SchemaError(f"missing FOLD field {key}")
@@ -188,35 +194,40 @@ def _grid_field(grid, nv):
 
 
 def _rebuild(edges, assign, design, flat, ext, halting):
+    """The pattern of a document's grid under the document's vertex and
+    edge ids: the grid index is built on grid positions and relabelled, so
+    the placement order does not depend on the edge order."""
     try:
         pat = assemble_grid(flat[ext], halting_col=halting, design=dict(design))
     except CreaseIntersection as e:
         raise SchemaError(str(e))
-    # the document's vertex k sits at grid position to_grid[k]
-    new_to_old = ext.ravel()
-    to_grid = np.argsort(new_to_old)
-    # the document's creases in its edge order, carrying its assignment
-    order = []
-    for k, (u, v) in enumerate(edges):
-        try:
-            idx = pat.crease_between(int(to_grid[u]), int(to_grid[v]))
-        except KeyError:
-            raise SchemaError(f"edge ({u},{v}) does not fit the quad grid")
-        cr = pat.creases[idx]
+    # grid vertex g is the document's vertex to_doc_vertex[g]; an edge from
+    # g to g + 1 is a row crease, one from g to g + cols + 2 a column crease
+    to_doc_vertex = ext.ravel()
+    right, down = np.full((2,) + ext.shape, -1)
+    right[:, :-1], down[:-1] = pat.row_creases, pat.col_creases
+    ends = np.sort(np.argsort(to_doc_vertex)[np.array(edges, dtype=int).reshape(-1, 2)])
+    lo, gap = ends[:, 0], ends[:, 1] - ends[:, 0]
+    order = np.select([gap == 1, gap == ext.shape[1]], [right.flat[lo], down.flat[lo]], -1)
+    if (order < 0).any():
+        u, v = edges[int(np.argmax(order < 0))]
+        raise SchemaError(f"edge ({u},{v}) does not fit the quad grid")
+    if not np.array_equal(np.sort(order), np.arange(len(pat.creases))):
+        raise SchemaError("edges do not cover the quad grid once each")
+    # the document's edge k is crease order[k] of the grid index
+    to_doc = np.argsort(order)
+    creases = [pat.creases[i] for i in order.tolist()]
+    for k, cr in enumerate(creases):
+        cr.u, cr.v = int(to_doc_vertex[cr.u]), int(to_doc_vertex[cr.v])
         if cr.role != ROLE_BOUNDARY and k < len(assign):
             cr.mv = _ASSIGN_BACK.get(assign[k], 0)
-        order.append(idx)
-    if sorted(order) != list(range(len(pat.creases))):
-        raise SchemaError("edges do not cover the quad grid once each")
-    # restore the document's vertex ids (grid inference may relabel)
-    pat.vertices = flat
-    pat.ext_id = ext
-    pat.faces = new_to_old[pat.faces]
-    pat.creases = [pat.creases[i] for i in order]
-    for cr in pat.creases:
-        cr.u = int(new_to_old[cr.u])
-        cr.v = int(new_to_old[cr.v])
-    return pat.finalize()
+    pat.vertices, pat.ext_id, pat.creases = flat, ext, creases
+    pat.faces = to_doc_vertex[pat.faces]
+    pat.row_creases = to_doc[pat.row_creases]
+    pat.col_creases = to_doc[pat.col_creases]
+    pat.crease_faces = pat.crease_faces[order]
+    pat.placement[:, 2] = to_doc[pat.placement[:, 2]]
+    return pat
 
 
 def _infer_grid(coords, quads):
@@ -427,12 +438,7 @@ def _spec_number(doc, key, default, high=None):
 def load_design_spec(text):
     """Parse and validate a design-spec JSON document, returning the typed
     spec object.  Unknown fields and malformed values are rejected."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"not valid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise SchemaError("design spec must be a JSON object")
+    doc = json_object(text, "design spec")
     kind = doc.get("type")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise SchemaError(f"type must be one of {sorted(_SPEC_KEYS)}")

@@ -24,21 +24,12 @@ class Crease:
     v: int
     role: str
     mv: int = 0           # +1 valley, -1 mountain, 0 boundary/unassigned
-    length: float = 0.0
 
 
 @dataclass
 class CreasePattern:
-    """Planar grid plus the grid index that `finalize` derives from it.
-
-    Faces are numbered row-major, face (r, c) as r * (cols + 1) + c.  The
-    index attributes are `vertex_creases` (rows, cols, 4), the crease at
-    each inner vertex in (R, U, L, D) order; `row_creases` (rows+2, cols+1)
-    and `col_creases` (rows+1, cols+2), the crease from ext_id[r, c] to
-    its right and lower neighbour; `crease_faces` (C, 2), the faces left
-    and right of each directed crease u->v, -1 on the outside; and
-    `placement`, rows (face, parent face, crease, fold sign) in the BFS
-    order that places every panel from face 0."""
+    """Planar grid plus its grid index, as `assemble_grid` numbers it.
+    Face (r, c) is face r * (cols + 1) + c."""
 
     rows: int
     cols: int
@@ -47,6 +38,10 @@ class CreasePattern:
     creases: list
     faces: np.ndarray             # (rows+1, cols+1, 4) vertex ids, CCW in the plane
     sectors: np.ndarray           # (rows, cols, 4) sector angles, (R, U, L, D) order
+    row_creases: np.ndarray       # (rows+2, cols+1) crease from ext_id[r, c] to its right
+    col_creases: np.ndarray       # (rows+1, cols+2) crease from ext_id[r, c] downwards
+    crease_faces: np.ndarray      # (C, 2) faces left and right of crease u->v, -1 outside
+    placement: np.ndarray         # BFS rows (face, parent face, crease, fold sign) from face 0
     halting_col: int = 1
     design: dict = field(default_factory=dict)
 
@@ -62,49 +57,11 @@ class CreasePattern:
         hi = self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo))
 
-    def crease_between(self, vid_a, vid_b):
-        key = (min(vid_a, vid_b), max(vid_a, vid_b))
-        return self._edge_lookup[key]
-
-    def finalize(self):
-        self._edge_lookup = {}
-        for idx, c in enumerate(self.creases):
-            c.length = float(np.linalg.norm(self.vertices[c.u] - self.vertices[c.v]))
-            self._edge_lookup[(min(c.u, c.v), max(c.u, c.v))] = idx
-        R, C = self.ext_id.shape
-        ext = self.ext_id.tolist()
-        H = self.row_creases = np.array(
-            [[self.crease_between(ext[r][c], ext[r][c + 1]) for c in range(C - 1)]
-             for r in range(R)])
-        V = self.col_creases = np.array(
-            [[self.crease_between(ext[r][c], ext[r + 1][c]) for c in range(C)]
-             for r in range(R - 1)])
-        self.vertex_creases = np.stack(
-            [H[1:-1, 1:], V[:-1, 1:-1], H[1:-1, :-1], V[1:, 1:-1]], axis=-1)
-        # face on each side of every oriented crease, from the CCW winding:
-        # a face listing the directed edge u->v lies on its left
-        self.crease_faces = np.full((len(self.creases), 2), -1)
-        for f, quad in enumerate(self.faces.reshape(-1, 4).tolist()):
-            for j in range(4):
-                a, b = quad[j], quad[(j + 1) % 4]
-                idx = self.crease_between(a, b)
-                cr = self.creases[idx]
-                self.crease_faces[idx, 0 if (a, b) == (cr.u, cr.v) else 1] = f
-        # seen from its left face a crease folds the other way
-        adjacency = [[] for _ in range(self.faces.shape[0] * self.faces.shape[1])]
-        for idx, (fl, fr) in enumerate(self.crease_faces.tolist()):
-            if fl >= 0 and fr >= 0:
-                adjacency[fl].append((fr, idx, -1))
-                adjacency[fr].append((fl, idx, 1))
-        queue, placed, placement = [0], {0}, []
-        for parent in queue:
-            for face, idx, sign in adjacency[parent]:
-                if face not in placed:
-                    placed.add(face)
-                    queue.append(face)
-                    placement.append((face, parent, idx, sign))
-        self.placement = np.array(placement, dtype=int).reshape(-1, 4)
-        return self
+    @property
+    def vertex_creases(self):
+        """(rows, cols, 4): the creases at each inner vertex, (R, U, L, D)."""
+        H, V = self.row_creases, self.col_creases
+        return np.stack([H[1:-1, 1:], V[:-1, 1:-1], H[1:-1, :-1], V[1:, 1:-1]], axis=-1)
 
     def vertex_angles(self):
         """VertexAngles of every inner vertex, row-major, as a list.
@@ -124,11 +81,6 @@ class CreasePattern:
             cached = self._vertex_angles = (key, table)
         return cached[1]
 
-    def face_grid_iter(self):
-        for r in range(self.rows + 1):
-            for c in range(self.cols + 1):
-                yield r, c, self.faces[r, c]
-
     def developability_residual(self):
         return float(np.max(np.abs(self.sectors.sum(axis=2) - 2.0 * np.pi)))
 
@@ -136,14 +88,11 @@ class CreasePattern:
 def panel_distances(pattern: CreasePattern, coords):
     """Planar and placed length of every vertex-to-vertex chord of every
     panel, as two arrays in the same order."""
-    P = pattern.vertices
-    planar, placed = [], []
-    for _, _, quad in pattern.face_grid_iter():
-        for a in range(4):
-            for b in range(a + 1, 4):
-                planar.append(np.linalg.norm(P[quad[a]] - P[quad[b]]))
-                placed.append(np.linalg.norm(coords[quad[a]] - coords[quad[b]]))
-    return np.array(planar), np.array(placed)
+    a, b = np.triu_indices(4, 1)
+    quads = pattern.faces.reshape(-1, 4)
+    chords = [(P[quads[:, a]] - P[quads[:, b]]).reshape(-1, P.shape[1])
+              for P in (pattern.vertices, np.asarray(coords))]
+    return tuple(np.sqrt(_rowdot(d, d)) for d in chords)
 
 
 #: candidate crease pairs tested per array pass of check_embeddable
@@ -227,46 +176,64 @@ def assemble_grid(nodes, halting_col, design):
     nodes: (rows+2, cols+2, 2), the inner vertices inside the ring of
     boundary vertices: row stubs in the first and last column, column stubs
     in the first and last row, paper corners at the four corners.  Vertex
-    ids are row-major over the nodes.  Sector angles are measured from the
+    ids are row-major over the nodes.  Row creases come first, row-major,
+    then column creases, column-major; every crease runs from a node to
+    its right or lower neighbour.  Sector angles are measured from the
     drawing in (R, U, L, D) order."""
     nodes = np.array(nodes, dtype=float)
-    m, n = nodes.shape[0] - 2, nodes.shape[1] - 2
+    R, C = nodes.shape[:2]
     verts = nodes.reshape(-1, 2)
-    ext = np.arange(len(verts)).reshape(m + 2, n + 2)
+    ext = np.arange(len(verts)).reshape(R, C)
+    H = np.arange(R * (C - 1)).reshape(R, C - 1)
+    V = H.size + np.arange(C * (R - 1)).reshape(C, R - 1).T
+    ends = np.empty((H.size + V.size, 2), dtype=int)
+    ends[H] = np.stack([ext[:, :-1], ext[:, 1:]], axis=-1)
+    ends[V] = np.stack([ext[:-1], ext[1:]], axis=-1)
+    roles = np.full(len(ends), ROLE_BOUNDARY, dtype=object)
+    roles[H[1:-1]], roles[V[:, 1:-1]] = ROLE_ROW, ROLE_COL
+    creases = [Crease(u, v, role) for (u, v), role in zip(ends.tolist(), roles.tolist())]
 
-    creases = []
-    for r in range(m + 2):
-        role = ROLE_ROW if 1 <= r <= m else ROLE_BOUNDARY
-        for c in range(n + 1):
-            creases.append(Crease(int(ext[r, c]), int(ext[r, c + 1]), role))
-    for c in range(n + 2):
-        role = ROLE_COL if 1 <= c <= n else ROLE_BOUNDARY
-        for r in range(m + 1):
-            creases.append(Crease(int(ext[r, c]), int(ext[r + 1, c]), role))
+    # each quad runs top-left, top-right, bottom-right, bottom-left, and
+    # is reversed where that order winds clockwise in the plane
+    quads = np.stack([ext[:-1, :-1], ext[:-1, 1:], ext[1:, 1:], ext[1:, :-1]], axis=-1)
+    P = np.moveaxis(nodes, -1, 0)
+    flip = _orient(P[:, :-1, :-1], P[:, :-1, 1:], P[:, 1:, 1:]) < 0
+    faces = np.where(flip[..., None], quads[..., ::-1], quads)
+    # a face runs u->v along its top and right creases, so it lies on their
+    # left (side 0), and v->u along the other two; a reversed face swaps the
+    # sides.  Of two faces that claim one side, the later face keeps it.
+    f = np.arange(flip.size).reshape(flip.shape)
+    side = flip.astype(int)
+    crease_faces = np.full((len(ends), 2), -1)
+    crease_faces[H[1:], 1 - side] = f            # bottom
+    crease_faces[V[:, 1:], side] = f             # right
+    crease_faces[H[:-1], side] = f               # top
+    crease_faces[V[:, :-1], 1 - side] = f        # left
 
-    faces = np.zeros((m + 1, n + 1, 4), dtype=int)
-    for r in range(m + 1):
-        for c in range(n + 1):
-            quad = [ext[r, c], ext[r, c + 1], ext[r + 1, c + 1], ext[r + 1, c]]
-            a, b, cc = verts[quad[0]], verts[quad[1]], verts[quad[2]]
-            if (b[0] - a[0]) * (cc[1] - a[1]) - (b[1] - a[1]) * (cc[0] - a[0]) < 0:
-                quad = quad[::-1]
-            faces[r, c] = quad
+    # seen from its left face a crease folds the other way
+    adjacency = [[] for _ in range(flip.size)]
+    for idx, (fl, fr) in enumerate(crease_faces.tolist()):
+        if fl >= 0 and fr >= 0:
+            adjacency[fl].append((fr, idx, -1))
+            adjacency[fr].append((fl, idx, 1))
+    queue, placed, placement = [0], {0}, []
+    for parent in queue:
+        for face, idx, sign in adjacency[parent]:
+            if face not in placed:
+                placed.add(face)
+                queue.append(face)
+                placement.append((face, parent, idx, sign))
 
-    pat = CreasePattern(rows=m, cols=n, vertices=verts, ext_id=ext,
-                        creases=creases, faces=faces,
-                        sectors=np.zeros((m, n, 4)),
+    d = (np.stack([nodes[1:-1, 2:], nodes[:-2, 1:-1], nodes[1:-1, :-2], nodes[2:, 1:-1]],
+                  axis=2) - nodes[1:-1, 1:-1, None])             # R, U, L, D
+    angs = np.arctan2(d[..., 1], d[..., 0])
+    sectors = (np.roll(angs, -1, axis=2) - angs) % (2.0 * np.pi)
+
+    pat = CreasePattern(rows=R - 2, cols=C - 2, vertices=verts, ext_id=ext,
+                        creases=creases, faces=faces, sectors=sectors,
+                        row_creases=H, col_creases=V, crease_faces=crease_faces,
+                        placement=np.array(placement, dtype=int).reshape(-1, 4),
                         halting_col=halting_col, design=design)
-    pat.finalize()
-    tau = 2.0 * np.pi
-    for k in range(1, m + 1):
-        for i in range(1, n + 1):
-            p = nodes[k, i]
-            angs = [np.arctan2(d[1], d[0]) for d in (
-                nodes[k, i + 1] - p, nodes[k - 1, i] - p,      # R, U
-                nodes[k, i - 1] - p, nodes[k + 1, i] - p)]     # L, D
-            pat.sectors[k - 1, i - 1] = [(angs[(j + 1) % 4] - angs[j]) % tau
-                                         for j in range(4)]
     if pat.developability_residual() > 1e-9:
         # a winding inversion means the drawn layout folds back on itself
         raise CreaseIntersection(

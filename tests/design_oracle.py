@@ -6,7 +6,9 @@ the array code must reproduce bit for bit: the per-segment distance, the
 dense Hausdorff distance, the one-image admissibility test and the
 per-theta scan over it, the scalar root scan of the next row vertices, the
 staircase corners, the circumcircle curvature over sample triples, the
-pairwise crease-crossing test and the per-crease signed fold angles.  The
+pairwise crease-crossing test, the per-crease signed fold angles, the
+grid index of `assemble_grid` found through a (u, v) -> crease lookup, and
+the per-chord panel distances.  The
 scan-and-Brent root finds of the first row vertex and of
 `planar_transfer` are the references for the closed forms of
 `curvefold.kinematics`, which agree with them to rounding, not bit for
@@ -20,7 +22,8 @@ from curvefold.geometry import (MONOTONE_TOL, TAU, AffineParams, Partition,
                                 PolyCurve, _arc, _unit, affine_map)
 from curvefold.kinematics import (BRANCH_ORDER, SECTOR_MARGIN,
                                   row_transfer_residual)
-from curvefold.pattern import _suggest_rescale
+from curvefold.pattern import (ROLE_BOUNDARY, ROLE_COL, ROLE_ROW, Crease,
+                               CreasePattern, _suggest_rescale)
 
 
 def densify(obj, per_segment):
@@ -439,3 +442,86 @@ def signed_fold_angles(pattern, coords):
         nr, nl = normals[fr], normals[fl]
         out[idx] = np.arctan2(np.cross(nr, nl) @ e, nr @ nl)
     return out
+
+
+def assemble_grid(nodes, halting_col, design):
+    """`pattern.assemble_grid` one crease, face and vertex at a time, its
+    index found through a (u, v) -> crease lookup."""
+    nodes = np.array(nodes, dtype=float)
+    m, n = nodes.shape[0] - 2, nodes.shape[1] - 2
+    verts = nodes.reshape(-1, 2)
+    ext = np.arange(len(verts)).reshape(m + 2, n + 2)
+
+    creases = []
+    for r in range(m + 2):
+        role = ROLE_ROW if 1 <= r <= m else ROLE_BOUNDARY
+        for c in range(n + 1):
+            creases.append(Crease(int(ext[r, c]), int(ext[r, c + 1]), role))
+    for c in range(n + 2):
+        role = ROLE_COL if 1 <= c <= n else ROLE_BOUNDARY
+        for r in range(m + 1):
+            creases.append(Crease(int(ext[r, c]), int(ext[r + 1, c]), role))
+    lookup = {(min(c.u, c.v), max(c.u, c.v)): idx for idx, c in enumerate(creases)}
+
+    def between(a, b):
+        return lookup[(min(a, b), max(a, b))]
+
+    faces = np.zeros((m + 1, n + 1, 4), dtype=int)
+    for r in range(m + 1):
+        for c in range(n + 1):
+            quad = [ext[r, c], ext[r, c + 1], ext[r + 1, c + 1], ext[r + 1, c]]
+            a, b, cc = verts[quad[0]], verts[quad[1]], verts[quad[2]]
+            if (b[0] - a[0]) * (cc[1] - a[1]) - (b[1] - a[1]) * (cc[0] - a[0]) < 0:
+                quad = quad[::-1]
+            faces[r, c] = quad
+
+    row_creases = np.array([[between(ext[r, c], ext[r, c + 1]) for c in range(n + 1)]
+                            for r in range(m + 2)])
+    col_creases = np.array([[between(ext[r, c], ext[r + 1, c]) for c in range(n + 2)]
+                            for r in range(m + 1)])
+    # a face listing the directed edge u->v lies on its left
+    crease_faces = np.full((len(creases), 2), -1)
+    for f, quad in enumerate(faces.reshape(-1, 4).tolist()):
+        for j in range(4):
+            a, b = quad[j], quad[(j + 1) % 4]
+            idx = between(a, b)
+            crease_faces[idx, 0 if (a, b) == (creases[idx].u, creases[idx].v) else 1] = f
+    adjacency = [[] for _ in range((m + 1) * (n + 1))]
+    for idx, (fl, fr) in enumerate(crease_faces.tolist()):
+        if fl >= 0 and fr >= 0:
+            adjacency[fl].append((fr, idx, -1))
+            adjacency[fr].append((fl, idx, 1))
+    queue, placed, placement = [0], {0}, []
+    for parent in queue:
+        for face, idx, sign in adjacency[parent]:
+            if face not in placed:
+                placed.add(face)
+                queue.append(face)
+                placement.append((face, parent, idx, sign))
+
+    sectors = np.zeros((m, n, 4))
+    for k in range(1, m + 1):
+        for i in range(1, n + 1):
+            p = nodes[k, i]
+            angs = [np.arctan2(d[1], d[0]) for d in (
+                nodes[k, i + 1] - p, nodes[k - 1, i] - p,      # R, U
+                nodes[k, i - 1] - p, nodes[k + 1, i] - p)]     # L, D
+            sectors[k - 1, i - 1] = [(angs[(j + 1) % 4] - angs[j]) % TAU
+                                     for j in range(4)]
+    return CreasePattern(rows=m, cols=n, vertices=verts, ext_id=ext, creases=creases,
+                         faces=faces, sectors=sectors, row_creases=row_creases,
+                         col_creases=col_creases, crease_faces=crease_faces,
+                         placement=np.array(placement, dtype=int).reshape(-1, 4),
+                         halting_col=halting_col, design=design)
+
+
+def panel_distances(pattern, coords):
+    """`pattern.panel_distances` one chord at a time."""
+    P = pattern.vertices
+    planar, placed = [], []
+    for quad in pattern.faces.reshape(-1, 4):
+        for a in range(4):
+            for b in range(a + 1, 4):
+                planar.append(np.linalg.norm(P[quad[a]] - P[quad[b]]))
+                placed.append(np.linalg.norm(coords[quad[a]] - coords[quad[b]]))
+    return np.array(planar), np.array(placed)

@@ -77,8 +77,7 @@ def test_criterion_03_fig5_end_to_end(fig5_design, fig5_halt):
     eps_budget = 2.0 * hausdorff(st9.points, curves.exp_curve().refined(8))
     closure = max(s.residuals["closure"] for s in traj.states)
     ext = pattern.ext_id
-    stubs = {pattern.crease_between(int(ext[r, 0]), int(ext[r, 1]))
-             for r in range(1, pattern.rows + 1)}
+    stubs = set(pattern.row_creases[1:pattern.rows + 1, 0].tolist())
     halts_at_target_col = set(halt.residuals["halting_creases"]) <= stubs
     # halting-state curve reproductions, aligned to the design frame
     Va = pattern.design["halting_state"]["coords"]
@@ -108,8 +107,7 @@ def test_criterion_04_fig7_end_to_end(fig7_design, fig7_halt):
     pattern, report = fig7_design
     halt = fig7_halt.halt
     ext = pattern.ext_id
-    stubs = {pattern.crease_between(int(ext[r, 0]), int(ext[r, 1]))
-             for r in range(1, pattern.rows + 1)}
+    stubs = set(pattern.row_creases[1:pattern.rows + 1, 0].tolist())
     halts_at_datum = set(halt.residuals["halting_creases"]) <= stubs
     diam = pattern.diameter
 
@@ -216,8 +214,7 @@ def test_criterion_05_randomized_parallel_invariants():
                 pred = xi_recurrence(xi_meas[i], (s[0], s[3], sn[1], sn[2]))
                 worst["xi"] = max(worst["xi"], abs(pred - xi_meas[i + 1]))
             for r in range(1, pattern.rows + 1):
-                mags = [abs(st.rho[pattern.crease_between(int(ext[r, c]),
-                                                          int(ext[r, c + 1]))])
+                mags = [abs(st.rho[pattern.row_creases[r, c]])
                         for c in range(1, pattern.cols)]
                 if mags:
                     worst["roweq"] = max(worst["roweq"], float(np.ptp(mags)))

@@ -53,6 +53,19 @@ BAD_SPECS = [
                                                       "scale": "a"}}),
 ]
 
+#: (id, base spec, command-line overrides) -> SchemaError
+BAD_OVERRIDES = [
+    ("flag-n-0", SMALL_PARALLEL_SPEC, ["--n", "0"]),
+    ("flag-ortho-n-0", SMALL_ORTHO_SPEC, ["--n", "0"]),
+    ("flag-eps-negative", SMALL_PARALLEL_SPEC, ["--eps", "-1"]),
+    ("flag-eps-nan", SMALL_ORTHO_SPEC, ["--eps", "nan"]),
+    ("flag-rho4-above-pi", SMALL_PARALLEL_SPEC, ["--rho4", "4"]),
+    ("flag-alpha11-nan", SMALL_ORTHO_SPEC, ["--alpha11", "nan"]),
+    ("flag-theta-inf", SMALL_PARALLEL_SPEC, ["--theta", "inf"]),
+]
+MALFORMED = ([(i, base, fields, []) for i, base, fields in BAD_SPECS]
+             + [(i, base, {}, flags) for i, base, flags in BAD_OVERRIDES])
+
 
 def write_spec(tmp_path, doc):
     p = tmp_path / "spec.json"
@@ -88,14 +101,22 @@ class TestDesign:
         assert main(["design", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "NotAdmissible" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("base,fields", [c[1:] for c in BAD_SPECS],
-                             ids=[c[0] for c in BAD_SPECS])
-    def test_malformed_spec_exit_1(self, base, fields, tmp_path, capsys):
+    @pytest.mark.parametrize("base,fields,flags", [c[1:] for c in MALFORMED],
+                             ids=[c[0] for c in MALFORMED])
+    def test_malformed_spec_exit_1(self, base, fields, flags, tmp_path, capsys):
         spec = write_spec(tmp_path, dict(base, **fields))
-        assert main(["design", str(spec), "--out", str(tmp_path / "o")]) == 1
+        assert main(["design", str(spec), "--out", str(tmp_path / "o"), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_overrides_apply(self, tmp_path):
+        spec = write_spec(tmp_path, SMALL_PARALLEL_SPEC)
+        out = tmp_path / "o"
+        assert main(["design", str(spec), "--out", str(out), "--n", "2", "--eps", "0.9"]) == 0
+        assert json.loads((out / "report.json").read_text())["eps_target"] == 0.9
+        assert json.loads((out / "pattern.fold").read_text())["curvefold:grid"]["cols"] == 2
 
     def test_large_ortho_design(self, tmp_path):
         # 34 x 34 = 1156 inner vertices, more than the default recursion limit
@@ -190,6 +211,21 @@ class TestAdmissible:
         assert rc == 0
         assert "0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("doc,flags", [
+        ({"param": [0, 1]}, []),
+        ({"samples": [[0, 0], [1, -1]]}, ["--xi", "0"]),
+        ({"samples": [[0, 0], [1, -1]]}, ["--grid", "0"]),
+        ({"samples": [[0, 0, 0], [1, -1, 1]]}, []),
+        ([[0, 0], [1, -1]], []),
+    ], ids=["no-samples", "xi-0", "grid-0", "space-curve", "not-an-object"])
+    def test_bad_input_exit_1(self, doc, flags, tmp_path, capsys):
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps(doc))
+        argv = ["admissible", str(f), "--xi", "1.0", *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_circle_exit_2(self, tmp_path, capsys):
         f = tmp_path / "circle.json"
         t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
@@ -198,6 +234,16 @@ class TestAdmissible:
         rc = main(["admissible", str(f), "--xi", str(np.pi / 2)])
         assert rc == 2
         assert "ClosedCurve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["fold", "missing.fold"], ["design", "missing.json"],
+                                  ["verify", "."]],
+                         ids=["fold-missing", "design-missing", "verify-directory"])
+def test_unreadable_input_exit_1(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {argv[1]}: ") and err.count("\n") == 1
 
 
 class TestDemo:

@@ -1,8 +1,10 @@
 """The design layer's array scans against their loop forms in
 `design_oracle`, bit for bit, and the typed errors of the layout checks."""
 import copy
+import importlib.util
 import json
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,12 +12,14 @@ import pytest
 
 import design_oracle as oracle
 from curvefold import curves, geometry, ortho, parallel
-from curvefold.cli import main
+from curvefold.cli import DEMOS, _build_from_spec, main
 from curvefold.errors import ClosedCurve, CreaseIntersection, CurvefoldError, NoSolution
 from curvefold.geometry import (AffineParams, PolyCurve, hausdorff, is_admissible,
                                 min_dist_to_polyline, partition_uniform, search_theta)
 from curvefold.kinematics import planar_transfer, solve_first_vertex
-from curvefold.pattern import check_embeddable, signed_fold_angles
+from curvefold.foldio import load_design_spec
+from curvefold.pattern import (CreasePattern, assemble_grid, check_embeddable,
+                               panel_distances, signed_fold_angles)
 
 
 # the message of a bit-equality failure in a case that hangs on rounding
@@ -311,6 +315,54 @@ class TestSignedFoldAngles:
         for pattern, coords in cases:
             assert np.array_equal(signed_fold_angles(pattern, coords),
                                   oracle.signed_fold_angles(pattern, coords)), BLAS_ROUNDING
+
+
+def _explore_designs(seed):
+    """The designs of one seeded batch of the benchmark's explore workload."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "specs.py"
+    spec = importlib.util.spec_from_file_location("bench_specs", path)
+    specs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(specs)
+    return [_build_from_spec(*load_design_spec(t))[0] for t in specs.explore_spec_texts(seed)]
+
+
+def _same_index(got, want, coords):
+    assert [(c.u, c.v, c.role, c.mv) for c in got.creases] == \
+        [(c.u, c.v, c.role, c.mv) for c in want.creases]
+    for attr in ("vertices", "ext_id", "faces", "sectors", "row_creases", "col_creases",
+                 "vertex_creases", "crease_faces", "placement"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    for a, b in zip(panel_distances(got, coords), oracle.panel_distances(want, coords)):
+        assert np.array_equal(a, b), BLAS_ROUNDING
+
+
+class TestGridIndex:
+    def test_designs(self, fig5_design, fig7_design, small_parallel):
+        fig4 = _build_from_spec(*load_design_spec(json.dumps(DEMOS["fig4"])))[0]
+        patterns = [fig4, fig5_design[0], fig7_design[0], small_parallel[0]]
+        rng = np.random.default_rng(11)
+        for pattern in patterns + _explore_designs(1):
+            nodes = pattern.vertices[pattern.ext_id]
+            grids = [nodes] + [np.rot90(nodes, k) for k in (1, 2, 3)]
+            for grid in grids:
+                coords = rng.normal(size=(len(pattern.vertices), 3))
+                _same_index(assemble_grid(grid, pattern.halting_col, pattern.design),
+                            oracle.assemble_grid(grid, pattern.halting_col, pattern.design),
+                            coords)
+
+    def test_faces_winding_either_way(self, monkeypatch):
+        # random and mirrored drawings mix faces of both windings, and
+        # neighbouring faces of opposite winding claim the same crease side;
+        # such drawings are not developable, so the check is switched off
+        monkeypatch.setattr(CreasePattern, "developability_residual", lambda self: 0.0)
+        rng = np.random.default_rng(12)
+        for rows, cols in ((1, 1), (1, 4), (3, 2), (5, 6)):
+            grid = np.stack(np.meshgrid(np.arange(cols + 2.0), np.arange(rows + 2.0)), -1)
+            for nodes in (grid, grid[:, ::-1], grid + rng.normal(size=grid.shape)):
+                coords = rng.normal(size=(nodes.shape[0] * nodes.shape[1], 3))
+                _same_index(assemble_grid(nodes, 1, {}), oracle.assemble_grid(nodes, 1, {}),
+                            coords)
 
 
 class TestEmbeddable:

@@ -35,7 +35,7 @@ class TestPropagate:
         pattern, _ = small_parallel
         st = propagate(pattern, 0.9 * (pattern.creases[default_driving_crease(pattern)].mv or 1))
         V = st.vertex_coords
-        for _, _, quad in pattern.face_grid_iter():
+        for quad in pattern.faces.reshape(-1, 4):
             for a in range(4):
                 for b in range(a + 1, 4):
                     d2 = np.linalg.norm(pattern.vertices[quad[a]] - pattern.vertices[quad[b]])
@@ -137,9 +137,7 @@ class TestSweep:
         halt = traj.halt
         assert halt.halted and halt.halt_reason == "crease-at-pi"
         # the halting creases are exactly the left row stubs
-        ext = pattern.ext_id
-        stubs = sorted(pattern.crease_between(int(ext[r, 0]), int(ext[r, 1]))
-                       for r in range(1, pattern.rows + 1))
+        stubs = sorted(pattern.row_creases[1:pattern.rows + 1, 0].tolist())
         assert sorted(halt.residuals["halting_creases"]) == stubs
         # and no other crease reached pi first: at halt all others are below
         others = [abs(halt.rho[i]) for i in range(len(pattern.creases)) if i not in stubs]
@@ -157,9 +155,7 @@ class TestSweep:
         pattern, _ = fig7_design
         halt = fig7_halt.halt
         assert halt.halt_reason == "crease-at-pi"
-        ext = pattern.ext_id
-        stubs = sorted(pattern.crease_between(int(ext[r, 0]), int(ext[r, 1]))
-                       for r in range(1, pattern.rows + 1))
+        stubs = sorted(pattern.row_creases[1:pattern.rows + 1, 0].tolist())
         assert sorted(halt.residuals["halting_creases"]) == stubs
 
     def test_fig5_halt_matches_design_state(self, fig5_design, fig5_halt):
@@ -327,18 +323,15 @@ class TestExtract:
     def test_opposite_row_folds(self, fig5_design, fig5_halt):
         pattern, _ = fig5_design
         halt = fig5_halt.halt
-        ext = pattern.ext_id
         for r in range(1, pattern.rows):
             for c in range(1, pattern.cols + 1):
-                a = pattern.crease_between(int(ext[r, c - 1]), int(ext[r, c]))
-                b = pattern.crease_between(int(ext[r + 1, c - 1]), int(ext[r + 1, c]))
+                a, b = pattern.row_creases[r:r + 2, c - 1]
                 assert abs(halt.rho[a] + halt.rho[b]) < 1e-9
 
     def test_row_fold_magnitudes_equal(self, fig5_design, fig5_halt):
         pattern, _ = fig5_design
         for st in (fig5_halt.states[3], fig5_halt.halt):
-            ext = pattern.ext_id
             for r in range(1, pattern.rows + 1):
-                mags = [abs(st.rho[pattern.crease_between(int(ext[r, c]), int(ext[r, c + 1]))])
+                mags = [abs(st.rho[pattern.row_creases[r, c]])
                         for c in range(1, pattern.cols)]
                 assert np.ptp(mags) < 1e-8

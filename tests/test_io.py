@@ -79,6 +79,31 @@ class TestFoldRoundTrip:
         for attr in ("sectors", "vertex_creases", "crease_faces"):
             assert np.array_equal(getattr(pat2, attr), getattr(pat1, attr)), attr
 
+    @pytest.mark.parametrize("design", ["fig5_design", "fig7_design"])
+    def test_edge_order_keeps_folded_bits(self, design, request):
+        # the placement order follows the grid, not the document's edge order
+        from curvefold.foldsim import propagate
+        pattern, _ = request.getfixturevalue(design)
+        text = export_fold(pattern)
+        want = propagate(import_fold(text)[0], 0.5).vertex_coords
+        doc = json.loads(text)
+        perm = np.random.default_rng(3).permutation(len(pattern.creases))
+        for key in ("edges_vertices", "edges_assignment", "edges_foldAngle",
+                    "curvefold:roles"):
+            doc[key] = [doc[key][i] for i in perm]
+        shuffled = propagate(import_fold(json.dumps(doc))[0], 0.5).vertex_coords
+        assert np.array_equal(shuffled, want)
+        # and with the vertices relabelled as well
+        relabel = np.random.default_rng(5).permutation(len(pattern.vertices))
+        coords = np.empty((len(relabel), 2))
+        coords[relabel] = doc["vertices_coords"]
+        doc["vertices_coords"] = coords.tolist()
+        for key in ("edges_vertices", "faces_vertices"):
+            doc[key] = relabel[np.asarray(doc[key])].tolist()
+        doc["curvefold:grid"]["ext_id"] = relabel[np.asarray(doc["curvefold:grid"]["ext_id"])].tolist()
+        relabelled = propagate(import_fold(json.dumps(doc))[0], 0.5).vertex_coords
+        assert np.array_equal(relabelled[relabel], want)
+
     def test_flat_state_zero_angles(self, small_parallel):
         pattern, _ = small_parallel
         from curvefold.foldsim import propagate
@@ -88,9 +113,7 @@ class TestFoldRoundTrip:
     def test_halt_fold_angles_reach_180(self, fig5_design, fig5_halt):
         pattern, _ = fig5_design
         doc = json.loads(export_fold(pattern, state=fig5_halt.halt))
-        ext = pattern.ext_id
-        stubs = {pattern.crease_between(int(ext[r, 0]), int(ext[r, 1]))
-                 for r in range(1, pattern.rows + 1)}
+        stubs = pattern.row_creases[1:pattern.rows + 1, 0].tolist()
         for idx in stubs:
             assert abs(abs(doc["edges_foldAngle"][idx]) - 180.0) < 1e-3
 
@@ -147,6 +170,12 @@ def _one_short(rows):
     del rows[-1]
 
 
+def _first_edge(d, a, b):
+    """Point the first edge from grid node a to grid node b."""
+    ext = d["curvefold:grid"]["ext_id"]
+    d["edges_vertices"][0] = [ext[a[0]][a[1]], ext[b[0]][b[1]]]
+
+
 #: (id, edit of a fig7 FOLD document, folded frame) -> SchemaError
 FOLD_CORRUPTIONS = [
     ("rows-disagree", lambda d: d["curvefold:grid"].update(rows=12), False),
@@ -159,6 +188,10 @@ FOLD_CORRUPTIONS = [
     ("coordinate-1d", lambda d: d["vertices_coords"].__setitem__(0, [0.0]), False),
     ("coordinate-string", lambda d: d["vertices_coords"][0].__setitem__(0, "a"), False),
     ("edge-one-vertex", lambda d: _one_short(d["edges_vertices"][0]), False),
+    ("edge-diagonal", lambda d: _first_edge(d, (1, 1), (2, 2)), False),
+    ("edge-across-rows", lambda d: _first_edge(d, (1, -1), (2, 0)), False),
+    ("edge-loop", lambda d: _first_edge(d, (1, 1), (1, 1)), False),
+    ("edge-twice", lambda d: _first_edge(d, (1, 1), (1, 2)), False),
     ("faces-int", lambda d: d.update(faces_vertices=5), False),
     ("halting-col-string", lambda d: d["curvefold:grid"].update(halting_col="1"), False),
     ("inferred-face-id-out-of-range",
