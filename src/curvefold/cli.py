@@ -98,20 +98,29 @@ def _read(path):
         raise SchemaError(f"cannot read {path}: {e.reason}")
 
 
-def _write(path, text):
-    Path(path).write_text(text)
+def _write(out, name, text):
+    """Write text to out/name, making the directory out first."""
+    path = Path(out) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise SchemaError(f"cannot write {path}: {e.strerror}")
     print(path)
+
+
+def _check_states(states):
+    if states < 2:
+        raise SchemaError("--states must be at least 2")
 
 
 def cmd_design(args):
     kind, fields, theta = load_design_spec(_spec_text(args))
     pattern, report = _build_from_spec(kind, fields, theta)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "pattern.fold", export_fold(pattern))
-    _write(out / "pattern.svg", export_svg(pattern))
-    _write(out / "report.json", report_json(report))
-    _write(out / "report.txt", report_text(report))
+    _write(args.out, "pattern.fold", export_fold(pattern))
+    _write(args.out, "pattern.svg", export_svg(pattern))
+    _write(args.out, "report.json", report_json(report))
+    _write(args.out, "report.txt", report_text(report))
     return 0
 
 
@@ -129,12 +138,11 @@ def _spec_text(args):
 
 
 def cmd_fold(args):
+    _check_states(args.states)
     pattern, _ = import_fold(_read(args.pattern))
     traj = sweep_to_halt(pattern, samples=args.states)
     halt = traj.halt
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "halt.fold", export_fold(pattern, state=halt))
+    _write(args.out, "halt.fold", export_fold(pattern, state=halt))
     summary = {
         "driving_halt": float(traj.driving_values[-1]),
         "halt_reason": halt.halt_reason,
@@ -143,17 +151,18 @@ def cmd_fold(args):
         "states": len(traj.states),
     }
     text = json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
-    _write(out / "halt.json", text)
+    _write(args.out, "halt.json", text)
     if args.format == "json":
         sys.stdout.write(text)
     return 0
 
 
 def cmd_verify(args):
+    _check_states(args.states)
     pattern, state = import_fold(_read(args.pattern))
     traj = None
     if state is None:
-        traj = sweep_to_halt(pattern, samples=max(args.states, 2))
+        traj = sweep_to_halt(pattern, samples=args.states)
         state = traj.halt
     checks = run_pattern_checks(pattern, state=state, trajectory=traj)
     payload = {"checks": [c.as_dict() for c in checks],
@@ -181,12 +190,10 @@ def cmd_admissible(args):
 
 def cmd_export(args):
     pattern, state = import_fold(_read(args.pattern))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.format == "svg":
-        _write(out / "pattern.svg", export_svg(pattern))
+        _write(args.out, "pattern.svg", export_svg(pattern))
     else:
-        _write(out / "pattern.fold", export_fold(pattern, state=state))
+        _write(args.out, "pattern.fold", export_fold(pattern, state=state))
     return 0
 
 
@@ -195,17 +202,15 @@ def cmd_demo(args):
         print(f"unknown demo {args.name!r}; have {sorted(DEMOS)}", file=sys.stderr)
         return 1
     doc = DEMOS[args.name]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec_text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    _write(out / "spec.json", spec_text)
+    _write(args.out, "spec.json", spec_text)
     kind, fields, theta = load_design_spec(spec_text)
     pattern, report = _build_from_spec(kind, fields, theta)
-    _write(out / "pattern.fold", export_fold(pattern))
+    _write(args.out, "pattern.fold", export_fold(pattern))
     overlays = _demo_overlays(kind, fields, pattern)
-    _write(out / "pattern.svg", export_svg(pattern, overlays=overlays))
-    _write(out / "report.json", report_json(report))
-    _write(out / "report.txt", report_text(report))
+    _write(args.out, "pattern.svg", export_svg(pattern, overlays=overlays))
+    _write(args.out, "report.json", report_json(report))
+    _write(args.out, "report.txt", report_text(report))
     return 0
 
 

@@ -5,7 +5,8 @@ single-vertex propagator, panels are then placed along the pattern's BFS
 placement order, and every shared edge is checked for closure.
 The sweep-to-halt driver locates the smallest driving angle at which any
 crease reaches pi (panel coincidence) or two panels interpenetrate, by a
-march and one secant-safeguarded bracket that keep the states they make.
+march and one secant-safeguarded bracket that keep the states they make;
+the other returned samples are propagated as lanes of one array pass.
 """
 from __future__ import annotations
 
@@ -17,13 +18,15 @@ import numpy as np
 
 from .errors import NoHalt, NotRigidFoldable, OutOfRange
 from .geometry import PolyCurve
-from .kinematics import _cross, _dot, propagate_both_modes
+from .kinematics import _cross, _dot, propagate_both_modes, propagate_both_modes_lanes
 from .pattern import ROLE_BOUNDARY, CreasePattern
 
 HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
 CLOSURE_REL = 1e-9       # coordinate closure, relative to pattern diameter
 FOLD_CONSISTENCY = 1e-7  # fold-angle agreement between vertex sweeps (rad)
 CLASH_BLOCK = 64         # triangles whose candidate pairs clash_test gathers at once
+LANE_BLOCK = 64          # replay states propagated in one array pass per vertex
+PLACE_BLOCK = 8          # of those, states placed at once: memory O(block x faces)
 MARCH_STEPS = 128        # driving steps per pi: branch continuity needs modest steps
 SECANT_ULPS = 16         # ulps of driving within which the rounding of h sets the secant
 
@@ -116,48 +119,65 @@ def _rotations(axes, angles):
 
 def place_panels(pattern: CreasePattern, rho):
     """Rigid placement of every panel along the pattern's placement order,
-    from face 0 (top left) fixed in the plane z = 0; returns
-    (vertex_coords, residuals)."""
+    from face 0 (top left) fixed in the plane z = 0.
+
+    rho holds one state's fold angles (E,) or one state per row (L, E);
+    returns (vertex_coords, residuals), and for rows of lanes the
+    coordinates (L, V, 3) and one residual dict per lane.  A lane's
+    arithmetic is the same as a lone state's, so its bits do not depend on
+    the lanes beside it."""
     rho = np.asarray(rho, dtype=float)
+    lanes = rho.reshape(-1, rho.shape[-1])
+    L = len(lanes)
     pts = np.zeros((len(pattern.vertices), 3))
     pts[:, :2] = pattern.vertices
     ends = np.array([(c.u, c.v) for c in pattern.creases])
     face, parent, idx, sign = pattern.placement.T
     # hinge frames: rotation H about the crease line through p maps x to
-    # H x + (p - H p)
+    # H x + (p - H p); rows run over (hinge, lane)
     p = pts[ends[idx, 0]]
     d = pts[ends[idx, 1]] - p
-    H = _rotations(d / np.linalg.norm(d, axis=1)[:, None], sign * rho[idx])
-    shift = p - np.einsum("nij,nj->ni", H, p)
-    R = np.empty((pattern.faces.shape[0] * pattern.faces.shape[1], 3, 3))
-    t = np.empty((len(R), 3))
+    axes = np.repeat(d / np.linalg.norm(d, axis=1)[:, None], L, axis=0)
+    H = _rotations(axes, (sign[:, None] * lanes[:, idx].T).ravel())
+    p = np.repeat(p, L, axis=0)
+    shift = (p - np.einsum("nij,nj->ni", H, p)).reshape(len(idx), L, 3)
+    H = H.reshape(len(idx), L, 3, 3)
+    R = np.empty((pattern.faces.shape[0] * pattern.faces.shape[1], L, 3, 3))
+    t = np.empty((len(R), L, 3))
     R[0], t[0] = np.eye(3), 0.0
     for f, par, Hk, ck in zip(face.tolist(), parent.tolist(), H, shift):
         R[f] = R[par] @ Hk
-        t[f] = R[par] @ ck + t[par]
+        t[f] = (R[par] @ ck[:, :, None])[:, :, 0] + t[par]
 
     # closure on every interior shared edge
     diam = max(pattern.diameter, 1e-12)
     fl, fr = pattern.crease_faces.T
     inner = np.nonzero((fl >= 0) & (fr >= 0))[0]
-    q = pts[ends[inner]]                                   # (n, 2, 3)
-    gap = (np.einsum("nij,nkj->nki", R[fl[inner]], q) + t[fl[inner], None]
-           - np.einsum("nij,nkj->nki", R[fr[inner]], q) - t[fr[inner], None])
-    worst = float(np.sqrt((gap * gap).sum(axis=2)).max(initial=0.0))
-    closure = worst / diam
-    if closure > CLOSURE_REL:
-        raise NotRigidFoldable(f"panel loop closure {closure:.3g} x diameter",
-                               residual=closure)
+    q = np.repeat(pts[ends[inner]], L, axis=0)             # (n L, 2, 3)
+    gap = (np.einsum("nij,nkj->nki", R[fl[inner]].reshape(-1, 3, 3), q)
+           + t[fl[inner]].reshape(-1, 1, 3)
+           - np.einsum("nij,nkj->nki", R[fr[inner]].reshape(-1, 3, 3), q)
+           - t[fr[inner]].reshape(-1, 1, 3))
+    worst = np.sqrt((gap * gap).sum(axis=2)).reshape(len(inner), L, 2)
+    closure = worst.max(axis=(0, 2), initial=0.0) / diam
 
     order = np.concatenate([[0], face])
     quads = pattern.faces.reshape(-1, 4)[order]
-    placed = np.einsum("fij,fkj->fki", R[order], pts[quads]) + t[order, None]
-    coords = np.zeros_like(pts)
-    np.add.at(coords, quads.ravel(), placed.reshape(-1, 3))
-    coords /= np.bincount(quads.ravel(), minlength=len(pts))[:, None]
+    placed = (np.einsum("fij,fkj->fki", R[order].reshape(-1, 3, 3),
+                        np.repeat(pts[quads], L, axis=0))
+              + t[order].reshape(-1, 1, 3))
+    placed = placed.reshape(len(order), L, 4, 3).transpose(0, 2, 1, 3)
+    coords = np.zeros((len(pts), L, 3))
+    np.add.at(coords, quads.ravel(), placed.reshape(-1, L, 3))
+    coords /= np.bincount(quads.ravel(), minlength=len(pts))[:, None, None]
     off = placed - coords[quads]
-    spread = float(np.sqrt((off * off).sum(axis=2)).max())
-    return coords, {"closure": closure, "vertex_spread": spread / diam}
+    spread = np.sqrt((off * off).sum(axis=3)).max(axis=(0, 1)) / diam
+    coords = coords.transpose(1, 0, 2)
+    residuals = [{"closure": c, "vertex_spread": v}
+                 for c, v in zip(closure.tolist(), spread.tolist())]
+    if rho.ndim == 1:
+        return coords[0], residuals[0]
+    return coords, residuals
 
 
 def bootstrap_mv(pattern: CreasePattern, d0=0.02, driving_crease=None):
@@ -221,9 +241,90 @@ def propagate(pattern: CreasePattern, driving_rho, prev=None, driving_crease=Non
     prev_rho = prev.rho if prev is not None else None
     rho, mismatch = assign_fold_angles(pattern, driving_rho, prev_rho, driving_crease)
     coords, residuals = place_panels(pattern, rho)
+    closure = residuals["closure"]
+    if closure > CLOSURE_REL:
+        raise NotRigidFoldable(f"panel loop closure {closure:.3g} x diameter",
+                               residual=closure)
     residuals["fold_mismatch"] = mismatch
     dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     return FoldedState(dc, driving_rho, rho, coords, residuals=residuals)
+
+
+def _assign_lanes(pattern: CreasePattern, driving_rho, prev_rho, driving_crease):
+    """assign_fold_angles for rows of lanes: driving values (L,) and the
+    fold angles (L, E) of the states that score their branches.  Returns
+    (rho (L, E), mismatch (L,), ok (L,)); a lane is not ok where the scalar
+    form would raise or a fold is not finite."""
+    verts = pattern.vertex_angles()
+    L, E = prev_rho.shape
+    rho = np.zeros((L, E))
+    rho[:, driving_crease] = driving_rho
+    known = np.zeros(E, dtype=bool)
+    known[driving_crease] = True
+    mv = np.array([c.mv for c in pattern.creases])
+    use_mv = np.abs(prev_rho).max(axis=1) < 1e-8
+    worst = np.zeros(L)
+    ok = np.ones(L, dtype=bool)
+    for vi, cids in enumerate(pattern.vertex_creases.reshape(-1, 4).tolist()):
+        js = [j for j, c in enumerate(cids) if known[c]]
+        if not js:
+            return rho, worst, np.zeros(L, dtype=bool)
+        folds, keep = propagate_both_modes_lanes(verts[vi], js[0], rho[:, cids[js[0]]])
+        ok &= keep[:, 0]
+        # the scores of assign_fold_angles, mode +1 first, so mode -1 wins
+        # only when strictly better
+        m = mv[cids]
+        agree = (m != 0) & (np.abs(folds) > 1e-12) & ((folds > 0) == (m > 0))
+        matches = -agree.sum(axis=2)
+        r0, r1, r2, r3 = folds[:, :, 0], folds[:, :, 1], folds[:, :, 2], folds[:, :, 3]
+        sq = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
+        by_mv = (matches[:, 1] < matches[:, 0]) | (
+            (matches[:, 1] == matches[:, 0]) & (sq[:, 1] < sq[:, 0]))
+        # Python's x ** 2 (libm pow) is not always x * x, so the squared
+        # distances are summed as the scalar code sums them
+        diff = (folds - prev_rho[:, None, cids]).reshape(-1, 4).tolist()
+        dist = np.array([a ** 2 + b ** 2 + c ** 2 + d ** 2 for a, b, c, d in diff]).reshape(L, 2)
+        by_prev = dist[:, 1] < dist[:, 0]
+        r = np.where((keep[:, 1] & np.where(use_mv, by_mv, by_prev))[:, None],
+                     folds[:, 1], folds[:, 0])
+        for j in js:
+            gap = np.abs(r[:, j] - rho[:, cids[j]])
+            worst = np.where(gap > worst, gap, worst)
+        rho[:, cids] = r
+        known[cids] = True
+    return rho, worst, ok & ~(worst > FOLD_CONSISTENCY)
+
+
+def propagate_lanes(pattern: CreasePattern, driving_rho, prevs, driving_crease=None):
+    """Folded states at several driving angles, each from its own previous
+    state: lane k equals propagate(pattern, driving_rho[k], prevs[k],
+    driving_crease) bit for bit, or is None where that call raises
+    OutOfRange or NotRigidFoldable (or meets a fold that is not finite).
+
+    The lanes share one array pass per vertex and are placed PLACE_BLOCK
+    at a time.  One lane goes through `propagate` itself: the scalar
+    kernel is faster there."""
+    dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
+    if len(driving_rho) == 1:
+        try:
+            return [propagate(pattern, driving_rho[0], prev=prevs[0], driving_crease=dc)]
+        except (OutOfRange, NotRigidFoldable):
+            return [None]
+    driving = np.asarray(driving_rho, dtype=float)
+    rho, mismatch, ok = _assign_lanes(pattern, driving, np.array([p.rho for p in prevs]), dc)
+    ok &= np.abs(driving) <= np.pi
+    out = [None] * len(driving)
+    sel = np.flatnonzero(ok)
+    for b in range(0, len(sel), PLACE_BLOCK):
+        block = sel[b:b + PLACE_BLOCK]
+        coords, residuals = place_panels(pattern, rho[block])
+        for k, xyz, res in zip(block.tolist(), coords, residuals):
+            if res["closure"] > CLOSURE_REL:
+                continue
+            res["fold_mismatch"] = float(mismatch[k])
+            out[k] = FoldedState(dc, driving_rho[k], rho[k].copy(), xyz.copy(),
+                                 residuals=res)
+    return out
 
 
 def _sub(u, v):
@@ -387,7 +488,10 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
     the point leaves (lo, hi) or the bracket did not halve over the last two
     steps, and stops when the midpoint of lo and hi is one of them.  Each
     sample is a kept state or is propagated once, at most one march step
-    above one."""
+    above one; those propagations run as lanes of `propagate_lanes`, in
+    waves, and equal `propagate` bit for bit."""
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     sgn = pattern.creases[dc].mv or 1
     keys, kept, tested = [], [], []  # tested: (d, h) of the states tested, in order
@@ -400,6 +504,36 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
         keys.insert(i, d)
         kept.insert(i, st)
         return st
+
+    def replay(values):
+        # the samples that are not kept states, in waves: a sample starts
+        # from the nearest state at or below it, one wave after it when
+        # that state is another such sample.  A wave runs as lanes; at the
+        # first lane that fails the replay stops, and the walk over the
+        # samples that follows propagates the rest one by one, so the first
+        # failing sample raises its own error
+        waves, last, depth = [], None, 0
+        for d in values:
+            i = bisect.bisect_right(keys, d)
+            if keys[i - 1] == d or d == last:
+                continue
+            w = depth + 1 if last is not None and last > keys[i - 1] else 0
+            if w == len(waves):
+                waves.append([])
+            waves[w].append(d)
+            last, depth = d, w
+        for wave in waves:
+            for b in range(0, len(wave), LANE_BLOCK):
+                block = wave[b:b + LANE_BLOCK]
+                prevs = [kept[bisect.bisect_right(keys, d) - 1] for d in block]
+                got = propagate_lanes(pattern, [sgn * d for d in block], prevs, dc)
+                for d, st in zip(block, got):
+                    if st is not None:
+                        i = bisect.bisect_right(keys, d)
+                        keys.insert(i, d)
+                        kept.insert(i, st)
+                if any(st is None for st in got):
+                    return
 
     def at_pi(st):
         return float(np.abs(st.rho).max()) >= np.pi - HALT_TOL
@@ -453,7 +587,8 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
     if not found:
         raise NoHalt("folding range ends with no crease at pi and no clash")
 
-    values = np.linspace(0.0, hi, max(samples, 2))
+    values = np.linspace(0.0, hi, samples)
+    replay(values)
     states = [state_at(d) for d in values]
     halt = states[-1]
     halt.halted = True

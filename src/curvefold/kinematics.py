@@ -168,8 +168,8 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _unit3(v):
-    n = math.sqrt(_dot(v, v))
+def _unit3(v, sqrt=math.sqrt):
+    n = sqrt(_dot(v, v))
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
@@ -182,33 +182,66 @@ def _allclose(a, b, atol):
     return all(abs(x - y) <= atol + 1e-5 * abs(y) for x, y in zip(a, b))
 
 
-def place_fourth(u, v, arc_u, arc_v, sign):
-    """Unit direction w with arc(u, w) = arc_u, arc(v, w) = arc_v; sign
-    selects which side of the (u, v) plane.  None if the cones miss."""
-    c = _dot(u, v)
-    s2 = 1.0 - c * c
-    if s2 < 1e-14:
-        return None
-    cu, cv = math.cos(arc_u), math.cos(arc_v)
-    al = (cu - c * cv) / s2
-    be = (cv - c * cu) / s2
-    g2 = 1.0 - al * al - be * be - 2.0 * al * be * c
-    if g2 < -1e-10:
-        return None
-    g = sign * math.sqrt(max(g2, 0.0))
-    n = _unit3(_cross(u, v))
+def _atan2_lanes(y, x):
+    """math.atan2 over arrays, one element at a time: numpy's arctan2 can
+    differ from it in the last bit."""
+    return np.array(list(map(math.atan2, y.tolist(), x.tolist())))
+
+
+def _fourth(u, v, n, al, be, g):
     return (al * u[0] + be * v[0] + g * n[0],
             al * u[1] + be * v[1] + g * n[1],
             al * u[2] + be * v[2] + g * n[2])
 
 
-def vertex_fold_angles(dirs):
+def _place_fourth_pair(u, v, cu, cv):
+    """Both unit directions w with cos arc(u, w) = cu and cos arc(v, w) = cv,
+    on the + and then the - side of the (u, v) plane; None if the cones
+    miss."""
+    c = _dot(u, v)
+    s2 = 1.0 - c * c
+    if s2 < 1e-14:
+        return None
+    al = (cu - c * cv) / s2
+    be = (cv - c * cu) / s2
+    g2 = 1.0 - al * al - be * be - 2.0 * al * be * c
+    if g2 < -1e-10:
+        return None
+    g = math.sqrt(max(g2, 0.0))
+    n = _unit3(_cross(u, v))
+    return _fourth(u, v, n, al, be, g), _fourth(u, v, n, al, be, -g)
+
+
+def _place_fourth_lanes(u, v, cu, cv):
+    """_place_fourth_pair over arrays of lanes: (hit, w+, w-), with hit
+    False on the lanes where the scalar form returns None."""
+    c = _dot(u, v)
+    s2 = 1.0 - c * c
+    al = (cu - c * cv) / s2
+    be = (cv - c * cu) / s2
+    g2 = 1.0 - al * al - be * be - 2.0 * al * be * c
+    g = np.sqrt(np.maximum(g2, 0.0))
+    n = _unit3(_cross(u, v), np.sqrt)
+    hit = ~((s2 < 1e-14) | (g2 < -1e-10))
+    return hit, _fourth(u, v, n, al, be, g), _fourth(u, v, n, al, be, -g)
+
+
+def place_fourth(u, v, arc_u, arc_v, sign):
+    """Unit direction w with arc(u, w) = arc_u, arc(v, w) = arc_v; sign
+    (+1 or -1) selects which side of the (u, v) plane.  None if the cones
+    miss."""
+    pair = _place_fourth_pair(u, v, math.cos(arc_u), math.cos(arc_v))
+    return None if pair is None else pair[0 if sign > 0 else 1]
+
+
+def vertex_fold_angles(dirs, sqrt=math.sqrt, atan2=math.atan2):
     """Signed folds at the four creases of a placed vertex.
 
     dirs: unit crease directions in cyclic (R, U, L, D) order with panel
-    P_j spanned by (dirs[j], dirs[j+1]); valley positive."""
-    N = [_unit3(_cross(dirs[j], dirs[(j + 1) % 4])) for j in range(4)]
-    return [math.atan2(_dot(_cross(N[j - 1], N[j]), dirs[j]), _dot(N[j - 1], N[j]))
+    P_j spanned by (dirs[j], dirs[j+1]); valley positive.  Components may
+    be arrays of lanes, with sqrt and atan2 to match."""
+    N = [_unit3(_cross(dirs[j], dirs[(j + 1) % 4]), sqrt) for j in range(4)]
+    return [atan2(_dot(_cross(N[j - 1], N[j]), dirs[j]), _dot(N[j - 1], N[j]))
             for j in range(4)]
 
 
@@ -263,6 +296,55 @@ def _collinear_input_states(s, a, input_rho):
     return states
 
 
+def _collinear(s, a):
+    """Whether the creases flanking crease a are collinear in the pattern."""
+    return abs(s[(a - 1) % 4] + s[a] - math.pi) < 1e-9
+
+
+def _cone_frame(s, a, cos_in, sin_in):
+    """Crease directions of the cone route: the input crease a along x, its
+    leading panel flat in the plane, the trailing panel rotated by the
+    input fold (given by its cosine and sine, floats or arrays of lanes)."""
+    e = [None] * 4
+    e[a] = (1.0, 0.0, 0.0)
+    e[(a + 1) % 4] = (math.cos(s[a]), math.sin(s[a]), 0.0)
+    sprev = s[(a - 1) % 4]
+    cp, sp = math.cos(sprev), math.sin(sprev)
+    e[(a - 1) % 4] = (cp, -sp * cos_in, sp * sin_in)
+    return e
+
+
+def _branches(v, a, input_rho):
+    """Fold tuples of mode +1 and mode -1 given the fold on crease a.
+
+    A vertex has both branches or neither: the cone route's misses do not
+    depend on the side, and the collinear route's mode -1 falls back to
+    its one state.  Raises OutOfRange beyond the folding range."""
+    if abs(input_rho) > math.pi:
+        raise OutOfRange(f"|rho| = {abs(input_rho):.6g} > pi")
+    if abs(input_rho) < 1e-14:
+        # exactly flat; also the degenerate moment for vertices with a
+        # collinear crease pair, where the cone construction breaks down
+        flat = (0.0, 0.0, 0.0, 0.0)
+        return flat, flat
+    s = v.sectors
+    if _collinear(s, a):
+        states = _collinear_input_states(s, a, input_rho)
+        if not states:
+            raise OutOfRange("configuration beyond the vertex folding range")
+        return tuple(states[0]), tuple(states[min(1, len(states) - 1)])
+    e = _cone_frame(s, a, math.cos(input_rho), math.sin(input_rho))
+    pair = _place_fourth_pair(e[(a + 1) % 4], e[(a - 1) % 4],
+                              math.cos(s[(a + 1) % 4]), math.cos(s[(a + 2) % 4]))
+    if pair is None:
+        raise OutOfRange("configuration beyond the vertex folding range")
+    out = []
+    for w in pair:
+        e[(a + 2) % 4] = w
+        out.append(tuple(vertex_fold_angles(e)))
+    return tuple(out)
+
+
 def degree4_propagate(v: VertexAngles, input_crease, input_rho, mode=+1):
     """All four folding angles given the fold on one crease.
 
@@ -273,45 +355,63 @@ def degree4_propagate(v: VertexAngles, input_crease, input_rho, mode=+1):
     Vertices with a straight crease line through them get a dedicated
     stable route when driven from a crease flanked by that line.
     Raises OutOfRange beyond the vertex's folding range."""
-    if abs(input_rho) > math.pi:
-        raise OutOfRange(f"|rho| = {abs(input_rho):.6g} > pi")
-    if abs(input_rho) < 1e-14:
-        # exactly flat; also the degenerate moment for vertices with a
-        # collinear crease pair, where the cone construction breaks down
-        return FoldAngles((0.0, 0.0, 0.0, 0.0), mode=mode)
-    s = v.sectors
-    a = input_crease % 4
-    if abs(s[(a - 1) % 4] + s[a] - math.pi) < 1e-9:
-        states = _collinear_input_states(s, a, input_rho)
-        if not states:
-            raise OutOfRange("configuration beyond the vertex folding range")
-        idx = 0 if mode == +1 else min(1, len(states) - 1)
-        return FoldAngles(tuple(states[idx]), mode=mode)
-    e = [None] * 4
-    e[a] = (1.0, 0.0, 0.0)
-    sa = s[a]                    # sector between crease a and a+1
-    sprev = s[(a - 1) % 4]       # sector between crease a-1 and a
-    e[(a + 1) % 4] = (math.cos(sa), math.sin(sa), 0.0)
-    cp, sp = math.cos(sprev), math.sin(sprev)
-    e[(a - 1) % 4] = (cp, -sp * math.cos(input_rho), sp * math.sin(input_rho))
-    w = place_fourth(e[(a + 1) % 4], e[(a - 1) % 4],
-                     s[(a + 1) % 4], s[(a + 2) % 4], mode)
-    if w is None:
-        raise OutOfRange("configuration beyond the vertex folding range")
-    e[(a + 2) % 4] = w
-    return FoldAngles(tuple(vertex_fold_angles(e)), mode=mode)
+    pair = _branches(v, input_crease % 4, input_rho)
+    return FoldAngles(pair[0 if mode == +1 else 1], mode=mode)
 
 
 def propagate_both_modes(v: VertexAngles, input_crease, input_rho):
     """The (up to two) folding branches as FoldAngles, deduplicated."""
-    out = []
-    for mode in (+1, -1):
+    try:
+        plus, minus = _branches(v, input_crease % 4, input_rho)
+    except OutOfRange:
+        raise OutOfRange("configuration beyond the vertex folding range") from None
+    out = [FoldAngles(plus, mode=+1)]
+    if not _allclose(minus, plus, 1e-12):
+        out.append(FoldAngles(minus, mode=-1))
+    return out
+
+
+def propagate_both_modes_lanes(v: VertexAngles, input_crease, input_rho):
+    """propagate_both_modes over an (L,) array of input folds, one lane each.
+
+    Returns the folds of mode +1 and mode -1, (L, 2, 4), and which of them
+    each lane keeps, (L, 2): mode -1 only where it differs from mode +1 as
+    in propagate_both_modes, neither where the vertex has no branch or a
+    fold is not finite.  The cone route runs over the lanes as arrays, with
+    numpy for arithmetic and math for each cos, sin and atan2; collinear
+    vertices and inputs at flat or beyond pi go through the scalar kernel
+    one lane at a time.  Every kept fold equals the scalar kernel's bit for
+    bit."""
+    s = v.sectors
+    a = input_crease % 4
+    x = np.asarray(input_rho, dtype=float)
+    folds = np.full((len(x), 2, 4), np.nan)
+    hit = np.zeros(len(x), dtype=bool)
+    mag = np.abs(x)
+    cone = (mag >= 1e-14) & (mag <= math.pi) & (not _collinear(s, a))
+    for i in np.flatnonzero(~cone).tolist():
         try:
-            f = degree4_propagate(v, input_crease, input_rho, mode)
+            folds[i] = _branches(v, a, float(x[i]))
         except OutOfRange:
             continue
-        if not any(_allclose(f.rho, g.rho, 1e-12) for g in out):
-            out.append(f)
-    if not out:
-        raise OutOfRange("configuration beyond the vertex folding range")
-    return out
+        hit[i] = True
+    lanes = np.flatnonzero(cone)
+    if len(lanes):
+        xs = x[lanes].tolist()
+        e = _cone_frame(s, a, np.array(list(map(math.cos, xs))),
+                        np.array(list(map(math.sin, xs))))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cone_hit, w_plus, w_minus = _place_fourth_lanes(
+                e[(a + 1) % 4], e[(a - 1) % 4],
+                math.cos(s[(a + 1) % 4]), math.cos(s[(a + 2) % 4]))
+            # both modes in one pass: lanes of mode +1, then of mode -1
+            e[(a - 1) % 4] = tuple(np.tile(c, 2) if np.ndim(c) else c for c in e[(a - 1) % 4])
+            e[(a + 2) % 4] = tuple(map(np.concatenate, zip(w_plus, w_minus)))
+            both = np.stack(vertex_fold_angles(e, np.sqrt, _atan2_lanes), axis=1)
+        folds[lanes] = both.reshape(2, len(lanes), 4).transpose(1, 0, 2)
+        hit[lanes] = cone_hit
+    plus, minus = folds[:, 0], folds[:, 1]
+    keep = np.empty((len(x), 2), dtype=bool)
+    keep[:, 0] = hit & np.isfinite(folds).all(axis=(1, 2))
+    keep[:, 1] = keep[:, 0] & ~(np.abs(minus - plus) <= 1e-12 + 1e-5 * np.abs(plus)).all(axis=1)
+    return folds, keep

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotRigidFoldable
 from .foldsim import CLOSURE_REL, place_panels
 from .ortho import OrthoAngleGrid
 from .pattern import CreasePattern, panel_distances
@@ -118,10 +117,7 @@ def check_closure(pattern, state):
     so it is recomputed from the state's fold angles."""
     closure = state.residuals.get("closure")
     if closure is None:
-        try:
-            closure = place_panels(pattern, state.rho)[1]["closure"]
-        except NotRigidFoldable as e:
-            closure = e.residual
+        closure = place_panels(pattern, state.rho)[1]["closure"]
     return _result("closure", closure, "closure")
 
 

@@ -187,6 +187,16 @@ class TestFoldVerify:
         checks = {c["check_id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert not checks["closure"]["ok"]
 
+    @pytest.mark.parametrize("states", ["1", "0", "-3"])
+    @pytest.mark.parametrize("cmd", ["fold", "verify"])
+    def test_states_below_two_exit_1(self, designed, cmd, states, tmp_path, capsys):
+        argv = [cmd, str(designed / "pattern.fold"), "--states", states]
+        if cmd == "fold":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --states must be at least 2\n"
+        assert not (tmp_path / "out").exists()
+
     def test_export_roundtrip(self, designed, tmp_path):
         rc = main(["export", str(designed / "pattern.fold"), "--out", str(tmp_path),
                    "--format", "fold"])
@@ -244,6 +254,24 @@ def test_unreadable_input_exit_1(argv, tmp_path, capsys, monkeypatch):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {argv[1]}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["design", "fold", "export", "demo"])
+def test_unwritable_output_exit_1(cmd, tmp_path, capsys):
+    # --out below a regular file cannot be made: one error line, exit 1
+    spec = write_spec(tmp_path, SMALL_PARALLEL_SPEC)
+    assert main(["design", str(spec), "--out", str(tmp_path / "d")]) == 0
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    argv = {"design": ["design", str(spec)],
+            "fold": ["fold", str(tmp_path / "d" / "pattern.fold"), "--states", "2"],
+            "export": ["export", str(tmp_path / "d" / "pattern.fold")],
+            "demo": ["demo", "fig4"]}[cmd]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+    assert "Not a directory" in err
 
 
 class TestDemo:

@@ -8,6 +8,7 @@ from curvefold.errors import NoSolution, OutOfRange
 from curvefold.kinematics import (VertexAngles, _allclose, degree4_propagate,
                                   fold_from_beta, place_fourth,
                                   planar_transfer, propagate_both_modes,
+                                  propagate_both_modes_lanes,
                                   row_transfer_residual, solve_first_vertex,
                                   vertex_fold_angles)
 
@@ -353,6 +354,23 @@ class TestKernelOracle:
             assert np.abs(np.subtract(got, want)).max() < 1e-12
             compared += 1
         assert compared > 300
+
+    @pytest.mark.parametrize("family", ["flat-foldable", "halting", "collinear"])
+    def test_lanes_equal_scalar_kernel(self, family):
+        # each lane keeps the branches propagate_both_modes returns, bit for
+        # bit and in mode order, on both routes, at flat and beyond pi
+        rng = np.random.default_rng({"flat-foldable": 13, "halting": 17, "collinear": 19}[family])
+        for _ in range(60):
+            v = VertexAngles(_random_vertex(rng, family))
+            crease = int(rng.integers(4))
+            rho_in = np.concatenate([rng.uniform(-3.3, 3.3, 24), [0.0, -1e-15, np.pi, -np.pi]])
+            folds, keep = propagate_both_modes_lanes(v, crease, rho_in)
+            for x, f, k in zip(rho_in.tolist(), folds, keep):
+                try:
+                    want = [g.rho for g in propagate_both_modes(v, crease, x)]
+                except OutOfRange:
+                    want = []
+                assert [tuple(f[m].tolist()) for m in (0, 1) if k[m]] == want
 
     def test_dedup_rule_is_numpy_allclose(self):
         rng = np.random.default_rng(59)

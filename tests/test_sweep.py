@@ -1,14 +1,22 @@
 """`sweep_to_halt` against the march, bisect and replay sweep of
 `sweep_oracle`: bit-equal trajectories, a march on the exact driving grid,
-and the clash and range-end branches of the halt search."""
+the clash and range-end branches of the halt search, and the lane replay
+against per-sample `propagate`."""
+import json
+
 import numpy as np
 import pytest
 
 import sweep_oracle as oracle
-from curvefold import foldsim
-from curvefold.errors import NoHalt, OutOfRange
-from curvefold.foldio import export_fold, import_fold
-from curvefold.foldsim import MARCH_STEPS, sweep_to_halt
+from curvefold import curves, foldsim
+from curvefold.cli import DEMOS, _build_from_spec
+from curvefold.errors import NoHalt, NotRigidFoldable, OutOfRange
+from curvefold.foldio import export_fold, import_fold, load_design_spec
+from curvefold.foldsim import (MARCH_STEPS, default_driving_crease, propagate,
+                               propagate_lanes, sweep_to_halt)
+from curvefold.geometry import PolyCurve
+from curvefold.kinematics import FoldAngles, _allclose
+from curvefold.parallel import ParallelDesignSpec, build_pattern
 
 FIGS = ("fig5", "fig7")
 EVENT_AT = 0.6  # driving value (rad) past which the branch tests fake an event
@@ -49,7 +57,7 @@ def _march_len(seen):
 
 
 class TestOracle:
-    @pytest.mark.parametrize("samples", (2, 4, 8, 64))
+    @pytest.mark.parametrize("samples", (2, 4, 8, 64, 200))
     @pytest.mark.parametrize("fig", FIGS)
     def test_bit_equal(self, fig, samples, request):
         pattern, _ = request.getfixturevalue(f"{fig}_design")
@@ -113,3 +121,197 @@ class TestBranches:
         with pytest.raises(NoHalt, match="folding range ends"):
             sweep_to_halt(pattern, samples=2)
         assert len(seen) - _march_len(seen) <= 2 * stats["bisections"]
+
+
+@pytest.fixture(scope="module")
+def fig4_design():
+    return _build_from_spec(*load_design_spec(json.dumps(DEMOS["fig4"])))
+
+
+@pytest.fixture(scope="module")
+def explore_design():
+    """The seed-1 parallel spec of size (3, 12) of the benchmark's explore
+    batch, theta as its auto scan picks it."""
+    target = curves.exp_curve(257)
+    return build_pattern(ParallelDesignSpec(
+        datum=curves.space_arc(257),
+        target=PolyCurve(target.samples * 0.6990870174183882, target.param),
+        n_row=3, n_col=12, rho4=2.72295144949214, theta=1.2217304763960306, eps=10.0))
+
+
+@pytest.fixture(scope="module")
+def one_vertex():
+    spec = ParallelDesignSpec(datum=curves.space_arc(65), target=curves.exp_curve(65),
+                              n_row=1, n_col=1, rho4=5 * np.pi / 6, theta=np.deg2rad(73),
+                              eps=2.0)
+    return build_pattern(spec)[0]
+
+
+def _pow_mul_splits(rng, want=3, draws=50000):
+    """(a, b, c) with b ** 2 + c ** 2 < a ** 2 deciding otherwise than
+    b * b + c * c < a * a: Python's ** is libm's pow, which can round x ** 2
+    away from x * x.  Fewer, or none, where pow rounds squares exactly."""
+    found = []
+    for _ in range(draws):
+        b, c = rng.uniform(0.01, 0.5, 2).tolist()
+        a = (b ** 2 + c ** 2) ** 0.5
+        for step in (0, 1, 1, 1, -4, -1, -1):
+            for _ in range(abs(step)):
+                a = float(np.nextafter(a, np.copysign(np.inf, step)))
+            if (b ** 2 + c ** 2 < a ** 2) != (b * b + c * c < a * a):
+                found.append((a, b, c))
+                break
+        if len(found) == want:
+            break
+    return found
+
+
+def _march(pattern, sgn, d, prev):
+    """State at d reached from prev in steps of at most pi / MARCH_STEPS."""
+    steps = int(np.ceil((d - abs(prev.driving_rho)) * MARCH_STEPS / np.pi))
+    for x in np.linspace(abs(prev.driving_rho), d, steps + 1)[1:]:
+        prev = propagate(pattern, sgn * x, prev=prev)
+    return prev
+
+
+def _scalar_or_none(pattern, d, prev):
+    try:
+        return propagate(pattern, d, prev=prev)
+    except (OutOfRange, NotRigidFoldable):
+        return None
+
+
+class TestLanes:
+    @pytest.mark.parametrize("design", ("fig4_design", "fig5_design", "fig7_design",
+                                        "small_parallel", "explore_design"))
+    def test_bit_equal_to_propagate(self, design, request):
+        # lanes scored against a flat prev (by M/V sign) and a folded one
+        # (by distance) share one pass; the last lanes leave the folding
+        # range and must fail where propagate raises
+        pattern, _ = request.getfixturevalue(design)
+        sgn = pattern.creases[default_driving_crease(pattern)].mv or 1
+        flat = propagate(pattern, 0.0)
+        mid = _march(pattern, sgn, 0.3, flat)
+        end = _march(pattern, sgn, 0.8, mid)  # fig7 halts at 0.885 rad
+        cases = [(0.004, flat), (0.02, flat), (0.31, mid), (0.32, mid), (0.33, mid),
+                 (0.81, end), (0.82, end), (3.1, end), (np.pi, end)]
+        got = propagate_lanes(pattern, [sgn * d for d, _ in cases], [p for _, p in cases])
+        assert len(got) == len(cases)
+        want = [_scalar_or_none(pattern, sgn * d, p) for d, p in cases]
+        assert [w is None for w in want] == [g is None for g in got]
+        assert sum(w is not None for w in want) >= 6
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g.driving_rho == w.driving_rho
+                assert np.array_equal(g.rho, w.rho)
+                assert np.array_equal(g.vertex_coords, w.vertex_coords)
+                assert g.residuals == w.residuals
+
+    def test_scores_as_assign_fold_angles(self, one_vertex, monkeypatch):
+        # made-up branch pairs, one lane each, on a one-vertex pattern:
+        # exact distance ties, near ties that x ** 2 and x * x decide
+        # differently, M/V count ties near flat, folds at the 1e-12 sign
+        # threshold, a pair that dedups, and input mismatches below and
+        # above FOLD_CONSISTENCY.  The lane pass must pick and report as
+        # assign_fold_angles does
+        pattern = one_vertex
+        dc = default_driving_crease(pattern)
+        cids = pattern.vertex_creases.reshape(-1, 4)[0].tolist()
+        assert cids[0] == dc
+        table = {}
+
+        def lane(plus, minus, prev=None):
+            d = 0.1 + 0.01 * len(table)
+            row = np.zeros(len(pattern.creases))
+            if prev is not None:
+                row[cids] = [d, *prev]
+            table[d] = ([d + plus[0], *plus[1:]], [d + minus[0], *minus[1:]], row)
+
+        lane((0, 0.2, 0, 0.5), (0, -0.2, 0, 0.5), (0, 0, 0.5))      # exact tie
+        lane((0, 0.3, 0, 0), (0, 0.1, 0, 0), (0, 0, 0.5))          # minus closer
+        for a, b, c in _pow_mul_splits(np.random.default_rng(5)):
+            lane((0, a, 0, 0), (0, b, c, 0), (0, 0, 0))
+            lane((0, b, c, 0), (0, a, 0, 0), (0, 0, 0))
+        lane((0, -0.2, 0.3, 0.1), (0, 0.2, 0.3, -0.1))             # M/V count
+        lane((0, 0.2, 0.3, -0.1), (0, 0.2, 0.3, -0.101))           # M/V tie, norm
+        lane((0, 0.2, 0.3, -0.1), (0, 0.2, 0.29, -0.1))
+        lane((0, 1e-13, 0.3, -0.1), (0, -1e-13, 0.3, -0.1))        # sign threshold
+        lane((0, 0.2, 0.3, -0.1), (0, 0.2, 0.3, -0.1 + 1e-7))      # dedups
+        lane((5e-8, 0.2, 0.3, -0.1), (5e-8, 0.2, 0.3, -0.1))       # mismatch below
+        lane((2e-7, 0.2, 0.3, -0.1), (2e-7, -0.2, 0.3, -0.1))      # and above
+
+        def scalar(v, j_in, rho_in):
+            plus, minus, _ = table[rho_in]
+            out = [FoldAngles(plus, mode=+1)]
+            if not _allclose(minus, plus, 1e-12):
+                out.append(FoldAngles(minus, mode=-1))
+            return out
+
+        def lanes(v, j_in, rho_in):
+            folds = np.array([table[x][:2] for x in rho_in.tolist()])
+            keep = [[True, not _allclose(m, p, 1e-12)] for p, m in folds.tolist()]
+            return folds, np.array(keep)
+
+        monkeypatch.setattr(foldsim, "propagate_both_modes", scalar)
+        monkeypatch.setattr(foldsim, "propagate_both_modes_lanes", lanes)
+        ds = list(table)
+        prev = np.array([table[d][2] for d in ds])
+        rho, worst, ok = foldsim._assign_lanes(pattern, np.array(ds), prev, dc)
+        for k, d in enumerate(ds):
+            try:
+                want, mismatch = foldsim.assign_fold_angles(pattern, d, prev[k], dc)
+            except NotRigidFoldable:
+                assert not ok[k]
+                continue
+            assert ok[k] and np.array_equal(rho[k], want) and worst[k] == mismatch
+        assert ok.sum() == len(ds) - 1
+
+    def test_one_lane_is_propagate(self, small_parallel, monkeypatch):
+        pattern, _ = small_parallel
+        flat = propagate(pattern, 0.0)
+        seen = _record(monkeypatch)
+        (st,) = propagate_lanes(pattern, [0.2], [flat])
+        assert seen == [0.2]
+        assert np.array_equal(st.rho, propagate(pattern, 0.2, prev=flat).rho)
+
+    @pytest.mark.parametrize("fig", FIGS)
+    def test_closure_failure_raises_as_scalar(self, fig, request, monkeypatch):
+        # one replay sample of a later wave and one later sample of the
+        # first wave report a closure beyond tolerance: the sweep raises the
+        # scalar error of the first failing sample, as the oracle does
+        pattern, _ = request.getfixturevalue(f"{fig}_design")
+        waves = []
+        real_lanes = foldsim.propagate_lanes
+
+        def recorded(pattern, driving_rho, *args, **kwargs):
+            waves.append([abs(d) for d in driving_rho])
+            return real_lanes(pattern, driving_rho, *args, **kwargs)
+
+        monkeypatch.setattr(foldsim, "propagate_lanes", recorded)
+        traj = sweep_to_halt(pattern, samples=64)
+        first = waves[-1][0] if len(waves) > 1 else waves[0][0]
+        assert first < waves[0][-1]
+        at = {abs(st.driving_rho): st.rho for st in traj.states}
+        bad = [(at[first], 1.0), (at[waves[0][-1]], 2.0)]
+        real = foldsim.place_panels
+
+        def leaky(pattern, rho):
+            coords, res = real(pattern, rho)
+            for row, r in zip(np.atleast_2d(rho), res if np.ndim(rho) == 2 else [res]):
+                for folds, closure in bad:
+                    if np.array_equal(row, folds):
+                        r["closure"] = closure
+            return coords, res
+
+        monkeypatch.setattr(foldsim, "place_panels", leaky)
+        with pytest.raises(NotRigidFoldable) as want:
+            oracle.sweep_to_halt(pattern, samples=64)
+        with pytest.raises(NotRigidFoldable) as got:
+            sweep_to_halt(pattern, samples=64)
+        assert str(got.value) == str(want.value) == "panel loop closure 1 x diameter"
+        assert got.value.residual == want.value.residual == 1.0
+
+    @pytest.mark.parametrize("samples", (1, 0, -3))
+    def test_fewer_than_two_samples(self, small_parallel, samples):
+        with pytest.raises(ValueError, match="samples must be at least 2"):
+            sweep_to_halt(small_parallel[0], samples=samples)
