@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoHalt, NotRigidFoldable, OutOfRange
 from .geometry import PolyCurve
-from .kinematics import _cross, _dot, propagate_both_modes, propagate_both_modes_lanes
+from .kinematics import propagate_both_modes, propagate_both_modes_lanes
 from .pattern import ROLE_BOUNDARY, CreasePattern
 
 HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
@@ -325,6 +325,16 @@ def propagate_lanes(pattern: CreasePattern, driving_rho, prevs, driving_crease=N
             out[k] = FoldedState(dc, driving_rho[k], rho[k].copy(), xyz.copy(),
                                  residuals=res)
     return out
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _sub(u, v):

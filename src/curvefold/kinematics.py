@@ -14,6 +14,16 @@ side), magnitude pi - dihedral.  |rho| = pi means coincident panels.
 The halting family (a1, a2, pi-a2, pi-a1) has collinear column creases in
 the pattern; its row-crease folds obey the closed form `fold_from_beta`.
 The interior family (a, b, pi-a, pi-b) is flat-foldable.
+
+Given the fold on one crease, the other three follow from closed-form
+roots in the tangents of the half fold angles (the spherical four-bar's
+biquadratic: Izmestiev 2017, "Classification of flexible Kokotsakis
+polyhedra with quadrangular base"; Foschi, Hull & Ku 2022, "Explicit
+kinematic equations for degree-4 rigid origami vertices").  One kernel
+serves every vertex, a straight crease line included, and runs on floats
+and on arrays of lanes.  A vertex folds on two branches: mode +1 is the
+one whose opposite crease folds mountain, mode -1 the one whose opposite
+crease folds valley.
 """
 from __future__ import annotations
 
@@ -29,6 +39,8 @@ from .geometry import TAU
 DEV_TOL = 1e-10          # developability: sector sum vs 2*pi
 CLAMP_SLACK = 1e-12      # |arccos arg| may exceed 1 by at most this
 SECTOR_MARGIN = 1e-6     # sectors valid in (margin, pi - margin)
+FLAT_CUT = 1e-14         # |input fold| below this is the flat state
+RADICAND_SLACK = 1e-10   # r^2 may fall below 0 by this much times 1 + z^2
 
 #: lexicographic enumeration of the four +- slots of the transfer equations
 BRANCH_ORDER = tuple(product((1, -1), repeat=4))
@@ -61,6 +73,14 @@ class VertexAngles:
         if abs(s[0] + s[1] - np.pi) < SECTOR_MARGIN and abs(s[1] + s[2] - np.pi) < SECTOR_MARGIN:
             raise ValueError("sectors form a cross")
         object.__setattr__(self, "sectors", s)
+        object.__setattr__(self, "_terms", [None] * 4)
+
+    def terms(self, a):
+        """The kernel's terms for input crease a, built on first use."""
+        t = self._terms[a]
+        if t is None:
+            t = self._terms[a] = _half_angle_terms(self.sectors, a)
+        return t
 
     @property
     def is_flat_foldable(self):
@@ -158,25 +178,6 @@ def planar_transfer(prev_pair, beta_i, beta_ip1):
     return a, a, theta
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _unit3(v, sqrt=math.sqrt):
-    n = sqrt(_dot(v, v))
-    return (v[0] / n, v[1] / n, v[2] / n)
-
-
-def _arc3(u, v):
-    return math.acos(min(max(_dot(u, v), -1.0), 1.0))
-
-
 def _allclose(a, b, atol):
     """np.allclose(a, b, atol=atol): |a - b| <= atol + 1e-5 |b| throughout."""
     return all(abs(x - y) <= atol + 1e-5 * abs(y) for x, y in zip(a, b))
@@ -188,173 +189,93 @@ def _atan2_lanes(y, x):
     return np.array(list(map(math.atan2, y.tolist(), x.tolist())))
 
 
-def _fourth(u, v, n, al, be, g):
-    return (al * u[0] + be * v[0] + g * n[0],
-            al * u[1] + be * v[1] + g * n[1],
-            al * u[2] + be * v[2] + g * n[2])
+def _root(x):
+    return math.sqrt(max(x, 0.0))
 
 
-def _place_fourth_pair(u, v, cu, cv):
-    """Both unit directions w with cos arc(u, w) = cu and cos arc(v, w) = cv,
-    on the + and then the - side of the (u, v) plane; None if the cones
-    miss."""
-    c = _dot(u, v)
-    s2 = 1.0 - c * c
-    if s2 < 1e-14:
-        return None
-    al = (cu - c * cv) / s2
-    be = (cv - c * cu) / s2
-    g2 = 1.0 - al * al - be * be - 2.0 * al * be * c
-    if g2 < -1e-10:
-        return None
-    g = math.sqrt(max(g2, 0.0))
-    n = _unit3(_cross(u, v))
-    return _fourth(u, v, n, al, be, g), _fourth(u, v, n, al, be, -g)
+def _root_lanes(x):
+    return np.sqrt(np.maximum(x, 0.0))
 
 
-def _place_fourth_lanes(u, v, cu, cv):
-    """_place_fourth_pair over arrays of lanes: (hit, w+, w-), with hit
-    False on the lanes where the scalar form returns None."""
-    c = _dot(u, v)
-    s2 = 1.0 - c * c
-    al = (cu - c * cv) / s2
-    be = (cv - c * cu) / s2
-    g2 = 1.0 - al * al - be * be - 2.0 * al * be * c
-    g = np.sqrt(np.maximum(g2, 0.0))
-    n = _unit3(_cross(u, v), np.sqrt)
-    hit = ~((s2 < 1e-14) | (g2 < -1e-10))
-    return hit, _fourth(u, v, n, al, be, g), _fourth(u, v, n, al, be, -g)
+def _half_angle_terms(s, a):
+    """Per-vertex terms of the solve driven from crease a: k, 1 - k^2,
+    sqrt(P), then the biquadratic coefficients (c22, c20, c02, c11) of the
+    crease pair (a, a+1) and (d22, d20, d02, d11) of the pair (a+3, a)."""
+    S1, S2, S3, S4 = (s[(a + i) % 4] for i in range(4))
+
+    # sums in pairs, so that two sectors built as x and pi - x (a straight
+    # crease line, a flat-foldable vertex) cancel exactly in floats
+    def pair(S1, S2, S3, S4):
+        return (-2.0 * math.sin(S1) * math.sin(((S2 + S4) - (S1 + S3)) / 2.0),
+                -2.0 * math.sin(S4) * math.sin(((S1 + S2) - (S3 + S4)) / 2.0),
+                -2.0 * math.sin(S2) * math.sin(((S1 + S4) - (S2 + S3)) / 2.0),
+                2.0 * math.sin(S2) * math.sin(S4))
+
+    c22, c20, c02, c11 = c = pair(S1, S2, S3, S4)
+    k2 = math.sin(S4) * math.sin(S1) / (math.sin(S2) * math.sin(S3))
+    return (math.sqrt(k2), 1.0 - k2, _root(c11 * c11 - c20 * c02)) \
+        + c + pair(S4, S1, S2, S3)
 
 
-def place_fourth(u, v, arc_u, arc_v, sign):
-    """Unit direction w with arc(u, w) = arc_u, arc(v, w) = arc_v; sign
-    (+1 or -1) selects which side of the (u, v) plane.  None if the cones
-    miss."""
-    pair = _place_fourth_pair(u, v, math.cos(arc_u), math.cos(arc_v))
-    return None if pair is None else pair[0 if sign > 0 else 1]
+def _half_angle_folds(t, z, root, atan2):
+    """The vertex kernel, on floats or on (L,) arrays of lanes.
 
-
-def vertex_fold_angles(dirs, sqrt=math.sqrt, atan2=math.atan2):
-    """Signed folds at the four creases of a placed vertex.
-
-    dirs: unit crease directions in cyclic (R, U, L, D) order with panel
-    P_j spanned by (dirs[j], dirs[j+1]); valley positive.  Components may
-    be arrays of lanes, with sqrt and atan2 to match."""
-    N = [_unit3(_cross(dirs[j], dirs[(j + 1) % 4]), sqrt) for j in range(4)]
-    return [atan2(_dot(_cross(N[j - 1], N[j]), dirs[j]), _dot(N[j - 1], N[j]))
-            for j in range(4)]
-
-
-def _collinear_input_states(s, a, input_rho):
-    """Folding states of a vertex whose creases flanking the input crease
-    are collinear in the pattern (s[a-1] + s[a] = pi).
-
-    There the two-cone construction degenerates (cone axes antipodal), but
-    the vertex is mirror-symmetric about the straight crease line: the
-    input fold fixes the corner angle of the diagonal triangle up to a
-    branch, and the diagonal arc follows from one stable trig solve."""
-    o, f1, f2 = (a + 2) % 4, (a + 1) % 4, (a - 1) % 4
-    mag = abs(input_rho)
-    ca, sa = math.cos(s[a]), math.sin(s[a])
-    cf2, sf2 = math.cos(s[f2]), math.sin(s[f2])
-    C = math.cos(s[f1])
-    states = []
-    for ang in (mag / 2.0, math.pi - mag / 2.0):
-        cang, sang = math.cos(ang), math.sin(ang)
-        B = sa * cang
-        r0 = math.hypot(ca, B)
-        if r0 < 1e-14 or abs(C) > r0 * (1.0 + 1e-12):
-            continue
-        delta = math.atan2(B, ca)
-        h = math.acos(min(max(C / r0, -1.0), 1.0))
-        for xi in ((delta + h) % TAU, (delta - h) % TAU):
-            if not (1e-9 < xi < math.pi - 1e-9):
-                continue
-            e = [None] * 4
-            e[a] = (1.0, 0.0, 0.0)
-            e[o] = (math.cos(xi), math.sin(xi), 0.0)
-            # flanking creases from their corner angles at the input crease
-            # (the mirror property puts them at ang and pi - ang); stable
-            # even when the diagonal approaches pi
-            for sgn1 in (1, -1):
-                w1 = (ca, B, sa * (sgn1 * sang))
-                if abs(_arc3(e[o], w1) - s[f1]) > 1e-8:
-                    continue
-                for sgn2 in (1, -1):
-                    w2 = (cf2, sf2 * -cang, sf2 * (sgn2 * sang))
-                    if abs(_arc3(e[o], w2) - s[o]) > 1e-8:
-                        continue
-                    e[f1], e[f2] = w1, w2
-                    rho = vertex_fold_angles(e)
-                    if abs(rho[a] - input_rho) < 1e-9:
-                        if not any(_allclose(rho, q, 1e-9) for q in states):
-                            states.append(rho)
-    # the two states mirror each other and tie on |fold| at the opposite
-    # crease up to rounding, so this sort does not fix their order:
-    # rounding decides which state is mode +1
-    states.sort(key=lambda q: -abs(q[o]))
-    return states
-
-
-def _collinear(s, a):
-    """Whether the creases flanking crease a are collinear in the pattern."""
-    return abs(s[(a - 1) % 4] + s[a] - math.pi) < 1e-9
-
-
-def _cone_frame(s, a, cos_in, sin_in):
-    """Crease directions of the cone route: the input crease a along x, its
-    leading panel flat in the plane, the trailing panel rotated by the
-    input fold (given by its cosine and sine, floats or arrays of lanes)."""
-    e = [None] * 4
-    e[a] = (1.0, 0.0, 0.0)
-    e[(a + 1) % 4] = (math.cos(s[a]), math.sin(s[a]), 0.0)
-    sprev = s[(a - 1) % 4]
-    cp, sp = math.cos(sprev), math.sin(sprev)
-    e[(a - 1) % 4] = (cp, -sp * cos_in, sp * sin_in)
-    return e
+    t: the `_half_angle_terms` of the input crease a; z = tan(rho_a / 2).
+    With u = tan(rho_{a+1} / 2) / z, the pair (a, a+1) gives
+    (c02 + c22 z^2) u^2 + 2 c11 u + c20 = 0, whose discriminant is
+    P r^2 with r = sqrt(1 + (1 - k^2) z^2); its roots q/A and c20/q are
+    free of cancellation.  The pair (a+3, a) gives the same with the d
+    terms, and the opposite crease has tan(rho_{a+2} / 2) = -+k z / r.
+    Returns whether the state is in range, and the folds on creases
+    (a+1, a+2, a+3) of the branch whose opposite crease folds against the
+    sign of z, then of the other one."""
+    k, one_k2, sqrt_p, c22, c20, c02, c11, d22, d20, d02, d11 = t
+    zz = z * z
+    r2 = 1.0 + one_k2 * zz
+    r = root(r2)
+    q = -(c11 + sqrt_p * r)
+    p = -(d11 + sqrt_p * r)
+    kz = k * z
+    halves = ((q * z, c02 + c22 * zz), (-kz, r), (p * z, d20 + d22 * zz),
+              (c20 * z, q), (kz, r), (d02 * z, p))
+    # 2 atan of num/den, carried to +-pi where den reaches 0
+    folds = [2.0 * atan2(num * (1 - 2 * (den < 0)), abs(den)) for num, den in halves]
+    return r2 >= -RADICAND_SLACK * (1.0 + zz), folds[:3], folds[3:]
 
 
 def _branches(v, a, input_rho):
     """Fold tuples of mode +1 and mode -1 given the fold on crease a.
 
-    A vertex has both branches or neither: the cone route's misses do not
-    depend on the side, and the collinear route's mode -1 falls back to
-    its one state.  Raises OutOfRange beyond the folding range."""
+    Raises OutOfRange beyond the folding range."""
     if abs(input_rho) > math.pi:
         raise OutOfRange(f"|rho| = {abs(input_rho):.6g} > pi")
-    if abs(input_rho) < 1e-14:
-        # exactly flat; also the degenerate moment for vertices with a
-        # collinear crease pair, where the cone construction breaks down
+    if abs(input_rho) < FLAT_CUT:
         flat = (0.0, 0.0, 0.0, 0.0)
         return flat, flat
-    s = v.sectors
-    if _collinear(s, a):
-        states = _collinear_input_states(s, a, input_rho)
-        if not states:
-            raise OutOfRange("configuration beyond the vertex folding range")
-        return tuple(states[0]), tuple(states[min(1, len(states) - 1)])
-    e = _cone_frame(s, a, math.cos(input_rho), math.sin(input_rho))
-    pair = _place_fourth_pair(e[(a + 1) % 4], e[(a - 1) % 4],
-                              math.cos(s[(a + 1) % 4]), math.cos(s[(a + 2) % 4]))
-    if pair is None:
+    hit, plus, minus = _half_angle_folds(v.terms(a), math.tan(input_rho / 2.0),
+                                         _root, math.atan2)
+    if not hit:
         raise OutOfRange("configuration beyond the vertex folding range")
+    if input_rho < 0:
+        plus, minus = minus, plus
     out = []
-    for w in pair:
-        e[(a + 2) % 4] = w
-        out.append(tuple(vertex_fold_angles(e)))
+    for m in (plus, minus):
+        rho = [input_rho] * 4
+        rho[(a + 1) % 4], rho[(a + 2) % 4], rho[(a + 3) % 4] = m
+        out.append(tuple(rho))
     return tuple(out)
 
 
 def degree4_propagate(v: VertexAngles, input_crease, input_rho, mode=+1):
     """All four folding angles given the fold on one crease.
 
-    Rebuilds the spherical four-bar: the input crease along x, its leading
-    panel flat in the plane, the trailing panel rotated by the input fold,
-    and the opposite crease from the two-cone intersection.  mode (+1/-1)
-    picks the intersection branch; at the flat state both coincide.
-    Vertices with a straight crease line through them get a dedicated
-    stable route when driven from a crease flanked by that line.
-    Raises OutOfRange beyond the vertex's folding range."""
+    Solves the spherical four-bar in tangents of the half fold angles:
+    each crease follows from tan(rho_a / 2) by a closed-form root, so the
+    solve is exact to rounding up to the flat state and through vertices
+    with a straight crease line.  Mode +1 is the branch whose opposite
+    crease folds mountain, mode -1 the one whose opposite crease folds
+    valley; at the flat state both coincide.  Raises OutOfRange beyond the
+    vertex's folding range."""
     pair = _branches(v, input_crease % 4, input_rho)
     return FoldAngles(pair[0 if mode == +1 else 1], mode=mode)
 
@@ -377,41 +298,25 @@ def propagate_both_modes_lanes(v: VertexAngles, input_crease, input_rho):
     Returns the folds of mode +1 and mode -1, (L, 2, 4), and which of them
     each lane keeps, (L, 2): mode -1 only where it differs from mode +1 as
     in propagate_both_modes, neither where the vertex has no branch or a
-    fold is not finite.  The cone route runs over the lanes as arrays, with
-    numpy for arithmetic and math for each cos, sin and atan2; collinear
-    vertices and inputs at flat or beyond pi go through the scalar kernel
-    one lane at a time.  Every kept fold equals the scalar kernel's bit for
-    bit."""
-    s = v.sectors
+    fold is not finite.  The kernel of the scalar solve runs over the
+    lanes, with numpy for arithmetic and math for each tan and atan2, so
+    every kept fold equals the scalar one bit for bit."""
     a = input_crease % 4
     x = np.asarray(input_rho, dtype=float)
-    folds = np.full((len(x), 2, 4), np.nan)
-    hit = np.zeros(len(x), dtype=bool)
-    mag = np.abs(x)
-    cone = (mag >= 1e-14) & (mag <= math.pi) & (not _collinear(s, a))
-    for i in np.flatnonzero(~cone).tolist():
-        try:
-            folds[i] = _branches(v, a, float(x[i]))
-        except OutOfRange:
-            continue
-        hit[i] = True
-    lanes = np.flatnonzero(cone)
-    if len(lanes):
-        xs = x[lanes].tolist()
-        e = _cone_frame(s, a, np.array(list(map(math.cos, xs))),
-                        np.array(list(map(math.sin, xs))))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cone_hit, w_plus, w_minus = _place_fourth_lanes(
-                e[(a + 1) % 4], e[(a - 1) % 4],
-                math.cos(s[(a + 1) % 4]), math.cos(s[(a + 2) % 4]))
-            # both modes in one pass: lanes of mode +1, then of mode -1
-            e[(a - 1) % 4] = tuple(np.tile(c, 2) if np.ndim(c) else c for c in e[(a - 1) % 4])
-            e[(a + 2) % 4] = tuple(map(np.concatenate, zip(w_plus, w_minus)))
-            both = np.stack(vertex_fold_angles(e, np.sqrt, _atan2_lanes), axis=1)
-        folds[lanes] = both.reshape(2, len(lanes), 4).transpose(1, 0, 2)
-        hit[lanes] = cone_hit
-    plus, minus = folds[:, 0], folds[:, 1]
+    # beyond pi a lane has no branch: its z is nan, and it is not kept
+    half = np.where(np.abs(x) <= math.pi, x, math.nan) / 2.0
+    z = np.array(list(map(math.tan, half.tolist())))
+    hit, plus, minus = _half_angle_folds(v.terms(a), z, _root_lanes, _atan2_lanes)
+    neg = x < 0
+    folds = np.empty((len(x), 2, 4))
+    folds[:, :, a] = x[:, None]
+    for j, p, m in zip(((a + 1) % 4, (a + 2) % 4, (a + 3) % 4), plus, minus):
+        folds[:, 0, j] = np.where(neg, m, p)
+        folds[:, 1, j] = np.where(neg, p, m)
+    folds[np.abs(x) < FLAT_CUT] = 0.0
     keep = np.empty((len(x), 2), dtype=bool)
     keep[:, 0] = hit & np.isfinite(folds).all(axis=(1, 2))
+    folds[~keep[:, 0]] = math.nan
+    plus, minus = folds[:, 0], folds[:, 1]
     keep[:, 1] = keep[:, 0] & ~(np.abs(minus - plus) <= 1e-12 + 1e-5 * np.abs(plus)).all(axis=1)
     return folds, keep

@@ -1,9 +1,17 @@
-"""Reference degree-4 vertex kernel in numpy 3-vector arithmetic.
+"""Reference degree-4 vertex kernels.
 
-This is the construction `curvefold.kinematics` implements in plain float
-arithmetic: the same spherical four-bar, built with `np.cross`,
-`np.linalg.norm` and `np.allclose`.  Tests compare the library kernel
-against it state by state, mode order included."""
+`degree4_propagate` and `propagate_both_modes` build the spherical
+four-bar in numpy 3-vector arithmetic: the input crease along x, its
+leading panel flat, the trailing panel rotated by the input fold, and the
+opposite crease from the intersection of two cones, mode +1 on the + side.
+Vertices with a straight crease line flanking the input crease take a
+mirror construction.  The cone intersection loses about half the digits
+near flat, so this kernel is the reference for the order of the modes,
+not for their last digits.
+
+`reference_modes` builds the same four-bar to 40 digits in mpmath, on the
+vertex closed to exactly 2*pi, and is the reference for the values."""
+import mpmath as mp
 import numpy as np
 
 from curvefold.errors import OutOfRange
@@ -122,3 +130,68 @@ def propagate_both_modes(sectors, input_crease, input_rho):
     if not out:
         raise OutOfRange("beyond the folding range")
     return out
+
+
+def close_vertex(sectors):
+    """The vertex in mpmath, closed to exactly 2*pi: a sector whose float
+    sum with an earlier one is pi to 1e-9 becomes pi minus that one (the
+    collinear or flat-foldable partner float rounding took it from), and a
+    vertex without two such pairs closes on its last sector."""
+    s = [mp.mpf(x) for x in sectors]
+    snapped = set()
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if j not in snapped and abs(sectors[i] + sectors[j] - np.pi) < 1e-9:
+                s[j] = mp.pi - s[i]
+                snapped.add(j)
+    if len(snapped) < 2:
+        s[3] = 2 * mp.pi - s[0] - s[1] - s[2]
+    return s
+
+
+def _mp_cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _mp_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _mp_unit(v):
+    n = mp.sqrt(_mp_dot(v, v))
+    return [x / n for x in v]
+
+
+def reference_modes(sectors, input_crease, input_rho, dps=40):
+    """Fold angles (R, U, L, D) of both branches, as lists of floats, from
+    the two-cone construction in mpmath at `dps` digits: mode +1 (the
+    branch whose opposite crease folds mountain) first, mode -1 dropped
+    where it equals mode +1 as in the library.  Raises OutOfRange where
+    the cones miss."""
+    a = input_crease % 4
+    with mp.workdps(dps):
+        s = close_vertex(sectors)
+        S1, S2, S3, S4 = (s[(a + i) % 4] for i in range(4))
+        x = mp.mpf(input_rho)
+        u = [mp.cos(S1), mp.sin(S1), mp.mpf(0)]
+        v = [mp.cos(S4), -mp.sin(S4) * mp.cos(x), mp.sin(S4) * mp.sin(x)]
+        c = _mp_dot(u, v)
+        al = (mp.cos(S2) - c * mp.cos(S3)) / (1 - c * c)
+        be = (mp.cos(S3) - c * mp.cos(S2)) / (1 - c * c)
+        g2 = 1 - al * al - be * be - 2 * al * be * c
+        if g2 < 0:
+            raise OutOfRange("beyond the folding range")
+        n = _mp_unit(_mp_cross(u, v))
+        e = [None] * 4
+        e[a] = [mp.mpf(1), mp.mpf(0), mp.mpf(0)]
+        e[(a + 1) % 4], e[(a + 3) % 4] = u, v
+        states = []
+        for g in (mp.sqrt(g2), -mp.sqrt(g2)):
+            e[(a + 2) % 4] = [al * u[i] + be * v[i] + g * n[i] for i in range(3)]
+            N = [_mp_unit(_mp_cross(e[j], e[(j + 1) % 4])) for j in range(4)]
+            states.append([float(mp.atan2(_mp_dot(_mp_cross(N[j - 1], N[j]), e[j]),
+                                          _mp_dot(N[j - 1], N[j]))) for j in range(4)])
+    states.sort(key=lambda q: q[(a + 2) % 4] > 0)
+    if np.allclose(states[1], states[0], atol=1e-12):
+        states.pop()
+    return states
