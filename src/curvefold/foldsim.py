@@ -2,7 +2,9 @@
 
 Folding angles are assigned by sweeping the vertex grid row-major with the
 single-vertex propagator, panels are then placed along the pattern's BFS
-placement order, and every shared edge is checked for closure.
+placement order, and every shared edge is checked for closure.  One
+fold-assignment loop serves one state, in floats, and lanes of states,
+in (L,) arrays, with the same branch rule for both.
 The sweep-to-halt driver locates the smallest driving angle at which any
 crease reaches pi (panel coincidence) or two panels interpenetrate, by a
 march and one secant-safeguarded bracket that keep the states they make;
@@ -18,12 +20,15 @@ import numpy as np
 
 from .errors import NoHalt, NotRigidFoldable, OutOfRange
 from .geometry import PolyCurve
-from .kinematics import propagate_both_modes, propagate_both_modes_lanes
+from .kinematics import form, propagate_both_modes
 from .pattern import ROLE_BOUNDARY, CreasePattern
 
 HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
 CLOSURE_REL = 1e-9       # coordinate closure, relative to pattern diameter
 FOLD_CONSISTENCY = 1e-7  # fold-angle agreement between vertex sweeps (rad)
+PREV_FLAT = 1e-8         # a previous state below this everywhere counts as flat
+SIGN_FLOOR = 1e-12       # a fold's mountain/valley sign counts above this (rad)
+BRANCH_TOL = 1e-8        # bootstrap_mv: a branch agrees with assigned folds within this
 CLASH_BLOCK = 64         # triangles whose candidate pairs clash_test gathers at once
 LANE_BLOCK = 64          # replay states propagated in one array pass per vertex
 PLACE_BLOCK = 8          # of those, states placed at once: memory O(block x faces)
@@ -63,48 +68,76 @@ def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None,
     """Per-crease folding angles for one driving value.
 
     Branches are picked by closeness to prev_rho when given, else by the
-    pattern's mountain/valley signs.  Disagreement with already-assigned
-    creases beyond FOLD_CONSISTENCY raises NotRigidFoldable."""
+    pattern's mountain/valley signs.  Raises OutOfRange beyond the folding
+    range, and NotRigidFoldable on disagreement with already-assigned
+    creases beyond FOLD_CONSISTENCY."""
     if driving_crease is None:
         driving_crease = default_driving_crease(pattern)
+    E = len(pattern.creases)
+    if prev_rho is None or float(np.abs(prev_rho).max()) < PREV_FLAT:
+        prev, signs = [0.0] * E, [c.mv for c in pattern.creases]
+    else:
+        prev, signs = np.asarray(prev_rho, dtype=float).tolist(), [0] * E
+    rho, worst, _ = _fold_angles(pattern, float(driving_rho), prev, signs, driving_crease)
+    if worst > FOLD_CONSISTENCY:
+        raise NotRigidFoldable(
+            f"fold-angle loop mismatch {worst:.3g} rad", residual=worst)
+    return rho, worst
+
+
+def _fold_angles(pattern: CreasePattern, driving_rho, prev, signs, driving_crease):
+    """The fold-assignment loop, on one state or on lanes: driving_rho is a
+    float or an (L,) array, and prev and signs hold per crease a float or
+    an (L,) array each.
+
+    The vertices are swept row-major.  At each, the first known crease
+    drives the vertex solve, and mode -1 replaces mode +1 only where it is
+    a branch of its own and scores strictly better: more folds with the
+    sign of `signs` (the M/V signs where the previous state counts as
+    flat, 0 elsewhere) by more than SIGN_FLOOR, then a smaller squared
+    distance to prev (0 where the previous state counts as flat, so the
+    squared norm).  Returns the folds, (E,) or (L, E), the largest
+    disagreement with an already-assigned crease, and whether every vertex
+    had a branch.  Raises OutOfRange once no state has one, and
+    NotRigidFoldable at a vertex with no known crease."""
+    f = form(driving_rho)
+    where, any_ = f.where, f.any
     verts = pattern.vertex_angles()
     rho = [None] * len(pattern.creases)
-    rho[driving_crease] = float(driving_rho)
-    mv = [c.mv for c in pattern.creases]
-    use_mv = prev_rho is None or float(np.abs(prev_rho).max()) < 1e-8
-    prev = None if use_mv else np.asarray(prev_rho, dtype=float).tolist()
-    worst = 0.0
+    rho[driving_crease] = driving_rho
+    worst, ok = 0.0, True
     for vi, cids in enumerate(pattern.vertex_creases.reshape(-1, 4).tolist()):
         known = [(j, rho[c]) for j, c in enumerate(cids) if rho[c] is not None]
         if not known:
             k, i = divmod(vi, pattern.cols)
             raise NotRigidFoldable(
                 f"sweep reached vertex ({k + 1},{i + 1}) with no known crease")
-        j_in, rho_in = known[0]  # deterministic input choice
-        best = None
-        for cand in propagate_both_modes(verts[vi], j_in, rho_in):
-            r = cand.rho
-            if use_mv:
-                # sign agreement first; break ties toward the state
-                # continuous with flat (other branches through the flat
-                # configuration carry large folds at tiny driving)
-                matches = -sum(1 for j, c in enumerate(cids)
-                               if mv[c] != 0 and abs(r[j]) > 1e-12
-                               and (r[j] > 0) == (mv[c] > 0))
-                score = (matches, r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + r[3] * r[3])
-            else:
-                score = sum((r[j] - prev[c]) ** 2 for j, c in enumerate(cids))
-            if best is None or score < best[0]:
-                best = (score, r)
-        r = best[1]
+        hit, plus, minus, two = propagate_both_modes(verts[vi], *known[0])
+        ok = ok & hit
+        if not any_(ok):
+            raise OutOfRange("configuration beyond the vertex folding range")
+        # sign agreement first; near flat it breaks ties toward the state
+        # continuous with flat (other branches through the flat
+        # configuration carry large folds at tiny driving).  Squared
+        # distances are products: a float's x ** 2 is libm's pow, which
+        # does not always round as x * x and numpy's x ** 2 do
+        p0, p1, p2, p3 = [prev[c] for c in cids]
+        s0, s1, s2, s3 = [signs[c] for c in cids]
+        scores = []
+        for x0, x1, x2, x3 in (plus, minus):
+            d0, d1, d2, d3 = x0 - p0, x1 - p1, x2 - p2, x3 - p3
+            scores.append((sum([x0 * s0 > SIGN_FLOOR, x1 * s1 > SIGN_FLOOR,
+                                x2 * s2 > SIGN_FLOOR, x3 * s3 > SIGN_FLOOR]),
+                           d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3))
+        (mp, dp), (mm, dm) = scores
+        r = where(two & ((mm > mp) | ((mm == mp) & (dm < dp))), minus, plus)
         for j, val in known:
-            worst = max(worst, abs(r[j] - val))
-        for j, c in enumerate(cids):
-            rho[c] = r[j]
-    if worst > FOLD_CONSISTENCY:
-        raise NotRigidFoldable(
-            f"fold-angle loop mismatch {worst:.3g} rad", residual=worst)
-    return np.array([0.0 if x is None else x for x in rho]), worst
+            gap = abs(r[j] - val)
+            worst = where(gap > worst, gap, worst)
+        for c, x in zip(cids, r):
+            rho[c] = x
+    zero = abs(driving_rho) * 0.0  # in the shape of driving_rho
+    return np.array([zero if x is None else x for x in rho]).T, worst, ok
 
 
 def _rotations(axes, angles):
@@ -131,7 +164,7 @@ def place_panels(pattern: CreasePattern, rho):
     L = len(lanes)
     pts = np.zeros((len(pattern.vertices), 3))
     pts[:, :2] = pattern.vertices
-    ends = np.array([(c.u, c.v) for c in pattern.creases])
+    ends = pattern.crease_ends()
     face, parent, idx, sign = pattern.placement.T
     # hinge frames: rotation H about the crease line through p maps x to
     # H x + (p - H p); rows run over (hinge, lane)
@@ -190,7 +223,6 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02, driving_crease=None):
     dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     verts = pattern.vertex_angles()
     vertex_creases = pattern.vertex_creases.reshape(-1, 4).tolist()
-    tol = 1e-8
 
     rho = [None] * len(pattern.creases)
     rho[dc] = d0
@@ -206,20 +238,20 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02, driving_crease=None):
         if not known:
             continue
         j_in = min(known)
-        try:
-            cands = propagate_both_modes(verts[idx], j_in, known[j_in])
-        except OutOfRange:
+        ok, plus, minus, two = propagate_both_modes(verts[idx], j_in, known[j_in])
+        if not ok:
             continue
         # prefer fully folding branches over degenerate straight-line ones,
         # then the branch continuous with the flat state; the preferred
         # branch goes on the stack last so it is searched first
-        cands = sorted(cands, key=lambda c: (sum(1 for x in c.rho if abs(x) < 1e-12),
-                                             float(np.linalg.norm(c.rho))))
+        cands = sorted([plus, minus] if two else [plus],
+                       key=lambda r: (sum(1 for x in r if abs(x) < SIGN_FLOOR),
+                                      float(np.linalg.norm(r))))
         for cand in reversed(cands):
-            if all(abs(cand.rho[j] - val) < tol for j, val in known.items()):
+            if all(abs(cand[j] - val) < BRANCH_TOL for j, val in known.items()):
                 nxt = list(rho)
                 for j, c in enumerate(cids):
-                    nxt[c] = cand.rho[j]
+                    nxt[c] = cand[j]
                 stack.append((idx + 1, nxt))
     else:
         raise NotRigidFoldable("no consistent folding branch found near flat")
@@ -250,51 +282,6 @@ def propagate(pattern: CreasePattern, driving_rho, prev=None, driving_crease=Non
     return FoldedState(dc, driving_rho, rho, coords, residuals=residuals)
 
 
-def _assign_lanes(pattern: CreasePattern, driving_rho, prev_rho, driving_crease):
-    """assign_fold_angles for rows of lanes: driving values (L,) and the
-    fold angles (L, E) of the states that score their branches.  Returns
-    (rho (L, E), mismatch (L,), ok (L,)); a lane is not ok where the scalar
-    form would raise or a fold is not finite."""
-    verts = pattern.vertex_angles()
-    L, E = prev_rho.shape
-    rho = np.zeros((L, E))
-    rho[:, driving_crease] = driving_rho
-    known = np.zeros(E, dtype=bool)
-    known[driving_crease] = True
-    mv = np.array([c.mv for c in pattern.creases])
-    use_mv = np.abs(prev_rho).max(axis=1) < 1e-8
-    worst = np.zeros(L)
-    ok = np.ones(L, dtype=bool)
-    for vi, cids in enumerate(pattern.vertex_creases.reshape(-1, 4).tolist()):
-        js = [j for j, c in enumerate(cids) if known[c]]
-        if not js:
-            return rho, worst, np.zeros(L, dtype=bool)
-        folds, keep = propagate_both_modes_lanes(verts[vi], js[0], rho[:, cids[js[0]]])
-        ok &= keep[:, 0]
-        # the scores of assign_fold_angles, mode +1 first, so mode -1 wins
-        # only when strictly better
-        m = mv[cids]
-        agree = (m != 0) & (np.abs(folds) > 1e-12) & ((folds > 0) == (m > 0))
-        matches = -agree.sum(axis=2)
-        r0, r1, r2, r3 = folds[:, :, 0], folds[:, :, 1], folds[:, :, 2], folds[:, :, 3]
-        sq = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
-        by_mv = (matches[:, 1] < matches[:, 0]) | (
-            (matches[:, 1] == matches[:, 0]) & (sq[:, 1] < sq[:, 0]))
-        # Python's x ** 2 (libm pow) is not always x * x, so the squared
-        # distances are summed as the scalar code sums them
-        diff = (folds - prev_rho[:, None, cids]).reshape(-1, 4).tolist()
-        dist = np.array([a ** 2 + b ** 2 + c ** 2 + d ** 2 for a, b, c, d in diff]).reshape(L, 2)
-        by_prev = dist[:, 1] < dist[:, 0]
-        r = np.where((keep[:, 1] & np.where(use_mv, by_mv, by_prev))[:, None],
-                     folds[:, 1], folds[:, 0])
-        for j in js:
-            gap = np.abs(r[:, j] - rho[:, cids[j]])
-            worst = np.where(gap > worst, gap, worst)
-        rho[:, cids] = r
-        known[cids] = True
-    return rho, worst, ok & ~(worst > FOLD_CONSISTENCY)
-
-
 def propagate_lanes(pattern: CreasePattern, driving_rho, prevs, driving_crease=None):
     """Folded states at several driving angles, each from its own previous
     state: lane k equals propagate(pattern, driving_rho[k], prevs[k],
@@ -311,8 +298,15 @@ def propagate_lanes(pattern: CreasePattern, driving_rho, prevs, driving_crease=N
         except (OutOfRange, NotRigidFoldable):
             return [None]
     driving = np.asarray(driving_rho, dtype=float)
-    rho, mismatch, ok = _assign_lanes(pattern, driving, np.array([p.rho for p in prevs]), dc)
-    ok &= np.abs(driving) <= np.pi
+    prev = np.array([p.rho for p in prevs])
+    flat = np.abs(prev).max(axis=1) < PREV_FLAT
+    prev[flat] = 0.0
+    signs = np.array([c.mv for c in pattern.creases])[:, None] * flat
+    try:
+        rho, mismatch, ok = _fold_angles(pattern, driving, list(prev.T), list(signs), dc)
+    except (OutOfRange, NotRigidFoldable):
+        return [None] * len(driving)
+    ok &= mismatch <= FOLD_CONSISTENCY
     out = [None] * len(driving)
     sel = np.flatnonzero(ok)
     for b in range(0, len(sel), PLACE_BLOCK):

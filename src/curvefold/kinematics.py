@@ -20,14 +20,16 @@ roots in the tangents of the half fold angles (the spherical four-bar's
 biquadratic: Izmestiev 2017, "Classification of flexible Kokotsakis
 polyhedra with quadrangular base"; Foschi, Hull & Ku 2022, "Explicit
 kinematic equations for degree-4 rigid origami vertices").  One kernel
-serves every vertex, a straight crease line included, and runs on floats
-and on arrays of lanes.  A vertex folds on two branches: mode +1 is the
-one whose opposite crease folds mountain, mode -1 the one whose opposite
-crease folds valley.
+serves every vertex, a straight crease line included, and one wrapper,
+`propagate_both_modes`, gives both branches: on a float, or on an array
+of lanes with the operations of `LANES`.  A vertex folds on two branches:
+mode +1 is the one whose opposite crease folds mountain, mode -1 the one
+whose opposite crease folds valley.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 
@@ -41,6 +43,8 @@ CLAMP_SLACK = 1e-12      # |arccos arg| may exceed 1 by at most this
 SECTOR_MARGIN = 1e-6     # sectors valid in (margin, pi - margin)
 FLAT_CUT = 1e-14         # |input fold| below this is the flat state
 RADICAND_SLACK = 1e-10   # r^2 may fall below 0 by this much times 1 + z^2
+MODE_ATOL = 1e-12        # mode -1 within MODE_ATOL + MODE_RTOL |rho| of mode +1
+MODE_RTOL = 1e-5         # on every crease is the same branch
 
 #: lexicographic enumeration of the four +- slots of the transfer equations
 BRANCH_ORDER = tuple(product((1, -1), repeat=4))
@@ -178,23 +182,25 @@ def planar_transfer(prev_pair, beta_i, beta_ip1):
     return a, a, theta
 
 
-def _allclose(a, b, atol):
-    """np.allclose(a, b, atol=atol): |a - b| <= atol + 1e-5 |b| throughout."""
-    return all(abs(x - y) <= atol + 1e-5 * abs(y) for x, y in zip(a, b))
-
-
-def _atan2_lanes(y, x):
-    """math.atan2 over arrays, one element at a time: numpy's arctan2 can
-    differ from it in the last bit."""
-    return np.array(list(map(math.atan2, y.tolist(), x.tolist())))
-
-
 def _root(x):
     return math.sqrt(max(x, 0.0))
 
 
-def _root_lanes(x):
-    return np.sqrt(np.maximum(x, 0.0))
+#: the operations one form of the solve runs on: one state in floats, or
+#: (L,) arrays of lanes.  Lanes take numpy for arithmetic, which rounds as
+#: floats do, and math for each tan and atan2, one element at a time,
+#: because numpy's can differ from math's in the last bit
+Form = namedtuple("Form", "tan root atan2 where any")
+FLOATS = Form(math.tan, _root, math.atan2, lambda c, a, b: a if c else b, bool)
+LANES = Form(lambda x: np.array(list(map(math.tan, x.tolist()))),
+             lambda x: np.sqrt(np.maximum(x, 0.0)),
+             lambda y, x: np.array(list(map(math.atan2, y.tolist(), x.tolist()))),
+             np.where, np.any)
+
+
+def form(x):
+    """The form that x, a fold angle or an (L,) array of them, runs on."""
+    return LANES if isinstance(x, np.ndarray) else FLOATS
 
 
 def _half_angle_terms(s, a):
@@ -243,80 +249,46 @@ def _half_angle_folds(t, z, root, atan2):
     return r2 >= -RADICAND_SLACK * (1.0 + zz), folds[:3], folds[3:]
 
 
-def _branches(v, a, input_rho):
-    """Fold tuples of mode +1 and mode -1 given the fold on crease a.
-
-    Raises OutOfRange beyond the folding range."""
-    if abs(input_rho) > math.pi:
-        raise OutOfRange(f"|rho| = {abs(input_rho):.6g} > pi")
-    if abs(input_rho) < FLAT_CUT:
-        flat = (0.0, 0.0, 0.0, 0.0)
-        return flat, flat
-    hit, plus, minus = _half_angle_folds(v.terms(a), math.tan(input_rho / 2.0),
-                                         _root, math.atan2)
-    if not hit:
-        raise OutOfRange("configuration beyond the vertex folding range")
-    if input_rho < 0:
-        plus, minus = minus, plus
-    out = []
-    for m in (plus, minus):
-        rho = [input_rho] * 4
-        rho[(a + 1) % 4], rho[(a + 2) % 4], rho[(a + 3) % 4] = m
-        out.append(tuple(rho))
-    return tuple(out)
-
-
 def degree4_propagate(v: VertexAngles, input_crease, input_rho, mode=+1):
-    """All four folding angles given the fold on one crease.
+    """All four folding angles given the fold on one crease, on the branch
+    of `mode` (see propagate_both_modes).  Raises OutOfRange beyond the
+    vertex's folding range."""
+    ok, plus, minus, _ = propagate_both_modes(v, input_crease, float(input_rho))
+    if not ok:
+        raise OutOfRange("configuration beyond the vertex folding range")
+    return FoldAngles(plus if mode == +1 else minus, mode=mode)
+
+
+def propagate_both_modes(v: VertexAngles, input_crease, input_rho):
+    """The folds on all four creases of both branches, given the fold on
+    one crease: a float, or an (L,) array of lanes.
 
     Solves the spherical four-bar in tangents of the half fold angles:
     each crease follows from tan(rho_a / 2) by a closed-form root, so the
     solve is exact to rounding up to the flat state and through vertices
     with a straight crease line.  Mode +1 is the branch whose opposite
     crease folds mountain, mode -1 the one whose opposite crease folds
-    valley; at the flat state both coincide.  Raises OutOfRange beyond the
-    vertex's folding range."""
-    pair = _branches(v, input_crease % 4, input_rho)
-    return FoldAngles(pair[0 if mode == +1 else 1], mode=mode)
+    valley; below FLAT_CUT the input is the flat state, all folds 0.
 
-
-def propagate_both_modes(v: VertexAngles, input_crease, input_rho):
-    """The (up to two) folding branches as FoldAngles, deduplicated."""
-    try:
-        plus, minus = _branches(v, input_crease % 4, input_rho)
-    except OutOfRange:
-        raise OutOfRange("configuration beyond the vertex folding range") from None
-    out = [FoldAngles(plus, mode=+1)]
-    if not _allclose(minus, plus, 1e-12):
-        out.append(FoldAngles(minus, mode=-1))
-    return out
-
-
-def propagate_both_modes_lanes(v: VertexAngles, input_crease, input_rho):
-    """propagate_both_modes over an (L,) array of input folds, one lane each.
-
-    Returns the folds of mode +1 and mode -1, (L, 2, 4), and which of them
-    each lane keeps, (L, 2): mode -1 only where it differs from mode +1 as
-    in propagate_both_modes, neither where the vertex has no branch or a
-    fold is not finite.  The kernel of the scalar solve runs over the
-    lanes, with numpy for arithmetic and math for each tan and atan2, so
-    every kept fold equals the scalar one bit for bit."""
+    Returns (ok, plus, minus, two): whether the state is within the
+    vertex's folding range (|rho| <= pi and a real root), the four folds of
+    mode +1 and of mode -1, and whether mode -1 is a branch of its own,
+    apart from mode +1 by more than MODE_ATOL + MODE_RTOL |rho| on some
+    crease (np.allclose's rule).  The folds are finite wherever ok, and
+    mean nothing elsewhere."""
     a = input_crease % 4
-    x = np.asarray(input_rho, dtype=float)
-    # beyond pi a lane has no branch: its z is nan, and it is not kept
-    half = np.where(np.abs(x) <= math.pi, x, math.nan) / 2.0
-    z = np.array(list(map(math.tan, half.tolist())))
-    hit, plus, minus = _half_angle_folds(v.terms(a), z, _root_lanes, _atan2_lanes)
-    neg = x < 0
-    folds = np.empty((len(x), 2, 4))
-    folds[:, :, a] = x[:, None]
-    for j, p, m in zip(((a + 1) % 4, (a + 2) % 4, (a + 3) % 4), plus, minus):
-        folds[:, 0, j] = np.where(neg, m, p)
-        folds[:, 1, j] = np.where(neg, p, m)
-    folds[np.abs(x) < FLAT_CUT] = 0.0
-    keep = np.empty((len(x), 2), dtype=bool)
-    keep[:, 0] = hit & np.isfinite(folds).all(axis=(1, 2))
-    folds[~keep[:, 0]] = math.nan
-    plus, minus = folds[:, 0], folds[:, 1]
-    keep[:, 1] = keep[:, 0] & ~(np.abs(minus - plus) <= 1e-12 + 1e-5 * np.abs(plus)).all(axis=1)
-    return folds, keep
+    x = input_rho
+    tan, root, atan2, where, _ = form(x)
+    # beyond pi z is nan, and so the kernel finds no root
+    z = tan(where(abs(x) <= math.pi, x, math.nan) / 2.0)
+    ok, p, m = _half_angle_folds(v.terms(a), z, root, atan2)
+    p, m = where(x < 0, (m, p), (p, m))
+    plus, minus = [x] * 4, [x] * 4
+    plus[(a + 1) % 4], plus[(a + 2) % 4], plus[(a + 3) % 4] = p
+    minus[(a + 1) % 4], minus[(a + 2) % 4], minus[(a + 3) % 4] = m
+    flat = [abs(x) * 0.0] * 4  # zeros in the shape of x
+    plus, minus = where(abs(x) < FLAT_CUT, (flat, flat), (plus, minus))
+    two = False
+    for u, w in zip(plus, minus):
+        two = two | (abs(w - u) > MODE_ATOL + MODE_RTOL * abs(u))
+    return ok, plus, minus, two

@@ -51,6 +51,11 @@ class CreasePattern:
         line = self.ext_id[index] if axis == "row" else self.ext_id[:, index]
         return line if include_boundary else line[1:-1]
 
+    def crease_ends(self):
+        """(C, 2) vertex ids (u, v) of every crease.  Not cached: FOLD
+        import relabels the ends after assembly."""
+        return np.array([(c.u, c.v) for c in self.creases], dtype=int).reshape(-1, 2)
+
     @property
     def diameter(self):
         lo = self.vertices.min(axis=0)
@@ -114,7 +119,7 @@ def check_embeddable(pattern: CreasePattern):
     them are tested as arrays, and the first crossing pair in sweep order
     is reported."""
     pts = pattern.vertices
-    uv = np.array([(c.u, c.v) for c in pattern.creases], dtype=int).reshape(-1, 2)
+    uv = pattern.crease_ends()
     xs = pts[uv, 0]
     x0, x1 = xs.min(axis=1), xs.max(axis=1)
     order = np.argsort(x0, kind="stable")
@@ -258,7 +263,7 @@ def signed_fold_angles(pattern: CreasePattern, coords):
     normals /= np.sqrt(_rowdot(normals, normals))[:, None]
     fl, fr = pattern.crease_faces.T
     inner = np.nonzero((fl >= 0) & (fr >= 0))[0]
-    ends = np.array([(c.u, c.v) for c in pattern.creases])[inner]
+    ends = pattern.crease_ends()[inner]
     e = coords[ends[:, 1]] - coords[ends[:, 0]]
     e /= np.sqrt(_rowdot(e, e))[:, None]
     nr, nl = normals[fr[inner]], normals[fl[inner]]

@@ -291,8 +291,9 @@ def test_criterion_08_oracle_equivalence(fig4_partition):
         r2, r4 = fold_from_beta(a1, a2, beta)
         wrap = lambda r: r if r <= np.pi else 2 * np.pi - r
         v = VertexAngles((a1, a2, np.pi - a2, np.pi - a1))
-        states = propagate_both_modes(v, 2, wrap(r2))
-        worst = max(worst, min(abs(abs(f.rho[0]) - wrap(r4)) for f in states))
+        ok, plus, minus, two = propagate_both_modes(v, 2, wrap(r2))
+        assert ok
+        worst = max(worst, min(abs(abs(f[0]) - wrap(r4)) for f in (plus, minus)[:1 + two]))
         done += 1
     # transfer solutions satisfy the residuals
     part = fig4_partition

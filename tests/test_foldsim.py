@@ -159,14 +159,16 @@ class TestVertexTable:
 
 
 def _sweep_calls(pattern, monkeypatch):
-    """Calls of the scalar kernels and the clash test in a 64-state sweep,
-    and under "lanes" the lane count of each propagate_lanes call."""
-    calls = {"propagate": 0, "propagate_both_modes": 0, "clash_test": 0}
-    for name in calls:
+    """Calls of propagate, of the vertex solve on one state and on lanes
+    ("vertex_lanes"), and of the clash test in a 64-state sweep, and under
+    "lanes" the lane count of each propagate_lanes call."""
+    calls = {"propagate": 0, "propagate_both_modes": 0, "vertex_lanes": 0, "clash_test": 0}
+    for name in ("propagate", "propagate_both_modes", "clash_test"):
         fn = getattr(foldsim, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
+            lanes = _name == "propagate_both_modes" and isinstance(args[2], np.ndarray)
+            calls["vertex_lanes" if lanes else _name] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(foldsim, name, counted)
@@ -189,7 +191,8 @@ class TestCounts:
     # of the halt search.  The 62 samples that are not march or search
     # states replay as lanes, in waves: fig5's sample spacing is above the
     # march step, so each starts from a kept state, while fig7's is below
-    # it, so some start from another sample
+    # it, so some start from another sample.  Each lane pass solves each of
+    # the 81 vertices once for all its lanes
     @pytest.mark.parametrize("design, bounds", [
         pytest.param("fig5_design", (120, 9480, 58), id="closed-form"),
         pytest.param("fig5_root_scan_design", (119, 9479, 62), id="root-scan"),
@@ -202,6 +205,7 @@ class TestCounts:
         assert calls["propagate_both_modes"] <= bounds[1]
         assert calls["clash_test"] <= bounds[2]
         assert calls["lanes"] == [62]
+        assert calls["vertex_lanes"] == 81
 
     def test_fig7_sweep_counts(self, fig7_design, monkeypatch):
         pattern, _ = fig7_design
@@ -211,6 +215,7 @@ class TestCounts:
         assert calls["propagate_both_modes"] <= 3729
         assert calls["clash_test"] <= 22
         assert calls["lanes"] == [36, 26]
+        assert calls["vertex_lanes"] == 2 * 81
 
 
 class TestSweep:

@@ -4,14 +4,23 @@ import pytest
 import kinematics_oracle as oracle
 from design_oracle import solve_next_vertex
 
+from curvefold import kinematics
 from curvefold.errors import NoSolution, OutOfRange
-from curvefold.kinematics import (VertexAngles, _allclose, degree4_propagate,
+from curvefold.kinematics import (MODE_ATOL, VertexAngles, degree4_propagate,
                                   fold_from_beta, planar_transfer,
-                                  propagate_both_modes,
-                                  propagate_both_modes_lanes,
-                                  row_transfer_residual, solve_first_vertex)
+                                  propagate_both_modes, row_transfer_residual,
+                                  solve_first_vertex)
 
 RHO4 = 5 * np.pi / 6
+
+
+def branches(v, crease, rho_in):
+    """The branches propagate_both_modes keeps for a float input, as fold
+    tuples, mode +1 first; OutOfRange where it has none."""
+    ok, plus, minus, two = propagate_both_modes(v, crease, rho_in)
+    if not ok:
+        raise OutOfRange("beyond the folding range")
+    return [tuple(plus)] + ([tuple(minus)] if two else [])
 
 
 def halting_quad(a1, a2):
@@ -268,8 +277,8 @@ class TestDegree4Propagate:
                 continue
             r2, r4 = fold_from_beta(a1, a2, beta)
             v = VertexAngles(halting_quad(a1, a2))
-            states = propagate_both_modes(v, 2, wrap_fold(r2))
-            dev = min(abs(abs(f.rho[0]) - wrap_fold(r4)) for f in states)
+            states = branches(v, 2, wrap_fold(r2))
+            dev = min(abs(abs(f[0]) - wrap_fold(r4)) for f in states)
             worst = max(worst, dev)
             done += 1
         assert worst < 1e-9
@@ -351,7 +360,7 @@ class TestKernelOracle:
                       sign * (np.pi - 10 ** rng.uniform(-9, -2)))
             for kind, rho_in in enumerate(inputs):
                 try:
-                    got = [f.rho for f in propagate_both_modes(v, crease, rho_in)]
+                    got = branches(v, crease, rho_in)
                 except OutOfRange:
                     with pytest.raises(OutOfRange):
                         oracle.reference_modes(v.sectors, crease, rho_in)
@@ -374,8 +383,8 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_lanes_equal_scalar_kernel(self, family):
-        # each lane keeps the branches propagate_both_modes returns, bit for
-        # bit and in mode order, at flat, near flat and beyond pi
+        # each lane keeps the branches of its float input, bit for bit and
+        # in mode order, at flat, near flat and beyond pi
         rng = np.random.default_rng({"flat-foldable": 13, "halting": 17, "collinear": 19,
                                      "generic": 23}[family])
         for _ in range(60):
@@ -383,23 +392,39 @@ class TestKernelOracle:
             crease = int(rng.integers(4))
             rho_in = np.concatenate([rng.uniform(-3.3, 3.3, 24), [0.0, -1e-15, np.pi, -np.pi],
                                      rng.choice([-1, 1], 4) * 10 ** rng.uniform(-14, -2, 4)])
-            folds, keep = propagate_both_modes_lanes(v, crease, rho_in)
-            for x, f, k in zip(rho_in.tolist(), folds, keep):
+            ok, plus, minus, two = propagate_both_modes(v, crease, rho_in)
+            for k, x in enumerate(rho_in.tolist()):
                 try:
-                    want = [g.rho for g in propagate_both_modes(v, crease, x)]
+                    want = branches(v, crease, x)
                 except OutOfRange:
                     want = []
-                assert [tuple(f[m].tolist()) for m in (0, 1) if k[m]] == want
+                got = [tuple(f[:, k].tolist()) for f, keep in ((plus, ok), (minus, ok & two))
+                       if keep[k]]
+                assert got == want
 
-    def test_dedup_rule_is_numpy_allclose(self):
+    def test_dedup_rule_is_numpy_allclose(self, monkeypatch):
+        # made-up kernel folds beside an input fold of 1: mode -1 is a
+        # branch of its own exactly where np.allclose(minus, plus) fails,
+        # on floats and on lanes
         rng = np.random.default_rng(59)
-        for atol in (1e-12, 1e-9):
-            for _ in range(2000):
-                b = rng.uniform(-np.pi, np.pi, 4) * 10.0 ** rng.integers(-12, 1)
-                a = b + rng.choice([-1, 1], 4) * (atol + 1e-5 * np.abs(b)) \
-                    * rng.uniform(0.9, 1.1, 4)
-                assert _allclose(a.tolist(), b.tolist(), atol) == \
-                    np.allclose(a, b, atol=atol)
+        n = 2000
+        b = rng.uniform(-np.pi, np.pi, (n, 4)) * 10.0 ** rng.integers(-12, 1, (n, 1))
+        a = b + rng.choice([-1, 1], (n, 4)) * (MODE_ATOL + 1e-5 * np.abs(b)) \
+            * rng.uniform(0.9, 1.1, (n, 4))
+        a[:, 0] = b[:, 0] = 1.0
+        want = [not np.allclose(m, p, atol=MODE_ATOL) for p, m in zip(b, a)]
+        assert 0 < sum(want) < n
+        v = VertexAngles(flat_foldable_quad(1.0, 1.3))
+        folds = []
+        monkeypatch.setattr(kinematics, "_half_angle_folds",
+                            lambda t, z, root, atan2: (True, *folds[-1]))
+        got = []
+        for p, m in zip(b.tolist(), a.tolist()):
+            folds.append((p[1:], m[1:]))
+            got.append(propagate_both_modes(v, 0, 1.0)[3])
+        folds.append((list(b.T[1:]), list(a.T[1:])))
+        lanes = propagate_both_modes(v, 0, np.ones(n))[3]
+        assert got == want and lanes.tolist() == want
 
     def test_tangent_ratios_constant_along_branches(self):
         # Huffman / Tachi & Hull: on a flat-foldable vertex (a, b, pi-a,

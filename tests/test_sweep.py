@@ -3,6 +3,7 @@
 the clash and range-end branches of the halt search, and the lane replay
 against per-sample `propagate`."""
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from curvefold.foldio import export_fold, import_fold, load_design_spec
 from curvefold.foldsim import (MARCH_STEPS, default_driving_crease, propagate,
                                propagate_lanes, sweep_to_halt)
 from curvefold.geometry import PolyCurve
-from curvefold.kinematics import FoldAngles, _allclose
+from curvefold.kinematics import MODE_ATOL
 from curvefold.parallel import ParallelDesignSpec, build_pattern
 
 FIGS = ("fig5", "fig7")
@@ -212,8 +213,8 @@ class TestLanes:
         # exact distance ties, near ties that x ** 2 and x * x decide
         # differently, M/V count ties near flat, folds at the 1e-12 sign
         # threshold, a pair that dedups, and input mismatches below and
-        # above FOLD_CONSISTENCY.  The lane pass must pick and report as
-        # assign_fold_angles does
+        # above FOLD_CONSISTENCY.  Each lane must pick and report as
+        # assign_fold_angles does on its own
         pattern = one_vertex
         dc = default_driving_crease(pattern)
         cids = pattern.vertex_creases.reshape(-1, 4)[0].tolist()
@@ -229,7 +230,8 @@ class TestLanes:
 
         lane((0, 0.2, 0, 0.5), (0, -0.2, 0, 0.5), (0, 0, 0.5))      # exact tie
         lane((0, 0.3, 0, 0), (0, 0.1, 0, 0), (0, 0, 0.5))          # minus closer
-        for a, b, c in _pow_mul_splits(np.random.default_rng(5)):
+        splits = _pow_mul_splits(np.random.default_rng(5))
+        for a, b, c in splits:
             lane((0, a, 0, 0), (0, b, c, 0), (0, 0, 0))
             lane((0, b, c, 0), (0, a, 0, 0), (0, 0, 0))
         lane((0, -0.2, 0.3, 0.1), (0, 0.2, 0.3, -0.1))             # M/V count
@@ -240,31 +242,39 @@ class TestLanes:
         lane((5e-8, 0.2, 0.3, -0.1), (5e-8, 0.2, 0.3, -0.1))       # mismatch below
         lane((2e-7, 0.2, 0.3, -0.1), (2e-7, -0.2, 0.3, -0.1))      # and above
 
-        def scalar(v, j_in, rho_in):
-            plus, minus, _ = table[rho_in]
-            out = [FoldAngles(plus, mode=+1)]
-            if not _allclose(minus, plus, 1e-12):
-                out.append(FoldAngles(minus, mode=-1))
-            return out
+        def made_up(v, j_in, rho_in):
+            # the branch pairs of the lanes rho_in, deduplicated by the
+            # rule of propagate_both_modes
+            plus, minus = (np.array([table[x][m] for x in np.atleast_1d(rho_in).tolist()]).T
+                           for m in (0, 1))
+            two = ~np.isclose(minus, plus, atol=MODE_ATOL).all(axis=0)
+            if np.ndim(rho_in) == 0:
+                return True, plus[:, 0].tolist(), minus[:, 0].tolist(), bool(two[0])
+            return np.ones(len(rho_in), dtype=bool), list(plus), list(minus), two
 
-        def lanes(v, j_in, rho_in):
-            folds = np.array([table[x][:2] for x in rho_in.tolist()])
-            keep = [[True, not _allclose(m, p, 1e-12)] for p, m in folds.tolist()]
-            return folds, np.array(keep)
-
-        monkeypatch.setattr(foldsim, "propagate_both_modes", scalar)
-        monkeypatch.setattr(foldsim, "propagate_both_modes_lanes", lanes)
+        monkeypatch.setattr(foldsim, "propagate_both_modes", made_up)
+        # the lanes place nothing: their closure is not in question here
+        monkeypatch.setattr(foldsim, "place_panels", lambda pattern, rho: (
+            np.zeros((len(rho), len(pattern.vertices), 3)),
+            [{"closure": 0.0, "vertex_spread": 0.0} for _ in rho]))
         ds = list(table)
-        prev = np.array([table[d][2] for d in ds])
-        rho, worst, ok = foldsim._assign_lanes(pattern, np.array(ds), prev, dc)
-        for k, d in enumerate(ds):
+        prevs = [SimpleNamespace(rho=table[d][2]) for d in ds]
+        got = propagate_lanes(pattern, ds, prevs, dc)
+        picked = {}
+        for d, st, prev in zip(ds, got, prevs):
             try:
-                want, mismatch = foldsim.assign_fold_angles(pattern, d, prev[k], dc)
+                want, mismatch = foldsim.assign_fold_angles(pattern, d, prev.rho, dc)
             except NotRigidFoldable:
-                assert not ok[k]
+                assert st is None
                 continue
-            assert ok[k] and np.array_equal(rho[k], want) and worst[k] == mismatch
-        assert ok.sum() == len(ds) - 1
+            assert np.array_equal(st.rho, want) and st.residuals["fold_mismatch"] == mismatch
+            picked[d] = want[cids[1]]
+        assert len(picked) == len(ds) - 1
+        # a near tie goes to the smaller sum of products x * x, and mode -1
+        # only when strictly smaller
+        for k, (a, b, c) in enumerate(splits):
+            assert picked[ds[2 + 2 * k]] == (b if b * b + c * c < a * a else a)
+            assert picked[ds[3 + 2 * k]] == (a if a * a < b * b + c * c else b)
 
     def test_one_lane_is_propagate(self, small_parallel, monkeypatch):
         pattern, _ = small_parallel
