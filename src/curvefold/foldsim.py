@@ -21,15 +21,18 @@ import numpy as np
 from .errors import NoHalt, NotRigidFoldable, OutOfRange
 from .geometry import PolyCurve
 from .kinematics import form, propagate_both_modes
-from .pattern import ROLE_BOUNDARY, CreasePattern
+from .pattern import ROLE_BOUNDARY, CreasePattern, sweep_pairs
 
 HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
+CLASH_REL = 1e-9         # clash_test: penetration depth that counts, x diameter (at least 1)
+COINCIDENT = 1e-9        # clash_test: a crease this close to pi lays its panels on each other
+ZERO_AREA = 1e-30        # clash_test: a triangle whose |e1 x e2| is below this has no plane
+PARALLEL_SIN = 1e-12     # clash_test: unit normals whose cross is shorter meet in no line
 CLOSURE_REL = 1e-9       # coordinate closure, relative to pattern diameter
 FOLD_CONSISTENCY = 1e-7  # fold-angle agreement between vertex sweeps (rad)
 PREV_FLAT = 1e-8         # a previous state below this everywhere counts as flat
 SIGN_FLOOR = 1e-12       # a fold's mountain/valley sign counts above this (rad)
 BRANCH_TOL = 1e-8        # bootstrap_mv: a branch agrees with assigned folds within this
-CLASH_BLOCK = 64         # triangles whose candidate pairs clash_test gathers at once
 LANE_BLOCK = 64          # replay states propagated in one array pass per vertex
 PLACE_BLOCK = 8          # of those, states placed at once: memory O(block x faces)
 MARCH_STEPS = 128        # driving steps per pi: branch continuity needs modest steps
@@ -321,108 +324,89 @@ def propagate_lanes(pattern: CreasePattern, driving_rho, prevs, driving_crease=N
     return out
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    """Dot products over the last axis of 3-vectors, summed left to right
+    as a scalar dot product is."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
-def _sub(u, v):
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def _unit_normal(tri):
-    """Unit normal of a triangle, None when it is degenerate."""
-    n = _cross(_sub(tri[1], tri[0]), _sub(tri[2], tri[0]))
-    nn = math.sqrt(_dot(n, n))
-    if nn < 1e-30:
-        return None
-    return (n[0] / nn, n[1] / nn, n[2] / nn)
-
-
-def _interval_on_line(tri, dist, line_dir):
-    """Parametric interval where the triangle crosses its plane-line."""
-    proj = [_dot(p, line_dir) for p in tri]
-    pts = []
-    for i in range(3):
-        j = (i + 1) % 3
-        di, dj = dist[i], dist[j]
-        if di * dj < 0.0:
-            t = di / (di - dj)
-            pts.append(proj[i] + t * (proj[j] - proj[i]))
-        elif di == 0.0:
-            pts.append(proj[i])
-    if not pts:
-        return None
-    return min(pts), max(pts)
-
-
-def _coplanar_overlap(t1, t2, n, tol):
-    """Proper 2D overlap of coplanar triangles; contact along shared lines
-    does not count (vertices must land strictly inside)."""
-    k = max(range(3), key=lambda ax: abs(n[ax]))
-    x, y = [ax for ax in range(3) if ax != k]
-    a = [(p[x], p[y]) for p in t1]
-    b = [(p[x], p[y]) for p in t2]
-
-    def strictly_inside(p, tri):
-        s = 0.0
-        for j in range(3):
-            u, v = tri[j], tri[(j + 1) % 3]
-            cr = (v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
-            if s == 0.0:
-                s = cr
-            if cr * s <= tol * tol:
-                return False
-        return True
-
-    return any(strictly_inside(p, b) for p in a) or \
-        any(strictly_inside(p, a) for p in b)
-
-
-def _tri_tri_penetration(t1, t2, tol):
-    """Exact test of two triangles, each three 3-vectors."""
-    n2 = _unit_normal(t2)
-    if n2 is None:
-        return False
-    d1 = [_dot(_sub(p, t2[0]), n2) for p in t1]
-    if all(d > tol for d in d1) or all(d < -tol for d in d1):
-        return False
-    n1 = _unit_normal(t1)
-    if n1 is None:
-        return False
-    d2 = [_dot(_sub(p, t1[0]), n1) for p in t2]
-    if all(d > tol for d in d2) or all(d < -tol for d in d2):
-        return False
-    if all(abs(d) <= tol for d in d1) or all(abs(d) <= tol for d in d2):
-        # coplanar: coincident-panel overlap counts, line contact does not
-        return _coplanar_overlap(t1, t2, n2, tol)
-    line = _cross(n1, n2)
-    ln = math.sqrt(_dot(line, line))
-    if ln < 1e-12:
-        return False
-    line = (line[0] / ln, line[1] / ln, line[2] / ln)
-    i1 = _interval_on_line(t1, d1, line)
-    i2 = _interval_on_line(t2, d2, line)
-    if i1 is None or i2 is None:
-        return False
-    overlap = min(i1[1], i2[1]) - max(i1[0], i2[0])
-    return overlap > tol
-
-
-def _side(d, n):
-    """Dot products of the 3-vectors d (..., 3) with n, in the operation
-    order of `_dot`, so they equal the scalar values bit for bit."""
-    return d[..., 0] * n[..., 0] + d[..., 1] * n[..., 1] + d[..., 2] * n[..., 2]
+def _unit_normals(T):
+    """Unit normals (n, 3) of the triangles T (n, 3, 3), from e1 x e2;
+    NaN rows where a triangle has (near) zero area.  np.cross computes
+    each component as one difference of two products, as a scalar cross
+    product does."""
+    nrm = np.cross(T[:, 1] - T[:, 0], T[:, 2] - T[:, 0])
+    nn = np.sqrt(_dot(nrm, nrm))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        N = nrm / nn[:, None]
+    N[nn < ZERO_AREA] = np.nan
+    return N
 
 
 def _off_plane(d, tol):
-    """Rows of signed distances (B, 3) wholly on one side of a plane."""
+    """Rows of signed distances (P, 3) wholly on one side of a plane."""
     return (d > tol).all(axis=1) | (d < -tol).all(axis=1)
+
+
+def _coplanar_overlap(T, N, ia, ib, tol):
+    """Proper 2-D overlap of coplanar triangle pairs (ia, ib), projected
+    along the largest component of ib's normal: a vertex of one lands
+    strictly inside the other by more than tol, so contact along shared
+    lines does not count."""
+    k = np.argmax(np.abs(N[ib]), axis=1)
+    xy = np.array([[1, 2], [0, 2], [0, 1]])[k][:, None, :]
+    A = np.take_along_axis(T[ia], xy, axis=2)                 # (P, 3, 2)
+    B = np.take_along_axis(T[ib], xy, axis=2)
+
+    def inside(p, tri):
+        # cross product of each edge u -> v with each point, (P, 3, 3)
+        u, v = tri[:, None, :], np.roll(tri, -1, axis=1)[:, None, :]
+        p = p[:, :, None]
+        cr = ((v[..., 0] - u[..., 0]) * (p[..., 1] - u[..., 1])
+              - (v[..., 1] - u[..., 1]) * (p[..., 0] - u[..., 0]))
+        return (cr * cr[..., :1] > tol * tol).all(axis=2).any(axis=1)
+
+    return inside(A, B) | inside(B, A)
+
+
+def _line_overlap(T, N, ia, ib, d1, d2, tol):
+    """Overlap by more than tol of the intervals where the triangles of
+    the pairs (ia, ib) cross the line the two planes meet in; d1 and d2
+    are the signed distances of each triangle's vertices from the other's
+    plane.  Planes closer to parallel than PARALLEL_SIN do not meet."""
+    line = np.cross(N[ia], N[ib])
+    ln = np.sqrt(_dot(line, line))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        line = line / ln[:, None]
+        ends = []
+        for tri, d in ((T[ia], d1), (T[ib], d2)):
+            # each edge i -> j crossing the plane gives a point, and so
+            # does each vertex i on it
+            proj = _dot(tri, line[:, None])
+            dj, pj = np.roll(d, -1, axis=1), np.roll(proj, -1, axis=1)
+            cross = d * dj < 0.0
+            on = cross | (d == 0.0)
+            pts = np.where(cross, proj + d / (d - dj) * (pj - proj), proj)
+            ends.append((np.where(on, pts, np.inf).min(axis=1),
+                         np.where(on, pts, -np.inf).max(axis=1)))
+    (lo1, hi1), (lo2, hi2) = ends
+    return (ln >= PARALLEL_SIN) & (np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > tol)
+
+
+def _penetrates(T, N, ia, ib, tol):
+    """Exact test of the triangle pairs (T[ia], T[ib]), as a bool array:
+    rejected when a triangle has zero area (a NaN row of N) or lies more
+    than tol off the other's plane on one side; coplanar pairs (every
+    vertex of one within tol of the other's plane) by their 2-D overlap;
+    the others by the overlap of their intervals on the planes' line."""
+    d1 = _dot(T[ia] - T[ib, :1], N[ib, None])
+    d2 = _dot(T[ib] - T[ia, :1], N[ia, None])
+    out = ~(np.isnan(N[ia, 0]) | np.isnan(N[ib, 0]) | _off_plane(d1, tol) | _off_plane(d2, tol))
+    flat = (np.abs(d1) <= tol).all(axis=1) | (np.abs(d2) <= tol).all(axis=1)
+    c, s = np.flatnonzero(out & flat), np.flatnonzero(out & ~flat)
+    out[c] = _coplanar_overlap(T, N, ia[c], ib[c], tol)
+    out[s] = _line_overlap(T, N, ia[s], ib[s], d1[s], d2[s], tol)
+    return out
 
 
 def clash_test(pattern: CreasePattern, state: FoldedState):
@@ -430,47 +414,32 @@ def clash_test(pattern: CreasePattern, state: FoldedState):
     sorted pairs of face numbers.
 
     Panels sharing a crease are reported only when that crease has folded
-    to pi (coincident panels); other vertex-sharing pairs are hinge
-    contact by design.  Distinct pairs must interpenetrate by more than
-    1e-9 x diameter; the same threshold treats near-coplanar overlap as
-    the coincidence case."""
-    tol = 1e-9 * max(pattern.diameter, 1.0)
+    to within COINCIDENT of pi (coincident panels); other vertex-sharing
+    pairs are hinge contact by design.  Distinct pairs must interpenetrate
+    by more than CLASH_REL x diameter; the same threshold treats
+    near-coplanar overlap as the coincidence case.  The candidate pairs
+    come from an x-interval sweep, in blocks, then a bounding-box test
+    on all three axes."""
+    tol = CLASH_REL * max(pattern.diameter, 1.0)
     fl, fr = pattern.crease_faces.T
-    folded = (fl >= 0) & (fr >= 0) & (np.abs(state.rho) >= np.pi - 1e-9)
+    folded = (fl >= 0) & (fr >= 0) & (np.abs(state.rho) >= np.pi - COINCIDENT)
     hits = {(min(a, b), max(a, b)) for a, b in zip(fl[folded].tolist(), fr[folded].tolist())}
 
-    # two triangles per panel, (0, 1, 2) and (0, 2, 3), and the same
-    # scalar steps as _tri_tri_penetration for the prefilter
+    # two triangles per panel, (0, 1, 2) and (0, 2, 3)
     quads = pattern.faces.reshape(-1, 4)
     ids = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
     face = np.repeat(np.arange(len(quads)), 2)
     T = np.asarray(state.vertex_coords, dtype=float)[ids]     # (n, 3, 3)
     lo, hi = T.min(axis=1), T.max(axis=1)
-    e1, e2 = T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
-    nrm = np.stack([e1[:, 1] * e2[:, 2] - e1[:, 2] * e2[:, 1],
-                    e1[:, 2] * e2[:, 0] - e1[:, 0] * e2[:, 2],
-                    e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]], axis=1)
-    nn = np.sqrt(_side(nrm, nrm))
-    flat = nn < 1e-30
-    with np.errstate(divide="ignore", invalid="ignore"):
-        N = nrm / nn[:, None]
-    tris = T.tolist()
-    pos = np.arange(len(T))
-    # candidate pairs a < b for a block of triangles at a time, so memory
-    # stays O(block x triangles)
-    for a0 in range(0, len(T), CLASH_BLOCK):
-        blk = pos[a0:a0 + CLASH_BLOCK]
-        near = ((lo <= hi[blk, None] + tol) & (hi >= lo[blk, None] - tol)).all(axis=2)
-        ia, ib = np.nonzero(near & (pos > blk[:, None]))
-        ia += a0
-        keep = ((face[ia] != face[ib]) & ~flat[ia] & ~flat[ib]
-                & ~(ids[ia][:, :, None] == ids[ib][:, None, :]).any(axis=(1, 2)))
-        ia, ib = ia[keep], ib[keep]
-        miss = (_off_plane(_side(T[ia] - T[ib, :1], N[ib, None]), tol)
-                | _off_plane(_side(T[ib] - T[ia, :1], N[ia, None]), tol))
-        for a, b in zip(ia[~miss].tolist(), ib[~miss].tolist()):
-            if _tri_tri_penetration(tris[a], tris[b], tol):
-                hits.add((int(face[a]), int(face[b])))
+    N = _unit_normals(T)
+    for i, j in sweep_pairs(lo[:, 0], hi[:, 0], tol):
+        a, b = np.minimum(i, j), np.maximum(i, j)
+        keep = (((lo[b] <= hi[a] + tol) & (hi[b] >= lo[a] - tol)).all(axis=1)
+                & (face[a] != face[b])
+                & ~(ids[a][:, :, None] == ids[b][:, None, :]).any(axis=(1, 2)))
+        a, b = a[keep], b[keep]
+        hit = _penetrates(T, N, a, b, tol)
+        hits.update(zip(face[a[hit]].tolist(), face[b[hit]].tolist()))
     return sorted(hits)
 
 

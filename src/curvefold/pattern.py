@@ -100,7 +100,7 @@ def panel_distances(pattern: CreasePattern, coords):
     return tuple(np.sqrt(_rowdot(d, d)) for d in chords)
 
 
-#: candidate crease pairs tested per array pass of check_embeddable
+#: candidate pairs per block of sweep_pairs, so memory stays O(block)
 _PAIR_BLOCK = 1 << 14
 
 
@@ -113,6 +113,29 @@ def _straddles(d1, d2, eps):
     return ((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))
 
 
+def sweep_pairs(x0, x1, slack):
+    """Candidate pairs of a sort-and-sweep over the intervals [x0, x1]
+    (Baraff 1992): every unordered pair (i, j) whose intervals overlap,
+    widened by slack, once, with i's interval starting no later than j's.
+    Yields (i, j) index arrays in sweep order, in blocks of about
+    _PAIR_BLOCK pairs."""
+    order = np.argsort(x0, kind="stable")
+    # sweep position p pairs with the count[p] positions after it: the
+    # intervals that start before interval order[p] ends
+    count = (np.searchsorted(x0[order], x1[order] + slack, side="right")
+             - np.arange(1, len(order) + 1))
+    total = np.cumsum(count)
+    p = 0
+    while p < len(order):
+        done = total[p - 1] if p else 0
+        q = max(p + 1, int(np.searchsorted(total, done + _PAIR_BLOCK, side="right")))
+        k = count[p:q]
+        first = np.repeat(np.arange(p, q), k)
+        second = first + 1 + np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+        yield order[first], order[second]
+        p = q
+
+
 def check_embeddable(pattern: CreasePattern):
     """Raise CreaseIntersection if any two creases cross away from shared
     vertices.  An x-interval sweep lists the candidate pairs; blocks of
@@ -121,22 +144,8 @@ def check_embeddable(pattern: CreasePattern):
     pts = pattern.vertices
     uv = pattern.crease_ends()
     xs = pts[uv, 0]
-    x0, x1 = xs.min(axis=1), xs.max(axis=1)
-    order = np.argsort(x0, kind="stable")
-    x0s = x0[order]
-    # sweep position p pairs with the count[p] positions after it: the
-    # creases that start before crease order[p] ends
-    count = np.searchsorted(x0s, x1[order], side="right") - np.arange(1, len(order) + 1)
-    total = np.cumsum(count)
     eps = 1e-12 * max(pattern.diameter, 1.0) ** 2
-    p = 0
-    while p < len(order):
-        done = total[p - 1] if p else 0
-        q = max(p + 1, int(np.searchsorted(total, done + _PAIR_BLOCK, side="right")))
-        k = count[p:q]
-        first = np.repeat(np.arange(p, q), k)
-        second = first + 1 + np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
-        i, j = order[first], order[second]
+    for i, j in sweep_pairs(xs.min(axis=1), xs.max(axis=1), 0.0):
         (u1, v1), (u2, v2) = uv[i].T, uv[j].T
         p1, p2, p3, p4 = pts[u1].T, pts[v1].T, pts[u2].T, pts[v2].T
         hit = (_straddles(_orient(p3, p4, p1), _orient(p3, p4, p2), eps)
@@ -151,7 +160,6 @@ def check_embeddable(pattern: CreasePattern):
                 pair=(a, b),
                 suggestion=f"try scaling the target curve by ~{scale:.2f} "
                            "or refining the partitions")
-        p = q
     return True
 
 

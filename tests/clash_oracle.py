@@ -1,0 +1,101 @@
+"""Scalar reference for the clash test's triangle-pair test.
+
+`foldsim._penetrates` runs this test as array passes over all candidate
+pairs, with the same operations in the same order, so it must agree with
+`_tri_tri_penetration` on every pair: the tests compare the two, directly
+and through a brute-force clash test over all triangle pairs.
+"""
+import math
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _sub(u, v):
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
+
+
+def _unit_normal(tri):
+    """Unit normal of a triangle, None when it is degenerate."""
+    n = _cross(_sub(tri[1], tri[0]), _sub(tri[2], tri[0]))
+    nn = math.sqrt(_dot(n, n))
+    if nn < 1e-30:
+        return None
+    return (n[0] / nn, n[1] / nn, n[2] / nn)
+
+
+def _interval_on_line(tri, dist, line_dir):
+    """Parametric interval where the triangle crosses its plane-line."""
+    proj = [_dot(p, line_dir) for p in tri]
+    pts = []
+    for i in range(3):
+        j = (i + 1) % 3
+        di, dj = dist[i], dist[j]
+        if di * dj < 0.0:
+            t = di / (di - dj)
+            pts.append(proj[i] + t * (proj[j] - proj[i]))
+        elif di == 0.0:
+            pts.append(proj[i])
+    if not pts:
+        return None
+    return min(pts), max(pts)
+
+
+def _coplanar_overlap(t1, t2, n, tol):
+    """Proper 2D overlap of coplanar triangles; contact along shared lines
+    does not count (vertices must land strictly inside)."""
+    k = max(range(3), key=lambda ax: abs(n[ax]))
+    x, y = [ax for ax in range(3) if ax != k]
+    a = [(p[x], p[y]) for p in t1]
+    b = [(p[x], p[y]) for p in t2]
+
+    def strictly_inside(p, tri):
+        s = 0.0
+        for j in range(3):
+            u, v = tri[j], tri[(j + 1) % 3]
+            cr = (v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
+            if s == 0.0:
+                s = cr
+            if cr * s <= tol * tol:
+                return False
+        return True
+
+    return any(strictly_inside(p, b) for p in a) or \
+        any(strictly_inside(p, a) for p in b)
+
+
+def _tri_tri_penetration(t1, t2, tol):
+    """Exact test of two triangles, each three 3-vectors."""
+    n2 = _unit_normal(t2)
+    if n2 is None:
+        return False
+    d1 = [_dot(_sub(p, t2[0]), n2) for p in t1]
+    if all(d > tol for d in d1) or all(d < -tol for d in d1):
+        return False
+    n1 = _unit_normal(t1)
+    if n1 is None:
+        return False
+    d2 = [_dot(_sub(p, t1[0]), n1) for p in t2]
+    if all(d > tol for d in d2) or all(d < -tol for d in d2):
+        return False
+    if all(abs(d) <= tol for d in d1) or all(abs(d) <= tol for d in d2):
+        # coplanar: coincident-panel overlap counts, line contact does not
+        return _coplanar_overlap(t1, t2, n2, tol)
+    line = _cross(n1, n2)
+    ln = math.sqrt(_dot(line, line))
+    if ln < 1e-12:
+        return False
+    line = (line[0] / ln, line[1] / ln, line[2] / ln)
+    i1 = _interval_on_line(t1, d1, line)
+    i2 = _interval_on_line(t2, d2, line)
+    if i1 is None or i2 is None:
+        return False
+    overlap = min(i1[1], i2[1]) - max(i1[0], i2[0])
+    return overlap > tol

@@ -5,13 +5,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
+from clash_oracle import _tri_tri_penetration
 from curvefold import curves, foldsim
+from curvefold import pattern as pattern_mod
 from curvefold.cli import _build_from_spec
 from curvefold.errors import NotRigidFoldable, OutOfRange
 from curvefold.foldio import load_design_spec
-from curvefold.foldsim import (CLOSURE_REL, _tri_tri_penetration, bootstrap_mv, clash_test,
-                               default_driving_crease, extract_polylines,
+from curvefold.foldsim import (CLOSURE_REL, _penetrates, _unit_normals, bootstrap_mv,
+                               clash_test, default_driving_crease, extract_polylines,
                                propagate, sweep_to_halt)
 from curvefold.geometry import PolyCurve, measure_polyline, partition_uniform
 from curvefold.parallel import ParallelDesignSpec, build_pattern
@@ -217,6 +221,32 @@ class TestCounts:
         assert calls["lanes"] == [36, 26]
         assert calls["vertex_lanes"] == 2 * 81
 
+    def test_large_ortho_sweep_counts(self, monkeypatch):
+        # the 34 x 34 spec of test_cli's test_large_ortho_design: 2,450
+        # triangles, 3,000,025 pairs, of which the x-interval sweep lists
+        # 186,477 per clash test on average
+        pattern = _design({"type": "orthodiagonal",
+                           "datum": {"builtin": "fig7-sine"}, "target": {"builtin": "fig7-tlnt"},
+                           "n": 34, "m": 34, "theta": "auto", "eps": 0.2})
+        calls = {"clash_test": 0, "pairs": 0}
+        clash, sweep = foldsim.clash_test, foldsim.sweep_pairs
+
+        def counted_clash(*args):
+            calls["clash_test"] += 1
+            return clash(*args)
+
+        def counted_sweep(*args):
+            for i, j in sweep(*args):
+                calls["pairs"] += len(i)
+                yield i, j
+
+        monkeypatch.setattr(foldsim, "clash_test", counted_clash)
+        monkeypatch.setattr(foldsim, "sweep_pairs", counted_sweep)
+        traj = sweep_to_halt(pattern, samples=16)
+        assert traj.halt.halt_reason == "crease-at-pi"
+        assert calls["clash_test"] == 46
+        assert calls["pairs"] == 8_577_959
+
 
 class TestSweep:
     def test_fig5_halts_at_designed_column(self, fig5_design, fig5_halt):
@@ -340,6 +370,15 @@ def _brute_force_clash(pattern, coords):
     return sorted(hits)
 
 
+def _moved_in_plane(q, src, src_dir, dst, dst_dir):
+    """Points q of the plane z = 0, turned and shifted in it so that the
+    point src goes to dst and the direction src_dir to dst_dir."""
+    a = math.atan2(dst_dir[1], dst_dir[0]) - math.atan2(src_dir[1], src_dir[0])
+    R = np.array([[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0],
+                  [0.0, 0.0, 1.0]])
+    return (q - src) @ R.T + dst
+
+
 class TestClashPenetration:
     def test_panel_pushed_through_another(self, fig5_design, fig5_halt):
         # the last panel, moved onto the first one and turned a quarter
@@ -378,6 +417,105 @@ class TestClashPenetration:
                 assert clash_test(pattern, st) == want
                 hits += len(want)
         assert hits > 100
+
+    @pytest.mark.parametrize("touching", [False, True], ids=["overlap", "edge-contact"])
+    def test_coplanar_panels(self, fig5_design, touching):
+        # in the flat state the last panel is turned and shifted in the
+        # plane: centre onto the first panel's centre, edge along its edge,
+        # overlaps it; laid against the first panel's edge 0 -> 1 from
+        # outside, it only touches it.  Its neighbours stretch with it
+        pattern, _ = fig5_design
+        st = propagate(pattern, 0.0)
+        assert np.abs(st.vertex_coords[:, 2]).max() == 0.0
+        quads = pattern.faces.reshape(-1, 4)
+        first, last = 0, len(quads) - 1
+        qa, qb = st.vertex_coords[quads[first]], st.vertex_coords[quads[last]]
+        coords = st.vertex_coords.copy()
+        if touching:
+            coords[quads[last]] = _moved_in_plane(qb, qb[1], qb[0] - qb[1], qa[0], qa[1] - qa[0])
+        else:
+            coords[quads[last]] = _moved_in_plane(qb, qb.mean(axis=0), qb[1] - qb[0],
+                                                  qa.mean(axis=0), qa[1] - qa[0])
+        st.vertex_coords = coords
+        got = clash_test(pattern, st)
+        assert got == _brute_force_clash(pattern, coords)
+        assert ((first, last) in got) is not touching
+
+    def test_block_boundaries(self, fig7_design, fig7_halt, monkeypatch):
+        pattern, _ = fig7_design
+        mid = fig7_halt.states[len(fig7_halt.states) // 2]
+        st = propagate(pattern, mid.driving_rho, prev=mid)
+        rng = np.random.default_rng(9)
+        st.vertex_coords += rng.normal(scale=0.02 * pattern.diameter, size=st.vertex_coords.shape)
+        want = clash_test(pattern, st)
+        assert len(want) > 10
+        for block in (1, 2, 7, 100):
+            monkeypatch.setattr(pattern_mod, "_PAIR_BLOCK", block)
+            assert clash_test(pattern, st) == want
+
+
+_COORD = hs.one_of(hs.integers(-4, 4).map(lambda k: k / 4.0),
+                   hs.floats(-1.0, 1.0, allow_nan=False))
+_POINT = hs.lists(_COORD, min_size=3, max_size=3).map(lambda p: np.array(p, dtype=float))
+
+
+@hs.composite
+def _triangle_pair(draw):
+    """Two triangles, generic or in one of the cases the pair test must
+    decide as the scalar test does: a shared plane, contact along an edge,
+    zero area, nearly parallel planes, one triangle tiny beside the
+    other's plane."""
+    kind = draw(hs.sampled_from(["any", "plane", "edge", "zero-area", "parallel", "tiny"]))
+    p = [draw(_POINT) for _ in range(3)]
+    q = [draw(_POINT) for _ in range(3)]
+    if kind == "plane":
+        # one plane z = h, with the axes permuted
+        h, perm = draw(_COORD), draw(hs.permutations(range(3)))
+        p, q = ([np.array([v[0], v[1], h])[perm] for v in tri] for tri in (p, q))
+    elif kind == "edge":
+        # q has two vertices on the line of p's edge 0 -> 1
+        s, t = draw(_COORD), draw(_COORD)
+        q[0], q[1] = p[0] + s * (p[1] - p[0]), p[0] + t * (p[1] - p[0])
+    elif kind == "zero-area":
+        s = draw(_COORD)
+        p[2] = p[0] + s * (p[1] - p[0])
+    elif kind == "parallel":
+        # q moved into p's plane, then off it by up to 1e-3 and tilted
+        n = np.cross(p[1] - p[0], p[2] - p[0])
+        if np.linalg.norm(n) > 0.0:
+            n = n / np.linalg.norm(n)
+            off = draw(hs.floats(-1e-3, 1e-3))
+            tilt = draw(hs.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+            q = [v - np.dot(v - p[0], n) * n + (off + k * tilt) * n for k, v in enumerate(q)]
+    elif kind == "tiny":
+        # p shrunk about a point of q's plane and lifted off it, within one
+        # of the tolerances or not: near q's plane, while q is far from p's
+        f = draw(hs.sampled_from([1e-16, 1e-12, 1e-10, 1e-6, 1e-4]))
+        lift = draw(hs.sampled_from([0.0, 1e-10, 5e-4, 0.1]))
+        s, t = draw(_COORD), draw(_COORD)
+        n = np.cross(q[1] - q[0], q[2] - q[0])
+        n = n / max(np.linalg.norm(n), 1e-300)
+        at = q[0] + s * (q[1] - q[0]) + t * (q[2] - q[0]) + lift * n
+        p = [at + f * (v - p[0]) for v in p]
+    if draw(hs.booleans()):
+        p, q = q, p
+    return np.array([p, q])
+
+
+class TestPairTest:
+    # a vertex whose cross product with the other triangle's first edge
+    # squares to tol^2 exactly is not strictly inside
+    @example([np.array([[[0.5, 0.125, 0.0], [0.5, -1.0, 0.0], [0.6, -1.0, 0.0]],
+                        [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]])], 0.25)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(hs.lists(_triangle_pair(), min_size=1, max_size=16),
+           hs.sampled_from([1e-9, 1e-3, 0.25]))
+    def test_matches_scalar_oracle(self, pairs, tol):
+        T = np.concatenate(pairs)
+        ia = np.arange(0, len(T), 2)
+        got = _penetrates(T, _unit_normals(T), ia, ia + 1, tol)
+        want = [_tri_tri_penetration(T[a].tolist(), T[a + 1].tolist(), tol) for a in ia]
+        assert got.tolist() == want
 
 
 class TestExtract:
