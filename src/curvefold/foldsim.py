@@ -7,8 +7,10 @@ fold-assignment loop serves one state, in floats, and lanes of states,
 in (L,) arrays, with the same branch rule for both.
 The sweep-to-halt driver locates the smallest driving angle at which any
 crease reaches pi (panel coincidence) or two panels interpenetrate, by a
-march and one secant-safeguarded bracket that keep the states they make;
-the other returned samples are propagated as lanes of one array pass.
+march and one secant-safeguarded bracket that keep the states they make.
+The march is guessed in lanes and checked in lanes, and keeps the lanes
+the check shows exact; the other returned samples are propagated as lanes
+of one array pass.
 """
 from __future__ import annotations
 
@@ -109,7 +111,7 @@ def _fold_angles(pattern: CreasePattern, driving_rho, prev, signs, driving_creas
     rho = [None] * len(pattern.creases)
     rho[driving_crease] = driving_rho
     worst, ok = 0.0, True
-    for vi, cids in enumerate(pattern.vertex_creases.reshape(-1, 4).tolist()):
+    for vi, cids in enumerate(pattern.vertex_crease_lists()):
         known = [(j, rho[c]) for j, c in enumerate(cids) if rho[c] is not None]
         if not known:
             k, i = divmod(vi, pattern.cols)
@@ -225,7 +227,7 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02, driving_crease=None):
     sign information.  Returns the signed fold angles at d0."""
     dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     verts = pattern.vertex_angles()
-    vertex_creases = pattern.vertex_creases.reshape(-1, 4).tolist()
+    vertex_creases = pattern.vertex_crease_lists()
 
     rho = [None] * len(pattern.creases)
     rho[dc] = d0
@@ -300,28 +302,45 @@ def propagate_lanes(pattern: CreasePattern, driving_rho, prevs, driving_crease=N
             return [propagate(pattern, driving_rho[0], prev=prevs[0], driving_crease=dc)]
         except (OutOfRange, NotRigidFoldable):
             return [None]
-    driving = np.asarray(driving_rho, dtype=float)
-    prev = np.array([p.rho for p in prevs])
+    out = [None] * len(driving_rho)
+    folded = _fold_lanes(pattern, driving_rho, np.array([p.rho for p in prevs]), dc)
+    if folded is not None:
+        rho, mismatch, ok = folded
+        for k, st in _placed(pattern, driving_rho, rho, mismatch, np.flatnonzero(ok), dc):
+            out[k] = st
+    return out
+
+
+def _fold_lanes(pattern: CreasePattern, driving_rho, prev, driving_crease):
+    """The folds (L, E) of the lanes driving_rho (L,), each scored against
+    its row of prev (L, E) as `assign_fold_angles` scores one state, their
+    mismatches (L,), and the lanes `propagate` would not reject before
+    placing them; None where no lane has a branch."""
     flat = np.abs(prev).max(axis=1) < PREV_FLAT
-    prev[flat] = 0.0
+    prev = np.where(flat[:, None], 0.0, prev)
     signs = np.array([c.mv for c in pattern.creases])[:, None] * flat
     try:
-        rho, mismatch, ok = _fold_angles(pattern, driving, list(prev.T), list(signs), dc)
+        rho, mismatch, ok = _fold_angles(pattern, np.asarray(driving_rho, dtype=float),
+                                         list(prev.T), list(signs), driving_crease)
     except (OutOfRange, NotRigidFoldable):
-        return [None] * len(driving)
-    ok &= mismatch <= FOLD_CONSISTENCY
-    out = [None] * len(driving)
-    sel = np.flatnonzero(ok)
-    for b in range(0, len(sel), PLACE_BLOCK):
-        block = sel[b:b + PLACE_BLOCK]
+        return None
+    return rho, mismatch, ok & (mismatch <= FOLD_CONSISTENCY)
+
+
+def _placed(pattern: CreasePattern, driving_rho, rho, mismatch, lanes, driving_crease):
+    """(k, state) for the lanes k in order, placed PLACE_BLOCK at a time
+    as they are asked for: the FoldedState that `propagate` makes from
+    rho[k], or None where the closure exceeds CLOSURE_REL."""
+    for b in range(0, len(lanes), PLACE_BLOCK):
+        block = lanes[b:b + PLACE_BLOCK]
         coords, residuals = place_panels(pattern, rho[block])
         for k, xyz, res in zip(block.tolist(), coords, residuals):
-            if res["closure"] > CLOSURE_REL:
-                continue
-            res["fold_mismatch"] = float(mismatch[k])
-            out[k] = FoldedState(dc, driving_rho[k], rho[k].copy(), xyz.copy(),
+            st = None
+            if not res["closure"] > CLOSURE_REL:
+                res["fold_mismatch"] = float(mismatch[k])
+                st = FoldedState(driving_crease, driving_rho[k], rho[k].copy(), xyz.copy(),
                                  residuals=res)
-    return out
+            yield k, st
 
 
 def _dot(u, v):
@@ -351,22 +370,29 @@ def _off_plane(d, tol):
 def _coplanar_overlap(T, N, ia, ib, tol):
     """Proper 2-D overlap of coplanar triangle pairs (ia, ib), projected
     along the largest component of ib's normal: a vertex of one lands
-    strictly inside the other by more than tol, so contact along shared
-    lines does not count."""
+    strictly inside the other, or an edge of one crosses an edge of the
+    other strictly, each by more than tol, so contact along shared lines
+    does not count."""
     k = np.argmax(np.abs(N[ib]), axis=1)
     xy = np.array([[1, 2], [0, 2], [0, 1]])[k][:, None, :]
     A = np.take_along_axis(T[ia], xy, axis=2)                 # (P, 3, 2)
     B = np.take_along_axis(T[ib], xy, axis=2)
 
+    def orient(u, v, p):
+        # cross product of the edge u -> v with the point p
+        return ((v[..., 0] - u[..., 0]) * (p[..., 1] - u[..., 1])
+                - (v[..., 1] - u[..., 1]) * (p[..., 0] - u[..., 0]))
+
     def inside(p, tri):
-        # cross product of each edge u -> v with each point, (P, 3, 3)
-        u, v = tri[:, None, :], np.roll(tri, -1, axis=1)[:, None, :]
-        p = p[:, :, None]
-        cr = ((v[..., 0] - u[..., 0]) * (p[..., 1] - u[..., 1])
-              - (v[..., 1] - u[..., 1]) * (p[..., 0] - u[..., 0]))
+        # each point against each edge u -> v of tri, (P, 3, 3)
+        cr = orient(tri[:, None, :], np.roll(tri, -1, axis=1)[:, None, :], p[:, :, None])
         return (cr * cr[..., :1] > tol * tol).all(axis=2).any(axis=1)
 
-    return inside(A, B) | inside(B, A)
+    a0, a1 = A[:, :, None], np.roll(A, -1, axis=1)[:, :, None]    # edges of A, (P, 3, 1, 2)
+    b0, b1 = B[:, None], np.roll(B, -1, axis=1)[:, None]          # edges of B, (P, 1, 3, 2)
+    crossing = ((orient(b0, b1, a0) * orient(b0, b1, a1) < -tol * tol)
+                & (orient(a0, a1, b0) * orient(a0, a1, b1) < -tol * tol)).any(axis=(1, 2))
+    return inside(A, B) | inside(B, A) | crossing
 
 
 def _line_overlap(T, N, ia, ib, d1, d2, tol):
@@ -453,13 +479,21 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
     nearest kept state at or below it: a state depends only on its driving
     value and branch choices (`prev` only scores branches), so this changes
     no bit while the branches agree.  The march steps by pi / MARCH_STEPS
-    and tests for the halt every second step.  The search then holds lo (no
-    event) and hi (a failure or an event).  Each step tries the secant root
-    of h = (pi - max|rho|)^2 - HALT_TOL^2, close to linear near a crease
-    halt, through the last two states tested, or goes SECANT_ULPS ulps past
-    the last one where the rounding of h placed that root.  It bisects when
-    the point leaves (lo, hi) or the bracket did not halve over the last two
-    steps, and stops when the midpoint of lo and hi is one of them.  Each
+    and tests for the halt every second step.  It folds LANE_BLOCK steps at
+    a time as lanes, twice: a guess, every lane scored as from flat, and a
+    check up to the guess's first failure, lane 0 scored against the last
+    kept state and each other lane against the guess before it.  The lanes
+    up to the first that fails or
+    whose check differs from its guess are the states a step-by-step march
+    makes, bit for bit; after that lane the march goes on one state at a
+    time, and lanes past the march's end are dropped.  The search then
+    holds lo (no event) and hi (a failure or an event).  Each step tries
+    the secant root of h = (pi - max|rho|)^2 - HALT_TOL^2, close to linear
+    near a crease halt, through the last two states tested, or goes
+    SECANT_ULPS ulps past the last one where the rounding of h placed that
+    root.  It bisects when the point leaves (lo, hi) or the bracket did not
+    halve over the last two steps, and stops when the midpoint of lo and hi
+    is one of them.  Each
     sample is a kept state or is propagated once, at most one march step
     above one; those propagations run as lanes of `propagate_lanes`, in
     waves, and equal `propagate` bit for bit."""
@@ -515,13 +549,52 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
         tested.append((d, (np.pi - float(np.abs(st.rho).max())) ** 2 - HALT_TOL ** 2))
         return at_pi(st) or bool(clash_test(pattern, st))
 
+    def march():
+        # (j, d, state) of the march in order; the caller stops at the
+        # first state None, where propagate raises.  prev enters a score
+        # only through |prev| and x - prev, and a lane is bit-equal to
+        # propagate, so check lane k is the march's state wherever guess
+        # k - 1 was: the lanes up to the first check that fails or differs
+        # from its guess are exact
+        j = 1
+        while j <= MARCH_STEPS:
+            ds = [np.pi * i / MARCH_STEPS
+                  for i in range(j, min(j + LANE_BLOCK, MARCH_STEPS + 1))]
+            driving = [sgn * d for d in ds]
+            guess = _fold_lanes(pattern, driving, np.zeros((len(ds), len(pattern.creases))), dc)
+            if guess is None:  # no lane in range: propagate decides the step
+                break
+            # a lane after the guess's first failure is scored against no state
+            rho0, _, ok0 = guess
+            m = len(ds) if ok0.all() else int(ok0.argmin()) + 1
+            check = _fold_lanes(pattern, driving[:m], np.vstack([kept[-1].rho, rho0[:m - 1]]), dc)
+            if check is None:
+                break
+            rho, mismatch, ok = check
+            same = ok & (rho == rho0[:m]).all(axis=1)
+            n = m if same.all() else int(same.argmin()) + 1
+            for k, st in _placed(pattern, driving, rho, mismatch, np.flatnonzero(ok[:n]), dc):
+                if st is not None:
+                    keys.append(ds[k])
+                    kept.append(st)
+                yield j + k, ds[k], st
+            if not ok[n - 1]:
+                yield j + n - 1, ds[n - 1], None
+            j += n
+            if n < len(ds):
+                break
+        for j in range(j, MARCH_STEPS + 1):
+            d = np.pi * j / MARCH_STEPS
+            try:
+                st = state_at(d)
+            except (OutOfRange, NotRigidFoldable):
+                st = None
+            yield j, d, st
+
     state_at(0.0)
     lo, found = 0.0, False
-    for j in range(1, MARCH_STEPS + 1):
-        d = np.pi * j / MARCH_STEPS
-        try:
-            st = state_at(d)
-        except (OutOfRange, NotRigidFoldable):
+    for j, d, st in march():
+        if st is None:
             hi = d
             break
         if j % 2 == 0:

@@ -50,25 +50,35 @@ def _interval_on_line(tri, dist, line_dir):
 
 def _coplanar_overlap(t1, t2, n, tol):
     """Proper 2D overlap of coplanar triangles; contact along shared lines
-    does not count (vertices must land strictly inside)."""
+    does not count (a vertex must land strictly inside, or an edge cross an
+    edge strictly)."""
     k = max(range(3), key=lambda ax: abs(n[ax]))
     x, y = [ax for ax in range(3) if ax != k]
     a = [(p[x], p[y]) for p in t1]
     b = [(p[x], p[y]) for p in t2]
 
+    def orient(u, v, p):
+        return (v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
+
     def strictly_inside(p, tri):
         s = 0.0
         for j in range(3):
-            u, v = tri[j], tri[(j + 1) % 3]
-            cr = (v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
+            cr = orient(tri[j], tri[(j + 1) % 3], p)
             if s == 0.0:
                 s = cr
             if cr * s <= tol * tol:
                 return False
         return True
 
+    def crossing(p, q, u, v):
+        # each edge has its ends on both sides of the other's line
+        return (orient(u, v, p) * orient(u, v, q) < -tol * tol
+                and orient(p, q, u) * orient(p, q, v) < -tol * tol)
+
     return any(strictly_inside(p, b) for p in a) or \
-        any(strictly_inside(p, a) for p in b)
+        any(strictly_inside(p, a) for p in b) or \
+        any(crossing(a[i], a[(i + 1) % 3], b[j], b[(j + 1) % 3])
+            for i in range(3) for j in range(3))
 
 
 def _tri_tri_penetration(t1, t2, tol):

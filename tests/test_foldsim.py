@@ -164,9 +164,12 @@ class TestVertexTable:
 
 def _sweep_calls(pattern, monkeypatch):
     """Calls of propagate, of the vertex solve on one state and on lanes
-    ("vertex_lanes"), and of the clash test in a 64-state sweep, and under
-    "lanes" the lane count of each propagate_lanes call."""
-    calls = {"propagate": 0, "propagate_both_modes": 0, "vertex_lanes": 0, "clash_test": 0}
+    ("vertex_lanes"), and of the clash test in a 64-state sweep; under
+    "lanes" the lane count of each propagate_lanes call, under
+    "lane_passes" that of each fold pass over lanes, and under
+    "placed_lanes" the count of states placed as lanes."""
+    calls = {"propagate": 0, "propagate_both_modes": 0, "vertex_lanes": 0, "clash_test": 0,
+             "lanes": [], "lane_passes": [], "placed_lanes": 0}
     for name in ("propagate", "propagate_both_modes", "clash_test"):
         fn = getattr(foldsim, name)
 
@@ -176,14 +179,23 @@ def _sweep_calls(pattern, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(foldsim, name, counted)
-    calls["lanes"] = []
-    lanes = foldsim.propagate_lanes
+    lanes, fold_lanes, place = foldsim.propagate_lanes, foldsim._fold_lanes, foldsim.place_panels
 
     def in_lanes(pattern, driving_rho, *args, **kwargs):
         calls["lanes"].append(len(driving_rho))
         return lanes(pattern, driving_rho, *args, **kwargs)
 
+    def lane_pass(pattern, driving_rho, *args):
+        calls["lane_passes"].append(len(driving_rho))
+        return fold_lanes(pattern, driving_rho, *args)
+
+    def placed(pattern, rho):
+        calls["placed_lanes"] += len(rho) if np.ndim(rho) == 2 else 0
+        return place(pattern, rho)
+
     monkeypatch.setattr(foldsim, "propagate_lanes", in_lanes)
+    monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
+    monkeypatch.setattr(foldsim, "place_panels", placed)
     return sweep_to_halt(pattern, samples=64), calls
 
 
@@ -192,14 +204,20 @@ class TestCounts:
     # these would be a regression of the halt search.  fig5 is swept with
     # its first vertex in closed form and from the root scan of
     # design_oracle: the two differ in the last bits, which moves the steps
-    # of the halt search.  The 62 samples that are not march or search
+    # of the halt search.  The march runs in blocks of 64 lanes, each
+    # guessed, then checked up to the guess's first failure.  Its exact
+    # lanes run up to the first lane out of range, one march step past the
+    # halt: lane 43 of fig5's second block (107 exact lanes, 106 placed)
+    # and lane 37 of fig7's first (37 exact, 36 placed).  The lanes after
+    # it are guessed for nothing, and `propagate` makes only the flat state
+    # and the search's states.  The 62 samples that are not march or search
     # states replay as lanes, in waves: fig5's sample spacing is above the
     # march step, so each starts from a kept state, while fig7's is below
     # it, so some start from another sample.  Each lane pass solves each of
     # the 81 vertices once for all its lanes
     @pytest.mark.parametrize("design, bounds", [
-        pytest.param("fig5_design", (120, 9480, 58), id="closed-form"),
-        pytest.param("fig5_root_scan_design", (119, 9479, 62), id="root-scan"),
+        pytest.param("fig5_design", (13, 893, 58), id="closed-form"),
+        pytest.param("fig5_root_scan_design", (12, 892, 62), id="root-scan"),
     ])
     def test_fig5_sweep_counts(self, design, bounds, request, monkeypatch):
         pattern, _ = request.getfixturevalue(design)
@@ -209,17 +227,26 @@ class TestCounts:
         assert calls["propagate_both_modes"] <= bounds[1]
         assert calls["clash_test"] <= bounds[2]
         assert calls["lanes"] == [62]
-        assert calls["vertex_lanes"] == 81
+        assert calls["lane_passes"] == [64, 64, 64, 43, 62]
+        assert calls["vertex_lanes"] == 5 * 81
+        guess, check = calls["lane_passes"][0:4:2], calls["lane_passes"][1:4:2]
+        exact = calls["placed_lanes"] - 62 + 1
+        assert exact == sum(check) == 64 + 43
+        assert sum(guess) - exact == 21  # guessed past the halt
 
     def test_fig7_sweep_counts(self, fig7_design, monkeypatch):
         pattern, _ = fig7_design
         traj, calls = _sweep_calls(pattern, monkeypatch)
         assert traj.halt.halt_reason == "crease-at-pi"
-        assert calls["propagate"] <= 49
-        assert calls["propagate_both_modes"] <= 3729
+        assert calls["propagate"] <= 12
+        assert calls["propagate_both_modes"] <= 812
         assert calls["clash_test"] <= 22
         assert calls["lanes"] == [36, 26]
-        assert calls["vertex_lanes"] == 2 * 81
+        assert calls["lane_passes"] == [64, 37, 36, 26]
+        assert calls["vertex_lanes"] == 4 * 81
+        (guess, check), exact = calls["lane_passes"][:2], calls["placed_lanes"] - 62 + 1
+        assert exact == check == 37
+        assert guess - exact == 27  # guessed past the halt
 
     def test_large_ortho_sweep_counts(self, monkeypatch):
         # the 34 x 34 spec of test_cli's test_large_ortho_design: 2,450
@@ -418,12 +445,14 @@ class TestClashPenetration:
                 hits += len(want)
         assert hits > 100
 
-    @pytest.mark.parametrize("touching", [False, True], ids=["overlap", "edge-contact"])
-    def test_coplanar_panels(self, fig5_design, touching):
+    @pytest.mark.parametrize("how", ["overlap", "edge-contact", "crossing"])
+    def test_coplanar_panels(self, fig5_design, how):
         # in the flat state the last panel is turned and shifted in the
         # plane: centre onto the first panel's centre, edge along its edge,
         # overlaps it; laid against the first panel's edge 0 -> 1 from
-        # outside, it only touches it.  Its neighbours stretch with it
+        # outside, it only touches it; shifted, not turned, centre onto the
+        # first panel's centre, it crosses it like an X with no vertex of
+        # either inside the other.  Its neighbours stretch with it
         pattern, _ = fig5_design
         st = propagate(pattern, 0.0)
         assert np.abs(st.vertex_coords[:, 2]).max() == 0.0
@@ -431,15 +460,17 @@ class TestClashPenetration:
         first, last = 0, len(quads) - 1
         qa, qb = st.vertex_coords[quads[first]], st.vertex_coords[quads[last]]
         coords = st.vertex_coords.copy()
-        if touching:
+        if how == "edge-contact":
             coords[quads[last]] = _moved_in_plane(qb, qb[1], qb[0] - qb[1], qa[0], qa[1] - qa[0])
-        else:
+        elif how == "overlap":
             coords[quads[last]] = _moved_in_plane(qb, qb.mean(axis=0), qb[1] - qb[0],
                                                   qa.mean(axis=0), qa[1] - qa[0])
+        else:
+            coords[quads[last]] = qb - qb.mean(axis=0) + qa.mean(axis=0)
         st.vertex_coords = coords
         got = clash_test(pattern, st)
         assert got == _brute_force_clash(pattern, coords)
-        assert ((first, last) in got) is not touching
+        assert ((first, last) in got) is (how != "edge-contact")
 
     def test_block_boundaries(self, fig7_design, fig7_halt, monkeypatch):
         pattern, _ = fig7_design
@@ -507,6 +538,10 @@ class TestPairTest:
     # squares to tol^2 exactly is not strictly inside
     @example([np.array([[[0.5, 0.125, 0.0], [0.5, -1.0, 0.0], [0.6, -1.0, 0.0]],
                         [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]])], 0.25)
+    # coplanar triangles crossing as a six-pointed star: no vertex of one
+    # is inside the other, and their edges cross
+    @example([np.array([[[0.0, 1.0, 0.0], [-0.875, -0.5, 0.0], [0.875, -0.5, 0.0]],
+                        [[0.0, -1.0, 0.0], [0.875, 0.5, 0.0], [-0.875, 0.5, 0.0]]])], 1e-9)
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(hs.lists(_triangle_pair(), min_size=1, max_size=16),
            hs.sampled_from([1e-9, 1e-3, 0.25]))

@@ -3,15 +3,19 @@
 the clash and range-end branches of the halt search, and the lane replay
 against per-sample `propagate`."""
 import json
+import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as hs
 
 import sweep_oracle as oracle
 from curvefold import curves, foldsim
 from curvefold.cli import DEMOS, _build_from_spec
-from curvefold.errors import NoHalt, NotRigidFoldable, OutOfRange
+from curvefold.errors import CurvefoldError, NoHalt, NotRigidFoldable, OutOfRange
 from curvefold.foldio import export_fold, import_fold, load_design_spec
 from curvefold.foldsim import (MARCH_STEPS, default_driving_crease, propagate,
                                propagate_lanes, sweep_to_halt)
@@ -49,12 +53,60 @@ def _record(monkeypatch):
     return seen
 
 
+def _record_placed(monkeypatch, pattern):
+    """|driving| of every state placed, in call order: the fold of the
+    driving crease in each row place_panels places.  The sweeps here place
+    every state they make, one at a time or in lanes, and only those."""
+    seen = []
+    real = foldsim.place_panels
+    dc = default_driving_crease(pattern)
+
+    def recorded(pattern, rho):
+        seen.extend(np.abs(np.atleast_2d(rho)[:, dc]).tolist())
+        return real(pattern, rho)
+
+    monkeypatch.setattr(foldsim, "place_panels", recorded)
+    return seen
+
+
+def _leak(monkeypatch, pattern, at):
+    """place_panels reports a closure of 1 x diameter in every row whose
+    |driving| satisfies at(d): propagate raises there, and a lane fails."""
+    real = foldsim.place_panels
+    dc = default_driving_crease(pattern)
+
+    def leaky(pattern, rho):
+        coords, res = real(pattern, rho)
+        for row, r in zip(np.atleast_2d(rho), res if np.ndim(rho) == 2 else [res]):
+            if at(abs(row[dc])):
+                r["closure"] = 1.0
+        return coords, res
+
+    monkeypatch.setattr(foldsim, "place_panels", leaky)
+
+
 def _march_len(seen):
-    """Leading propagations on the grid pi * j / MARCH_STEPS, j = 0, 1, ..."""
+    """Leading states on the grid pi * j / MARCH_STEPS, j = 0, 1, ..."""
     n = 0
     while n < len(seen) and seen[n] == np.pi * n / MARCH_STEPS:
         n += 1
     return n
+
+
+#: small specs of both families, drawn from the ranges of the benchmark's
+#: explore batch on smaller grids
+_SMALL_SPECS = hs.one_of(
+    hs.builds(lambda scale, n_row, n_col, rho4: {
+        "type": "parallel-repeating", "datum": {"builtin": "fig4-spiralish"},
+        "target": {"builtin": "fig5-exp", "scale": scale},
+        "n_row": n_row, "n_col": n_col, "rho4": rho4, "theta": "auto", "eps": 10.0},
+        hs.floats(0.6, 0.8), hs.integers(2, 4), hs.integers(1, 4),
+        hs.floats(0.86 * math.pi, 0.875 * math.pi)),
+    hs.builds(lambda scale, n, m, eps: {
+        "type": "orthodiagonal", "datum": {"builtin": "fig7-sine"},
+        "target": {"builtin": "fig7-tlnt", "scale": scale},
+        "n": n, "m": m, "theta": "auto", "eps": eps},
+        hs.floats(0.7, 1.2), hs.integers(3, 7), hs.integers(2, 4), hs.floats(0.16, 0.28)))
 
 
 class TestOracle:
@@ -71,19 +123,100 @@ class TestOracle:
         assert_same(sweep_to_halt(pattern, samples=64),
                     oracle.sweep_to_halt(pattern, samples=64))
 
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(_SMALL_SPECS)
+    def test_bit_equal_on_small_specs(self, doc):
+        # the march's guesses are checked, not assumed: every design that
+        # builds sweeps as the oracle does, or fails as it does
+        try:
+            pattern, _ = _build_from_spec(*load_design_spec(json.dumps(doc)))
+        except CurvefoldError:
+            reject()
+        for samples in (2, 8):
+            try:
+                want = oracle.sweep_to_halt(pattern, samples=samples)
+            except CurvefoldError as e:
+                with pytest.raises(type(e), match=re.escape(str(e))):
+                    sweep_to_halt(pattern, samples=samples)
+                continue
+            assert_same(sweep_to_halt(pattern, samples=samples), want)
+
 
 class TestMarch:
     @pytest.mark.parametrize("fig", FIGS)
     def test_two_propagations_per_coarse_step(self, fig, request, monkeypatch):
-        # the march propagates exactly the grid pi * j / 128 up to the halt
+        # the march makes exactly the grid pi * j / 128 up to the halt
         # bracket, two states per coarse step of pi / 64; a step count
-        # taken from a float difference would add a third on some steps
+        # taken from a float difference would add a third on some steps.
+        # Placed one lane at a time, the states placed are the states the
+        # march makes, up to the first out of range, which is not placed
         pattern, _ = request.getfixturevalue(f"{fig}_design")
-        seen = _record(monkeypatch)
+        monkeypatch.setattr(foldsim, "PLACE_BLOCK", 1)
+        seen = _record_placed(monkeypatch, pattern)
         d_halt = sweep_to_halt(pattern, samples=2).driving_values[-1]
         n = _march_len(seen)
-        assert seen[n - 1] >= d_halt > seen[n - 3]
-        assert all(d < seen[n - 1] for d in seen[n:])
+        end = np.pi * n / MARCH_STEPS
+        assert n > 30
+        assert end >= d_halt > seen[n - 3]
+        assert all(seen[n - 3] < d < end for d in seen[n:])
+
+    @pytest.mark.parametrize("how", ("signs", "mirror"))
+    @pytest.mark.parametrize("lane", (0, 17))
+    @pytest.mark.parametrize("fig", FIGS)
+    def test_wrong_guess_falls_back(self, fig, lane, how, request, monkeypatch):
+        # the march's first lane pass, the guess of its first block, goes
+        # wrong at `lane`: scored from there on by the opposite M/V signs,
+        # which leaves it out of range, or, in range, the mirror image of
+        # its state.  The check keeps that lane's exact state, and the
+        # march goes on one state at a time from the next step, bit-equal
+        # to the oracle
+        pattern, _ = request.getfixturevalue(f"{fig}_design")
+        real_angles, real_lanes = foldsim._fold_angles, foldsim._fold_lanes
+        passes = []
+
+        def lane_pass(pattern, driving_rho, prev, driving_crease):
+            passes.append(len(driving_rho))
+            got = real_lanes(pattern, driving_rho, prev, driving_crease)
+            if len(passes) == 1 and how == "mirror":
+                got[0][lane] *= -1.0
+            return got
+
+        def fold_angles(pattern, driving_rho, prev, signs, driving_crease):
+            if len(passes) == 1 and np.ndim(driving_rho) and how == "signs":
+                flip = np.where(np.arange(len(driving_rho)) >= lane, -1, 1)
+                signs = [s * flip for s in signs]
+            return real_angles(pattern, driving_rho, prev, signs, driving_crease)
+
+        monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
+        monkeypatch.setattr(foldsim, "_fold_angles", fold_angles)
+        seen = _record(monkeypatch)
+        got = sweep_to_halt(pattern, samples=8)
+        assert passes[0] == 64
+        assert seen[:2] == [0.0, np.pi * (lane + 2) / MARCH_STEPS]
+        assert_same(got, oracle.sweep_to_halt(pattern, samples=8))
+
+    @pytest.mark.parametrize("fig, j", [("fig5", 30), ("fig5", 80), ("fig7", 9), ("fig7", 30)])
+    def test_failing_lane_brackets_as_scalar(self, fig, j, request, monkeypatch):
+        # the march state pi * j / 128, a lane inside its first or second
+        # block, reports a closure beyond tolerance: the march stops there,
+        # and the search stays in the bracket from the even state below it.
+        # No event lies below, so the sweep ends as the oracle's does.  The
+        # leak spans 1e-12 rad: the oracle's substeps can miss the grid by
+        # an ulp
+        pattern, _ = request.getfixturevalue(f"{fig}_design")
+        bad = np.pi * j / MARCH_STEPS
+        _leak(monkeypatch, pattern, lambda d: abs(d - bad) < 1e-12)
+        with pytest.raises(NoHalt) as want:
+            oracle.sweep_to_halt(pattern, samples=8)
+        seen = _record_placed(monkeypatch, pattern)
+        with pytest.raises(NoHalt) as got:
+            sweep_to_halt(pattern, samples=8)
+        assert str(got.value) == str(want.value) == \
+            "folding range ends with no crease at pi and no clash"
+        n = _march_len(seen)
+        lo = np.pi * (j - 1 - (j - 1) % 2) / MARCH_STEPS
+        assert n > j and seen[n:]
+        assert all(lo < d < bad for d in seen[n:])
 
 
 class TestBranches:
@@ -92,7 +225,7 @@ class TestBranches:
         real = foldsim.clash_test
         monkeypatch.setattr(foldsim, "clash_test", lambda p, st: (
             [(0, 1)] if abs(st.driving_rho) > EVENT_AT else real(p, st)))
-        seen = _record(monkeypatch)
+        seen = _record_placed(monkeypatch, pattern)
         stats = {}
         want = oracle.sweep_to_halt(pattern, samples=2, stats=stats)
         seen.clear()
@@ -101,20 +234,15 @@ class TestBranches:
         assert got.driving_values[-1] == np.nextafter(EVENT_AT, np.inf)
         assert_same(got, want)
         # with two samples the states at 0 and d_halt are the kept ones, so
-        # every propagation after the march is a step of the halt search
+        # every state placed after the march is a step of the halt search
         assert len(seen) - _march_len(seen) <= 2 * stats["bisections"]
 
     def test_range_end_without_event(self, fig7_design, monkeypatch):
+        # every state past EVENT_AT fails its closure, in the march's lanes
+        # as in the oracle's propagate
         pattern, _ = fig7_design
-        real = foldsim.propagate
-
-        def limited(pattern, driving_rho, *args, **kwargs):
-            if abs(driving_rho) > EVENT_AT:
-                raise OutOfRange("beyond the folding range of this test")
-            return real(pattern, driving_rho, *args, **kwargs)
-
-        monkeypatch.setattr(foldsim, "propagate", limited)
-        seen = _record(monkeypatch)
+        _leak(monkeypatch, pattern, lambda d: d > EVENT_AT)
+        seen = _record_placed(monkeypatch, pattern)
         stats = {}
         with pytest.raises(NoHalt, match="folding range ends"):
             oracle.sweep_to_halt(pattern, samples=2, stats=stats)
