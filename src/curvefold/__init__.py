@@ -19,7 +19,6 @@ from .parallel import (ColumnProfile, ParallelDesignSpec, build_pattern,
 from .ortho import (OrthoAngleGrid, OrthoDesignSpec, alpha_left,
                     build_ortho_pattern, ortho_row_curves, ortho_xi,
                     propagate_grid, validate_alpha11)
-from .foldsim import (FoldedState, Trajectory, clash_test, extract_polylines,
-                      propagate, sweep_to_halt)
+from .foldsim import FoldedState, Trajectory, clash_test, propagate, sweep_to_halt
 
 __version__ = "0.1.0"

@@ -16,8 +16,11 @@ from .errors import CurvefoldError, SchemaError
 from .foldio import (_load_curve, export_fold, export_svg, import_fold, json_object,
                      load_design_spec, report_json, report_text)
 from .foldsim import sweep_to_halt
-from .geometry import AffineParams, search_theta
-from .ortho import OrthoDesignSpec, build_ortho_pattern
+from .geometry import (AffineParams, partition_tube, partition_uniform, search_theta,
+                       staircase)
+from .kinematics import solve_first_vertex
+from .ortho import (OrthoDesignSpec, build_ortho_pattern, default_alpha11,
+                    effective_stub_angles, ortho_xi, propagate_grid)
 from .parallel import ParallelDesignSpec, build_pattern
 from .verify import run_pattern_checks
 
@@ -68,10 +71,6 @@ def _build_from_spec(kind, fields, theta):
 def _auto_theta(kind, fields):
     """First admissible theta on the default scan grid for the design's
     first-column (or first-row) staircase angle."""
-    from .geometry import partition_tube, partition_uniform
-    from .kinematics import solve_first_vertex
-    from .ortho import (default_alpha11, effective_stub_angles, ortho_xi,
-                        propagate_grid)
     if kind == "parallel-repeating":
         part = partition_uniform(fields["datum"], fields["n_row"])
         _, a2 = solve_first_vertex(part.turn_angles[0], fields["rho4"])
@@ -198,9 +197,6 @@ def cmd_export(args):
 
 
 def cmd_demo(args):
-    if args.name not in DEMOS:
-        print(f"unknown demo {args.name!r}; have {sorted(DEMOS)}", file=sys.stderr)
-        return 1
     doc = DEMOS[args.name]
     spec_text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     _write(args.out, "spec.json", spec_text)
@@ -219,7 +215,6 @@ def _demo_overlays(kind, fields, pattern):
     try:
         xi1 = pattern.design["xi"][0]
         aff = AffineParams(pattern.design["theta"], xi1)
-        from .geometry import staircase
         n = pattern.rows if kind == "parallel-repeating" else pattern.cols
         st = staircase(target, aff, n, phase=pattern.design.get("phase", "x"))
         return [(target.samples, "curve"), (st.points, "stair")]
@@ -271,7 +266,12 @@ def main(argv=None):
     g.add_argument("--out", default="out")
     g.set_defaults(func=cmd_demo)
 
-    args = p.parse_args(argv)
+    try:
+        args = p.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2 on a usage error, but here 2
+        # means a design or verification failure
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except SchemaError as e:

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import curves as curves_mod
 from .errors import CreaseIntersection, NotQuadGrid, SchemaError
+from .foldsim import FoldedState
 from .geometry import PolyCurve
 from .pattern import ROLE_BOUNDARY, CreasePattern, assemble_grid
 
@@ -141,7 +142,6 @@ def import_fold(text):
     pat = _rebuild(edges, assign, design, flat, ext, halting)
     state = None
     if dim3:
-        from .foldsim import FoldedState
         rho = np.radians(np.asarray(angles, dtype=float))
         state = FoldedState(-1, 0.0, rho, coords, residuals={"source": "imported"})
     return pat, state

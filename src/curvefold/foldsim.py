@@ -9,8 +9,9 @@ The sweep-to-halt driver locates the smallest driving angle at which any
 crease reaches pi (panel coincidence) or two panels interpenetrate, by a
 march and one secant-safeguarded bracket that keep the states they make.
 The march is guessed in lanes and checked in lanes, and keeps the lanes
-the check shows exact; the other returned samples are propagated as lanes
-of one array pass.
+the check shows exact.  Every other state, one at a time or the returned
+samples as lanes, comes from one store that propagates each new state
+from the nearest kept state below it.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoHalt, NotRigidFoldable, OutOfRange
-from .geometry import PolyCurve
 from .kinematics import form, propagate_both_modes
 from .pattern import ROLE_BOUNDARY, CreasePattern, sweep_pairs
 
@@ -35,7 +35,7 @@ FOLD_CONSISTENCY = 1e-7  # fold-angle agreement between vertex sweeps (rad)
 PREV_FLAT = 1e-8         # a previous state below this everywhere counts as flat
 SIGN_FLOOR = 1e-12       # a fold's mountain/valley sign counts above this (rad)
 BRANCH_TOL = 1e-8        # bootstrap_mv: a branch agrees with assigned folds within this
-LANE_BLOCK = 64          # replay states propagated in one array pass per vertex
+LANE_BLOCK = 64          # states propagated in one array pass per vertex
 PLACE_BLOCK = 8          # of those, states placed at once: memory O(block x faces)
 MARCH_STEPS = 128        # driving steps per pi: branch continuity needs modest steps
 SECANT_ULPS = 16         # ulps of driving within which the rounding of h sets the secant
@@ -294,8 +294,8 @@ def propagate_lanes(pattern: CreasePattern, driving_rho, prevs, driving_crease=N
     OutOfRange or NotRigidFoldable (or meets a fold that is not finite).
 
     The lanes share one array pass per vertex and are placed PLACE_BLOCK
-    at a time.  One lane goes through `propagate` itself: the scalar
-    kernel is faster there."""
+    at a time.  One lane goes through `propagate` itself, as every state
+    of the halt search does: the scalar kernel is faster there."""
     dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     if len(driving_rho) == 1:
         try:
@@ -493,54 +493,37 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
     SECANT_ULPS ulps past the last one where the rounding of h placed that
     root.  It bisects when the point leaves (lo, hi) or the bracket did not
     halve over the last two steps, and stops when the midpoint of lo and hi
-    is one of them.  Each
-    sample is a kept state or is propagated once, at most one march step
-    above one; those propagations run as lanes of `propagate_lanes`, in
-    waves, and equal `propagate` bit for bit."""
+    is one of them.  Each sample is a kept state or is propagated once from
+    the nearest kept march or search state, at most one march step below
+    it; those propagations run as lanes of `propagate_lanes`, LANE_BLOCK at
+    a time, and equal `propagate` bit for bit.  The first sample that fails
+    raises its own error."""
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
     dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     sgn = pattern.creases[dc].mv or 1
     keys, kept, tested = [], [], []  # tested: (d, h) of the states tested, in order
 
-    def state_at(d):
-        i = bisect.bisect_right(keys, d)
-        if i and keys[i - 1] == d:
-            return kept[i - 1]
-        st = propagate(pattern, sgn * d, prev=kept[i - 1] if i else None, driving_crease=dc)
-        keys.insert(i, d)
-        kept.insert(i, st)
-        return st
-
-    def replay(values):
-        # the samples that are not kept states, in waves: a sample starts
-        # from the nearest state at or below it, one wave after it when
-        # that state is another such sample.  A wave runs as lanes; at the
-        # first lane that fails the replay stops, and the walk over the
-        # samples that follows propagates the rest one by one, so the first
-        # failing sample raises its own error
-        waves, last, depth = [], None, 0
-        for d in values:
+    def states_at(ds):
+        # the states at ds in order, None where propagate raises: each
+        # value not yet kept is propagated, and kept, from the nearest
+        # state kept at or below it when the call starts
+        prevs = {}
+        for d in ds:
             i = bisect.bisect_right(keys, d)
-            if keys[i - 1] == d or d == last:
-                continue
-            w = depth + 1 if last is not None and last > keys[i - 1] else 0
-            if w == len(waves):
-                waves.append([])
-            waves[w].append(d)
-            last, depth = d, w
-        for wave in waves:
-            for b in range(0, len(wave), LANE_BLOCK):
-                block = wave[b:b + LANE_BLOCK]
-                prevs = [kept[bisect.bisect_right(keys, d) - 1] for d in block]
-                got = propagate_lanes(pattern, [sgn * d for d in block], prevs, dc)
-                for d, st in zip(block, got):
-                    if st is not None:
-                        i = bisect.bisect_right(keys, d)
-                        keys.insert(i, d)
-                        kept.insert(i, st)
-                if any(st is None for st in got):
-                    return
+            if not (i and keys[i - 1] == d):
+                prevs[d] = kept[i - 1] if i else None
+        new, got = list(prevs), {}
+        for b in range(0, len(new), LANE_BLOCK):
+            block = new[b:b + LANE_BLOCK]
+            got.update(zip(block, propagate_lanes(pattern, [sgn * d for d in block],
+                                                  [prevs[d] for d in block], dc)))
+        for d, st in got.items():
+            if st is not None:
+                i = bisect.bisect_right(keys, d)
+                keys.insert(i, d)
+                kept.insert(i, st)
+        return [got[d] if d in got else kept[bisect.bisect_right(keys, d) - 1] for d in ds]
 
     def at_pi(st):
         return float(np.abs(st.rho).max()) >= np.pi - HALT_TOL
@@ -585,13 +568,9 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
                 break
         for j in range(j, MARCH_STEPS + 1):
             d = np.pi * j / MARCH_STEPS
-            try:
-                st = state_at(d)
-            except (OutOfRange, NotRigidFoldable):
-                st = None
-            yield j, d, st
+            yield j, d, states_at([d])[0]
 
-    state_at(0.0)
+    states_at([0.0])
     lo, found = 0.0, False
     for j, d, st in march():
         if st is None:
@@ -621,12 +600,10 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
             if lo < s < hi:
                 x = s
         widths = [widths[1], hi - lo]
-        try:
-            st = state_at(x)
-        except (OutOfRange, NotRigidFoldable):
+        (st,) = states_at([x])
+        if st is None:
             hi = x
-            continue
-        if event(x, st):
+        elif event(x, st):
             hi, found = x, True
         else:
             lo = x
@@ -634,25 +611,16 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
         raise NoHalt("folding range ends with no crease at pi and no clash")
 
     values = np.linspace(0.0, hi, samples)
-    replay(values)
-    states = [state_at(d) for d in values]
+    states = states_at(values)
+    for k, d in enumerate(values):
+        if states[k] is None:  # raises this sample's own error
+            states[k] = propagate(pattern, sgn * d, prev=kept[bisect.bisect_right(keys, d) - 1],
+                                  driving_crease=dc)
+    # the halt is a state the search tested as an event
     halt = states[-1]
     halt.halted = True
-    panels = not at_pi(halt) and clash_test(pattern, halt)
-    halt.halt_reason = "panel-interpenetration" if panels else "crease-at-pi"
+    halt.halt_reason = "crease-at-pi" if at_pi(halt) else "panel-interpenetration"
     halt.residuals["halting_creases"] = [
         int(i) for i in np.nonzero(np.abs(halt.rho) >= np.pi - 10 * HALT_TOL)[0]]
     return Trajectory(states, values)
 
-
-def extract_polylines(pattern: CreasePattern, state: FoldedState, axis, index,
-                      include_boundary=False):
-    """Folded polyline of inner vertices along one grid row or column."""
-    if axis not in ("row", "column"):
-        raise ValueError("axis must be 'row' or 'column'")
-    if not (1 <= index <= (pattern.rows if axis == "row" else pattern.cols)):
-        raise IndexError(f"{axis} index out of range")
-    pts = state.vertex_coords[pattern.line_ids(axis, index, include_boundary)]
-    if len(pts) == 1:
-        pts = np.vstack([pts, pts + [[1e-9, 0, 0]]])
-    return PolyCurve(pts, np.arange(len(pts), dtype=float))

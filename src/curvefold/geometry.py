@@ -36,7 +36,8 @@ TAU = 2.0 * np.pi
 # monotonicity tie tolerance: a tie would drive a staircase turn to 0 or pi
 MONOTONE_TOL = 1e-10
 
-# array elements (point-segment pairs, samples x thetas) per array pass
+# array elements (point-segment pairs, samples x thetas, candidate pairs
+# of pattern.sweep_pairs) per array pass
 _PAIR_BLOCK = 1 << 14
 # dense samples per exactly evaluated one in the first hausdorff pass
 _HAUSDORFF_STRIDE = 16

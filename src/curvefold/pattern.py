@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CreaseIntersection, NotRigidFoldable
+from .geometry import _PAIR_BLOCK
 from .kinematics import VertexAngles
 
 ROLE_ROW = "row-crease"
@@ -109,10 +110,6 @@ def panel_distances(pattern: CreasePattern, coords):
     chords = [(P[quads[:, a]] - P[quads[:, b]]).reshape(-1, P.shape[1])
               for P in (pattern.vertices, np.asarray(coords))]
     return tuple(np.sqrt(_rowdot(d, d)) for d in chords)
-
-
-#: candidate pairs per block of sweep_pairs, so memory stays O(block)
-_PAIR_BLOCK = 1 << 14
 
 
 def _orient(a, b, c):

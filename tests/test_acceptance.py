@@ -12,8 +12,7 @@ from design_oracle import solve_next_vertex
 from curvefold import curves
 from curvefold.errors import (ClosedCurve, CurvefoldError, NoSolution,
                               NotRigidFoldable, OutOfRange)
-from curvefold.foldsim import (clash_test, default_driving_crease,
-                               extract_polylines, propagate, sweep_to_halt)
+from curvefold.foldsim import clash_test, default_driving_crease, propagate, sweep_to_halt
 from curvefold.geometry import (AffineParams, PolyCurve, hausdorff,
                                 is_admissible, measure_polyline,
                                 partition_tube, partition_uniform, staircase)
@@ -58,8 +57,8 @@ def test_criterion_02_fig4_row(fig4_partition):
                               n_row=9, n_col=1, rho4=RHO4, theta=THETA5, eps=1.0)
     pattern, _ = build_pattern(spec)
     traj = sweep_to_halt(pattern, samples=4)
-    row = extract_polylines(pattern, traj.halt, "row", 1, include_boundary=True)
-    l, b, th = measure_polyline(row.samples)
+    row = traj.halt.vertex_coords[pattern.line_ids("row", 1, include_boundary=True)]
+    l, b, th = measure_polyline(row)
     l_err = (np.abs(l - part.lengths) / part.lengths.max()).max()
     b_err = np.abs(b - part.turn_angles).max()
     t_err = np.abs(((th - part.dihedrals + np.pi) % (2 * np.pi)) - np.pi).max()

@@ -256,6 +256,21 @@ def test_unreadable_input_exit_1(argv, tmp_path, capsys, monkeypatch):
     assert err.startswith(f"error: cannot read {argv[1]}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["demo", "fig9"], ["fold", "p.fold", "--states", "x"], []],
+                         ids=["unknown-demo", "states-not-int", "no-command"])
+def test_usage_error_exit_1(argv, capsys):
+    # exit code 2 is a failed design or verification, not a typo
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: curvefold") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fold", "--help"]])
+def test_help_exit_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: curvefold")
+
+
 @pytest.mark.parametrize("cmd", ["design", "fold", "export", "demo"])
 def test_unwritable_output_exit_1(cmd, tmp_path, capsys):
     # --out below a regular file cannot be made: one error line, exit 1

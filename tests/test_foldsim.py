@@ -14,9 +14,9 @@ from curvefold import pattern as pattern_mod
 from curvefold.cli import _build_from_spec
 from curvefold.errors import NotRigidFoldable, OutOfRange
 from curvefold.foldio import load_design_spec
-from curvefold.foldsim import (CLOSURE_REL, _penetrates, _unit_normals, bootstrap_mv,
-                               clash_test, default_driving_crease, extract_polylines,
-                               propagate, sweep_to_halt)
+from curvefold.foldsim import (CLOSURE_REL, LANE_BLOCK, _penetrates, _unit_normals,
+                               bootstrap_mv, clash_test, default_driving_crease, propagate,
+                               sweep_to_halt)
 from curvefold.geometry import PolyCurve, measure_polyline, partition_uniform
 from curvefold.parallel import ParallelDesignSpec, build_pattern
 from curvefold.pattern import ROLE_BOUNDARY
@@ -162,10 +162,11 @@ class TestVertexTable:
         assert np.isfinite(propagate(pattern, 0.1).rho).all()
 
 
-def _sweep_calls(pattern, monkeypatch):
+def _sweep_calls(pattern, monkeypatch, samples=64):
     """Calls of propagate, of the vertex solve on one state and on lanes
-    ("vertex_lanes"), and of the clash test in a 64-state sweep; under
-    "lanes" the lane count of each propagate_lanes call, under
+    ("vertex_lanes"), and of the clash test in a sweep of `samples` states;
+    under "lanes" the lane count of each propagate_lanes call of more than
+    one lane (one lane goes through propagate), under
     "lane_passes" that of each fold pass over lanes, and under
     "placed_lanes" the count of states placed as lanes."""
     calls = {"propagate": 0, "propagate_both_modes": 0, "vertex_lanes": 0, "clash_test": 0,
@@ -182,7 +183,8 @@ def _sweep_calls(pattern, monkeypatch):
     lanes, fold_lanes, place = foldsim.propagate_lanes, foldsim._fold_lanes, foldsim.place_panels
 
     def in_lanes(pattern, driving_rho, *args, **kwargs):
-        calls["lanes"].append(len(driving_rho))
+        if len(driving_rho) > 1:
+            calls["lanes"].append(len(driving_rho))
         return lanes(pattern, driving_rho, *args, **kwargs)
 
     def lane_pass(pattern, driving_rho, *args):
@@ -196,7 +198,7 @@ def _sweep_calls(pattern, monkeypatch):
     monkeypatch.setattr(foldsim, "propagate_lanes", in_lanes)
     monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
     monkeypatch.setattr(foldsim, "place_panels", placed)
-    return sweep_to_halt(pattern, samples=64), calls
+    return sweep_to_halt(pattern, samples=samples), calls
 
 
 class TestCounts:
@@ -211,10 +213,9 @@ class TestCounts:
     # and lane 37 of fig7's first (37 exact, 36 placed).  The lanes after
     # it are guessed for nothing, and `propagate` makes only the flat state
     # and the search's states.  The 62 samples that are not march or search
-    # states replay as lanes, in waves: fig5's sample spacing is above the
-    # march step, so each starts from a kept state, while fig7's is below
-    # it, so some start from another sample.  Each lane pass solves each of
-    # the 81 vertices once for all its lanes
+    # states replay as lanes of one pass, each from the nearest march or
+    # search state below it.  Each lane pass solves each of the 81 vertices
+    # once for all its lanes
     @pytest.mark.parametrize("design, bounds", [
         pytest.param("fig5_design", (13, 893, 58), id="closed-form"),
         pytest.param("fig5_root_scan_design", (12, 892, 62), id="root-scan"),
@@ -241,12 +242,22 @@ class TestCounts:
         assert calls["propagate"] <= 12
         assert calls["propagate_both_modes"] <= 812
         assert calls["clash_test"] <= 22
-        assert calls["lanes"] == [36, 26]
-        assert calls["lane_passes"] == [64, 37, 36, 26]
-        assert calls["vertex_lanes"] == 4 * 81
+        assert calls["lanes"] == [62]
+        assert calls["lane_passes"] == [64, 37, 62]
+        assert calls["vertex_lanes"] == 3 * 81
         (guess, check), exact = calls["lane_passes"][:2], calls["placed_lanes"] - 62 + 1
         assert exact == check == 37
         assert guess - exact == 27  # guessed past the halt
+
+    def test_fig7_replay_fills_lane_blocks(self, fig7_design, monkeypatch):
+        # at 200 samples fig7's sample spacing is below the march step, yet
+        # the 198 samples between flat and the halt replay in
+        # ceil(198 / LANE_BLOCK) full passes, each sample from a march or
+        # search state, not in waves chained from the samples below them
+        traj, calls = _sweep_calls(fig7_design[0], monkeypatch, samples=200)
+        assert len(traj.states) == 200
+        assert calls["lanes"] == [LANE_BLOCK] * 3 + [198 - 3 * LANE_BLOCK]
+        assert calls["lane_passes"] == [64, 37] + calls["lanes"]
 
     def test_large_ortho_sweep_counts(self, monkeypatch):
         # the 34 x 34 spec of test_cli's test_large_ortho_design: 2,450
@@ -557,16 +568,16 @@ class TestExtract:
     def test_flat_rows_are_pattern_lines(self, small_parallel):
         pattern, _ = small_parallel
         st = propagate(pattern, 0.0)
-        row = extract_polylines(pattern, st, "row", 1)
-        assert len(row.samples) == pattern.cols
-        assert np.abs(row.samples[:, 2]).max() < 1e-12
+        row = st.vertex_coords[pattern.line_ids("row", 1)]
+        assert len(row) == pattern.cols
+        assert np.abs(row[:, 2]).max() < 1e-12
 
     def test_fig4_row_reproduces_partition(self, fig5_design, fig5_halt):
         pattern, _ = fig5_design
         halt = fig5_halt.halt
         part = partition_uniform(curves.space_arc(), 9)
-        row = extract_polylines(pattern, halt, "row", 1, include_boundary=True)
-        l, b, th = measure_polyline(row.samples)
+        row = halt.vertex_coords[pattern.line_ids("row", 1, include_boundary=True)]
+        l, b, th = measure_polyline(row)
         assert np.abs(l - part.lengths).max() / part.lengths.max() < 1e-6
         assert np.abs(b - part.turn_angles).max() < 1e-6
         dd = np.abs(((th - part.dihedrals + np.pi) % (2 * np.pi)) - np.pi)
@@ -576,7 +587,7 @@ class TestExtract:
         pattern, _ = fig5_design
         halt = fig5_halt.halt
         for i in range(1, pattern.cols + 1):
-            col = extract_polylines(pattern, halt, "column", i).samples
+            col = halt.vertex_coords[pattern.line_ids("column", i)]
             q = col - col.mean(axis=0)
             res = np.linalg.svd(q, compute_uv=False)[-1]
             assert res / pattern.diameter < 1e-8

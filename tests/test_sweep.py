@@ -237,6 +237,22 @@ class TestBranches:
         # every state placed after the march is a step of the halt search
         assert len(seen) - _march_len(seen) <= 2 * stats["bisections"]
 
+    def test_clash_halt_tests_halt_once(self, fig7_design, monkeypatch):
+        # the halt state is the search's last event: its halt reason comes
+        # from that test, not from a second clash test
+        pattern, _ = fig7_design
+        real = foldsim.clash_test
+        seen = []
+
+        def clash(p, st):
+            seen.append(abs(st.driving_rho))
+            return [(0, 1)] if abs(st.driving_rho) > EVENT_AT else real(p, st)
+
+        monkeypatch.setattr(foldsim, "clash_test", clash)
+        got = sweep_to_halt(pattern, samples=2)
+        assert got.halt.halt_reason == "panel-interpenetration"
+        assert seen.count(got.driving_values[-1]) == 1
+
     def test_range_end_without_event(self, fig7_design, monkeypatch):
         # every state past EVENT_AT fails its closure, in the march's lanes
         # as in the oracle's propagate
@@ -414,23 +430,23 @@ class TestLanes:
 
     @pytest.mark.parametrize("fig", FIGS)
     def test_closure_failure_raises_as_scalar(self, fig, request, monkeypatch):
-        # one replay sample of a later wave and one later sample of the
-        # first wave report a closure beyond tolerance: the sweep raises the
-        # scalar error of the first failing sample, as the oracle does
+        # two samples of the replay's one lane pass report a closure beyond
+        # tolerance, the later one a larger one: the sweep raises the scalar
+        # error of the first failing sample in order, as the oracle does
         pattern, _ = request.getfixturevalue(f"{fig}_design")
-        waves = []
+        passes = []
         real_lanes = foldsim.propagate_lanes
 
         def recorded(pattern, driving_rho, *args, **kwargs):
-            waves.append([abs(d) for d in driving_rho])
+            if len(driving_rho) > 1:
+                passes.append([abs(d) for d in driving_rho])
             return real_lanes(pattern, driving_rho, *args, **kwargs)
 
         monkeypatch.setattr(foldsim, "propagate_lanes", recorded)
         traj = sweep_to_halt(pattern, samples=64)
-        first = waves[-1][0] if len(waves) > 1 else waves[0][0]
-        assert first < waves[0][-1]
+        (lanes,) = passes
         at = {abs(st.driving_rho): st.rho for st in traj.states}
-        bad = [(at[first], 1.0), (at[waves[0][-1]], 2.0)]
+        bad = [(at[lanes[len(lanes) // 3]], 1.0), (at[lanes[-1]], 2.0)]
         real = foldsim.place_panels
 
         def leaky(pattern, rho):
