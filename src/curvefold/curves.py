@@ -34,30 +34,6 @@ def t_minus_ln(n=257):
     return PolyCurve(np.stack([t, t - np.log(t)], axis=1), t)
 
 
-def circle(n=256, radius=1.0):
-    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return PolyCurve(radius * np.stack([np.cos(t), np.sin(t)], axis=1), t, closed=True)
-
-
-def ellipse(n=256, rx=1.5, ry=0.8):
-    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return PolyCurve(np.stack([rx * np.cos(t), ry * np.sin(t)], axis=1), t, closed=True)
-
-
-def rounded_square(n=256, side=2.0, r=0.4):
-    """Closed rounded-square outline sampled counterclockwise."""
-    h = side / 2.0 - r
-    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    pts = []
-    for a in t:
-        c, s = np.cos(a), np.sin(a)
-        # squircle-style blend keeps sampling simple and the outline convex
-        x = h * np.sign(c) * min(1.0, abs(c) * 1.6) + r * c
-        y = h * np.sign(s) * min(1.0, abs(s) * 1.6) + r * s
-        pts.append((x, y))
-    return PolyCurve(np.asarray(pts), t, closed=True)
-
-
 BUILTIN = {
     "fig3-parabola": parabola,
     "fig4-spiralish": space_arc,

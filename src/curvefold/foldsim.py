@@ -1,10 +1,14 @@
 """1-DOF rigid folding simulation of quad-grid crease patterns.
 
-Folding angles are assigned by sweeping the vertex grid row-major with the
-single-vertex propagator, panels are then placed along the pattern's BFS
-placement order, and every shared edge is checked for closure.  One
-fold-assignment loop serves one state, in floats, and lanes of states,
-in (L,) arrays, with the same branch rule for both.
+What the grid fixes while the paper folds is built once per pattern, as
+a `Schedule`: the crease that drives each vertex and the vertex that wrote
+it, the BFS depths of the panel placement, and the triangle pairs that
+share a vertex.  Folding angles follow the data flow of a row-major sweep
+over the vertices: one state walks them row-major in floats, and lanes of
+states, (L,) arrays, solve one group of vertices (one dependency level,
+one input slot) per kernel call, with the same branch rule for both.
+Panels are then placed one BFS depth at a time, and every shared edge is
+checked for closure.
 The sweep-to-halt driver locates the smallest driving angle at which any
 crease reaches pi (panel coincidence) or two panels interpenetrate, by a
 march and one secant-safeguarded bracket that keep the states they make.
@@ -18,11 +22,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .errors import NoHalt, NotRigidFoldable, OutOfRange
-from .kinematics import form, propagate_both_modes
+from .kinematics import FLOATS, VertexStack, propagate_both_modes
 from .pattern import ROLE_BOUNDARY, CreasePattern, sweep_pairs
 
 HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
@@ -90,59 +95,216 @@ def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None,
     return rho, worst
 
 
+class Schedule:
+    """What the grid fixes about a pattern while it folds, built once per
+    pattern (`grid_schedule`) from its grid adjacency in O(vertices +
+    faces).
+
+    `depths`: the rows of `pattern.placement` by BFS depth, so that every
+    parent face is placed in an earlier depth than its children.  `ids`:
+    the vertex ids of the triangles (2 f, 2 f + 1) = (q0, q1, q2) and
+    (q0, q2, q3) of each face f, and `touching` which pairs of them share
+    a vertex.  `folds(pattern, dc)`: the FoldPlan of driving crease dc."""
+
+    def __init__(self, pattern):
+        self._folds = {}
+        depth = [0] * pattern.faces[..., 0].size
+        for f, par in pattern.placement[:, :2].tolist():
+            depth[f] = depth[par] + 1
+        d = np.array(depth)[pattern.placement[:, 0]]
+        rows = np.argsort(d, kind="stable")
+        self.depths = np.split(rows, np.flatnonzero(np.diff(d[rows])) + 1)
+
+        # triangle b > a can share a vertex with a only on a's face or on
+        # the faces 1, C - 1, C and C + 1 after it, C faces to a row: b lies
+        # a step of 2 x face offset + (0 or 1) past 2 x a's face.  `_slot`
+        # numbers those steps (len(steps) past the window) and `_touch[a,
+        # slot]` holds whether the two share a vertex id
+        C = pattern.faces.shape[1]
+        self.ids = pattern.faces.reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+        steps = [2 * fo + k for fo in sorted({0, 1, C - 1, C, C + 1}) for k in (0, 1)]
+        self._slot = np.full(max(steps) + 2, len(steps))
+        self._slot[steps] = np.arange(len(steps))
+        n = len(self.ids)
+        a = np.arange(n)[:, None]
+        b = (a & -2) + steps                                    # (n, slots)
+        shared = (self.ids[:, None, :, None]
+                  == self.ids[np.minimum(b, n - 1)][:, :, None, :]).any(axis=(2, 3))
+        self._touch = np.zeros((n, len(steps) + 1), dtype=bool)
+        self._touch[:, :-1] = shared & (b > a) & (b < n)
+
+    def touching(self, a, b):
+        """Whether the triangles a < b (index arrays) share a vertex, as
+        the two of one face do."""
+        step = np.minimum(b - (a & -2), len(self._slot) - 1)
+        return self._touch[a, self._slot[step]]
+
+    def folds(self, pattern, driving_crease):
+        plan = self._folds.get(driving_crease)
+        if plan is None:
+            plan = self._folds[driving_crease] = FoldPlan(pattern, driving_crease)
+        return plan
+
+
+class FoldPlan:
+    """The fold assignment's data flow from one driving crease, as the
+    row-major vertex sweep has it.
+
+    Each vertex is driven by its first crease in (R, U, L, D) order that an
+    earlier vertex, or the driving value, has written: its input slot.  The
+    sweep solves the vertices before `stuck`, the first with no written
+    crease (None when every vertex has one).  Per vertex, row-major:
+    `slot`, and `known`, the slots written before it.  For lanes the
+    vertices are ordered by level, the level of the vertex that wrote the
+    input plus one (0 for the driving value), then by input slot: `groups`
+    (start, stop, slot, vertex ids) of that order share one kernel call.
+    Folds live in a buffer (4, N + 1, L) by (slot, position), position N
+    holding the driving value in slot 0 and zeros in the others; as rows
+    of its (4 (N + 1), L) view, `src` is each vertex's input, `pairs` each
+    known slot with the row its value came from (its last writer before
+    the vertex, row-major), `final` each crease's last writer and `cids`
+    (4, N) the creases of each position."""
+
+    def __init__(self, pattern, driving_crease):
+        vcl = pattern.vertex_crease_lists()
+        writer = {driving_crease: None}  # crease -> (vertex, slot) that wrote it last
+        self.stuck, self.slot, self.known = None, [], []
+        level, sources = [], []
+        for v, cids in enumerate(vcl):
+            known = [j for j, c in enumerate(cids) if c in writer]
+            if not known:
+                self.stuck = v
+                break
+            w = writer[cids[known[0]]]
+            level.append(0 if w is None else level[w[0]] + 1)
+            self.slot.append(known[0])
+            self.known.append(known)
+            sources.append([((v, j), writer[cids[j]]) for j in known])
+            for j, c in enumerate(cids):
+                writer[c] = (v, j)
+        N = len(level)
+        order = sorted(range(N), key=lambda v: (level[v], self.slot[v]))
+        pos = {v: p for p, v in enumerate(order)}
+
+        def row(ref):  # None: the driving value; (v, j): vertex v's slot j
+            return N if ref is None else ref[1] * (N + 1) + pos[ref[0]]
+
+        self.groups, p = [], 0
+        for (_, j), vs in groupby(order, key=lambda v: (level[v], self.slot[v])):
+            vs = list(vs)
+            self.groups.append((p, p + len(vs), j, vs))
+            p += len(vs)
+        self.src = np.array([row(sources[v][0][1]) for v in order], dtype=int)
+        self.pairs = np.array([(row(a), row(b)) for v in range(N) for a, b in sources[v]],
+                              dtype=int).reshape(-1, 2).T
+        self.final = np.array([row(writer[c]) if c in writer else 2 * N + 1
+                               for c in range(len(pattern.creases))], dtype=int)
+        self.cids = np.array([vcl[v] for v in order], dtype=int).reshape(-1, 4).T
+
+
+def grid_schedule(pattern: CreasePattern):
+    """The pattern's Schedule, built once per content of its crease, face
+    and placement arrays: FOLD import relabels crease and vertex ids."""
+    key = tuple((a.shape, a.tobytes()) for a in (pattern.row_creases, pattern.col_creases,
+                                                 pattern.faces, pattern.placement))
+    cached = getattr(pattern, "_schedule", None)
+    if cached is None or cached[0] != key:
+        cached = pattern._schedule = (key, Schedule(pattern))
+    return cached[1]
+
+
 def _fold_angles(pattern: CreasePattern, driving_rho, prev, signs, driving_crease):
-    """The fold-assignment loop, on one state or on lanes: driving_rho is a
+    """The fold assignment, on one state or on lanes: driving_rho is a
     float or an (L,) array, and prev and signs hold per crease a float or
     an (L,) array each.
 
-    The vertices are swept row-major.  At each, the first known crease
-    drives the vertex solve, and mode -1 replaces mode +1 only where it is
-    a branch of its own and scores strictly better: more folds with the
-    sign of `signs` (the M/V signs where the previous state counts as
-    flat, 0 elsewhere) by more than SIGN_FLOOR, then a smaller squared
-    distance to prev (0 where the previous state counts as flat, so the
-    squared norm).  Returns the folds, (E,) or (L, E), the largest
-    disagreement with an already-assigned crease, and whether every vertex
-    had a branch.  Raises OutOfRange once no state has one, and
-    NotRigidFoldable at a vertex with no known crease."""
-    f = form(driving_rho)
-    where, any_ = f.where, f.any
+    Each vertex is solved once, from its input slot (`FoldPlan`), and mode
+    -1 replaces mode +1 by `_branch`.  One state walks the vertices
+    row-major in floats; lanes run one kernel call per group of the plan,
+    level by level.  Returns the folds, (E,) or (L, E), the largest
+    disagreement of a vertex's folds with the creases written before it,
+    and whether every vertex had a branch.  Raises OutOfRange where no
+    state has one, else NotRigidFoldable when the row-major sweep reaches
+    a vertex with no known crease."""
     verts = pattern.vertex_angles()
+    plan = grid_schedule(pattern).folds(pattern, driving_crease)
+    if isinstance(driving_rho, np.ndarray):
+        out = _fold_levels(plan, verts, driving_rho, np.asarray(prev), np.asarray(signs))
+    else:
+        out = _fold_walk(pattern, plan, verts, driving_rho, prev, signs, driving_crease)
+    if plan.stuck is not None:
+        k, i = divmod(plan.stuck, pattern.cols)
+        raise NotRigidFoldable(f"sweep reached vertex ({k + 1},{i + 1}) with no known crease")
+    return out
+
+
+def _branch(plus, minus, two, prev, signs, where):
+    """The branch rule of one vertex, on floats or on arrays: mode -1
+    replaces mode +1 only where it is a branch of its own and scores
+    strictly better, by more folds with the sign of `signs` (the M/V signs
+    where the previous state counts as flat, 0 elsewhere) by more than
+    SIGN_FLOOR, then by a smaller squared distance to `prev` (0 where the
+    previous state counts as flat, so the squared norm).  prev and signs
+    hold the vertex's four creases.
+
+    Sign agreement comes first: near flat it breaks ties toward the state
+    continuous with flat (other branches through the flat configuration
+    carry large folds at tiny driving).  Squared distances are products: a
+    float's x ** 2 is libm's pow, which does not always round as x * x and
+    numpy's x ** 2 do."""
+    p0, p1, p2, p3 = prev
+    s0, s1, s2, s3 = signs
+    scores = []
+    for x0, x1, x2, x3 in (plus, minus):
+        d0, d1, d2, d3 = x0 - p0, x1 - p1, x2 - p2, x3 - p3
+        scores.append((sum([x0 * s0 > SIGN_FLOOR, x1 * s1 > SIGN_FLOOR,
+                            x2 * s2 > SIGN_FLOOR, x3 * s3 > SIGN_FLOOR]),
+                       d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3))
+    (mp, dp), (mm, dm) = scores
+    return where(two & ((mm > mp) | ((mm == mp) & (dm < dp))), minus, plus)
+
+
+def _fold_walk(pattern, plan, verts, driving_rho, prev, signs, driving_crease):
+    """One state's fold assignment in floats, row-major; raises OutOfRange
+    at the first vertex with no branch."""
     rho = [None] * len(pattern.creases)
     rho[driving_crease] = driving_rho
-    worst, ok = 0.0, True
-    for vi, cids in enumerate(pattern.vertex_crease_lists()):
-        known = [(j, rho[c]) for j, c in enumerate(cids) if rho[c] is not None]
-        if not known:
-            k, i = divmod(vi, pattern.cols)
-            raise NotRigidFoldable(
-                f"sweep reached vertex ({k + 1},{i + 1}) with no known crease")
-        hit, plus, minus, two = propagate_both_modes(verts[vi], *known[0])
-        ok = ok & hit
-        if not any_(ok):
+    worst = 0.0
+    for v, cids in enumerate(pattern.vertex_crease_lists()[:len(plan.slot)]):
+        hit, plus, minus, two = propagate_both_modes(verts[v], plan.slot[v],
+                                                     rho[cids[plan.slot[v]]])
+        if not hit:
             raise OutOfRange("configuration beyond the vertex folding range")
-        # sign agreement first; near flat it breaks ties toward the state
-        # continuous with flat (other branches through the flat
-        # configuration carry large folds at tiny driving).  Squared
-        # distances are products: a float's x ** 2 is libm's pow, which
-        # does not always round as x * x and numpy's x ** 2 do
-        p0, p1, p2, p3 = [prev[c] for c in cids]
-        s0, s1, s2, s3 = [signs[c] for c in cids]
-        scores = []
-        for x0, x1, x2, x3 in (plus, minus):
-            d0, d1, d2, d3 = x0 - p0, x1 - p1, x2 - p2, x3 - p3
-            scores.append((sum([x0 * s0 > SIGN_FLOOR, x1 * s1 > SIGN_FLOOR,
-                                x2 * s2 > SIGN_FLOOR, x3 * s3 > SIGN_FLOOR]),
-                           d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3))
-        (mp, dp), (mm, dm) = scores
-        r = where(two & ((mm > mp) | ((mm == mp) & (dm < dp))), minus, plus)
-        for j, val in known:
-            gap = abs(r[j] - val)
-            worst = where(gap > worst, gap, worst)
+        r = _branch(plus, minus, two, [prev[c] for c in cids], [signs[c] for c in cids],
+                    FLOATS.where)
+        for j in plan.known[v]:
+            gap = abs(r[j] - rho[cids[j]])
+            worst = gap if gap > worst else worst
         for c, x in zip(cids, r):
             rho[c] = x
-    zero = abs(driving_rho) * 0.0  # in the shape of driving_rho
-    return np.array([zero if x is None else x for x in rho]).T, worst, ok
+    return np.array([0.0 if x is None else x for x in rho]), worst, True
+
+
+def _fold_levels(plan, verts, driving_rho, prev, signs):
+    """Lanes' fold assignment, one kernel call per group of the plan;
+    prev and signs are (E, L).  Raises OutOfRange once no lane has a
+    branch.  The largest gap ignores NaN, as the comparison of the
+    row-major walk does."""
+    L, N = len(driving_rho), len(plan.slot)
+    buf = np.zeros((4, N + 1, L))
+    buf[0, N] = driving_rho
+    rows = buf.reshape(-1, L)
+    P, S = prev[plan.cids], signs[plan.cids]
+    ok = True
+    for a, b, j, vs in plan.groups:
+        hit, plus, minus, two = propagate_both_modes(
+            VertexStack([verts[v] for v in vs]), j, rows[plan.src[a:b]])
+        ok = ok & hit.all(axis=0)
+        if not ok.any():
+            raise OutOfRange("configuration beyond the vertex folding range")
+        buf[:, a:b] = _branch(plus, minus, two, P[:, a:b], S[:, a:b], np.where)
+    gap = np.abs(rows[plan.pairs[0]] - rows[plan.pairs[1]])
+    return rows[plan.final].T, np.fmax.reduce(gap, axis=0, initial=0.0), ok
 
 
 def _rotations(axes, angles):
@@ -157,7 +319,8 @@ def _rotations(axes, angles):
 
 def place_panels(pattern: CreasePattern, rho):
     """Rigid placement of every panel along the pattern's placement order,
-    from face 0 (top left) fixed in the plane z = 0.
+    from face 0 (top left) fixed in the plane z = 0.  The hinge rotations
+    are composed one BFS depth of the placement at a time.
 
     rho holds one state's fold angles (E,) or one state per row (L, E);
     returns (vertex_coords, residuals), and for rows of lanes the
@@ -183,9 +346,10 @@ def place_panels(pattern: CreasePattern, rho):
     R = np.empty((pattern.faces.shape[0] * pattern.faces.shape[1], L, 3, 3))
     t = np.empty((len(R), L, 3))
     R[0], t[0] = np.eye(3), 0.0
-    for f, par, Hk, ck in zip(face.tolist(), parent.tolist(), H, shift):
-        R[f] = R[par] @ Hk
-        t[f] = (R[par] @ ck[:, :, None])[:, :, 0] + t[par]
+    for rows in grid_schedule(pattern).depths:
+        f, Rp = face[rows], R[parent[rows]]
+        R[f] = Rp @ H[rows]
+        t[f] = (Rp @ shift[rows, :, :, None])[..., 0] + t[parent[rows]]
 
     # closure on every interior shared edge
     diam = max(pattern.diameter, 1e-12)
@@ -321,7 +485,7 @@ def _fold_lanes(pattern: CreasePattern, driving_rho, prev, driving_crease):
     signs = np.array([c.mv for c in pattern.creases])[:, None] * flat
     try:
         rho, mismatch, ok = _fold_angles(pattern, np.asarray(driving_rho, dtype=float),
-                                         list(prev.T), list(signs), driving_crease)
+                                         prev.T, signs, driving_crease)
     except (OutOfRange, NotRigidFoldable):
         return None
     return rho, mismatch, ok & (mismatch <= FOLD_CONSISTENCY)
@@ -445,27 +609,29 @@ def clash_test(pattern: CreasePattern, state: FoldedState):
     by more than CLASH_REL x diameter; the same threshold treats
     near-coplanar overlap as the coincidence case.  The candidate pairs
     come from an x-interval sweep, in blocks, then a bounding-box test
-    on all three axes."""
+    on all three axes; the pairs that share a vertex drop out by the
+    schedule's table of grid offsets (`Schedule.touching`)."""
     tol = CLASH_REL * max(pattern.diameter, 1.0)
     fl, fr = pattern.crease_faces.T
     folded = (fl >= 0) & (fr >= 0) & (np.abs(state.rho) >= np.pi - COINCIDENT)
     hits = {(min(a, b), max(a, b)) for a, b in zip(fl[folded].tolist(), fr[folded].tolist())}
 
-    # two triangles per panel, (0, 1, 2) and (0, 2, 3)
-    quads = pattern.faces.reshape(-1, 4)
-    ids = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-    face = np.repeat(np.arange(len(quads)), 2)
-    T = np.asarray(state.vertex_coords, dtype=float)[ids]     # (n, 3, 3)
-    lo, hi = T.min(axis=1), T.max(axis=1)
+    sched = grid_schedule(pattern)
+    T = np.asarray(state.vertex_coords, dtype=float)[sched.ids]     # (n, 3, 3)
+    # the boxes per axis, (3, n): gathers from 1-D rows are the fast ones
+    lo, hi = T.min(axis=1).T.copy(), T.max(axis=1).T.copy()
+    below, above = lo - tol, hi + tol
     N = _unit_normals(T)
-    for i, j in sweep_pairs(lo[:, 0], hi[:, 0], tol):
+    for i, j in sweep_pairs(lo[0], hi[0], tol):
         a, b = np.minimum(i, j), np.maximum(i, j)
-        keep = (((lo[b] <= hi[a] + tol) & (hi[b] >= lo[a] - tol)).all(axis=1)
-                & (face[a] != face[b])
-                & ~(ids[a][:, :, None] == ids[b][:, None, :]).any(axis=(1, 2)))
-        a, b = a[keep], b[keep]
+        box = np.ones(len(a), dtype=bool)
+        for x0, x1, bx0, ax1 in zip(lo, hi, below, above):
+            box &= (x0[b] <= ax1[a]) & (x1[b] >= bx0[a])
+        a, b = a[box], b[box]
+        apart = ~sched.touching(a, b)
+        a, b = a[apart], b[apart]
         hit = _penetrates(T, N, a, b, tol)
-        hits.update(zip(face[a[hit]].tolist(), face[b[hit]].tolist()))
+        hits.update(zip((a[hit] >> 1).tolist(), (b[hit] >> 1).tolist()))
     return sorted(hits)
 
 

@@ -86,10 +86,16 @@ class VertexAngles:
             t = self._terms[a] = _half_angle_terms(self.sectors, a)
         return t
 
-    @property
-    def is_flat_foldable(self):
-        s = self.sectors
-        return abs(s[0] + s[2] - np.pi) < 1e-9 and abs(s[1] + s[3] - np.pi) < 1e-9
+
+class VertexStack:
+    """Vertices solved in one kernel call: `terms` stacks their terms as
+    (G, 1) columns, so that row g of a (G, L) input runs on vertex g."""
+
+    def __init__(self, verts):
+        self.verts = verts
+
+    def terms(self, a):
+        return tuple(np.array([v.terms(a) for v in self.verts]).T[:, :, None])
 
 
 @dataclass(frozen=True)
@@ -186,20 +192,27 @@ def _root(x):
     return math.sqrt(max(x, 0.0))
 
 
+def _each(fn):
+    """fn of math on every element of arrays of one shape."""
+    def each(*xs):
+        x = xs[0]
+        return np.fromiter(map(fn, *(a.ravel().tolist() for a in xs)), float,
+                           x.size).reshape(x.shape)
+    return each
+
+
 #: the operations one form of the solve runs on: one state in floats, or
-#: (L,) arrays of lanes.  Lanes take numpy for arithmetic, which rounds as
+#: arrays of lanes.  Lanes take numpy for arithmetic, which rounds as
 #: floats do, and math for each tan and atan2, one element at a time,
 #: because numpy's can differ from math's in the last bit
 Form = namedtuple("Form", "tan root atan2 where any")
 FLOATS = Form(math.tan, _root, math.atan2, lambda c, a, b: a if c else b, bool)
-LANES = Form(lambda x: np.array(list(map(math.tan, x.tolist()))),
-             lambda x: np.sqrt(np.maximum(x, 0.0)),
-             lambda y, x: np.array(list(map(math.atan2, y.tolist(), x.tolist()))),
+LANES = Form(_each(math.tan), lambda x: np.sqrt(np.maximum(x, 0.0)), _each(math.atan2),
              np.where, np.any)
 
 
 def form(x):
-    """The form that x, a fold angle or an (L,) array of them, runs on."""
+    """The form that x, a fold angle or an array of them, runs on."""
     return LANES if isinstance(x, np.ndarray) else FLOATS
 
 
@@ -259,9 +272,10 @@ def degree4_propagate(v: VertexAngles, input_crease, input_rho, mode=+1):
     return FoldAngles(plus if mode == +1 else minus, mode=mode)
 
 
-def propagate_both_modes(v: VertexAngles, input_crease, input_rho):
+def propagate_both_modes(v, input_crease, input_rho):
     """The folds on all four creases of both branches, given the fold on
-    one crease: a float, or an (L,) array of lanes.
+    one crease of the VertexAngles v: a float, or an (L,) array of lanes;
+    or, for a VertexStack v of G vertices, a (G, L) array.
 
     Solves the spherical four-bar in tangents of the half fold angles:
     each crease follows from tan(rho_a / 2) by a closed-form root, so the

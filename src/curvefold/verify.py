@@ -142,19 +142,6 @@ def check_separability(grid_alpha):
     return _result("separability", res, "separability")
 
 
-def rigid_align(src, dst):
-    """Least-squares rigid motion taking src points onto dst (Kabsch)."""
-    src = np.asarray(src, float)
-    dst = np.asarray(dst, float)
-    cs, cd = src.mean(axis=0), dst.mean(axis=0)
-    H = (src - cs).T @ (dst - cd)
-    U, _, Vt = np.linalg.svd(H)
-    D = np.eye(H.shape[0])
-    D[-1, -1] = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ D @ U.T
-    return R, cd - R @ cs
-
-
 def measure_phi(pattern, state, i):
     """Dihedral between the planes of folded columns i and i+1, measured
     from the cross products of their inner-crease directions."""

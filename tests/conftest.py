@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import design_oracle
+import sweep_oracle
 from curvefold import curves, parallel
+from curvefold.foldio import export_fold, import_fold
 from curvefold.foldsim import sweep_to_halt
 from curvefold.geometry import partition_uniform
 from curvefold.ortho import OrthoDesignSpec, build_ortho_pattern
@@ -52,6 +54,27 @@ def fig7_design():
 def fig7_halt(fig7_design):
     pattern, _ = fig7_design
     return sweep_to_halt(pattern, samples=8)
+
+
+@pytest.fixture(scope="session")
+def oracle_sweep(request):
+    """get(fig, samples, reimport=False): (pattern, trajectory) of
+    `sweep_oracle.sweep_to_halt` on the design of "fig5" or "fig7",
+    re-imported from its FOLD export when asked, computed once per session.
+    Only unpatched sweeps belong here: a test that patches foldsim calls
+    the oracle itself."""
+    cache = {}
+
+    def get(fig, samples, reimport=False):
+        key = (fig, samples, reimport)
+        if key not in cache:
+            pattern, _ = request.getfixturevalue(f"{fig}_design")
+            if reimport:
+                pattern, _ = import_fold(export_fold(pattern))
+            cache[key] = pattern, sweep_oracle.sweep_to_halt(pattern, samples=samples)
+        return cache[key]
+
+    return get
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,67 @@
+"""Shapes, checks and spec strategies the tests share, which the library
+itself has no use for."""
+import math
+
+import numpy as np
+from hypothesis import strategies as hs
+
+from curvefold.geometry import PolyCurve
+
+
+def circle(n=256, radius=1.0):
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return PolyCurve(radius * np.stack([np.cos(t), np.sin(t)], axis=1), t, closed=True)
+
+
+def ellipse(n=256, rx=1.5, ry=0.8):
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return PolyCurve(np.stack([rx * np.cos(t), ry * np.sin(t)], axis=1), t, closed=True)
+
+
+def rounded_square(n=256, side=2.0, r=0.4):
+    """Closed rounded-square outline sampled counterclockwise."""
+    h = side / 2.0 - r
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    pts = []
+    for a in t:
+        c, s = np.cos(a), np.sin(a)
+        # squircle-style blend keeps sampling simple and the outline convex
+        x = h * np.sign(c) * min(1.0, abs(c) * 1.6) + r * c
+        y = h * np.sign(s) * min(1.0, abs(s) * 1.6) + r * s
+        pts.append((x, y))
+    return PolyCurve(np.asarray(pts), t, closed=True)
+
+
+def rigid_align(src, dst):
+    """Least-squares rigid motion taking src points onto dst (Kabsch)."""
+    src = np.asarray(src, float)
+    dst = np.asarray(dst, float)
+    cs, cd = src.mean(axis=0), dst.mean(axis=0)
+    H = (src - cs).T @ (dst - cd)
+    U, _, Vt = np.linalg.svd(H)
+    D = np.eye(H.shape[0])
+    D[-1, -1] = np.sign(np.linalg.det(Vt.T @ U.T))
+    R = Vt.T @ D @ U.T
+    return R, cd - R @ cs
+
+
+def is_flat_foldable(v):
+    """Opposite sectors of the VertexAngles v sum to pi (Kawasaki)."""
+    s = v.sectors
+    return abs(s[0] + s[2] - np.pi) < 1e-9 and abs(s[1] + s[3] - np.pi) < 1e-9
+
+
+#: small specs of both families, drawn from the ranges of the benchmark's
+#: explore batch on smaller grids
+SMALL_SPECS = hs.one_of(
+    hs.builds(lambda scale, n_row, n_col, rho4: {
+        "type": "parallel-repeating", "datum": {"builtin": "fig4-spiralish"},
+        "target": {"builtin": "fig5-exp", "scale": scale},
+        "n_row": n_row, "n_col": n_col, "rho4": rho4, "theta": "auto", "eps": 10.0},
+        hs.floats(0.6, 0.8), hs.integers(2, 4), hs.integers(1, 4),
+        hs.floats(0.86 * math.pi, 0.875 * math.pi)),
+    hs.builds(lambda scale, n, m, eps: {
+        "type": "orthodiagonal", "datum": {"builtin": "fig7-sine"},
+        "target": {"builtin": "fig7-tlnt", "scale": scale},
+        "n": n, "m": m, "theta": "auto", "eps": eps},
+        hs.floats(0.7, 1.2), hs.integers(3, 7), hs.integers(2, 4), hs.floats(0.16, 0.28)))

@@ -23,7 +23,8 @@ from curvefold.ortho import (alpha_left, default_alpha11,
                              effective_stub_angles, propagate_grid)
 from curvefold.parallel import (ParallelDesignSpec, build_pattern, design_row,
                                 xi_recurrence)
-from curvefold.verify import TOLERANCES, check_developability, rigid_align
+from curvefold.verify import TOLERANCES, check_developability
+from support import circle, ellipse, rigid_align, rounded_square
 
 RHO4 = 5 * np.pi / 6
 THETA5 = np.deg2rad(73.0)
@@ -255,7 +256,7 @@ def test_criterion_06_ortho_separability():
 
 
 def test_criterion_07_closed_curves_rejected():
-    shapes = [curves.circle(48), curves.ellipse(48), curves.rounded_square(48)]
+    shapes = [circle(48), ellipse(48), rounded_square(48)]
     thetas = 2 * np.pi * np.arange(720) / 720
     xis = np.pi * np.arange(1, 180) / 180
     count = 0

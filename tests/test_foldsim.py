@@ -20,7 +20,8 @@ from curvefold.foldsim import (CLOSURE_REL, LANE_BLOCK, _penetrates, _unit_norma
 from curvefold.geometry import PolyCurve, measure_polyline, partition_uniform
 from curvefold.parallel import ParallelDesignSpec, build_pattern
 from curvefold.pattern import ROLE_BOUNDARY
-from curvefold.verify import TOLERANCES, check_isometry, rigid_align
+from curvefold.verify import TOLERANCES, check_isometry
+from support import rigid_align
 
 RHO4 = 5 * np.pi / 6
 
@@ -164,19 +165,23 @@ class TestVertexTable:
 
 def _sweep_calls(pattern, monkeypatch, samples=64):
     """Calls of propagate, of the vertex solve on one state and on lanes
-    ("vertex_lanes"), and of the clash test in a sweep of `samples` states;
+    ("vertex_lanes", one per group of vertices solved together, with the
+    vertices of each group added up under "lane_vertices"), and of the
+    clash test in a sweep of `samples` states;
     under "lanes" the lane count of each propagate_lanes call of more than
     one lane (one lane goes through propagate), under
     "lane_passes" that of each fold pass over lanes, and under
     "placed_lanes" the count of states placed as lanes."""
     calls = {"propagate": 0, "propagate_both_modes": 0, "vertex_lanes": 0, "clash_test": 0,
-             "lanes": [], "lane_passes": [], "placed_lanes": 0}
+             "lane_vertices": 0, "lanes": [], "lane_passes": [], "placed_lanes": 0}
     for name in ("propagate", "propagate_both_modes", "clash_test"):
         fn = getattr(foldsim, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             lanes = _name == "propagate_both_modes" and isinstance(args[2], np.ndarray)
             calls["vertex_lanes" if lanes else _name] += 1
+            if lanes:
+                calls["lane_vertices"] += len(args[0].verts)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(foldsim, name, counted)
@@ -215,7 +220,8 @@ class TestCounts:
     # and the search's states.  The 62 samples that are not march or search
     # states replay as lanes of one pass, each from the nearest march or
     # search state below it.  Each lane pass solves each of the 81 vertices
-    # once for all its lanes
+    # once for all its lanes, in 25 kernel calls: one per group of vertices
+    # of one dependency level and one input slot
     @pytest.mark.parametrize("design, bounds", [
         pytest.param("fig5_design", (13, 893, 58), id="closed-form"),
         pytest.param("fig5_root_scan_design", (12, 892, 62), id="root-scan"),
@@ -229,7 +235,8 @@ class TestCounts:
         assert calls["clash_test"] <= bounds[2]
         assert calls["lanes"] == [62]
         assert calls["lane_passes"] == [64, 64, 64, 43, 62]
-        assert calls["vertex_lanes"] == 5 * 81
+        assert calls["vertex_lanes"] == 5 * 25
+        assert calls["lane_vertices"] == 5 * 81
         guess, check = calls["lane_passes"][0:4:2], calls["lane_passes"][1:4:2]
         exact = calls["placed_lanes"] - 62 + 1
         assert exact == sum(check) == 64 + 43
@@ -244,7 +251,8 @@ class TestCounts:
         assert calls["clash_test"] <= 22
         assert calls["lanes"] == [62]
         assert calls["lane_passes"] == [64, 37, 62]
-        assert calls["vertex_lanes"] == 3 * 81
+        assert calls["vertex_lanes"] == 3 * 25
+        assert calls["lane_vertices"] == 3 * 81
         (guess, check), exact = calls["lane_passes"][:2], calls["placed_lanes"] - 62 + 1
         assert exact == check == 37
         assert guess - exact == 27  # guessed past the halt
@@ -262,12 +270,24 @@ class TestCounts:
     def test_large_ortho_sweep_counts(self, monkeypatch):
         # the 34 x 34 spec of test_cli's test_large_ortho_design: 2,450
         # triangles, 3,000,025 pairs, of which the x-interval sweep lists
-        # 186,477 per clash test on average
+        # 186,477 per clash test on average.  Each lane pass solves the
+        # 1,156 vertices in 100 kernel calls
         pattern = _design({"type": "orthodiagonal",
                            "datum": {"builtin": "fig7-sine"}, "target": {"builtin": "fig7-tlnt"},
                            "n": 34, "m": 34, "theta": "auto", "eps": 0.2})
-        calls = {"clash_test": 0, "pairs": 0}
+        calls = {"clash_test": 0, "pairs": 0, "lane_passes": 0, "groups": 0, "vertices": 0}
         clash, sweep = foldsim.clash_test, foldsim.sweep_pairs
+        fold_lanes, solve = foldsim._fold_lanes, foldsim.propagate_both_modes
+
+        def lane_pass(*args):
+            calls["lane_passes"] += 1
+            return fold_lanes(*args)
+
+        def counted_solve(v, *args):
+            if isinstance(args[1], np.ndarray):
+                calls["groups"] += 1
+                calls["vertices"] += len(v.verts)
+            return solve(v, *args)
 
         def counted_clash(*args):
             calls["clash_test"] += 1
@@ -280,10 +300,15 @@ class TestCounts:
 
         monkeypatch.setattr(foldsim, "clash_test", counted_clash)
         monkeypatch.setattr(foldsim, "sweep_pairs", counted_sweep)
+        monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
+        monkeypatch.setattr(foldsim, "propagate_both_modes", counted_solve)
         traj = sweep_to_halt(pattern, samples=16)
         assert traj.halt.halt_reason == "crease-at-pi"
         assert calls["clash_test"] == 46
         assert calls["pairs"] == 8_577_959
+        assert calls["lane_passes"] > 0
+        assert calls["groups"] == 100 * calls["lane_passes"]
+        assert calls["vertices"] == 34 * 34 * calls["lane_passes"]
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ from curvefold.geometry import (AffineParams, PolyCurve, affine_map,
                                 affine_unmap, hausdorff, is_admissible,
                                 measure_polyline, partition_tube,
                                 partition_uniform, search_theta, staircase)
+from support import circle
 
 
 def line_curve(n=64):
@@ -62,7 +63,7 @@ class TestAdmissible:
 
     def test_closed_curve_raises(self):
         with pytest.raises(ClosedCurve):
-            is_admissible(curves.circle(), AffineParams(0.0, np.pi / 2))
+            is_admissible(circle(), AffineParams(0.0, np.pi / 2))
 
     def test_invariant_under_resampling(self):
         f = curves.parabola(65)
@@ -86,7 +87,7 @@ class TestSearchTheta:
 
     def test_closed_propagates(self):
         with pytest.raises(ClosedCurve):
-            search_theta(curves.circle(), np.pi / 2, grid=8)
+            search_theta(circle(), np.pi / 2, grid=8)
 
     def test_empty_result_is_legal(self):
         # nearly-circular open arc admits no monotone image at this xi

@@ -9,6 +9,7 @@ from curvefold.parallel import (ParallelDesignSpec, build_pattern,
                                 column_curves, design_row, xi_list,
                                 xi_recurrence)
 from curvefold.pattern import check_embeddable
+from support import is_flat_foldable
 
 RHO4 = 5 * np.pi / 6
 THETA5 = np.deg2rad(73.0)
@@ -36,7 +37,7 @@ class TestDesignRow:
         for v in verts:
             assert abs(sum(v.sectors) - 2 * np.pi) < 1e-10
         for v in verts[1:]:
-            assert v.is_flat_foldable
+            assert is_flat_foldable(v)
 
     def test_first_vertex_family(self, fig4_partition):
         verts, _ = design_row(fig4_partition, RHO4)

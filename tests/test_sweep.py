@@ -3,25 +3,24 @@
 the clash and range-end branches of the halt search, and the lane replay
 against per-sample `propagate`."""
 import json
-import math
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
-from hypothesis import strategies as hs
 
 import sweep_oracle as oracle
 from curvefold import curves, foldsim
 from curvefold.cli import DEMOS, _build_from_spec
 from curvefold.errors import CurvefoldError, NoHalt, NotRigidFoldable, OutOfRange
-from curvefold.foldio import export_fold, import_fold, load_design_spec
+from curvefold.foldio import load_design_spec
 from curvefold.foldsim import (MARCH_STEPS, default_driving_crease, propagate,
                                propagate_lanes, sweep_to_halt)
 from curvefold.geometry import PolyCurve
 from curvefold.kinematics import MODE_ATOL
 from curvefold.parallel import ParallelDesignSpec, build_pattern
+from support import SMALL_SPECS
 
 FIGS = ("fig5", "fig7")
 EVENT_AT = 0.6  # driving value (rad) past which the branch tests fake an event
@@ -93,38 +92,20 @@ def _march_len(seen):
     return n
 
 
-#: small specs of both families, drawn from the ranges of the benchmark's
-#: explore batch on smaller grids
-_SMALL_SPECS = hs.one_of(
-    hs.builds(lambda scale, n_row, n_col, rho4: {
-        "type": "parallel-repeating", "datum": {"builtin": "fig4-spiralish"},
-        "target": {"builtin": "fig5-exp", "scale": scale},
-        "n_row": n_row, "n_col": n_col, "rho4": rho4, "theta": "auto", "eps": 10.0},
-        hs.floats(0.6, 0.8), hs.integers(2, 4), hs.integers(1, 4),
-        hs.floats(0.86 * math.pi, 0.875 * math.pi)),
-    hs.builds(lambda scale, n, m, eps: {
-        "type": "orthodiagonal", "datum": {"builtin": "fig7-sine"},
-        "target": {"builtin": "fig7-tlnt", "scale": scale},
-        "n": n, "m": m, "theta": "auto", "eps": eps},
-        hs.floats(0.7, 1.2), hs.integers(3, 7), hs.integers(2, 4), hs.floats(0.16, 0.28)))
-
-
 class TestOracle:
     @pytest.mark.parametrize("samples", (2, 4, 8, 64, 200))
     @pytest.mark.parametrize("fig", FIGS)
-    def test_bit_equal(self, fig, samples, request):
-        pattern, _ = request.getfixturevalue(f"{fig}_design")
-        assert_same(sweep_to_halt(pattern, samples=samples),
-                    oracle.sweep_to_halt(pattern, samples=samples))
+    def test_bit_equal(self, fig, samples, oracle_sweep):
+        pattern, want = oracle_sweep(fig, samples)
+        assert_same(sweep_to_halt(pattern, samples=samples), want)
 
     @pytest.mark.parametrize("fig", FIGS)
-    def test_bit_equal_reimported(self, fig, request):
-        pattern, _ = import_fold(export_fold(request.getfixturevalue(f"{fig}_design")[0]))
-        assert_same(sweep_to_halt(pattern, samples=64),
-                    oracle.sweep_to_halt(pattern, samples=64))
+    def test_bit_equal_reimported(self, fig, oracle_sweep):
+        pattern, want = oracle_sweep(fig, 64, reimport=True)
+        assert_same(sweep_to_halt(pattern, samples=64), want)
 
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
-    @given(_SMALL_SPECS)
+    @given(SMALL_SPECS)
     def test_bit_equal_on_small_specs(self, doc):
         # the march's guesses are checked, not assumed: every design that
         # builds sweeps as the oracle does, or fails as it does
@@ -388,13 +369,16 @@ class TestLanes:
 
         def made_up(v, j_in, rho_in):
             # the branch pairs of the lanes rho_in, deduplicated by the
-            # rule of propagate_both_modes
-            plus, minus = (np.array([table[x][m] for x in np.atleast_1d(rho_in).tolist()]).T
+            # rule of propagate_both_modes; on lanes rho_in is (G, L), here
+            # with one vertex (G = 1)
+            plus, minus = (np.array([table[x][m] for x in np.ravel(rho_in).tolist()]).T
                            for m in (0, 1))
             two = ~np.isclose(minus, plus, atol=MODE_ATOL).all(axis=0)
             if np.ndim(rho_in) == 0:
                 return True, plus[:, 0].tolist(), minus[:, 0].tolist(), bool(two[0])
-            return np.ones(len(rho_in), dtype=bool), list(plus), list(minus), two
+            shape = np.shape(rho_in)
+            return (np.ones(shape, dtype=bool), plus.reshape(4, *shape),
+                    minus.reshape(4, *shape), two.reshape(shape))
 
         monkeypatch.setattr(foldsim, "propagate_both_modes", made_up)
         # the lanes place nothing: their closure is not in question here

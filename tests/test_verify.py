@@ -8,8 +8,8 @@ from curvefold.verify import (TOLERANCES, check_coplanarity,
                               check_opposite_row_folds,
                               check_perpendicular_rows, check_phi,
                               check_row_fold_equal, check_separability,
-                              check_xi, measure_phi, rigid_align,
-                              run_pattern_checks)
+                              check_xi, measure_phi, run_pattern_checks)
+from support import rigid_align
 
 
 class TestTolerances:
