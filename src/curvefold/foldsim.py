@@ -12,21 +12,22 @@ checked for closure.
 The sweep-to-halt driver locates the smallest driving angle at which any
 crease reaches pi (panel coincidence) or two panels interpenetrate, by a
 march and one secant-safeguarded bracket that keep the states they make.
-The march is guessed in lanes and checked in lanes, and keeps the lanes
-the check shows exact.  Every other state, one at a time or the returned
-samples as lanes, comes from one store that propagates each new state
-from the nearest kept state below it.
+The march is guessed in lanes, keeps the lanes a re-score shows exact and
+clash-tests them in batches.  Every other state, one at a time or the
+returned samples as lanes, comes from one store that propagates each new
+state from the nearest kept state below it.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby, takewhile
 
 import numpy as np
 
 from .errors import NoHalt, NotRigidFoldable, OutOfRange
+from .geometry import _PAIR_BLOCK
 from .kinematics import FLOATS, VertexStack, propagate_both_modes
 from .pattern import ROLE_BOUNDARY, CreasePattern, sweep_pairs
 
@@ -88,7 +89,7 @@ def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None,
         prev, signs = [0.0] * E, [c.mv for c in pattern.creases]
     else:
         prev, signs = np.asarray(prev_rho, dtype=float).tolist(), [0] * E
-    rho, worst, _ = _fold_angles(pattern, float(driving_rho), prev, signs, driving_crease)
+    rho, worst, _, _ = _fold_angles(pattern, float(driving_rho), prev, signs, driving_crease)
     if worst > FOLD_CONSISTENCY:
         raise NotRigidFoldable(
             f"fold-angle loop mismatch {worst:.3g} rad", residual=worst)
@@ -101,7 +102,8 @@ class Schedule:
     faces).
 
     `depths`: the rows of `pattern.placement` by BFS depth, so that every
-    parent face is placed in an earlier depth than its children.  `ids`:
+    parent face is placed in an earlier depth than its children, and
+    `order`, `hinges` the corners of the creases in placement order.  `ids`:
     the vertex ids of the triangles (2 f, 2 f + 1) = (q0, q1, q2) and
     (q0, q2, q3) of each face f, and `touching` which pairs of them share
     a vertex.  `folds(pattern, dc)`: the FoldPlan of driving crease dc."""
@@ -114,6 +116,16 @@ class Schedule:
         d = np.array(depth)[pattern.placement[:, 0]]
         rows = np.argsort(d, kind="stable")
         self.depths = np.split(rows, np.flatnonzero(np.diff(d[rows])) + 1)
+
+        # the faces in placement order, face 0 first; per interior crease, its
+        # two faces and its ends' rows (4 position + corner) among their corners
+        self.order = np.concatenate([[0], pattern.placement[:, 0]])
+        fl, fr = pattern.crease_faces.T
+        inner = np.flatnonzero((fl >= 0) & (fr >= 0))
+        ends = pattern.crease_ends()[inner, :, None]
+        self.hinges = [(f, 4 * np.argsort(self.order)[f, None]
+                        + (pattern.faces.reshape(-1, 4)[f, None] == ends).argmax(axis=2))
+                       for f in (fl[inner], fr[inner])]
 
         # triangle b > a can share a vertex with a only on a's face or on
         # the faces 1, C - 1, C and C + 1 after it, C faces to a row: b lies
@@ -206,7 +218,8 @@ def grid_schedule(pattern: CreasePattern):
     """The pattern's Schedule, built once per content of its crease, face
     and placement arrays: FOLD import relabels crease and vertex ids."""
     key = tuple((a.shape, a.tobytes()) for a in (pattern.row_creases, pattern.col_creases,
-                                                 pattern.faces, pattern.placement))
+                                                 pattern.faces, pattern.placement,
+                                                 pattern.crease_faces))
     cached = getattr(pattern, "_schedule", None)
     if cached is None or cached[0] != key:
         cached = pattern._schedule = (key, Schedule(pattern))
@@ -223,9 +236,10 @@ def _fold_angles(pattern: CreasePattern, driving_rho, prev, signs, driving_creas
     row-major in floats; lanes run one kernel call per group of the plan,
     level by level.  Returns the folds, (E,) or (L, E), the largest
     disagreement of a vertex's folds with the creases written before it,
-    and whether every vertex had a branch.  Raises OutOfRange where no
-    state has one, else NotRigidFoldable when the row-major sweep reaches
-    a vertex with no known crease."""
+    whether every vertex had a branch, and the lanes' modes (None on one
+    state).  Raises OutOfRange where no state has one, else
+    NotRigidFoldable when the row-major sweep reaches a vertex with no
+    known crease."""
     verts = pattern.vertex_angles()
     plan = grid_schedule(pattern).folds(pattern, driving_crease)
     if isinstance(driving_rho, np.ndarray):
@@ -282,29 +296,33 @@ def _fold_walk(pattern, plan, verts, driving_rho, prev, signs, driving_crease):
             worst = gap if gap > worst else worst
         for c, x in zip(cids, r):
             rho[c] = x
-    return np.array([0.0 if x is None else x for x in rho]), worst, True
+    return np.array([0.0 if x is None else x for x in rho]), worst, True, None
 
 
 def _fold_levels(plan, verts, driving_rho, prev, signs):
     """Lanes' fold assignment, one kernel call per group of the plan;
     prev and signs are (E, L).  Raises OutOfRange once no lane has a
     branch.  The largest gap ignores NaN, as the comparison of the
-    row-major walk does."""
+    row-major walk does.  Also returns, for `_rescored`, every vertex's
+    modes and the folds it chose: (plus, minus, two, chosen)."""
     L, N = len(driving_rho), len(plan.slot)
     buf = np.zeros((4, N + 1, L))
     buf[0, N] = driving_rho
     rows = buf.reshape(-1, L)
+    plus, minus, two = np.empty((4, N, L)), np.empty((4, N, L)), np.empty((N, L), dtype=bool)
     P, S = prev[plan.cids], signs[plan.cids]
     ok = True
     for a, b, j, vs in plan.groups:
-        hit, plus, minus, two = propagate_both_modes(
+        hit, plus[:, a:b], minus[:, a:b], two[a:b] = propagate_both_modes(
             VertexStack([verts[v] for v in vs]), j, rows[plan.src[a:b]])
         ok = ok & hit.all(axis=0)
         if not ok.any():
             raise OutOfRange("configuration beyond the vertex folding range")
-        buf[:, a:b] = _branch(plus, minus, two, P[:, a:b], S[:, a:b], np.where)
+        buf[:, a:b] = _branch(plus[:, a:b], minus[:, a:b], two[a:b], P[:, a:b], S[:, a:b],
+                              np.where)
     gap = np.abs(rows[plan.pairs[0]] - rows[plan.pairs[1]])
-    return rows[plan.final].T, np.fmax.reduce(gap, axis=0, initial=0.0), ok
+    return (rows[plan.final].T, np.fmax.reduce(gap, axis=0, initial=0.0), ok,
+            (plus, minus, two, buf[:, :N]))
 
 
 def _rotations(axes, angles):
@@ -320,7 +338,9 @@ def _rotations(axes, angles):
 def place_panels(pattern: CreasePattern, rho):
     """Rigid placement of every panel along the pattern's placement order,
     from face 0 (top left) fixed in the plane z = 0.  The hinge rotations
-    are composed one BFS depth of the placement at a time.
+    are composed one BFS depth of the placement at a time.  Each corner q
+    is turned once, R q, for both its place R q + t and the closure of the
+    creases it ends, ((R_l q + t_l) - R_r q) - t_r.
 
     rho holds one state's fold angles (E,) or one state per row (L, E);
     returns (vertex_coords, residuals), and for rows of lanes the
@@ -346,29 +366,25 @@ def place_panels(pattern: CreasePattern, rho):
     R = np.empty((pattern.faces.shape[0] * pattern.faces.shape[1], L, 3, 3))
     t = np.empty((len(R), L, 3))
     R[0], t[0] = np.eye(3), 0.0
-    for rows in grid_schedule(pattern).depths:
+    sched = grid_schedule(pattern)
+    for rows in sched.depths:
         f, Rp = face[rows], R[parent[rows]]
         R[f] = Rp @ H[rows]
         t[f] = (Rp @ shift[rows, :, :, None])[..., 0] + t[parent[rows]]
 
-    # closure on every interior shared edge
+    # every corner turned, as rows (4 position + corner, L, 3)
+    quads = pattern.faces.reshape(-1, 4)[sched.order]
+    turned = np.einsum("fij,fkj->fki", R[sched.order].reshape(-1, 3, 3),
+                       np.repeat(pts[quads], L, axis=0))
+    turned = turned.reshape(len(quads), L, 4, 3).transpose(0, 2, 1, 3).reshape(-1, L, 3)
+    # closure on every interior shared edge: both faces place its ends alike
+    (fl, cl), (fr, cr) = sched.hinges
+    gap = ((turned[cl] + t[fl, None]) - turned[cr]) - t[fr, None]      # (n, 2, L, 3)
+    worst = np.sqrt((gap * gap).sum(axis=3))
     diam = max(pattern.diameter, 1e-12)
-    fl, fr = pattern.crease_faces.T
-    inner = np.nonzero((fl >= 0) & (fr >= 0))[0]
-    q = np.repeat(pts[ends[inner]], L, axis=0)             # (n L, 2, 3)
-    gap = (np.einsum("nij,nkj->nki", R[fl[inner]].reshape(-1, 3, 3), q)
-           + t[fl[inner]].reshape(-1, 1, 3)
-           - np.einsum("nij,nkj->nki", R[fr[inner]].reshape(-1, 3, 3), q)
-           - t[fr[inner]].reshape(-1, 1, 3))
-    worst = np.sqrt((gap * gap).sum(axis=2)).reshape(len(inner), L, 2)
-    closure = worst.max(axis=(0, 2), initial=0.0) / diam
+    closure = worst.max(axis=(0, 1), initial=0.0) / diam
 
-    order = np.concatenate([[0], face])
-    quads = pattern.faces.reshape(-1, 4)[order]
-    placed = (np.einsum("fij,fkj->fki", R[order].reshape(-1, 3, 3),
-                        np.repeat(pts[quads], L, axis=0))
-              + t[order].reshape(-1, 1, 3))
-    placed = placed.reshape(len(order), L, 4, 3).transpose(0, 2, 1, 3)
+    placed = turned.reshape(len(quads), 4, L, 3) + t[sched.order][:, None]
     coords = np.zeros((len(pts), L, 3))
     np.add.at(coords, quads.ravel(), placed.reshape(-1, L, 3))
     coords /= np.bincount(quads.ravel(), minlength=len(pts))[:, None, None]
@@ -469,42 +485,62 @@ def propagate_lanes(pattern: CreasePattern, driving_rho, prevs, driving_crease=N
     out = [None] * len(driving_rho)
     folded = _fold_lanes(pattern, driving_rho, np.array([p.rho for p in prevs]), dc)
     if folded is not None:
-        rho, mismatch, ok = folded
-        for k, st in _placed(pattern, driving_rho, rho, mismatch, np.flatnonzero(ok), dc):
+        rho, mismatch, ok, _ = folded
+        for k, st in chain(*_placed(pattern, driving_rho, rho, mismatch, np.flatnonzero(ok), dc)):
             out[k] = st
     return out
+
+
+def _scoring(pattern: CreasePattern, prev):
+    """prev (L, E) as the branch rule scores against it and the signs it
+    scores by, both (E, L), as `assign_fold_angles` takes one state."""
+    flat = np.abs(prev).max(axis=1) < PREV_FLAT
+    signs = np.array([c.mv for c in pattern.creases])[:, None] * flat
+    return np.where(flat[:, None], 0.0, prev).T, signs
 
 
 def _fold_lanes(pattern: CreasePattern, driving_rho, prev, driving_crease):
     """The folds (L, E) of the lanes driving_rho (L,), each scored against
     its row of prev (L, E) as `assign_fold_angles` scores one state, their
-    mismatches (L,), and the lanes `propagate` would not reject before
-    placing them; None where no lane has a branch."""
-    flat = np.abs(prev).max(axis=1) < PREV_FLAT
-    prev = np.where(flat[:, None], 0.0, prev)
-    signs = np.array([c.mv for c in pattern.creases])[:, None] * flat
+    mismatches (L,), the lanes `propagate` would not reject before placing
+    them and the modes (`_fold_levels`); None where no lane has a branch."""
     try:
-        rho, mismatch, ok = _fold_angles(pattern, np.asarray(driving_rho, dtype=float),
-                                         prev.T, signs, driving_crease)
+        rho, mismatch, ok, modes = _fold_angles(
+            pattern, np.asarray(driving_rho, dtype=float), *_scoring(pattern, prev),
+            driving_crease)
     except (OutOfRange, NotRigidFoldable):
         return None
-    return rho, mismatch, ok & (mismatch <= FOLD_CONSISTENCY)
+    return rho, mismatch, ok & (mismatch <= FOLD_CONSISTENCY), modes
+
+
+def _rescored(pattern: CreasePattern, modes, prev, driving_crease):
+    """Whether each lane of a `_fold_lanes` pass picks the same bits at
+    every vertex when scored against prev (L, E): then it is the pass from
+    prev, folds, mismatch and failure alike, since prev reaches only the
+    branch rule and a vertex's modes only its input fold."""
+    plus, minus, two, chosen = modes
+    cids = grid_schedule(pattern).folds(pattern, driving_crease).cids
+    P, S = (a[cids] for a in _scoring(pattern, prev))
+    again = _branch(plus, minus, two, P, S, np.where).view(np.uint64)
+    return (again == chosen.view(np.uint64)).all(axis=(0, 1))
 
 
 def _placed(pattern: CreasePattern, driving_rho, rho, mismatch, lanes, driving_crease):
-    """(k, state) for the lanes k in order, placed PLACE_BLOCK at a time
+    """(k, state) for the lanes k in order, in chunks of PLACE_BLOCK placed
     as they are asked for: the FoldedState that `propagate` makes from
     rho[k], or None where the closure exceeds CLOSURE_REL."""
     for b in range(0, len(lanes), PLACE_BLOCK):
         block = lanes[b:b + PLACE_BLOCK]
         coords, residuals = place_panels(pattern, rho[block])
+        chunk = []
         for k, xyz, res in zip(block.tolist(), coords, residuals):
             st = None
             if not res["closure"] > CLOSURE_REL:
                 res["fold_mismatch"] = float(mismatch[k])
                 st = FoldedState(driving_crease, driving_rho[k], rho[k].copy(), xyz.copy(),
                                  residuals=res)
-            yield k, st
+            chunk.append((k, st))
+        yield chunk
 
 
 def _dot(u, v):
@@ -531,16 +567,16 @@ def _off_plane(d, tol):
     return (d > tol).all(axis=1) | (d < -tol).all(axis=1)
 
 
-def _coplanar_overlap(T, N, ia, ib, tol):
-    """Proper 2-D overlap of coplanar triangle pairs (ia, ib), projected
-    along the largest component of ib's normal: a vertex of one lands
-    strictly inside the other, or an edge of one crosses an edge of the
-    other strictly, each by more than tol, so contact along shared lines
-    does not count."""
-    k = np.argmax(np.abs(N[ib]), axis=1)
+def _coplanar_overlap(A, B, NB, tol):
+    """Proper 2-D overlap of coplanar triangle pairs (A, B), rows (P, 3, 3),
+    projected along the largest component of B's normals NB: a vertex of
+    one lands strictly inside the other, or an edge of one crosses an edge
+    of the other strictly, each by more than tol, so contact along shared
+    lines does not count."""
+    k = np.argmax(np.abs(NB), axis=1)
     xy = np.array([[1, 2], [0, 2], [0, 1]])[k][:, None, :]
-    A = np.take_along_axis(T[ia], xy, axis=2)                 # (P, 3, 2)
-    B = np.take_along_axis(T[ib], xy, axis=2)
+    A = np.take_along_axis(A, xy, axis=2)                     # (P, 3, 2)
+    B = np.take_along_axis(B, xy, axis=2)
 
     def orient(u, v, p):
         # cross product of the edge u -> v with the point p
@@ -559,17 +595,17 @@ def _coplanar_overlap(T, N, ia, ib, tol):
     return inside(A, B) | inside(B, A) | crossing
 
 
-def _line_overlap(T, N, ia, ib, d1, d2, tol):
-    """Overlap by more than tol of the intervals where the triangles of
-    the pairs (ia, ib) cross the line the two planes meet in; d1 and d2
-    are the signed distances of each triangle's vertices from the other's
-    plane.  Planes closer to parallel than PARALLEL_SIN do not meet."""
-    line = np.cross(N[ia], N[ib])
+def _line_overlap(A, B, NA, NB, d1, d2, tol):
+    """Overlap by more than tol of the intervals where the triangle pairs
+    (A, B), normals (NA, NB), cross the line the two planes meet in; d1 and
+    d2 are the signed distances of each triangle's vertices from the
+    other's plane.  Planes closer to parallel than PARALLEL_SIN do not meet."""
+    line = np.cross(NA, NB)
     ln = np.sqrt(_dot(line, line))
     with np.errstate(divide="ignore", invalid="ignore"):
         line = line / ln[:, None]
         ends = []
-        for tri, d in ((T[ia], d1), (T[ib], d2)):
+        for tri, d in ((A, d1), (B, d2)):
             # each edge i -> j crossing the plane gives a point, and so
             # does each vertex i on it
             proj = _dot(tri, line[:, None])
@@ -589,50 +625,70 @@ def _penetrates(T, N, ia, ib, tol):
     than tol off the other's plane on one side; coplanar pairs (every
     vertex of one within tol of the other's plane) by their 2-D overlap;
     the others by the overlap of their intervals on the planes' line."""
-    d1 = _dot(T[ia] - T[ib, :1], N[ib, None])
-    d2 = _dot(T[ib] - T[ia, :1], N[ia, None])
-    out = ~(np.isnan(N[ia, 0]) | np.isnan(N[ib, 0]) | _off_plane(d1, tol) | _off_plane(d2, tol))
+    A, B = np.take(T, ia, axis=0), np.take(T, ib, axis=0)
+    NA, NB = np.take(N, ia, axis=0), np.take(N, ib, axis=0)
+    d1 = _dot(A - B[:, :1], NB[:, None])
+    d2 = _dot(B - A[:, :1], NA[:, None])
+    out = ~(np.isnan(NA[:, 0]) | np.isnan(NB[:, 0]) | _off_plane(d1, tol) | _off_plane(d2, tol))
     flat = (np.abs(d1) <= tol).all(axis=1) | (np.abs(d2) <= tol).all(axis=1)
     c, s = np.flatnonzero(out & flat), np.flatnonzero(out & ~flat)
-    out[c] = _coplanar_overlap(T, N, ia[c], ib[c], tol)
-    out[s] = _line_overlap(T, N, ia[s], ib[s], d1[s], d2[s], tol)
+    out[c] = _coplanar_overlap(A[c], B[c], NB[c], tol)
+    out[s] = _line_overlap(A[s], B[s], NA[s], NB[s], d1[s], d2[s], tol)
     return out
 
 
 def clash_test(pattern: CreasePattern, state: FoldedState):
     """Interpenetrating panel pairs (triangulated along a diagonal), as
-    sorted pairs of face numbers.
+    sorted pairs of face numbers: `_clashes` on the one state.
 
     Panels sharing a crease are reported only when that crease has folded
     to within COINCIDENT of pi (coincident panels); other vertex-sharing
     pairs are hinge contact by design.  Distinct pairs must interpenetrate
     by more than CLASH_REL x diameter; the same threshold treats
-    near-coplanar overlap as the coincidence case.  The candidate pairs
-    come from an x-interval sweep, in blocks, then a bounding-box test
-    on all three axes; the pairs that share a vertex drop out by the
-    schedule's table of grid offsets (`Schedule.touching`)."""
-    tol = CLASH_REL * max(pattern.diameter, 1.0)
-    fl, fr = pattern.crease_faces.T
-    folded = (fl >= 0) & (fr >= 0) & (np.abs(state.rho) >= np.pi - COINCIDENT)
-    hits = {(min(a, b), max(a, b)) for a, b in zip(fl[folded].tolist(), fr[folded].tolist())}
+    near-coplanar overlap as the coincidence case."""
+    return _clashes(pattern, [state])[0]
 
+
+def _clashes(pattern: CreasePattern, states):
+    """`clash_test` of each state, in one batch.  Per state, an x-interval
+    sweep lists candidate pairs in blocks, and a box test on all three
+    axes and `Schedule.touching` (the pairs that share a vertex) thin them;
+    the pairs left over, their triangles offset by their state's, go to
+    `_penetrates` whenever _PAIR_BLOCK of them have collected."""
+    tol = CLASH_REL * max(pattern.diameter, 1.0)
+    fa, fb = np.sort(pattern.crease_faces, axis=1).T  # fa < fb, fa -1 on the boundary
     sched = grid_schedule(pattern)
-    T = np.asarray(state.vertex_coords, dtype=float)[sched.ids]     # (n, 3, 3)
-    # the boxes per axis, (3, n): gathers from 1-D rows are the fast ones
+    n = len(sched.ids)
+    T = np.array([st.vertex_coords for st in states], dtype=float)[:, sched.ids].reshape(-1, 3, 3)
+    # the boxes per axis, (3, states x n): gathers from 1-D rows are the fast ones
     lo, hi = T.min(axis=1).T.copy(), T.max(axis=1).T.copy()
     below, above = lo - tol, hi + tol
     N = _unit_normals(T)
-    for i, j in sweep_pairs(lo[0], hi[0], tol):
-        a, b = np.minimum(i, j), np.maximum(i, j)
-        box = np.ones(len(a), dtype=bool)
-        for x0, x1, bx0, ax1 in zip(lo, hi, below, above):
-            box &= (x0[b] <= ax1[a]) & (x1[b] >= bx0[a])
-        a, b = a[box], b[box]
-        apart = ~sched.touching(a, b)
-        a, b = a[apart], b[apart]
-        hit = _penetrates(T, N, a, b, tol)
-        hits.update(zip((a[hit] >> 1).tolist(), (b[hit] >> 1).tolist()))
-    return sorted(hits)
+    hits, held = [], []  # held: the pairs (a, b) not yet tested
+
+    def flush(least):
+        if sum(len(a) for a, _ in held) >= least:
+            a, b = (np.concatenate(x) for x in zip(*held))
+            hit = _penetrates(T, N, a, b, tol)
+            for a, b in zip(a[hit].tolist(), b[hit].tolist()):
+                hits[a // n].add(((a % n) >> 1, (b % n) >> 1))
+            held.clear()
+
+    for s, st in enumerate(states):
+        folded = (fa >= 0) & (np.abs(st.rho) >= np.pi - COINCIDENT)
+        hits.append(set(zip(fa[folded].tolist(), fb[folded].tolist())))
+        box = slice(s * n, (s + 1) * n)
+        for i, j in sweep_pairs(lo[0, box], hi[0, box], tol):
+            a, b = np.minimum(i, j), np.maximum(i, j)
+            near = np.ones(len(a), dtype=bool)
+            for x0, x1, bx0, ax1 in zip(lo[:, box], hi[:, box], below[:, box], above[:, box]):
+                near &= (x0[b] <= ax1[a]) & (x1[b] >= bx0[a])
+            a, b = a[near], b[near]
+            apart = ~sched.touching(a, b)
+            held.append((a[apart] + s * n, b[apart] + s * n))
+            flush(_PAIR_BLOCK)
+    flush(1)
+    return [sorted(h) for h in hits]
 
 
 def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
@@ -645,15 +701,16 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
     nearest kept state at or below it: a state depends only on its driving
     value and branch choices (`prev` only scores branches), so this changes
     no bit while the branches agree.  The march steps by pi / MARCH_STEPS
-    and tests for the halt every second step.  It folds LANE_BLOCK steps at
-    a time as lanes, twice: a guess, every lane scored as from flat, and a
-    check up to the guess's first failure, lane 0 scored against the last
-    kept state and each other lane against the guess before it.  The lanes
-    up to the first that fails or
-    whose check differs from its guess are the states a step-by-step march
-    makes, bit for bit; after that lane the march goes on one state at a
-    time, and lanes past the march's end are dropped.  The search then
-    holds lo (no event) and hi (a failure or an event).  Each step tries
+    and tests for the halt every second step.  It guesses LANE_BLOCK steps
+    at a time in one lane pass, scored as from flat, and re-scores it
+    (`_rescored`), lane 0 against the last kept state and lane k against
+    guess k - 1: the lanes before the first that picks otherwise, up to the
+    first failure, are the march's states bit for bit, and from that lane
+    on it goes one state at a time.  Each PLACE_BLOCK of exact lanes is
+    placed at once, and its even steps before a failure or a crease at pi
+    clash-tested in one batch (`_clashes`), the events still taken in
+    order.  The search then holds lo (no event) and hi (a failure or an
+    event).  Each step tries
     the secant root of h = (pi - max|rho|)^2 - HALT_TOL^2, close to linear
     near a crease halt, through the last two states tested, or goes
     SECANT_ULPS ulps past the last one where the rounding of h placed that
@@ -694,17 +751,17 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
     def at_pi(st):
         return float(np.abs(st.rho).max()) >= np.pi - HALT_TOL
 
-    def event(d, st):
+    def event(d, st, pairs=None):
+        # pairs: the state's clash_test where the march has batched it
         tested.append((d, (np.pi - float(np.abs(st.rho).max())) ** 2 - HALT_TOL ** 2))
-        return at_pi(st) or bool(clash_test(pattern, st))
+        return at_pi(st) or bool(_clashes(pattern, [st])[0] if pairs is None else pairs)
 
     def march():
-        # (j, d, state) of the march in order; the caller stops at the
-        # first state None, where propagate raises.  prev enters a score
-        # only through |prev| and x - prev, and a lane is bit-equal to
-        # propagate, so check lane k is the march's state wherever guess
-        # k - 1 was: the lanes up to the first check that fails or differs
-        # from its guess are exact
+        # (j, d, state, pairs) of the march in order, pairs the clash_test
+        # of an even step the lanes tested in a batch, else None; the caller
+        # stops at the first state None, where propagate raises.  The lanes
+        # before the first that re-scores otherwise against the state
+        # before it are exact (`_rescored`), a failing one included
         j = 1
         while j <= MARCH_STEPS:
             ds = [np.pi * i / MARCH_STEPS
@@ -713,37 +770,40 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
             guess = _fold_lanes(pattern, driving, np.zeros((len(ds), len(pattern.creases))), dc)
             if guess is None:  # no lane in range: propagate decides the step
                 break
-            # a lane after the guess's first failure is scored against no state
-            rho0, _, ok0 = guess
-            m = len(ds) if ok0.all() else int(ok0.argmin()) + 1
-            check = _fold_lanes(pattern, driving[:m], np.vstack([kept[-1].rho, rho0[:m - 1]]), dc)
-            if check is None:
-                break
-            rho, mismatch, ok = check
-            same = ok & (rho == rho0[:m]).all(axis=1)
-            n = m if same.all() else int(same.argmin()) + 1
-            for k, st in _placed(pattern, driving, rho, mismatch, np.flatnonzero(ok[:n]), dc):
-                if st is not None:
-                    keys.append(ds[k])
-                    kept.append(st)
-                yield j + k, ds[k], st
-            if not ok[n - 1]:
-                yield j + n - 1, ds[n - 1], None
+            rho, mismatch, ok, modes = guess
+            exact = _rescored(pattern, modes, np.vstack([kept[-1].rho, rho[:-1]]), dc)
+            del guess, modes  # not needed past the re-score: freed before placing
+            # a lane after the first failure is scored against no state
+            m = len(ds) if ok.all() else int(ok.argmin()) + 1
+            n = m if exact[:m].all() else int(exact.argmin())
+            for chunk in _placed(pattern, driving, rho, mismatch, np.flatnonzero(ok[:n]), dc):
+                # its even steps before a failure or a crease at pi, in one batch
+                live = takewhile(lambda c: c[1] is not None and not at_pi(c[1]), chunk)
+                even = [(k, st) for k, st in live if (j + k) % 2 == 0]
+                pairs = dict(zip([k for k, _ in even],
+                                 _clashes(pattern, [st for _, st in even]) if even else []))
+                for k, st in chunk:
+                    if st is not None:
+                        keys.append(ds[k])
+                        kept.append(st)
+                    yield j + k, ds[k], st, pairs.get(k)
+            if n and not ok[n - 1]:
+                yield j + n - 1, ds[n - 1], None, None
             j += n
             if n < len(ds):
                 break
         for j in range(j, MARCH_STEPS + 1):
             d = np.pi * j / MARCH_STEPS
-            yield j, d, states_at([d])[0]
+            yield j, d, states_at([d])[0], None
 
     states_at([0.0])
     lo, found = 0.0, False
-    for j, d, st in march():
+    for j, d, st, pairs in march():
         if st is None:
             hi = d
             break
         if j % 2 == 0:
-            if event(d, st):
+            if event(d, st, pairs):
                 hi, found = d, True
                 break
             lo = d

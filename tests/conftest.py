@@ -60,18 +60,22 @@ def fig7_halt(fig7_design):
 def oracle_sweep(request):
     """get(fig, samples, reimport=False): (pattern, trajectory) of
     `sweep_oracle.sweep_to_halt` on the design of "fig5" or "fig7",
-    re-imported from its FOLD export when asked, computed once per session.
-    Only unpatched sweeps belong here: a test that patches foldsim calls
-    the oracle itself."""
-    cache = {}
+    re-imported from its FOLD export when asked.  The oracle's halt search
+    runs once per session for each design, and its replay once for each
+    sample count.  Only unpatched sweeps belong here: a test that patches
+    foldsim calls the oracle itself."""
+    halts, cache = {}, {}
 
     def get(fig, samples, reimport=False):
-        key = (fig, samples, reimport)
-        if key not in cache:
+        if (fig, reimport) not in halts:
             pattern, _ = request.getfixturevalue(f"{fig}_design")
             if reimport:
                 pattern, _ = import_fold(export_fold(pattern))
-            cache[key] = pattern, sweep_oracle.sweep_to_halt(pattern, samples=samples)
+            halts[fig, reimport] = pattern, sweep_oracle.halt_search(pattern)
+        key = (fig, samples, reimport)
+        if key not in cache:
+            pattern, d_halt = halts[fig, reimport]
+            cache[key] = pattern, sweep_oracle.replay(pattern, d_halt, samples)
         return cache[key]
 
     return get

@@ -8,7 +8,11 @@ event (a crease at pi - HALT_TOL or a panel clash), and a trajectory
 re-propagated from flat through the returned samples.  It calls
 `foldsim.propagate` and `foldsim.clash_test` through the module, so a test
 that patches them patches this sweep too.  `stats`, when given, counts the
-midpoints the two bisections evaluate under "bisections"."""
+midpoints the two bisections evaluate under "bisections".
+
+The halt search (`halt_search`) does not depend on the sample count, so a
+caller that replays one pattern at several counts can search once and
+`replay` each."""
 import numpy as np
 
 from curvefold import foldsim
@@ -17,26 +21,37 @@ from curvefold.foldsim import HALT_TOL, Trajectory, default_driving_crease
 
 
 def sweep_to_halt(pattern, samples=64, coarse=64, driving_crease=None, stats=None):
-    dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
+    d_halt = halt_search(pattern, coarse, driving_crease, stats)
+    return replay(pattern, d_halt, samples, driving_crease)
+
+
+def _simulate(pattern, dc, d, prev):
+    """The state at |driving| d from prev, in steps of at most pi / 128."""
     sgn = pattern.creases[dc].mv or 1
     max_step = np.pi / 128
+    d0 = abs(prev.driving_rho) if prev is not None else 0.0
+    if prev is not None and abs(d - d0) > max_step:
+        steps = int(np.ceil(abs(d - d0) / max_step))
+        st = prev
+        for q in range(1, steps):
+            st = foldsim.propagate(pattern, sgn * (d0 + (d - d0) * q / steps),
+                                   prev=st, driving_crease=dc)
+        return foldsim.propagate(pattern, sgn * d, prev=st, driving_crease=dc)
+    return foldsim.propagate(pattern, sgn * d, prev=prev, driving_crease=dc)
+
+
+def _crease_metric(st):
+    return float(np.abs(st.rho).max() - (np.pi - HALT_TOL))
+
+
+def halt_search(pattern, coarse=64, driving_crease=None, stats=None):
+    """The driving value of the halt: march, then bisect."""
+    dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     stats = {} if stats is None else stats
     stats.setdefault("bisections", 0)
 
     def simulate(d, prev):
-        d0 = abs(prev.driving_rho) if prev is not None else 0.0
-        if prev is not None and abs(d - d0) > max_step:
-            steps = int(np.ceil(abs(d - d0) / max_step))
-            st = prev
-            for q in range(1, steps):
-                st = foldsim.propagate(pattern, sgn * (d0 + (d - d0) * q / steps),
-                                       prev=st, driving_crease=dc)
-            return foldsim.propagate(pattern, sgn * d, prev=st, driving_crease=dc)
-        return foldsim.propagate(pattern, sgn * d, prev=prev, driving_crease=dc)
-
-    def crease_metric(st):
-        others = np.abs(st.rho)
-        return float(others.max() - (np.pi - HALT_TOL))
+        return _simulate(pattern, dc, d, prev)
 
     flat = simulate(0.0, None)
     last_good, last_d = flat, 0.0
@@ -49,7 +64,7 @@ def sweep_to_halt(pattern, samples=64, coarse=64, driving_crease=None, stats=Non
         except (OutOfRange, NotRigidFoldable):
             limit = (last_d, d)
             break
-        if crease_metric(st) >= 0.0 or foldsim.clash_test(pattern, st):
+        if _crease_metric(st) >= 0.0 or foldsim.clash_test(pattern, st):
             event_lo, event_hi = last_d, d
             break
         last_good, last_d = st, d
@@ -67,7 +82,7 @@ def sweep_to_halt(pattern, samples=64, coarse=64, driving_crease=None, stats=Non
             except (OutOfRange, NotRigidFoldable):
                 hi = mid
                 continue
-            if crease_metric(st) >= 0.0 or foldsim.clash_test(pattern, st):
+            if _crease_metric(st) >= 0.0 or foldsim.clash_test(pattern, st):
                 event_lo, event_hi = lo, mid
                 break
             lo = mid
@@ -86,21 +101,26 @@ def sweep_to_halt(pattern, samples=64, coarse=64, driving_crease=None, stats=Non
         except (OutOfRange, NotRigidFoldable):
             hi = mid
             continue
-        if crease_metric(st) >= 0.0 or foldsim.clash_test(pattern, st):
+        if _crease_metric(st) >= 0.0 or foldsim.clash_test(pattern, st):
             hi = mid
         else:
             lo = mid
             last_good = st
-    d_halt = hi
+    return hi
 
+
+def replay(pattern, d_halt, samples=64, driving_crease=None):
+    """The trajectory of `samples` states from flat to d_halt, each
+    propagated from the one before."""
+    dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     values = np.linspace(0.0, d_halt, max(samples, 2))
     states, prevst = [], None
     for d in values:
-        prevst = simulate(d, prevst)
+        prevst = _simulate(pattern, dc, d, prevst)
         states.append(prevst)
     halt = states[-1]
     halt.halted = True
-    if foldsim.clash_test(pattern, halt) and crease_metric(halt) < 0:
+    if foldsim.clash_test(pattern, halt) and _crease_metric(halt) < 0:
         halt.halt_reason = "panel-interpenetration"
     else:
         halt.halt_reason = "crease-at-pi"

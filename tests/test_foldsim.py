@@ -167,14 +167,16 @@ def _sweep_calls(pattern, monkeypatch, samples=64):
     """Calls of propagate, of the vertex solve on one state and on lanes
     ("vertex_lanes", one per group of vertices solved together, with the
     vertices of each group added up under "lane_vertices"), and of the
-    clash test in a sweep of `samples` states;
+    batched clash test ("clash_calls", with the states it tests added up
+    under "clash_states") in a sweep of `samples` states;
     under "lanes" the lane count of each propagate_lanes call of more than
     one lane (one lane goes through propagate), under
     "lane_passes" that of each fold pass over lanes, and under
     "placed_lanes" the count of states placed as lanes."""
-    calls = {"propagate": 0, "propagate_both_modes": 0, "vertex_lanes": 0, "clash_test": 0,
-             "lane_vertices": 0, "lanes": [], "lane_passes": [], "placed_lanes": 0}
-    for name in ("propagate", "propagate_both_modes", "clash_test"):
+    calls = {"propagate": 0, "propagate_both_modes": 0, "vertex_lanes": 0, "clash_calls": 0,
+             "clash_states": 0, "lane_vertices": 0, "lanes": [], "lane_passes": [],
+             "placed_lanes": 0}
+    for name in ("propagate", "propagate_both_modes"):
         fn = getattr(foldsim, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -186,6 +188,7 @@ def _sweep_calls(pattern, monkeypatch, samples=64):
 
         monkeypatch.setattr(foldsim, name, counted)
     lanes, fold_lanes, place = foldsim.propagate_lanes, foldsim._fold_lanes, foldsim.place_panels
+    clashes = foldsim._clashes
 
     def in_lanes(pattern, driving_rho, *args, **kwargs):
         if len(driving_rho) > 1:
@@ -200,31 +203,40 @@ def _sweep_calls(pattern, monkeypatch, samples=64):
         calls["placed_lanes"] += len(rho) if np.ndim(rho) == 2 else 0
         return place(pattern, rho)
 
+    def clash_batch(pattern, states):
+        calls["clash_calls"] += 1
+        calls["clash_states"] += len(states)
+        return clashes(pattern, states)
+
     monkeypatch.setattr(foldsim, "propagate_lanes", in_lanes)
     monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
     monkeypatch.setattr(foldsim, "place_panels", placed)
+    monkeypatch.setattr(foldsim, "_clashes", clash_batch)
     return sweep_to_halt(pattern, samples=samples), calls
 
 
 class TestCounts:
-    # deterministic call counts of the 64-state sweeps; more calls than
-    # these would be a regression of the halt search.  fig5 is swept with
-    # its first vertex in closed form and from the root scan of
-    # design_oracle: the two differ in the last bits, which moves the steps
-    # of the halt search.  The march runs in blocks of 64 lanes, each
-    # guessed, then checked up to the guess's first failure.  Its exact
-    # lanes run up to the first lane out of range, one march step past the
-    # halt: lane 43 of fig5's second block (107 exact lanes, 106 placed)
-    # and lane 37 of fig7's first (37 exact, 36 placed).  The lanes after
-    # it are guessed for nothing, and `propagate` makes only the flat state
-    # and the search's states.  The 62 samples that are not march or search
-    # states replay as lanes of one pass, each from the nearest march or
-    # search state below it.  Each lane pass solves each of the 81 vertices
-    # once for all its lanes, in 25 kernel calls: one per group of vertices
-    # of one dependency level and one input slot
+    # deterministic call counts of the 64-state sweeps; more calls than these
+    # would be a regression of the halt search.  fig5 is swept with its first
+    # vertex in closed form and from the root scan of design_oracle: the two
+    # differ in the last bits, which moves the steps of the halt search.  The
+    # march runs in blocks of 64 lanes, each guessed in one lane pass, then
+    # re-scored against the state before each lane.  Its exact lanes run up to
+    # the first lane out of range, one march step past the halt: scored against
+    # the state before it, that lane picks the other mode at 8 of the 81
+    # vertices, so it goes to `propagate`, which raises.  It is lane 43 of fig5's
+    # second block (106 exact lanes, all placed) and lane 37 of fig7's first (36
+    # exact).  The lanes after it are guessed for nothing, and `propagate` makes
+    # only the flat state, that lane and the search's states.  The 62 samples
+    # that are not march or search states replay as lanes of one pass, each from
+    # the nearest march or search state below it.  Each lane pass solves each of
+    # the 81 vertices once for all its lanes, in 25 kernel calls: one per group
+    # of vertices of one dependency level and one input slot.  The march's even
+    # states are clash-tested in batches, one per placed chunk of PLACE_BLOCK = 8
+    # lanes (4 states), and the search's states one at a time
     @pytest.mark.parametrize("design, bounds", [
-        pytest.param("fig5_design", (13, 893, 58), id="closed-form"),
-        pytest.param("fig5_root_scan_design", (12, 892, 62), id="root-scan"),
+        pytest.param("fig5_design", (14, 894, 19, 58), id="closed-form"),
+        pytest.param("fig5_root_scan_design", (13, 893, 23, 62), id="root-scan"),
     ])
     def test_fig5_sweep_counts(self, design, bounds, request, monkeypatch):
         pattern, _ = request.getfixturevalue(design)
@@ -232,30 +244,31 @@ class TestCounts:
         assert abs(traj.driving_values[-1] - RHO4) < 1e-6
         assert calls["propagate"] <= bounds[0]
         assert calls["propagate_both_modes"] <= bounds[1]
-        assert calls["clash_test"] <= bounds[2]
+        assert calls["clash_calls"] == bounds[2]
+        assert calls["clash_states"] == bounds[3]
         assert calls["lanes"] == [62]
-        assert calls["lane_passes"] == [64, 64, 64, 43, 62]
-        assert calls["vertex_lanes"] == 5 * 25
-        assert calls["lane_vertices"] == 5 * 81
-        guess, check = calls["lane_passes"][0:4:2], calls["lane_passes"][1:4:2]
-        exact = calls["placed_lanes"] - 62 + 1
-        assert exact == sum(check) == 64 + 43
-        assert sum(guess) - exact == 21  # guessed past the halt
+        assert calls["lane_passes"] == [64, 64, 62]
+        assert calls["vertex_lanes"] == 3 * 25
+        assert calls["lane_vertices"] == 3 * 81
+        exact = calls["placed_lanes"] - 62
+        assert exact == 64 + 42
+        assert sum(calls["lane_passes"][:2]) - exact == 22  # guessed past the halt
 
     def test_fig7_sweep_counts(self, fig7_design, monkeypatch):
         pattern, _ = fig7_design
         traj, calls = _sweep_calls(pattern, monkeypatch)
         assert traj.halt.halt_reason == "crease-at-pi"
-        assert calls["propagate"] <= 12
-        assert calls["propagate_both_modes"] <= 812
-        assert calls["clash_test"] <= 22
+        assert calls["propagate"] <= 13
+        assert calls["propagate_both_modes"] <= 813
+        assert calls["clash_calls"] == 9
+        assert calls["clash_states"] == 22
         assert calls["lanes"] == [62]
-        assert calls["lane_passes"] == [64, 37, 62]
-        assert calls["vertex_lanes"] == 3 * 25
-        assert calls["lane_vertices"] == 3 * 81
-        (guess, check), exact = calls["lane_passes"][:2], calls["placed_lanes"] - 62 + 1
-        assert exact == check == 37
-        assert guess - exact == 27  # guessed past the halt
+        assert calls["lane_passes"] == [64, 62]
+        assert calls["vertex_lanes"] == 2 * 25
+        assert calls["lane_vertices"] == 2 * 81
+        guess, exact = calls["lane_passes"][0], calls["placed_lanes"] - 62
+        assert exact == 36
+        assert guess - exact == 28  # guessed past the halt
 
     def test_fig7_replay_fills_lane_blocks(self, fig7_design, monkeypatch):
         # at 200 samples fig7's sample spacing is below the march step, yet
@@ -265,18 +278,19 @@ class TestCounts:
         traj, calls = _sweep_calls(fig7_design[0], monkeypatch, samples=200)
         assert len(traj.states) == 200
         assert calls["lanes"] == [LANE_BLOCK] * 3 + [198 - 3 * LANE_BLOCK]
-        assert calls["lane_passes"] == [64, 37] + calls["lanes"]
+        assert calls["lane_passes"] == [64] + calls["lanes"]
 
     def test_large_ortho_sweep_counts(self, monkeypatch):
         # the 34 x 34 spec of test_cli's test_large_ortho_design: 2,450
         # triangles, 3,000,025 pairs, of which the x-interval sweep lists
-        # 186,477 per clash test on average.  Each lane pass solves the
-        # 1,156 vertices in 100 kernel calls
+        # 186,477 per clash-tested state on average.  Each lane pass solves
+        # the 1,156 vertices in 100 kernel calls
         pattern = _design({"type": "orthodiagonal",
                            "datum": {"builtin": "fig7-sine"}, "target": {"builtin": "fig7-tlnt"},
                            "n": 34, "m": 34, "theta": "auto", "eps": 0.2})
-        calls = {"clash_test": 0, "pairs": 0, "lane_passes": 0, "groups": 0, "vertices": 0}
-        clash, sweep = foldsim.clash_test, foldsim.sweep_pairs
+        calls = {"clash_calls": 0, "clash_states": 0, "pairs": 0, "lane_passes": 0,
+                 "groups": 0, "vertices": 0}
+        clashes, sweep = foldsim._clashes, foldsim.sweep_pairs
         fold_lanes, solve = foldsim._fold_lanes, foldsim.propagate_both_modes
 
         def lane_pass(*args):
@@ -289,22 +303,24 @@ class TestCounts:
                 calls["vertices"] += len(v.verts)
             return solve(v, *args)
 
-        def counted_clash(*args):
-            calls["clash_test"] += 1
-            return clash(*args)
+        def clash_batch(pattern, states):
+            calls["clash_calls"] += 1
+            calls["clash_states"] += len(states)
+            return clashes(pattern, states)
 
         def counted_sweep(*args):
             for i, j in sweep(*args):
                 calls["pairs"] += len(i)
                 yield i, j
 
-        monkeypatch.setattr(foldsim, "clash_test", counted_clash)
+        monkeypatch.setattr(foldsim, "_clashes", clash_batch)
         monkeypatch.setattr(foldsim, "sweep_pairs", counted_sweep)
         monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
         monkeypatch.setattr(foldsim, "propagate_both_modes", counted_solve)
         traj = sweep_to_halt(pattern, samples=16)
         assert traj.halt.halt_reason == "crease-at-pi"
-        assert calls["clash_test"] == 46
+        assert calls["clash_states"] == 46
+        assert calls["clash_calls"] == 19
         assert calls["pairs"] == 8_577_959
         assert calls["lane_passes"] > 0
         assert calls["groups"] == 100 * calls["lane_passes"]
@@ -519,6 +535,98 @@ class TestClashPenetration:
         for block in (1, 2, 7, 100):
             monkeypatch.setattr(pattern_mod, "_PAIR_BLOCK", block)
             assert clash_test(pattern, st) == want
+
+
+def _oracle_clash(pattern, st):
+    """clash_test from the brute force over all triangle pairs, with the
+    panels of every interior crease folded to within 1e-9 of pi."""
+    fl, fr = pattern.crease_faces.T
+    at_pi = (fl >= 0) & (fr >= 0) & (np.abs(st.rho) >= np.pi - 1e-9)
+    coincident = {(min(a, b), max(a, b)) for a, b in zip(fl[at_pi].tolist(), fr[at_pi].tolist())}
+    return sorted(coincident | set(_brute_force_clash(pattern, st.vertex_coords)))
+
+
+def _penetrate_calls(monkeypatch):
+    """The pair count of every foldsim._penetrates call, in order."""
+    sizes, real = [], foldsim._penetrates
+
+    def counted(T, N, ia, ib, tol):
+        sizes.append(len(ia))
+        return real(T, N, ia, ib, tol)
+
+    monkeypatch.setattr(foldsim, "_penetrates", counted)
+    return sizes
+
+
+class TestClashBatch:
+    # the batched clash test, `foldsim._clashes`, on stacks of fig5 states:
+    # the coplanar X of test_coplanar_panels, a crease at pi, a state whose
+    # vertices lie on a unit lattice in the plane z = x + y (no pair
+    # outlives the box and shared-vertex filters), a state from the
+    # trajectory and a perturbed one
+    @pytest.fixture(scope="class")
+    def stack(self, fig5_design, fig5_halt):
+        pattern, _ = fig5_design
+        quads = pattern.faces.reshape(-1, 4)
+        flat = propagate(pattern, 0.0)
+        cross = propagate(pattern, 0.0)
+        qa, qb = flat.vertex_coords[quads[0]], flat.vertex_coords[quads[-1]]
+        cross.vertex_coords = flat.vertex_coords.copy()
+        cross.vertex_coords[quads[-1]] = qb - qb.mean(axis=0) + qa.mean(axis=0)
+        at_pi = propagate(pattern, 0.0)
+        at_pi.rho = flat.rho.copy()
+        at_pi.rho[default_driving_crease(pattern)] = np.pi
+        lattice = propagate(pattern, 0.0)
+        r, c = np.indices(pattern.ext_id.shape)
+        lattice.vertex_coords = np.zeros_like(flat.vertex_coords)
+        lattice.vertex_coords[pattern.ext_id] = np.stack([c, r, r + c], axis=-1)
+        mid = fig5_halt.states[len(fig5_halt.states) // 2]
+        noisy = propagate(pattern, mid.driving_rho, prev=mid)
+        noisy.vertex_coords = noisy.vertex_coords + np.random.default_rng(9).normal(
+            scale=0.02 * pattern.diameter, size=noisy.vertex_coords.shape)
+        return pattern, [cross, lattice, at_pi, mid, noisy, lattice]
+
+    def test_equals_clash_test_and_oracle(self, stack):
+        pattern, states = stack
+        got = foldsim._clashes(pattern, states)
+        assert got == [clash_test(pattern, st) for st in states]
+        assert (0, len(pattern.faces.reshape(-1, 4)) - 1) in got[0]
+        hinge = tuple(sorted(pattern.crease_faces[default_driving_crease(pattern)].tolist()))
+        assert got[1:4] == [[], [hinge], []]
+        assert len(got[4]) > 100
+        # the oracle's brute force takes about 0.7 s a state: the states
+        # that only this test makes
+        assert got[:3] == [_oracle_clash(pattern, st) for st in states[:3]]
+
+    def test_lattice_leaves_no_pair(self, stack, monkeypatch):
+        pattern, states = stack
+        sizes = _penetrate_calls(monkeypatch)
+        assert foldsim._clashes(pattern, [states[1]] * 3) == [[]] * 3
+        assert sizes == []
+
+    def test_flushes_at_pair_block(self, stack, monkeypatch):
+        # 12 perturbed states hold more than _PAIR_BLOCK candidate pairs;
+        # with the block cut down, here and in the x-interval sweep, the
+        # stack flushes within one state too
+        pattern, states = stack
+        rng = np.random.default_rng(4)
+        noisy = []
+        for _ in range(12):
+            st = propagate(pattern, states[3].driving_rho, prev=states[3])
+            st.vertex_coords = st.vertex_coords + rng.normal(
+                scale=0.02 * pattern.diameter, size=st.vertex_coords.shape)
+            noisy.append(st)
+        big = states + noisy
+        want = [clash_test(pattern, st) for st in big]
+        sizes = _penetrate_calls(monkeypatch)
+        assert foldsim._clashes(pattern, big) == want
+        assert len(sizes) > 1 and sum(sizes) > foldsim._PAIR_BLOCK
+        for block in (7, 100, 1000):
+            monkeypatch.setattr(foldsim, "_PAIR_BLOCK", block)
+            monkeypatch.setattr(pattern_mod, "_PAIR_BLOCK", block)
+            sizes.clear()
+            assert foldsim._clashes(pattern, states) == want[:len(states)]
+            assert len(sizes) > 1
 
 
 _COORD = hs.one_of(hs.integers(-4, 4).map(lambda k: k / 4.0),

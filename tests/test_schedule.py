@@ -70,11 +70,11 @@ def _check_data_flow(pattern, lanes):
         m.setattr(foldsim, "propagate_both_modes", kernel)
         if lanes:
             drive = 0.5 + LANE_STEP * np.arange(lanes)
-            rho, _, ok = foldsim._fold_angles(pattern, drive, np.zeros((E, lanes)),
-                                              np.zeros((E, lanes)), dc)
+            rho, _, ok, _ = foldsim._fold_angles(pattern, drive, np.zeros((E, lanes)),
+                                                 np.zeros((E, lanes)), dc)
             assert ok.all()
         else:
-            rho, _, _ = foldsim._fold_angles(pattern, 0.5, [0.0] * E, [0] * E, dc)
+            rho, _, _, _ = foldsim._fold_angles(pattern, 0.5, [0.0] * E, [0] * E, dc)
             rho = rho[None]
     shift = LANE_STEP * np.arange(len(rho))
     inputs, final = _row_major(pattern, dc, 0.5)

@@ -14,8 +14,8 @@ import sweep_oracle as oracle
 from curvefold import curves, foldsim
 from curvefold.cli import DEMOS, _build_from_spec
 from curvefold.errors import CurvefoldError, NoHalt, NotRigidFoldable, OutOfRange
-from curvefold.foldio import load_design_spec
-from curvefold.foldsim import (MARCH_STEPS, default_driving_crease, propagate,
+from curvefold.foldio import export_fold, import_fold, load_design_spec
+from curvefold.foldsim import (LANE_BLOCK, MARCH_STEPS, default_driving_crease, propagate,
                                propagate_lanes, sweep_to_halt)
 from curvefold.geometry import PolyCurve
 from curvefold.kinematics import MODE_ATOL
@@ -113,9 +113,15 @@ class TestOracle:
             pattern, _ = _build_from_spec(*load_design_spec(json.dumps(doc)))
         except CurvefoldError:
             reject()
+        try:  # the oracle's halt search does not depend on the sample count
+            d_halt = oracle.halt_search(pattern)
+        except CurvefoldError as e:
+            d_halt = e
         for samples in (2, 8):
             try:
-                want = oracle.sweep_to_halt(pattern, samples=samples)
+                if isinstance(d_halt, CurvefoldError):
+                    raise d_halt
+                want = oracle.replay(pattern, d_halt, samples)
             except CurvefoldError as e:
                 with pytest.raises(type(e), match=re.escape(str(e))):
                     sweep_to_halt(pattern, samples=samples)
@@ -141,26 +147,26 @@ class TestMarch:
         assert end >= d_halt > seen[n - 3]
         assert all(seen[n - 3] < d < end for d in seen[n:])
 
-    @pytest.mark.parametrize("how", ("signs", "mirror"))
+    @pytest.mark.parametrize("how", ("signs", "mode"))
     @pytest.mark.parametrize("lane", (0, 17))
     @pytest.mark.parametrize("fig", FIGS)
-    def test_wrong_guess_falls_back(self, fig, lane, how, request, monkeypatch):
+    def test_wrong_guess_falls_back(self, fig, lane, how, monkeypatch, oracle_sweep):
         # the march's first lane pass, the guess of its first block, goes
         # wrong at `lane`: scored from there on by the opposite M/V signs,
-        # which leaves it out of range, or, in range, the mirror image of
-        # its state.  The check keeps that lane's exact state, and the
-        # march goes on one state at a time from the next step, bit-equal
-        # to the oracle
-        pattern, _ = request.getfixturevalue(f"{fig}_design")
-        real_angles, real_lanes = foldsim._fold_angles, foldsim._fold_lanes
-        passes = []
+        # or with the first vertex of the first kernel group forced onto
+        # its other mode, the vertices after it solved from that fold.
+        # Either way the guess is a consistent pass that is not the
+        # march's, so that lane re-scores differently: the march keeps the
+        # lanes before it and goes on one state at a time from it,
+        # bit-equal to the oracle
+        pattern, want = oracle_sweep(fig, 8)
+        real_angles, real_lanes, real_branch = (foldsim._fold_angles, foldsim._fold_lanes,
+                                                foldsim._branch)
+        passes, forced = [], []
 
         def lane_pass(pattern, driving_rho, prev, driving_crease):
             passes.append(len(driving_rho))
-            got = real_lanes(pattern, driving_rho, prev, driving_crease)
-            if len(passes) == 1 and how == "mirror":
-                got[0][lane] *= -1.0
-            return got
+            return real_lanes(pattern, driving_rho, prev, driving_crease)
 
         def fold_angles(pattern, driving_rho, prev, signs, driving_crease):
             if len(passes) == 1 and np.ndim(driving_rho) and how == "signs":
@@ -168,13 +174,25 @@ class TestMarch:
                 signs = [s * flip for s in signs]
             return real_angles(pattern, driving_rho, prev, signs, driving_crease)
 
+        def branch(plus, minus, two, prev, signs, where):
+            got = real_branch(plus, minus, two, prev, signs, where)
+            if len(passes) == 1 and where is np.where and not forced and how == "mode":
+                # the other mode of vertex 0 of the group, in lanes >= lane
+                other = np.where(got == plus, minus, plus)[:, :1]
+                at = np.arange(got.shape[-1]) >= lane
+                assert two[0, at].all()
+                forced.append(True)
+                got[:, :1] = np.where(at, other, got[:, :1])
+            return got
+
         monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
         monkeypatch.setattr(foldsim, "_fold_angles", fold_angles)
+        monkeypatch.setattr(foldsim, "_branch", branch)
         seen = _record(monkeypatch)
         got = sweep_to_halt(pattern, samples=8)
         assert passes[0] == 64
-        assert seen[:2] == [0.0, np.pi * (lane + 2) / MARCH_STEPS]
-        assert_same(got, oracle.sweep_to_halt(pattern, samples=8))
+        assert seen[:2] == [0.0, np.pi * (lane + 1) / MARCH_STEPS]
+        assert_same(got, want)
 
     @pytest.mark.parametrize("fig, j", [("fig5", 30), ("fig5", 80), ("fig7", 9), ("fig7", 30)])
     def test_failing_lane_brackets_as_scalar(self, fig, j, request, monkeypatch):
@@ -200,12 +218,91 @@ class TestMarch:
         assert all(lo < d < bad for d in seen[n:])
 
 
+def _fake_clash(real, seen=None):
+    """The batched clash test `foldsim._clashes`, with a clash in every
+    state past EVENT_AT; `seen` collects each state's |driving|.  The
+    oracle's `clash_test` runs through it too."""
+    def clashes(pattern, states):
+        if seen is not None:
+            seen.extend(abs(st.driving_rho) for st in states)
+        return [[(0, 1)] if abs(st.driving_rho) > EVENT_AT else hits
+                for st, hits in zip(states, real(pattern, states))]
+    return clashes
+
+
+def _guess(pattern, j0, flip_from=LANE_BLOCK):
+    """The march's guess pass over the steps j0, ..., j0 + LANE_BLOCK - 1,
+    scored as from flat, by the opposite M/V signs from lane flip_from on:
+    the driving values and what `_fold_lanes` returns."""
+    dc = default_driving_crease(pattern)
+    sgn = pattern.creases[dc].mv or 1
+    driving = np.array([sgn * np.pi * j / MARCH_STEPS for j in range(j0, j0 + LANE_BLOCK)])
+    prev, signs = foldsim._scoring(pattern, np.zeros((LANE_BLOCK, len(pattern.creases))))
+    signs = signs * np.where(np.arange(LANE_BLOCK) >= flip_from, -1, 1)
+    rho, mismatch, ok, modes = foldsim._fold_angles(pattern, driving, prev, signs, dc)
+    return driving, (rho, mismatch, ok & (mismatch <= foldsim.FOLD_CONSISTENCY), modes)
+
+
+def _check_rescore(pattern, j0=1, before=None):
+    """The march's re-score of the guess from step j0, each lane against
+    the state before it (the folds `before`, flat by default, then the
+    guess's lane before): every lane it calls exact must be what a full
+    check pass from those states gives, folds, mismatch and failure.
+    Returns the exact lanes and the guess's folds."""
+    dc = default_driving_crease(pattern)
+    driving, (rho, mismatch, ok, modes) = _guess(pattern, j0)
+    first = np.zeros(len(pattern.creases)) if before is None else before
+    prev = np.vstack([first, rho[:-1]])
+    exact = foldsim._rescored(pattern, modes, prev, dc)
+    check = foldsim._fold_lanes(pattern, driving, prev, dc)
+    if check is None:  # no lane of the check has a branch
+        assert not ok[exact].any()
+        return exact, rho
+    assert np.array_equal(check[0][exact].view(np.uint64), rho[exact].view(np.uint64))
+    assert np.array_equal(check[1][exact].view(np.uint64), mismatch[exact].view(np.uint64))
+    assert np.array_equal(check[2][exact], ok[exact])
+    return exact, rho
+
+
+class TestRescore:
+    @pytest.mark.parametrize("fig", ("fig5", "fig7", "fig5-reimported"))
+    def test_exact_lanes_are_the_check_pass(self, fig, request):
+        # the march's two blocks: the first from flat, the second (steps
+        # 65 to 128) from the first's last lane
+        pattern, _ = request.getfixturevalue(f"{fig[:4]}_design")
+        if fig.endswith("reimported"):
+            pattern, _ = import_fold(export_fold(pattern))
+        exact, rho = _check_rescore(pattern)
+        assert exact.sum() >= 36
+        if exact.all():
+            exact, _ = _check_rescore(pattern, LANE_BLOCK + 1, rho[-1])
+            assert exact.sum() >= 42
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(SMALL_SPECS)
+    def test_exact_lanes_on_small_specs(self, doc):
+        try:
+            pattern, _ = _build_from_spec(*load_design_spec(json.dumps(doc)))
+            _check_rescore(pattern)
+        except CurvefoldError:
+            reject()
+
+    @pytest.mark.parametrize("lane", (0, 17, 35))
+    @pytest.mark.parametrize("fig", FIGS)
+    def test_flipped_signs_first_inexact(self, fig, lane, request):
+        # a guess scored by the opposite M/V signs from `lane` on is exact
+        # up to that lane and not at it
+        pattern, _ = request.getfixturevalue(f"{fig}_design")
+        _, (rho, _, _, modes) = _guess(pattern, 1, flip_from=lane)
+        prev = np.vstack([np.zeros(len(pattern.creases)), rho[:-1]])
+        exact = foldsim._rescored(pattern, modes, prev, default_driving_crease(pattern))
+        assert exact[:lane].all() and not exact[lane]
+
+
 class TestBranches:
     def test_clash_halt(self, fig7_design, monkeypatch):
         pattern, _ = fig7_design
-        real = foldsim.clash_test
-        monkeypatch.setattr(foldsim, "clash_test", lambda p, st: (
-            [(0, 1)] if abs(st.driving_rho) > EVENT_AT else real(p, st)))
+        monkeypatch.setattr(foldsim, "_clashes", _fake_clash(foldsim._clashes))
         seen = _record_placed(monkeypatch, pattern)
         stats = {}
         want = oracle.sweep_to_halt(pattern, samples=2, stats=stats)
@@ -222,14 +319,8 @@ class TestBranches:
         # the halt state is the search's last event: its halt reason comes
         # from that test, not from a second clash test
         pattern, _ = fig7_design
-        real = foldsim.clash_test
         seen = []
-
-        def clash(p, st):
-            seen.append(abs(st.driving_rho))
-            return [(0, 1)] if abs(st.driving_rho) > EVENT_AT else real(p, st)
-
-        monkeypatch.setattr(foldsim, "clash_test", clash)
+        monkeypatch.setattr(foldsim, "_clashes", _fake_clash(foldsim._clashes, seen))
         got = sweep_to_halt(pattern, samples=2)
         assert got.halt.halt_reason == "panel-interpenetration"
         assert seen.count(got.driving_values[-1]) == 1
