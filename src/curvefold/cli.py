@@ -16,11 +16,9 @@ from .errors import CurvefoldError, SchemaError
 from .foldio import (_load_curve, export_fold, export_svg, import_fold, json_object,
                      load_design_spec, report_json, report_text)
 from .foldsim import sweep_to_halt
-from .geometry import (AffineParams, partition_tube, partition_uniform, search_theta,
-                       staircase)
+from .geometry import AffineParams, partition_uniform, search_theta, staircase
 from .kinematics import solve_first_vertex
-from .ortho import (OrthoDesignSpec, build_ortho_pattern, default_alpha11,
-                    effective_stub_angles, ortho_xi, propagate_grid)
+from .ortho import OrthoDesignSpec, angle_grid, build_ortho_pattern, ortho_xi
 from .parallel import ParallelDesignSpec, build_pattern
 from .verify import run_pattern_checks
 
@@ -76,11 +74,7 @@ def _auto_theta(kind, fields):
         _, a2 = solve_first_vertex(part.turn_angles[0], fields["rho4"])
         xi1 = abs(2 * a2 - np.pi)
     else:
-        tube = fields.get("tube_eps") or fields["eps"] / 2.0
-        part = partition_tube(fields["datum"], fields["n"], tube)
-        col0 = effective_stub_angles(part)
-        a11 = fields.get("alpha11") or default_alpha11(col0[0])
-        grid = propagate_grid(col0, a11, m=fields["m"])
+        _, part, _, grid = angle_grid(OrthoDesignSpec(**fields))
         xi1 = ortho_xi(grid.alpha[0, 1], part.turn_angles[0])
     hits = search_theta(fields["target"], xi1, grid=720)
     if not hits:

@@ -374,7 +374,7 @@ def report_text(report):
     return "\n".join(rows) + "\n"
 
 
-_SPEC_KEYS_COMMON = {"type", "datum", "target", "theta", "eps", "phase", "output"}
+_SPEC_KEYS_COMMON = {"type", "datum", "target", "theta", "eps", "phase"}
 _SPEC_KEYS = {
     "parallel-repeating": _SPEC_KEYS_COMMON | {"n_row", "n_col", "rho4"},
     "orthodiagonal": _SPEC_KEYS_COMMON | {"n", "m", "alpha11", "tube_eps"},

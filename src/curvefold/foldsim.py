@@ -4,9 +4,10 @@ What the grid fixes while the paper folds is built once per pattern, as
 a `Schedule`: the crease that drives each vertex and the vertex that wrote
 it, the BFS depths of the panel placement, and the triangle pairs that
 share a vertex.  Folding angles follow the data flow of a row-major sweep
-over the vertices: one state walks them row-major in floats, and lanes of
-states, (L,) arrays, solve one group of vertices (one dependency level,
-one input slot) per kernel call, with the same branch rule for both.
+over the vertices, solved one group (one dependency level, one input
+slot) at a time: one state solves a group's vertices in floats, and
+lanes of states, (L,) arrays, in one kernel call, with the same branch
+rule for both.
 Panels are then placed one BFS depth at a time, and every shared edge is
 checked for closure.
 The sweep-to-halt driver locates the smallest driving angle at which any
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import NoHalt, NotRigidFoldable, OutOfRange
 from .geometry import _PAIR_BLOCK
-from .kinematics import FLOATS, VertexStack, propagate_both_modes
+from .kinematics import FLOATS, VertexStack, form, propagate_both_modes
 from .pattern import ROLE_BOUNDARY, CreasePattern, sweep_pairs
 
 HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
@@ -84,12 +85,10 @@ def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None,
     creases beyond FOLD_CONSISTENCY."""
     if driving_crease is None:
         driving_crease = default_driving_crease(pattern)
-    E = len(pattern.creases)
-    if prev_rho is None or float(np.abs(prev_rho).max()) < PREV_FLAT:
-        prev, signs = [0.0] * E, [c.mv for c in pattern.creases]
-    else:
-        prev, signs = np.asarray(prev_rho, dtype=float).tolist(), [0] * E
-    rho, worst, _, _ = _fold_angles(pattern, float(driving_rho), prev, signs, driving_crease)
+    prev = np.zeros(len(pattern.creases)) if prev_rho is None else np.asarray(prev_rho, float)
+    rho, worst, _, _ = _fold_angles(pattern, float(driving_rho), *_scoring(pattern, prev),
+                                    driving_crease)
+    worst = float(worst)
     if worst > FOLD_CONSISTENCY:
         raise NotRigidFoldable(
             f"fold-angle loop mismatch {worst:.3g} rad", residual=worst)
@@ -165,44 +164,41 @@ class FoldPlan:
     Each vertex is driven by its first crease in (R, U, L, D) order that an
     earlier vertex, or the driving value, has written: its input slot.  The
     sweep solves the vertices before `stuck`, the first with no written
-    crease (None when every vertex has one).  Per vertex, row-major:
-    `slot`, and `known`, the slots written before it.  For lanes the
-    vertices are ordered by level, the level of the vertex that wrote the
-    input plus one (0 for the driving value), then by input slot: `groups`
-    (start, stop, slot, vertex ids) of that order share one kernel call.
-    Folds live in a buffer (4, N + 1, L) by (slot, position), position N
-    holding the driving value in slot 0 and zeros in the others; as rows
-    of its (4 (N + 1), L) view, `src` is each vertex's input, `pairs` each
-    known slot with the row its value came from (its last writer before
-    the vertex, row-major), `final` each crease's last writer and `cids`
-    (4, N) the creases of each position."""
+    crease (None when every vertex has one).  The vertices are ordered by
+    level, the level of the vertex that wrote the input plus one (0 for the
+    driving value), then by input slot: `groups` (start, stop, slot, vertex
+    ids) of that order are solved together.  Folds live in a buffer
+    (4, N + 1) by (slot, position), per state, position N holding the
+    driving value in slot 0 and zeros in the others; as rows of its
+    (4 (N + 1),) view, `src` is each vertex's input, `pairs` each known
+    slot with the row its value came from (its last writer before the
+    vertex, row-major), `final` each crease's last writer and `cids` (4, N)
+    the creases of each position."""
 
     def __init__(self, pattern, driving_crease):
-        vcl = pattern.vertex_crease_lists()
+        vcs = pattern.vertex_creases.reshape(-1, 4)
         writer = {driving_crease: None}  # crease -> (vertex, slot) that wrote it last
-        self.stuck, self.slot, self.known = None, [], []
-        level, sources = [], []
-        for v, cids in enumerate(vcl):
+        self.stuck, slot, level, sources = None, [], [], []
+        for v, cids in enumerate(vcs.tolist()):
             known = [j for j, c in enumerate(cids) if c in writer]
             if not known:
                 self.stuck = v
                 break
             w = writer[cids[known[0]]]
             level.append(0 if w is None else level[w[0]] + 1)
-            self.slot.append(known[0])
-            self.known.append(known)
+            slot.append(known[0])
             sources.append([((v, j), writer[cids[j]]) for j in known])
             for j, c in enumerate(cids):
                 writer[c] = (v, j)
         N = len(level)
-        order = sorted(range(N), key=lambda v: (level[v], self.slot[v]))
+        order = sorted(range(N), key=lambda v: (level[v], slot[v]))
         pos = {v: p for p, v in enumerate(order)}
 
         def row(ref):  # None: the driving value; (v, j): vertex v's slot j
             return N if ref is None else ref[1] * (N + 1) + pos[ref[0]]
 
         self.groups, p = [], 0
-        for (_, j), vs in groupby(order, key=lambda v: (level[v], self.slot[v])):
+        for (_, j), vs in groupby(order, key=lambda v: (level[v], slot[v])):
             vs = list(vs)
             self.groups.append((p, p + len(vs), j, vs))
             p += len(vs)
@@ -211,7 +207,7 @@ class FoldPlan:
                               dtype=int).reshape(-1, 2).T
         self.final = np.array([row(writer[c]) if c in writer else 2 * N + 1
                                for c in range(len(pattern.creases))], dtype=int)
-        self.cids = np.array([vcl[v] for v in order], dtype=int).reshape(-1, 4).T
+        self.cids = vcs[order].T
 
 
 def grid_schedule(pattern: CreasePattern):
@@ -229,23 +225,12 @@ def grid_schedule(pattern: CreasePattern):
 def _fold_angles(pattern: CreasePattern, driving_rho, prev, signs, driving_crease):
     """The fold assignment, on one state or on lanes: driving_rho is a
     float or an (L,) array, and prev and signs hold per crease a float or
-    an (L,) array each.
-
-    Each vertex is solved once, from its input slot (`FoldPlan`), and mode
-    -1 replaces mode +1 by `_branch`.  One state walks the vertices
-    row-major in floats; lanes run one kernel call per group of the plan,
-    level by level.  Returns the folds, (E,) or (L, E), the largest
-    disagreement of a vertex's folds with the creases written before it,
-    whether every vertex had a branch, and the lanes' modes (None on one
-    state).  Raises OutOfRange where no state has one, else
-    NotRigidFoldable when the row-major sweep reaches a vertex with no
+    an (L,) array each (`_fold_levels`).  Raises as `_fold_levels` does,
+    else NotRigidFoldable when the row-major sweep reaches a vertex with no
     known crease."""
-    verts = pattern.vertex_angles()
     plan = grid_schedule(pattern).folds(pattern, driving_crease)
-    if isinstance(driving_rho, np.ndarray):
-        out = _fold_levels(plan, verts, driving_rho, np.asarray(prev), np.asarray(signs))
-    else:
-        out = _fold_walk(pattern, plan, verts, driving_rho, prev, signs, driving_crease)
+    out = _fold_levels(plan, pattern.vertex_angles(), driving_rho, np.asarray(prev),
+                       np.asarray(signs))
     if plan.stuck is not None:
         k, i = divmod(plan.stuck, pattern.cols)
         raise NotRigidFoldable(f"sweep reached vertex ({k + 1},{i + 1}) with no known crease")
@@ -278,51 +263,51 @@ def _branch(plus, minus, two, prev, signs, where):
     return where(two & ((mm > mp) | ((mm == mp) & (dm < dp))), minus, plus)
 
 
-def _fold_walk(pattern, plan, verts, driving_rho, prev, signs, driving_crease):
-    """One state's fold assignment in floats, row-major; raises OutOfRange
-    at the first vertex with no branch."""
-    rho = [None] * len(pattern.creases)
-    rho[driving_crease] = driving_rho
-    worst = 0.0
-    for v, cids in enumerate(pattern.vertex_crease_lists()[:len(plan.slot)]):
-        hit, plus, minus, two = propagate_both_modes(verts[v], plan.slot[v],
-                                                     rho[cids[plan.slot[v]]])
-        if not hit:
-            raise OutOfRange("configuration beyond the vertex folding range")
-        r = _branch(plus, minus, two, [prev[c] for c in cids], [signs[c] for c in cids],
-                    FLOATS.where)
-        for j in plan.known[v]:
-            gap = abs(r[j] - rho[cids[j]])
-            worst = gap if gap > worst else worst
-        for c, x in zip(cids, r):
-            rho[c] = x
-    return np.array([0.0 if x is None else x for x in rho]), worst, True, None
-
-
 def _fold_levels(plan, verts, driving_rho, prev, signs):
-    """Lanes' fold assignment, one kernel call per group of the plan;
-    prev and signs are (E, L).  Raises OutOfRange once no lane has a
-    branch.  The largest gap ignores NaN, as the comparison of the
-    row-major walk does.  Also returns, for `_rescored`, every vertex's
-    modes and the folds it chose: (plus, minus, two, chosen)."""
-    L, N = len(driving_rho), len(plan.slot)
-    buf = np.zeros((4, N + 1, L))
-    buf[0, N] = driving_rho
-    rows = buf.reshape(-1, L)
-    plus, minus, two = np.empty((4, N, L)), np.empty((4, N, L)), np.empty((N, L), dtype=bool)
+    """The fold assignment over the plan's groups, level by level: each
+    vertex is solved once, from its input slot, and mode -1 replaces mode
+    +1 by `_branch`.  One state (a float driving_rho) solves a group's
+    vertices one at a time in floats, lanes (an (L,) array) in one kernel
+    call; prev and signs are (E,) or (E, L).
+
+    Returns the folds, (E,) or (L, E), the largest disagreement of a
+    vertex's folds with the creases written before it (ignoring NaN, the
+    folds of a lane with no branch), whether each lane had a branch at
+    every vertex, and for `_rescored` the lanes' modes and the folds they
+    chose, (plus, minus, two, chosen), or None on one state.  Raises
+    OutOfRange once no state has a branch."""
+    N, f = len(plan.src), form(driving_rho)
     P, S = prev[plan.cids], signs[plan.cids]
+    if f is FLOATS:
+        rows, modes = [0.0] * (4 * (N + 1)), None
+        P, S, src = P.T.tolist(), S.T.tolist(), plan.src.tolist()
+    else:
+        L = len(driving_rho)
+        buf = np.zeros((4, N + 1, L))
+        rows = buf.reshape(-1, L)
+        plus, minus, two = np.empty((4, N, L)), np.empty((4, N, L)), np.empty((N, L), dtype=bool)
+        modes = (plus, minus, two, buf[:, :N])
+    rows[N] = driving_rho
     ok = True
     for a, b, j, vs in plan.groups:
-        hit, plus[:, a:b], minus[:, a:b], two[a:b] = propagate_both_modes(
-            VertexStack([verts[v] for v in vs]), j, rows[plan.src[a:b]])
-        ok = ok & hit.all(axis=0)
-        if not ok.any():
+        if f is FLOATS:
+            hit = True
+            for p, v in enumerate(vs, a):
+                h, pl, mi, tw = propagate_both_modes(verts[v], j, rows[src[p]])
+                rows[p::N + 1] = _branch(pl, mi, tw, P[p], S[p], f.where)
+                hit = hit and h
+        else:
+            hit, plus[:, a:b], minus[:, a:b], two[a:b] = propagate_both_modes(
+                VertexStack([verts[v] for v in vs]), j, rows[plan.src[a:b]])
+            buf[:, a:b] = _branch(plus[:, a:b], minus[:, a:b], two[a:b], P[:, a:b], S[:, a:b],
+                                  f.where)
+            hit = hit.all(axis=0)
+        ok = ok & hit
+        if not f.any(ok):
             raise OutOfRange("configuration beyond the vertex folding range")
-        buf[:, a:b] = _branch(plus[:, a:b], minus[:, a:b], two[a:b], P[:, a:b], S[:, a:b],
-                              np.where)
+    rows = np.asarray(rows)
     gap = np.abs(rows[plan.pairs[0]] - rows[plan.pairs[1]])
-    return (rows[plan.final].T, np.fmax.reduce(gap, axis=0, initial=0.0), ok,
-            (plus, minus, two, buf[:, :N]))
+    return rows[plan.final].T, np.fmax.reduce(gap, axis=0, initial=0.0), ok, modes
 
 
 def _rotations(axes, angles):
@@ -398,19 +383,18 @@ def place_panels(pattern: CreasePattern, rho):
     return coords, residuals
 
 
-def bootstrap_mv(pattern: CreasePattern, d0=0.02, driving_crease=None):
+def bootstrap_mv(pattern: CreasePattern, d0=0.02):
     """Mountain/valley assignment from a depth-first consistent fold
     assignment at a small driving value.
 
     Branch choices are pruned against already-assigned creases, so the
     search settles on the pattern's folding branch without any prior
     sign information.  Returns the signed fold angles at d0."""
-    dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     verts = pattern.vertex_angles()
-    vertex_creases = pattern.vertex_crease_lists()
+    vertex_creases = pattern.vertex_creases.reshape(-1, 4).tolist()
 
     rho = [None] * len(pattern.creases)
-    rho[dc] = d0
+    rho[default_driving_crease(pattern)] = d0
     # an explicit stack, so grids with more vertices than the recursion
     # limit still search
     stack = [(0, rho)]
@@ -492,11 +476,11 @@ def propagate_lanes(pattern: CreasePattern, driving_rho, prevs, driving_crease=N
 
 
 def _scoring(pattern: CreasePattern, prev):
-    """prev (L, E) as the branch rule scores against it and the signs it
-    scores by, both (E, L), as `assign_fold_angles` takes one state."""
-    flat = np.abs(prev).max(axis=1) < PREV_FLAT
-    signs = np.array([c.mv for c in pattern.creases])[:, None] * flat
-    return np.where(flat[:, None], 0.0, prev).T, signs
+    """prev, one state (E,) or lanes (L, E), as the branch rule scores
+    against it and the signs it scores by, both (E,) or (E, L)."""
+    flat = np.abs(prev).max(axis=-1, keepdims=True) < PREV_FLAT
+    signs = np.array([c.mv for c in pattern.creases]) * flat
+    return np.where(flat, 0.0, prev).T, signs.T
 
 
 def _fold_lanes(pattern: CreasePattern, driving_rho, prev, driving_crease):
@@ -691,7 +675,7 @@ def _clashes(pattern: CreasePattern, states):
     return [sorted(h) for h in hits]
 
 
-def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
+def sweep_to_halt(pattern: CreasePattern, samples=64):
     """Trajectory of `samples` states evenly spaced from flat to d_halt, the
     smallest driving value (the designated crease driven with its
     mountain/valley sign) at which a crease reaches pi - HALT_TOL or panels
@@ -719,11 +703,11 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
     is one of them.  Each sample is a kept state or is propagated once from
     the nearest kept march or search state, at most one march step below
     it; those propagations run as lanes of `propagate_lanes`, LANE_BLOCK at
-    a time, and equal `propagate` bit for bit.  The first sample that fails
-    raises its own error."""
+    a time, and equal `propagate` bit for bit.  Where the flat state or a
+    sample fails, the first to fail raises its own error."""
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
+    dc = default_driving_crease(pattern)
     sgn = pattern.creases[dc].mv or 1
     keys, kept, tested = [], [], []  # tested: (d, h) of the states tested, in order
 
@@ -747,6 +731,15 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
                 keys.insert(i, d)
                 kept.insert(i, st)
         return [got[d] if d in got else kept[bisect.bisect_right(keys, d) - 1] for d in ds]
+
+    def raising(ds):
+        # states_at(ds), raising the error of the first state that fails
+        states = states_at(ds)
+        for d, st in zip(ds, states):
+            if st is None:
+                i = bisect.bisect_right(keys, d)
+                propagate(pattern, sgn * d, prev=kept[i - 1] if i else None, driving_crease=dc)
+        return states
 
     def at_pi(st):
         return float(np.abs(st.rho).max()) >= np.pi - HALT_TOL
@@ -796,7 +789,7 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
             d = np.pi * j / MARCH_STEPS
             yield j, d, states_at([d])[0], None
 
-    states_at([0.0])
+    raising([0.0])
     lo, found = 0.0, False
     for j, d, st, pairs in march():
         if st is None:
@@ -837,11 +830,7 @@ def sweep_to_halt(pattern: CreasePattern, samples=64, driving_crease=None):
         raise NoHalt("folding range ends with no crease at pi and no clash")
 
     values = np.linspace(0.0, hi, samples)
-    states = states_at(values)
-    for k, d in enumerate(values):
-        if states[k] is None:  # raises this sample's own error
-            states[k] = propagate(pattern, sgn * d, prev=kept[bisect.bisect_right(keys, d) - 1],
-                                  driving_crease=dc)
+    states = raising(values)
     # the halt is a state the search tested as an event
     halt = states[-1]
     halt.halted = True

@@ -172,19 +172,27 @@ def effective_stub_angles(partition: Partition):
     return np.array(out)
 
 
-def build_ortho_pattern(spec: OrthoDesignSpec):
-    """Full orthodiagonal pattern plus design report."""
+def angle_grid(spec: OrthoDesignSpec):
+    """The design up to its angle grid, which theta does not enter: the
+    tube radius, the datum's partition on that tube, alpha11 (checked
+    against the halting inequalities) and the grid it spans with the stub
+    angles of column 0."""
     tube = spec.tube_eps if spec.tube_eps is not None else spec.eps / 2.0
     part = partition_tube(spec.datum, spec.n, tube)
-    beta = part.turn_angles
     col0 = effective_stub_angles(part)
     a11 = spec.alpha11 if spec.alpha11 is not None else default_alpha11(col0[0])
     if not validate_alpha11(a11, col0[0]):
         raise DegenerateAngle(
             f"alpha11 = {a11:.6g} violates the halting inequalities against "
             f"alpha10 = {col0[0]:.6g}")
-    grid = propagate_grid(col0, a11, m=spec.m)
-    a1col = grid.alpha[:, 1]
+    return tube, part, a11, propagate_grid(col0, a11, m=spec.m)
+
+
+def build_ortho_pattern(spec: OrthoDesignSpec):
+    """Full orthodiagonal pattern plus design report."""
+    tube, part, a11, grid = angle_grid(spec)
+    beta = part.turn_angles
+    col0, a1col = grid.alpha[:, 0], grid.alpha[:, 1]
     xis = [ortho_xi(a1col[i], beta[i]) for i in range(spec.n)]
     for x in xis:
         if not (1e-3 < x < np.pi - 1e-3):

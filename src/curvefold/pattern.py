@@ -69,17 +69,6 @@ class CreasePattern:
         H, V = self.row_creases, self.col_creases
         return np.stack([H[1:-1, 1:], V[:-1, 1:-1], H[1:-1, :-1], V[1:, 1:-1]], axis=-1)
 
-    def vertex_crease_lists(self):
-        """`vertex_creases` as one list of four crease ids per inner vertex,
-        row-major.  Built once per content of `row_creases` and
-        `col_creases`: FOLD import relabels the crease ids."""
-        key = (self.row_creases.tobytes(), self.col_creases.tobytes())
-        cached = getattr(self, "_vertex_crease_lists", None)
-        if cached is None or cached[0] != key:
-            cached = self._vertex_crease_lists = (
-                key, self.vertex_creases.reshape(-1, 4).tolist())
-        return cached[1]
-
     def vertex_angles(self):
         """VertexAngles of every inner vertex, row-major, as a list.
 

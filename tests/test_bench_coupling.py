@@ -1,7 +1,9 @@
-"""The benchmark in `bench/` reaches into the library by name; this test
-fails when a rename would break it."""
+"""The benchmark in `bench/` reaches into the library by name and by
+keyword; these tests fail when a rename or a removed setting would break
+it."""
 import importlib
 import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +22,16 @@ def test_bench_names_resolve_and_selftest_passes():
     run = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_library_takes_the_keywords_of_the_timed_runs():
+    # the calls of bench/workload.py's timed runs, keywords as it passes
+    # them: a keyword the library no longer takes stops every run
+    from curvefold import foldio, foldsim, verify
+    pattern, state = object(), object()
+    calls = [(foldsim.propagate, (pattern, 0.1), {"prev": state, "driving_crease": 0}),
+             (foldsim.sweep_to_halt, (pattern,), {"samples": 64}),
+             (foldio.export_fold, (pattern,), {"state": state}),
+             (verify.run_pattern_checks, (pattern,), {"state": state, "trajectory": None})]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)

@@ -33,6 +33,7 @@ SMALL_ORTHO_SPEC = {
 #: (id, base spec, fields replaced) -> SchemaError
 BAD_SPECS = [
     ("phase", SMALL_PARALLEL_SPEC, {"phase": "z"}),
+    ("output", SMALL_PARALLEL_SPEC, {"output": "out"}),
     ("n_row-0", SMALL_PARALLEL_SPEC, {"n_row": 0}),
     ("n_col-0", SMALL_PARALLEL_SPEC, {"n_col": 0}),
     ("n-0", SMALL_ORTHO_SPEC, {"n": 0}),

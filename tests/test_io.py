@@ -250,10 +250,11 @@ class TestDesignSpecFile:
         assert fields["n_row"] == 4 and theta == 1.27
 
     def test_unknown_field_rejected(self):
-        doc = {"type": "parallel-repeating", "datum": {"builtin": "fig4-spiralish"},
-               "target": {"builtin": "fig5-exp"}, "bogus": 1}
-        with pytest.raises(SchemaError):
-            load_design_spec(json.dumps(doc))
+        for key in ("bogus", "output"):
+            doc = {"type": "parallel-repeating", "datum": {"builtin": "fig4-spiralish"},
+                   "target": {"builtin": "fig5-exp"}, key: 1}
+            with pytest.raises(SchemaError, match=f"unknown fields: \\['{key}'\\]"):
+                load_design_spec(json.dumps(doc))
 
     def test_unknown_type_rejected(self):
         with pytest.raises(SchemaError):

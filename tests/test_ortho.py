@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from curvefold import curves
+from curvefold.cli import DEMOS, _build_from_spec
 from curvefold.errors import DegenerateAngle, OutOfRange
+from curvefold.foldio import load_design_spec
 from curvefold.geometry import PolyCurve, partition_tube
 from curvefold.ortho import (OrthoDesignSpec, alpha_left, build_ortho_pattern,
                              default_alpha11, effective_stub_angles,
@@ -159,6 +163,19 @@ class TestBuildOrtho:
                                n=4, m=3, theta=THETA7, eps=0.3, alpha11=np.pi / 8)
         with pytest.raises(DegenerateAngle):
             build_ortho_pattern(spec)
+
+    @pytest.mark.parametrize("alpha11", (2.9, 3.0))
+    def test_alpha11_inequalities_enforced_with_theta_auto(self, alpha11):
+        # the theta search runs the same design prelude, halting check
+        # included, so both theta forms reject alpha11 alike
+        errors = []
+        for theta in ("auto", 0.5236):
+            doc = dict(DEMOS["fig7"], alpha11=alpha11, theta=theta)
+            with pytest.raises(DegenerateAngle) as e:
+                _build_from_spec(*load_design_spec(json.dumps(doc)))
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"alpha11 = {alpha11:.6g} violates the halting inequalities")
 
     def test_piecewise_circular_constant_angles(self):
         # constant-curvature datum, uniform on-curve partition in the

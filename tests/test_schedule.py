@@ -5,17 +5,18 @@ clash test's table of vertex-sharing triangles against the per-pair
 test."""
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 
 from curvefold import foldsim
-from curvefold.cli import _build_from_spec
+from curvefold.cli import _build_from_spec, main
 from curvefold.errors import CurvefoldError, NotRigidFoldable, OutOfRange
 from curvefold.foldio import export_fold, import_fold, load_design_spec
 from curvefold.foldsim import (assign_fold_angles, default_driving_crease, grid_schedule,
-                               propagate, propagate_lanes)
+                               propagate, propagate_lanes, sweep_to_halt)
 from support import SMALL_SPECS
 
 FIGS = ("fig5_design", "fig7_design", "fig5_reimported")
@@ -39,7 +40,7 @@ def _row_major(pattern, dc, drive):
     crease in the row-major sweep, each vertex writing `_tag` on its
     creases: each vertex reads its first crease written before it."""
     fold, inputs = {dc: drive}, []
-    for v, cids in enumerate(pattern.vertex_crease_lists()):
+    for v, cids in enumerate(pattern.vertex_creases.reshape(-1, 4).tolist()):
         j = next(j for j, c in enumerate(cids) if c in fold)
         inputs.append((j, fold[cids[j]]))
         for k, c in enumerate(cids):
@@ -162,21 +163,42 @@ class TestErrors:
         assert _both(pattern, [0.1, 4.0], dc) == [None, None]
 
     @pytest.mark.parametrize("fig", FIGS)
-    def test_first_error_in_row_major_order_wins(self, fig, request, monkeypatch):
+    def test_first_error_in_row_major_order_wins(self, fig, request):
         # the last vertex's creases replaced by four of the paper's top
         # edge, which no vertex writes: the sweep reaches it with no known
         # crease after every other vertex had a branch, and does not reach
         # it where no state has a branch at vertex (1,1)
         pattern, _ = request.getfixturevalue(fig)
-        pattern = dataclasses.replace(pattern)
-        lists = [list(c) for c in pattern.vertex_crease_lists()]
-        lists[-1] = pattern.row_creases[0, :4].tolist()
-        monkeypatch.setattr(pattern, "vertex_crease_lists", lambda: lists)
+        creases = pattern.vertex_creases.copy()
+        creases[-1, -1] = pattern.row_creases[0, :4]
+
+        class Edited(type(pattern)):
+            vertex_creases = creases
+
+        pattern = Edited(**{f.name: getattr(pattern, f.name)
+                            for f in dataclasses.fields(pattern)})
         dc = default_driving_crease(pattern)
         stuck = (NotRigidFoldable, "sweep reached vertex (9,9) with no known crease")
         assert _both(pattern, [0.1, 0.2], dc) == [stuck, stuck]
         assert _both(pattern, [4.0, 0.1], dc) == [(OutOfRange, NO_BRANCH), stuck]
         assert _both(pattern, [3.5, 4.0], dc) == [(OutOfRange, NO_BRANCH)] * 2
+
+    def test_flat_state_that_fails_raises_its_own_error(self, fig5_design, tmp_path, capsys):
+        # halting column 2 drives a crease of vertex (1,2), which leaves
+        # vertex (1,1) with no known crease: every state fails, flat first,
+        # and the sweep raises that error instead of ending in NoHalt
+        doc = json.loads(export_fold(fig5_design[0]))
+        doc["curvefold:grid"]["halting_col"] = 2
+        path = tmp_path / "pattern.fold"
+        path.write_text(json.dumps(doc))
+        pattern, _ = import_fold(path.read_text())
+        stuck = "sweep reached vertex (1,1) with no known crease"
+        for run in (lambda: propagate(pattern, 0.0), lambda: sweep_to_halt(pattern)):
+            with pytest.raises(NotRigidFoldable, match=re.escape(stuck)):
+                run()
+        for argv in (["fold", str(path), "--out", str(tmp_path / "o")], ["verify", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"NotRigidFoldable: {stuck}\n"
 
 
 class TestPlacementDepths:
