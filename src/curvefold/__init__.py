@@ -10,15 +10,13 @@ from .geometry import (AffineParams, Partition, PolyCurve, affine_map,
                        affine_unmap, hausdorff, is_admissible,
                        measure_polyline, partition_tube, partition_uniform,
                        search_theta, staircase)
-from .kinematics import (FoldAngles, VertexAngles, degree4_propagate,
-                         fold_from_beta, planar_transfer,
-                         row_transfer_residual, solve_first_vertex)
+from .kinematics import VertexAngles, row_transfer_residual, solve_first_vertex
 from .pattern import CreasePattern, Crease, DesignReport, check_embeddable
 from .parallel import (ColumnProfile, ParallelDesignSpec, build_pattern,
-                       column_curves, design_row, xi_recurrence)
+                       column_curves, xi_recurrence)
 from .ortho import (OrthoAngleGrid, OrthoDesignSpec, alpha_left,
-                    build_ortho_pattern, ortho_row_curves, ortho_xi,
-                    propagate_grid, validate_alpha11)
+                    build_ortho_pattern, ortho_xi, propagate_grid,
+                    validate_alpha11)
 from .foldsim import FoldedState, Trajectory, clash_test, propagate, sweep_to_halt
 
 __version__ = "0.1.0"

@@ -124,6 +124,7 @@ def import_fold(text):
     if min(ext.shape) < 3 or not np.array_equal(np.sort(ext, axis=None), np.arange(nv)):
         raise SchemaError("the grid must have at least 3 x 3 nodes and list "
                           "each vertex id exactly once")
+    _check_design(design, ext.shape)
     dim3 = coords.shape[1] == 3
     if dim3:
         if "curvefold:vertices_flat" not in doc:
@@ -152,15 +153,32 @@ def _is_number(x):
     return type(x) in (int, float) and math.isfinite(x)
 
 
+def _is_table(value):
+    """A non-empty list of equally long lists of finite numbers."""
+    return (isinstance(value, list) and value
+            and all(isinstance(p, list) and len(p) == len(value[0]) for p in value)
+            and all(_is_number(x) for p in value for x in p))
+
+
 def _coord_rows(value, what, dims):
     """Finite float array of a list of equally long numeric rows, their
     length one of `dims`."""
-    if not (isinstance(value, list) and value
-            and all(isinstance(p, list) and len(p) == len(value[0]) for p in value)
-            and len(value[0]) in dims and all(_is_number(x) for p in value for x in p)):
+    if not (_is_table(value) and len(value[0]) in dims):
         raise SchemaError(f"{what} must be a non-empty list of numeric rows, "
                           f"all {' or '.join(map(str, dims))}-D")
     return np.array(value, dtype=float)
+
+
+def _check_design(design, shape):
+    """The design values the invariant suite reads: xi, numbers for at most
+    the grid lines it is checked on, and grid_alpha, a table."""
+    lines = shape[0 if design.get("type") == "orthodiagonal" else 1] - 2
+    xi = design.get("xi", [])
+    if not (isinstance(xi, list) and len(xi) <= lines and all(map(_is_number, xi))):
+        raise SchemaError(f"curvefold:design xi must be a list of at most {lines} numbers")
+    if "grid_alpha" in design and not _is_table(design["grid_alpha"]):
+        raise SchemaError("curvefold:design grid_alpha must be a rectangular array "
+                          "of numbers")
 
 
 def _id_rows(value, what, nv):

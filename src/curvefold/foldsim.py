@@ -31,17 +31,10 @@ from .errors import NoHalt, NotRigidFoldable, OutOfRange
 from .geometry import _PAIR_BLOCK
 from .kinematics import FLOATS, VertexStack, form, propagate_both_modes
 from .pattern import ROLE_BOUNDARY, CreasePattern, sweep_pairs
+from .tolerances import (BRANCH_TOL, CLASH_REL, CLOSURE_REL, COINCIDENT,
+                         FOLD_CONSISTENCY, HALT_TOL, LENGTH_FLOOR, PARALLEL_SIN,
+                         PREV_FLAT, SIGN_FLOOR, ZERO_AREA)
 
-HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
-CLASH_REL = 1e-9         # clash_test: penetration depth that counts, x diameter (at least 1)
-COINCIDENT = 1e-9        # clash_test: a crease this close to pi lays its panels on each other
-ZERO_AREA = 1e-30        # clash_test: a triangle whose |e1 x e2| is below this has no plane
-PARALLEL_SIN = 1e-12     # clash_test: unit normals whose cross is shorter meet in no line
-CLOSURE_REL = 1e-9       # coordinate closure, relative to pattern diameter
-FOLD_CONSISTENCY = 1e-7  # fold-angle agreement between vertex sweeps (rad)
-PREV_FLAT = 1e-8         # a previous state below this everywhere counts as flat
-SIGN_FLOOR = 1e-12       # a fold's mountain/valley sign counts above this (rad)
-BRANCH_TOL = 1e-8        # bootstrap_mv: a branch agrees with assigned folds within this
 LANE_BLOCK = 64          # states propagated in one array pass per vertex
 PLACE_BLOCK = 8          # of those, states placed at once: memory O(block x faces)
 MARCH_STEPS = 128        # driving steps per pi: branch continuity needs modest steps
@@ -366,7 +359,7 @@ def place_panels(pattern: CreasePattern, rho):
     (fl, cl), (fr, cr) = sched.hinges
     gap = ((turned[cl] + t[fl, None]) - turned[cr]) - t[fr, None]      # (n, 2, L, 3)
     worst = np.sqrt((gap * gap).sum(axis=3))
-    diam = max(pattern.diameter, 1e-12)
+    diam = max(pattern.diameter, LENGTH_FLOOR)
     closure = worst.max(axis=(0, 1), initial=0.0) / diam
 
     placed = turned.reshape(len(quads), 4, L, 3) + t[sched.order][:, None]

@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from .errors import (ClosedCurve, DegenerateTurn, LayoutError, NotAdmissible,
                      TubeSelfIntersect)
+from .tolerances import (COLLINEAR_TRIPLE, MONOTONE_TOL, PRUNE_SLACK,
+                         TUBE_TURN_MARGIN, XI_MARGIN)
 
 TAU = 2.0 * np.pi
-
-# monotonicity tie tolerance: a tie would drive a staircase turn to 0 or pi
-MONOTONE_TOL = 1e-10
 
 # array elements (point-segment pairs, samples x thetas, candidate pairs
 # of pattern.sweep_pairs) per array pass
@@ -143,16 +142,16 @@ def measure_polyline(points):
         axis = _unit(pts3[i + 1] - pts3[i])
         n1 = np.cross(pts3[i] - pts3[i - 1], pts3[i + 1] - pts3[i])
         n2 = np.cross(pts3[i + 1] - pts3[i], pts3[i + 2] - pts3[i + 1])
-        if np.linalg.norm(n1) < 1e-14 or np.linalg.norm(n2) < 1e-14:
+        if np.linalg.norm(n1) < COLLINEAR_TRIPLE or np.linalg.norm(n2) < COLLINEAR_TRIPLE:
             raise DegenerateTurn(f"collinear triple around interior point {i}")
         n1, n2 = _unit(n1), _unit(n2)
         theta[i - 1] = np.arctan2(np.cross(n1, n2) @ axis, n1 @ n2) % TAU
     return lengths, beta, theta
 
 
-def _check_turns(beta, margin=0.0):
-    if np.any(beta <= margin) or np.any(beta >= np.pi - margin):
-        bad = int(np.argmax((beta <= margin) | (beta >= np.pi - margin)))
+def _check_turns(beta):
+    if np.any(beta <= 0.0) or np.any(beta >= np.pi):
+        bad = int(np.argmax((beta <= 0.0) | (beta >= np.pi)))
         raise DegenerateTurn(
             f"turn angle beta_{bad + 1} = {beta[bad]:.6g} outside (0, pi)")
 
@@ -165,11 +164,10 @@ class AffineParams:
 
     theta: float
     xi: float
-    margin: float = 1e-3
 
     def __post_init__(self):
         object.__setattr__(self, "theta", float(self.theta) % TAU)
-        if not (self.margin <= self.xi <= np.pi - self.margin):
+        if not (XI_MARGIN <= self.xi <= np.pi - XI_MARGIN):
             raise ValueError(f"xi = {self.xi:.6g} too close to 0 or pi")
 
     def shear(self):
@@ -325,7 +323,7 @@ def _planar_turn_signs(pts):
     return np.sign(cross).astype(int)
 
 
-def partition_tube(c: PolyCurve, n, eps, turn_margin=0.05):
+def partition_tube(c: PolyCurve, n, eps):
     """Partition with points alternating between the two offset curves at
     distance eps, keeping every turn angle away from pi.
 
@@ -351,8 +349,8 @@ def partition_tube(c: PolyCurve, n, eps, turn_margin=0.05):
         nrm = np.array([-tang[1], tang[0]])
         pts[i] = base[i] + eps * ((-1) ** (i + 1)) * nrm
     lengths, beta, theta = measure_polyline(pts)
-    _check_turns(beta, margin=0.0)
-    if np.any(beta >= np.pi - turn_margin):
+    _check_turns(beta)
+    if np.any(beta >= np.pi - TUBE_TURN_MARGIN):
         raise DegenerateTurn("tube partition produced a turn too close to pi; "
                              "increase eps or n")
     return Partition(pts, lengths, beta, theta, turn_signs=_planar_turn_signs(pts))
@@ -420,7 +418,7 @@ def min_dist_to_polyline(points, poly):
     ends = np.concatenate([V[seg], V[seg + 1]], axis=1)
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     centre, radius = 0.5 * (lo + hi), 0.5 * np.linalg.norm(hi - lo, axis=1)
-    slack = 1e-9 * (np.abs(P).max() + np.abs(V).max())
+    slack = PRUNE_SLACK * (np.abs(P).max() + np.abs(V).max())
     rows = max(2, _PAIR_BLOCK // max(len(seg), _RUN))
     for r in range(0, len(P), rows):
         Q = P[r:r + rows]
@@ -469,7 +467,7 @@ def _directed_hausdorff(pts, per_segment, V):
     K = np.append(np.arange(0, n - 1, _HAUSDORFF_STRIDE), n - 1)
     F, L = dist(K)
     best = F.max()
-    slack = 1e-9 * (seg_arc[-1] + np.abs(pts).max() + np.abs(V).max())
+    slack = PRUNE_SLACK * (seg_arc[-1] + np.abs(pts).max() + np.abs(V).max())
     # gaps between evaluated samples, as rows (start, end) of sample
     # index K, distance F and arc length L
     K, F, L = (np.stack([x[:-1], x[1:]]) for x in (K, F, L))

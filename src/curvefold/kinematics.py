@@ -12,7 +12,7 @@ Folding angles are signed: valley positive (panels rise toward the top
 side), magnitude pi - dihedral.  |rho| = pi means coincident panels.
 
 The halting family (a1, a2, pi-a2, pi-a1) has collinear column creases in
-the pattern; its row-crease folds obey the closed form `fold_from_beta`.
+the pattern; its row-crease folds obey the closed form of the paper.
 The interior family (a, b, pi-a, pi-b) is flat-foldable.
 
 Given the fold on one crease, the other three follow from closed-form
@@ -37,14 +37,8 @@ import numpy as np
 
 from .errors import NoSolution, OutOfRange
 from .geometry import TAU
-
-DEV_TOL = 1e-10          # developability: sector sum vs 2*pi
-CLAMP_SLACK = 1e-12      # |arccos arg| may exceed 1 by at most this
-SECTOR_MARGIN = 1e-6     # sectors valid in (margin, pi - margin)
-FLAT_CUT = 1e-14         # |input fold| below this is the flat state
-RADICAND_SLACK = 1e-10   # r^2 may fall below 0 by this much times 1 + z^2
-MODE_ATOL = 1e-12        # mode -1 within MODE_ATOL + MODE_RTOL |rho| of mode +1
-MODE_RTOL = 1e-5         # on every crease is the same branch
+from .tolerances import (CLAMP_SLACK, DEV_TOL, FLAT_CUT, MODE_ATOL, MODE_RTOL,
+                         RADICAND_SLACK, SECTOR_MARGIN)
 
 #: lexicographic enumeration of the four +- slots of the transfer equations
 BRANCH_ORDER = tuple(product((1, -1), repeat=4))
@@ -98,32 +92,6 @@ class VertexStack:
         return tuple(np.array([v.terms(a) for v in self.verts]).T[:, :, None])
 
 
-@dataclass(frozen=True)
-class FoldAngles:
-    """Signed folding angles per crease, (R, U, L, D) order, valley +."""
-
-    rho: tuple
-    mode: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(float(x) for x in self.rho))
-
-
-def fold_from_beta(alpha1, alpha2, beta1):
-    """Folding-angle magnitudes (rho2, rho4) of the halting-family vertex
-    whose row creases subtend the space angle beta1.
-
-    rho2 lives on the left row crease, rho4 on the right.  Values land in
-    (0, 2*pi); the physical fold is the value itself when <= pi, otherwise
-    its 2*pi complement with opposite sign."""
-    for x in (alpha1, alpha2, beta1):
-        if not (0.0 < x < np.pi):
-            raise OutOfRange(f"angle {x:.6g} outside (0, pi)")
-    x2 = (np.cos(alpha2) * np.cos(beta1) - np.cos(alpha1)) / (np.sin(alpha2) * np.sin(beta1))
-    x4 = (np.cos(alpha1) * np.cos(beta1) - np.cos(alpha2)) / (np.sin(alpha1) * np.sin(beta1))
-    return 2.0 * guarded_arccos(x2), 2.0 * guarded_arccos(x4)
-
-
 def solve_first_vertex(beta1, rho4):
     """Sector angles (alpha1, alpha2) of the halting vertex: left row crease
     fully folded (rho2 = pi) while the right row crease carries rho4.
@@ -166,26 +134,6 @@ def row_transfer_residual(prev, nxt, beta_i, beta_ip1, theta_i, branch):
     r2 = sT1 * T1 + sT2 * T2 - theta_i
     r2 = (r2 + np.pi) % TAU - np.pi
     return float(r1), float(r2)
-
-
-def planar_transfer(prev_pair, beta_i, beta_ip1):
-    """Next halting-family vertex when the whole row stays in that family.
-
-    The single ratio equation fixes a' (= b' by the flat-foldability
-    choice): -cot(a') tan(beta_ip1 / 2) equals the previous vertex's ratio
-    `lhs`, whose one root in (0, pi) is the closed form below.  The
-    required dihedral theta_i is 0 when consecutive vertices bend the row
-    polyline the same way and pi otherwise."""
-    p1, p2 = prev_pair
-    for x in (p1, p2, beta_i, beta_ip1):
-        if not (0.0 < x < np.pi):
-            raise OutOfRange(f"angle {x:.6g} outside (0, pi)")
-    lhs = (np.cos(p1) * np.cos(beta_i) - np.cos(p2)) / (np.sin(p1) * np.sin(beta_i))
-    a = math.atan2(math.tan(beta_ip1 / 2.0), -lhs)
-    if not (SECTOR_MARGIN < a < np.pi - SECTOR_MARGIN):
-        raise NoSolution("ratio equation has no root in (0, pi)")
-    theta = 0.0 if (p1 + p2 - np.pi) * (2 * a - np.pi) > 0 else np.pi
-    return a, a, theta
 
 
 def _root(x):
@@ -260,16 +208,6 @@ def _half_angle_folds(t, z, root, atan2):
     # 2 atan of num/den, carried to +-pi where den reaches 0
     folds = [2.0 * atan2(num * (1 - 2 * (den < 0)), abs(den)) for num, den in halves]
     return r2 >= -RADICAND_SLACK * (1.0 + zz), folds[:3], folds[3:]
-
-
-def degree4_propagate(v: VertexAngles, input_crease, input_rho, mode=+1):
-    """All four folding angles given the fold on one crease, on the branch
-    of `mode` (see propagate_both_modes).  Raises OutOfRange beyond the
-    vertex's folding range."""
-    ok, plus, minus, _ = propagate_both_modes(v, input_crease, float(input_rho))
-    if not ok:
-        raise OutOfRange("configuration beyond the vertex folding range")
-    return FoldAngles(plus if mode == +1 else minus, mode=mode)
 
 
 def propagate_both_modes(v, input_crease, input_rho):

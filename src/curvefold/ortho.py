@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAngle, LayoutError, NotAdmissible, OutOfRange
+from .errors import DegenerateAngle, LayoutError, OutOfRange
 from .foldsim import bootstrap_mv
-from .geometry import (AffineParams, Partition, PolyCurve, affine_map,
-                       hausdorff, is_admissible, partition_tube, staircase,
-                       staircase_segments)
+from .geometry import (AffineParams, Partition, PolyCurve, hausdorff,
+                       partition_tube, staircase, staircase_segments)
 from .kinematics import guarded_arccos
 from .pattern import (DesignReport, assemble_grid, check_embeddable,
                       set_corners)
+from .tolerances import (COLUMN_ALIGN_REL, DEGENERATE_ANGLE, RATIO_FLOOR,
+                         XI_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class OrthoAngleGrid:
             for j in range(t.shape[1] - 1):
                 lhs = t[i, j] / t[i, j + 1]
                 rhs = t[i + 1, j] / t[i + 1, j + 1]
-                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
+                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), RATIO_FLOOR))
         return worst
 
 
@@ -104,14 +105,14 @@ def propagate_grid(col0, alpha11, m=1):
     repeat column 1."""
     col0 = np.asarray(col0, dtype=float)
     for a in col0:
-        if min(abs(a), abs(a - np.pi / 2), abs(np.pi - a)) < 1e-9:
+        if min(abs(a), abs(a - np.pi / 2), abs(np.pi - a)) < DEGENERATE_ANGLE:
             raise DegenerateAngle(f"left sector angle {a:.6g} hits 0, pi/2 or pi")
-    if min(abs(alpha11), abs(alpha11 - np.pi / 2), abs(np.pi - alpha11)) < 1e-9:
+    if min(abs(alpha11), abs(alpha11 - np.pi / 2), abs(np.pi - alpha11)) < DEGENERATE_ANGLE:
         raise DegenerateAngle(f"alpha11 = {alpha11:.6g} hits 0, pi/2 or pi")
     ratio = np.tan(alpha11) / np.tan(col0[0])
     col1 = np.arctan(np.tan(col0) * ratio) % np.pi
     for a in col1:
-        if min(abs(a), abs(a - np.pi / 2), abs(np.pi - a)) < 1e-9:
+        if min(abs(a), abs(a - np.pi / 2), abs(np.pi - a)) < DEGENERATE_ANGLE:
             raise DegenerateAngle("propagated sector angle hits 0, pi/2 or pi")
     n = len(col0)
     alpha = np.zeros((n, m + 1))
@@ -127,28 +128,6 @@ def ortho_xi(alpha_i1, beta_i):
         raise OutOfRange(f"beta = {beta_i:.6g} outside (0, pi)")
     c = 4.0 * np.cos(alpha_i1) ** 2 / (1.0 - np.cos(beta_i)) - 1.0
     return guarded_arccos(c)
-
-
-def ortho_row_curves(f1: PolyCurve, theta, grid: OrthoAngleGrid, partition: Partition):
-    """Per-row transformed target curves.
-
-    Row i carries f1 conjugated from the xi_1 frame into the xi_i frame and
-    scaled by sin(alpha11)/sin(alpha_i1), the similarity forced by the
-    shared strip widths between the parallel column lines."""
-    beta = partition.turn_angles
-    a1col = grid.alpha[:, 1]
-    xis = [ortho_xi(a1col[i], beta[i]) for i in range(len(beta))]
-    aff1 = AffineParams(theta, xis[0])
-    ok, _ = is_admissible(f1, aff1)
-    if not ok:
-        raise NotAdmissible("target curve fails admissibility at (theta, xi_1)")
-    img = affine_map(f1.samples, aff1)
-    out = []
-    for i, xi in enumerate(xis):
-        ai = AffineParams(theta, xi)
-        scale = np.sin(a1col[0]) / np.sin(a1col[i])
-        out.append(scale * (img @ ai.inverse_matrix().T))
-    return out, xis
 
 
 def effective_stub_angles(partition: Partition):
@@ -195,7 +174,7 @@ def build_ortho_pattern(spec: OrthoDesignSpec):
     col0, a1col = grid.alpha[:, 0], grid.alpha[:, 1]
     xis = [ortho_xi(a1col[i], beta[i]) for i in range(spec.n)]
     for x in xis:
-        if not (1e-3 < x < np.pi - 1e-3):
+        if not (XI_MARGIN < x < np.pi - XI_MARGIN):
             raise OutOfRange(f"row staircase angle xi = {x:.6g} too close to 0 or pi")
     aff1 = AffineParams(spec.theta, xis[0])
     stair = staircase(spec.target, aff1, spec.m, phase=spec.phase)
@@ -250,7 +229,7 @@ def _draw_ortho(spec, part: Partition, col0, a1col, base, scales):
             L = scales[i] * base[j]
             step = L * np.array([np.sin(t), np.cos(t)])
             inner[i, j] = inner[i, j - 1] + step
-            if abs(inner[i, j, 0] - xcol[j]) > 1e-9 * max(1.0, abs(xcol[j])):
+            if abs(inner[i, j, 0] - xcol[j]) > COLUMN_ALIGN_REL * max(1.0, abs(xcol[j])):
                 raise LayoutError("column line misalignment in ortho layout")
     nodes[1:-1, 0] = [inner[i, 0] + scales[i] * base[0] *
                       np.array([-np.sin(col0[i]), np.cos(col0[i])]) for i in range(n)]

@@ -25,6 +25,8 @@ from .kinematics import (BRANCH_ORDER, VertexAngles, guarded_arccos,
                          row_transfer_residual, solve_first_vertex)
 from .pattern import (DesignReport, assemble_grid, check_embeddable,
                       panel_distances, set_corners, signed_fold_angles)
+from .tolerances import (COLLINEAR_FRAME, ROOT_SCAN_MARGIN, ROW_DRIFT,
+                         TRANSFER_TOL, XI_MARGIN)
 
 
 def _rot2(v, ang):
@@ -37,7 +39,7 @@ def _plane_basis(axis, ref):
     side of it."""
     w = ref - (ref @ axis) * axis
     n = np.linalg.norm(w)
-    if n < 1e-13:
+    if n < COLLINEAR_FRAME:
         raise OutOfRange("reference direction collinear with axis")
     return w / n
 
@@ -129,13 +131,13 @@ def _design_row_state(partition: Partition, rho4):
     L1 = _unit(pts[0] - pts[1])
     R1 = _unit(pts[2] - pts[1])
     nrm = np.cross(L1, R1)
-    if np.linalg.norm(nrm) < 1e-13:
+    if np.linalg.norm(nrm) < COLLINEAR_FRAME:
         raise NoSolution("first turn is degenerate", index=1)
     nrm = _unit(nrm)
     U = [np.cos(a2) * L1 + np.sin(a2) * nrm]
     D = [-np.cos(a2) * L1 + np.sin(a2) * nrm]
     branch_log = []
-    grid = np.linspace(1e-4, np.pi - 1e-4, 720)
+    grid = np.linspace(ROOT_SCAN_MARGIN, np.pi - ROOT_SCAN_MARGIN, 720)
     for i in range(1, n):
         Lp = _unit(pts[i] - pts[i + 1])
         Rp = _unit(pts[i + 2] - pts[i + 1])
@@ -189,17 +191,9 @@ def _matching_branch(prev, nxt, bi, bip, thi):
         m = max(abs(r1), abs(r2))
         if best is None or m < best[0]:
             best = (m, br)
-    if best is None or best[0] > 1e-8:
+    if best is None or best[0] > TRANSFER_TOL:
         raise NoSolution("no transfer sign branch matches the solved vertex")
     return best[1]
-
-
-def design_row(partition: Partition, rho4):
-    """Sector angles alpha_1..alpha_{4n} along the datum row plus the
-    transfer sign branches used (one per consecutive vertex pair)."""
-    st = _design_row_state(partition, rho4)
-    vertices = [VertexAngles(s) for s in st.slots]
-    return vertices, st.branch_log
 
 
 def xi_recurrence(xi_i, quad):
@@ -290,7 +284,7 @@ def build_pattern(spec: ParallelDesignSpec):
     m = spec.n_col
     xs = xi_list(slots)
     for x in xs:
-        if not (1e-3 < x < np.pi - 1e-3):
+        if not (XI_MARGIN < x < np.pi - XI_MARGIN):
             raise OutOfRange(f"column crease angle xi = {x:.6g} too close to 0 or pi")
     aff1 = AffineParams(spec.theta, xs[0])
     stair = staircase(spec.target, aff1, m, phase=spec.phase)
@@ -381,7 +375,7 @@ def _draw_pattern(spec, part: Partition, slots, m, seg_len):
             seg = _unit(inner[k, i + 1] - inner[k, i])
             ref = _unit(inner[0, i + 1] - inner[0, i])
             drift = max(drift, abs(seg[0] * ref[1] - seg[1] * ref[0]))
-    if drift > 1e-8:
+    if drift > ROW_DRIFT:
         raise LayoutError(f"row translation drift {drift:.3g}")
 
     nodes[1:-1, 0] = inner[:, 0] + lengths[0] * stub_l

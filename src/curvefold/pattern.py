@@ -13,6 +13,7 @@ import numpy as np
 from .errors import CreaseIntersection, NotRigidFoldable
 from .geometry import _PAIR_BLOCK
 from .kinematics import VertexAngles
+from .tolerances import CROSSING_REL, LAYOUT_DEV_TOL
 
 ROLE_ROW = "row-crease"
 ROLE_COL = "column-crease"
@@ -141,7 +142,7 @@ def check_embeddable(pattern: CreasePattern):
     pts = pattern.vertices
     uv = pattern.crease_ends()
     xs = pts[uv, 0]
-    eps = 1e-12 * max(pattern.diameter, 1.0) ** 2
+    eps = CROSSING_REL * max(pattern.diameter, 1.0) ** 2
     for i, j in sweep_pairs(xs.min(axis=1), xs.max(axis=1), 0.0):
         (u1, v1), (u2, v2) = uv[i].T, uv[j].T
         p1, p2, p3, p4 = pts[u1].T, pts[v1].T, pts[u2].T, pts[v2].T
@@ -244,7 +245,7 @@ def assemble_grid(nodes, halting_col, design):
                         row_creases=H, col_creases=V, crease_faces=crease_faces,
                         placement=np.array(placement, dtype=int).reshape(-1, 4),
                         halting_col=halting_col, design=design)
-    if pat.developability_residual() > 1e-9:
+    if pat.developability_residual() > LAYOUT_DEV_TOL:
         # a winding inversion means the drawn layout folds back on itself
         raise CreaseIntersection(
             f"drawn layout is not developable "

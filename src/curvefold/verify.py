@@ -1,37 +1,15 @@
-"""Cross-module verification: folded-state checks behind one tolerance
-table, used by the test suite and the CLI `verify` subcommand."""
+"""Cross-module verification: folded-state checks, each against its entry
+of `tolerances.TOLERANCES`, used by the test suite and `curvefold verify`."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .foldsim import CLOSURE_REL, place_panels
+from .foldsim import place_panels
 from .ortho import OrthoAngleGrid
 from .pattern import CreasePattern, panel_distances
-
-#: every check tolerance lives here; tests must not invent their own
-TOLERANCES = {
-    "developability": 1e-10,
-    "kawasaki": 1e-10,
-    "coplanarity": 1e-8,          # x pattern diameter
-    "xi": 1e-8,
-    "row_fold_equal": 1e-8,
-    "closure": CLOSURE_REL,       # x pattern diameter
-    "separability": 1e-10,        # relative on tan ratios
-    "phi": 1e-8,
-    # all halting-column creases are designed to reach pi together, but
-    # the sweep stops when the first one crosses pi - 1e-6, leaving the
-    # rest a fraction of that behind
-    "halt_fold": 3e-6,
-    "isometry": 1e-9,             # relative
-    "opposite_folds": 1e-9,
-    "perpendicular": 1e-8,
-    # tangent containment degrades linearly with the pi - 1e-6 halting
-    # offset, so it cannot be checked tighter than ~1e-5 at the swept halt
-    "perpendicular_tangent": 1e-5,
-}
-
+from .tolerances import FLAT_STATE, LENGTH_FLOOR, TOLERANCES
 
 @dataclass
 class CheckResult:
@@ -66,7 +44,7 @@ def check_developability(pattern: CreasePattern):
 
 def check_coplanarity(pattern, state, axis, index):
     pts = state.vertex_coords[pattern.line_ids(axis, index)]
-    res = _plane_fit_residual(pts) / max(pattern.diameter, 1e-12)
+    res = _plane_fit_residual(pts) / max(pattern.diameter, LENGTH_FLOOR)
     return _result(f"coplanarity-{axis}-{index}", res, "coplanarity")
 
 
@@ -123,7 +101,7 @@ def check_closure(pattern, state):
 
 def check_isometry(pattern, state):
     d2, d3 = panel_distances(pattern, state.vertex_coords)
-    res = np.max(np.abs(d3 - d2) / np.maximum(d2, 1e-12))
+    res = np.max(np.abs(d3 - d2) / np.maximum(d2, LENGTH_FLOOR))
     return _result("isometry", res, "isometry")
 
 
@@ -158,7 +136,7 @@ def measure_phi(pattern, state, i):
 
 
 def check_phi(pattern, state, i, expected_phi):
-    if np.abs(state.rho).max() < 1e-9:
+    if np.abs(state.rho).max() < FLAT_STATE:
         return CheckResult(f"phi-{i}", True, 0.0, TOLERANCES["phi"])  # flat: undefined
     got = measure_phi(pattern, state, i)
     res = abs(got - expected_phi)
@@ -225,7 +203,7 @@ def run_pattern_checks(pattern, state=None, trajectory=None):
             for r in range(1, pattern.rows + 1):
                 out.append(check_coplanarity(pattern, st, "row", r))
         xi = pattern.design.get("xi")
-        if xi and np.abs(st.rho).max() > 1e-9 and st.halted:
+        if xi and np.abs(st.rho).max() > FLAT_STATE and st.halted:
             ortho = pattern.design.get("type") == "orthodiagonal"
             for i, x in enumerate(xi, start=1):
                 if ortho and pattern.cols >= 2:

@@ -9,21 +9,20 @@ staircase corners, the circumcircle curvature over sample triples, the
 pairwise crease-crossing test, the per-crease signed fold angles, the
 grid index of `assemble_grid` found through a (u, v) -> crease lookup, and
 the per-chord panel distances.  The
-scan-and-Brent root finds of the first row vertex and of
-`planar_transfer` are the references for the closed forms of
-`curvefold.kinematics`, which agree with them to rounding, not bit for
-bit.  `solve_next_vertex`, a Newton solve of the row transfer equations,
-is the independent check of the next row vertices that the designer
-continues geometrically."""
+scan-and-Brent root find of the first row vertex is the reference for
+the closed form of `curvefold.kinematics`, which agrees with it to
+rounding, not bit for bit.  `solve_next_vertex`, a Newton solve of the
+row transfer equations, is the independent check of the next row
+vertices that the designer continues geometrically."""
 import numpy as np
 
 from curvefold.errors import ClosedCurve, CreaseIntersection, NoSolution, OutOfRange
-from curvefold.geometry import (MONOTONE_TOL, TAU, AffineParams, Partition,
-                                PolyCurve, _arc, _unit, affine_map)
-from curvefold.kinematics import (BRANCH_ORDER, SECTOR_MARGIN,
-                                  row_transfer_residual)
+from curvefold.geometry import (TAU, AffineParams, Partition, PolyCurve, _arc,
+                                _unit, affine_map)
+from curvefold.kinematics import BRANCH_ORDER, row_transfer_residual
 from curvefold.pattern import (ROLE_BOUNDARY, ROLE_COL, ROLE_ROW, Crease,
                                CreasePattern, _suggest_rescale)
+from curvefold.tolerances import MONOTONE_TOL, SECTOR_MARGIN
 
 
 def densify(obj, per_segment):
@@ -163,34 +162,6 @@ def solve_first_vertex(beta1, rho4, scan=2048):
                          f"at beta1 = {beta1:.6g}")
     pairs = sorted(((alpha1_of(r), r) for r in roots), key=lambda p: abs(p[0] - p[1]))
     return pairs[0]
-
-
-def planar_transfer(prev_pair, beta_i, beta_ip1):
-    """`kinematics.planar_transfer` by a 2048-point scan of its ratio
-    equation and a Brent root find on the first bracket."""
-    from scipy.optimize import brentq
-
-    p1, p2 = prev_pair
-    for x in (p1, p2, beta_i, beta_ip1):
-        if not (0.0 < x < np.pi):
-            raise OutOfRange(f"angle {x:.6g} outside (0, pi)")
-    lhs = (np.cos(p1) * np.cos(beta_i) - np.cos(p2)) / (np.sin(p1) * np.sin(beta_i))
-
-    def g(a):
-        return (np.cos(a) * np.cos(beta_ip1) - np.cos(a)) / (np.sin(a) * np.sin(beta_ip1)) - lhs
-
-    grid = np.linspace(SECTOR_MARGIN, np.pi - SECTOR_MARGIN, 2048)
-    vals = np.array([g(a) for a in grid])
-    root = None
-    for k in range(len(grid) - 1):
-        if vals[k] * vals[k + 1] <= 0.0:
-            root = brentq(g, grid[k], grid[k + 1], xtol=1e-14)
-            break
-    if root is None:
-        raise NoSolution("ratio equation has no root in (0, pi)")
-    a = float(root)
-    theta = 0.0 if (p1 + p2 - np.pi) * (2 * a - np.pi) > 0 else np.pi
-    return a, a, theta
 
 
 NEWTON_TOL = 1e-12

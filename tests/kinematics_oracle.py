@@ -1,5 +1,10 @@
 """Reference degree-4 vertex kernels.
 
+`fold_from_beta` is the paper's closed form for the halting-family vertex
+(a1, a2, pi-a2, pi-a1): its row-crease folds as functions of the space
+angle between its row creases.  The tests check the kernel and the first
+row vertex of the designer against it.
+
 `degree4_propagate` and `propagate_both_modes` build the spherical
 four-bar in numpy 3-vector arithmetic: the input crease along x, its
 leading panel flat, the trailing panel rotated by the input fold, and the
@@ -15,8 +20,24 @@ import mpmath as mp
 import numpy as np
 
 from curvefold.errors import OutOfRange
+from curvefold.kinematics import guarded_arccos
 
 TAU = 2.0 * np.pi
+
+
+def fold_from_beta(alpha1, alpha2, beta1):
+    """Folding-angle magnitudes (rho2, rho4) of the halting-family vertex
+    whose row creases subtend the space angle beta1.
+
+    rho2 lives on the left row crease, rho4 on the right.  Values land in
+    (0, 2*pi); the physical fold is the value itself when <= pi, otherwise
+    its 2*pi complement with opposite sign."""
+    for x in (alpha1, alpha2, beta1):
+        if not (0.0 < x < np.pi):
+            raise OutOfRange(f"angle {x:.6g} outside (0, pi)")
+    x2 = (np.cos(alpha2) * np.cos(beta1) - np.cos(alpha1)) / (np.sin(alpha2) * np.sin(beta1))
+    x4 = (np.cos(alpha1) * np.cos(beta1) - np.cos(alpha2)) / (np.sin(alpha1) * np.sin(beta1))
+    return 2.0 * guarded_arccos(x2), 2.0 * guarded_arccos(x4)
 
 
 def _unit(v):

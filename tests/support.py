@@ -1,11 +1,45 @@
-"""Shapes, checks and spec strategies the tests share, which the library
-itself has no use for."""
+"""Shapes, checks, design views and spec strategies the tests share,
+which the library itself has no use for."""
 import math
 
 import numpy as np
 from hypothesis import strategies as hs
 
-from curvefold.geometry import PolyCurve
+from curvefold.errors import NotAdmissible
+from curvefold.geometry import AffineParams, PolyCurve, affine_map, is_admissible
+from curvefold.kinematics import VertexAngles
+from curvefold.ortho import ortho_xi
+from curvefold.parallel import _design_row_state
+
+
+def design_row(partition, rho4):
+    """Sector angles alpha_1..alpha_{4n} along the datum row of a parallel
+    design, as VertexAngles, plus the transfer sign branches used (one per
+    consecutive vertex pair)."""
+    st = _design_row_state(partition, rho4)
+    return [VertexAngles(s) for s in st.slots], st.branch_log
+
+
+def ortho_row_curves(f1, theta, grid, partition):
+    """Per-row transformed target curves of an orthodiagonal design.
+
+    Row i carries f1 conjugated from the xi_1 frame into the xi_i frame and
+    scaled by sin(alpha11)/sin(alpha_i1), the similarity forced by the
+    shared strip widths between the parallel column lines."""
+    beta = partition.turn_angles
+    a1col = grid.alpha[:, 1]
+    xis = [ortho_xi(a1col[i], beta[i]) for i in range(len(beta))]
+    aff1 = AffineParams(theta, xis[0])
+    ok, _ = is_admissible(f1, aff1)
+    if not ok:
+        raise NotAdmissible("target curve fails admissibility at (theta, xi_1)")
+    img = affine_map(f1.samples, aff1)
+    out = []
+    for i, xi in enumerate(xis):
+        ai = AffineParams(theta, xi)
+        scale = np.sin(a1col[0]) / np.sin(a1col[i])
+        out.append(scale * (img @ ai.inverse_matrix().T))
+    return out, xis
 
 
 def circle(n=256, radius=1.0):

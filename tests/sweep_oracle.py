@@ -17,7 +17,8 @@ import numpy as np
 
 from curvefold import foldsim
 from curvefold.errors import NoHalt, NotRigidFoldable, OutOfRange
-from curvefold.foldsim import HALT_TOL, Trajectory, default_driving_crease
+from curvefold.foldsim import Trajectory, default_driving_crease
+from curvefold.tolerances import HALT_TOL
 
 
 def sweep_to_halt(pattern, samples=64, coarse=64, driving_crease=None, stats=None):

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 from design_oracle import solve_next_vertex
+from kinematics_oracle import fold_from_beta
 
 from curvefold import curves
 from curvefold.errors import (ClosedCurve, CurvefoldError, NoSolution,
@@ -16,15 +17,13 @@ from curvefold.foldsim import clash_test, default_driving_crease, propagate, swe
 from curvefold.geometry import (AffineParams, PolyCurve, hausdorff,
                                 is_admissible, measure_polyline,
                                 partition_tube, partition_uniform, staircase)
-from curvefold.kinematics import (VertexAngles, fold_from_beta,
-                                  propagate_both_modes, row_transfer_residual,
-                                  solve_first_vertex)
+from curvefold.kinematics import (VertexAngles, propagate_both_modes,
+                                  row_transfer_residual, solve_first_vertex)
 from curvefold.ortho import (alpha_left, default_alpha11,
                              effective_stub_angles, propagate_grid)
-from curvefold.parallel import (ParallelDesignSpec, build_pattern, design_row,
-                                xi_recurrence)
+from curvefold.parallel import ParallelDesignSpec, build_pattern, xi_recurrence
 from curvefold.verify import TOLERANCES, check_developability
-from support import circle, ellipse, rigid_align, rounded_square
+from support import circle, design_row, ellipse, rigid_align, rounded_square
 
 RHO4 = 5 * np.pi / 6
 THETA5 = np.deg2rad(73.0)

@@ -4,6 +4,7 @@ it."""
 import importlib
 import importlib.util
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,14 @@ def test_bench_names_resolve_and_selftest_passes():
     run = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_bench_tolerance_keys_resolve():
+    # bench/checks.py reads its bounds from verify.TOLERANCES by key
+    from curvefold.verify import TOLERANCES
+    keys = set(re.findall(r'TOLERANCES\["(\w+)"\]', (BENCH / "checks.py").read_text()))
+    assert keys >= {"developability", "isometry", "coplanarity"}
+    assert all(isinstance(TOLERANCES[k], float) for k in keys)
 
 
 def test_library_takes_the_keywords_of_the_timed_runs():

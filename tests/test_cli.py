@@ -188,6 +188,21 @@ class TestFoldVerify:
         checks = {c["check_id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         assert not checks["closure"]["ok"]
 
+    def test_verify_malformed_design_exit_1(self, designed, tmp_path):
+        # a design value the checks read, wrong in type, ends in the
+        # error line of a schema failure, not in a traceback
+        doc = json.loads((designed / "pattern.fold").read_text())
+        doc["curvefold:design"]["xi"] = "abc"
+        bad = tmp_path / "bad.fold"
+        bad.write_text(json.dumps(doc))
+        src = str(Path(curvefold.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "curvefold.cli", "verify", str(bad)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+
     @pytest.mark.parametrize("states", ["1", "0", "-3"])
     @pytest.mark.parametrize("cmd", ["fold", "verify"])
     def test_states_below_two_exit_1(self, designed, cmd, states, tmp_path, capsys):

@@ -16,7 +16,7 @@ from curvefold.cli import DEMOS, _build_from_spec, main
 from curvefold.errors import ClosedCurve, CreaseIntersection, CurvefoldError, NoSolution
 from curvefold.geometry import (AffineParams, PolyCurve, hausdorff, is_admissible,
                                 min_dist_to_polyline, partition_uniform, search_theta)
-from curvefold.kinematics import planar_transfer, solve_first_vertex
+from curvefold.kinematics import solve_first_vertex
 from curvefold.foldio import load_design_spec
 from curvefold.pattern import (CreasePattern, assemble_grid, check_embeddable,
                                panel_distances, signed_fold_angles)
@@ -229,30 +229,6 @@ class TestRootScans:
                 oracle.solve_first_vertex(beta1, rho4)
             with pytest.raises(NoSolution):
                 solve_first_vertex(beta1, rho4)
-
-    def test_planar_transfer_random(self):
-        rng = np.random.default_rng(31)
-        solved = 0
-        for _ in range(200):
-            prev = tuple(rng.uniform(0.05, np.pi - 0.05, 2))
-            bi, bip = rng.uniform(0.05, np.pi - 0.05, 2)
-            try:
-                want = oracle.planar_transfer(prev, bi, bip)
-            except NoSolution:
-                with pytest.raises(NoSolution):
-                    planar_transfer(prev, bi, bip)
-                continue
-            a, b, theta = planar_transfer(prev, bi, bip)
-            assert abs(a - want[0]) <= 1e-13 and b == a
-            assert theta == want[2]
-            solved += 1
-        assert solved > 100
-        # a root within SECTOR_MARGIN of 0 or pi is no vertex
-        for args in (((1.0, 2.0), 1.0, 1e-7), ((2.0, 1.0), 1.0, 1e-7)):
-            with pytest.raises(NoSolution):
-                oracle.planar_transfer(*args)
-            with pytest.raises(NoSolution):
-                planar_transfer(*args)
 
     @pytest.mark.parametrize("rho4", [5 * np.pi / 6, 2.7, 2.2])
     def test_row_state_fig4_datum(self, fig4_partition, rho4):

@@ -14,12 +14,12 @@ from curvefold import pattern as pattern_mod
 from curvefold.cli import _build_from_spec
 from curvefold.errors import NotRigidFoldable, OutOfRange
 from curvefold.foldio import load_design_spec
-from curvefold.foldsim import (CLOSURE_REL, LANE_BLOCK, _penetrates, _unit_normals,
-                               bootstrap_mv, clash_test, default_driving_crease, propagate,
-                               sweep_to_halt)
+from curvefold.foldsim import (LANE_BLOCK, _penetrates, _unit_normals, bootstrap_mv,
+                               clash_test, default_driving_crease, propagate, sweep_to_halt)
 from curvefold.geometry import PolyCurve, measure_polyline, partition_uniform
 from curvefold.parallel import ParallelDesignSpec, build_pattern
 from curvefold.pattern import ROLE_BOUNDARY
+from curvefold.tolerances import CLOSURE_REL
 from curvefold.verify import TOLERANCES, check_isometry
 from support import rigid_align
 

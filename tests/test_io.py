@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from curvefold import curves
 from curvefold.cli import main
@@ -9,6 +12,7 @@ from curvefold.errors import NotQuadGrid, SchemaError
 from curvefold.foldio import (export_fold, export_svg, import_fold,
                               load_design_spec, report_json, report_text)
 from curvefold.geometry import AffineParams, staircase
+from curvefold.verify import CheckResult, run_pattern_checks
 
 
 class TestFoldRoundTrip:
@@ -199,6 +203,10 @@ FOLD_CORRUPTIONS = [
                 d["faces_vertices"][0].__setitem__(0, 10 ** 6)), False),
     ("flat-row-short", lambda d: _one_short(d["curvefold:vertices_flat"]), True),
     ("fold-angles-empty", lambda d: d.update(edges_foldAngle=[]), True),
+    ("design-xi-string", lambda d: d["curvefold:design"].update(xi="abc"), False),
+    ("design-xi-too-long", lambda d: d["curvefold:design"].update(xi=[0.5] * 20), False),
+    ("design-grid-alpha-string",
+     lambda d: d["curvefold:design"].update(grid_alpha="x"), False),
 ]
 
 
@@ -284,3 +292,61 @@ class TestReport:
         assert "eps_datum" in j
         txt = report_text(report)
         assert "eps datum" in txt and "within budget" in txt
+
+
+#: any JSON value, with integers no larger than the fixtures' grid counts
+#: and sample numbers, so that no drawn count builds a large grid or curve
+JSON = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers(-3, 3) | hs.floats() | hs.text(max_size=4)
+    | hs.sampled_from(["orthodiagonal", "parallel-repeating", "fig5-exp"]),
+    lambda inner: hs.lists(inner, max_size=5) | hs.dictionaries(hs.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12)
+
+FUZZ_SPECS = [
+    {"type": "parallel-repeating", "datum": {"builtin": "fig4-spiralish", "samples_n": 9},
+     "target": {"builtin": "fig5-exp", "samples_n": 9, "scale": 0.7}, "n_row": 3,
+     "n_col": 3, "rho4": 2.6, "theta": 1.27, "eps": 0.5, "phase": "x"},
+    {"type": "orthodiagonal", "datum": {"samples": [[0, 0], [1, 0.2], [2, 0], [3, 0.2]],
+                                        "param": [0, 1, 2, 3], "closed": False},
+     "target": {"builtin": "fig7-tlnt", "samples_n": 9}, "n": 3, "m": 3,
+     "alpha11": 1.2, "tube_eps": 0.1, "theta": "auto"},
+]
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(where=hs.sampled_from([("curvefold:design", k)
+                                  for k in ("type", "xi", "grid_alpha", "halt_rho")]
+                                 + [("curvefold:grid", k)
+                                    for k in ("rows", "cols", "halting_col", "ext_id")]),
+           value=JSON)
+    def test_fold_import_rejects_or_checks(self, small_parallel, small_parallel_halt,
+                                           where, value):
+        # a FOLD document with one drawn design or grid value either fails
+        # the schema or gets through the whole invariant suite
+        pattern, _ = small_parallel
+        doc = json.loads(export_fold(pattern))
+        doc[where[0]][where[1]] = value
+        try:
+            pat, _ = import_fold(json.dumps(doc))
+        except SchemaError:
+            return
+        checks = run_pattern_checks(pat, state=small_parallel_halt.halt)
+        assert all(isinstance(c, CheckResult) for c in checks)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(base=hs.sampled_from(FUZZ_SPECS), key=hs.sampled_from(
+        ["type", "datum", "target", "n_row", "n_col", "n", "m", "rho4", "alpha11",
+         "tube_eps", "theta", "eps", "phase", "bogus", "datum.builtin", "datum.samples_n",
+         "datum.samples", "datum.param", "datum.closed", "target.builtin",
+         "target.samples_n", "target.scale", "target.bogus"]), value=JSON)
+    def test_spec_loads_or_rejects(self, base, key, value):
+        doc = copy.deepcopy(base)
+        *outer, inner = key.split(".")
+        (doc[outer[0]] if outer else doc)[inner] = value
+        try:
+            kind, fields, _ = load_design_spec(json.dumps(doc))
+        except SchemaError:
+            return
+        assert kind == doc["type"] and isinstance(fields, dict)

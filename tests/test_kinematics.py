@@ -3,13 +3,13 @@ import pytest
 
 import kinematics_oracle as oracle
 from design_oracle import solve_next_vertex
+from support import design_row
 
 from curvefold import kinematics
 from curvefold.errors import NoSolution, OutOfRange
-from curvefold.kinematics import (MODE_ATOL, VertexAngles, degree4_propagate,
-                                  fold_from_beta, planar_transfer,
-                                  propagate_both_modes, row_transfer_residual,
-                                  solve_first_vertex)
+from curvefold.kinematics import (VertexAngles, propagate_both_modes,
+                                  row_transfer_residual, solve_first_vertex)
+from curvefold.tolerances import MODE_ATOL
 
 RHO4 = 5 * np.pi / 6
 
@@ -21,6 +21,15 @@ def branches(v, crease, rho_in):
     if not ok:
         raise OutOfRange("beyond the folding range")
     return [tuple(plus)] + ([tuple(minus)] if two else [])
+
+
+def folds(v, crease, rho_in, mode=+1):
+    """The four folds propagate_both_modes gives a float input on the
+    branch of `mode`; OutOfRange beyond the folding range."""
+    ok, plus, minus, _ = propagate_both_modes(v, crease, float(rho_in))
+    if not ok:
+        raise OutOfRange("beyond the folding range")
+    return plus if mode == +1 else minus
 
 
 def halting_quad(a1, a2):
@@ -50,16 +59,16 @@ def place_state(quad, beta):
 
 class TestFoldFromBeta:
     def test_symmetric_alphas(self):
-        r2, r4 = fold_from_beta(1.1, 1.1, 0.8)
+        r2, r4 = oracle.fold_from_beta(1.1, 1.1, 0.8)
         assert abs(r2 - r4) < 1e-12
 
     def test_right_angles(self):
-        r2, r4 = fold_from_beta(np.pi / 2, np.pi / 2, np.pi / 2)
+        r2, r4 = oracle.fold_from_beta(np.pi / 2, np.pi / 2, np.pi / 2)
         assert abs(r2 - np.pi) < 1e-12 and abs(r4 - np.pi) < 1e-12
 
     def test_against_independent_arccos(self):
         a1, a2, b1 = np.deg2rad([70.0, 60.0, 80.0])
-        r2, r4 = fold_from_beta(a1, a2, b1)
+        r2, r4 = oracle.fold_from_beta(a1, a2, b1)
         e2 = 2 * np.arccos((np.cos(a2) * np.cos(b1) - np.cos(a1))
                            / (np.sin(a2) * np.sin(b1)))
         e4 = 2 * np.arccos((np.cos(a1) * np.cos(b1) - np.cos(a2))
@@ -72,15 +81,15 @@ class TestFoldFromBeta:
             a1, a2 = rng.uniform(0.2, np.pi - 0.2, 2)
             b = rng.uniform(0.2, np.pi - 0.2)
             try:
-                r2, r4 = fold_from_beta(a1, a2, b)
-                s2, s4 = fold_from_beta(a2, a1, b)
+                r2, r4 = oracle.fold_from_beta(a1, a2, b)
+                s2, s4 = oracle.fold_from_beta(a2, a1, b)
             except OutOfRange:
                 continue
             assert r2 == s4 and r4 == s2
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            fold_from_beta(0.1, 3.0, 0.1)
+            oracle.fold_from_beta(0.1, 3.0, 0.1)
 
     def test_matches_measured_fold_along_motion(self):
         # closed form vs direct spherical measurement of the same state
@@ -100,7 +109,7 @@ class TestFoldFromBeta:
             x4 = (np.cos(a1) * np.cos(beta) - np.cos(a2)) / (np.sin(a1) * np.sin(beta))
             if max(abs(x2), abs(x4)) > 1:
                 continue
-            r2, r4 = fold_from_beta(a1, a2, beta)
+            r2, r4 = oracle.fold_from_beta(a1, a2, beta)
             rho = oracle.vertex_fold_angles(dirs)
             assert abs(abs(rho[2]) - wrap_fold(r2)) < 1e-9
             assert abs(abs(rho[0]) - wrap_fold(r4)) < 1e-9
@@ -116,7 +125,7 @@ class TestSolveFirstVertex:
     def test_fig4_roundtrip(self, fig4_partition):
         b1 = fig4_partition.turn_angles[0]
         a1, a2 = solve_first_vertex(b1, RHO4)
-        r2, r4 = fold_from_beta(a1, a2, b1)
+        r2, r4 = oracle.fold_from_beta(a1, a2, b1)
         assert abs(r2 - np.pi) < 1e-8
         assert abs(r4 - RHO4) < 1e-8
 
@@ -141,7 +150,6 @@ class TestSolveFirstVertex:
 class TestRowTransfer:
     def test_solution_zero_residual(self, fig4_partition):
         part = fig4_partition
-        from curvefold.parallel import design_row
         verts, log = design_row(part, RHO4)
         for i in range(len(verts) - 1):
             r1, r2 = row_transfer_residual(
@@ -152,7 +160,6 @@ class TestRowTransfer:
 
     def test_perturbation_moves_residual(self, fig4_partition):
         part = fig4_partition
-        from curvefold.parallel import design_row
         verts, log = design_row(part, RHO4)
         s = list(verts[1].sectors)
         s[0] += 1e-3
@@ -164,7 +171,6 @@ class TestRowTransfer:
     def test_fd_sensitivity_matches_analytic_sign(self, fig4_partition):
         # analytic partial of the theta-equation residual wrt alpha_{4i+1}
         part = fig4_partition
-        from curvefold.parallel import design_row
         verts, log = design_row(part, RHO4)
         p, q = verts[0].sectors, list(verts[1].sectors)
         bi, bip, thi = part.turn_angles[0], part.turn_angles[1], part.dihedrals[0]
@@ -209,37 +215,11 @@ class TestSolveNextVertex:
             solve_next_vertex(p, 0.02, 3.1, 1.5)
 
 
-class TestPlanarTransfer:
-    def test_equal_betas_identical_pair(self):
-        a, b, theta = planar_transfer((1.0, 1.0), 0.9, 0.9)
-        assert abs(a - 1.0) < 1e-9 and abs(b - 1.0) < 1e-9
-        assert theta == 0.0
-
-    def test_sign_rule(self):
-        a, b, theta = planar_transfer((2.2, 2.2), 0.9, 2.2)
-        assert ((2.2 + 2.2 - np.pi) * (a + b - np.pi) < 0) == (theta == np.pi)
-
-    def test_residual_identity(self):
-        rng = np.random.default_rng(31)
-        done = 0
-        while done < 30:
-            p1, p2 = rng.uniform(0.4, np.pi - 0.4, 2)
-            bi, bip = rng.uniform(0.4, np.pi - 0.4, 2)
-            try:
-                a, b, theta = planar_transfer((p1, p2), bi, bip)
-            except (NoSolution, OutOfRange):
-                continue
-            lhs = (np.cos(p1) * np.cos(bi) - np.cos(p2)) / (np.sin(p1) * np.sin(bi))
-            rhs = (np.cos(b) * np.cos(bip) - np.cos(a)) / (np.sin(b) * np.sin(bip))
-            assert abs(lhs - rhs) < 1e-9
-            done += 1
-
-
 class TestDegree4Propagate:
     def test_flat_input(self):
         v = VertexAngles(flat_foldable_quad(1.0, 1.3))
-        f = degree4_propagate(v, 0, 0.0)
-        assert all(r == 0.0 for r in f.rho)
+        f = folds(v, 0, 0.0)
+        assert all(r == 0.0 for r in f)
 
     def test_flat_foldable_opposite_magnitudes(self):
         rng = np.random.default_rng(41)
@@ -251,11 +231,11 @@ class TestDegree4Propagate:
             v = VertexAngles(flat_foldable_quad(a, b))
             rho_in = rng.uniform(-2.5, 2.5)
             try:
-                f = degree4_propagate(v, 0, rho_in)
+                f = folds(v, 0, rho_in)
             except OutOfRange:
                 continue
-            assert abs(abs(f.rho[0]) - abs(f.rho[2])) < 1e-9
-            assert abs(abs(f.rho[1]) - abs(f.rho[3])) < 1e-9
+            assert abs(abs(f[0]) - abs(f[2])) < 1e-9
+            assert abs(abs(f[1]) - abs(f[3])) < 1e-9
             done += 1
 
     def test_eq2_family_cross_check(self):
@@ -275,7 +255,7 @@ class TestDegree4Propagate:
             x4 = (np.cos(a1) * np.cos(beta) - np.cos(a2)) / (np.sin(a1) * np.sin(beta))
             if max(abs(x2), abs(x4)) > 0.999:
                 continue
-            r2, r4 = fold_from_beta(a1, a2, beta)
+            r2, r4 = oracle.fold_from_beta(a1, a2, beta)
             v = VertexAngles(halting_quad(a1, a2))
             states = branches(v, 2, wrap_fold(r2))
             dev = min(abs(abs(f[0]) - wrap_fold(r4)) for f in states)
@@ -302,21 +282,21 @@ class TestDegree4Propagate:
                 continue
             v = VertexAngles(flat_foldable_quad(a, b))
             try:
-                f = degree4_propagate(v, 0, rng.uniform(-2.0, 2.0))
+                f = folds(v, 0, rng.uniform(-2.0, 2.0))
             except OutOfRange:
                 continue
             T = np.eye(3)
             for j in range(4):
-                T = T @ rx(f.rho[j]) @ rz(v.sectors[j])
+                T = T @ rx(f[j]) @ rz(v.sectors[j])
             assert np.abs(T - np.eye(3)).max() < 1e-9
             done += 1
 
     def test_driving_pi_allowed(self):
         v = VertexAngles(flat_foldable_quad(1.0, 1.2))
-        f = degree4_propagate(v, 0, np.pi)
-        assert abs(abs(f.rho[2]) - np.pi) < 1e-9
+        f = folds(v, 0, np.pi)
+        assert abs(abs(f[2]) - np.pi) < 1e-9
         with pytest.raises(OutOfRange):
-            degree4_propagate(v, 0, np.pi + 1e-6)
+            folds(v, 0, np.pi + 1e-6)
 
 
 FAMILIES = ["flat-foldable", "halting", "collinear", "generic"]
@@ -444,10 +424,10 @@ class TestKernelOracle:
                     ratios = []
                     for mag in np.linspace(0.1, 2.8, 12):
                         try:
-                            f = degree4_propagate(v, 0, sign * mag, mode)
+                            f = folds(v, 0, sign * mag, mode)
                         except OutOfRange:
                             continue
-                        t = np.tan(np.array(f.rho) / 2)
+                        t = np.tan(np.array(f) / 2)
                         ratios.append(t / t[0])
                     assert len(ratios) >= 2
                     ratios = np.array(ratios)

@@ -9,9 +9,9 @@ from curvefold.errors import DegenerateAngle, OutOfRange
 from curvefold.foldio import load_design_spec
 from curvefold.geometry import PolyCurve, partition_tube
 from curvefold.ortho import (OrthoDesignSpec, alpha_left, build_ortho_pattern,
-                             default_alpha11, effective_stub_angles,
-                             ortho_row_curves, ortho_xi, propagate_grid,
-                             validate_alpha11)
+                             default_alpha11, effective_stub_angles, ortho_xi,
+                             propagate_grid, validate_alpha11)
+from support import ortho_row_curves
 
 THETA7 = np.deg2rad(30.0)
 

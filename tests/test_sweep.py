@@ -18,8 +18,8 @@ from curvefold.foldio import export_fold, import_fold, load_design_spec
 from curvefold.foldsim import (LANE_BLOCK, MARCH_STEPS, default_driving_crease, propagate,
                                propagate_lanes, sweep_to_halt)
 from curvefold.geometry import PolyCurve
-from curvefold.kinematics import MODE_ATOL
 from curvefold.parallel import ParallelDesignSpec, build_pattern
+from curvefold.tolerances import MODE_ATOL
 from support import SMALL_SPECS
 
 FIGS = ("fig5", "fig7")
