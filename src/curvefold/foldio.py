@@ -73,7 +73,7 @@ def export_fold(pattern: CreasePattern, state=None):
         "curvefold:grid": {
             "rows": pattern.rows,
             "cols": pattern.cols,
-            "halting_col": pattern.halting_col,
+            "halting_col": 1,
             "ext_id": [[int(v) for v in row] for row in pattern.ext_id],
         },
         "curvefold:roles": [c.role for c in pattern.creases],
@@ -118,9 +118,9 @@ def import_fold(text):
     if not (isinstance(assign, list) and all(isinstance(a, str) for a in assign)):
         raise SchemaError("edges_assignment must be a list of strings")
     if "curvefold:grid" in doc:
-        ext, halting = _grid_field(doc["curvefold:grid"], nv)
+        ext = _grid_field(doc["curvefold:grid"], nv)
     else:
-        ext, halting = _infer_grid(coords, faces), 1
+        ext = _infer_grid(coords, faces)
     if min(ext.shape) < 3 or not np.array_equal(np.sort(ext, axis=None), np.arange(nv)):
         raise SchemaError("the grid must have at least 3 x 3 nodes and list "
                           "each vertex id exactly once")
@@ -140,7 +140,7 @@ def import_fold(text):
             raise SchemaError("edges_foldAngle must hold one number per edge")
     else:
         flat = coords
-    pat = _rebuild(edges, assign, design, flat, ext, halting)
+    pat = _rebuild(edges, assign, design, flat, ext)
     state = None
     if dim3:
         rho = np.radians(np.asarray(angles, dtype=float))
@@ -190,9 +190,9 @@ def _id_rows(value, what, nv):
 
 
 def _grid_field(grid, nv):
-    """ext_id and halting column of a curvefold:grid object.  ext_id is a
-    rectangular (rows+2) x (cols+2) array of vertex ids; rows and cols,
-    where given, must match its shape."""
+    """ext_id of a curvefold:grid object: a rectangular (rows+2) x (cols+2)
+    array of vertex ids.  rows and cols, where given, must match its shape;
+    halting_col, where given, must be 1, the column every fold halts on."""
     if not (isinstance(grid, dict) and isinstance(grid.get("ext_id"), list)):
         raise SchemaError("curvefold:grid must be an object with an ext_id array")
     rows = _id_rows(grid["ext_id"], "curvefold:grid ext_id", nv)
@@ -205,18 +205,18 @@ def _grid_field(grid, nv):
             raise SchemaError(f"curvefold:grid {key} = {grid[key]!r} does not match "
                               f"the {size} of ext_id")
     halting = grid.get("halting_col", 1)
-    if not (type(halting) is int and 1 <= halting <= shape["cols"]):
-        raise SchemaError(f"curvefold:grid halting_col must be an integer in "
-                          f"1..{shape['cols']}")
-    return ext, halting
+    if not (type(halting) is int and halting == 1):
+        raise SchemaError(f"curvefold:grid halting_col = {halting!r}: every fold "
+                          "halts on column 1")
+    return ext
 
 
-def _rebuild(edges, assign, design, flat, ext, halting):
+def _rebuild(edges, assign, design, flat, ext):
     """The pattern of a document's grid under the document's vertex and
     edge ids: the grid index is built on grid positions and relabelled, so
     the placement order does not depend on the edge order."""
     try:
-        pat = assemble_grid(flat[ext], halting_col=halting, design=dict(design))
+        pat = assemble_grid(flat[ext], design=dict(design))
     except CreaseIntersection as e:
         raise SchemaError(str(e))
     # grid vertex g is the document's vertex to_doc_vertex[g]; an edge from
@@ -375,7 +375,7 @@ def report_text(report):
         f"eps datum:     {d['eps_datum']:.6g}",
         f"eps curve:     {d['eps_curve']:.6g}",
         f"within budget: {d['within_budget']}",
-        f"halting col:   {d['halting_col']}",
+        "halting col:   1",
     ]
     for k, v in sorted(d["notes"].items()):
         if isinstance(v, float):

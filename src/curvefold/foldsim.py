@@ -63,24 +63,20 @@ class Trajectory:
 
 
 def default_driving_crease(pattern: CreasePattern):
-    """First row crease adjacent to the halting column: the one leaving
-    inner vertex (1, halting_col) toward the next column."""
-    return int(pattern.row_creases[1, pattern.halting_col])
+    """The crease that drives every fold: the row crease leaving inner
+    vertex (1, 1), on the halting column 1, toward column 2."""
+    return int(pattern.row_creases[1, 1])
 
 
-def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None,
-                       driving_crease=None):
+def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None):
     """Per-crease folding angles for one driving value.
 
     Branches are picked by closeness to prev_rho when given, else by the
     pattern's mountain/valley signs.  Raises OutOfRange beyond the folding
     range, and NotRigidFoldable on disagreement with already-assigned
     creases beyond FOLD_CONSISTENCY."""
-    if driving_crease is None:
-        driving_crease = default_driving_crease(pattern)
     prev = np.zeros(len(pattern.creases)) if prev_rho is None else np.asarray(prev_rho, float)
-    rho, worst, _, _ = _fold_angles(pattern, float(driving_rho), *_scoring(pattern, prev),
-                                    driving_crease)
+    rho, worst, _, _ = _fold_levels(pattern, float(driving_rho), *_scoring(pattern, prev))
     worst = float(worst)
     if worst > FOLD_CONSISTENCY:
         raise NotRigidFoldable(
@@ -98,10 +94,10 @@ class Schedule:
     `order`, `hinges` the corners of the creases in placement order.  `ids`:
     the vertex ids of the triangles (2 f, 2 f + 1) = (q0, q1, q2) and
     (q0, q2, q3) of each face f, and `touching` which pairs of them share
-    a vertex.  `folds(pattern, dc)`: the FoldPlan of driving crease dc."""
+    a vertex.  `plan`: the fold assignment's FoldPlan."""
 
     def __init__(self, pattern):
-        self._folds = {}
+        self.plan = FoldPlan(pattern)
         depth = [0] * pattern.faces[..., 0].size
         for f, par in pattern.placement[:, :2].tolist():
             depth[f] = depth[par] + 1
@@ -143,40 +139,34 @@ class Schedule:
         step = np.minimum(b - (a & -2), len(self._slot) - 1)
         return self._touch[a, self._slot[step]]
 
-    def folds(self, pattern, driving_crease):
-        plan = self._folds.get(driving_crease)
-        if plan is None:
-            plan = self._folds[driving_crease] = FoldPlan(pattern, driving_crease)
-        return plan
-
 
 class FoldPlan:
-    """The fold assignment's data flow from one driving crease, as the
+    """The fold assignment's data flow from the driving crease, as the
     row-major vertex sweep has it.
 
     Each vertex is driven by its first crease in (R, U, L, D) order that an
-    earlier vertex, or the driving value, has written: its input slot.  The
-    sweep solves the vertices before `stuck`, the first with no written
-    crease (None when every vertex has one).  The vertices are ordered by
-    level, the level of the vertex that wrote the input plus one (0 for the
-    driving value), then by input slot: `groups` (start, stop, slot, vertex
-    ids) of that order are solved together.  Folds live in a buffer
+    earlier vertex, or the driving value, has written: its input slot.  On
+    a quad grid every vertex has one, so the sweep never meets a vertex
+    with no known crease: R of (1, 1) is the driving crease, L along row 1
+    the R of the vertex before it, and U below row 1 the D of the vertex
+    above.  The vertices are ordered by level, the level of the vertex that
+    wrote the input plus one (0 for the driving value; (k - 1) + (i - 1)
+    at vertex (k, i)), then by input slot: `groups` (start, stop, slot,
+    vertex ids) of that order are solved together.  Folds live in a buffer
     (4, N + 1) by (slot, position), per state, position N holding the
     driving value in slot 0 and zeros in the others; as rows of its
     (4 (N + 1),) view, `src` is each vertex's input, `pairs` each known
     slot with the row its value came from (its last writer before the
-    vertex, row-major), `final` each crease's last writer and `cids` (4, N)
-    the creases of each position."""
+    vertex, row-major), `final` each crease's last writer and `cids`
+    (4, N) the creases of each position."""
 
-    def __init__(self, pattern, driving_crease):
+    def __init__(self, pattern):
         vcs = pattern.vertex_creases.reshape(-1, 4)
-        writer = {driving_crease: None}  # crease -> (vertex, slot) that wrote it last
-        self.stuck, slot, level, sources = None, [], [], []
+        # crease -> (vertex, slot) that wrote it last
+        writer = {default_driving_crease(pattern): None}
+        slot, level, sources = [], [], []
         for v, cids in enumerate(vcs.tolist()):
             known = [j for j, c in enumerate(cids) if c in writer]
-            if not known:
-                self.stuck = v
-                break
             w = writer[cids[known[0]]]
             level.append(0 if w is None else level[w[0]] + 1)
             slot.append(known[0])
@@ -215,21 +205,6 @@ def grid_schedule(pattern: CreasePattern):
     return cached[1]
 
 
-def _fold_angles(pattern: CreasePattern, driving_rho, prev, signs, driving_crease):
-    """The fold assignment, on one state or on lanes: driving_rho is a
-    float or an (L,) array, and prev and signs hold per crease a float or
-    an (L,) array each (`_fold_levels`).  Raises as `_fold_levels` does,
-    else NotRigidFoldable when the row-major sweep reaches a vertex with no
-    known crease."""
-    plan = grid_schedule(pattern).folds(pattern, driving_crease)
-    out = _fold_levels(plan, pattern.vertex_angles(), driving_rho, np.asarray(prev),
-                       np.asarray(signs))
-    if plan.stuck is not None:
-        k, i = divmod(plan.stuck, pattern.cols)
-        raise NotRigidFoldable(f"sweep reached vertex ({k + 1},{i + 1}) with no known crease")
-    return out
-
-
 def _branch(plus, minus, two, prev, signs, where):
     """The branch rule of one vertex, on floats or on arrays: mode -1
     replaces mode +1 only where it is a branch of its own and scores
@@ -256,12 +231,13 @@ def _branch(plus, minus, two, prev, signs, where):
     return where(two & ((mm > mp) | ((mm == mp) & (dm < dp))), minus, plus)
 
 
-def _fold_levels(plan, verts, driving_rho, prev, signs):
-    """The fold assignment over the plan's groups, level by level: each
-    vertex is solved once, from its input slot, and mode -1 replaces mode
-    +1 by `_branch`.  One state (a float driving_rho) solves a group's
-    vertices one at a time in floats, lanes (an (L,) array) in one kernel
-    call; prev and signs are (E,) or (E, L).
+def _fold_levels(pattern: CreasePattern, driving_rho, prev, signs):
+    """The fold assignment over the groups of the pattern's FoldPlan,
+    level by level: each vertex is solved once, from its input slot, and
+    mode -1 replaces mode +1 by `_branch`.  One state (a float driving_rho)
+    solves a group's vertices one at a time in floats, lanes (an (L,)
+    array) in one kernel call; prev and signs hold per crease a float or
+    an (L,) array each, (E,) or (E, L).
 
     Returns the folds, (E,) or (L, E), the largest disagreement of a
     vertex's folds with the creases written before it (ignoring NaN, the
@@ -269,8 +245,9 @@ def _fold_levels(plan, verts, driving_rho, prev, signs):
     every vertex, and for `_rescored` the lanes' modes and the folds they
     chose, (plus, minus, two, chosen), or None on one state.  Raises
     OutOfRange once no state has a branch."""
+    plan, verts = grid_schedule(pattern).plan, pattern.vertex_angles()
     N, f = len(plan.src), form(driving_rho)
-    P, S = prev[plan.cids], signs[plan.cids]
+    P, S = np.asarray(prev)[plan.cids], np.asarray(signs)[plan.cids]
     if f is FLOATS:
         rows, modes = [0.0] * (4 * (N + 1)), None
         P, S, src = P.T.tolist(), S.T.tolist(), plan.src.tolist()
@@ -397,8 +374,6 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02):
             break
         cids = vertex_creases[idx]
         known = {j: rho[c] for j, c in enumerate(cids) if rho[c] is not None}
-        if not known:
-            continue
         j_in = min(known)
         ok, plus, minus, two = propagate_both_modes(verts[idx], j_in, known[j_in])
         if not ok:
@@ -427,43 +402,48 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02):
 
 
 def propagate(pattern: CreasePattern, driving_rho, prev=None, driving_crease=None):
-    """Folded state at one driving angle.
+    """Folded state at one driving angle of `default_driving_crease`.
 
-    prev: optional previous FoldedState for branch continuity."""
+    prev: optional previous FoldedState for branch continuity.
+    driving_crease is kept for callers that name the crease: it must be
+    None or the pattern's own driving crease, and any other crease raises
+    ValueError."""
+    dc = default_driving_crease(pattern)
+    if driving_crease not in (None, dc):
+        raise ValueError(f"crease {driving_crease} does not drive the pattern: "
+                         f"every fold is driven from crease {dc}")
     if abs(driving_rho) > np.pi:
         raise OutOfRange("driving angle beyond pi")
     prev_rho = prev.rho if prev is not None else None
-    rho, mismatch = assign_fold_angles(pattern, driving_rho, prev_rho, driving_crease)
+    rho, mismatch = assign_fold_angles(pattern, driving_rho, prev_rho)
     coords, residuals = place_panels(pattern, rho)
     closure = residuals["closure"]
     if closure > CLOSURE_REL:
         raise NotRigidFoldable(f"panel loop closure {closure:.3g} x diameter",
                                residual=closure)
     residuals["fold_mismatch"] = mismatch
-    dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     return FoldedState(dc, driving_rho, rho, coords, residuals=residuals)
 
 
-def propagate_lanes(pattern: CreasePattern, driving_rho, prevs, driving_crease=None):
+def propagate_lanes(pattern: CreasePattern, driving_rho, prevs):
     """Folded states at several driving angles, each from its own previous
-    state: lane k equals propagate(pattern, driving_rho[k], prevs[k],
-    driving_crease) bit for bit, or is None where that call raises
-    OutOfRange or NotRigidFoldable (or meets a fold that is not finite).
+    state: lane k equals propagate(pattern, driving_rho[k], prevs[k]) bit
+    for bit, or is None where that call raises OutOfRange or
+    NotRigidFoldable (or meets a fold that is not finite).
 
     The lanes share one array pass per vertex and are placed PLACE_BLOCK
     at a time.  One lane goes through `propagate` itself, as every state
     of the halt search does: the scalar kernel is faster there."""
-    dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     if len(driving_rho) == 1:
         try:
-            return [propagate(pattern, driving_rho[0], prev=prevs[0], driving_crease=dc)]
+            return [propagate(pattern, driving_rho[0], prev=prevs[0])]
         except (OutOfRange, NotRigidFoldable):
             return [None]
     out = [None] * len(driving_rho)
-    folded = _fold_lanes(pattern, driving_rho, np.array([p.rho for p in prevs]), dc)
+    folded = _fold_lanes(pattern, driving_rho, np.array([p.rho for p in prevs]))
     if folded is not None:
         rho, mismatch, ok, _ = folded
-        for k, st in chain(*_placed(pattern, driving_rho, rho, mismatch, np.flatnonzero(ok), dc)):
+        for k, st in chain(*_placed(pattern, driving_rho, rho, mismatch, np.flatnonzero(ok))):
             out[k] = st
     return out
 
@@ -476,36 +456,36 @@ def _scoring(pattern: CreasePattern, prev):
     return np.where(flat, 0.0, prev).T, signs.T
 
 
-def _fold_lanes(pattern: CreasePattern, driving_rho, prev, driving_crease):
+def _fold_lanes(pattern: CreasePattern, driving_rho, prev):
     """The folds (L, E) of the lanes driving_rho (L,), each scored against
     its row of prev (L, E) as `assign_fold_angles` scores one state, their
     mismatches (L,), the lanes `propagate` would not reject before placing
     them and the modes (`_fold_levels`); None where no lane has a branch."""
     try:
-        rho, mismatch, ok, modes = _fold_angles(
-            pattern, np.asarray(driving_rho, dtype=float), *_scoring(pattern, prev),
-            driving_crease)
+        rho, mismatch, ok, modes = _fold_levels(
+            pattern, np.asarray(driving_rho, dtype=float), *_scoring(pattern, prev))
     except (OutOfRange, NotRigidFoldable):
         return None
     return rho, mismatch, ok & (mismatch <= FOLD_CONSISTENCY), modes
 
 
-def _rescored(pattern: CreasePattern, modes, prev, driving_crease):
+def _rescored(pattern: CreasePattern, modes, prev):
     """Whether each lane of a `_fold_lanes` pass picks the same bits at
     every vertex when scored against prev (L, E): then it is the pass from
     prev, folds, mismatch and failure alike, since prev reaches only the
     branch rule and a vertex's modes only its input fold."""
     plus, minus, two, chosen = modes
-    cids = grid_schedule(pattern).folds(pattern, driving_crease).cids
+    cids = grid_schedule(pattern).plan.cids
     P, S = (a[cids] for a in _scoring(pattern, prev))
     again = _branch(plus, minus, two, P, S, np.where).view(np.uint64)
     return (again == chosen.view(np.uint64)).all(axis=(0, 1))
 
 
-def _placed(pattern: CreasePattern, driving_rho, rho, mismatch, lanes, driving_crease):
+def _placed(pattern: CreasePattern, driving_rho, rho, mismatch, lanes):
     """(k, state) for the lanes k in order, in chunks of PLACE_BLOCK placed
     as they are asked for: the FoldedState that `propagate` makes from
     rho[k], or None where the closure exceeds CLOSURE_REL."""
+    dc = default_driving_crease(pattern)
     for b in range(0, len(lanes), PLACE_BLOCK):
         block = lanes[b:b + PLACE_BLOCK]
         coords, residuals = place_panels(pattern, rho[block])
@@ -514,7 +494,7 @@ def _placed(pattern: CreasePattern, driving_rho, rho, mismatch, lanes, driving_c
             st = None
             if not res["closure"] > CLOSURE_REL:
                 res["fold_mismatch"] = float(mismatch[k])
-                st = FoldedState(driving_crease, driving_rho[k], rho[k].copy(), xyz.copy(),
+                st = FoldedState(dc, driving_rho[k], rho[k].copy(), xyz.copy(),
                                  residuals=res)
             chunk.append((k, st))
         yield chunk
@@ -700,8 +680,7 @@ def sweep_to_halt(pattern: CreasePattern, samples=64):
     sample fails, the first to fail raises its own error."""
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    dc = default_driving_crease(pattern)
-    sgn = pattern.creases[dc].mv or 1
+    sgn = pattern.creases[default_driving_crease(pattern)].mv or 1
     keys, kept, tested = [], [], []  # tested: (d, h) of the states tested, in order
 
     def states_at(ds):
@@ -717,7 +696,7 @@ def sweep_to_halt(pattern: CreasePattern, samples=64):
         for b in range(0, len(new), LANE_BLOCK):
             block = new[b:b + LANE_BLOCK]
             got.update(zip(block, propagate_lanes(pattern, [sgn * d for d in block],
-                                                  [prevs[d] for d in block], dc)))
+                                                  [prevs[d] for d in block])))
         for d, st in got.items():
             if st is not None:
                 i = bisect.bisect_right(keys, d)
@@ -731,7 +710,7 @@ def sweep_to_halt(pattern: CreasePattern, samples=64):
         for d, st in zip(ds, states):
             if st is None:
                 i = bisect.bisect_right(keys, d)
-                propagate(pattern, sgn * d, prev=kept[i - 1] if i else None, driving_crease=dc)
+                propagate(pattern, sgn * d, prev=kept[i - 1] if i else None)
         return states
 
     def at_pi(st):
@@ -753,16 +732,16 @@ def sweep_to_halt(pattern: CreasePattern, samples=64):
             ds = [np.pi * i / MARCH_STEPS
                   for i in range(j, min(j + LANE_BLOCK, MARCH_STEPS + 1))]
             driving = [sgn * d for d in ds]
-            guess = _fold_lanes(pattern, driving, np.zeros((len(ds), len(pattern.creases))), dc)
+            guess = _fold_lanes(pattern, driving, np.zeros((len(ds), len(pattern.creases))))
             if guess is None:  # no lane in range: propagate decides the step
                 break
             rho, mismatch, ok, modes = guess
-            exact = _rescored(pattern, modes, np.vstack([kept[-1].rho, rho[:-1]]), dc)
+            exact = _rescored(pattern, modes, np.vstack([kept[-1].rho, rho[:-1]]))
             del guess, modes  # not needed past the re-score: freed before placing
             # a lane after the first failure is scored against no state
             m = len(ds) if ok.all() else int(ok.argmin()) + 1
             n = m if exact[:m].all() else int(exact.argmin())
-            for chunk in _placed(pattern, driving, rho, mismatch, np.flatnonzero(ok[:n]), dc):
+            for chunk in _placed(pattern, driving, rho, mismatch, np.flatnonzero(ok[:n])):
                 # its even steps before a failure or a crease at pi, in one batch
                 live = takewhile(lambda c: c[1] is not None and not at_pi(c[1]), chunk)
                 even = [(k, st) for k, st in live if (j + k) % 2 == 0]

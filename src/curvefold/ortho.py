@@ -62,14 +62,13 @@ class OrthoAngleGrid:
     alpha: np.ndarray
 
     def separability_residual(self):
+        """Worst relative gap between the tangent ratios of consecutive
+        columns in consecutive rows; NaN where a ratio is 0 / 0."""
         t = np.tan(self.alpha)
-        worst = 0.0
-        for i in range(t.shape[0] - 1):
-            for j in range(t.shape[1] - 1):
-                lhs = t[i, j] / t[i, j + 1]
-                rhs = t[i + 1, j] / t[i + 1, j + 1]
-                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), RATIO_FLOOR))
-        return worst
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lhs, rhs = t[:-1, :-1] / t[:-1, 1:], t[1:, :-1] / t[1:, 1:]
+            res = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), RATIO_FLOOR)
+        return float(res.max(initial=0.0))
 
 
 def alpha_left(beta_i, turn):
@@ -97,6 +96,11 @@ def default_alpha11(alpha10):
     return np.pi / 4.0 + alpha10 / 2.0
 
 
+def _degenerate(a):
+    """Whether each angle lies within DEGENERATE_ANGLE of 0, pi/2 or pi."""
+    return np.minimum(np.minimum(abs(a), abs(a - np.pi / 2)), abs(np.pi - a)) < DEGENERATE_ANGLE
+
+
 def propagate_grid(col0, alpha11, m=1):
     """Fill the angle grid from the left column and the single free angle.
 
@@ -104,16 +108,15 @@ def propagate_grid(col0, alpha11, m=1):
     value taken on the same side of pi/2 as its generator; columns j >= 1
     repeat column 1."""
     col0 = np.asarray(col0, dtype=float)
-    for a in col0:
-        if min(abs(a), abs(a - np.pi / 2), abs(np.pi - a)) < DEGENERATE_ANGLE:
-            raise DegenerateAngle(f"left sector angle {a:.6g} hits 0, pi/2 or pi")
-    if min(abs(alpha11), abs(alpha11 - np.pi / 2), abs(np.pi - alpha11)) < DEGENERATE_ANGLE:
+    bad = _degenerate(col0)
+    if bad.any():
+        raise DegenerateAngle(f"left sector angle {col0[bad][0]:.6g} hits 0, pi/2 or pi")
+    if _degenerate(alpha11):
         raise DegenerateAngle(f"alpha11 = {alpha11:.6g} hits 0, pi/2 or pi")
     ratio = np.tan(alpha11) / np.tan(col0[0])
     col1 = np.arctan(np.tan(col0) * ratio) % np.pi
-    for a in col1:
-        if min(abs(a), abs(a - np.pi / 2), abs(np.pi - a)) < DEGENERATE_ANGLE:
-            raise DegenerateAngle("propagated sector angle hits 0, pi/2 or pi")
+    if _degenerate(col1).any():
+        raise DegenerateAngle("propagated sector angle hits 0, pi/2 or pi")
     n = len(col0)
     alpha = np.zeros((n, m + 1))
     alpha[:, 0] = col0
@@ -193,7 +196,6 @@ def build_ortho_pattern(spec: OrthoDesignSpec):
         eps_target=spec.eps,
         eps_datum=eps_datum,
         eps_curve=eps_curve,
-        halting_col=1,
         notes={
             "alpha11": float(a11),
             "theta": spec.theta,
@@ -238,6 +240,6 @@ def _draw_ortho(spec, part: Partition, col0, a1col, base, scales):
                        np.array([np.sin(tl[i]), np.cos(tl[i])]) for i in range(n)]
     nodes[0, 1:-1] = inner[0] + part.lengths[0] * np.array([0.0, 1.0])
     nodes[-1, 1:-1] = inner[-1] + part.lengths[n] * np.array([0.0, -1.0])
-    return assemble_grid(set_corners(nodes), halting_col=1,
+    return assemble_grid(set_corners(nodes),
                          design={"type": "orthodiagonal", "theta": spec.theta,
                                  "phase": spec.phase})

@@ -96,10 +96,6 @@ class ColumnProfile:
     xi: float
     f: np.ndarray            # transformed target curve samples of this column
     phi: float = None        # dihedral between this column's plane and the next
-    k1: float = None
-    k2: float = None
-    eta1: float = None
-    eta2: float = None
 
 
 @dataclass
@@ -238,12 +234,28 @@ def column_scales(slots, phase="x"):
     return np.array(cumx), np.array(cumy)
 
 
+def column_dihedrals(sectors, xs):
+    """The dihedral phi_i between the folded planes of columns i and i+1,
+    for each pair of consecutive columns, from the spherical triangle of
+    their shared top panel, given the first-row sectors (R, U, L, D) and
+    the column crease angles xi.  Raises OutOfRange where a triangle does
+    not close."""
+    out = []
+    for s, sn, x, xn in zip(sectors, sectors[1:], xs, xs[1:]):
+        e1 = guarded_arccos((np.cos(s[3]) - np.cos(s[0]) * np.cos(x))
+                            / (np.sin(s[0]) * np.sin(x)))
+        e2 = guarded_arccos((np.cos(sn[2]) - np.cos(sn[1]) * np.cos(xn))
+                            / (np.sin(sn[1]) * np.sin(xn)))
+        cphi = -np.cos(e1) * np.cos(e2) - np.sin(e1) * np.sin(e2) * np.cos(s[0] + sn[1])
+        out.append(guarded_arccos(cphi))
+    return out
+
+
 def column_curves(f1: PolyCurve, theta, row_vertices, phase="x"):
     """Transformed target curves f_i and inter-plane dihedrals phi_i.
 
     f_{i+1} is the cumulative diagonal scaling of f_1 conjugated between the
-    xi_1 and xi_{i+1} shear frames; phi_i comes from the spherical triangle
-    of the shared top panel."""
+    xi_1 and xi_{i+1} shear frames; phi_i from `column_dihedrals`."""
     slots = [v.sectors if isinstance(v, VertexAngles) else tuple(v) for v in row_vertices]
     xs = xi_list(slots)
     a1 = AffineParams(theta, xs[0])
@@ -258,18 +270,8 @@ def column_curves(f1: PolyCurve, theta, row_vertices, phase="x"):
         scaled = img * np.array([cumx[i], cumy[i]])
         fi = scaled @ ai.inverse_matrix().T
         profiles.append(ColumnProfile(xi=xs[i], f=fi))
-    for i in range(len(slots) - 1):
-        s, sn = slots[i], slots[i + 1]
-        e1 = guarded_arccos((np.cos(s[3]) - np.cos(s[0]) * np.cos(xs[i]))
-                            / (np.sin(s[0]) * np.sin(xs[i])))
-        e2 = guarded_arccos((np.cos(sn[2]) - np.cos(sn[1]) * np.cos(xs[i + 1]))
-                            / (np.sin(sn[1]) * np.sin(xs[i + 1])))
-        cphi = -np.cos(e1) * np.cos(e2) - np.sin(e1) * np.sin(e2) * np.cos(s[0] + sn[1])
-        p = profiles[i]
-        p.eta1, p.eta2 = e1, e2
-        p.phi = guarded_arccos(cphi)
-        p.k1 = np.sin(s[0]) / np.sin(sn[1])
-        p.k2 = np.sin(s[3]) / np.sin(sn[2])
+    for p, phi in zip(profiles, column_dihedrals(slots, xs)):
+        p.phi = phi
     return profiles
 
 
@@ -316,7 +318,6 @@ def build_pattern(spec: ParallelDesignSpec):
         eps_target=spec.eps,
         eps_datum=eps_datum,
         eps_curve=eps_curve,
-        halting_col=1,
         branch_log=state.branch_log,
         notes={
             "rho4": spec.rho4,
@@ -380,7 +381,7 @@ def _draw_pattern(spec, part: Partition, slots, m, seg_len):
 
     nodes[1:-1, 0] = inner[:, 0] + lengths[0] * stub_l
     nodes[1:-1, -1] = inner[:, -1] + lengths[n] * stub_r
-    return assemble_grid(set_corners(nodes), halting_col=1,
+    return assemble_grid(set_corners(nodes),
                          design={"type": "parallel-repeating", "theta": spec.theta,
                                  "phase": spec.phase, "rho4": spec.rho4})
 

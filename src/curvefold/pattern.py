@@ -44,7 +44,6 @@ class CreasePattern:
     col_creases: np.ndarray       # (rows+1, cols+2) crease from ext_id[r, c] downwards
     crease_faces: np.ndarray      # (C, 2) faces left and right of crease u->v, -1 outside
     placement: np.ndarray         # BFS rows (face, parent face, crease, fold sign) from face 0
-    halting_col: int = 1
     design: dict = field(default_factory=dict)
 
     def line_ids(self, axis, index, include_boundary=False):
@@ -181,7 +180,7 @@ def set_corners(nodes):
     return nodes
 
 
-def assemble_grid(nodes, halting_col, design):
+def assemble_grid(nodes, design):
     """Build a CreasePattern from its planar node grid.
 
     nodes: (rows+2, cols+2, 2), the inner vertices inside the ring of
@@ -244,7 +243,7 @@ def assemble_grid(nodes, halting_col, design):
                         creases=creases, faces=faces, sectors=sectors,
                         row_creases=H, col_creases=V, crease_faces=crease_faces,
                         placement=np.array(placement, dtype=int).reshape(-1, 4),
-                        halting_col=halting_col, design=design)
+                        design=design)
     if pat.developability_residual() > LAYOUT_DEV_TOL:
         # a winding inversion means the drawn layout folds back on itself
         raise CreaseIntersection(
@@ -284,7 +283,6 @@ class DesignReport:
     eps_target: float
     eps_datum: float
     eps_curve: float
-    halting_col: int
     branch_log: list = field(default_factory=list)
     checks: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
@@ -300,7 +298,7 @@ class DesignReport:
             "eps_datum": self.eps_datum,
             "eps_curve": self.eps_curve,
             "within_budget": self.within_budget,
-            "halting_col": self.halting_col,
+            "halting_col": 1,
             "branch_log": [list(b) for b in self.branch_log],
             "checks": [c.as_dict() if hasattr(c, "as_dict") else c for c in self.checks],
             "notes": self.notes,

@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRange
 from .foldsim import place_panels
 from .ortho import OrthoAngleGrid
+from .parallel import column_dihedrals
 from .pattern import CreasePattern, panel_distances
 from .tolerances import FLAT_STATE, LENGTH_FLOOR, TOLERANCES
 
@@ -143,9 +145,23 @@ def check_phi(pattern, state, i, expected_phi):
     return _result(f"phi-{i}", res, "phi")
 
 
+def check_column_dihedrals(pattern, state, xi):
+    """check_phi on the columns i = 1 .. cols - 1 that xi covers, against
+    `parallel.column_dihedrals` of the first-row sectors and xi; NaN, and
+    every check failed, where a spherical triangle does not close."""
+    n = min(pattern.cols, len(xi))
+    try:
+        with np.errstate(all="ignore"):
+            phis = column_dihedrals(pattern.sectors[0, :n], xi[:n])
+    except OutOfRange:
+        phis = [np.nan] * (n - 1)
+    return [check_phi(pattern, state, i, phi) for i, phi in enumerate(phis, start=1)]
+
+
 def check_halt(pattern, state):
-    """The designated halting creases reach pi at the halting state."""
-    stubs = pattern.row_creases[1:pattern.rows + 1, pattern.halting_col - 1]
+    """The designated halting creases, the left row stubs of the halting
+    column 1, reach pi at the halting state."""
+    stubs = pattern.row_creases[1:pattern.rows + 1, 0]
     res = (np.pi - np.abs(state.rho[stubs])).max(initial=0.0)
     return _result("halt-fold", res, "halt_fold")
 
@@ -210,6 +226,8 @@ def run_pattern_checks(pattern, state=None, trajectory=None):
                     out.append(check_xi(pattern, st, i, x, axis="row", skip_first=True))
                 elif not ortho and pattern.rows >= 2:
                     out.append(check_xi(pattern, st, i, x, axis="column"))
+            if not ortho:
+                out.extend(check_column_dihedrals(pattern, st, xi))
         for r in range(1, pattern.rows + 1):
             out.append(check_row_fold_equal(pattern, st, r))
     if trajectory is not None:

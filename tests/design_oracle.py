@@ -415,7 +415,7 @@ def signed_fold_angles(pattern, coords):
     return out
 
 
-def assemble_grid(nodes, halting_col, design):
+def assemble_grid(nodes, design):
     """`pattern.assemble_grid` one crease, face and vertex at a time, its
     index found through a (u, v) -> crease lookup."""
     nodes = np.array(nodes, dtype=float)
@@ -483,7 +483,7 @@ def assemble_grid(nodes, halting_col, design):
                          faces=faces, sectors=sectors, row_creases=row_creases,
                          col_creases=col_creases, crease_faces=crease_faces,
                          placement=np.array(placement, dtype=int).reshape(-1, 4),
-                         halting_col=halting_col, design=design)
+                         design=design)
 
 
 def panel_distances(pattern, coords):

@@ -99,3 +99,23 @@ SMALL_SPECS = hs.one_of(
         "target": {"builtin": "fig7-tlnt", "scale": scale},
         "n": n, "m": m, "theta": "auto", "eps": eps},
         hs.floats(0.7, 1.2), hs.integers(3, 7), hs.integers(2, 4), hs.floats(0.16, 0.28)))
+
+
+#: any JSON value, with integers no larger than the fixtures' grid counts
+#: and sample numbers, so that no drawn count builds a large grid or curve
+JSON = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers(-3, 3) | hs.floats() | hs.text(max_size=4)
+    | hs.sampled_from(["orthodiagonal", "parallel-repeating", "fig5-exp"]),
+    lambda inner: hs.lists(inner, max_size=5) | hs.dictionaries(hs.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12)
+
+FUZZ_SPECS = [
+    {"type": "parallel-repeating", "datum": {"builtin": "fig4-spiralish", "samples_n": 9},
+     "target": {"builtin": "fig5-exp", "samples_n": 9, "scale": 0.7}, "n_row": 3,
+     "n_col": 3, "rho4": 2.6, "theta": 1.27, "eps": 0.5, "phase": "x"},
+    {"type": "orthodiagonal", "datum": {"samples": [[0, 0], [1, 0.2], [2, 0], [3, 0.2]],
+                                        "param": [0, 1, 2, 3], "closed": False},
+     "target": {"builtin": "fig7-tlnt", "samples_n": 9}, "n": 3, "m": 3,
+     "alpha11": 1.2, "tube_eps": 0.1, "theta": "auto"},
+]

@@ -21,38 +21,36 @@ from curvefold.foldsim import Trajectory, default_driving_crease
 from curvefold.tolerances import HALT_TOL
 
 
-def sweep_to_halt(pattern, samples=64, coarse=64, driving_crease=None, stats=None):
-    d_halt = halt_search(pattern, coarse, driving_crease, stats)
-    return replay(pattern, d_halt, samples, driving_crease)
+def sweep_to_halt(pattern, samples=64, coarse=64, stats=None):
+    d_halt = halt_search(pattern, coarse, stats)
+    return replay(pattern, d_halt, samples)
 
 
-def _simulate(pattern, dc, d, prev):
+def _simulate(pattern, d, prev):
     """The state at |driving| d from prev, in steps of at most pi / 128."""
-    sgn = pattern.creases[dc].mv or 1
+    sgn = pattern.creases[default_driving_crease(pattern)].mv or 1
     max_step = np.pi / 128
     d0 = abs(prev.driving_rho) if prev is not None else 0.0
     if prev is not None and abs(d - d0) > max_step:
         steps = int(np.ceil(abs(d - d0) / max_step))
         st = prev
         for q in range(1, steps):
-            st = foldsim.propagate(pattern, sgn * (d0 + (d - d0) * q / steps),
-                                   prev=st, driving_crease=dc)
-        return foldsim.propagate(pattern, sgn * d, prev=st, driving_crease=dc)
-    return foldsim.propagate(pattern, sgn * d, prev=prev, driving_crease=dc)
+            st = foldsim.propagate(pattern, sgn * (d0 + (d - d0) * q / steps), prev=st)
+        return foldsim.propagate(pattern, sgn * d, prev=st)
+    return foldsim.propagate(pattern, sgn * d, prev=prev)
 
 
 def _crease_metric(st):
     return float(np.abs(st.rho).max() - (np.pi - HALT_TOL))
 
 
-def halt_search(pattern, coarse=64, driving_crease=None, stats=None):
+def halt_search(pattern, coarse=64, stats=None):
     """The driving value of the halt: march, then bisect."""
-    dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     stats = {} if stats is None else stats
     stats.setdefault("bisections", 0)
 
     def simulate(d, prev):
-        return _simulate(pattern, dc, d, prev)
+        return _simulate(pattern, d, prev)
 
     flat = simulate(0.0, None)
     last_good, last_d = flat, 0.0
@@ -110,14 +108,13 @@ def halt_search(pattern, coarse=64, driving_crease=None, stats=None):
     return hi
 
 
-def replay(pattern, d_halt, samples=64, driving_crease=None):
+def replay(pattern, d_halt, samples=64):
     """The trajectory of `samples` states from flat to d_halt, each
     propagated from the one before."""
-    dc = driving_crease if driving_crease is not None else default_driving_crease(pattern)
     values = np.linspace(0.0, d_halt, max(samples, 2))
     states, prevst = [], None
     for d in values:
-        prevst = _simulate(pattern, dc, d, prevst)
+        prevst = _simulate(pattern, d, prevst)
         states.append(prevst)
     halt = states[-1]
     halt.halted = True

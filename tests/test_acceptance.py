@@ -171,8 +171,7 @@ def test_criterion_05_randomized_parallel_invariants():
             continue
         built += 1
         worst["dev"] = max(worst["dev"], pattern.developability_residual())
-        dc = default_driving_crease(pattern)
-        sgn = pattern.creases[dc].mv or 1
+        sgn = pattern.creases[default_driving_crease(pattern)].mv or 1
         prev = None
         d_prev = 0.0
 
@@ -181,7 +180,7 @@ def test_criterion_05_randomized_parallel_invariants():
             steps = max(1, int(np.ceil((target - d_prev) / (np.pi / 128))))
             for q in range(1, steps + 1):
                 dq = d_prev + (target - d_prev) * q / steps
-                prev = propagate(pattern, sgn * dq, prev=prev, driving_crease=dc)
+                prev = propagate(pattern, sgn * dq, prev=prev)
             d_prev = target
             return prev
 

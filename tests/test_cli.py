@@ -1,14 +1,23 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import curvefold
-from curvefold.cli import main
+from curvefold.cli import _build_from_spec, main
+from curvefold.foldio import export_fold, load_design_spec
+from support import FUZZ_SPECS, JSON
 
 SMALL_PARALLEL_SPEC = {
     "type": "parallel-repeating",
@@ -328,3 +337,77 @@ class TestDemo:
                              text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "[]"
+
+
+#: specs that design, fold and verify in well under a second
+CLI_FUZZ_SPECS = [
+    FUZZ_SPECS[0],
+    {"type": "orthodiagonal", "datum": {"builtin": "fig7-sine", "samples_n": 33},
+     "target": {"builtin": "fig7-tlnt", "samples_n": 33}, "n": 3, "m": 4,
+     "theta": 0.5236, "eps": 0.2},
+]
+#: halting_col values of a FOLD grid, None for none: only 1 imports
+HALTING_COLS = [None, None, 1, 1, 2, 0, "1", True]
+#: the spec fields and the FOLD fields mutated, None (no mutation) about
+#: half the time
+SPEC_KEYS = [None] * 8 + ["n_row", "n_col", "n", "m", "rho4", "theta", "eps", "alpha11",
+                          "phase", "datum", "target"]
+FOLD_KEYS = [None] * 6 + [("curvefold:design", "xi"), ("curvefold:design", "grid_alpha"),
+                          ("curvefold:design", "type"), ("curvefold:grid", "rows"),
+                          ("curvefold:grid", "ext_id"), ("edges_assignment",),
+                          ("edges_foldAngle",)]
+
+
+@lru_cache(maxsize=None)
+def _base_fold(k):
+    """The FOLD export of CLI_FUZZ_SPECS[k]."""
+    spec = json.dumps(CLI_FUZZ_SPECS[k])
+    return export_fold(_build_from_spec(*load_design_spec(spec))[0])
+
+
+def _exit_code(argv):
+    """main(argv), its exit code 0, 1 or 2 and nothing on stderr that reads
+    as a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    return code
+
+
+class TestFuzz:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(k=hs.sampled_from(range(len(CLI_FUZZ_SPECS))), spec_key=hs.sampled_from(SPEC_KEYS),
+           spec_value=JSON, halting=hs.sampled_from(HALTING_COLS),
+           fold_key=hs.sampled_from(FOLD_KEYS), fold_value=JSON)
+    def test_every_command_exits_0_1_or_2(self, k, spec_key, spec_value, halting, fold_key,
+                                          fold_value):
+        # a mutated spec goes through `design`; its FOLD output, or the
+        # base's where it does not design, goes through `fold`, `verify`
+        # and `export` with a halting_col and one more value mutated
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = copy.deepcopy(CLI_FUZZ_SPECS[k])
+            if spec_key is not None:
+                doc[spec_key] = spec_value
+            spec = Path(tmp, "spec.json")
+            spec.write_text(json.dumps(doc))
+            designed = Path(tmp, "d", "pattern.fold")
+            if _exit_code(["design", str(spec), "--out", str(designed.parent)]) == 0:
+                fold = json.loads(designed.read_text())
+            else:
+                fold = json.loads(_base_fold(k))
+            fold["curvefold:grid"].pop("halting_col")
+            if halting is not None:
+                fold["curvefold:grid"]["halting_col"] = halting
+            if fold_key is not None:
+                *outer, inner = fold_key
+                (fold[outer[0]] if outer else fold)[inner] = fold_value
+            path = Path(tmp, "pattern.fold")
+            path.write_text(json.dumps(fold))
+            codes = [_exit_code(["fold", str(path), "--states", "8", "--out", f"{tmp}/f"]),
+                     _exit_code(["verify", str(path)]),
+                     _exit_code(["export", str(path), "--out", f"{tmp}/e"])]
+            if not (halting is None or (type(halting) is int and halting == 1)):
+                assert codes == [1, 1, 1]
+            elif fold_key is None:
+                assert codes[2] == 0

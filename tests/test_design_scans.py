@@ -324,9 +324,8 @@ class TestGridIndex:
             grids = [nodes] + [np.rot90(nodes, k) for k in (1, 2, 3)]
             for grid in grids:
                 coords = rng.normal(size=(len(pattern.vertices), 3))
-                _same_index(assemble_grid(grid, pattern.halting_col, pattern.design),
-                            oracle.assemble_grid(grid, pattern.halting_col, pattern.design),
-                            coords)
+                _same_index(assemble_grid(grid, pattern.design),
+                            oracle.assemble_grid(grid, pattern.design), coords)
 
     def test_faces_winding_either_way(self, monkeypatch):
         # random and mirrored drawings mix faces of both windings, and
@@ -338,8 +337,7 @@ class TestGridIndex:
             grid = np.stack(np.meshgrid(np.arange(cols + 2.0), np.arange(rows + 2.0)), -1)
             for nodes in (grid, grid[:, ::-1], grid + rng.normal(size=grid.shape)):
                 coords = rng.normal(size=(nodes.shape[0] * nodes.shape[1], 3))
-                _same_index(assemble_grid(nodes, 1, {}), oracle.assemble_grid(nodes, 1, {}),
-                            coords)
+                _same_index(assemble_grid(nodes, {}), oracle.assemble_grid(nodes, {}), coords)
 
 
 class TestEmbeddable:

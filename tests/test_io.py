@@ -13,6 +13,7 @@ from curvefold.foldio import (export_fold, export_svg, import_fold,
                               load_design_spec, report_json, report_text)
 from curvefold.geometry import AffineParams, staircase
 from curvefold.verify import CheckResult, run_pattern_checks
+from support import FUZZ_SPECS, JSON
 
 
 class TestFoldRoundTrip:
@@ -198,6 +199,9 @@ FOLD_CORRUPTIONS = [
     ("edge-twice", lambda d: _first_edge(d, (1, 1), (1, 2)), False),
     ("faces-int", lambda d: d.update(faces_vertices=5), False),
     ("halting-col-string", lambda d: d["curvefold:grid"].update(halting_col="1"), False),
+    ("halting-col-2", lambda d: d["curvefold:grid"].update(halting_col=2), False),
+    ("halting-col-0", lambda d: d["curvefold:grid"].update(halting_col=0), False),
+    ("halting-col-true", lambda d: d["curvefold:grid"].update(halting_col=True), False),
     ("inferred-face-id-out-of-range",
      lambda d: (_drop_key(d, "curvefold:grid"),
                 d["faces_vertices"][0].__setitem__(0, 10 ** 6)), False),
@@ -207,6 +211,15 @@ FOLD_CORRUPTIONS = [
     ("design-xi-too-long", lambda d: d["curvefold:design"].update(xi=[0.5] * 20), False),
     ("design-grid-alpha-string",
      lambda d: d["curvefold:design"].update(grid_alpha="x"), False),
+]
+
+#: (id, edit of a fig7 FOLD document) -> imports, and `verify` fails the
+#: check named
+FOLD_CHECK_FAILURES = [
+    # tan 0 / tan 0: a NaN ratio, so a NaN residual
+    ("grid-alpha-zero-tangent",
+     lambda d: d["curvefold:design"].update(grid_alpha=[[0.0, 0.0], [0.0, 0.0]]),
+     "separability"),
 ]
 
 
@@ -223,6 +236,18 @@ class TestFoldImportValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit,check", [c[1:] for c in FOLD_CHECK_FAILURES],
+                             ids=[c[0] for c in FOLD_CHECK_FAILURES])
+    def test_verify_exit_2(self, edit, check, fig7_design, tmp_path, capsys):
+        doc = json.loads(export_fold(fig7_design[0]))
+        edit(doc)
+        path = tmp_path / "pattern.fold"
+        path.write_text(json.dumps(doc))
+        import_fold(path.read_text())
+        assert main(["verify", str(path)]) == 2
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["check_id"] for c in checks if not c["ok"]] == [check]
 
 
 class TestSvg:
@@ -292,26 +317,6 @@ class TestReport:
         assert "eps_datum" in j
         txt = report_text(report)
         assert "eps datum" in txt and "within budget" in txt
-
-
-#: any JSON value, with integers no larger than the fixtures' grid counts
-#: and sample numbers, so that no drawn count builds a large grid or curve
-JSON = hs.recursive(
-    hs.none() | hs.booleans() | hs.integers(-3, 3) | hs.floats() | hs.text(max_size=4)
-    | hs.sampled_from(["orthodiagonal", "parallel-repeating", "fig5-exp"]),
-    lambda inner: hs.lists(inner, max_size=5) | hs.dictionaries(hs.text(max_size=3), inner,
-                                                                max_size=3),
-    max_leaves=12)
-
-FUZZ_SPECS = [
-    {"type": "parallel-repeating", "datum": {"builtin": "fig4-spiralish", "samples_n": 9},
-     "target": {"builtin": "fig5-exp", "samples_n": 9, "scale": 0.7}, "n_row": 3,
-     "n_col": 3, "rho4": 2.6, "theta": 1.27, "eps": 0.5, "phase": "x"},
-    {"type": "orthodiagonal", "datum": {"samples": [[0, 0], [1, 0.2], [2, 0], [3, 0.2]],
-                                        "param": [0, 1, 2, 3], "closed": False},
-     "target": {"builtin": "fig7-tlnt", "samples_n": 9}, "n": 3, "m": 3,
-     "alpha11": 1.2, "tube_eps": 0.1, "theta": "auto"},
-]
 
 
 class TestFuzz:

@@ -8,9 +8,9 @@ from curvefold.cli import DEMOS, _build_from_spec
 from curvefold.errors import DegenerateAngle, OutOfRange
 from curvefold.foldio import load_design_spec
 from curvefold.geometry import PolyCurve, partition_tube
-from curvefold.ortho import (OrthoDesignSpec, alpha_left, build_ortho_pattern,
-                             default_alpha11, effective_stub_angles, ortho_xi,
-                             propagate_grid, validate_alpha11)
+from curvefold.ortho import (OrthoAngleGrid, OrthoDesignSpec, alpha_left,
+                             build_ortho_pattern, default_alpha11, effective_stub_angles,
+                             ortho_xi, propagate_grid, validate_alpha11)
 from support import ortho_row_curves
 
 THETA7 = np.deg2rad(30.0)
@@ -79,11 +79,28 @@ class TestPropagateGrid:
         g = propagate_grid([0.6, 2.4, 0.75, 2.5], 0.85, m=4)
         assert g.separability_residual() < 1e-10
 
+    def test_residual_of_the_scalar_loop(self, fig7_design):
+        # one array pass, bit for bit the loop over cells it replaced, on
+        # fig7's grid and on random ones; a 0 / 0 ratio reads NaN
+        rng = np.random.default_rng(3)
+        grids = [np.array(fig7_design[0].design["grid_alpha"])]
+        grids += [rng.uniform(0.1, 3.0, size=(n, m)) for n, m in ((2, 2), (5, 3), (1, 4))]
+        for alpha in grids:
+            t, worst = np.tan(alpha), 0.0
+            for i in range(t.shape[0] - 1):
+                for j in range(t.shape[1] - 1):
+                    lhs, rhs = t[i, j] / t[i, j + 1], t[i + 1, j] / t[i + 1, j + 1]
+                    worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
+            assert OrthoAngleGrid(alpha).separability_residual() == worst
+        assert np.isnan(OrthoAngleGrid(np.zeros((2, 2))).separability_residual())
+
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateAngle):
-            propagate_grid([np.pi / 2, 1.0], 0.9)
-        with pytest.raises(DegenerateAngle):
+        with pytest.raises(DegenerateAngle, match="left sector angle 1.5708 hits"):
+            propagate_grid([1.0, np.pi / 2], 0.9)
+        with pytest.raises(DegenerateAngle, match="alpha11 = 1.5708 hits"):
             propagate_grid([1.0, 1.0], np.pi / 2)
+        with pytest.raises(DegenerateAngle, match="propagated sector angle hits"):
+            propagate_grid([1.0, np.pi - 1e-5], 1e-6)
 
 
 class TestOrthoXi:

@@ -1,9 +1,8 @@
 """The grid schedule of `foldsim`, against what it replaces: the fold
-plan's data flow against the row-major vertex sweep, its errors in floats
-and in lanes, the placement depths against the placement order, and the
-clash test's table of vertex-sharing triangles against the per-pair
-test."""
-import dataclasses
+plan's data flow against the row-major vertex sweep and the shape that
+leaves no vertex without a known crease, its errors in floats and in
+lanes, the placement depths against the placement order, and the clash
+test's table of vertex-sharing triangles against the per-pair test."""
 import json
 import re
 
@@ -13,10 +12,11 @@ from hypothesis import given, reject, settings
 
 from curvefold import foldsim
 from curvefold.cli import _build_from_spec, main
-from curvefold.errors import CurvefoldError, NotRigidFoldable, OutOfRange
+from curvefold.errors import CurvefoldError, NotRigidFoldable, OutOfRange, SchemaError
 from curvefold.foldio import export_fold, import_fold, load_design_spec
 from curvefold.foldsim import (assign_fold_angles, default_driving_crease, grid_schedule,
-                               propagate, propagate_lanes, sweep_to_halt)
+                               propagate, sweep_to_halt)
+from curvefold.pattern import assemble_grid
 from support import SMALL_SPECS
 
 FIGS = ("fig5_design", "fig7_design", "fig5_reimported")
@@ -35,11 +35,11 @@ def _tag(v, j):
     return 10.0 + 4 * v + j
 
 
-def _row_major(pattern, dc, drive):
+def _row_major(pattern, drive):
     """The input (slot, fold) of every vertex and the final fold of every
     crease in the row-major sweep, each vertex writing `_tag` on its
     creases: each vertex reads its first crease written before it."""
-    fold, inputs = {dc: drive}, []
+    fold, inputs = {default_driving_crease(pattern): drive}, []
     for v, cids in enumerate(pattern.vertex_creases.reshape(-1, 4).tolist()):
         j = next(j for j, c in enumerate(cids) if c in fold)
         inputs.append((j, fold[cids[j]]))
@@ -51,7 +51,6 @@ def _row_major(pattern, dc, drive):
 def _check_data_flow(pattern, lanes):
     """Fold `pattern` with a kernel that writes `_tag` and records what
     each vertex reads: on one state, or on `lanes` lanes in one pass."""
-    dc = default_driving_crease(pattern)
     index = {id(v): k for k, v in enumerate(pattern.vertex_angles())}
     seen, calls = [], []
 
@@ -71,14 +70,14 @@ def _check_data_flow(pattern, lanes):
         m.setattr(foldsim, "propagate_both_modes", kernel)
         if lanes:
             drive = 0.5 + LANE_STEP * np.arange(lanes)
-            rho, _, ok, _ = foldsim._fold_angles(pattern, drive, np.zeros((E, lanes)),
-                                                 np.zeros((E, lanes)), dc)
+            rho, _, ok, _ = foldsim._fold_levels(pattern, drive, np.zeros((E, lanes)),
+                                                 np.zeros((E, lanes)))
             assert ok.all()
         else:
-            rho, _, _, _ = foldsim._fold_angles(pattern, 0.5, [0.0] * E, [0] * E, dc)
+            rho, _, _, _ = foldsim._fold_levels(pattern, 0.5, [0.0] * E, [0] * E)
             rho = rho[None]
     shift = LANE_STEP * np.arange(len(rho))
-    inputs, final = _row_major(pattern, dc, 0.5)
+    inputs, final = _row_major(pattern, 0.5)
     # every vertex is solved once, from the crease and the fold the
     # row-major sweep gives it: its input's last writer before it
     assert sorted(k for k, _, _ in seen) == list(range(len(inputs)))
@@ -88,6 +87,34 @@ def _check_data_flow(pattern, lanes):
     want = np.array([shift * 0.0 if f is None else f + shift for f in final]).T
     assert np.array_equal(rho, want)
     return calls
+
+
+def _check_plan_shape(pattern):
+    """The plan of a quad grid: vertex (1, 1) reads the driving value on R,
+    the rest of row 1 reads L, the R of the vertex before it, and every
+    other vertex U, the D of the vertex above; vertex (k, i) has level
+    (k - 1) + (i - 1).  So every vertex has a known crease."""
+    plan = grid_schedule(pattern).plan
+    rows, cols = pattern.rows, pattern.cols
+    N = rows * cols
+    vertex, slot = np.empty(N, dtype=int), np.empty(N, dtype=int)
+    for a, b, j, vs in plan.groups:
+        vertex[a:b], slot[a:b] = vs, j
+    assert sorted(vertex.tolist()) == list(range(N))
+    k, i = np.divmod(vertex, cols)  # from 0
+    assert np.array_equal(slot, np.where(k > 0, 1, np.where(i > 0, 2, 0)))
+    # the input's writer: its slot and its position, or the driving value
+    from_slot, at = np.divmod(plan.src, N + 1)
+    driven = plan.src == N
+    assert driven.tolist() == [True] + [False] * (N - 1) and vertex[0] == 0
+    assert np.array_equal(vertex[at[1:]], np.where(k > 0, vertex - cols, vertex - 1)[1:])
+    assert np.array_equal(from_slot[1:], np.where(k > 0, 3, 0)[1:])
+    level = np.zeros(N, dtype=int)
+    for p in range(1, N):
+        assert at[p] < p
+        level[p] = level[at[p]] + 1
+    assert np.array_equal(level, k + i)
+    assert len(plan.groups) == (2 * cols + rows - 2 if rows >= 2 else cols)
 
 
 class TestFoldPlan:
@@ -102,6 +129,12 @@ class TestFoldPlan:
         else:
             assert calls == [1] * 81
 
+    @pytest.mark.parametrize("fig", FIGS)
+    def test_every_vertex_has_a_known_crease(self, fig, request):
+        pattern, _ = request.getfixturevalue(fig)
+        _check_plan_shape(pattern)
+        assert len(grid_schedule(pattern).plan.groups) == 25
+
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
     @given(SMALL_SPECS)
     def test_data_flow_on_small_specs(self, doc):
@@ -112,18 +145,20 @@ class TestFoldPlan:
         for lanes in (0, 2):
             calls = _check_data_flow(pattern, lanes)
             assert sum(calls) == pattern.rows * pattern.cols
+        _check_plan_shape(pattern)
 
     def test_groups_at_34x34(self):
         pattern, _ = _build_from_spec(*load_design_spec(json.dumps({
             "type": "orthodiagonal", "datum": {"builtin": "fig7-sine"},
             "target": {"builtin": "fig7-tlnt"}, "n": 34, "m": 34, "theta": "auto",
             "eps": 0.2})))
-        plan = grid_schedule(pattern).folds(pattern, default_driving_crease(pattern))
+        _check_plan_shape(pattern)
+        plan = grid_schedule(pattern).plan
         assert len(plan.groups) == 100
         assert sorted(v for group in plan.groups for v in group[3]) == list(range(34 * 34))
 
 
-def _both(pattern, drive, dc):
+def _both(pattern, drive):
     """The errors of one state and of lanes at the driving values `drive`,
     or None where the fold assignment returns."""
     E = len(pattern.creases)
@@ -131,74 +166,88 @@ def _both(pattern, drive, dc):
     for d in ([drive[0]], [np.array(drive)]):
         try:
             if np.ndim(d[0]):
-                foldsim._fold_angles(pattern, d[0], np.zeros((E, len(drive))),
-                                     np.zeros((E, len(drive)), dtype=int), dc)
+                foldsim._fold_levels(pattern, d[0], np.zeros((E, len(drive))),
+                                     np.zeros((E, len(drive)), dtype=int))
             else:
-                assign_fold_angles(pattern, d[0], driving_crease=dc)
+                assign_fold_angles(pattern, d[0])
             got.append(None)
         except (OutOfRange, NotRigidFoldable) as e:
             got.append((type(e), str(e)))
     return got
 
 
-class TestErrors:
-    # the errors the row-major sweep raised: OutOfRange at the first
-    # vertex where no state has a branch, NotRigidFoldable at the first
-    # vertex with no known crease, whichever the sweep meets first
-    @pytest.mark.parametrize("fig", FIGS)
-    def test_driving_crease_off_the_first_row(self, fig, request):
-        # a crease of the second row leaves vertex (1,1) with no known crease
-        pattern, _ = request.getfixturevalue(fig)
-        dc = int(pattern.row_creases[2, 1])
-        want = (NotRigidFoldable, "sweep reached vertex (1,1) with no known crease")
-        assert _both(pattern, [0.1, 0.2], dc) == [want, want]
-        flat = propagate(pattern, 0.0)
-        assert propagate_lanes(pattern, [0.1, 0.2], [flat, flat], dc) == [None, None]
+def _plain_grid(tmp_path):
+    """The FOLD export of a rectangular grid drawn on axis-aligned lines:
+    every inner vertex is a cross."""
+    nodes = np.stack(np.meshgrid(np.arange(5.0), -np.arange(4.0)), -1)
+    path = tmp_path / "plain.fold"
+    path.write_text(export_fold(assemble_grid(nodes, {})))
+    return path
 
+
+class TestErrors:
+    # the error of the fold assignment: OutOfRange at the first group
+    # where no state has a branch
     @pytest.mark.parametrize("fig", FIGS)
     def test_every_lane_out_of_range(self, fig, request):
         pattern, _ = request.getfixturevalue(fig)
-        dc = default_driving_crease(pattern)
-        assert _both(pattern, [3.5, 4.0], dc) == [(OutOfRange, NO_BRANCH)] * 2
-        assert _both(pattern, [0.1, 4.0], dc) == [None, None]
+        assert _both(pattern, [3.5, 4.0]) == [(OutOfRange, NO_BRANCH)] * 2
+        assert _both(pattern, [0.1, 4.0]) == [None, None]
 
     @pytest.mark.parametrize("fig", FIGS)
-    def test_first_error_in_row_major_order_wins(self, fig, request):
-        # the last vertex's creases replaced by four of the paper's top
-        # edge, which no vertex writes: the sweep reaches it with no known
-        # crease after every other vertex had a branch, and does not reach
-        # it where no state has a branch at vertex (1,1)
+    def test_first_error_in_row_major_order_wins(self, fig, request, monkeypatch):
+        # no state has a branch at vertex (1,1): the one state and the
+        # lanes raise there, after one kernel call each, and lanes with one
+        # lane in range do not raise
         pattern, _ = request.getfixturevalue(fig)
-        creases = pattern.vertex_creases.copy()
-        creases[-1, -1] = pattern.row_creases[0, :4]
+        calls, solve = [], foldsim.propagate_both_modes
 
-        class Edited(type(pattern)):
-            vertex_creases = creases
+        def counted(v, j, x):
+            calls.append(np.ndim(x) > 0)
+            return solve(v, j, x)
 
-        pattern = Edited(**{f.name: getattr(pattern, f.name)
-                            for f in dataclasses.fields(pattern)})
+        monkeypatch.setattr(foldsim, "propagate_both_modes", counted)
+        assert _both(pattern, [3.5, 4.0]) == [(OutOfRange, NO_BRANCH)] * 2
+        assert calls == [False, True]
+        assert _both(pattern, [4.0, 0.1]) == [(OutOfRange, NO_BRANCH), None]
+
+    @pytest.mark.parametrize("fig", FIGS)
+    def test_propagate_takes_only_its_own_driving_crease(self, fig, request):
+        # the keyword stays for callers that name the crease
+        pattern, _ = request.getfixturevalue(fig)
         dc = default_driving_crease(pattern)
-        stuck = (NotRigidFoldable, "sweep reached vertex (9,9) with no known crease")
-        assert _both(pattern, [0.1, 0.2], dc) == [stuck, stuck]
-        assert _both(pattern, [4.0, 0.1], dc) == [(OutOfRange, NO_BRANCH), stuck]
-        assert _both(pattern, [3.5, 4.0], dc) == [(OutOfRange, NO_BRANCH)] * 2
+        want = propagate(pattern, 0.3)
+        got = propagate(pattern, 0.3, driving_crease=dc)
+        assert got.driving_crease == want.driving_crease == dc
+        assert np.array_equal(got.rho, want.rho)
+        with pytest.raises(ValueError, match="does not drive the pattern"):
+            propagate(pattern, 0.3, driving_crease=int(pattern.row_creases[2, 1]))
 
     def test_flat_state_that_fails_raises_its_own_error(self, fig5_design, tmp_path, capsys):
-        # halting column 2 drives a crease of vertex (1,2), which leaves
-        # vertex (1,1) with no known crease: every state fails, flat first,
-        # and the sweep raises that error instead of ending in NoHalt
+        # a halting column other than 1 is a schema error: every command
+        # that reads the document exits 1 with no traceback
         doc = json.loads(export_fold(fig5_design[0]))
         doc["curvefold:grid"]["halting_col"] = 2
         path = tmp_path / "pattern.fold"
         path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="halting_col"):
+            import_fold(path.read_text())
+        for cmd in ("fold", "verify", "export"):
+            argv = [cmd, str(path)] + ([] if cmd == "verify" else ["--out", str(tmp_path / "o")])
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        # a plain rectangular grid: vertex (1,1) is a cross, so the flat
+        # state fails, and the sweep raises that error instead of NoHalt
+        path = _plain_grid(tmp_path)
         pattern, _ = import_fold(path.read_text())
-        stuck = "sweep reached vertex (1,1) with no known crease"
+        cross = "vertex (1,1): sectors form a cross"
         for run in (lambda: propagate(pattern, 0.0), lambda: sweep_to_halt(pattern)):
-            with pytest.raises(NotRigidFoldable, match=re.escape(stuck)):
+            with pytest.raises(NotRigidFoldable, match=re.escape(cross)):
                 run()
         for argv in (["fold", str(path), "--out", str(tmp_path / "o")], ["verify", str(path)]):
             assert main(argv) == 2
-            assert capsys.readouterr().err == f"NotRigidFoldable: {stuck}\n"
+            assert capsys.readouterr().err == f"NotRigidFoldable: {cross}\n"
 
 
 class TestPlacementDepths:

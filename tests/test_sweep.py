@@ -160,19 +160,19 @@ class TestMarch:
         # lanes before it and goes on one state at a time from it,
         # bit-equal to the oracle
         pattern, want = oracle_sweep(fig, 8)
-        real_angles, real_lanes, real_branch = (foldsim._fold_angles, foldsim._fold_lanes,
+        real_levels, real_lanes, real_branch = (foldsim._fold_levels, foldsim._fold_lanes,
                                                 foldsim._branch)
         passes, forced = [], []
 
-        def lane_pass(pattern, driving_rho, prev, driving_crease):
+        def lane_pass(pattern, driving_rho, prev):
             passes.append(len(driving_rho))
-            return real_lanes(pattern, driving_rho, prev, driving_crease)
+            return real_lanes(pattern, driving_rho, prev)
 
-        def fold_angles(pattern, driving_rho, prev, signs, driving_crease):
+        def fold_levels(pattern, driving_rho, prev, signs):
             if len(passes) == 1 and np.ndim(driving_rho) and how == "signs":
                 flip = np.where(np.arange(len(driving_rho)) >= lane, -1, 1)
                 signs = [s * flip for s in signs]
-            return real_angles(pattern, driving_rho, prev, signs, driving_crease)
+            return real_levels(pattern, driving_rho, prev, signs)
 
         def branch(plus, minus, two, prev, signs, where):
             got = real_branch(plus, minus, two, prev, signs, where)
@@ -186,7 +186,7 @@ class TestMarch:
             return got
 
         monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
-        monkeypatch.setattr(foldsim, "_fold_angles", fold_angles)
+        monkeypatch.setattr(foldsim, "_fold_levels", fold_levels)
         monkeypatch.setattr(foldsim, "_branch", branch)
         seen = _record(monkeypatch)
         got = sweep_to_halt(pattern, samples=8)
@@ -234,12 +234,11 @@ def _guess(pattern, j0, flip_from=LANE_BLOCK):
     """The march's guess pass over the steps j0, ..., j0 + LANE_BLOCK - 1,
     scored as from flat, by the opposite M/V signs from lane flip_from on:
     the driving values and what `_fold_lanes` returns."""
-    dc = default_driving_crease(pattern)
-    sgn = pattern.creases[dc].mv or 1
+    sgn = pattern.creases[default_driving_crease(pattern)].mv or 1
     driving = np.array([sgn * np.pi * j / MARCH_STEPS for j in range(j0, j0 + LANE_BLOCK)])
     prev, signs = foldsim._scoring(pattern, np.zeros((LANE_BLOCK, len(pattern.creases))))
     signs = signs * np.where(np.arange(LANE_BLOCK) >= flip_from, -1, 1)
-    rho, mismatch, ok, modes = foldsim._fold_angles(pattern, driving, prev, signs, dc)
+    rho, mismatch, ok, modes = foldsim._fold_levels(pattern, driving, prev, signs)
     return driving, (rho, mismatch, ok & (mismatch <= foldsim.FOLD_CONSISTENCY), modes)
 
 
@@ -249,12 +248,11 @@ def _check_rescore(pattern, j0=1, before=None):
     guess's lane before): every lane it calls exact must be what a full
     check pass from those states gives, folds, mismatch and failure.
     Returns the exact lanes and the guess's folds."""
-    dc = default_driving_crease(pattern)
     driving, (rho, mismatch, ok, modes) = _guess(pattern, j0)
     first = np.zeros(len(pattern.creases)) if before is None else before
     prev = np.vstack([first, rho[:-1]])
-    exact = foldsim._rescored(pattern, modes, prev, dc)
-    check = foldsim._fold_lanes(pattern, driving, prev, dc)
+    exact = foldsim._rescored(pattern, modes, prev)
+    check = foldsim._fold_lanes(pattern, driving, prev)
     if check is None:  # no lane of the check has a branch
         assert not ok[exact].any()
         return exact, rho
@@ -295,7 +293,7 @@ class TestRescore:
         pattern, _ = request.getfixturevalue(f"{fig}_design")
         _, (rho, _, _, modes) = _guess(pattern, 1, flip_from=lane)
         prev = np.vstack([np.zeros(len(pattern.creases)), rho[:-1]])
-        exact = foldsim._rescored(pattern, modes, prev, default_driving_crease(pattern))
+        exact = foldsim._rescored(pattern, modes, prev)
         assert exact[:lane].all() and not exact[lane]
 
 
@@ -432,9 +430,8 @@ class TestLanes:
         # above FOLD_CONSISTENCY.  Each lane must pick and report as
         # assign_fold_angles does on its own
         pattern = one_vertex
-        dc = default_driving_crease(pattern)
         cids = pattern.vertex_creases.reshape(-1, 4)[0].tolist()
-        assert cids[0] == dc
+        assert cids[0] == default_driving_crease(pattern)
         table = {}
 
         def lane(plus, minus, prev=None):
@@ -478,11 +475,11 @@ class TestLanes:
             [{"closure": 0.0, "vertex_spread": 0.0} for _ in rho]))
         ds = list(table)
         prevs = [SimpleNamespace(rho=table[d][2]) for d in ds]
-        got = propagate_lanes(pattern, ds, prevs, dc)
+        got = propagate_lanes(pattern, ds, prevs)
         picked = {}
         for d, st, prev in zip(ds, got, prevs):
             try:
-                want, mismatch = foldsim.assign_fold_angles(pattern, d, prev.rho, dc)
+                want, mismatch = foldsim.assign_fold_angles(pattern, d, prev.rho)
             except NotRigidFoldable:
                 assert st is None
                 continue

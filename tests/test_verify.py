@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,24 @@ class TestChecks:
     def test_separability(self, fig7_design):
         pattern, _ = fig7_design
         assert check_separability(pattern.design["grid_alpha"]).ok
+
+    def test_separability_of_zero_tangents_fails(self):
+        r = check_separability([[0.0, 0.0], [0.0, 0.0]])
+        assert not r.ok and np.isnan(r.residual)
+
+    def test_suite_checks_phi_at_halt(self, fig5_design, fig5_halt):
+        # the dihedral of columns i, i+1 from the first-row sectors and xi
+        pattern, _ = fig5_design
+        checks = run_pattern_checks(pattern, state=fig5_halt.halt)
+        phi = [c for c in checks if c.check_id.startswith("phi-")]
+        assert [c.check_id for c in phi] == [f"phi-{i}" for i in range(1, pattern.cols)]
+        assert all(c.ok and c.residual < 1e-11 for c in phi)
+        # xi of 0: the spherical triangles do not close, and the checks fail
+        bad = dataclasses.replace(pattern, design=dict(pattern.design, xi=[0.0] * 3))
+        phi = [c for c in run_pattern_checks(bad, state=fig5_halt.halt)
+               if c.check_id.startswith("phi-")]
+        assert [c.check_id for c in phi] == ["phi-1", "phi-2"]
+        assert not any(c.ok for c in phi)
 
     def test_isometry(self, fig5_design, fig5_halt):
         pattern, _ = fig5_design
