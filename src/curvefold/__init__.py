@@ -12,8 +12,7 @@ from .geometry import (AffineParams, Partition, PolyCurve, affine_map,
                        search_theta, staircase)
 from .kinematics import VertexAngles, row_transfer_residual, solve_first_vertex
 from .pattern import CreasePattern, Crease, DesignReport, check_embeddable
-from .parallel import (ColumnProfile, ParallelDesignSpec, build_pattern,
-                       column_curves, xi_recurrence)
+from .parallel import ParallelDesignSpec, build_pattern, xi_recurrence
 from .ortho import (OrthoAngleGrid, OrthoDesignSpec, alpha_left,
                     build_ortho_pattern, ortho_xi, propagate_grid,
                     validate_alpha11)

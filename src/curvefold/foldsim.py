@@ -12,11 +12,13 @@ Panels are then placed one BFS depth at a time, and every shared edge is
 checked for closure.
 The sweep-to-halt driver locates the smallest driving angle at which any
 crease reaches pi (panel coincidence) or two panels interpenetrate, by a
-march and one secant-safeguarded bracket that keep the states they make.
-The march is guessed in lanes, keeps the lanes a re-score shows exact and
-clash-tests them in batches.  Every other state, one at a time or the
-returned samples as lanes, comes from one store that propagates each new
-state from the nearest kept state below it.
+march and a bracket that keep the states they make.  An inverse vertex
+chain, from the halting creases back to the driving value, predicts the
+crease halt: the march's lanes stop just past it, and the bracket tries
+it first, then bisects.  The march is guessed in lanes, keeps the lanes a
+re-score shows exact and clash-tests them in batches.  Every other state,
+one at a time or the returned samples as lanes, comes from one store that
+propagates each new state from the nearest kept state below it.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ from .tolerances import (BRANCH_TOL, CLASH_REL, CLOSURE_REL, COINCIDENT,
 
 LANE_BLOCK = 64          # states propagated in one array pass per vertex
 PLACE_BLOCK = 8          # of those, states placed at once: memory O(block x faces)
+CHAIN_STATES = 8         # states the halt search tries at and beside the chain's halt
 MARCH_STEPS = 128        # driving steps per pi: branch continuity needs modest steps
-SECANT_ULPS = 16         # ulps of driving within which the rounding of h sets the secant
 
 
 @dataclass
@@ -456,6 +458,36 @@ def _scoring(pattern: CreasePattern, prev):
     return np.where(flat, 0.0, prev).T, signs.T
 
 
+def _chain_halt(pattern: CreasePattern, prev):
+    """The driving value (with the driving crease's M/V sign, as
+    `sweep_to_halt` counts it) at which a halting crease, a left row stub
+    of column 1, reaches pi - HALT_TOL, walked back from that crease: the
+    degree-4 relation can be solved from any crease of a vertex.  Each stub,
+    folded by its M/V sign to pi - HALT_TOL, solves the vertex that wrote it
+    last in the FoldPlan; `_branch`, scored against prev (E,) as the fold
+    assignment scores, picks the mode, whose fold on the vertex's input
+    slot solves the vertex that wrote that slot, up to the driving value.
+    Returns the smallest positive value over the stubs, None if none has
+    one."""
+    plan, verts = grid_schedule(pattern).plan, pattern.vertex_angles()
+    N, src = len(plan.src), plan.src.tolist()
+    sgn = pattern.creases[default_driving_crease(pattern)].mv or 1
+    P, S = (a[plan.cids].T.tolist() for a in _scoring(pattern, prev))
+    vs, ins = zip(*[(v, j) for _, _, j, g in plan.groups for v in g])
+    found = []
+    for c in pattern.row_creases[1:pattern.rows + 1, 0].tolist():
+        row, x = int(plan.final[c]), pattern.creases[c].mv * (np.pi - HALT_TOL)
+        while row != N:
+            j, p = divmod(row, N + 1)
+            ok, plus, minus, two = propagate_both_modes(verts[vs[p]], j, x)
+            if not ok:
+                break
+            x, row = _branch(plus, minus, two, P[p], S[p], FLOATS.where)[ins[p]], src[p]
+        else:
+            found.append(sgn * x)
+    return min((d for d in found if d > 0), default=None)
+
+
 def _fold_lanes(pattern: CreasePattern, driving_rho, prev):
     """The folds (L, E) of the lanes driving_rho (L,), each scored against
     its row of prev (L, E) as `assign_fold_angles` scores one state, their
@@ -658,30 +690,31 @@ def sweep_to_halt(pattern: CreasePattern, samples=64):
     nearest kept state at or below it: a state depends only on its driving
     value and branch choices (`prev` only scores branches), so this changes
     no bit while the branches agree.  The march steps by pi / MARCH_STEPS
-    and tests for the halt every second step.  It guesses LANE_BLOCK steps
-    at a time in one lane pass, scored as from flat, and re-scores it
+    and tests for the halt every second step.  It guesses up to LANE_BLOCK
+    steps at a time in one lane pass, scored as from flat, and re-scores it
     (`_rescored`), lane 0 against the last kept state and lane k against
     guess k - 1: the lanes before the first that picks otherwise, up to the
     first failure, are the march's states bit for bit, and from that lane
-    on it goes one state at a time.  Each PLACE_BLOCK of exact lanes is
-    placed at once, and its even steps before a failure or a crease at pi
-    clash-tested in one batch (`_clashes`), the events still taken in
-    order.  The search then holds lo (no event) and hi (a failure or an
-    event).  Each step tries
-    the secant root of h = (pi - max|rho|)^2 - HALT_TOL^2, close to linear
-    near a crease halt, through the last two states tested, or goes
-    SECANT_ULPS ulps past the last one where the rounding of h placed that
-    root.  It bisects when the point leaves (lo, hi) or the bracket did not
-    halve over the last two steps, and stops when the midpoint of lo and hi
-    is one of them.  Each sample is a kept state or is propagated once from
-    the nearest kept march or search state, at most one march step below
-    it; those propagations run as lanes of `propagate_lanes`, LANE_BLOCK at
-    a time, and equal `propagate` bit for bit.  Where the flat state or a
-    sample fails, the first to fail raises its own error."""
+    on it goes one state at a time.  A block ends one even step past the
+    first even step at or above the crease halt `_chain_halt` predicts from
+    flat, and the march goes on in full blocks if no event comes by then.
+    Each PLACE_BLOCK of exact lanes is placed at once, and its even steps
+    before a failure or a crease at pi clash-tested in one batch
+    (`_clashes`), the events still taken in order.  The search then holds
+    lo (no event) and hi (a failure or an event).  It tests the chain's
+    halt d, scored against the state at lo, then 1, 3, 7, ... ulps from d
+    on the side that test points to, while they land in (lo, hi), up to
+    CHAIN_STATES states; then it bisects, and stops when the midpoint of lo
+    and hi is one of them.  Each sample is a kept state or is propagated
+    once from the nearest kept march or search state, at most one march
+    step below it; those propagations run as lanes of `propagate_lanes`,
+    LANE_BLOCK at a time, and equal `propagate` bit for bit.  Where the
+    flat state or a sample fails, the first to fail raises its own
+    error."""
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
     sgn = pattern.creases[default_driving_crease(pattern)].mv or 1
-    keys, kept, tested = [], [], []  # tested: (d, h) of the states tested, in order
+    keys, kept = [], []
 
     def states_at(ds):
         # the states at ds in order, None where propagate raises: each
@@ -716,21 +749,21 @@ def sweep_to_halt(pattern: CreasePattern, samples=64):
     def at_pi(st):
         return float(np.abs(st.rho).max()) >= np.pi - HALT_TOL
 
-    def event(d, st, pairs=None):
+    def event(st, pairs=None):
         # pairs: the state's clash_test where the march has batched it
-        tested.append((d, (np.pi - float(np.abs(st.rho).max())) ** 2 - HALT_TOL ** 2))
         return at_pi(st) or bool(_clashes(pattern, [st])[0] if pairs is None else pairs)
 
-    def march():
+    def march(stop):
         # (j, d, state, pairs) of the march in order, pairs the clash_test
         # of an even step the lanes tested in a batch, else None; the caller
         # stops at the first state None, where propagate raises.  The lanes
         # before the first that re-scores otherwise against the state
-        # before it are exact (`_rescored`), a failing one included
+        # before it are exact (`_rescored`), a failing one included.  Blocks
+        # end at step `stop` while it lies ahead
         j = 1
         while j <= MARCH_STEPS:
-            ds = [np.pi * i / MARCH_STEPS
-                  for i in range(j, min(j + LANE_BLOCK, MARCH_STEPS + 1))]
+            end = min(j + LANE_BLOCK - 1, stop if j <= stop else MARCH_STEPS)
+            ds = [np.pi * i / MARCH_STEPS for i in range(j, end + 1)]
             driving = [sgn * d for d in ds]
             guess = _fold_lanes(pattern, driving, np.zeros((len(ds), len(pattern.creases))))
             if guess is None:  # no lane in range: propagate decides the step
@@ -762,39 +795,34 @@ def sweep_to_halt(pattern: CreasePattern, samples=64):
             yield j, d, states_at([d])[0], None
 
     raising([0.0])
+    d = _chain_halt(pattern, np.zeros(len(pattern.creases)))
+    stop = MARCH_STEPS if d is None else min(
+        MARCH_STEPS, 2 * math.ceil(d * MARCH_STEPS / (2 * np.pi)) + 2)
     lo, found = 0.0, False
-    for j, d, st, pairs in march():
+    for j, d, st, pairs in march(stop):
         if st is None:
             hi = d
             break
         if j % 2 == 0:
-            if event(d, st, pairs):
+            if event(st, pairs):
                 hi, found = d, True
                 break
             lo = d
     else:
         raise NoHalt("driving reached pi with no crease at pi and no clash")
 
-    widths = [math.inf, math.inf]  # bracket widths before the last two steps
+    # from the chain's halt scored against the state at lo, then bisection
+    d = _chain_halt(pattern, kept[bisect.bisect_right(keys, lo) - 1].rho)
+    k = 0 if d is not None else CHAIN_STATES
     while lo < 0.5 * (lo + hi) < hi:  # else float resolution: nothing can move lo or hi
         x = 0.5 * (lo + hi)
-        if len(tested) > 1 and hi - lo <= 0.5 * widths[0]:
-            (d1, h1), (d2, h2) = tested[-2:]
-            res = SECANT_ULPS * math.ulp(d2)
-            s = math.inf
-            if abs(d2 - d1) <= res:
-                s = d2
-            elif h1 != h2:
-                s = d2 - h2 * (d2 - d1) / (h2 - h1)
-            if abs(s - d2) < res:
-                s = d2 + math.copysign(res, lo + hi - 2 * d2)
-            if lo < s < hi:
-                x = s
-        widths = [widths[1], hi - lo]
+        if k < CHAIN_STATES:
+            g = d + math.copysign((2 ** k - 1) * math.ulp(d), lo - d)
+            x, k = (g, k + 1) if lo < g < hi else (x, CHAIN_STATES)
         (st,) = states_at([x])
         if st is None:
             hi = x
-        elif event(x, st):
+        elif event(st):
             hi, found = x, True
         else:
             lo = x

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutError, NoSolution, NotAdmissible, OutOfRange
+from .errors import LayoutError, NoSolution, OutOfRange
 from .foldsim import bootstrap_mv, default_driving_crease
-from .geometry import (AffineParams, Partition, PolyCurve, _arc, _unit,
-                       affine_map, hausdorff, is_admissible,
+from .geometry import (AffineParams, Partition, PolyCurve, _arc, _unit, hausdorff,
                        partition_uniform, staircase, staircase_segments)
-from .kinematics import (BRANCH_ORDER, VertexAngles, guarded_arccos,
-                         row_transfer_residual, solve_first_vertex)
+from .kinematics import (BRANCH_ORDER, guarded_arccos, row_transfer_residual,
+                         solve_first_vertex)
 from .pattern import (DesignReport, assemble_grid, check_embeddable,
                       panel_distances, set_corners, signed_fold_angles)
 from .tolerances import (COLLINEAR_FRAME, ROOT_SCAN_MARGIN, ROW_DRIFT,
@@ -87,15 +86,6 @@ class ParallelDesignSpec:
             raise ValueError("target curve must be open")
         if self.n_row < 1 or self.n_col < 1:
             raise ValueError("partition counts must be >= 1")
-
-
-@dataclass
-class ColumnProfile:
-    """Per-column folded-geometry profile."""
-
-    xi: float
-    f: np.ndarray            # transformed target curve samples of this column
-    phi: float = None        # dihedral between this column's plane and the next
 
 
 @dataclass
@@ -249,30 +239,6 @@ def column_dihedrals(sectors, xs):
         cphi = -np.cos(e1) * np.cos(e2) - np.sin(e1) * np.sin(e2) * np.cos(s[0] + sn[1])
         out.append(guarded_arccos(cphi))
     return out
-
-
-def column_curves(f1: PolyCurve, theta, row_vertices, phase="x"):
-    """Transformed target curves f_i and inter-plane dihedrals phi_i.
-
-    f_{i+1} is the cumulative diagonal scaling of f_1 conjugated between the
-    xi_1 and xi_{i+1} shear frames; phi_i from `column_dihedrals`."""
-    slots = [v.sectors if isinstance(v, VertexAngles) else tuple(v) for v in row_vertices]
-    xs = xi_list(slots)
-    a1 = AffineParams(theta, xs[0])
-    ok, _ = is_admissible(f1, a1)
-    if not ok:
-        raise NotAdmissible("target curve fails admissibility at (theta, xi_1)")
-    cumx, cumy = column_scales(slots, phase)
-    img = affine_map(f1.samples, a1)
-    profiles = []
-    for i, s in enumerate(slots):
-        ai = AffineParams(theta, xs[i])
-        scaled = img * np.array([cumx[i], cumy[i]])
-        fi = scaled @ ai.inverse_matrix().T
-        profiles.append(ColumnProfile(xi=xs[i], f=fi))
-    for p, phi in zip(profiles, column_dihedrals(slots, xs)):
-        p.phi = phi
-    return profiles
 
 
 def build_pattern(spec: ParallelDesignSpec):

@@ -1,6 +1,7 @@
 """Shapes, checks, design views and spec strategies the tests share,
 which the library itself has no use for."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as hs
@@ -9,7 +10,7 @@ from curvefold.errors import NotAdmissible
 from curvefold.geometry import AffineParams, PolyCurve, affine_map, is_admissible
 from curvefold.kinematics import VertexAngles
 from curvefold.ortho import ortho_xi
-from curvefold.parallel import _design_row_state
+from curvefold.parallel import _design_row_state, column_dihedrals, column_scales, xi_list
 
 
 def design_row(partition, rho4):
@@ -18,6 +19,40 @@ def design_row(partition, rho4):
     consecutive vertex pair)."""
     st = _design_row_state(partition, rho4)
     return [VertexAngles(s) for s in st.slots], st.branch_log
+
+
+@dataclass
+class ColumnProfile:
+    """Per-column folded-geometry profile."""
+
+    xi: float
+    f: np.ndarray            # transformed target curve samples of this column
+    phi: float = None        # dihedral between this column's plane and the next
+
+
+def column_curves(f1: PolyCurve, theta, row_vertices, phase="x"):
+    """Transformed target curves f_i and inter-plane dihedrals phi_i of a
+    parallel design.
+
+    f_{i+1} is the cumulative diagonal scaling of f_1 conjugated between the
+    xi_1 and xi_{i+1} shear frames; phi_i from `column_dihedrals`."""
+    slots = [v.sectors if isinstance(v, VertexAngles) else tuple(v) for v in row_vertices]
+    xs = xi_list(slots)
+    a1 = AffineParams(theta, xs[0])
+    ok, _ = is_admissible(f1, a1)
+    if not ok:
+        raise NotAdmissible("target curve fails admissibility at (theta, xi_1)")
+    cumx, cumy = column_scales(slots, phase)
+    img = affine_map(f1.samples, a1)
+    profiles = []
+    for i, s in enumerate(slots):
+        ai = AffineParams(theta, xs[i])
+        scaled = img * np.array([cumx[i], cumy[i]])
+        fi = scaled @ ai.inverse_matrix().T
+        profiles.append(ColumnProfile(xi=xs[i], f=fi))
+    for p, phi in zip(profiles, column_dihedrals(slots, xs)):
+        p.phi = phi
+    return profiles
 
 
 def ortho_row_curves(f1, theta, grid, partition):

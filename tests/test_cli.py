@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -312,6 +313,57 @@ def test_unwritable_output_exit_1(cmd, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
     assert "Not a directory" in err
+
+
+#: sha256 of every file `demo <fig> --out D` and `fold D/pattern.fold
+#: --states 64 --out D` write.  Pinned under Python 3.11 with numpy 2.4: the
+#: folds go through libm's tan and atan2, and another libm or numpy may round
+#: a last bit otherwise
+GOLDEN = {
+    "fig5": {
+        "halt.fold":
+            "c29339e137334a24fbf6e6752741a4439c6acd8b50fdc3a51b70c65d6d1ccec7",
+        "halt.json":
+            "edbc0ef36c7e48304bf2163a3d2b366ed063f839f10ebdbe892425be5b0c29b4",
+        "pattern.fold":
+            "aa5341d61dac8f7583e9742e399e409760b2b97f99453e82cdb4a38109b5f339",
+        "pattern.svg":
+            "217ac1e1bf3c6f86cf91b3222e5a09d15904f22b6bd565bc0b454b6ab02ec5ae",
+        "report.json":
+            "9f6b7233867f42423ccef76448933fa3e0c9ee9d39d0d474047505dfae377c4b",
+        "report.txt":
+            "1be6c6bebe05d58364cd3e05d8ffa0a13603c909520d4542ada5752c86e048f5",
+        "spec.json":
+            "846904f242d820c1126f5c37d675c6e73600df339965e2b8ae446aabbadd8124",
+    },
+    "fig7": {
+        "halt.fold":
+            "c8e8cb540a1b0df08aa9040511951e240647edc1505f02c4239bf8ab711b605d",
+        "halt.json":
+            "44488f6eb41106e11004d9655d20876dc430297dbcd2d669f7f6b4b6b07366b3",
+        "pattern.fold":
+            "008d38685afaa75845ffda67c8772959a33b0f4a95e2a9618ba073c8cbebcec6",
+        "pattern.svg":
+            "63507aa5028cb47ca18712913569e37b9c4d9765ddf150cc3a243fa5150cfd77",
+        "report.json":
+            "5c30c4d239f07f01da6c5c9f18dc139bcb327fedd77817afcf867ab6ba78a0ef",
+        "report.txt":
+            "a1fe0e1b84353407309a988166ea5f81f75e65506a2ad5ccdd4c366214617601",
+        "spec.json":
+            "3b414d249d33adc0075bf133839422dd42575bf443ddc675df25aefc0a4c160b",
+    },
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11) or not np.__version__.startswith("2.4."),
+                    reason="digests pinned under Python 3.11 with numpy 2.4")
+@pytest.mark.parametrize("fig", sorted(GOLDEN))
+def test_demo_and_fold_bytes(fig, tmp_path, capsys):
+    assert main(["demo", fig, "--out", str(tmp_path)]) == 0
+    assert main(["fold", str(tmp_path / "pattern.fold"), "--states", "64",
+                 "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == GOLDEN[fig]
 
 
 class TestDemo:

@@ -221,22 +221,28 @@ class TestCounts:
     # vertex in closed form and from the root scan of design_oracle: the two
     # differ in the last bits, which moves the steps of the halt search.  The
     # march runs in blocks of 64 lanes, each guessed in one lane pass, then
-    # re-scored against the state before each lane.  Its exact lanes run up to
-    # the first lane out of range, one march step past the halt: scored against
-    # the state before it, that lane picks the other mode at 8 of the 81
-    # vertices, so it goes to `propagate`, which raises.  It is lane 43 of fig5's
-    # second block (106 exact lanes, all placed) and lane 37 of fig7's first (36
-    # exact).  The lanes after it are guessed for nothing, and `propagate` makes
-    # only the flat state, that lane and the search's states.  The 62 samples
-    # that are not march or search states replay as lanes of one pass, each from
-    # the nearest march or search state below it.  Each lane pass solves each of
-    # the 81 vertices once for all its lanes, in 25 kernel calls: one per group
-    # of vertices of one dependency level and one input slot.  The march's even
-    # states are clash-tested in batches, one per placed chunk of PLACE_BLOCK = 8
-    # lanes (4 states), and the search's states one at a time
+    # re-scored against the state before each lane; a block ends one even step
+    # past the first even step at or above the halt the vertex chain predicts
+    # from flat (`_chain_halt`), so fig5's second block has 46 lanes and fig7's
+    # first 40.  Its exact lanes run up to the first lane out of range, one
+    # march step past the halt: scored against the state before it, that lane
+    # picks the other mode at 8 of the 81 vertices, so it goes to `propagate`,
+    # which raises.  It is lane 43 of fig5's second block (106 exact lanes, all
+    # placed) and lane 37 of fig7's first (36 exact).  The 4 lanes after it are
+    # guessed for nothing, and `propagate` makes only the flat state, that lane
+    # and the halt search's states: the chain's halt and the float next to it
+    # on fig5, fig7 and closed-form fig5, 4 more where the root scan's halt
+    # lies 7 ulps above the chain's.  The 62 samples that are not march or
+    # search states replay as lanes of one pass, each from the nearest march
+    # or search state below it.  Each lane pass solves each of the 81 vertices
+    # once for all its lanes, in 25 kernel calls: one per group of vertices of
+    # one dependency level and one input slot.  Single vertex solves are those
+    # of `propagate` and of the two chains, 45 per chain.  The march's even
+    # states are clash-tested in batches, one per placed chunk of
+    # PLACE_BLOCK = 8 lanes (4 states), and the search's states one at a time
     @pytest.mark.parametrize("design, bounds", [
-        pytest.param("fig5_design", (14, 894, 19, 58), id="closed-form"),
-        pytest.param("fig5_root_scan_design", (13, 893, 23, 62), id="root-scan"),
+        pytest.param("fig5_design", (4, 334, 15, 54), id="closed-form"),
+        pytest.param("fig5_root_scan_design", (8, 658, 19, 58), id="root-scan"),
     ])
     def test_fig5_sweep_counts(self, design, bounds, request, monkeypatch):
         pattern, _ = request.getfixturevalue(design)
@@ -247,28 +253,28 @@ class TestCounts:
         assert calls["clash_calls"] == bounds[2]
         assert calls["clash_states"] == bounds[3]
         assert calls["lanes"] == [62]
-        assert calls["lane_passes"] == [64, 64, 62]
+        assert calls["lane_passes"] == [64, 46, 62]
         assert calls["vertex_lanes"] == 3 * 25
         assert calls["lane_vertices"] == 3 * 81
         exact = calls["placed_lanes"] - 62
         assert exact == 64 + 42
-        assert sum(calls["lane_passes"][:2]) - exact == 22  # guessed past the halt
+        assert sum(calls["lane_passes"][:2]) - exact == 4  # guessed past the halt
 
     def test_fig7_sweep_counts(self, fig7_design, monkeypatch):
         pattern, _ = fig7_design
         traj, calls = _sweep_calls(pattern, monkeypatch)
         assert traj.halt.halt_reason == "crease-at-pi"
-        assert calls["propagate"] <= 13
-        assert calls["propagate_both_modes"] <= 813
-        assert calls["clash_calls"] == 9
-        assert calls["clash_states"] == 22
+        assert calls["propagate"] <= 4
+        assert calls["propagate_both_modes"] <= 334
+        assert calls["clash_calls"] == 6
+        assert calls["clash_states"] == 19
         assert calls["lanes"] == [62]
-        assert calls["lane_passes"] == [64, 62]
+        assert calls["lane_passes"] == [40, 62]
         assert calls["vertex_lanes"] == 2 * 25
         assert calls["lane_vertices"] == 2 * 81
         guess, exact = calls["lane_passes"][0], calls["placed_lanes"] - 62
         assert exact == 36
-        assert guess - exact == 28  # guessed past the halt
+        assert guess - exact == 4  # guessed past the halt
 
     def test_fig7_replay_fills_lane_blocks(self, fig7_design, monkeypatch):
         # at 200 samples fig7's sample spacing is below the march step, yet
@@ -278,12 +284,12 @@ class TestCounts:
         traj, calls = _sweep_calls(fig7_design[0], monkeypatch, samples=200)
         assert len(traj.states) == 200
         assert calls["lanes"] == [LANE_BLOCK] * 3 + [198 - 3 * LANE_BLOCK]
-        assert calls["lane_passes"] == [64] + calls["lanes"]
+        assert calls["lane_passes"] == [40] + calls["lanes"]
 
     def test_large_ortho_sweep_counts(self, monkeypatch):
         # the 34 x 34 spec of test_cli's test_large_ortho_design: 2,450
         # triangles, 3,000,025 pairs, of which the x-interval sweep lists
-        # 186,477 per clash-tested state on average.  Each lane pass solves
+        # 177,176 per clash-tested state on average.  Each lane pass solves
         # the 1,156 vertices in 100 kernel calls
         pattern = _design({"type": "orthodiagonal",
                            "datum": {"builtin": "fig7-sine"}, "target": {"builtin": "fig7-tlnt"},
@@ -319,9 +325,9 @@ class TestCounts:
         monkeypatch.setattr(foldsim, "propagate_both_modes", counted_solve)
         traj = sweep_to_halt(pattern, samples=16)
         assert traj.halt.halt_reason == "crease-at-pi"
-        assert calls["clash_states"] == 46
-        assert calls["clash_calls"] == 19
-        assert calls["pairs"] == 8_577_959
+        assert calls["clash_states"] == 38
+        assert calls["clash_calls"] == 11
+        assert calls["pairs"] == 6_732_687
         assert calls["lane_passes"] > 0
         assert calls["groups"] == 100 * calls["lane_passes"]
         assert calls["vertices"] == 34 * 34 * calls["lane_passes"]

@@ -5,10 +5,9 @@ from curvefold import curves
 from curvefold.errors import CreaseIntersection, NotAdmissible
 from curvefold.geometry import PolyCurve, hausdorff, partition_uniform
 from curvefold.kinematics import VertexAngles
-from curvefold.parallel import (ParallelDesignSpec, build_pattern,
-                                column_curves, xi_list, xi_recurrence)
+from curvefold.parallel import ParallelDesignSpec, build_pattern, xi_list, xi_recurrence
 from curvefold.pattern import check_embeddable
-from support import design_row, is_flat_foldable
+from support import column_curves, design_row, is_flat_foldable
 
 RHO4 = 5 * np.pi / 6
 THETA5 = np.deg2rad(73.0)

@@ -1,8 +1,9 @@
 """`sweep_to_halt` against the march, bisect and replay sweep of
 `sweep_oracle`: bit-equal trajectories, a march on the exact driving grid,
-the clash and range-end branches of the halt search, and the lane replay
-against per-sample `propagate`."""
+the clash and range-end branches of the halt search, the vertex chain's
+halt, and the lane replay against per-sample `propagate`."""
 import json
+import math
 import re
 from types import SimpleNamespace
 
@@ -190,7 +191,9 @@ class TestMarch:
         monkeypatch.setattr(foldsim, "_branch", branch)
         seen = _record(monkeypatch)
         got = sweep_to_halt(pattern, samples=8)
-        assert passes[0] == 64
+        # the first block ends one even step past the first even step at or
+        # above the chain's halt: step 40 on fig7
+        assert passes[0] == (64 if fig == "fig5" else 40)
         assert seen[:2] == [0.0, np.pi * (lane + 1) / MARCH_STEPS]
         assert_same(got, want)
 
@@ -310,8 +313,11 @@ class TestBranches:
         assert got.driving_values[-1] == np.nextafter(EVENT_AT, np.inf)
         assert_same(got, want)
         # with two samples the states at 0 and d_halt are the kept ones, so
-        # every state placed after the march is a step of the halt search
-        assert len(seen) - _march_len(seen) <= 2 * stats["bisections"]
+        # every state placed after the march is a step of the halt search.
+        # The chain's crease halt lies past the bracket, and the search is
+        # the oracle's bisection, but for its first midpoint: the march's
+        # odd step pi * 25 / 128, which the march has placed
+        assert len(seen) - _march_len(seen) == stats["bisections"] - 1
 
     def test_clash_halt_tests_halt_once(self, fig7_design, monkeypatch):
         # the halt state is the search's last event: its halt reason comes
@@ -335,7 +341,56 @@ class TestBranches:
         seen.clear()
         with pytest.raises(NoHalt, match="folding range ends"):
             sweep_to_halt(pattern, samples=2)
-        assert len(seen) - _march_len(seen) <= 2 * stats["bisections"]
+        # the oracle's first midpoint, step 25, fails in the march
+        assert len(seen) - _march_len(seen) == stats["bisections"] - 1
+
+
+@pytest.fixture(scope="module")
+def large_ortho():
+    """The 34 x 34 design of test_cli's test_large_ortho_design, and the
+    oracle's halt of it."""
+    pattern, _ = _build_from_spec(*load_design_spec(json.dumps({
+        "type": "orthodiagonal", "datum": {"builtin": "fig7-sine"},
+        "target": {"builtin": "fig7-tlnt"}, "n": 34, "m": 34, "theta": "auto", "eps": 0.2})))
+    return pattern, oracle.halt_search(pattern)
+
+
+class TestChain:
+    @pytest.fixture(params=("fig5", "fig7", "fig5-reimported", "fig7-reimported", "34x34"))
+    def halted(self, request, oracle_sweep):
+        """(pattern, the oracle's halt) of each design"""
+        if request.param == "34x34":
+            return request.getfixturevalue("large_ortho")
+        pattern, want = oracle_sweep(request.param[:4], 2,
+                                     reimport=request.param.endswith("reimported"))
+        return pattern, want.driving_values[-1]
+
+    def test_flat_scored_halt_within_two_ulps(self, halted):
+        # the chain scored as from flat, as the march's blocks take it,
+        # lands within 2 ulps of the halt the oracle bisects to
+        pattern, d_halt = halted
+        d = foldsim._chain_halt(pattern, np.zeros(len(pattern.creases)))
+        assert abs(d - d_halt) <= 2 * math.ulp(d_halt)
+
+    def test_at_most_three_states_after_the_march(self, halted, monkeypatch):
+        # with two samples the states at 0 and d_halt are the kept ones, so
+        # every state placed after the march is a state of the halt search
+        pattern, d_halt = halted
+        seen = _record_placed(monkeypatch, pattern)
+        assert sweep_to_halt(pattern, samples=2).driving_values[-1] == d_halt
+        assert 0 < len(seen) - _march_len(seen) <= 3
+
+    @pytest.mark.parametrize("how", ("none", "below", "above"))
+    @pytest.mark.parametrize("fig", FIGS)
+    def test_wrong_chain_keeps_the_bits(self, fig, how, monkeypatch, oracle_sweep):
+        # the chain's halt only steers where the march's blocks end and
+        # which states the search tries first: none, or one 1e-3 rad off
+        # the halt, still sweeps as the oracle does
+        pattern, want = oracle_sweep(fig, 8)
+        d_halt = want.driving_values[-1]
+        d = {"none": None, "below": d_halt - 1e-3, "above": d_halt + 1e-3}[how]
+        monkeypatch.setattr(foldsim, "_chain_halt", lambda pattern, prev: d)
+        assert_same(sweep_to_halt(pattern, samples=8), want)
 
 
 @pytest.fixture(scope="module")

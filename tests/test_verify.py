@@ -56,7 +56,7 @@ class TestChecks:
 
     def test_phi_at_halt(self, fig5_design, fig5_halt):
         from curvefold.kinematics import VertexAngles
-        from curvefold.parallel import column_curves
+        from support import column_curves
         from curvefold import curves
         pattern, _ = fig5_design
         verts = [VertexAngles(tuple(s)) for s in pattern.sectors[0]]
