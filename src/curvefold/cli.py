@@ -55,31 +55,29 @@ DEMOS = {
 
 
 def _build_from_spec(kind, fields, theta):
-    if theta == "auto":
-        theta_val = _auto_theta(kind, fields)
-    else:
-        theta_val = float(theta)
+    theta, prelude = _auto_theta(kind, fields) if theta == "auto" else (float(theta), None)
     if kind == "parallel-repeating":
-        spec = ParallelDesignSpec(theta=theta_val, **fields)
-        return build_pattern(spec)
-    spec = OrthoDesignSpec(theta=theta_val, **fields)
-    return build_ortho_pattern(spec)
+        return build_pattern(ParallelDesignSpec(theta=theta, **fields))
+    return build_ortho_pattern(OrthoDesignSpec(theta=theta, **fields), prelude)
 
 
 def _auto_theta(kind, fields):
     """First admissible theta on the default scan grid for the design's
-    first-column (or first-row) staircase angle."""
+    first-column (or first-row) staircase angle, and for an orthodiagonal
+    design the `angle_grid` it read that angle from (None otherwise):
+    theta does not enter it, so the build takes it as it is."""
+    prelude = None
     if kind == "parallel-repeating":
         part = partition_uniform(fields["datum"], fields["n_row"])
         _, a2 = solve_first_vertex(part.turn_angles[0], fields["rho4"])
         xi1 = abs(2 * a2 - np.pi)
     else:
-        _, part, _, grid = angle_grid(OrthoDesignSpec(**fields))
+        prelude = _, part, _, grid = angle_grid(OrthoDesignSpec(**fields))
         xi1 = ortho_xi(grid.alpha[0, 1], part.turn_angles[0])
     hits = search_theta(fields["target"], xi1, grid=720)
     if not hits:
         raise SchemaError("no admissible theta found on the default grid")
-    return hits[0]
+    return hits[0], prelude
 
 
 def _read(path):

@@ -38,7 +38,7 @@ from .tolerances import (BRANCH_TOL, CLASH_REL, CLOSURE_REL, COINCIDENT,
                          PREV_FLAT, SIGN_FLOOR, ZERO_AREA)
 
 LANE_BLOCK = 64          # states propagated in one array pass per vertex
-PLACE_BLOCK = 8          # of those, states placed at once: memory O(block x faces)
+PLACE_BLOCK = 16         # of those, states placed at once: memory O(block x faces)
 CHAIN_STATES = 8         # states the halt search tries at and beside the chain's halt
 MARCH_STEPS = 128        # driving steps per pi: branch continuity needs modest steps
 
@@ -95,8 +95,8 @@ class Schedule:
     parent face is placed in an earlier depth than its children, and
     `order`, `hinges` the corners of the creases in placement order.  `ids`:
     the vertex ids of the triangles (2 f, 2 f + 1) = (q0, q1, q2) and
-    (q0, q2, q3) of each face f, and `touching` which pairs of them share
-    a vertex.  `plan`: the fold assignment's FoldPlan."""
+    (q0, q2, q3) of each face f, and `apart` which pairs of them, on two
+    faces, share no vertex.  `plan`: the fold assignment's FoldPlan."""
 
     def __init__(self, pattern):
         self.plan = FoldPlan(pattern)
@@ -117,29 +117,27 @@ class Schedule:
                         + (pattern.faces.reshape(-1, 4)[f, None] == ends).argmax(axis=2))
                        for f in (fl[inner], fr[inner])]
 
-        # triangle b > a can share a vertex with a only on a's face or on
-        # the faces 1, C - 1, C and C + 1 after it, C faces to a row: b lies
-        # a step of 2 x face offset + (0 or 1) past 2 x a's face.  `_slot`
-        # numbers those steps (len(steps) past the window) and `_touch[a,
-        # slot]` holds whether the two share a vertex id
+        # face q > p can share a vertex with p only at the offsets 1, C - 1,
+        # C and C + 1 after it, C faces to a row: `_slot` numbers them (4
+        # past them), and `_apart[p, slot, k, l]` holds whether triangle k
+        # of p and triangle l of q share no vertex id
         C = pattern.faces.shape[1]
         self.ids = pattern.faces.reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-        steps = [2 * fo + k for fo in sorted({0, 1, C - 1, C, C + 1}) for k in (0, 1)]
-        self._slot = np.full(max(steps) + 2, len(steps))
-        self._slot[steps] = np.arange(len(steps))
-        n = len(self.ids)
-        a = np.arange(n)[:, None]
-        b = (a & -2) + steps                                    # (n, slots)
-        shared = (self.ids[:, None, :, None]
-                  == self.ids[np.minimum(b, n - 1)][:, :, None, :]).any(axis=(2, 3))
-        self._touch = np.zeros((n, len(steps) + 1), dtype=bool)
-        self._touch[:, :-1] = shared & (b > a) & (b < n)
+        tri = self.ids.reshape(-1, 2, 3)
+        offsets = [1, C - 1, C, C + 1]
+        self._slot = np.full(C + 3, 4)
+        self._slot[offsets] = np.arange(4)
+        q = np.minimum(np.arange(len(tri))[:, None] + offsets, len(tri) - 1)   # (faces, 4)
+        self._apart = np.ones((len(tri), 5, 2, 2), dtype=bool)
+        self._apart[:, :4] = ~(tri[:, None, :, None, :, None]
+                               == tri[q][:, :, None, :, None, :]).any(axis=(4, 5))
 
-    def touching(self, a, b):
-        """Whether the triangles a < b (index arrays) share a vertex, as
-        the two of one face do."""
-        step = np.minimum(b - (a & -2), len(self._slot) - 1)
-        return self._touch[a, self._slot[step]]
+    def apart(self, p, q):
+        """The triangle pairs (a, b), 2 f and 2 f + 1 of face f, of the face
+        pairs p < q (index arrays, of stacked states) that share no vertex."""
+        step = np.minimum(q - p, len(self._slot) - 1)
+        r, kl = np.nonzero(self._apart[p % len(self._apart), self._slot[step]].reshape(-1, 4))
+        return 2 * p[r] + (kl >> 1), 2 * q[r] + (kl & 1)
 
 
 class FoldPlan:
@@ -303,7 +301,7 @@ def place_panels(pattern: CreasePattern, rho):
     returns (vertex_coords, residuals), and for rows of lanes the
     coordinates (L, V, 3) and one residual dict per lane.  A lane's
     arithmetic is the same as a lone state's, so its bits do not depend on
-    the lanes beside it."""
+    the lanes beside it.  Temporaries go once dead: 16 lanes of 9 x 9 take 0.9 MB."""
     rho = np.asarray(rho, dtype=float)
     lanes = rho.reshape(-1, rho.shape[-1])
     L = len(lanes)
@@ -328,16 +326,19 @@ def place_panels(pattern: CreasePattern, rho):
         f, Rp = face[rows], R[parent[rows]]
         R[f] = Rp @ H[rows]
         t[f] = (Rp @ shift[rows, :, :, None])[..., 0] + t[parent[rows]]
+    del H, shift
 
     # every corner turned, as rows (4 position + corner, L, 3)
     quads = pattern.faces.reshape(-1, 4)[sched.order]
     turned = np.einsum("fij,fkj->fki", R[sched.order].reshape(-1, 3, 3),
                        np.repeat(pts[quads], L, axis=0))
+    del R
     turned = turned.reshape(len(quads), L, 4, 3).transpose(0, 2, 1, 3).reshape(-1, L, 3)
     # closure on every interior shared edge: both faces place its ends alike
     (fl, cl), (fr, cr) = sched.hinges
     gap = ((turned[cl] + t[fl, None]) - turned[cr]) - t[fr, None]      # (n, 2, L, 3)
     worst = np.sqrt((gap * gap).sum(axis=3))
+    del gap
     diam = max(pattern.diameter, LENGTH_FLOOR)
     closure = worst.max(axis=(0, 1), initial=0.0) / diam
 
@@ -533,27 +534,26 @@ def _placed(pattern: CreasePattern, driving_rho, rho, mismatch, lanes):
 
 
 def _dot(u, v):
-    """Dot products over the last axis of 3-vectors, summed left to right
+    """Dot products over the first axis of 3-vectors, summed left to right
     as a scalar dot product is."""
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _unit_normals(T):
-    """Unit normals (n, 3) of the triangles T (n, 3, 3), from e1 x e2;
-    NaN rows where a triangle has (near) zero area.  np.cross computes
-    each component as one difference of two products, as a scalar cross
-    product does."""
-    nrm = np.cross(T[:, 1] - T[:, 0], T[:, 2] - T[:, 0])
+    """Unit normals (3, n) of the triangles T (axis, vertex, n), from e1 x
+    e2, NaN at (near) zero area.  np.cross computes each component as one
+    difference of two products, as a scalar cross product does."""
+    nrm = np.cross(T[:, 1] - T[:, 0], T[:, 2] - T[:, 0], axis=0)
     nn = np.sqrt(_dot(nrm, nrm))
     with np.errstate(divide="ignore", invalid="ignore"):
-        N = nrm / nn[:, None]
-    N[nn < ZERO_AREA] = np.nan
+        N = nrm / nn
+    N[:, nn < ZERO_AREA] = np.nan
     return N
 
 
 def _off_plane(d, tol):
-    """Rows of signed distances (P, 3) wholly on one side of a plane."""
-    return (d > tol).all(axis=1) | (d < -tol).all(axis=1)
+    """Signed distances d (3, P) wholly on one side of a plane."""
+    return (d > tol).all(axis=0) | (d < -tol).all(axis=0)
 
 
 def _coplanar_overlap(A, B, NB, tol):
@@ -587,42 +587,51 @@ def _coplanar_overlap(A, B, NB, tol):
 def _line_overlap(A, B, NA, NB, d1, d2, tol):
     """Overlap by more than tol of the intervals where the triangle pairs
     (A, B), normals (NA, NB), cross the line the two planes meet in; d1 and
-    d2 are the signed distances of each triangle's vertices from the
-    other's plane.  Planes closer to parallel than PARALLEL_SIN do not meet."""
-    line = np.cross(NA, NB)
+    d2 (vertex, P) are the signed distances of each triangle's vertices
+    from the other's plane.  Planes closer to parallel than PARALLEL_SIN do
+    not meet."""
+    line = np.cross(NA, NB, axis=0)
     ln = np.sqrt(_dot(line, line))
     with np.errstate(divide="ignore", invalid="ignore"):
-        line = line / ln[:, None]
+        line = line / ln
         ends = []
         for tri, d in ((A, d1), (B, d2)):
             # each edge i -> j crossing the plane gives a point, and so
             # does each vertex i on it
             proj = _dot(tri, line[:, None])
-            dj, pj = np.roll(d, -1, axis=1), np.roll(proj, -1, axis=1)
+            dj, pj = d[[1, 2, 0]], proj[[1, 2, 0]]
             cross = d * dj < 0.0
             on = cross | (d == 0.0)
             pts = np.where(cross, proj + d / (d - dj) * (pj - proj), proj)
-            ends.append((np.where(on, pts, np.inf).min(axis=1),
-                         np.where(on, pts, -np.inf).max(axis=1)))
+            ends.append((np.where(on, pts, np.inf).min(axis=0),
+                         np.where(on, pts, -np.inf).max(axis=0)))
     (lo1, hi1), (lo2, hi2) = ends
     return (ln >= PARALLEL_SIN) & (np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > tol)
 
 
 def _penetrates(T, N, ia, ib, tol):
-    """Exact test of the triangle pairs (T[ia], T[ib]), as a bool array:
-    rejected when a triangle has zero area (a NaN row of N) or lies more
-    than tol off the other's plane on one side; coplanar pairs (every
-    vertex of one within tol of the other's plane) by their 2-D overlap;
-    the others by the overlap of their intervals on the planes' line."""
-    A, B = np.take(T, ia, axis=0), np.take(T, ib, axis=0)
-    NA, NB = np.take(N, ia, axis=0), np.take(N, ib, axis=0)
-    d1 = _dot(A - B[:, :1], NB[:, None])
+    """Exact test of the triangle pairs (ia, ib) of T (axis, vertex, n),
+    normals N (3, n), as a bool array: rejected when a triangle has zero
+    area (NaN in N) or lies more than tol off the other's plane on one
+    side; coplanar pairs (every vertex of one within tol of the other's
+    plane) by their 2-D overlap; the others by the overlap of their
+    intervals on the planes' line.  A is tested against B's plane first,
+    and B against A's only where that leaves the pair."""
+    def pick(k, *xs):  # np.take keeps the pairs last in memory, a fancy index does not
+        return [np.take(x, k, axis=-1) for x in xs]
+
+    out = np.zeros(len(ia), dtype=bool)
+    (A,), (B0, NB) = pick(ia, T), pick(ib, T[:, 0], N)
+    d1 = _dot(A - B0[:, None], NB[:, None])
+    k = np.flatnonzero(~(np.isnan(NB[0]) | _off_plane(d1, tol)))
+    (A, NB, d1), (B,), (NA,) = pick(k, A, NB, d1), pick(ib[k], T), pick(ia[k], N)
     d2 = _dot(B - A[:, :1], NA[:, None])
-    out = ~(np.isnan(NA[:, 0]) | np.isnan(NB[:, 0]) | _off_plane(d1, tol) | _off_plane(d2, tol))
-    flat = (np.abs(d1) <= tol).all(axis=1) | (np.abs(d2) <= tol).all(axis=1)
-    c, s = np.flatnonzero(out & flat), np.flatnonzero(out & ~flat)
-    out[c] = _coplanar_overlap(A[c], B[c], NB[c], tol)
-    out[s] = _line_overlap(A[s], B[s], NA[s], NB[s], d1[s], d2[s], tol)
+    live = ~(np.isnan(NA[0]) | _off_plane(d2, tol))
+    flat = (np.abs(d1) <= tol).all(axis=0) | (np.abs(d2) <= tol).all(axis=0)
+    c, s = np.flatnonzero(live & flat), np.flatnonzero(live & ~flat)
+    if len(c):
+        out[k[c]] = _coplanar_overlap(*(x.T for x in pick(c, A, B, NB)), tol)
+    out[k[s]] = _line_overlap(*pick(s, A, B, NA, NB, d1, d2), tol)
     return out
 
 
@@ -639,43 +648,62 @@ def clash_test(pattern: CreasePattern, state: FoldedState):
 
 
 def _clashes(pattern: CreasePattern, states):
-    """`clash_test` of each state, in one batch.  Per state, an x-interval
-    sweep lists candidate pairs in blocks, and a box test on all three
-    axes and `Schedule.touching` (the pairs that share a vertex) thin them;
-    the pairs left over, their triangles offset by their state's, go to
-    `_penetrates` whenever _PAIR_BLOCK of them have collected."""
+    """`clash_test` of each state, in one batch.  One x-interval sweep over
+    the panels of every state, a run per state, lists panel pairs in
+    blocks of _PAIR_BLOCK // 4 that a y/z box test thins.  A triangle's box
+    lies in its panel's, so the triangle pairs that share no vertex of as
+    many panel pairs, put through the triangle box test and the x-sweep's
+    own test, are those a triangle x-sweep per state leaves."""
     tol = CLASH_REL * max(pattern.diameter, 1.0)
     fa, fb = np.sort(pattern.crease_faces, axis=1).T  # fa < fb, fa -1 on the boundary
     sched = grid_schedule(pattern)
     n = len(sched.ids)
-    T = np.array([st.vertex_coords for st in states], dtype=float)[:, sched.ids].reshape(-1, 3, 3)
-    # the boxes per axis, (3, states x n): gathers from 1-D rows are the fast ones
-    lo, hi = T.min(axis=1).T.copy(), T.max(axis=1).T.copy()
-    below, above = lo - tol, hi + tol
+    T = np.array([st.vertex_coords for st in states], dtype=float)[:, sched.ids]
+    T = np.ascontiguousarray(T.transpose(3, 2, 0, 1)).reshape(3, 3, -1)  # (axis, vertex, S n)
+
+    def box_test(lo, hi, axes, *extra):
+        # per axis lo[b] <= hi[a] + tol and -hi[b] <= -(lo[a] - tol) as the
+        # columns of b's rows and a's rows, negation being exact
+        cols = [(lo[k], hi[k] + tol) for k in axes] + [(-hi[k], tol - lo[k]) for k in axes]
+        return [np.stack(c, axis=1) for c in zip(*cols, *extra)]
+
+    def meets(a, b, box):
+        # the w = 4 or 8 tests of a pair a < b read as one word (.all is slower)
+        le = np.take(box[0], b, axis=0) <= np.take(box[1], a, axis=0)
+        return le.view(f"u{le.shape[1]}")[:, 0] == int.from_bytes(b"\1" * le.shape[1], "little")
+
+    lo, hi = T.min(axis=1), T.max(axis=1)
+    # on x with the x-sweep's own test, lo[a] <= hi[b] + tol, which rounds
+    # apart from the box test's; it comes twice to fill a word
+    tris = box_test(lo, hi, (1, 2)), box_test(lo, hi, (0,), *[(-hi[0] - tol, -lo[0])] * 2)
+    # a panel's box spans its two triangles' boxes
+    lo, hi = np.minimum(lo[:, 0::2], lo[:, 1::2]), np.maximum(hi[:, 0::2], hi[:, 1::2])
+    panels = box_test(lo, hi, (1, 2))
     N = _unit_normals(T)
-    hits, held = [], []  # held: the pairs (a, b) not yet tested
+    hits = [set(zip(fa[f].tolist(), fb[f].tolist())) for f in
+            (fa >= 0) & (np.abs([st.rho for st in states]) >= np.pi - COINCIDENT)]
+    block = _PAIR_BLOCK // 4
+    held = []  # the panel pairs (p, q), p < q, near on y and z and not yet tested
 
     def flush(least):
-        if sum(len(a) for a, _ in held) >= least:
-            a, b = (np.concatenate(x) for x in zip(*held))
+        if sum(len(p) for p, _ in held) < least:
+            return
+        # the triangle pairs that share a vertex are hinge contact
+        a, b = sched.apart(*(np.concatenate(x) for x in zip(*held)))
+        held.clear()
+        for box in tris:
+            keep = meets(a, b, box)
+            a, b = a[keep], b[keep]
+        if len(a):
             hit = _penetrates(T, N, a, b, tol)
             for a, b in zip(a[hit].tolist(), b[hit].tolist()):
                 hits[a // n].add(((a % n) >> 1, (b % n) >> 1))
-            held.clear()
 
-    for s, st in enumerate(states):
-        folded = (fa >= 0) & (np.abs(st.rho) >= np.pi - COINCIDENT)
-        hits.append(set(zip(fa[folded].tolist(), fb[folded].tolist())))
-        box = slice(s * n, (s + 1) * n)
-        for i, j in sweep_pairs(lo[0, box], hi[0, box], tol):
-            a, b = np.minimum(i, j), np.maximum(i, j)
-            near = np.ones(len(a), dtype=bool)
-            for x0, x1, bx0, ax1 in zip(lo[:, box], hi[:, box], below[:, box], above[:, box]):
-                near &= (x0[b] <= ax1[a]) & (x1[b] >= bx0[a])
-            a, b = a[near], b[near]
-            apart = ~sched.touching(a, b)
-            held.append((a[apart] + s * n, b[apart] + s * n))
-            flush(_PAIR_BLOCK)
+    for i, j in sweep_pairs(lo[0], hi[0], tol, block, len(states)):
+        p, q = np.minimum(i, j), np.maximum(i, j)
+        near = meets(p, q, panels)
+        held.append((p[near], q[near]))
+        flush(block)
     flush(1)
     return [sorted(h) for h in hits]
 
@@ -699,7 +727,7 @@ def sweep_to_halt(pattern: CreasePattern, samples=64):
     first even step at or above the crease halt `_chain_halt` predicts from
     flat, and the march goes on in full blocks if no event comes by then.
     Each PLACE_BLOCK of exact lanes is placed at once, and its even steps
-    before a failure or a crease at pi clash-tested in one batch
+    (8) before a failure or a crease at pi clash-tested in one batch
     (`_clashes`), the events still taken in order.  The search then holds
     lo (no event) and hi (a failure or an event).  It tests the chain's
     halt d, scored against the state at lo, then 1, 3, 7, ... ulps from d

@@ -205,8 +205,12 @@ def _half_angle_folds(t, z, root, atan2):
     kz = k * z
     halves = ((q * z, c02 + c22 * zz), (-kz, r), (p * z, d20 + d22 * zz),
               (c20 * z, q), (kz, r), (d02 * z, p))
-    # 2 atan of num/den, carried to +-pi where den reaches 0
-    folds = [2.0 * atan2(num * (1 - 2 * (den < 0)), abs(den)) for num, den in halves]
+    # 2 atan of num/den, carried to +-pi where den reaches 0 (lanes: one pass)
+    if isinstance(z, np.ndarray):
+        num, den = map(np.array, zip(*halves))
+        folds = 2.0 * atan2(num * (1 - 2 * (den < 0)), abs(den))
+    else:
+        folds = [2.0 * atan2(num * (1 - 2 * (den < 0)), abs(den)) for num, den in halves]
     return r2 >= -RADICAND_SLACK * (1.0 + zz), folds[:3], folds[3:]
 
 

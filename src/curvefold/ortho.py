@@ -170,9 +170,10 @@ def angle_grid(spec: OrthoDesignSpec):
     return tube, part, a11, propagate_grid(col0, a11, m=spec.m)
 
 
-def build_ortho_pattern(spec: OrthoDesignSpec):
-    """Full orthodiagonal pattern plus design report."""
-    tube, part, a11, grid = angle_grid(spec)
+def build_ortho_pattern(spec: OrthoDesignSpec, prelude=None):
+    """Full orthodiagonal pattern plus design report.  prelude: the
+    spec's `angle_grid`, where the caller has it already."""
+    tube, part, a11, grid = prelude or angle_grid(spec)
     beta = part.turn_angles
     col0, a1col = grid.alpha[:, 0], grid.alpha[:, 1]
     xis = [ortho_xi(a1col[i], beta[i]) for i in range(spec.n)]

@@ -110,26 +110,29 @@ def _straddles(d1, d2, eps):
     return ((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))
 
 
-def sweep_pairs(x0, x1, slack):
+def sweep_pairs(x0, x1, slack, block, runs=1):
     """Candidate pairs of a sort-and-sweep over the intervals [x0, x1]
     (Baraff 1992): every unordered pair (i, j) whose intervals overlap,
     widened by slack, once, with i's interval starting no later than j's.
-    Yields (i, j) index arrays in sweep order, in blocks of about
-    _PAIR_BLOCK pairs."""
-    order = np.argsort(x0, kind="stable")
-    # sweep position p pairs with the count[p] positions after it: the
-    # intervals that start before interval order[p] ends
-    count = (np.searchsorted(x0[order], x1[order] + slack, side="right")
-             - np.arange(1, len(order) + 1))
+    The intervals form `runs` runs of equal length, one after another, and
+    pair only within their run.  Yields (i, j) index arrays in sweep order,
+    run by run, in blocks of about `block` pairs."""
+    n = len(x0) // runs
+    order = np.argsort(x0.reshape(runs, n), axis=1, kind="stable") + n * np.arange(runs)[:, None]
+    # sweep position p pairs with the count[p] positions after it in its
+    # run: the intervals that start before interval order[p] ends
+    count = np.concatenate([np.searchsorted(x0[o], x1[o] + slack, side="right")
+                            - np.arange(1, n + 1) for o in order])
+    order = order.ravel()
     total = np.cumsum(count)
     p = 0
     while p < len(order):
         done = total[p - 1] if p else 0
-        q = max(p + 1, int(np.searchsorted(total, done + _PAIR_BLOCK, side="right")))
+        q = max(p + 1, int(np.searchsorted(total, done + block, side="right")))
+        # positions p + r + 1 to p + r + k[r] pair with position p + r
         k = count[p:q]
-        first = np.repeat(np.arange(p, q), k)
-        second = first + 1 + np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
-        yield order[first], order[second]
+        second = np.arange(k.sum()) + np.repeat(np.arange(p + 1, q + 1) - (np.cumsum(k) - k), k)
+        yield np.repeat(order[p:q], k), order[second]
         p = q
 
 
@@ -142,7 +145,7 @@ def check_embeddable(pattern: CreasePattern):
     uv = pattern.crease_ends()
     xs = pts[uv, 0]
     eps = CROSSING_REL * max(pattern.diameter, 1.0) ** 2
-    for i, j in sweep_pairs(xs.min(axis=1), xs.max(axis=1), 0.0):
+    for i, j in sweep_pairs(xs.min(axis=1), xs.max(axis=1), 0.0, _PAIR_BLOCK):
         (u1, v1), (u2, v2) = uv[i].T, uv[j].T
         p1, p2, p3, p4 = pts[u1].T, pts[v1].T, pts[u2].T, pts[v2].T
         hit = (_straddles(_orient(p3, p4, p1), _orient(p3, p4, p2), eps)

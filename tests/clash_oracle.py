@@ -1,11 +1,42 @@
-"""Scalar reference for the clash test's triangle-pair test.
+"""References for the clash test: its candidate pairs and its
+triangle-pair test.
 
-`foldsim._penetrates` runs this test as array passes over all candidate
-pairs, with the same operations in the same order, so it must agree with
-`_tri_tri_penetration` on every pair: the tests compare the two, directly
-and through a brute-force clash test over all triangle pairs.
+`foldsim._clashes` finds its candidate pairs from panel boxes across a
+batch of states; `candidate_pairs` is the triangle broadphase it must
+match, one state at a time.  `foldsim._penetrates` runs the pair test as
+array passes over all candidate pairs, with the same operations in the
+same order, so it must agree with `_tri_tri_penetration` on every pair:
+the tests compare the two, directly and through a brute-force clash test
+over all triangle pairs.
 """
 import math
+
+import numpy as np
+
+
+def candidate_pairs(ids, coords, tol):
+    """The triangle pairs (a, b), a < b, of one state that the exact test
+    must see, as a set: a sort-and-sweep over the triangles' x-extents
+    widened by tol lists the pairs (Baraff 1992), a box test on all three
+    axes, widened by tol, thins them, and the pairs that share a vertex id
+    (hinge contact, the two triangles of a panel among them) drop out.
+    ids: (n, 3) vertex ids of the triangles; coords: (V, 3)."""
+    T = coords[ids]
+    lo, hi = T.min(axis=1), T.max(axis=1)
+    order = np.argsort(lo[:, 0], kind="stable")
+    # sweep position p pairs with the count[p] positions after it
+    count = (np.searchsorted(lo[order, 0], hi[order, 0] + tol, side="right")
+             - np.arange(1, len(order) + 1))
+    first = np.repeat(np.arange(len(order)), count)
+    second = first + 1 + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    i, j = order[first], order[second]
+    a, b = np.minimum(i, j), np.maximum(i, j)
+    near = np.ones(len(a), dtype=bool)
+    for x0, x1 in zip(lo.T, hi.T):
+        near &= (x0[b] <= (x1 + tol)[a]) & (x1[b] >= (x0 - tol)[a])
+    a, b = a[near], b[near]
+    shared = (ids[a][:, :, None] == ids[b][:, None, :]).any(axis=(1, 2))
+    return set(zip(a[~shared].tolist(), b[~shared].tolist()))
 
 
 def _cross(u, v):

@@ -2,13 +2,14 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from clash_oracle import _tri_tri_penetration
+from clash_oracle import _tri_tri_penetration, candidate_pairs
 from curvefold import curves, foldsim
 from curvefold import pattern as pattern_mod
 from curvefold.cli import _build_from_spec
@@ -19,7 +20,7 @@ from curvefold.foldsim import (LANE_BLOCK, _penetrates, _unit_normals, bootstrap
 from curvefold.geometry import PolyCurve, measure_polyline, partition_uniform
 from curvefold.parallel import ParallelDesignSpec, build_pattern
 from curvefold.pattern import ROLE_BOUNDARY
-from curvefold.tolerances import CLOSURE_REL
+from curvefold.tolerances import CLASH_REL, CLOSURE_REL
 from curvefold.verify import TOLERANCES, check_isometry
 from support import rigid_align
 
@@ -168,14 +169,16 @@ def _sweep_calls(pattern, monkeypatch, samples=64):
     ("vertex_lanes", one per group of vertices solved together, with the
     vertices of each group added up under "lane_vertices"), and of the
     batched clash test ("clash_calls", with the states it tests added up
-    under "clash_states") in a sweep of `samples` states;
+    under "clash_states" and the pairs its exact test sees under
+    "exact_pairs") in a sweep of `samples` states;
     under "lanes" the lane count of each propagate_lanes call of more than
     one lane (one lane goes through propagate), under
-    "lane_passes" that of each fold pass over lanes, and under
-    "placed_lanes" the count of states placed as lanes."""
+    "lane_passes" that of each fold pass over lanes, under "placements"
+    the calls of place_panels and under "placed_lanes" the count of states
+    placed as lanes."""
     calls = {"propagate": 0, "propagate_both_modes": 0, "vertex_lanes": 0, "clash_calls": 0,
-             "clash_states": 0, "lane_vertices": 0, "lanes": [], "lane_passes": [],
-             "placed_lanes": 0}
+             "clash_states": 0, "exact_pairs": 0, "lane_vertices": 0, "lanes": [],
+             "lane_passes": [], "placements": 0, "placed_lanes": 0}
     for name in ("propagate", "propagate_both_modes"):
         fn = getattr(foldsim, name)
 
@@ -188,7 +191,7 @@ def _sweep_calls(pattern, monkeypatch, samples=64):
 
         monkeypatch.setattr(foldsim, name, counted)
     lanes, fold_lanes, place = foldsim.propagate_lanes, foldsim._fold_lanes, foldsim.place_panels
-    clashes = foldsim._clashes
+    clashes, penetrates = foldsim._clashes, foldsim._penetrates
 
     def in_lanes(pattern, driving_rho, *args, **kwargs):
         if len(driving_rho) > 1:
@@ -200,6 +203,7 @@ def _sweep_calls(pattern, monkeypatch, samples=64):
         return fold_lanes(pattern, driving_rho, *args)
 
     def placed(pattern, rho):
+        calls["placements"] += 1
         calls["placed_lanes"] += len(rho) if np.ndim(rho) == 2 else 0
         return place(pattern, rho)
 
@@ -208,11 +212,24 @@ def _sweep_calls(pattern, monkeypatch, samples=64):
         calls["clash_states"] += len(states)
         return clashes(pattern, states)
 
+    def exact(T, N, ia, ib, tol):
+        calls["exact_pairs"] += len(ia)
+        return penetrates(T, N, ia, ib, tol)
+
     monkeypatch.setattr(foldsim, "propagate_lanes", in_lanes)
     monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
     monkeypatch.setattr(foldsim, "place_panels", placed)
     monkeypatch.setattr(foldsim, "_clashes", clash_batch)
+    monkeypatch.setattr(foldsim, "_penetrates", exact)
     return sweep_to_halt(pattern, samples=samples), calls
+
+
+@pytest.fixture(scope="module")
+def large_ortho():
+    """The 34 x 34 orthodiagonal design of test_cli's test_large_ortho_design."""
+    return _design({"type": "orthodiagonal",
+                    "datum": {"builtin": "fig7-sine"}, "target": {"builtin": "fig7-tlnt"},
+                    "n": 34, "m": 34, "theta": "auto", "eps": 0.2})
 
 
 class TestCounts:
@@ -237,12 +254,15 @@ class TestCounts:
     # or search state below it.  Each lane pass solves each of the 81 vertices
     # once for all its lanes, in 25 kernel calls: one per group of vertices of
     # one dependency level and one input slot.  Single vertex solves are those
-    # of `propagate` and of the two chains, 45 per chain.  The march's even
-    # states are clash-tested in batches, one per placed chunk of
-    # PLACE_BLOCK = 8 lanes (4 states), and the search's states one at a time
+    # of `propagate` and of the two chains, 45 per chain.  The march's lanes
+    # are placed in chunks of PLACE_BLOCK = 16, and each chunk's even states
+    # (8) are clash-tested in one batch; the search's states are placed and
+    # clash-tested one at a time, and the replay is placed in chunks.  The
+    # exact test sees the pairs the per-state triangle broadphase leaves
+    # (`clash_oracle.candidate_pairs`)
     @pytest.mark.parametrize("design, bounds", [
-        pytest.param("fig5_design", (4, 334, 15, 54), id="closed-form"),
-        pytest.param("fig5_root_scan_design", (8, 658, 19, 58), id="root-scan"),
+        pytest.param("fig5_design", (4, 334, 8, 54, 14, 15_675), id="closed-form"),
+        pytest.param("fig5_root_scan_design", (8, 658, 12, 58, 18, 18_443), id="root-scan"),
     ])
     def test_fig5_sweep_counts(self, design, bounds, request, monkeypatch):
         pattern, _ = request.getfixturevalue(design)
@@ -252,6 +272,8 @@ class TestCounts:
         assert calls["propagate_both_modes"] <= bounds[1]
         assert calls["clash_calls"] == bounds[2]
         assert calls["clash_states"] == bounds[3]
+        assert calls["placements"] == bounds[4]
+        assert calls["exact_pairs"] == bounds[5]
         assert calls["lanes"] == [62]
         assert calls["lane_passes"] == [64, 46, 62]
         assert calls["vertex_lanes"] == 3 * 25
@@ -266,8 +288,10 @@ class TestCounts:
         assert traj.halt.halt_reason == "crease-at-pi"
         assert calls["propagate"] <= 4
         assert calls["propagate_both_modes"] <= 334
-        assert calls["clash_calls"] == 6
+        assert calls["clash_calls"] == 4
         assert calls["clash_states"] == 19
+        assert calls["placements"] == 10
+        assert calls["exact_pairs"] == 4_118
         assert calls["lanes"] == [62]
         assert calls["lane_passes"] == [40, 62]
         assert calls["vertex_lanes"] == 2 * 25
@@ -286,17 +310,16 @@ class TestCounts:
         assert calls["lanes"] == [LANE_BLOCK] * 3 + [198 - 3 * LANE_BLOCK]
         assert calls["lane_passes"] == [40] + calls["lanes"]
 
-    def test_large_ortho_sweep_counts(self, monkeypatch):
-        # the 34 x 34 spec of test_cli's test_large_ortho_design: 2,450
-        # triangles, 3,000,025 pairs, of which the x-interval sweep lists
-        # 177,176 per clash-tested state on average.  Each lane pass solves
-        # the 1,156 vertices in 100 kernel calls
-        pattern = _design({"type": "orthodiagonal",
-                           "datum": {"builtin": "fig7-sine"}, "target": {"builtin": "fig7-tlnt"},
-                           "n": 34, "m": 34, "theta": "auto", "eps": 0.2})
+    def test_large_ortho_sweep_counts(self, large_ortho, monkeypatch):
+        # the 34 x 34 spec of test_cli's test_large_ortho_design: 1,225
+        # panels, of whose pairs the x-interval sweep lists 54,888 per
+        # clash-tested state on average (the triangle sweep it replaces
+        # listed 177,176 of 2,450 triangles).  Each lane pass solves the
+        # 1,156 vertices in 100 kernel calls
+        pattern = large_ortho
         calls = {"clash_calls": 0, "clash_states": 0, "pairs": 0, "lane_passes": 0,
-                 "groups": 0, "vertices": 0}
-        clashes, sweep = foldsim._clashes, foldsim.sweep_pairs
+                 "groups": 0, "vertices": 0, "exact_pairs": 0}
+        clashes, sweep, penetrates = foldsim._clashes, foldsim.sweep_pairs, foldsim._penetrates
         fold_lanes, solve = foldsim._fold_lanes, foldsim.propagate_both_modes
 
         def lane_pass(*args):
@@ -314,20 +337,26 @@ class TestCounts:
             calls["clash_states"] += len(states)
             return clashes(pattern, states)
 
-        def counted_sweep(*args):
-            for i, j in sweep(*args):
+        def counted_sweep(*args, **kwargs):
+            for i, j in sweep(*args, **kwargs):
                 calls["pairs"] += len(i)
                 yield i, j
 
+        def exact(T, N, ia, ib, tol):
+            calls["exact_pairs"] += len(ia)
+            return penetrates(T, N, ia, ib, tol)
+
         monkeypatch.setattr(foldsim, "_clashes", clash_batch)
         monkeypatch.setattr(foldsim, "sweep_pairs", counted_sweep)
+        monkeypatch.setattr(foldsim, "_penetrates", exact)
         monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
         monkeypatch.setattr(foldsim, "propagate_both_modes", counted_solve)
         traj = sweep_to_halt(pattern, samples=16)
         assert traj.halt.halt_reason == "crease-at-pi"
         assert calls["clash_states"] == 38
-        assert calls["clash_calls"] == 11
-        assert calls["pairs"] == 6_732_687
+        assert calls["clash_calls"] == 6
+        assert calls["pairs"] == 2_085_730
+        assert calls["exact_pairs"] == 273_785
         assert calls["lane_passes"] > 0
         assert calls["groups"] == 100 * calls["lane_passes"]
         assert calls["vertices"] == 34 * 34 * calls["lane_passes"]
@@ -539,6 +568,7 @@ class TestClashPenetration:
         want = clash_test(pattern, st)
         assert len(want) > 10
         for block in (1, 2, 7, 100):
+            monkeypatch.setattr(foldsim, "_PAIR_BLOCK", block)
             monkeypatch.setattr(pattern_mod, "_PAIR_BLOCK", block)
             assert clash_test(pattern, st) == want
 
@@ -562,6 +592,63 @@ def _penetrate_calls(monkeypatch):
 
     monkeypatch.setattr(foldsim, "_penetrates", counted)
     return sizes
+
+
+def _exact_test_calls(monkeypatch):
+    """Per foldsim._clashes call, its states and the pairs (ia, ib) of every
+    foldsim._penetrates call it made, in order."""
+    calls, clashes, penetrates = [], foldsim._clashes, foldsim._penetrates
+
+    def batch(pattern, states):
+        calls.append((states, []))
+        return clashes(pattern, states)
+
+    def exact(T, N, ia, ib, tol):
+        calls[-1][1].append((ia, ib))
+        return penetrates(T, N, ia, ib, tol)
+
+    monkeypatch.setattr(foldsim, "_clashes", batch)
+    monkeypatch.setattr(foldsim, "_penetrates", exact)
+    return calls
+
+
+def _assert_reference_pairs(pattern, calls):
+    """Each state's pairs in the exact test are those of the per-state
+    triangle broadphase, `clash_oracle.candidate_pairs`, each once, and no
+    call of the exact test holds more than 2 _PAIR_BLOCK pairs.  Returns
+    the count of pairs tested."""
+    ids = foldsim.grid_schedule(pattern).ids
+    n, tol = len(ids), CLASH_REL * max(pattern.diameter, 1.0)
+    total = 0
+    for states, pairs in calls:
+        assert all(len(ia) <= 2 * foldsim._PAIR_BLOCK for ia, _ in pairs)
+        ia, ib = (np.concatenate([np.zeros(0, int)] + [p[k] for p in pairs]) for k in (0, 1))
+        for s, st in enumerate(states):
+            mine = ia // n == s
+            got = list(zip((ia[mine] % n).tolist(), (ib[mine] % n).tolist()))
+            assert len(set(got)) == len(got)
+            assert set(got) == candidate_pairs(ids, st.vertex_coords, tol)
+        total += len(ia)
+    return total
+
+
+class TestCandidatePairs:
+    # the pairs the exact test sees, against the triangle broadphase of
+    # clash_oracle, state by state: every state of a real trajectory has no
+    # hit, so equal hits alone would show little
+    @pytest.mark.parametrize("fig, states", [("fig5", 54), ("fig7", 19)])
+    def test_sweep_states(self, fig, states, request, monkeypatch):
+        pattern, _ = request.getfixturevalue(f"{fig}_design")
+        calls = _exact_test_calls(monkeypatch)
+        sweep_to_halt(pattern, samples=2)
+        assert sum(len(st) for st, _ in calls) == states
+        assert _assert_reference_pairs(pattern, calls) > 1000
+
+    def test_large_ortho_halt(self, large_ortho, monkeypatch):
+        halt = sweep_to_halt(large_ortho, samples=2).halt
+        calls = _exact_test_calls(monkeypatch)
+        clash_test(large_ortho, halt)
+        assert _assert_reference_pairs(large_ortho, calls) > 5000
 
 
 class TestClashBatch:
@@ -635,6 +722,40 @@ class TestClashBatch:
             assert len(sizes) > 1
 
 
+    def test_exact_test_sees_reference_pairs(self, stack, monkeypatch):
+        # the stack with 12 perturbed copies of its trajectory state, as
+        # test_flushes_at_pair_block stacks them, in one batch
+        pattern, states = stack
+        rng = np.random.default_rng(4)
+        noisy = []
+        for _ in range(12):
+            st = propagate(pattern, states[3].driving_rho, prev=states[3])
+            st.vertex_coords = st.vertex_coords + rng.normal(
+                scale=0.02 * pattern.diameter, size=st.vertex_coords.shape)
+            noisy.append(st)
+        calls = _exact_test_calls(monkeypatch)
+        foldsim._clashes(pattern, states + noisy)
+        assert _assert_reference_pairs(pattern, calls) > foldsim._PAIR_BLOCK
+
+
+class TestMemory:
+    # the traced peak of one warm 64-state sweep: the march's lane passes,
+    # placement chunks and clash batches and the replay.  The bounds are
+    # this design's peaks, 2.34 MB on fig5 and 1.96 MB on fig7, with under
+    # 10 % to spare: a change that batches more must declare its memory
+    @pytest.mark.parametrize("fig, bound", [("fig5", 2.55e6), ("fig7", 2.13e6)])
+    def test_sweep_peak(self, fig, bound, request):
+        pattern, _ = request.getfixturevalue(f"{fig}_design")
+        sweep_to_halt(pattern, samples=64)
+        tracemalloc.start()
+        try:
+            sweep_to_halt(pattern, samples=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
 _COORD = hs.one_of(hs.integers(-4, 4).map(lambda k: k / 4.0),
                    hs.floats(-1.0, 1.0, allow_nan=False))
 _POINT = hs.lists(_COORD, min_size=3, max_size=3).map(lambda p: np.array(p, dtype=float))
@@ -698,7 +819,8 @@ class TestPairTest:
     def test_matches_scalar_oracle(self, pairs, tol):
         T = np.concatenate(pairs)
         ia = np.arange(0, len(T), 2)
-        got = _penetrates(T, _unit_normals(T), ia, ia + 1, tol)
+        axis_major = T.transpose(2, 1, 0)
+        got = _penetrates(axis_major, _unit_normals(axis_major), ia, ia + 1, tol)
         want = [_tri_tri_penetration(T[a].tolist(), T[a + 1].tolist(), tol) for a in ia]
         assert got.tolist() == want
 

@@ -268,22 +268,28 @@ class TestPlacementDepths:
 
 
 def _check_touching(pattern):
-    """The table's answer on every triangle pair a < b against the
-    per-pair test: the same face, or a shared vertex id."""
+    """The table's answer on every face pair p < q, and on the same pairs
+    one stacked state on, against the per-pair test: the triangle pairs of
+    the two faces that share no vertex id.  Returns the count of pairs that
+    share one."""
     sched = grid_schedule(pattern)
-    a, b = np.triu_indices(len(sched.ids), 1)
-    want = ((a >> 1) == (b >> 1)) | (sched.ids[a][:, :, None]
-                                     == sched.ids[b][:, None, :]).any(axis=(1, 2))
-    assert np.array_equal(sched.touching(a, b), want)
-    return int(want.sum())
+    F = len(sched.ids) // 2
+    p, q = np.triu_indices(F, 1)
+    a = (2 * p[:, None] + [0, 0, 1, 1]).ravel()
+    b = (2 * q[:, None] + [0, 1, 0, 1]).ravel()
+    shared = (sched.ids[a][:, :, None] == sched.ids[b][:, None, :]).any(axis=(1, 2))
+    for s in (0, 1):
+        got = sched.apart(p + s * F, q + s * F)
+        assert np.array_equal(np.stack(got), np.stack([a[~shared], b[~shared]]) + 2 * s * F)
+    return int(shared.sum())
 
 
 class TestTouching:
     @pytest.mark.parametrize("fig", FIGS)
     def test_every_pair(self, fig, request):
         pattern, _ = request.getfixturevalue(fig)
-        # 100 faces: one pair within each, and the pairs of the 8-neighbour
-        # faces that share a corner or an edge
+        # 100 faces: the triangle pairs of the 8-neighbour faces that share
+        # a corner or an edge
         assert _check_touching(pattern) > 100
 
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
