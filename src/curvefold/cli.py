@@ -16,7 +16,7 @@ from .errors import CurvefoldError, SchemaError
 from .foldio import (_load_curve, export_fold, export_svg, import_fold, json_object,
                      load_design_spec, report_json, report_text)
 from .foldsim import sweep_to_halt
-from .geometry import AffineParams, partition_uniform, search_theta, staircase
+from .geometry import partition_uniform, search_theta
 from .kinematics import solve_first_vertex
 from .ortho import OrthoDesignSpec, angle_grid, build_ortho_pattern, ortho_xi
 from .parallel import ParallelDesignSpec, build_pattern
@@ -195,23 +195,11 @@ def cmd_demo(args):
     kind, fields, theta = load_design_spec(spec_text)
     pattern, report = _build_from_spec(kind, fields, theta)
     _write(args.out, "pattern.fold", export_fold(pattern))
-    overlays = _demo_overlays(kind, fields, pattern)
+    overlays = [(fields["target"].samples, "curve"), (report.stair, "stair")]
     _write(args.out, "pattern.svg", export_svg(pattern, overlays=overlays))
     _write(args.out, "report.json", report_json(report))
     _write(args.out, "report.txt", report_text(report))
     return 0
-
-
-def _demo_overlays(kind, fields, pattern):
-    target = fields["target"]
-    try:
-        xi1 = pattern.design["xi"][0]
-        aff = AffineParams(pattern.design["theta"], xi1)
-        n = pattern.rows if kind == "parallel-repeating" else pattern.cols
-        st = staircase(target, aff, n, phase=pattern.design.get("phase", "x"))
-        return [(target.samples, "curve"), (st.points, "stair")]
-    except CurvefoldError:
-        return []
 
 
 def main(argv=None):

@@ -67,5 +67,5 @@ class SchemaError(CurvefoldError):
     """Malformed design-spec or FOLD document."""
 
 
-class NotQuadGrid(CurvefoldError):
+class NotQuadGrid(SchemaError):
     """Imported pattern is not a quadrilateral grid."""

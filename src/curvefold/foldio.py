@@ -95,9 +95,11 @@ def _design_meta(design):
 def import_fold(text):
     """Rebuild a pattern (and folded state, when 3D) from a FOLD document.
 
-    Grid structure comes from the curvefold:grid field when present and is
-    inferred combinatorially otherwise.  Developability is re-verified.
-    Malformed documents raise SchemaError, non-grid ones NotQuadGrid."""
+    Grid structure comes from the curvefold:grid field when present.  A
+    document without it is re-gridded from its planar frame by
+    `_infer_grid`: vertices_coords, or curvefold:vertices_flat for a folded
+    one.  Developability is re-verified.  Malformed documents raise
+    SchemaError, non-grid ones NotQuadGrid, a kind of SchemaError."""
     doc = json_object(text, "FOLD document")
     for key in ("vertices_coords", "edges_vertices", "faces_vertices"):
         if key not in doc:
@@ -117,14 +119,6 @@ def import_fold(text):
     assign = doc.get("edges_assignment", [])
     if not (isinstance(assign, list) and all(isinstance(a, str) for a in assign)):
         raise SchemaError("edges_assignment must be a list of strings")
-    if "curvefold:grid" in doc:
-        ext = _grid_field(doc["curvefold:grid"], nv)
-    else:
-        ext = _infer_grid(coords, faces)
-    if min(ext.shape) < 3 or not np.array_equal(np.sort(ext, axis=None), np.arange(nv)):
-        raise SchemaError("the grid must have at least 3 x 3 nodes and list "
-                          "each vertex id exactly once")
-    _check_design(design, ext.shape)
     dim3 = coords.shape[1] == 3
     if dim3:
         if "curvefold:vertices_flat" not in doc:
@@ -140,6 +134,14 @@ def import_fold(text):
             raise SchemaError("edges_foldAngle must hold one number per edge")
     else:
         flat = coords
+    if "curvefold:grid" in doc:
+        ext = _grid_field(doc["curvefold:grid"], nv)
+    else:
+        ext = _infer_grid(flat, faces)
+    if min(ext.shape) < 3 or not np.array_equal(np.sort(ext, axis=None), np.arange(nv)):
+        raise SchemaError("the grid must have at least 3 x 3 nodes and list "
+                          "each vertex id exactly once")
+    _check_design(design, ext.shape)
     pat = _rebuild(edges, assign, design, flat, ext)
     state = None
     if dim3:
@@ -248,79 +250,56 @@ def _rebuild(edges, assign, design, flat, ext):
     return pat
 
 
-def _infer_grid(coords, quads):
-    """Combinatorial grid recovery: faces form an (m+1) x (n+1) array glued
-    along opposite quad edges.
-
-    All face cycles are first oriented counterclockwise in the plane; the
-    consistent chirality then propagates grid axes face to face."""
+def _infer_grid(flat, quads):
+    """Grid of a document without curvefold:grid, by placing vertices on
+    integer (row, col) nodes.  Turned counterclockwise in the plane, each
+    face steps round its corners by quarter turns, next = cur + (-dc, dr)
+    for (dr, dc) = cur - prev: face 0 goes on (1, 1), (0, 1), (0, 0),
+    (1, 0), and faces across an edge that two faces share follow.  The
+    node grid is turned so that its rows run furthest toward +x, as both
+    design families draw them; ties go to the fewest turns."""
     if not quads:
         raise NotQuadGrid("no faces to recover a grid from")
-    faces = []
-    for f in quads:
-        area = 0.0
-        for j in range(4):
-            a, b = coords[f[j]], coords[f[(j + 1) % 4]]
-            area += a[0] * b[1] - b[0] * a[1]
-        faces.append(tuple(f if area > 0 else f[::-1]))
+    faces = np.array(quads)
+    x, y = flat[faces, 0], flat[faces, 1]
+    area = (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)
+    faces = np.where(area[:, None] > 0, faces, faces[:, ::-1]).tolist()
     edge_faces = {}
     for fi, f in enumerate(faces):
         for j in range(4):
-            key = tuple(sorted((f[j], f[(j + 1) % 4])))
-            edge_faces.setdefault(key, []).append((fi, j))
-    adj = {fi: {} for fi in range(len(faces))}
-    for lst in edge_faces.values():
-        if len(lst) == 2:
-            (fa, ja), (fb, jb) = lst
-            adj[fa][ja] = (fb, jb)
-            adj[fb][jb] = (fa, ja)
-    cyc = ((0, 1), (-1, 0), (0, -1), (1, 0))
-    start = min(adj)
-    pos = {start: (0, 0)}
-    offs = {start: 0}  # local edge j carries axis cyc[(j + off) % 4]
-    stack = [start]
-    while stack:
-        f = stack.pop()
-        r, c = pos[f]
-        for j, (g, jj) in adj[f].items():
-            ax = cyc[(j + offs[f]) % 4]
-            nr, nc = r + ax[0], c + ax[1]
-            if g in pos:
-                if pos[g] != (nr, nc):
-                    raise NotQuadGrid("faces do not form a consistent grid")
-                continue
-            back = (-ax[0], -ax[1])
-            t = next(t for t in range(4) if cyc[(jj + t) % 4] == back)
-            pos[g] = (nr, nc)
-            offs[g] = t
-            stack.append(g)
-    if len(pos) != len(faces):
-        raise NotQuadGrid("face adjacency is not connected")
-    rs = [p[0] for p in pos.values()]
-    cs = [p[1] for p in pos.values()]
-    r0, c0 = min(rs), min(cs)
-    R, C = max(rs) - r0 + 1, max(cs) - c0 + 1
-    if R * C != len(faces):
-        raise NotQuadGrid("faces do not tile a rectangle")
-    ext = np.full((R + 1, C + 1), -1, dtype=int)
-    for f, (r, c) in pos.items():
-        rr, cc = r - r0, c - c0
-        off = offs[f]
+            edge_faces.setdefault(frozenset((f[j - 1], f[j])), []).append((fi, j))
+    node = {}
+    def place(f, j, prev, cur):  # f[j], f[j + 1], ... on cur and its turns
+        for k in range(j, j + 4):
+            if node.setdefault(f[k % 4], cur) != cur:
+                raise NotQuadGrid("faces do not form a consistent grid")
+            prev, cur = cur, (cur[0] + prev[1] - cur[1], cur[1] + cur[0] - prev[0])
+    place(faces[0], 0, (1, 0), (1, 1))
+    todo, seen = [0], {0}
+    while todo:
+        f = faces[todo.pop()]
         for j in range(4):
-            a_prev = cyc[(j - 1 + off) % 4]
-            a_cur = cyc[(j + off) % 4]
-            dr = 1 if (1, 0) in (a_prev, a_cur) else 0
-            dc = 1 if (0, 1) in (a_prev, a_cur) else 0
-            node = (rr + dr, cc + dc)
-            vid = faces[f][j]
-            if ext[node] not in (-1, vid):
-                raise NotQuadGrid("grid nodes are not uniquely shared")
-            ext[node] = vid
+            pair = edge_faces[frozenset((f[j - 1], f[j]))]
+            for g, k in pair if len(pair) == 2 else ():
+                if g not in seen:
+                    seen.add(g)
+                    todo.append(g)
+                    place(faces[g], k, node[faces[g][k - 1]], node[faces[g][k]])
+    if len(seen) != len(faces):
+        raise NotQuadGrid("face adjacency is not connected")
+    rc = np.array(list(node.values()))
+    rc -= rc.min(axis=0)
+    if np.prod(rc.max(axis=0)) != len(faces):
+        raise NotQuadGrid("faces do not tile a rectangle")
+    ext = np.full(rc.max(axis=0) + 1, -1)
+    ext[rc[:, 0], rc[:, 1]] = list(node)
+    if (ext >= 0).sum() < len(node):
+        raise NotQuadGrid("grid nodes are not uniquely shared")
     if (ext < 0).any():
         raise NotQuadGrid("grid nodes not fully covered")
-    # the grid may come out transposed or flipped relative to the canonical
-    # row/column semantics; that only relabels rows and columns
-    return ext
+    turns = [np.rot90(ext, k) for k in range(4)]
+    run = [np.mean(flat[g[:, -1], 0] - flat[g[:, 0], 0]) for g in turns]
+    return turns[int(np.argmax(run))].copy()
 
 
 SVG_SCALE = 100.0

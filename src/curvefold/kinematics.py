@@ -119,7 +119,8 @@ def row_transfer_residual(prev, nxt, beta_i, beta_ip1, theta_i, branch):
 
     prev, nxt: sector quadruples in (R, U, L, D) order; branch: the four
     +- signs, lexicographic slots (lhs lower term, rhs lower term,
-    theta term at prev, theta term at next)."""
+    theta term at prev, theta term at next), or a (4, B) stack of such
+    signs for B branches at once, whose residuals are then (B,) arrays."""
     sL, sR, sT1, sT2 = branch
     p1, p2, p3, p4 = prev
     q1, q2, q3, q4 = nxt
@@ -133,7 +134,7 @@ def row_transfer_residual(prev, nxt, beta_i, beta_ip1, theta_i, branch):
     T2 = guarded_arccos((np.cos(q1) - np.cos(q2) * np.cos(beta_ip1)) / (np.sin(q2) * sb2))
     r2 = sT1 * T1 + sT2 * T2 - theta_i
     r2 = (r2 + np.pi) % TAU - np.pi
-    return float(r1), float(r2)
+    return r1, r2
 
 
 def _root(x):

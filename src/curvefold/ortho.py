@@ -197,6 +197,7 @@ def build_ortho_pattern(spec: OrthoDesignSpec, prelude=None):
         eps_target=spec.eps,
         eps_datum=eps_datum,
         eps_curve=eps_curve,
+        stair=stair.points,
         notes={
             "alpha11": float(a11),
             "theta": spec.theta,

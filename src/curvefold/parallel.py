@@ -27,6 +27,9 @@ from .pattern import (DesignReport, assemble_grid, check_embeddable,
 from .tolerances import (COLLINEAR_FRAME, ROOT_SCAN_MARGIN, ROW_DRIFT,
                          TRANSFER_TOL, XI_MARGIN)
 
+#: BRANCH_ORDER as one (4, 16) stack of signs, a column per branch
+_BRANCHES = np.array(BRANCH_ORDER).T
+
 
 def _rot2(v, ang):
     c, s = np.cos(ang), np.sin(ang)
@@ -168,18 +171,16 @@ def _design_row_state(partition: Partition, rho4):
 
 
 def _matching_branch(prev, nxt, bi, bip, thi):
-    best = None
-    for br in BRANCH_ORDER:
-        try:
-            r1, r2 = row_transfer_residual(prev, nxt, bi, bip, thi, br)
-        except OutOfRange:
-            continue
-        m = max(abs(r1), abs(r2))
-        if best is None or m < best[0]:
-            best = (m, br)
-    if best is None or best[0] > TRANSFER_TOL:
+    """The first branch of BRANCH_ORDER with the least worst residual; an
+    OutOfRange holds for every branch at once."""
+    try:
+        worst = np.abs(row_transfer_residual(prev, nxt, bi, bip, thi, _BRANCHES)).max(axis=0)
+    except OutOfRange:
+        worst = [np.inf]
+    k = int(np.argmin(worst))
+    if worst[k] > TRANSFER_TOL:
         raise NoSolution("no transfer sign branch matches the solved vertex")
-    return best[1]
+    return BRANCH_ORDER[k]
 
 
 def xi_recurrence(xi_i, quad):
@@ -285,6 +286,7 @@ def build_pattern(spec: ParallelDesignSpec):
         eps_datum=eps_datum,
         eps_curve=eps_curve,
         branch_log=state.branch_log,
+        stair=stair.points,
         notes={
             "rho4": spec.rho4,
             "theta": spec.theta,

@@ -289,6 +289,8 @@ class DesignReport:
     branch_log: list = field(default_factory=list)
     checks: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
+    #: the target's staircase as drawn; `as_dict` leaves it out
+    stair: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def within_budget(self):

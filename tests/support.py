@@ -21,6 +21,20 @@ def design_row(partition, rho4):
     return [VertexAngles(s) for s in st.slots], st.branch_log
 
 
+def assert_same(got, want):
+    """Two trajectories are the same sweep, bit for bit."""
+    assert np.array_equal(got.driving_values, want.driving_values)
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert a.driving_rho == b.driving_rho
+        assert np.array_equal(a.rho, b.rho)
+        assert np.array_equal(a.vertex_coords, b.vertex_coords)
+        assert a.residuals == b.residuals
+    assert got.halt.halted and want.halt.halted
+    assert got.halt.halt_reason == want.halt.halt_reason
+    assert got.halt.residuals["halting_creases"] == want.halt.residuals["halting_creases"]
+
+
 @dataclass
 class ColumnProfile:
     """Per-column folded-geometry profile."""

@@ -1,19 +1,25 @@
+import contextlib
 import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as hs
 
+import grid_oracle
 from curvefold import curves
-from curvefold.cli import main
-from curvefold.errors import NotQuadGrid, SchemaError
+from curvefold.cli import _build_from_spec, main
+from curvefold.errors import CurvefoldError, NotQuadGrid, SchemaError
 from curvefold.foldio import (export_fold, export_svg, import_fold,
                               load_design_spec, report_json, report_text)
+from curvefold.foldsim import sweep_to_halt
 from curvefold.geometry import AffineParams, staircase
 from curvefold.verify import CheckResult, run_pattern_checks
-from support import FUZZ_SPECS, JSON
+from support import FUZZ_SPECS, JSON, SMALL_SPECS, assert_same
 
 
 class TestFoldRoundTrip:
@@ -198,6 +204,9 @@ FOLD_CORRUPTIONS = [
     ("edge-loop", lambda d: _first_edge(d, (1, 1), (1, 1)), False),
     ("edge-twice", lambda d: _first_edge(d, (1, 1), (1, 2)), False),
     ("faces-int", lambda d: d.update(faces_vertices=5), False),
+    ("face-triangle", lambda d: _one_short(d["faces_vertices"][0]), False),
+    ("inferred-face-dropped",
+     lambda d: (_drop_key(d, "curvefold:grid"), _one_short(d["faces_vertices"])), False),
     ("halting-col-string", lambda d: d["curvefold:grid"].update(halting_col="1"), False),
     ("halting-col-2", lambda d: d["curvefold:grid"].update(halting_col=2), False),
     ("halting-col-0", lambda d: d["curvefold:grid"].update(halting_col=0), False),
@@ -248,6 +257,125 @@ class TestFoldImportValidation:
         assert main(["verify", str(path)]) == 2
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [c["check_id"] for c in checks if not c["ok"]] == [check]
+
+
+def _bare(text, keep=()):
+    """The FOLD document `text` without its curvefold:* fields, but those in
+    `keep`."""
+    doc = json.loads(text)
+    for key in list(doc):
+        if key.startswith("curvefold:") and key not in keep:
+            del doc[key]
+    return doc
+
+
+def _scrambled(doc, rng):
+    """doc with its vertex ids permuted, each face started on a random
+    corner, about half the faces reversed and the face order shuffled, and
+    the permutation: document vertex v is vertex perm[v] of the result."""
+    perm = rng.permutation(len(doc["vertices_coords"]))
+    coords = np.empty((len(perm), 2))
+    coords[perm] = doc["vertices_coords"]
+    faces = perm[np.asarray(doc["faces_vertices"])]
+    faces = np.array([np.roll(f, k) for f, k in zip(faces, rng.integers(0, 4, len(faces)))])
+    flip = rng.random(len(faces)) < 0.5
+    faces[flip] = faces[flip, ::-1]
+    out = dict(doc, vertices_coords=coords.tolist(),
+               edges_vertices=perm[np.asarray(doc["edges_vertices"])].tolist(),
+               faces_vertices=faces[rng.permutation(len(faces))].tolist())
+    return out, perm
+
+
+def _check_regrid(pattern, scrambles):
+    """Scrambled bare exports of the pattern re-grid to its own grid, one
+    of the four quarter turns of the oracle's."""
+    doc = _bare(export_fold(pattern))
+    rng = np.random.default_rng(11)
+    for _ in range(scrambles):
+        bare, perm = _scrambled(doc, rng)
+        ext = import_fold(json.dumps(bare))[0].ext_id
+        assert np.array_equal(ext, perm[pattern.ext_id])
+        ref = grid_oracle._infer_grid(np.array(bare["vertices_coords"]),
+                                      bare["faces_vertices"])
+        assert any(np.array_equal(ext, np.rot90(ref, k)) for k in range(4))
+
+
+class TestBareDocument:
+    """FOLD documents without curvefold:grid are re-gridded from their
+    faces and planar frame to the grid the design drew."""
+
+    @pytest.mark.parametrize("design", ["fig5_design", "fig7_design"])
+    def test_regrid_figures(self, design, request):
+        _check_regrid(request.getfixturevalue(design)[0], scrambles=25)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(SMALL_SPECS)
+    def test_regrid_small_specs(self, doc):
+        try:
+            pattern, _ = _build_from_spec(*load_design_spec(json.dumps(doc)))
+        except CurvefoldError:
+            reject()
+        _check_regrid(pattern, scrambles=5)
+
+    @pytest.mark.parametrize("fig", ["fig5", "fig7"])
+    def test_bare_pattern_sweeps_as_the_full_document(self, fig, request):
+        text = export_fold(request.getfixturevalue(f"{fig}_design")[0])
+        full = sweep_to_halt(import_fold(text)[0], samples=4)
+        bare = sweep_to_halt(import_fold(json.dumps(_bare(text)))[0], samples=4)
+        assert_same(bare, full)
+
+    @pytest.mark.parametrize("fig", ["fig5", "fig7"])
+    def test_bare_halt_fold_reads_its_planar_frame(self, fig, request):
+        # the folded coordinates would orient faces by their 3D shadow
+        pattern, _ = request.getfixturevalue(f"{fig}_design")
+        halt = request.getfixturevalue(f"{fig}_halt").halt
+        doc = _bare(export_fold(pattern, state=halt), keep=("curvefold:vertices_flat",))
+        pat2, state = import_fold(json.dumps(doc))
+        assert np.array_equal(pat2.ext_id, pattern.ext_id)
+        assert np.array_equal(state.vertex_coords, np.array(doc["vertices_coords"]))
+
+    @pytest.mark.parametrize("fig", ["fig5", "fig7"])
+    def test_cli_fold_of_bare_document(self, fig, request, tmp_path):
+        text = export_fold(request.getfixturevalue(f"{fig}_design")[0])
+        for name, body in (("full", text), ("bare", json.dumps(_bare(text)))):
+            (tmp_path / f"{name}.fold").write_text(body)
+            assert main(["fold", str(tmp_path / f"{name}.fold"), "--states", "8",
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "bare" / "halt.json").read_bytes()
+                == (tmp_path / "full" / "halt.json").read_bytes())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(edits=hs.lists(hs.tuples(
+        hs.sampled_from(["drop", "duplicate", "swap", "scramble", "repeat", "random"]),
+        hs.integers(0, 10 ** 6), hs.integers(0, 10 ** 6)), min_size=1, max_size=3))
+    def test_corrupted_faces_import_or_exit_1(self, small_parallel, edits):
+        doc = _bare(export_fold(small_parallel[0]))
+        faces, nv = doc["faces_vertices"], len(doc["vertices_coords"])
+        for kind, i, j in edits:
+            f, g = faces[i % len(faces)], faces[j % len(faces)]
+            if kind == "drop":
+                faces.remove(f)
+            elif kind == "duplicate":
+                faces.insert(j % len(faces), list(f))
+            elif kind == "swap":
+                f[i % 4], g[j % 4] = g[j % 4], f[i % 4]
+            elif kind == "scramble":
+                f[:] = [f[k] for k in np.random.default_rng(j).permutation(4)]
+            elif kind == "repeat":
+                f[i % 4] = f[j % 4]
+            else:
+                f[i % 4] = j % nv
+        text = json.dumps(doc)
+        try:
+            import_fold(text)
+            want = 0
+        except SchemaError:
+            want = 1
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            (Path(tmp) / "in.fold").write_text(text)
+            assert main(["export", str(Path(tmp) / "in.fold"), "--out", tmp]) == want
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSvg:

@@ -21,23 +21,10 @@ from curvefold.foldsim import (LANE_BLOCK, MARCH_STEPS, default_driving_crease, 
 from curvefold.geometry import PolyCurve
 from curvefold.parallel import ParallelDesignSpec, build_pattern
 from curvefold.tolerances import MODE_ATOL
-from support import SMALL_SPECS
+from support import SMALL_SPECS, assert_same
 
 FIGS = ("fig5", "fig7")
 EVENT_AT = 0.6  # driving value (rad) past which the branch tests fake an event
-
-
-def assert_same(got, want):
-    assert np.array_equal(got.driving_values, want.driving_values)
-    assert len(got.states) == len(want.states)
-    for a, b in zip(got.states, want.states):
-        assert a.driving_rho == b.driving_rho
-        assert np.array_equal(a.rho, b.rho)
-        assert np.array_equal(a.vertex_coords, b.vertex_coords)
-        assert a.residuals == b.residuals
-    assert got.halt.halted and want.halt.halted
-    assert got.halt.halt_reason == want.halt.halt_reason
-    assert got.halt.residuals["halting_creases"] == want.halt.residuals["halting_creases"]
 
 
 def _record(monkeypatch):
