@@ -280,14 +280,34 @@ def _fold_levels(pattern: CreasePattern, driving_rho, prev, signs):
     return rows[plan.final].T, np.fmax.reduce(gap, axis=0, initial=0.0), ok, modes
 
 
-def _rotations(axes, angles):
-    """Rodrigues rotation matrices, (N, 3, 3), about unit axes (N, 3)."""
-    K = np.zeros((len(axes), 3, 3))
-    K[:, 0, 1], K[:, 0, 2] = -axes[:, 2], axes[:, 1]
-    K[:, 1, 0], K[:, 1, 2] = axes[:, 2], -axes[:, 0]
-    K[:, 2, 0], K[:, 2, 1] = -axes[:, 1], axes[:, 0]
-    return (np.eye(3) + np.sin(angles)[:, None, None] * K
-            + (1.0 - np.cos(angles))[:, None, None] * (K @ K))
+def _frames(pattern: CreasePattern):
+    """The constants of `place_panels`, built once per Schedule, content of
+    `pattern.vertices` and ends of the hinge creases: per hinge its point,
+    K and K @ K of its unit axis; the depths' steps (face, parent, rows) by
+    position in placement order; the flat corners in that order; and per
+    vertex its count and corner rows as `np.add.at` visits them, padded."""
+    sched = grid_schedule(pattern)
+    _, parent, idx, sign = pattern.placement.T
+    key = (sched, pattern.vertices.shape, pattern.vertices.tobytes(),
+           [(c.u, c.v) for c in map(pattern.creases.__getitem__, idx.tolist())])
+    cached = getattr(pattern, "_frames", None)
+    if cached is None or cached[0] != key:
+        pts = np.pad(np.asarray(pattern.vertices, dtype=float), ((0, 0), (0, 1)))
+        p, q = pts[np.array(key[3], dtype=int).reshape(-1, 2).T]
+        a = (q - p) / np.linalg.norm(q - p, axis=1)[:, None]
+        K = np.zeros((len(a), 3, 3))
+        K.reshape(-1, 9)[:, [1, 2, 3, 5, 6, 7]] = a[:, [2, 1, 2, 0, 1, 0]] * [-1, 1, 1, -1, -1, 1]
+        at, quads = np.argsort(sched.order), pattern.faces.reshape(-1, 4)[sched.order]
+        v = quads.ravel()
+        by, counts = np.argsort(v, kind="stable"), np.bincount(v, minlength=len(pts))
+        table = np.full((len(pts), counts.max()), len(v))      # row 4 F: the zero row
+        table[v[by], np.arange(len(v)) - np.searchsorted(v[by], v[by])] = by
+        steps = [(r + 1, at[parent[r]], r) for r in sched.depths]
+        hinges = [(at[f], c) for f, c in sched.hinges]
+        cached = pattern._frames = key, (p, K, K @ K, sign[:, None], idx, steps, pts[quads],
+                                         hinges, quads, table.T, counts[:, None, None],
+                                         max(pattern.diameter, LENGTH_FLOOR))
+    return cached[1]
 
 
 def place_panels(pattern: CreasePattern, rho):
@@ -295,59 +315,49 @@ def place_panels(pattern: CreasePattern, rho):
     from face 0 (top left) fixed in the plane z = 0.  The hinge rotations
     are composed one BFS depth of the placement at a time.  Each corner q
     is turned once, R q, for both its place R q + t and the closure of the
-    creases it ends, ((R_l q + t_l) - R_r q) - t_r.
+    creases it ends, ((R_l q + t_l) - R_r q) - t_r.  A call computes only
+    what the folds move: the pattern's constants (`_frames`) broadcast over
+    the lanes, and each vertex sums its corners as `np.add.at` would.
 
     rho holds one state's fold angles (E,) or one state per row (L, E);
     returns (vertex_coords, residuals), and for rows of lanes the
     coordinates (L, V, 3) and one residual dict per lane.  A lane's
     arithmetic is the same as a lone state's, so its bits do not depend on
-    the lanes beside it.  Temporaries go once dead: 16 lanes of 9 x 9 take 0.9 MB."""
+    the lanes beside it.  Temporaries go once dead: 16 lanes of 9 x 9 take 0.62 MB."""
     rho = np.asarray(rho, dtype=float)
     lanes = rho.reshape(-1, rho.shape[-1])
     L = len(lanes)
-    pts = np.zeros((len(pattern.vertices), 3))
-    pts[:, :2] = pattern.vertices
-    ends = pattern.crease_ends()
-    face, parent, idx, sign = pattern.placement.T
+    p, K, KK, sign, idx, steps, corners, hinges, quads, table, counts, diam = _frames(pattern)
     # hinge frames: rotation H about the crease line through p maps x to
     # H x + (p - H p); rows run over (hinge, lane)
-    p = pts[ends[idx, 0]]
-    d = pts[ends[idx, 1]] - p
-    axes = np.repeat(d / np.linalg.norm(d, axis=1)[:, None], L, axis=0)
-    H = _rotations(axes, (sign[:, None] * lanes[:, idx].T).ravel())
-    p = np.repeat(p, L, axis=0)
-    shift = (p - np.einsum("nij,nj->ni", H, p)).reshape(len(idx), L, 3)
-    H = H.reshape(len(idx), L, 3, 3)
-    R = np.empty((pattern.faces.shape[0] * pattern.faces.shape[1], L, 3, 3))
-    t = np.empty((len(R), L, 3))
+    a = (sign * lanes[:, idx].T).reshape(len(idx), L, 1, 1)
+    H = np.eye(3) + np.sin(a) * K[:, None] + (1.0 - np.cos(a)) * KK[:, None]
+    shift = p[:, None] - np.einsum("nlij,nj->nli", H, p)
+    R, t = np.empty((len(corners), L, 3, 3)), np.empty((len(corners), L, 3))
     R[0], t[0] = np.eye(3), 0.0
-    sched = grid_schedule(pattern)
-    for rows in sched.depths:
-        f, Rp = face[rows], R[parent[rows]]
+    for f, par, rows in steps:
+        Rp = R[par]
         R[f] = Rp @ H[rows]
-        t[f] = (Rp @ shift[rows, :, :, None])[..., 0] + t[parent[rows]]
+        t[f] = (Rp @ shift[rows, :, :, None])[..., 0] + t[par]
     del H, shift
 
-    # every corner turned, as rows (4 position + corner, L, 3)
-    quads = pattern.faces.reshape(-1, 4)[sched.order]
-    turned = np.einsum("fij,fkj->fki", R[sched.order].reshape(-1, 3, 3),
-                       np.repeat(pts[quads], L, axis=0))
+    # every corner turned, as rows (4 position + corner, L, 3), then a zero row
+    placed = np.zeros((4 * len(R) + 1, L, 3))
+    turned = np.einsum("flij,fkj->fkli", R, corners, out=placed[:-1].reshape(len(R), 4, L, 3))
     del R
-    turned = turned.reshape(len(quads), L, 4, 3).transpose(0, 2, 1, 3).reshape(-1, L, 3)
     # closure on every interior shared edge: both faces place its ends alike
-    (fl, cl), (fr, cr) = sched.hinges
-    gap = ((turned[cl] + t[fl, None]) - turned[cr]) - t[fr, None]      # (n, 2, L, 3)
-    worst = np.sqrt((gap * gap).sum(axis=3))
+    (fl, cl), (fr, cr) = hinges
+    gap = ((placed[cl] + t[fl, None]) - placed[cr]) - t[fr, None]      # (n, 2, L, 3)
+    closure = np.sqrt(_dot(gap.T, gap.T)).max(axis=(1, 2), initial=0.0) / diam
     del gap
-    diam = max(pattern.diameter, LENGTH_FLOOR)
-    closure = worst.max(axis=(0, 1), initial=0.0) / diam
 
-    placed = turned.reshape(len(quads), 4, L, 3) + t[sched.order][:, None]
-    coords = np.zeros((len(pts), L, 3))
-    np.add.at(coords, quads.ravel(), placed.reshape(-1, L, 3))
-    coords /= np.bincount(quads.ravel(), minlength=len(pts))[:, None, None]
-    off = placed - coords[quads]
-    spread = np.sqrt((off * off).sum(axis=3)).max(axis=(0, 1)) / diam
+    turned += t[:, None]                                                # R q + t
+    coords = np.zeros((len(counts), L, 3))
+    for rows in table:
+        coords += placed[rows]
+    coords /= counts
+    off = turned - coords[quads]
+    spread = np.sqrt(_dot(off.T, off.T)).max(axis=(1, 2)) / diam
     coords = coords.transpose(1, 0, 2)
     residuals = [{"closure": c, "vertex_spread": v}
                  for c, v in zip(closure.tolist(), spread.tolist())]

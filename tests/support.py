@@ -1,5 +1,6 @@
 """Shapes, checks, design views and spec strategies the tests share,
 which the library itself has no use for."""
+import json
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,33 @@ def design_row(partition, rho4):
     consecutive vertex pair)."""
     st = _design_row_state(partition, rho4)
     return [VertexAngles(s) for s in st.slots], st.branch_log
+
+
+def bare_document(text, keep=()):
+    """The FOLD document `text` without its curvefold:* fields, but those in
+    `keep`."""
+    doc = json.loads(text)
+    for key in list(doc):
+        if key.startswith("curvefold:") and key not in keep:
+            del doc[key]
+    return doc
+
+
+def scrambled(doc, rng):
+    """doc with its vertex ids permuted, each face started on a random
+    corner, about half the faces reversed and the face order shuffled, and
+    the permutation: document vertex v is vertex perm[v] of the result."""
+    perm = rng.permutation(len(doc["vertices_coords"]))
+    coords = np.empty((len(perm), 2))
+    coords[perm] = doc["vertices_coords"]
+    faces = perm[np.asarray(doc["faces_vertices"])]
+    faces = np.array([np.roll(f, k) for f, k in zip(faces, rng.integers(0, 4, len(faces)))])
+    flip = rng.random(len(faces)) < 0.5
+    faces[flip] = faces[flip, ::-1]
+    out = dict(doc, vertices_coords=coords.tolist(),
+               edges_vertices=perm[np.asarray(doc["edges_vertices"])].tolist(),
+               faces_vertices=faces[rng.permutation(len(faces))].tolist())
+    return out, perm
 
 
 def assert_same(got, want):

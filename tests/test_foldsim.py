@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -9,20 +11,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+import placement_oracle
 from clash_oracle import _tri_tri_penetration, candidate_pairs
 from curvefold import curves, foldsim
 from curvefold import pattern as pattern_mod
 from curvefold.cli import _build_from_spec
 from curvefold.errors import NotRigidFoldable, OutOfRange
-from curvefold.foldio import load_design_spec
+from curvefold.foldio import export_fold, import_fold, load_design_spec
 from curvefold.foldsim import (LANE_BLOCK, _penetrates, _unit_normals, bootstrap_mv,
-                               clash_test, default_driving_crease, propagate, sweep_to_halt)
+                               clash_test, default_driving_crease, place_panels, propagate,
+                               sweep_to_halt)
 from curvefold.geometry import PolyCurve, measure_polyline, partition_uniform
 from curvefold.parallel import ParallelDesignSpec, build_pattern
 from curvefold.pattern import ROLE_BOUNDARY
 from curvefold.tolerances import CLASH_REL, CLOSURE_REL
 from curvefold.verify import TOLERANCES, check_isometry
-from support import rigid_align
+from support import bare_document, rigid_align, scrambled
 
 RHO4 = 5 * np.pi / 6
 
@@ -740,9 +744,10 @@ class TestClashBatch:
 
 class TestMemory:
     # the traced peak of one warm 64-state sweep: the march's lane passes,
-    # placement chunks and clash batches and the replay.  The bounds are
-    # this design's peaks, 2.34 MB on fig5 and 1.96 MB on fig7, with under
-    # 10 % to spare: a change that batches more must declare its memory
+    # placement chunks and clash batches and the replay.  The bounds were
+    # set at peaks of 2.34 MB on fig5 and 1.96 MB on fig7, with under 10 %
+    # to spare; placing from cached constants, the peaks are 2.33 MB and
+    # 1.74 MB.  A change that batches more must declare its memory
     @pytest.mark.parametrize("fig, bound", [("fig5", 2.55e6), ("fig7", 2.13e6)])
     def test_sweep_peak(self, fig, bound, request):
         pattern, _ = request.getfixturevalue(f"{fig}_design")
@@ -754,6 +759,75 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+
+def _relabelled(pattern, seed):
+    """The pattern's FOLD export without its curvefold:* fields, its vertex
+    ids and faces scrambled, imported: a re-gridded, relabelled copy."""
+    doc, _ = scrambled(bare_document(export_fold(pattern)), np.random.default_rng(seed))
+    return import_fold(json.dumps(doc))[0]
+
+
+def _assert_placed_as_oracle(pattern, rho):
+    """place_panels returns the oracle's coordinates, bit for bit, in the
+    same shape, and the same residual dicts; returns the coordinates."""
+    (got, got_res), (want, want_res) = (f(pattern, rho) for f in (place_panels,
+                                                                 placement_oracle.place_panels))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def bits(res):
+        return [{k: np.float64(v).tobytes() for k, v in r.items()}
+                for r in (res if isinstance(res, list) else [res])]
+    assert type(got_res) is type(want_res) and bits(got_res) == bits(want_res)
+    return got
+
+
+@pytest.fixture(scope="module")
+def fig5_bare(fig5_design):
+    return _relabelled(fig5_design[0], seed=5)
+
+
+class TestPlacement:
+    # every placement equals tests/placement_oracle.py, the placement before
+    # its per-pattern constants were cached: halt states where a session
+    # fixture has them, the flat state and seeded random folds, as one
+    # (E,) state and as 1, 3 and 16 lanes
+    @pytest.mark.parametrize("design", ["fig5_design", "fig7_design", "small_parallel",
+                                        "large_ortho", "fig5_bare"])
+    def test_bit_equal_to_oracle(self, design, request):
+        pattern = request.getfixturevalue(design)
+        pattern = pattern if design in ("large_ortho", "fig5_bare") else pattern[0]
+        E = len(pattern.creases)
+        rng = np.random.default_rng(0)
+        rho = np.concatenate([np.zeros((1, E)), rng.uniform(-np.pi, np.pi, (15, E))])
+        if design in ("fig5_design", "fig7_design"):
+            halt = request.getfixturevalue(design.replace("design", "halt"))
+            rho[1:1 + len(halt.states)] = [st.rho for st in halt.states]
+        for lanes in (1, 3, 16):
+            _assert_placed_as_oracle(pattern, rho[:lanes])
+        for state in rho[[0, 1, 7, 15]]:
+            _assert_placed_as_oracle(pattern, state)
+
+    def test_constants_follow_the_pattern(self, small_parallel):
+        # one pattern object placed, edited in place, and placed again: its
+        # vertices moved, its hinge creases reversed, then every array
+        # replaced by a relabelled re-import's
+        pattern = copy.deepcopy(small_parallel[0])
+        rho = np.random.default_rng(3).uniform(-2.0, 2.0, (3, len(pattern.creases)))
+        first = _assert_placed_as_oracle(pattern, rho)
+        pattern.vertices *= 1.25
+        moved = _assert_placed_as_oracle(pattern, rho)
+        assert not np.array_equal(moved, first)
+        for c in pattern.placement[:, 2].tolist():
+            cr = pattern.creases[c]
+            cr.u, cr.v = cr.v, cr.u
+        assert not np.array_equal(_assert_placed_as_oracle(pattern, rho), moved)
+        other = _relabelled(small_parallel[0], seed=7)
+        for f in dataclasses.fields(other):
+            setattr(pattern, f.name, getattr(other, f.name))
+        assert np.array_equal(_assert_placed_as_oracle(pattern, rho),
+                              place_panels(other, rho)[0])
 
 
 _COORD = hs.one_of(hs.integers(-4, 4).map(lambda k: k / 4.0),

@@ -19,7 +19,7 @@ from curvefold.foldio import (export_fold, export_svg, import_fold,
 from curvefold.foldsim import sweep_to_halt
 from curvefold.geometry import AffineParams, staircase
 from curvefold.verify import CheckResult, run_pattern_checks
-from support import FUZZ_SPECS, JSON, SMALL_SPECS, assert_same
+from support import FUZZ_SPECS, JSON, SMALL_SPECS, assert_same, bare_document, scrambled
 
 
 class TestFoldRoundTrip:
@@ -259,40 +259,13 @@ class TestFoldImportValidation:
         assert [c["check_id"] for c in checks if not c["ok"]] == [check]
 
 
-def _bare(text, keep=()):
-    """The FOLD document `text` without its curvefold:* fields, but those in
-    `keep`."""
-    doc = json.loads(text)
-    for key in list(doc):
-        if key.startswith("curvefold:") and key not in keep:
-            del doc[key]
-    return doc
-
-
-def _scrambled(doc, rng):
-    """doc with its vertex ids permuted, each face started on a random
-    corner, about half the faces reversed and the face order shuffled, and
-    the permutation: document vertex v is vertex perm[v] of the result."""
-    perm = rng.permutation(len(doc["vertices_coords"]))
-    coords = np.empty((len(perm), 2))
-    coords[perm] = doc["vertices_coords"]
-    faces = perm[np.asarray(doc["faces_vertices"])]
-    faces = np.array([np.roll(f, k) for f, k in zip(faces, rng.integers(0, 4, len(faces)))])
-    flip = rng.random(len(faces)) < 0.5
-    faces[flip] = faces[flip, ::-1]
-    out = dict(doc, vertices_coords=coords.tolist(),
-               edges_vertices=perm[np.asarray(doc["edges_vertices"])].tolist(),
-               faces_vertices=faces[rng.permutation(len(faces))].tolist())
-    return out, perm
-
-
 def _check_regrid(pattern, scrambles):
     """Scrambled bare exports of the pattern re-grid to its own grid, one
     of the four quarter turns of the oracle's."""
-    doc = _bare(export_fold(pattern))
+    doc = bare_document(export_fold(pattern))
     rng = np.random.default_rng(11)
     for _ in range(scrambles):
-        bare, perm = _scrambled(doc, rng)
+        bare, perm = scrambled(doc, rng)
         ext = import_fold(json.dumps(bare))[0].ext_id
         assert np.array_equal(ext, perm[pattern.ext_id])
         ref = grid_oracle._infer_grid(np.array(bare["vertices_coords"]),
@@ -321,7 +294,7 @@ class TestBareDocument:
     def test_bare_pattern_sweeps_as_the_full_document(self, fig, request):
         text = export_fold(request.getfixturevalue(f"{fig}_design")[0])
         full = sweep_to_halt(import_fold(text)[0], samples=4)
-        bare = sweep_to_halt(import_fold(json.dumps(_bare(text)))[0], samples=4)
+        bare = sweep_to_halt(import_fold(json.dumps(bare_document(text)))[0], samples=4)
         assert_same(bare, full)
 
     @pytest.mark.parametrize("fig", ["fig5", "fig7"])
@@ -329,7 +302,7 @@ class TestBareDocument:
         # the folded coordinates would orient faces by their 3D shadow
         pattern, _ = request.getfixturevalue(f"{fig}_design")
         halt = request.getfixturevalue(f"{fig}_halt").halt
-        doc = _bare(export_fold(pattern, state=halt), keep=("curvefold:vertices_flat",))
+        doc = bare_document(export_fold(pattern, state=halt), keep=("curvefold:vertices_flat",))
         pat2, state = import_fold(json.dumps(doc))
         assert np.array_equal(pat2.ext_id, pattern.ext_id)
         assert np.array_equal(state.vertex_coords, np.array(doc["vertices_coords"]))
@@ -337,7 +310,7 @@ class TestBareDocument:
     @pytest.mark.parametrize("fig", ["fig5", "fig7"])
     def test_cli_fold_of_bare_document(self, fig, request, tmp_path):
         text = export_fold(request.getfixturevalue(f"{fig}_design")[0])
-        for name, body in (("full", text), ("bare", json.dumps(_bare(text)))):
+        for name, body in (("full", text), ("bare", json.dumps(bare_document(text)))):
             (tmp_path / f"{name}.fold").write_text(body)
             assert main(["fold", str(tmp_path / f"{name}.fold"), "--states", "8",
                          "--out", str(tmp_path / name)]) == 0
@@ -349,7 +322,7 @@ class TestBareDocument:
         hs.sampled_from(["drop", "duplicate", "swap", "scramble", "repeat", "random"]),
         hs.integers(0, 10 ** 6), hs.integers(0, 10 ** 6)), min_size=1, max_size=3))
     def test_corrupted_faces_import_or_exit_1(self, small_parallel, edits):
-        doc = _bare(export_fold(small_parallel[0]))
+        doc = bare_document(export_fold(small_parallel[0]))
         faces, nv = doc["faces_vertices"], len(doc["vertices_coords"])
         for kind, i, j in edits:
             f, g = faces[i % len(faces)], faces[j % len(faces)]
