@@ -221,6 +221,8 @@ def _rebuild(edges, assign, design, flat, ext):
         pat = assemble_grid(flat[ext], design=dict(design))
     except CreaseIntersection as e:
         raise SchemaError(str(e))
+    if len(pat.placement) + 1 < pat.faces[..., 0].size:
+        raise SchemaError("faces wind against their neighbours: not every panel can be placed")
     # grid vertex g is the document's vertex to_doc_vertex[g]; an edge from
     # g to g + 1 is a row crease, one from g to g + cols + 2 a column crease
     to_doc_vertex = ext.ravel()

@@ -367,50 +367,37 @@ def place_panels(pattern: CreasePattern, rho):
 
 
 def bootstrap_mv(pattern: CreasePattern, d0=0.02):
-    """Mountain/valley assignment from a depth-first consistent fold
-    assignment at a small driving value.
-
-    Branch choices are pruned against already-assigned creases, so the
-    search settles on the pattern's folding branch without any prior
-    sign information.  Returns the signed fold angles at d0."""
-    verts = pattern.vertex_angles()
-    vertex_creases = pattern.vertex_creases.reshape(-1, 4).tolist()
-
-    rho = [None] * len(pattern.creases)
-    rho[default_driving_crease(pattern)] = d0
-    # an explicit stack, so grids with more vertices than the recursion
-    # limit still search
-    stack = [(0, rho)]
-    while stack:
-        idx, rho = stack.pop()
-        if idx == len(verts):
-            break
-        cids = vertex_creases[idx]
-        known = {j: rho[c] for j, c in enumerate(cids) if rho[c] is not None}
-        j_in = min(known)
-        ok, plus, minus, two = propagate_both_modes(verts[idx], j_in, known[j_in])
-        if not ok:
-            continue
-        # prefer fully folding branches over degenerate straight-line ones,
-        # then the branch continuous with the flat state; the preferred
-        # branch goes on the stack last so it is searched first
-        cands = sorted([plus, minus] if two else [plus],
-                       key=lambda r: (sum(1 for x in r if abs(x) < SIGN_FLOOR),
-                                      float(np.linalg.norm(r))))
-        for cand in reversed(cands):
-            if all(abs(cand[j] - val) < BRANCH_TOL for j, val in known.items()):
-                nxt = list(rho)
-                for j, c in enumerate(cids):
-                    nxt[c] = cand[j]
-                stack.append((idx + 1, nxt))
-    else:
-        raise NotRigidFoldable("no consistent folding branch found near flat")
-    rho = np.array([0.0 if x is None else x for x in rho])
-    for idx, cr in enumerate(pattern.creases):
-        if cr.role == ROLE_BOUNDARY:
-            cr.mv = 0
-        else:
-            cr.mv = 1 if rho[idx] >= 0 else -1
+    """Mountain/valley assignment from one walk over the groups of the
+    pattern's FoldPlan at the driving value d0.  Each vertex is solved once
+    from its input slot and takes the first of its modes, fully folding ones
+    (the fewest folds under SIGN_FLOOR) first, then the smaller norm, that
+    agrees within BRANCH_TOL with every crease written before it.  The walk
+    never backs up: a vertex with no such mode, or beyond its folding range,
+    raises NotRigidFoldable.  Returns the signed fold angles at d0."""
+    # FoldPlan, not grid_schedule: the Schedule fails on layouts of mixed
+    # winding, which check_embeddable rejects only after the M/V
+    plan, verts = FoldPlan(pattern), pattern.vertex_angles()
+    N, src = len(plan.src), plan.src.tolist()
+    before = [[] for _ in range(N)]     # per position: (slot, row written before it)
+    for a, b in plan.pairs.T.tolist():
+        before[a % (N + 1)].append((a // (N + 1), b))
+    rows = [0.0] * (4 * (N + 1))
+    rows[N] = d0
+    for a, _, j, vs in plan.groups:
+        for p, v in enumerate(vs, a):
+            ok, plus, minus, two = propagate_both_modes(verts[v], j, rows[src[p]])
+            modes = sorted([plus, minus] if two else [plus],
+                           key=lambda r: (sum(1 for x in r if abs(x) < SIGN_FLOOR),
+                                          float(np.linalg.norm(r))))
+            agree = [m for m in modes if ok and all(abs(m[k] - rows[w]) < BRANCH_TOL
+                                                    for k, w in before[p])]
+            if not agree:
+                raise NotRigidFoldable(f"vertex ({v // pattern.cols + 1},{v % pattern.cols + 1}): "
+                                       "no branch near flat agrees with the creases before it")
+            rows[p::N + 1] = agree[0]
+    rho = np.array(rows)[plan.final]
+    for cr, x in zip(pattern.creases, rho.tolist()):
+        cr.mv = 0 if cr.role == ROLE_BOUNDARY else 1 if x >= 0 else -1
     return rho
 
 

@@ -37,7 +37,7 @@ CLOSURE_REL = 1e-9       # coordinate closure, relative to pattern diameter
 FOLD_CONSISTENCY = 1e-7  # fold-angle agreement between vertex sweeps (rad)
 PREV_FLAT = 1e-8         # a previous state below this everywhere counts as flat
 SIGN_FLOOR = 1e-12       # a fold's mountain/valley sign counts above this (rad)
-BRANCH_TOL = 1e-8        # bootstrap_mv: a branch agrees with assigned folds within this
+BRANCH_TOL = 1e-8        # bootstrap_mv: a mode agrees with the folds written before it
 LENGTH_FLOOR = 1e-12     # floor of a length divided by: pattern diameter, panel distance
 # the invariant suite (verify)
 FLAT_STATE = 1e-9        # a state with every |rho| below this is flat: no xi or phi

@@ -8,7 +8,8 @@ per-theta scan over it, the scalar root scan of the next row vertices, the
 staircase corners, the circumcircle curvature over sample triples, the
 pairwise crease-crossing test, the per-crease signed fold angles, the
 grid index of `assemble_grid` found through a (u, v) -> crease lookup, and
-the per-chord panel distances.  The
+the per-chord panel distances, and the depth-first M/V search that
+`curvefold.foldsim.bootstrap_mv` replaced with one forward walk.  The
 scan-and-Brent root find of the first row vertex is the reference for
 the closed form of `curvefold.kinematics`, which agrees with it to
 rounding, not bit for bit.  `solve_next_vertex`, a Newton solve of the
@@ -16,13 +17,15 @@ row transfer equations, is the independent check of the next row
 vertices that the designer continues geometrically."""
 import numpy as np
 
-from curvefold.errors import ClosedCurve, CreaseIntersection, NoSolution, OutOfRange
+from curvefold.errors import (ClosedCurve, CreaseIntersection, NoSolution,
+                              NotRigidFoldable, OutOfRange)
+from curvefold.foldsim import default_driving_crease
 from curvefold.geometry import (TAU, AffineParams, Partition, PolyCurve, _arc,
                                 _unit, affine_map)
-from curvefold.kinematics import BRANCH_ORDER, row_transfer_residual
+from curvefold.kinematics import BRANCH_ORDER, propagate_both_modes, row_transfer_residual
 from curvefold.pattern import (ROLE_BOUNDARY, ROLE_COL, ROLE_ROW, Crease,
                                CreasePattern, _suggest_rescale)
-from curvefold.tolerances import MONOTONE_TOL, SECTOR_MARGIN
+from curvefold.tolerances import BRANCH_TOL, MONOTONE_TOL, SECTOR_MARGIN, SIGN_FLOOR
 
 
 def densify(obj, per_segment):
@@ -496,3 +499,51 @@ def panel_distances(pattern, coords):
                 planar.append(np.linalg.norm(P[quad[a]] - P[quad[b]]))
                 placed.append(np.linalg.norm(coords[quad[a]] - coords[quad[b]]))
     return np.array(planar), np.array(placed)
+
+
+def bootstrap_mv(pattern: CreasePattern, d0=0.02):
+    """Mountain/valley assignment from a depth-first consistent fold
+    assignment at a small driving value.
+
+    Branch choices are pruned against already-assigned creases, so the
+    search settles on the pattern's folding branch without any prior
+    sign information.  Returns the signed fold angles at d0."""
+    verts = pattern.vertex_angles()
+    vertex_creases = pattern.vertex_creases.reshape(-1, 4).tolist()
+
+    rho = [None] * len(pattern.creases)
+    rho[default_driving_crease(pattern)] = d0
+    # an explicit stack, so grids with more vertices than the recursion
+    # limit still search
+    stack = [(0, rho)]
+    while stack:
+        idx, rho = stack.pop()
+        if idx == len(verts):
+            break
+        cids = vertex_creases[idx]
+        known = {j: rho[c] for j, c in enumerate(cids) if rho[c] is not None}
+        j_in = min(known)
+        ok, plus, minus, two = propagate_both_modes(verts[idx], j_in, known[j_in])
+        if not ok:
+            continue
+        # prefer fully folding branches over degenerate straight-line ones,
+        # then the branch continuous with the flat state; the preferred
+        # branch goes on the stack last so it is searched first
+        cands = sorted([plus, minus] if two else [plus],
+                       key=lambda r: (sum(1 for x in r if abs(x) < SIGN_FLOOR),
+                                      float(np.linalg.norm(r))))
+        for cand in reversed(cands):
+            if all(abs(cand[j] - val) < BRANCH_TOL for j, val in known.items()):
+                nxt = list(rho)
+                for j, c in enumerate(cids):
+                    nxt[c] = cand[j]
+                stack.append((idx + 1, nxt))
+    else:
+        raise NotRigidFoldable("no consistent folding branch found near flat")
+    rho = np.array([0.0 if x is None else x for x in rho])
+    for idx, cr in enumerate(pattern.creases):
+        if cr.role == ROLE_BOUNDARY:
+            cr.mv = 0
+        else:
+            cr.mv = 1 if rho[idx] >= 0 else -1
+    return rho

@@ -1,13 +1,18 @@
 """Shapes, checks, design views and spec strategies the tests share,
 which the library itself has no use for."""
+import importlib.util
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as hs
 
+from curvefold.cli import _build_from_spec
 from curvefold.errors import NotAdmissible
+from curvefold.foldio import load_design_spec
 from curvefold.geometry import AffineParams, PolyCurve, affine_map, is_admissible
 from curvefold.kinematics import VertexAngles
 from curvefold.ortho import ortho_xi
@@ -20,6 +25,18 @@ def design_row(partition, rho4):
     consecutive vertex pair)."""
     st = _design_row_state(partition, rho4)
     return [VertexAngles(s) for s in st.slots], st.branch_log
+
+
+@lru_cache
+def explore_designs(seed):
+    """The designs of one seeded batch of the benchmark's explore workload,
+    built once per seed: callers share them, and leave them as they found
+    them."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "specs.py"
+    spec = importlib.util.spec_from_file_location("bench_specs", path)
+    specs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(specs)
+    return [_build_from_spec(*load_design_spec(t))[0] for t in specs.explore_spec_texts(seed)]
 
 
 def bare_document(text, keep=()):

@@ -16,9 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import curvefold
+from curvefold import parallel
 from curvefold.cli import _build_from_spec, main
 from curvefold.foldio import export_fold, load_design_spec
+from curvefold.geometry import partition_uniform, search_theta
+from curvefold.kinematics import solve_first_vertex
 from support import FUZZ_SPECS, JSON
+from test_acceptance import _random_smooth_datum, _random_target
 
 SMALL_PARALLEL_SPEC = {
     "type": "parallel-repeating",
@@ -212,6 +216,30 @@ class TestFoldVerify:
                              env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 1
         assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+
+    def test_mixed_winding_document_exit_1(self, tmp_path, monkeypatch, capsys):
+        # the third spec of test_criterion_05's stream draws faces that wind
+        # against their neighbours; the designer rejects the layout in
+        # check_embeddable, so it is exported here with that check off
+        rng = np.random.default_rng(20260808)
+        for _ in range(3):
+            datum, target = _random_smooth_datum(rng), _random_target(rng)
+            n_row, n_col = int(rng.integers(3, 6)), int(rng.integers(3, 5))
+            rho4 = rng.uniform(0.65, 0.9) * np.pi
+        _, a2 = solve_first_vertex(partition_uniform(datum, n_row).turn_angles[0], rho4)
+        theta = search_theta(target, abs(2 * a2 - np.pi), grid=90)[0]
+        monkeypatch.setattr(parallel, "check_embeddable", lambda pattern: True)
+        pattern, _ = parallel.build_pattern(parallel.ParallelDesignSpec(
+            datum=datum, target=target, n_row=n_row, n_col=n_col, rho4=rho4, theta=theta,
+            eps=10.0))
+        assert len(pattern.placement) + 1 < pattern.faces[..., 0].size
+        doc = tmp_path / "mixed.fold"
+        doc.write_text(export_fold(pattern))
+        capsys.readouterr()
+        for argv in (["fold", str(doc), "--out", str(tmp_path / "out")], ["verify", str(doc)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("states", ["1", "0", "-3"])
     @pytest.mark.parametrize("cmd", ["fold", "verify"])

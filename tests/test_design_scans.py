@@ -1,10 +1,8 @@
 """The design layer's array scans against their loop forms in
 `design_oracle`, bit for bit, and the typed errors of the layout checks."""
 import copy
-import importlib.util
 import json
 import tracemalloc
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -20,7 +18,7 @@ from curvefold.kinematics import solve_first_vertex
 from curvefold.foldio import load_design_spec
 from curvefold.pattern import (CreasePattern, assemble_grid, check_embeddable,
                                panel_distances, signed_fold_angles)
-from support import circle
+from support import circle, explore_designs
 
 
 # the message of a bit-equality failure in a case that hangs on rounding
@@ -294,15 +292,6 @@ class TestSignedFoldAngles:
                                   oracle.signed_fold_angles(pattern, coords)), BLAS_ROUNDING
 
 
-def _explore_designs(seed):
-    """The designs of one seeded batch of the benchmark's explore workload."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "specs.py"
-    spec = importlib.util.spec_from_file_location("bench_specs", path)
-    specs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(specs)
-    return [_build_from_spec(*load_design_spec(t))[0] for t in specs.explore_spec_texts(seed)]
-
-
 def _same_index(got, want, coords):
     assert [(c.u, c.v, c.role, c.mv) for c in got.creases] == \
         [(c.u, c.v, c.role, c.mv) for c in want.creases]
@@ -319,7 +308,7 @@ class TestGridIndex:
         fig4 = _build_from_spec(*load_design_spec(json.dumps(DEMOS["fig4"])))[0]
         patterns = [fig4, fig5_design[0], fig7_design[0], small_parallel[0]]
         rng = np.random.default_rng(11)
-        for pattern in patterns + _explore_designs(1):
+        for pattern in patterns + explore_designs(1):
             nodes = pattern.vertices[pattern.ext_id]
             grids = [nodes] + [np.rot90(nodes, k) for k in (1, 2, 3)]
             for grid in grids:
@@ -330,7 +319,9 @@ class TestGridIndex:
     def test_faces_winding_either_way(self, monkeypatch):
         # random and mirrored drawings mix faces of both windings, and
         # neighbouring faces of opposite winding claim the same crease side;
-        # such drawings are not developable, so the check is switched off
+        # random drawings are not developable, so the check is switched off.
+        # Mixed windings can be developable: the parallel designer draws
+        # some, which check_embeddable rejects and FOLD import refuses
         monkeypatch.setattr(CreasePattern, "developability_residual", lambda self: 0.0)
         rng = np.random.default_rng(12)
         for rows, cols in ((1, 1), (1, 4), (3, 2), (5, 6)):

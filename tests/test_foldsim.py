@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+import design_oracle
 import placement_oracle
 from clash_oracle import _tri_tri_penetration, candidate_pairs
 from curvefold import curves, foldsim
@@ -26,7 +27,7 @@ from curvefold.parallel import ParallelDesignSpec, build_pattern
 from curvefold.pattern import ROLE_BOUNDARY
 from curvefold.tolerances import CLASH_REL, CLOSURE_REL
 from curvefold.verify import TOLERANCES, check_isometry
-from support import bare_document, rigid_align, scrambled
+from support import bare_document, explore_designs, rigid_align, scrambled
 
 RHO4 = 5 * np.pi / 6
 
@@ -234,6 +235,89 @@ def large_ortho():
     return _design({"type": "orthodiagonal",
                     "datum": {"builtin": "fig7-sine"}, "target": {"builtin": "fig7-tlnt"},
                     "n": 34, "m": 34, "theta": "auto", "eps": 0.2})
+
+
+def _mv_kept(pattern, fn, d0):
+    """fn(pattern, d0) and the M/V it sets, with the pattern's own M/V put
+    back after."""
+    mv = [c.mv for c in pattern.creases]
+    try:
+        rho = fn(pattern, d0)
+        return rho, [c.mv for c in pattern.creases]
+    finally:
+        for c, m in zip(pattern.creases, mv):
+            c.mv = m
+
+
+def _near_flat_rays(sectors):
+    """The two unit fold directions (4, 2), over (R, U, L, D), in which a
+    degree-4 vertex of these sector angles leaves the flat state, from its
+    sector angles alone: the null space of the first-order closure
+    sum_i w_i u_i = 0, u_i the in-plane unit direction of crease i at angle
+    phi_i, cut by the second-order closure
+    sum_{i<j} w_i w_j sin(phi_j - phi_i) = 0."""
+    phi = np.concatenate([[0.0], np.cumsum(sectors[:3])])
+    null = np.linalg.svd(np.stack([np.cos(phi), np.sin(phi)]))[2][2:].T
+    S = np.triu(np.sin(phi[None, :] - phi[:, None]), 1)
+    lam, vec = np.linalg.eigh(null.T @ (S + S.T) @ null)
+    assert lam[0] < 0 < lam[1]
+    a, b = np.sqrt(lam[1]), np.sqrt(-lam[0])
+    rays = null @ vec @ np.array([[a, a], [b, -b]])
+    return rays / np.linalg.norm(rays, axis=0)
+
+
+class TestBootstrap:
+    @pytest.fixture
+    def designs(self, fig5_design, fig7_design, large_ortho):
+        return [fig5_design[0], fig7_design[0], large_ortho] + explore_designs(1)
+
+    def test_walk_is_the_search(self, designs):
+        # the walk's folds and M/V are the depth-first search's, bit for bit
+        for pattern in designs:
+            for d0 in (0.02, -0.02):
+                got, got_mv = _mv_kept(pattern, bootstrap_mv, d0)
+                want, want_mv = _mv_kept(pattern, design_oracle.bootstrap_mv, d0)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert got_mv == want_mv
+
+    def test_folds_on_near_flat_rays(self, designs):
+        # every vertex leaves flat along one of the two rays its sectors
+        # allow, and with the design's M/V; at d0 the rays are tangents,
+        # off the folds by O(d0 ** 2)
+        for pattern in designs:
+            want_mv = np.array([c.mv for c in pattern.creases])
+            d0 = math.copysign(1e-4, want_mv[default_driving_crease(pattern)] or 1)
+            rho, _ = _mv_kept(pattern, bootstrap_mv, d0)
+            for cids, sectors in zip(pattern.vertex_creases.reshape(-1, 4),
+                                     pattern.sectors.reshape(-1, 4)):
+                w = rho[cids] / np.linalg.norm(rho[cids])
+                rays = _near_flat_rays(sectors)
+                assert min(np.linalg.norm(w[:, None] - s * rays, axis=0).min()
+                           for s in (1, -1)) <= 1e-8
+            inner = want_mv != 0
+            assert np.array_equal(np.where(rho >= 0, 1, -1)[inner], want_mv[inner])
+
+    def test_failure_is_linear(self, large_ortho, monkeypatch):
+        # two opposite sectors of vertex (18, 18) moved by +-1e-3 still sum
+        # to 2 pi, but leave the vertex on no branch of its neighbours: the
+        # walk raises there after one solve per vertex at most, where a
+        # search that backs up over the vertices before it takes time
+        # exponential in the grid's width
+        pattern = copy.copy(large_ortho)
+        solve, calls = foldsim.propagate_both_modes, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            assert calls[0] <= 34 * 34, "more than one vertex solve per vertex"
+            return solve(*args)
+
+        monkeypatch.setattr(foldsim, "propagate_both_modes", counted)
+        for j in (0, 1):
+            pattern.sectors = large_ortho.sectors.copy()
+            pattern.sectors[17, 17, [j, j + 2]] += [1e-3, -1e-3]
+            calls[0] = 0
+            with pytest.raises(NotRigidFoldable, match=r"vertex \(18,18\)"):
+                bootstrap_mv(pattern)
 
 
 class TestCounts:
