@@ -11,7 +11,7 @@ from .geometry import (AffineParams, Partition, PolyCurve, affine_map,
                        measure_polyline, partition_tube, partition_uniform,
                        search_theta, staircase)
 from .kinematics import VertexAngles, row_transfer_residual, solve_first_vertex
-from .pattern import CreasePattern, Crease, DesignReport, check_embeddable
+from .pattern import CreasePattern, DesignReport, check_embeddable
 from .parallel import ParallelDesignSpec, build_pattern, xi_recurrence
 from .ortho import (OrthoAngleGrid, OrthoDesignSpec, alpha_left,
                     build_ortho_pattern, ortho_xi, propagate_grid,

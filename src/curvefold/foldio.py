@@ -15,10 +15,9 @@ from . import curves as curves_mod
 from .errors import CreaseIntersection, NotQuadGrid, SchemaError
 from .foldsim import FoldedState
 from .geometry import PolyCurve
-from .pattern import ROLE_BOUNDARY, CreasePattern, assemble_grid
+from .pattern import ROLE_BOUNDARY, UNPLACEABLE, CreasePattern, assemble_grid
 
-_ASSIGN = {1: "V", -1: "M", 0: "B"}
-_ASSIGN_BACK = {"V": 1, "M": -1, "B": 0, "F": 0, "U": 0}
+_ASSIGN = np.array(["M", "B", "V"])      # by mv + 1; import reads other letters as B
 
 
 def _round_floats(obj, nd=12):
@@ -66,8 +65,8 @@ def export_fold(pattern: CreasePattern, state=None):
         **({"curvefold:vertices_flat":
             [[float(x), float(y)] for x, y in pattern.vertices]}
            if state is not None else {}),
-        "edges_vertices": [[c.u, c.v] for c in pattern.creases],
-        "edges_assignment": [_ASSIGN[c.mv] for c in pattern.creases],
+        "edges_vertices": pattern.crease_ends().tolist(),
+        "edges_assignment": _ASSIGN[pattern.creases.mv + 1].tolist(),
         "edges_foldAngle": angles,
         "faces_vertices": pattern.faces.reshape(-1, 4).tolist(),
         "curvefold:grid": {
@@ -76,7 +75,7 @@ def export_fold(pattern: CreasePattern, state=None):
             "halting_col": 1,
             "ext_id": [[int(v) for v in row] for row in pattern.ext_id],
         },
-        "curvefold:roles": [c.role for c in pattern.creases],
+        "curvefold:roles": pattern.creases.role.tolist(),
         "curvefold:design": _design_meta(pattern.design),
     }
     return _dump(doc)
@@ -222,7 +221,7 @@ def _rebuild(edges, assign, design, flat, ext):
     except CreaseIntersection as e:
         raise SchemaError(str(e))
     if len(pat.placement) + 1 < pat.faces[..., 0].size:
-        raise SchemaError("faces wind against their neighbours: not every panel can be placed")
+        raise SchemaError(UNPLACEABLE)
     # grid vertex g is the document's vertex to_doc_vertex[g]; an edge from
     # g to g + 1 is a row crease, one from g to g + cols + 2 a column crease
     to_doc_vertex = ext.ravel()
@@ -238,11 +237,11 @@ def _rebuild(edges, assign, design, flat, ext):
         raise SchemaError("edges do not cover the quad grid once each")
     # the document's edge k is crease order[k] of the grid index
     to_doc = np.argsort(order)
-    creases = [pat.creases[i] for i in order.tolist()]
-    for k, cr in enumerate(creases):
-        cr.u, cr.v = int(to_doc_vertex[cr.u]), int(to_doc_vertex[cr.v])
-        if cr.role != ROLE_BOUNDARY and k < len(assign):
-            cr.mv = _ASSIGN_BACK.get(assign[k], 0)
+    creases = pat.creases[order]
+    creases.u, creases.v = to_doc_vertex[creases.u], to_doc_vertex[creases.v]
+    given = np.array(assign[:len(order)], dtype=object)
+    inner = np.flatnonzero(creases.role[:len(given)] != ROLE_BOUNDARY)
+    creases.mv[inner] = (given[inner] == "V").astype(int) - (given[inner] == "M")
     pat.vertices, pat.ext_id, pat.creases = flat, ext, creases
     pat.faces = to_doc_vertex[pat.faces]
     pat.row_creases = to_doc[pat.row_creases]
@@ -331,11 +330,10 @@ def export_svg(pattern: CreasePattern, overlays=None):
         ".curve{stroke:#2ca02c;stroke-width:1.0;fill:none;}"
         ".stair{stroke:#ff7f0e;stroke-width:1.0;fill:none;}</style>",
     ]
-    for c in pattern.creases:
-        cls = "b" if c.mv == 0 else ("v" if c.mv > 0 else "m")
-        x1, y1 = map_pt(pattern.vertices[c.u])
-        x2, y2 = map_pt(pattern.vertices[c.v])
-        lines.append(f'<line class="{cls}" x1="{fx(x1)}" y1="{fx(y1)}" '
+    ends = np.stack([pts[:, 0] - lo[0], hi[1] - pts[:, 1]], axis=1)[pattern.crease_ends()]
+    for mark, ((x1, y1), (x2, y2)) in zip(_ASSIGN[np.sign(pattern.creases.mv) + 1].tolist(),
+                                          ends.tolist()):
+        lines.append(f'<line class="{mark.lower()}" x1="{fx(x1)}" y1="{fx(y1)}" '
                      f'x2="{fx(x2)}" y2="{fx(y2)}"/>')
     for points, cls in overlays or ():
         d = " ".join(f"{fx(map_pt(p)[0])},{fx(map_pt(p)[1])}" for p in np.asarray(points))
@@ -365,11 +363,6 @@ def report_text(report):
             rows.append(f"{k}: [" + ", ".join(f"{x:.6g}" for x in v) + "]")
         else:
             rows.append(f"{k}: {v}")
-    for c in d["checks"]:
-        if isinstance(c, dict):
-            rows.append(f"check {c.get('check_id')}: "
-                        f"{'pass' if c.get('ok') else 'FAIL'} "
-                        f"residual={c.get('residual'):.3g} tol={c.get('tol'):.3g}")
     return "\n".join(rows) + "\n"
 
 

@@ -29,10 +29,10 @@ from itertools import chain, groupby, takewhile
 
 import numpy as np
 
-from .errors import NoHalt, NotRigidFoldable, OutOfRange
+from .errors import CreaseIntersection, NoHalt, NotRigidFoldable, OutOfRange
 from .geometry import _PAIR_BLOCK
 from .kinematics import FLOATS, VertexStack, form, propagate_both_modes
-from .pattern import ROLE_BOUNDARY, CreasePattern, sweep_pairs
+from .pattern import ROLE_BOUNDARY, UNPLACEABLE, CreasePattern, sweep_pairs
 from .tolerances import (BRANCH_TOL, CLASH_REL, CLOSURE_REL, COINCIDENT,
                          FOLD_CONSISTENCY, HALT_TOL, LENGTH_FLOOR, PARALLEL_SIN,
                          PREV_FLAT, SIGN_FLOOR, ZERO_AREA)
@@ -99,6 +99,8 @@ class Schedule:
     faces, share no vertex.  `plan`: the fold assignment's FoldPlan."""
 
     def __init__(self, pattern):
+        if len(pattern.placement) + 1 < pattern.faces[..., 0].size:
+            raise CreaseIntersection(UNPLACEABLE)
         self.plan = FoldPlan(pattern)
         depth = [0] * pattern.faces[..., 0].size
         for f, par in pattern.placement[:, :2].tolist():
@@ -288,12 +290,12 @@ def _frames(pattern: CreasePattern):
     vertex its count and corner rows as `np.add.at` visits them, padded."""
     sched = grid_schedule(pattern)
     _, parent, idx, sign = pattern.placement.T
-    key = (sched, pattern.vertices.shape, pattern.vertices.tobytes(),
-           [(c.u, c.v) for c in map(pattern.creases.__getitem__, idx.tolist())])
+    ends = pattern.crease_ends()[idx]
+    key = (sched, pattern.vertices.shape, pattern.vertices.tobytes(), ends.tobytes())
     cached = getattr(pattern, "_frames", None)
     if cached is None or cached[0] != key:
         pts = np.pad(np.asarray(pattern.vertices, dtype=float), ((0, 0), (0, 1)))
-        p, q = pts[np.array(key[3], dtype=int).reshape(-1, 2).T]
+        p, q = pts[ends.T]
         a = (q - p) / np.linalg.norm(q - p, axis=1)[:, None]
         K = np.zeros((len(a), 3, 3))
         K.reshape(-1, 9)[:, [1, 2, 3, 5, 6, 7]] = a[:, [2, 1, 2, 0, 1, 0]] * [-1, 1, 1, -1, -1, 1]
@@ -396,8 +398,7 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02):
                                        "no branch near flat agrees with the creases before it")
             rows[p::N + 1] = agree[0]
     rho = np.array(rows)[plan.final]
-    for cr, x in zip(pattern.creases, rho.tolist()):
-        cr.mv = 0 if cr.role == ROLE_BOUNDARY else 1 if x >= 0 else -1
+    pattern.creases.mv = (pattern.creases.role != ROLE_BOUNDARY) * np.where(rho >= 0, 1, -1)
     return rho
 
 
@@ -452,7 +453,7 @@ def _scoring(pattern: CreasePattern, prev):
     """prev, one state (E,) or lanes (L, E), as the branch rule scores
     against it and the signs it scores by, both (E,) or (E, L)."""
     flat = np.abs(prev).max(axis=-1, keepdims=True) < PREV_FLAT
-    signs = np.array([c.mv for c in pattern.creases]) * flat
+    signs = pattern.creases.mv * flat
     return np.where(flat, 0.0, prev).T, signs.T
 
 
@@ -469,12 +470,12 @@ def _chain_halt(pattern: CreasePattern, prev):
     one."""
     plan, verts = grid_schedule(pattern).plan, pattern.vertex_angles()
     N, src = len(plan.src), plan.src.tolist()
-    sgn = pattern.creases[default_driving_crease(pattern)].mv or 1
+    sgn = int(pattern.creases.mv[default_driving_crease(pattern)]) or 1
     P, S = (a[plan.cids].T.tolist() for a in _scoring(pattern, prev))
     vs, ins = zip(*[(v, j) for _, _, j, g in plan.groups for v in g])
     found = []
     for c in pattern.row_creases[1:pattern.rows + 1, 0].tolist():
-        row, x = int(plan.final[c]), pattern.creases[c].mv * (np.pi - HALT_TOL)
+        row, x = int(plan.final[c]), int(pattern.creases.mv[c]) * (np.pi - HALT_TOL)
         while row != N:
             j, p = divmod(row, N + 1)
             ok, plus, minus, two = propagate_both_modes(verts[vs[p]], j, x)
@@ -738,7 +739,7 @@ def sweep_to_halt(pattern: CreasePattern, samples=64):
     error."""
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    sgn = pattern.creases[default_driving_crease(pattern)].mv or 1
+    sgn = int(pattern.creases.mv[default_driving_crease(pattern)]) or 1
     keys, kept = [], []
 
     def states_at(ds):

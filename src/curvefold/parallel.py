@@ -275,7 +275,7 @@ def build_pattern(spec: ParallelDesignSpec):
     # the stubs at pi read no sign of their own from the halting state
     rho = signed_fold_angles(pattern, folded["coords"])
     bootstrap_mv(pattern, d0=math.copysign(0.02, rho[default_driving_crease(pattern)]))
-    pattern.design["halt_rho"] = [c.mv * abs(r) for c, r in zip(pattern.creases, rho.tolist())]
+    pattern.design["halt_rho"] = (pattern.creases.mv * np.abs(rho)).tolist()
     check_embeddable(pattern)
 
     eps_datum = hausdorff(part.points, spec.datum.refined(4))

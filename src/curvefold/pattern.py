@@ -18,14 +18,7 @@ from .tolerances import CROSSING_REL, LAYOUT_DEV_TOL
 ROLE_ROW = "row-crease"
 ROLE_COL = "column-crease"
 ROLE_BOUNDARY = "boundary"
-
-
-@dataclass
-class Crease:
-    u: int
-    v: int
-    role: str
-    mv: int = 0           # +1 valley, -1 mountain, 0 boundary/unassigned
+UNPLACEABLE = "faces wind against their neighbours: not every panel can be placed"
 
 
 @dataclass
@@ -37,7 +30,7 @@ class CreasePattern:
     cols: int
     vertices: np.ndarray          # (V, 2) planar coordinates
     ext_id: np.ndarray            # (rows+2, cols+2) -> vertex id, boundary ring included
-    creases: list
+    creases: np.recarray          # (C,) u, v, role, mv: +1 valley, -1 mountain, 0 unassigned
     faces: np.ndarray             # (rows+1, cols+1, 4) vertex ids, CCW in the plane
     sectors: np.ndarray           # (rows, cols, 4) sector angles, (R, U, L, D) order
     row_creases: np.ndarray       # (rows+2, cols+1) crease from ext_id[r, c] to its right
@@ -53,9 +46,8 @@ class CreasePattern:
         return line if include_boundary else line[1:-1]
 
     def crease_ends(self):
-        """(C, 2) vertex ids (u, v) of every crease.  Not cached: FOLD
-        import relabels the ends after assembly."""
-        return np.array([(c.u, c.v) for c in self.creases], dtype=int).reshape(-1, 2)
+        """(C, 2) vertex ids (u, v) of every crease."""
+        return np.array([self.creases["u"], self.creases["v"]]).T
 
     @property
     def diameter(self):
@@ -202,9 +194,10 @@ def assemble_grid(nodes, design):
     ends = np.empty((H.size + V.size, 2), dtype=int)
     ends[H] = np.stack([ext[:, :-1], ext[:, 1:]], axis=-1)
     ends[V] = np.stack([ext[:-1], ext[1:]], axis=-1)
-    roles = np.full(len(ends), ROLE_BOUNDARY, dtype=object)
-    roles[H[1:-1]], roles[V[:, 1:-1]] = ROLE_ROW, ROLE_COL
-    creases = [Crease(u, v, role) for (u, v), role in zip(ends.tolist(), roles.tolist())]
+    kind = np.zeros(len(ends), dtype=int)
+    kind[H[1:-1]], kind[V[:, 1:-1]] = 1, 2
+    creases = np.rec.fromarrays([*ends.T, np.array([ROLE_BOUNDARY, ROLE_ROW, ROLE_COL])[kind],
+                                 np.zeros(len(ends), dtype=int)], names="u,v,role,mv")
 
     # each quad runs top-left, top-right, bottom-right, bottom-left, and
     # is reversed where that order winds clockwise in the plane
@@ -287,7 +280,6 @@ class DesignReport:
     eps_datum: float
     eps_curve: float
     branch_log: list = field(default_factory=list)
-    checks: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
     #: the target's staircase as drawn; `as_dict` leaves it out
     stair: np.ndarray = field(default=None, repr=False, compare=False)
@@ -305,6 +297,6 @@ class DesignReport:
             "within_budget": self.within_budget,
             "halting_col": 1,
             "branch_log": [list(b) for b in self.branch_log],
-            "checks": [c.as_dict() if hasattr(c, "as_dict") else c for c in self.checks],
+            "checks": [],
             "notes": self.notes,
         }

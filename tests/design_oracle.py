@@ -15,6 +15,8 @@ the closed form of `curvefold.kinematics`, which agrees with it to
 rounding, not bit for bit.  `solve_next_vertex`, a Newton solve of the
 row transfer equations, is the independent check of the next row
 vertices that the designer continues geometrically."""
+from collections import namedtuple
+
 import numpy as np
 
 from curvefold.errors import (ClosedCurve, CreaseIntersection, NoSolution,
@@ -23,8 +25,8 @@ from curvefold.foldsim import default_driving_crease
 from curvefold.geometry import (TAU, AffineParams, Partition, PolyCurve, _arc,
                                 _unit, affine_map)
 from curvefold.kinematics import BRANCH_ORDER, propagate_both_modes, row_transfer_residual
-from curvefold.pattern import (ROLE_BOUNDARY, ROLE_COL, ROLE_ROW, Crease,
-                               CreasePattern, _suggest_rescale)
+from curvefold.pattern import (ROLE_BOUNDARY, ROLE_COL, ROLE_ROW, CreasePattern,
+                               _suggest_rescale)
 from curvefold.tolerances import BRANCH_TOL, MONOTONE_TOL, SECTOR_MARGIN, SIGN_FLOOR
 
 
@@ -418,6 +420,9 @@ def signed_fold_angles(pattern, coords):
     return out
 
 
+Crease = namedtuple("Crease", "u v role mv", defaults=(0,))
+
+
 def assemble_grid(nodes, design):
     """`pattern.assemble_grid` one crease, face and vertex at a time, its
     index found through a (u, v) -> crease lookup."""
@@ -482,7 +487,8 @@ def assemble_grid(nodes, design):
                 nodes[k, i - 1] - p, nodes[k + 1, i] - p)]     # L, D
             sectors[k - 1, i - 1] = [(angs[(j + 1) % 4] - angs[j]) % TAU
                                      for j in range(4)]
-    return CreasePattern(rows=m, cols=n, vertices=verts, ext_id=ext, creases=creases,
+    return CreasePattern(rows=m, cols=n, vertices=verts, ext_id=ext,
+                         creases=np.rec.fromrecords(creases, names="u,v,role,mv"),
                          faces=faces, sectors=sectors, row_creases=row_creases,
                          col_creases=col_creases, crease_faces=crease_faces,
                          placement=np.array(placement, dtype=int).reshape(-1, 4),

@@ -18,7 +18,9 @@ from hypothesis import strategies as hs
 import curvefold
 from curvefold import parallel
 from curvefold.cli import _build_from_spec, main
+from curvefold.errors import CreaseIntersection
 from curvefold.foldio import export_fold, load_design_spec
+from curvefold.foldsim import propagate, sweep_to_halt
 from curvefold.geometry import partition_uniform, search_theta
 from curvefold.kinematics import solve_first_vertex
 from support import FUZZ_SPECS, JSON
@@ -153,6 +155,25 @@ class TestDesign:
         assert outs[0] == outs[1]
 
 
+def _mixed_winding_pattern(monkeypatch):
+    """The third spec of test_criterion_05's stream, which draws faces that
+    wind against their neighbours; the designer rejects the layout in
+    check_embeddable, so it is built here with that check off."""
+    rng = np.random.default_rng(20260808)
+    for _ in range(3):
+        datum, target = _random_smooth_datum(rng), _random_target(rng)
+        n_row, n_col = int(rng.integers(3, 6)), int(rng.integers(3, 5))
+        rho4 = rng.uniform(0.65, 0.9) * np.pi
+    _, a2 = solve_first_vertex(partition_uniform(datum, n_row).turn_angles[0], rho4)
+    theta = search_theta(target, abs(2 * a2 - np.pi), grid=90)[0]
+    monkeypatch.setattr(parallel, "check_embeddable", lambda pattern: True)
+    pattern, _ = parallel.build_pattern(parallel.ParallelDesignSpec(
+        datum=datum, target=target, n_row=n_row, n_col=n_col, rho4=rho4, theta=theta,
+        eps=10.0))
+    assert len(pattern.placement) + 1 < pattern.faces[..., 0].size
+    return pattern
+
+
 class TestFoldVerify:
     @pytest.fixture(scope="class")
     def designed(self, tmp_path_factory):
@@ -218,21 +239,7 @@ class TestFoldVerify:
         assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
 
     def test_mixed_winding_document_exit_1(self, tmp_path, monkeypatch, capsys):
-        # the third spec of test_criterion_05's stream draws faces that wind
-        # against their neighbours; the designer rejects the layout in
-        # check_embeddable, so it is exported here with that check off
-        rng = np.random.default_rng(20260808)
-        for _ in range(3):
-            datum, target = _random_smooth_datum(rng), _random_target(rng)
-            n_row, n_col = int(rng.integers(3, 6)), int(rng.integers(3, 5))
-            rho4 = rng.uniform(0.65, 0.9) * np.pi
-        _, a2 = solve_first_vertex(partition_uniform(datum, n_row).turn_angles[0], rho4)
-        theta = search_theta(target, abs(2 * a2 - np.pi), grid=90)[0]
-        monkeypatch.setattr(parallel, "check_embeddable", lambda pattern: True)
-        pattern, _ = parallel.build_pattern(parallel.ParallelDesignSpec(
-            datum=datum, target=target, n_row=n_row, n_col=n_col, rho4=rho4, theta=theta,
-            eps=10.0))
-        assert len(pattern.placement) + 1 < pattern.faces[..., 0].size
+        pattern = _mixed_winding_pattern(monkeypatch)
         doc = tmp_path / "mixed.fold"
         doc.write_text(export_fold(pattern))
         capsys.readouterr()
@@ -240,6 +247,14 @@ class TestFoldVerify:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_mixed_winding_layout_folds_to_typed_error(self, monkeypatch):
+        # a library caller folding the same layout gets the typed error, not
+        # an index error from the placement tables
+        pattern = _mixed_winding_pattern(monkeypatch)
+        for fold in (lambda: propagate(pattern, 0.1), lambda: sweep_to_halt(pattern)):
+            with pytest.raises(CreaseIntersection, match="faces wind against their neighbours"):
+                fold()
 
     @pytest.mark.parametrize("states", ["1", "0", "-3"])
     @pytest.mark.parametrize("cmd", ["fold", "verify"])

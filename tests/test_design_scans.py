@@ -1,8 +1,10 @@
 """The design layer's array scans against their loop forms in
 `design_oracle`, bit for bit, and the typed errors of the layout checks."""
+import ast
 import copy
 import json
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -329,6 +331,45 @@ class TestGridIndex:
             for nodes in (grid, grid[:, ::-1], grid + rng.normal(size=grid.shape)):
                 coords = rng.normal(size=(nodes.shape[0] * nodes.shape[1], 3))
                 _same_index(assemble_grid(nodes, {}), oracle.assemble_grid(nodes, {}), coords)
+
+
+#: the record fields of `CreasePattern.creases`
+CREASE_FIELDS = {"u", "v", "role", "mv"}
+ITERATORS = {"enumerate", "filter", "iter", "list", "map", "sorted", "tuple", "zip"}
+
+
+def _per_crease_reads(source):
+    """Lines of `source` that loop over `.creases` or read one crease
+    record's field, `.creases[...].mv`."""
+    def is_creases(node):
+        return isinstance(node, ast.Attribute) and node.attr == "creases"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        looped = (isinstance(node, (ast.For, ast.comprehension)) and is_creases(node.iter)
+                  or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ITERATORS and any(map(is_creases, node.args)))
+        record = (isinstance(node, ast.Attribute)
+                  and (node.attr in CREASE_FIELDS and isinstance(node.value, ast.Subscript)
+                       and is_creases(node.value.value)
+                       or node.attr.startswith("__") and is_creases(node.value)))
+        if looped or record:
+            found.append((node.iter if isinstance(node, ast.comprehension) else node).lineno)
+    return found
+
+
+def test_no_per_crease_loop_in_the_library():
+    # the library reads and writes whole columns of the crease records
+    found = [f"{p.name}:{line}" for p in sorted(Path(curves.__file__).parent.glob("*.py"))
+             for line in _per_crease_reads(p.read_text())]
+    assert not found, found
+    assert sorted(_per_crease_reads("[c.mv for c in pattern.creases]\n"
+                                    "for c, x in zip(p.creases, rho):\n    pass\n"
+                                    "s = pattern.creases[dc].mv or 1\n"
+                                    "map(pattern.creases.__getitem__, idx)\n")) == [1, 2, 4, 5]
+    assert _per_crease_reads("s = int(pattern.creases.mv[dc]) or 1\n"
+                             "n = len(pattern.creases)\n"
+                             "ends = pattern.crease_ends()[idx]\n") == []
 
 
 class TestEmbeddable:
