@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CreaseIntersection, NoHalt, NotRigidFoldable, OutOfRange
 from .geometry import _PAIR_BLOCK
-from .kinematics import FLOATS, VertexStack, form, propagate_both_modes
+from .kinematics import VertexStack, propagate_both_modes
 from .pattern import ROLE_BOUNDARY, UNPLACEABLE, CreasePattern, sweep_pairs
 from .tolerances import (BRANCH_TOL, CLASH_REL, CLOSURE_REL, COINCIDENT,
                          FOLD_CONSISTENCY, HALT_TOL, LENGTH_FLOOR, PARALLEL_SIN,
@@ -101,7 +101,7 @@ class Schedule:
     def __init__(self, pattern):
         if len(pattern.placement) + 1 < pattern.faces[..., 0].size:
             raise CreaseIntersection(UNPLACEABLE)
-        self.plan = FoldPlan(pattern)
+        self.plan = fold_plan(pattern)
         depth = [0] * pattern.faces[..., 0].size
         for f, par in pattern.placement[:, :2].tolist():
             depth[f] = depth[par] + 1
@@ -195,6 +195,17 @@ class FoldPlan:
         self.cids = vcs[order].T
 
 
+def fold_plan(pattern: CreasePattern):
+    """The pattern's FoldPlan, once per content of the vertices' creases, the
+    driving crease and the crease count; the Schedule refuses mixed winding."""
+    key = (pattern.vertex_creases.tobytes(), default_driving_crease(pattern),
+           len(pattern.creases))
+    cached = getattr(pattern, "_plan", None)
+    if cached is None or cached[0] != key:
+        cached = pattern._plan = (key, FoldPlan(pattern))
+    return cached[1]
+
+
 def grid_schedule(pattern: CreasePattern):
     """The pattern's Schedule, built once per content of its crease, face
     and placement arrays: FOLD import relabels crease and vertex ids."""
@@ -207,30 +218,50 @@ def grid_schedule(pattern: CreasePattern):
     return cached[1]
 
 
-def _branch(plus, minus, two, prev, signs, where):
-    """The branch rule of one vertex, on floats or on arrays: mode -1
+def _branch(modes, two, prev, signs):
+    """The branch rule of one vertex, on one state or on lanes: mode -1
     replaces mode +1 only where it is a branch of its own and scores
     strictly better, by more folds with the sign of `signs` (the M/V signs
     where the previous state counts as flat, 0 elsewhere) by more than
     SIGN_FLOOR, then by a smaller squared distance to `prev` (0 where the
-    previous state counts as flat, so the squared norm).  prev and signs
+    previous state counts as flat, so the squared norm).  modes: (plus,
+    minus), four floats each, or lanes' (2, 4, ...) array; prev and signs
     hold the vertex's four creases.
 
     Sign agreement comes first: near flat it breaks ties toward the state
     continuous with flat (other branches through the flat configuration
-    carry large folds at tiny driving).  Squared distances are products: a
-    float's x ** 2 is libm's pow, which does not always round as x * x and
-    numpy's x ** 2 do."""
+    carry large folds at tiny driving).  Squared distances are products
+    summed left to right: a float's x ** 2 is libm's pow, which does not
+    always round as x * x and numpy's x ** 2 do."""
+    if isinstance(modes, np.ndarray):       # both modes scored in one pass
+        mp, mm = (modes * signs > SIGN_FLOOR).sum(axis=1)
+        d = modes - prev
+        d *= d
+        dp, dm = d[:, 0] + d[:, 1] + d[:, 2] + d[:, 3]
+        return np.where(two & ((mm > mp) | ((mm == mp) & (dm < dp))), modes[1], modes[0])
+    if not two:
+        return modes[0]
     p0, p1, p2, p3 = prev
     s0, s1, s2, s3 = signs
     scores = []
-    for x0, x1, x2, x3 in (plus, minus):
+    for x0, x1, x2, x3 in modes:
         d0, d1, d2, d3 = x0 - p0, x1 - p1, x2 - p2, x3 - p3
         scores.append((sum([x0 * s0 > SIGN_FLOOR, x1 * s1 > SIGN_FLOOR,
                             x2 * s2 > SIGN_FLOOR, x3 * s3 > SIGN_FLOOR]),
                        d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3))
     (mp, dp), (mm, dm) = scores
-    return where(two & ((mm > mp) | ((mm == mp) & (dm < dp))), minus, plus)
+    return modes[1] if mm > mp or (mm == mp and dm < dp) else modes[0]
+
+
+def _stacks(pattern: CreasePattern, plan):
+    """The VertexStack of each group of the plan, built once per plan and
+    VertexAngles of the pattern: each caches its terms."""
+    key = plan, pattern.vertex_angles()
+    cached = getattr(pattern, "_stacks", None)
+    if cached is None or cached[0] != key:
+        cached = pattern._stacks = key, [VertexStack([key[1][v] for v in g[3]])
+                                         for g in plan.groups]
+    return cached[1]
 
 
 def _fold_levels(pattern: CreasePattern, driving_rho, prev, signs):
@@ -244,42 +275,39 @@ def _fold_levels(pattern: CreasePattern, driving_rho, prev, signs):
     Returns the folds, (E,) or (L, E), the largest disagreement of a
     vertex's folds with the creases written before it (ignoring NaN, the
     folds of a lane with no branch), whether each lane had a branch at
-    every vertex, and for `_rescored` the lanes' modes and the folds they
-    chose, (plus, minus, two, chosen), or None on one state.  Raises
-    OutOfRange once no state has a branch."""
-    plan, verts = grid_schedule(pattern).plan, pattern.vertex_angles()
-    N, f = len(plan.src), form(driving_rho)
+    every vertex, and for `_rescored` the lanes' modes (2, 4, N, L), `two`
+    and the folds they chose, or None on one state.  Raises OutOfRange
+    once no state has a branch."""
+    plan = grid_schedule(pattern).plan
+    N, lanes = len(plan.src), isinstance(driving_rho, np.ndarray)
     P, S = np.asarray(prev)[plan.cids], np.asarray(signs)[plan.cids]
-    if f is FLOATS:
-        rows, modes = [0.0] * (4 * (N + 1)), None
-        P, S, src = P.T.tolist(), S.T.tolist(), plan.src.tolist()
-    else:
-        L = len(driving_rho)
+    if lanes:
+        L, stacks = len(driving_rho), _stacks(pattern, plan)
         buf = np.zeros((4, N + 1, L))
         rows = buf.reshape(-1, L)
-        plus, minus, two = np.empty((4, N, L)), np.empty((4, N, L)), np.empty((N, L), dtype=bool)
-        modes = (plus, minus, two, buf[:, :N])
+        modes, two = np.empty((2, 4, N, L)), np.empty((N, L), dtype=bool)
+    else:
+        rows, verts = [0.0] * (4 * (N + 1)), pattern.vertex_angles()
+        P, S, src = P.T.tolist(), S.T.tolist(), plan.src.tolist()
     rows[N] = driving_rho
     ok = True
-    for a, b, j, vs in plan.groups:
-        if f is FLOATS:
-            hit = True
-            for p, v in enumerate(vs, a):
-                h, pl, mi, tw = propagate_both_modes(verts[v], j, rows[src[p]])
-                rows[p::N + 1] = _branch(pl, mi, tw, P[p], S[p], f.where)
-                hit = hit and h
+    for g, (a, b, j, vs) in enumerate(plan.groups):
+        if lanes:
+            hit, modes[0, :, a:b], modes[1, :, a:b], two[a:b] = propagate_both_modes(
+                stacks[g], j, rows[plan.src[a:b]])
+            buf[:, a:b] = _branch(modes[:, :, a:b], two[a:b], P[:, a:b], S[:, a:b])
+            ok = ok & hit.all(axis=0)
         else:
-            hit, plus[:, a:b], minus[:, a:b], two[a:b] = propagate_both_modes(
-                VertexStack([verts[v] for v in vs]), j, rows[plan.src[a:b]])
-            buf[:, a:b] = _branch(plus[:, a:b], minus[:, a:b], two[a:b], P[:, a:b], S[:, a:b],
-                                  f.where)
-            hit = hit.all(axis=0)
-        ok = ok & hit
-        if not f.any(ok):
+            for p, v in enumerate(vs, a):
+                h, *pm, tw = propagate_both_modes(verts[v], j, rows[src[p]])
+                rows[p::N + 1] = _branch(pm, tw, P[p], S[p])
+                ok = ok and h
+        if not (ok.any() if lanes else ok):
             raise OutOfRange("configuration beyond the vertex folding range")
     rows = np.asarray(rows)
     gap = np.abs(rows[plan.pairs[0]] - rows[plan.pairs[1]])
-    return rows[plan.final].T, np.fmax.reduce(gap, axis=0, initial=0.0), ok, modes
+    return (rows[plan.final].T, np.fmax.reduce(gap, axis=0, initial=0.0), ok,
+            (modes, two, buf[:, :N]) if lanes else None)
 
 
 def _frames(pattern: CreasePattern):
@@ -376,9 +404,7 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02):
     agrees within BRANCH_TOL with every crease written before it.  The walk
     never backs up: a vertex with no such mode, or beyond its folding range,
     raises NotRigidFoldable.  Returns the signed fold angles at d0."""
-    # FoldPlan, not grid_schedule: the Schedule fails on layouts of mixed
-    # winding, which check_embeddable rejects only after the M/V
-    plan, verts = FoldPlan(pattern), pattern.vertex_angles()
+    plan, verts = fold_plan(pattern), pattern.vertex_angles()
     N, src = len(plan.src), plan.src.tolist()
     before = [[] for _ in range(N)]     # per position: (slot, row written before it)
     for a, b in plan.pairs.T.tolist():
@@ -481,7 +507,7 @@ def _chain_halt(pattern: CreasePattern, prev):
             ok, plus, minus, two = propagate_both_modes(verts[vs[p]], j, x)
             if not ok:
                 break
-            x, row = _branch(plus, minus, two, P[p], S[p], FLOATS.where)[ins[p]], src[p]
+            x, row = _branch((plus, minus), two, P[p], S[p])[ins[p]], src[p]
         else:
             found.append(sgn * x)
     return min((d for d in found if d > 0), default=None)
@@ -505,10 +531,10 @@ def _rescored(pattern: CreasePattern, modes, prev):
     every vertex when scored against prev (L, E): then it is the pass from
     prev, folds, mismatch and failure alike, since prev reaches only the
     branch rule and a vertex's modes only its input fold."""
-    plus, minus, two, chosen = modes
+    modes, two, chosen = modes
     cids = grid_schedule(pattern).plan.cids
     P, S = (a[cids] for a in _scoring(pattern, prev))
-    again = _branch(plus, minus, two, P, S, np.where).view(np.uint64)
+    again = _branch(modes, two, P, S).view(np.uint64)
     return (again == chosen.view(np.uint64)).all(axis=(0, 1))
 
 

@@ -22,16 +22,18 @@ polyhedra with quadrangular base"; Foschi, Hull & Ku 2022, "Explicit
 kinematic equations for degree-4 rigid origami vertices").  One kernel
 serves every vertex, a straight crease line included, and one wrapper,
 `propagate_both_modes`, gives both branches: on a float, or on an array
-of lanes with the operations of `LANES`.  A vertex folds on two branches:
-mode +1 is the one whose opposite crease folds mountain, mode -1 the one
-whose opposite crease folds valley.
+of lanes as one (2, 4, ...) array.  Mode +1 folds the opposite crease
+mountain, mode -1 valley by the same fold negated, so a solve takes one
+tan and five atan2, from math in both forms: numpy's SIMD tan and arctan2
+differ from math's in the last bit on some CPUs, and lanes must equal
+floats bit for bit.
 """
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -82,14 +84,16 @@ class VertexAngles:
 
 
 class VertexStack:
-    """Vertices solved in one kernel call: `terms` stacks their terms as
-    (G, 1) columns, so that row g of a (G, L) input runs on vertex g."""
+    """Vertices solved in one kernel call: `terms` stacks their terms, built on
+    first use, as (G, 1) columns, so row g of a (G, L) input runs on vertex g."""
 
     def __init__(self, verts):
-        self.verts = verts
+        self.verts, self._terms = verts, {}
 
     def terms(self, a):
-        return tuple(np.array([v.terms(a) for v in self.verts]).T[:, :, None])
+        if a not in self._terms:
+            self._terms[a] = tuple(np.array([v.terms(a) for v in self.verts]).T[:, :, None])
+        return self._terms[a]
 
 
 def solve_first_vertex(beta1, rho4):
@@ -137,32 +141,17 @@ def row_transfer_residual(prev, nxt, beta_i, beta_ip1, theta_i, branch):
     return r1, r2
 
 
-def _root(x):
-    return math.sqrt(max(x, 0.0))
+def _each(fn, *xs):
+    """fn of math on every element of float arrays of one shape, via their buffers."""
+    x = xs[0]
+    return np.fromiter(map(fn, *(a.ravel().data for a in xs)), float, x.size).reshape(x.shape)
 
 
-def _each(fn):
-    """fn of math on every element of arrays of one shape."""
-    def each(*xs):
-        x = xs[0]
-        return np.fromiter(map(fn, *(a.ravel().tolist() for a in xs)), float,
-                           x.size).reshape(x.shape)
-    return each
-
-
-#: the operations one form of the solve runs on: one state in floats, or
-#: arrays of lanes.  Lanes take numpy for arithmetic, which rounds as
-#: floats do, and math for each tan and atan2, one element at a time,
-#: because numpy's can differ from math's in the last bit
-Form = namedtuple("Form", "tan root atan2 where any")
-FLOATS = Form(math.tan, _root, math.atan2, lambda c, a, b: a if c else b, bool)
-LANES = Form(_each(math.tan), lambda x: np.sqrt(np.maximum(x, 0.0)), _each(math.atan2),
-             np.where, np.any)
-
-
-def form(x):
-    """The form that x, a fold angle or an array of them, runs on."""
-    return LANES if isinstance(x, np.ndarray) else FLOATS
+#: per input slot a, the rows of (input, mode +1's folds on a+1, a+2, a+3, mode
+#: -1's on a+1, a+3, a+2) that fill slots (R, U, L, D) of mode +1, then mode -1
+_SLOTS = np.array([[[m[(s - a) % 4] for s in range(4)] for m in ((0, 1, 2, 3), (0, 4, 6, 5))]
+                   for a in range(4)])
+_PICKS = [[itemgetter(*m) for m in s] for s in _SLOTS.tolist()]
 
 
 def _half_angle_terms(s, a):
@@ -181,12 +170,12 @@ def _half_angle_terms(s, a):
 
     c22, c20, c02, c11 = c = pair(S1, S2, S3, S4)
     k2 = math.sin(S4) * math.sin(S1) / (math.sin(S2) * math.sin(S3))
-    return (math.sqrt(k2), 1.0 - k2, _root(c11 * c11 - c20 * c02)) \
+    return (math.sqrt(k2), 1.0 - k2, math.sqrt(max(c11 * c11 - c20 * c02, 0.0))) \
         + c + pair(S4, S1, S2, S3)
 
 
-def _half_angle_folds(t, z, root, atan2):
-    """The vertex kernel, on floats or on (L,) arrays of lanes.
+def _half_angle_folds(t, z):
+    """The vertex kernel, on a float or on an array of lanes.
 
     t: the `_half_angle_terms` of the input crease a; z = tan(rho_a / 2).
     With u = tan(rho_{a+1} / 2) / z, the pair (a, a+1) gives
@@ -194,25 +183,26 @@ def _half_angle_folds(t, z, root, atan2):
     P r^2 with r = sqrt(1 + (1 - k^2) z^2); its roots q/A and c20/q are
     free of cancellation.  The pair (a+3, a) gives the same with the d
     terms, and the opposite crease has tan(rho_{a+2} / 2) = -+k z / r.
-    Returns whether the state is in range, and the folds on creases
-    (a+1, a+2, a+3) of the branch whose opposite crease folds against the
-    sign of z, then of the other one."""
+    Returns whether the state is in range and five folds: on creases (a+1,
+    a+2, a+3) of the branch whose opposite crease folds against the sign of
+    z, then on (a+1, a+3) of the other, whose fold on a+2, 2 atan2(k z, r),
+    is the first's negated (r >= 0, and atan2 is odd in y)."""
     k, one_k2, sqrt_p, c22, c20, c02, c11, d22, d20, d02, d11 = t
+    lanes = isinstance(z, np.ndarray)
     zz = z * z
     r2 = 1.0 + one_k2 * zz
-    r = root(r2)
-    q = -(c11 + sqrt_p * r)
-    p = -(d11 + sqrt_p * r)
-    kz = k * z
-    halves = ((q * z, c02 + c22 * zz), (-kz, r), (p * z, d20 + d22 * zz),
-              (c20 * z, q), (kz, r), (d02 * z, p))
+    r = np.sqrt(np.maximum(r2, 0.0)) if lanes else math.sqrt(max(r2, 0.0))
+    sr = sqrt_p * r
+    q, p = -(c11 + sr), -(d11 + sr)
+    halves = ((q * z, c02 + c22 * zz), (-k * z, r), (p * z, d20 + d22 * zz),
+              (c20 * z, q), (d02 * z, p))
     # 2 atan of num/den, carried to +-pi where den reaches 0 (lanes: one pass)
-    if isinstance(z, np.ndarray):
+    if lanes:
         num, den = map(np.array, zip(*halves))
-        folds = 2.0 * atan2(num * (1 - 2 * (den < 0)), abs(den))
+        folds = 2.0 * _each(math.atan2, np.where(den < 0, -num, num), abs(den))
     else:
-        folds = [2.0 * atan2(num * (1 - 2 * (den < 0)), abs(den)) for num, den in halves]
-    return r2 >= -RADICAND_SLACK * (1.0 + zz), folds[:3], folds[3:]
+        folds = [2.0 * math.atan2(-num if den < 0 else num, abs(den)) for num, den in halves]
+    return r2 >= -RADICAND_SLACK * (1.0 + zz), folds
 
 
 def propagate_both_modes(v, input_crease, input_rho):
@@ -231,21 +221,25 @@ def propagate_both_modes(v, input_crease, input_rho):
     vertex's folding range (|rho| <= pi and a real root), the four folds of
     mode +1 and of mode -1, and whether mode -1 is a branch of its own,
     apart from mode +1 by more than MODE_ATOL + MODE_RTOL |rho| on some
-    crease (np.allclose's rule).  The folds are finite wherever ok, and
-    mean nothing elsewhere."""
-    a = input_crease % 4
-    x = input_rho
-    tan, root, atan2, where, _ = form(x)
+    crease (np.allclose's rule).  On lanes plus and minus are the two rows
+    of one (2, 4, ...) array.  The folds are finite wherever ok, and mean
+    nothing elsewhere."""
+    a, x = input_crease % 4, input_rho
     # beyond pi z is nan, and so the kernel finds no root
-    z = tan(where(abs(x) <= math.pi, x, math.nan) / 2.0)
-    ok, p, m = _half_angle_folds(v.terms(a), z, root, atan2)
-    p, m = where(x < 0, (m, p), (p, m))
-    plus, minus = [x] * 4, [x] * 4
-    plus[(a + 1) % 4], plus[(a + 2) % 4], plus[(a + 3) % 4] = p
-    minus[(a + 1) % 4], minus[(a + 2) % 4], minus[(a + 3) % 4] = m
-    flat = [abs(x) * 0.0] * 4  # zeros in the shape of x
-    plus, minus = where(abs(x) < FLAT_CUT, (flat, flat), (plus, minus))
-    two = False
+    if isinstance(x, np.ndarray):
+        ok, f = _half_angle_folds(v.terms(a), _each(math.tan, np.where(
+            abs(x) <= math.pi, x, math.nan) / 2.0))
+        modes = np.concatenate([x[None], f, -f[1:2]]).take(_SLOTS[a], axis=0)
+        modes = np.where(x < 0, modes[::-1], modes)
+        plus, minus = np.where(abs(x) < FLAT_CUT, 0.0, modes)
+        return ok, plus, minus, (abs(minus - plus) > MODE_ATOL + MODE_RTOL * abs(plus)).any(axis=0)
+    ok, f = _half_angle_folds(v.terms(a), math.tan(x / 2.0) if abs(x) <= math.pi else math.nan)
+    if abs(x) < FLAT_CUT:
+        return ok, (0.0,) * 4, (0.0,) * 4, False
+    rows = [x, *f, -f[1]]
+    pp, pm = _PICKS[a]
+    plus, minus = (pm(rows), pp(rows)) if x < 0 else (pp(rows), pm(rows))
     for u, w in zip(plus, minus):
-        two = two | (abs(w - u) > MODE_ATOL + MODE_RTOL * abs(u))
-    return ok, plus, minus, two
+        if abs(w - u) > MODE_ATOL + MODE_RTOL * abs(u):
+            return ok, plus, minus, True
+    return ok, plus, minus, False

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as hs
 import design_oracle
 import placement_oracle
 from clash_oracle import _tri_tri_penetration, candidate_pairs
-from curvefold import curves, foldsim
+from curvefold import curves, foldsim, kinematics
 from curvefold import pattern as pattern_mod
 from curvefold.cli import _build_from_spec
 from curvefold.errors import NotRigidFoldable, OutOfRange
@@ -397,6 +398,45 @@ class TestCounts:
         assert len(traj.states) == 200
         assert calls["lanes"] == [LANE_BLOCK] * 3 + [198 - 3 * LANE_BLOCK]
         assert calls["lane_passes"] == [40] + calls["lanes"]
+
+    @pytest.mark.parametrize("design, passes", [("fig5_design", [64, 46, 62]),
+                                                ("fig7_design", [40, 62])])
+    def test_six_libm_calls_per_vertex_lane(self, design, passes, request, monkeypatch):
+        # the kernel takes tan and atan2 from math, lanes one element at a
+        # time: every vertex-lane of each lane pass, and every one-state
+        # solve, makes one tan and five atan2, mode -1's fold on the
+        # opposite crease being mode +1's negated
+        pattern, _ = request.getfixturevalue(design)
+        libm, counts = types.SimpleNamespace(**vars(math)), {"tan": 0, "atan2": 0}
+        for name in counts:
+            def counted(*args, _fn=getattr(math, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            setattr(libm, name, counted)
+        monkeypatch.setattr(kinematics, "math", libm)
+        solve, fold_lanes = foldsim.propagate_both_modes, foldsim._fold_lanes
+        solves, lane_passes = [], []
+
+        def solved(v, j, x):
+            before = dict(counts)
+            out = solve(v, j, x)
+            solves.append((np.ndim(x) > 0, np.size(x), counts["tan"] - before["tan"],
+                           counts["atan2"] - before["atan2"]))
+            return out
+
+        def lane_pass(pattern, driving_rho, *args):
+            lane_passes.append(len(driving_rho))
+            return fold_lanes(pattern, driving_rho, *args)
+
+        monkeypatch.setattr(foldsim, "propagate_both_modes", solved)
+        monkeypatch.setattr(foldsim, "_fold_lanes", lane_pass)
+        sweep_to_halt(pattern, samples=64)
+        assert lane_passes == passes
+        assert [(n, a) for _, n, _, a in solves] == [(t, 5 * t) for _, _, t, _ in solves]
+        vertex_lanes = sum(n for lanes, n, _, _ in solves if lanes)
+        assert vertex_lanes == pattern.rows * pattern.cols * sum(passes)
+        floats = sum(1 for lanes, _, _, _ in solves if not lanes)
+        assert floats > 0 and counts["tan"] + counts["atan2"] == 6 * (vertex_lanes + floats)
 
     def test_large_ortho_sweep_counts(self, large_ortho, monkeypatch):
         # the 34 x 34 spec of test_cli's test_large_ortho_design: 1,225

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,9 @@ import kinematics_oracle as oracle
 from design_oracle import solve_next_vertex
 from support import design_row
 
-from curvefold import kinematics
+from curvefold import foldsim, kinematics
 from curvefold.errors import NoSolution, OutOfRange
-from curvefold.kinematics import (VertexAngles, propagate_both_modes,
+from curvefold.kinematics import (VertexAngles, VertexStack, propagate_both_modes,
                                   row_transfer_residual, solve_first_vertex)
 from curvefold.tolerances import MODE_ATOL
 
@@ -385,26 +388,97 @@ class TestKernelOracle:
     def test_dedup_rule_is_numpy_allclose(self, monkeypatch):
         # made-up kernel folds beside an input fold of 1: mode -1 is a
         # branch of its own exactly where np.allclose(minus, plus) fails,
-        # on floats and on lanes
+        # on floats and on lanes.  The kernel gives mode -1's fold on the
+        # opposite crease as the negation of mode +1's, so that crease's
+        # pair keeps its difference about 0
         rng = np.random.default_rng(59)
         n = 2000
         b = rng.uniform(-np.pi, np.pi, (n, 4)) * 10.0 ** rng.integers(-12, 1, (n, 1))
         a = b + rng.choice([-1, 1], (n, 4)) * (MODE_ATOL + 1e-5 * np.abs(b)) \
             * rng.uniform(0.9, 1.1, (n, 4))
         a[:, 0] = b[:, 0] = 1.0
+        b[:, 2] = (b[:, 2] - a[:, 2]) / 2
+        a[:, 2] = -b[:, 2]
         want = [not np.allclose(m, p, atol=MODE_ATOL) for p, m in zip(b, a)]
         assert 0 < sum(want) < n
         v = VertexAngles(flat_foldable_quad(1.0, 1.3))
         folds = []
-        monkeypatch.setattr(kinematics, "_half_angle_folds",
-                            lambda t, z, root, atan2: (True, *folds[-1]))
+        monkeypatch.setattr(kinematics, "_half_angle_folds", lambda t, z: (True, folds[-1]))
         got = []
         for p, m in zip(b.tolist(), a.tolist()):
-            folds.append((p[1:], m[1:]))
+            folds.append(p[1:] + [m[1], m[3]])
             got.append(propagate_both_modes(v, 0, 1.0)[3])
-        folds.append((list(b.T[1:]), list(a.T[1:])))
+        folds.append(np.concatenate([b.T[1:], a.T[[1, 3]]]))
         lanes = propagate_both_modes(v, 0, np.ones(n))[3]
         assert got == want and lanes.tolist() == want
+
+    def test_stack_lanes_equal_float_solves(self):
+        # one VertexStack of G vertices of mixed families, driven from every
+        # input slot by (G, L) inputs at flat, -0.0, +-pi, beyond pi and
+        # near flat: row g equals vertex g's float solve bit for bit, its
+        # `ok`, both modes and `two`
+        rng = np.random.default_rng(31)
+        G = 7
+        edge = [0.0, -0.0, np.pi, -np.pi, np.pi + 1e-9, -3.5, 4.0]
+        for _ in range(10):
+            verts = [VertexAngles(_random_vertex(rng, f)) for f in rng.choice(FAMILIES, G)]
+            stack = VertexStack(verts)
+            for a in range(4):
+                x = np.hstack([rng.uniform(-3.3, 3.3, (G, 12)), np.tile(edge, (G, 1)),
+                               rng.choice([-1, 1], (G, 10)) * 10 ** rng.uniform(-14, -2, (G, 10))])
+                ok, plus, minus, two = propagate_both_modes(stack, a, x)
+                assert plus.shape == minus.shape == (4,) + x.shape
+                for g, v in enumerate(verts):
+                    for k, xk in enumerate(x[g].tolist()):
+                        want_ok, want_plus, want_minus, want_two = propagate_both_modes(v, a, xk)
+                        assert ok[g, k] == want_ok and two[g, k] == want_two
+                        assert plus[:, g, k].tobytes() == np.array(want_plus).tobytes()
+                        assert minus[:, g, k].tobytes() == np.array(want_minus).tobytes()
+
+    def test_lane_branch_rule_equals_float_rule(self):
+        # foldsim._branch scores a (2, 4, G, L) stack of modes in one pass:
+        # on every element it picks the bits the one-state rule picks, also
+        # on forced ties (equal sign counts, and equal distances where
+        # minus mirrors plus about prev = 0) and where `two` is False
+        rng = np.random.default_rng(37)
+        G, L = 5, 48
+        plus = rng.uniform(-3, 3, (4, G, L)) * 10.0 ** rng.integers(-13, 1, (1, G, L))
+        minus = rng.uniform(-3, 3, (4, G, L))
+        mirror = rng.random((G, L)) < 0.4
+        minus[:, mirror] = -plus[:, mirror]
+        prev = np.where(mirror | (rng.random((G, L)) < 0.3), 0.0, rng.uniform(-3, 3, (4, G, L)))
+        signs = rng.choice([-1, 0, 1], (4, G, L))
+        signs[:, rng.random((G, L)) < 0.3] = 0
+        two = rng.random((G, L)) < 0.8
+        modes = np.array([plus, minus])
+        got = foldsim._branch(modes, two, prev, signs)
+        ties = 0
+        for g in range(G):
+            for k in range(L):
+                one = [m[:, g, k].tolist() for m in modes]
+                want = foldsim._branch(one, bool(two[g, k]), prev[:, g, k].tolist(),
+                                       signs[:, g, k].tolist())
+                assert got[:, g, k].tobytes() == np.array(want).tobytes()
+                ties += mirror[g, k] and two[g, k] and not signs[:, g, k].any()
+        assert ties > 10
+
+    def test_atan2_is_odd_in_y_for_nonnegative_x(self):
+        # the kernel gives mode -1's fold on the opposite crease as the
+        # negation of mode +1's, 2 atan2(-k z, r) with r >= +0: that holds
+        # bit for bit only while math.atan2(-y, x) == -math.atan2(y, x)
+        rng = np.random.default_rng(41)
+        tiny, huge = 5e-324, 1.7e308
+        xs = [0.0, tiny, 1e-310, 1.0, huge, math.inf] + rng.uniform(0, 4, 400).tolist() \
+            + (10.0 ** rng.uniform(-320, 308, 400)).tolist()
+        ys = [0.0, -0.0, tiny, -tiny, 2.2e-308, huge, -huge, math.inf, -math.inf] \
+            + rng.uniform(-4, 4, 400).tolist() \
+            + (rng.choice([-1, 1], 400) * 10.0 ** rng.uniform(-320, 308, 400)).tolist()
+        for x in xs:
+            for y in ys:
+                a, b = struct.pack("<d", math.atan2(-y, x)), struct.pack("<d", -math.atan2(y, x))
+                assert a == b, (f"math.atan2({-y!r}, {x!r}) != -math.atan2({y!r}, {x!r}): mode "
+                                "-1's fold on the opposite crease, the negation of mode +1's, "
+                                "would not be its own atan2")
 
     def test_tangent_ratios_constant_along_branches(self):
         # Huffman / Tachi & Hull: on a flat-foldable vertex (a, b, pi-a,

@@ -3,6 +3,7 @@ plan's data flow against the row-major vertex sweep and the shape that
 leaves no vertex without a known crease, its errors in floats and in
 lanes, the placement depths against the placement order, and the clash
 test's table of vertex-sharing triangles against the per-pair test."""
+import copy
 import json
 import re
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, reject, settings
 
 from curvefold import foldsim
-from curvefold.cli import _build_from_spec, main
+from curvefold.cli import DEMOS, _build_from_spec, main
 from curvefold.errors import CurvefoldError, NotRigidFoldable, OutOfRange, SchemaError
 from curvefold.foldio import export_fold, import_fold, load_design_spec
 from curvefold.foldsim import (assign_fold_angles, default_driving_crease, grid_schedule,
@@ -157,6 +158,33 @@ class TestFoldPlan:
         assert len(plan.groups) == 100
         assert sorted(v for group in plan.groups for v in group[3]) == list(range(34 * 34))
 
+
+    def test_one_plan_per_pattern(self, monkeypatch):
+        # a design builds its FoldPlan once, for the M/V bootstrap, and the
+        # sweep's Schedule takes that plan.  A FOLD re-import gets a plan of
+        # its own, and so does the design's pattern object with its crease
+        # ids relabelled in place: the cache keys on what the plan reads
+        built, real = [], foldsim.FoldPlan
+
+        def counted(pattern):
+            built.append(real(pattern))
+            return built[-1]
+
+        monkeypatch.setattr(foldsim, "FoldPlan", counted)
+        pattern, _ = _build_from_spec(*load_design_spec(json.dumps(DEMOS["fig5"])))
+        sweep_to_halt(pattern, samples=2)
+        assert len(built) == 1 and grid_schedule(pattern).plan is built[0]
+        imported, _ = import_fold(export_fold(pattern))
+        sweep_to_halt(imported, samples=2)
+        assert len(built) == 2 and grid_schedule(imported).plan is built[1]
+        relabelled = copy.copy(pattern)
+        perm = np.random.default_rng(5).permutation(len(pattern.creases))
+        relabelled.row_creases, relabelled.col_creases = perm[pattern.row_creases], \
+            perm[pattern.col_creases]
+        relabelled.creases = pattern.creases[np.argsort(perm)]
+        assert foldsim.fold_plan(relabelled) is built[2] and len(built) == 3
+        assert np.array_equal(built[2].cids, perm[built[0].cids])
+        assert foldsim.fold_plan(pattern) is built[0] and len(built) == 3
 
 def _both(pattern, drive):
     """The errors of one state and of lanes at the driving values `drive`,

@@ -162,10 +162,12 @@ class TestMarch:
                 signs = [s * flip for s in signs]
             return real_levels(pattern, driving_rho, prev, signs)
 
-        def branch(plus, minus, two, prev, signs, where):
-            got = real_branch(plus, minus, two, prev, signs, where)
-            if len(passes) == 1 and where is np.where and not forced and how == "mode":
+        def branch(modes, two, prev, signs):
+            got = real_branch(modes, two, prev, signs)
+            if len(passes) == 1 and isinstance(modes, np.ndarray) and not forced \
+                    and how == "mode":
                 # the other mode of vertex 0 of the group, in lanes >= lane
+                plus, minus = modes
                 other = np.where(got == plus, minus, plus)[:, :1]
                 at = np.arange(got.shape[-1]) >= lane
                 assert two[0, at].all()
