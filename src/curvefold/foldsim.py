@@ -1,13 +1,14 @@
 """1-DOF rigid folding simulation of quad-grid crease patterns.
 
-What the grid fixes while the paper folds is built once per pattern, as
-a `Schedule`: the crease that drives each vertex and the vertex that wrote
-it, the BFS depths of the panel placement, and the triangle pairs that
-share a vertex.  Folding angles follow the data flow of a row-major sweep
-over the vertices, solved one group (one dependency level, one input
-slot) at a time: one state solves a group's vertices in floats, and
-lanes of states, (L,) arrays, in one kernel call, with the same branch
-rule for both.
+What the grid fixes while the paper folds is built once per pattern and
+kept in its one store, `CreasePattern.kept`: the `Schedule` (the BFS depths
+of the panel placement, the triangle pairs that share a vertex), its
+`FoldPlan` (the crease that drives each vertex and the vertex that wrote
+it), the placement's constants and the vertex stacks.  Folding angles
+follow the data flow of a row-major sweep over the vertices, solved one
+group (one dependency level, one input slot) at a time: one state solves
+a group's vertices in floats, and lanes of states, (L,) arrays, in one
+kernel call, with the same branch rule for both.
 Panels are then placed one BFS depth at a time, and every shared edge is
 checked for closure.
 The sweep-to-halt driver locates the smallest driving angle at which any
@@ -87,21 +88,21 @@ def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None):
 
 
 class Schedule:
-    """What the grid fixes about a pattern while it folds, built once per
-    pattern (`grid_schedule`) from its grid adjacency in O(vertices +
-    faces).
+    """What the grid fixes about a pattern while it folds, kept once per
+    pattern (`grid_schedule`) and built from its grid adjacency in
+    O(vertices + faces).
 
     `depths`: the rows of `pattern.placement` by BFS depth, so that every
     parent face is placed in an earlier depth than its children, and
     `order`, `hinges` the corners of the creases in placement order.  `ids`:
     the vertex ids of the triangles (2 f, 2 f + 1) = (q0, q1, q2) and
     (q0, q2, q3) of each face f, and `apart` which pairs of them, on two
-    faces, share no vertex.  `plan`: the fold assignment's FoldPlan."""
+    faces, share no vertex.  `plan`: the pattern's kept FoldPlan."""
 
     def __init__(self, pattern):
         if len(pattern.placement) + 1 < pattern.faces[..., 0].size:
             raise CreaseIntersection(UNPLACEABLE)
-        self.plan = fold_plan(pattern)
+        self.plan = pattern.kept(FoldPlan)
         depth = [0] * pattern.faces[..., 0].size
         for f, par in pattern.placement[:, :2].tolist():
             depth[f] = depth[par] + 1
@@ -195,27 +196,9 @@ class FoldPlan:
         self.cids = vcs[order].T
 
 
-def fold_plan(pattern: CreasePattern):
-    """The pattern's FoldPlan, once per content of the vertices' creases, the
-    driving crease and the crease count; the Schedule refuses mixed winding."""
-    key = (pattern.vertex_creases.tobytes(), default_driving_crease(pattern),
-           len(pattern.creases))
-    cached = getattr(pattern, "_plan", None)
-    if cached is None or cached[0] != key:
-        cached = pattern._plan = (key, FoldPlan(pattern))
-    return cached[1]
-
-
 def grid_schedule(pattern: CreasePattern):
-    """The pattern's Schedule, built once per content of its crease, face
-    and placement arrays: FOLD import relabels crease and vertex ids."""
-    key = tuple((a.shape, a.tobytes()) for a in (pattern.row_creases, pattern.col_creases,
-                                                 pattern.faces, pattern.placement,
-                                                 pattern.crease_faces))
-    cached = getattr(pattern, "_schedule", None)
-    if cached is None or cached[0] != key:
-        cached = pattern._schedule = (key, Schedule(pattern))
-    return cached[1]
+    """The pattern's Schedule, as `CreasePattern.kept` keeps it."""
+    return pattern.kept(Schedule)
 
 
 def _branch(modes, two, prev, signs):
@@ -253,15 +236,10 @@ def _branch(modes, two, prev, signs):
     return modes[1] if mm > mp or (mm == mp and dm < dp) else modes[0]
 
 
-def _stacks(pattern: CreasePattern, plan):
-    """The VertexStack of each group of the plan, built once per plan and
-    VertexAngles of the pattern: each caches its terms."""
-    key = plan, pattern.vertex_angles()
-    cached = getattr(pattern, "_stacks", None)
-    if cached is None or cached[0] != key:
-        cached = pattern._stacks = key, [VertexStack([key[1][v] for v in g[3]])
-                                         for g in plan.groups]
-    return cached[1]
+def _stacks(pattern: CreasePattern):
+    """The VertexStack, which caches its terms, of each FoldPlan group."""
+    verts = pattern.vertex_angles()
+    return [VertexStack([verts[v] for v in g[3]]) for g in pattern.kept(FoldPlan).groups]
 
 
 def _fold_levels(pattern: CreasePattern, driving_rho, prev, signs):
@@ -282,7 +260,7 @@ def _fold_levels(pattern: CreasePattern, driving_rho, prev, signs):
     N, lanes = len(plan.src), isinstance(driving_rho, np.ndarray)
     P, S = np.asarray(prev)[plan.cids], np.asarray(signs)[plan.cids]
     if lanes:
-        L, stacks = len(driving_rho), _stacks(pattern, plan)
+        L, stacks = len(driving_rho), pattern.kept(_stacks)
         buf = np.zeros((4, N + 1, L))
         rows = buf.reshape(-1, L)
         modes, two = np.empty((2, 4, N, L)), np.empty((N, L), dtype=bool)
@@ -311,33 +289,26 @@ def _fold_levels(pattern: CreasePattern, driving_rho, prev, signs):
 
 
 def _frames(pattern: CreasePattern):
-    """The constants of `place_panels`, built once per Schedule, content of
-    `pattern.vertices` and ends of the hinge creases: per hinge its point,
-    K and K @ K of its unit axis; the depths' steps (face, parent, rows) by
-    position in placement order; the flat corners in that order; and per
-    vertex its count and corner rows as `np.add.at` visits them, padded."""
+    """The constants of `place_panels`: per hinge its point, K and K @ K of
+    its unit axis; the depths' steps (face, parent, rows) by position in
+    placement order; the flat corners in that order; and per vertex its
+    count and corner rows as `np.add.at` visits them, padded."""
     sched = grid_schedule(pattern)
     _, parent, idx, sign = pattern.placement.T
-    ends = pattern.crease_ends()[idx]
-    key = (sched, pattern.vertices.shape, pattern.vertices.tobytes(), ends.tobytes())
-    cached = getattr(pattern, "_frames", None)
-    if cached is None or cached[0] != key:
-        pts = np.pad(np.asarray(pattern.vertices, dtype=float), ((0, 0), (0, 1)))
-        p, q = pts[ends.T]
-        a = (q - p) / np.linalg.norm(q - p, axis=1)[:, None]
-        K = np.zeros((len(a), 3, 3))
-        K.reshape(-1, 9)[:, [1, 2, 3, 5, 6, 7]] = a[:, [2, 1, 2, 0, 1, 0]] * [-1, 1, 1, -1, -1, 1]
-        at, quads = np.argsort(sched.order), pattern.faces.reshape(-1, 4)[sched.order]
-        v = quads.ravel()
-        by, counts = np.argsort(v, kind="stable"), np.bincount(v, minlength=len(pts))
-        table = np.full((len(pts), counts.max()), len(v))      # row 4 F: the zero row
-        table[v[by], np.arange(len(v)) - np.searchsorted(v[by], v[by])] = by
-        steps = [(r + 1, at[parent[r]], r) for r in sched.depths]
-        hinges = [(at[f], c) for f, c in sched.hinges]
-        cached = pattern._frames = key, (p, K, K @ K, sign[:, None], idx, steps, pts[quads],
-                                         hinges, quads, table.T, counts[:, None, None],
-                                         max(pattern.diameter, LENGTH_FLOOR))
-    return cached[1]
+    pts = np.pad(np.asarray(pattern.vertices, dtype=float), ((0, 0), (0, 1)))
+    p, q = pts[pattern.crease_ends()[idx].T]
+    a = (q - p) / np.linalg.norm(q - p, axis=1)[:, None]
+    K = np.zeros((len(a), 3, 3))
+    K.reshape(-1, 9)[:, [1, 2, 3, 5, 6, 7]] = a[:, [2, 1, 2, 0, 1, 0]] * [-1, 1, 1, -1, -1, 1]
+    at, quads = np.argsort(sched.order), pattern.faces.reshape(-1, 4)[sched.order]
+    v = quads.ravel()
+    by, counts = np.argsort(v, kind="stable"), np.bincount(v, minlength=len(pts))
+    table = np.full((len(pts), counts.max()), len(v))      # row 4 F: the zero row
+    table[v[by], np.arange(len(v)) - np.searchsorted(v[by], v[by])] = by
+    steps = [(r + 1, at[parent[r]], r) for r in sched.depths]
+    hinges = [(at[f], c) for f, c in sched.hinges]
+    return (p, K, K @ K, sign[:, None], idx, steps, pts[quads], hinges, quads, table.T,
+            counts[:, None, None], max(pattern.diameter, LENGTH_FLOOR))
 
 
 def place_panels(pattern: CreasePattern, rho):
@@ -357,7 +328,7 @@ def place_panels(pattern: CreasePattern, rho):
     rho = np.asarray(rho, dtype=float)
     lanes = rho.reshape(-1, rho.shape[-1])
     L = len(lanes)
-    p, K, KK, sign, idx, steps, corners, hinges, quads, table, counts, diam = _frames(pattern)
+    p, K, KK, sign, idx, steps, corners, hinges, quads, table, counts, diam = pattern.kept(_frames)
     # hinge frames: rotation H about the crease line through p maps x to
     # H x + (p - H p); rows run over (hinge, lane)
     a = (sign * lanes[:, idx].T).reshape(len(idx), L, 1, 1)
@@ -404,7 +375,7 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02):
     agrees within BRANCH_TOL with every crease written before it.  The walk
     never backs up: a vertex with no such mode, or beyond its folding range,
     raises NotRigidFoldable.  Returns the signed fold angles at d0."""
-    plan, verts = fold_plan(pattern), pattern.vertex_angles()
+    plan, verts = pattern.kept(FoldPlan), pattern.vertex_angles()
     N, src = len(plan.src), plan.src.tolist()
     before = [[] for _ in range(N)]     # per position: (slot, row written before it)
     for a, b in plan.pairs.T.tolist():

@@ -62,25 +62,40 @@ class CreasePattern:
         return np.stack([H[1:-1, 1:], V[:-1, 1:-1], H[1:-1, :-1], V[1:, 1:-1]], axis=-1)
 
     def vertex_angles(self):
-        """VertexAngles of every inner vertex, row-major, as a list.
+        """VertexAngles of every inner vertex, row-major, as a list, kept by
+        `kept`; a vertex that is not a valid degree-4 vertex raises
+        NotRigidFoldable."""
+        return self.kept(_vertex_table)
 
-        Built once per content of `sectors`; a vertex that is not a valid
-        degree-4 vertex raises NotRigidFoldable."""
-        key = self.sectors.tobytes()
-        cached = getattr(self, "_vertex_angles", None)
-        if cached is None or cached[0] != key:
-            table = []
-            for k, row in enumerate(self.sectors.tolist()):
-                for i, sec in enumerate(row):
-                    try:
-                        table.append(VertexAngles(tuple(sec)))
-                    except ValueError as e:
-                        raise NotRigidFoldable(f"vertex ({k + 1},{i + 1}): {e}")
-            cached = self._vertex_angles = (key, table)
-        return cached[1]
+    def kept(self, build):
+        """build(self), kept in the pattern's one store until an array the
+        fold layers read (vertices, sectors, grid index, crease ends) changes
+        shape or bytes; the store is then rebuilt whole.  M/V, roles and the
+        design are not in the key: every caller reads them fresh, so writing
+        M/V, as `bootstrap_mv` does, rebuilds nothing."""
+        key = [(a.shape, a.tobytes()) for a in (
+            self.vertices, self.sectors, self.row_creases, self.col_creases, self.faces,
+            self.placement, self.crease_faces, self.creases["u"], self.creases["v"])]
+        store = self.__dict__.get("_kept")
+        if store is None or store[0] != key:
+            store = self._kept = key, {}
+        if build not in store[1]:
+            store[1][build] = build(self)
+        return store[1][build]
 
     def developability_residual(self):
         return float(np.max(np.abs(self.sectors.sum(axis=2) - 2.0 * np.pi)))
+
+
+def _vertex_table(pattern: CreasePattern):
+    table = []
+    for k, row in enumerate(pattern.sectors.tolist()):
+        for i, sec in enumerate(row):
+            try:
+                table.append(VertexAngles(tuple(sec)))
+            except ValueError as e:
+                raise NotRigidFoldable(f"vertex ({k + 1},{i + 1}): {e}")
+    return table
 
 
 def panel_distances(pattern: CreasePattern, coords):

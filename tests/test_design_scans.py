@@ -372,6 +372,70 @@ def test_no_per_crease_loop_in_the_library():
                              "ends = pattern.crease_ends()[idx]\n") == []
 
 
+#: the names a pattern goes by in the library, besides `self` in CreasePattern
+PATTERN_NAMES = {"pattern", "pat"}
+ATTR_CALLS = {"getattr", "setattr", "hasattr", "delattr", "vars"}
+
+
+def _private_pattern_reads(source):
+    """Lines of `source` that store or read a private attribute on a
+    pattern outside `CreasePattern.kept`: `pattern._x`, `self._x` in
+    CreasePattern, a pattern's `__dict__` or `vars`, and any
+    `getattr(x, "_x")` (or setattr, hasattr, delattr)."""
+    tree = ast.parse(source)
+    inside, kept = set(), set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "CreasePattern":
+            inside |= set(map(id, ast.walk(cls)))
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "kept":
+                    kept |= set(map(id, ast.walk(fn)))
+
+    def is_pattern(node):
+        return isinstance(node, ast.Name) and (
+            node.id in PATTERN_NAMES or node.id == "self" and id(node) in inside)
+
+    found = []
+    for node in ast.walk(tree):
+        private = (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                   and (node.attr == "__dict__" or not node.attr.startswith("__"))
+                   and is_pattern(node.value))
+        by_name = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in ATTR_CALLS and node.args
+                   and (node.func.id == "vars" and is_pattern(node.args[0])
+                        or len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                        and str(node.args[1].value).startswith("_")))
+        if (private or by_name) and id(node) not in kept:
+            found.append(node.lineno)
+    return found
+
+
+def test_no_pattern_cache_outside_kept():
+    # one store with one key: no module keeps its own cache on a pattern
+    found = [f"{p.name}:{line}" for p in sorted(Path(curves.__file__).parent.glob("*.py"))
+             for line in _private_pattern_reads(p.read_text())]
+    assert not found, found
+    assert sorted(_private_pattern_reads(
+        "pattern._plan = (key, plan)\n"
+        "cached = getattr(pattern, '_schedule', None)\n"
+        "class CreasePattern:\n"
+        "    def vertex_angles(self):\n"
+        "        return self._table\n"
+        "    def kept(self, build):\n"
+        "        return self.__dict__.get('_kept') or setattr(self, '_kept', 1)\n"
+        "x = pat.__dict__['_frames'] or vars(pattern)\n"
+        "setattr(other, '_stacks', 1)\n")) == [1, 2, 5, 8, 8, 9]
+    assert _private_pattern_reads(
+        "class Schedule:\n"
+        "    def __init__(self, pattern):\n"
+        "        self._slot = pattern.kept(FoldPlan)\n"
+        "class CreasePattern:\n"
+        "    def kept(self, build):\n"
+        "        store = self.__dict__.get('_kept')\n"
+        "        self._kept = store\n"
+        "n = len(pattern.creases) + pattern.__class__.__name__.count('_')\n") == []
+
+
 class TestEmbeddable:
     def test_designs_embed(self, fig5_design, fig7_design, small_parallel):
         for pattern, _ in (fig5_design, fig7_design, small_parallel):

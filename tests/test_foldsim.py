@@ -283,20 +283,22 @@ class TestBootstrap:
 
     def test_folds_on_near_flat_rays(self, designs):
         # every vertex leaves flat along one of the two rays its sectors
-        # allow, and with the design's M/V; at d0 the rays are tangents,
-        # off the folds by O(d0 ** 2)
+        # allow, and with the design's M/V: in the bootstrap walk, and in
+        # the fold from flat, whose branches `_fold_levels`' rule picks; at
+        # d0 the rays are tangents, off the folds by O(d0 ** 2)
         for pattern in designs:
             want_mv = np.array([c.mv for c in pattern.creases])
             d0 = math.copysign(1e-4, want_mv[default_driving_crease(pattern)] or 1)
-            rho, _ = _mv_kept(pattern, bootstrap_mv, d0)
-            for cids, sectors in zip(pattern.vertex_creases.reshape(-1, 4),
-                                     pattern.sectors.reshape(-1, 4)):
-                w = rho[cids] / np.linalg.norm(rho[cids])
-                rays = _near_flat_rays(sectors)
-                assert min(np.linalg.norm(w[:, None] - s * rays, axis=0).min()
-                           for s in (1, -1)) <= 1e-8
-            inner = want_mv != 0
-            assert np.array_equal(np.where(rho >= 0, 1, -1)[inner], want_mv[inner])
+            walked, _ = _mv_kept(pattern, bootstrap_mv, d0)
+            for rho in (walked, propagate(pattern, d0).rho):
+                for cids, sectors in zip(pattern.vertex_creases.reshape(-1, 4),
+                                         pattern.sectors.reshape(-1, 4)):
+                    w = rho[cids] / np.linalg.norm(rho[cids])
+                    rays = _near_flat_rays(sectors)
+                    assert min(np.linalg.norm(w[:, None] - s * rays, axis=0).min()
+                               for s in (1, -1)) <= 1e-8
+                inner = want_mv != 0
+                assert np.array_equal(np.where(rho >= 0, 1, -1)[inner], want_mv[inner])
 
     def test_failure_is_linear(self, large_ortho, monkeypatch):
         # two opposite sectors of vertex (18, 18) moved by +-1e-3 still sum

@@ -1,10 +1,12 @@
 """The grid schedule of `foldsim`, against what it replaces: the fold
 plan's data flow against the row-major vertex sweep and the shape that
 leaves no vertex without a known crease, its errors in floats and in
-lanes, the placement depths against the placement order, and the clash
-test's table of vertex-sharing triangles against the per-pair test."""
+lanes, the placement depths against the placement order, the clash
+test's table of vertex-sharing triangles against the per-pair test, and
+the pattern's one store of what the grid fixes against fresh builds."""
 import copy
 import json
+import operator
 import re
 
 import numpy as np
@@ -12,13 +14,15 @@ import pytest
 from hypothesis import given, reject, settings
 
 from curvefold import foldsim
+from curvefold import pattern as pattern_mod
 from curvefold.cli import DEMOS, _build_from_spec, main
 from curvefold.errors import CurvefoldError, NotRigidFoldable, OutOfRange, SchemaError
 from curvefold.foldio import export_fold, import_fold, load_design_spec
-from curvefold.foldsim import (assign_fold_angles, default_driving_crease, grid_schedule,
-                               propagate, sweep_to_halt)
+from curvefold.foldsim import (assign_fold_angles, bootstrap_mv, default_driving_crease,
+                               grid_schedule, place_panels, propagate, sweep_to_halt)
+from curvefold.kinematics import VertexStack
 from curvefold.pattern import assemble_grid
-from support import SMALL_SPECS
+from support import SMALL_SPECS, bare_document, scrambled
 
 FIGS = ("fig5_design", "fig7_design", "fig5_reimported")
 LANE_STEP = 100.0  # lane l carries its folds plus l x LANE_STEP
@@ -182,9 +186,9 @@ class TestFoldPlan:
         relabelled.row_creases, relabelled.col_creases = perm[pattern.row_creases], \
             perm[pattern.col_creases]
         relabelled.creases = pattern.creases[np.argsort(perm)]
-        assert foldsim.fold_plan(relabelled) is built[2] and len(built) == 3
+        assert grid_schedule(relabelled).plan is built[2] and len(built) == 3
         assert np.array_equal(built[2].cids, perm[built[0].cids])
-        assert foldsim.fold_plan(pattern) is built[0] and len(built) == 3
+        assert grid_schedule(pattern).plan is built[0] and len(built) == 3
 
 def _both(pattern, drive):
     """The errors of one state and of lanes at the driving values `drive`,
@@ -328,3 +332,85 @@ class TestTouching:
         except CurvefoldError:
             reject()
         _check_touching(pattern)
+
+
+def _same(a, b):
+    """a and b hold the same values, arrays bit for bit (shape and dtype
+    too), objects attribute by attribute; a VertexStack by its vertices,
+    not by the terms it has cached so far."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and (a.shape, a.dtype) == (b.shape, b.dtype)
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, VertexStack):
+        return _same(a.verts, b.verts)
+    if isinstance(a, (foldsim.Schedule, foldsim.FoldPlan)):
+        return type(a) is type(b) and _same(vars(a), vars(b))
+    return type(a) is type(b) and a == b
+
+
+def _kept(pattern):
+    """What the pattern keeps: its Schedule, FoldPlan, vertex table, vertex
+    stacks and placement constants."""
+    return [grid_schedule(pattern), pattern.kept(foldsim.FoldPlan), pattern.vertex_angles(),
+            pattern.kept(foldsim._stacks), pattern.kept(foldsim._frames)]
+
+
+def _check_kept_is_fresh(pattern):
+    """Everything the pattern keeps equals a build from the pattern as it
+    is now, and the Schedule's plan is the kept FoldPlan."""
+    sched, plan, verts, stacks, frames = _kept(pattern)
+    fresh = foldsim.Schedule(pattern)
+    assert sched.plan is plan
+    for got, want in ((sched.plan, fresh.plan), (sched.hinges, fresh.hinges),
+                      (sched.depths, fresh.depths), (sched, fresh),
+                      (plan, foldsim.FoldPlan(pattern)),
+                      (verts, pattern_mod._vertex_table(pattern)),
+                      (stacks, foldsim._stacks(pattern)), (frames, foldsim._frames(pattern))):
+        assert _same(got, want)
+
+
+class TestKept:
+    def test_edits_in_place_rebuild_what_is_kept(self, fig5_design):
+        # one pattern object folded and placed, then each array the key
+        # covers edited in place: everything it keeps is rebuilt, and
+        # equals a fresh build.  Writing M/V rebuilds nothing
+        pattern = copy.deepcopy(fig5_design[0])
+        E = len(pattern.creases)
+        foldsim._fold_lanes(pattern, np.array([0.2, 0.3]), np.zeros((2, E)))
+        place_panels(pattern, np.zeros(E))
+        _check_kept_is_fresh(pattern)
+        before = _kept(pattern)
+        bootstrap_mv(pattern)
+        pattern.creases.mv = -pattern.creases.mv
+        assert all(map(operator.is_, _kept(pattern), before))
+
+        # the re-import with its vertex ids, faces and edge order scrambled
+        rng = np.random.default_rng(7)
+        doc, _ = scrambled(bare_document(export_fold(pattern)), rng)
+        perm = rng.permutation(E)
+        for key in ("edges_vertices", "edges_assignment"):
+            doc[key] = [doc[key][k] for k in perm]
+        other = import_fold(json.dumps(doc))[0]
+        hinge = pattern.placement[:, 2]
+        reversed_hinges = pattern.creases.copy()
+        reversed_hinges.u[hinge], reversed_hinges.v[hinge] = (pattern.creases.v[hinge],
+                                                              pattern.creases.u[hinge])
+        edits = [("vertices scaled", pattern.vertices, 1.25 * pattern.vertices),
+                 ("hinge creases reversed", pattern.creases, reversed_hinges),
+                 ("row crease ids relabelled", pattern.row_creases, perm[pattern.row_creases]),
+                 ("column crease ids relabelled", pattern.col_creases,
+                  perm[pattern.col_creases]),
+                 ("crease sides swapped", pattern.crease_faces, pattern.crease_faces[:, ::-1]),
+                 ("sectors turned end for end", pattern.sectors, pattern.sectors[::-1, ::-1]),
+                 ("faces of a relabelled re-import", pattern.faces, other.faces),
+                 ("placement of a relabelled re-import", pattern.placement, other.placement)]
+        for name, array, value in edits:
+            before = _kept(pattern)
+            array[...] = value.copy()
+            assert not any(map(operator.is_, _kept(pattern), before)), name
+            _check_kept_is_fresh(pattern)
+
