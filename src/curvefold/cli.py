@@ -13,8 +13,8 @@ import numpy as np
 
 from . import curves as curves_mod
 from .errors import CurvefoldError, SchemaError
-from .foldio import (_load_curve, export_fold, export_svg, import_fold, json_object,
-                     load_design_spec, report_json, report_text)
+from .foldio import (MAX_STATES, _load_curve, export_fold, export_svg, import_fold,
+                     json_object, load_design_spec, report_json, report_text)
 from .foldsim import sweep_to_halt
 from .geometry import partition_uniform, search_theta
 from .kinematics import solve_first_vertex
@@ -101,8 +101,9 @@ def _write(out, name, text):
 
 
 def _check_states(states):
-    if states < 2:
-        raise SchemaError("--states must be at least 2")
+    if not 2 <= states <= MAX_STATES:
+        raise SchemaError("--states must be at least 2" if states < 2
+                          else f"--states must be at most {MAX_STATES}")
 
 
 def cmd_design(args):

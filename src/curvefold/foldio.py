@@ -367,6 +367,10 @@ def report_text(report):
 
 
 _SPEC_KEYS_COMMON = {"type", "datum", "target", "theta", "eps", "phase"}
+# input limits, by peak RSS (x86-64, numpy 2.4): fig5 from curves of 100,000
+# samples takes 107 MB; a fold about 27 kB a grid vertex, 280 MB at 100 x 100,
+# and each folded state 43 bytes a grid vertex, 450 MB for 1000 at 100 x 100
+MAX_SAMPLES, MAX_COUNT, MAX_STATES = 100_000, 100, 1000
 _SPEC_KEYS = {
     "parallel-repeating": _SPEC_KEYS_COMMON | {"n_row", "n_col", "rho4"},
     "orthodiagonal": _SPEC_KEYS_COMMON | {"n", "m", "alpha11", "tube_eps"},
@@ -387,8 +391,8 @@ def _load_curve(node, what):
             raise SchemaError(f"unknown builtin curve {node['builtin']!r}; "
                               f"have {sorted(curves_mod.BUILTIN)}")
         samples_n = node.get("samples_n", 257)
-        if type(samples_n) is not int:
-            raise SchemaError(f"{what} curve samples_n must be an integer")
+        if not (type(samples_n) is int and samples_n <= MAX_SAMPLES):
+            raise SchemaError(f"{what} curve samples_n must be an integer <= {MAX_SAMPLES}")
         try:
             c = curves_mod.builtin(node["builtin"], n=samples_n)
             if scale != 1.0:
@@ -413,8 +417,8 @@ def _load_curve(node, what):
 
 def _spec_count(doc, key):
     x = doc.get(key, 9)
-    if not (type(x) is int and x >= 1):
-        raise SchemaError(f"{key} must be an integer >= 1")
+    if not (type(x) is int and 1 <= x <= MAX_COUNT):
+        raise SchemaError(f"{key} must be an integer in [1, {MAX_COUNT}]")
     return x
 
 

@@ -649,7 +649,7 @@ def _clashes(pattern: CreasePattern, states):
     lies in its panel's, so the triangle pairs that share no vertex of as
     many panel pairs, put through the triangle box test and the x-sweep's
     own test, are those a triangle x-sweep per state leaves."""
-    tol = CLASH_REL * max(pattern.diameter, 1.0)
+    tol = CLASH_REL * pattern.diameter
     fa, fb = np.sort(pattern.crease_faces, axis=1).T  # fa < fb, fa -1 on the boundary
     sched = grid_schedule(pattern)
     n = len(sched.ids)

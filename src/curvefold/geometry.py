@@ -18,10 +18,12 @@ product as the loop's own product; which BLAS kernel numpy picks for a
 shape is not specified.  This was checked with numpy 2.4.6 and its
 bundled OpenBLAS 0.3.31 on x86-64 with AVX-512, where a one-row product
 (the dot kernel) rounds differently from a taller one: hence no point is
-evaluated alone against a polyline of two or more points.  Another numpy
-or BLAS build may move a design output by an ulp with no defect in the
-code; tests/test_design_scans.py names that cause when a rounding-bound
-case fails.
+evaluated alone against a polyline of two or more points.  The row solve
+of `parallel` also takes numpy's elementwise functions to round an
+element alike in arrays of any length, as it evaluates a bisection's
+midpoints together.  Another numpy or BLAS build may move a design
+output by an ulp with no defect in the code; tests/test_design_scans.py
+names that cause when a rounding-bound case fails.
 """
 from __future__ import annotations
 
@@ -42,6 +44,14 @@ _PAIR_BLOCK = 1 << 14
 _HAUSDORFF_STRIDE = 16
 # consecutive segments per bounding ball in min_dist_to_polyline
 _RUN = 32
+# bisection levels whose midpoints one array pass evaluates (parallel row solve)
+_SECTION = 6
+
+
+def _rowdot(a, b):
+    """a[k] @ b[k] for every row k, by the dot kernel of the scalar product
+    (see the bit-equality note above)."""
+    return np.matmul(a[..., None, :], b[..., None])[..., 0, 0]
 
 
 def _unit(v):
@@ -90,10 +100,7 @@ class PolyCurve:
     def point_at(self, t):
         """Linear interpolation along the polyline at parameter t."""
         t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape + (self.dim,))
-        for k in range(self.dim):
-            out[..., k] = np.interp(t, self.param, self.samples[:, k])
-        return out
+        return np.stack([np.interp(t, self.param, x) for x in self.samples.T], axis=-1)
 
     def refined(self, factor):
         """Same geometric polyline re-sampled `factor` times denser."""
@@ -131,21 +138,22 @@ def measure_polyline(points):
     if n < 0:
         raise ValueError("need at least 2 points")
     pts3 = pts if pts.shape[1] == 3 else np.hstack([pts, np.zeros((len(pts), 1))])
-    lengths = np.linalg.norm(np.diff(pts3, axis=0), axis=1)
-    beta = np.empty(n)
-    for i in range(1, n + 1):
-        v1 = _unit(pts3[i - 1] - pts3[i])
-        v2 = _unit(pts3[i + 1] - pts3[i])
-        beta[i - 1] = np.arccos(np.clip(v1 @ v2, -1.0, 1.0))
-    theta = np.empty(max(n - 1, 0))
-    for i in range(1, n):
-        axis = _unit(pts3[i + 1] - pts3[i])
-        n1 = np.cross(pts3[i] - pts3[i - 1], pts3[i + 1] - pts3[i])
-        n2 = np.cross(pts3[i + 1] - pts3[i], pts3[i + 2] - pts3[i + 1])
-        if np.linalg.norm(n1) < COLLINEAR_TRIPLE or np.linalg.norm(n2) < COLLINEAR_TRIPLE:
-            raise DegenerateTurn(f"collinear triple around interior point {i}")
-        n1, n2 = _unit(n1), _unit(n2)
-        theta[i - 1] = np.arctan2(np.cross(n1, n2) @ axis, n1 @ n2) % TAU
+    seg = np.diff(pts3, axis=0)
+    lengths = np.linalg.norm(seg, axis=1)
+    back, fwd = pts3[:-2] - pts3[1:-1], seg[1:]
+    nb, nf = np.sqrt(_rowdot(back, back)), np.sqrt(_rowdot(fwd, fwd))
+    if not (nb.all() and nf.all()):
+        raise ValueError("zero vector")
+    v1, v2 = back / nb[:, None], fwd / nf[:, None]
+    beta = np.arccos(np.clip(_rowdot(v1, v2), -1.0, 1.0))
+    # normals at interior points 1..n, which only the dihedrals read
+    normal = np.cross(seg[:-1], seg[1:]) if n > 1 else np.zeros((0, 3))
+    size = np.sqrt(_rowdot(normal, normal))
+    flat = (size[:-1] < COLLINEAR_TRIPLE) | (size[1:] < COLLINEAR_TRIPLE)
+    if flat.any():
+        raise DegenerateTurn(f"collinear triple around interior point {int(np.argmax(flat)) + 1}")
+    n1, n2 = normal[:-1] / size[:-1, None], normal[1:] / size[1:, None]
+    theta = np.arctan2(_rowdot(np.cross(n1, n2), v2[:-1]), _rowdot(n1, n2)) % TAU
     return lengths, beta, theta
 
 
@@ -293,13 +301,8 @@ def staircase(f: PolyCurve, a: AffineParams, n, phase="x"):
 def staircase_segments(stair: Partition, a: AffineParams):
     """Image-frame axis ('x' or 'y') and base length |dx| + |dy| of each
     staircase segment."""
-    img = affine_map(stair.points, a)
-    segs = []
-    for k in range(len(img) - 1):
-        d = img[k + 1] - img[k]
-        axis = "x" if abs(d[0]) > abs(d[1]) else "y"
-        segs.append((axis, float(abs(d[0]) + abs(d[1]))))
-    return segs
+    d = np.abs(np.diff(affine_map(stair.points, a), axis=0))
+    return [("x" if dx > dy else "y", dx + dy) for dx, dy in d.tolist()]
 
 
 def partition_uniform(c: PolyCurve, n):
@@ -361,31 +364,77 @@ def _polyline_curvature(pts):
     p = np.asarray(pts, dtype=float)
     sides = np.stack([p[1:-1] - p[:-2], p[2:] - p[1:-1], p[:-2] - p[2:]])
     area2 = np.abs(sides[0, :, 0] * sides[1, :, 1] - sides[0, :, 1] * sides[1, :, 0])
-    # one-row products: the dot kernel np.linalg.norm runs on one vector
-    lens = np.sqrt(np.matmul(sides[..., None, :], sides[..., None])[..., 0, 0])
+    # the dot kernel np.linalg.norm runs on one vector
+    lens = np.sqrt(_rowdot(sides, sides))
     denom = lens[0] * lens[1] * lens[2]
     pos = denom > 0
     return float((2.0 * area2[pos] / denom[pos]).max(initial=0.0))
 
 
 def _vertices_of(obj):
-    if isinstance(obj, PolyCurve):
-        return obj.samples
-    if isinstance(obj, Partition):
-        return obj.points
-    pts = np.asarray(obj, dtype=float)
-    return pts[None, :] if pts.ndim == 1 else pts
+    pts = (obj.samples if isinstance(obj, PolyCurve)
+           else obj.points if isinstance(obj, Partition) else obj)
+    return np.atleast_2d(np.asarray(pts, dtype=float))
 
 
 def _segment_dist(Q, a, d, l2):
-    """Distance of each point of Q (..., M, dim) to the nearest of the
-    segments from a to a + d (..., S, dim), squared lengths l2 (..., S):
-    the arithmetic of a loop over single segments, in one array pass."""
+    """Distance of each point of Q (..., M, dim) to each of the segments
+    from a to a + d (..., S, dim), squared lengths l2 (..., S), as
+    (..., S, M): the arithmetic of a loop over single segments, in one
+    array pass."""
     dots = np.matmul(Q[..., None, :, :] - a[..., None, :], d[..., None])[..., 0]
     pos = l2[..., None] > 0.0
     t = np.where(pos, np.clip(dots / np.where(pos, l2[..., None], 1.0), 0.0, 1.0), 0.0)
     proj = a[..., None, :] + t[..., None] * d[..., None, :]
-    return np.linalg.norm(Q[..., None, :, :] - proj, axis=-1).min(axis=-2)
+    return np.linalg.norm(Q[..., None, :, :] - proj, axis=-1)
+
+
+class _Polyline:
+    """Distances to polyline V, exact per segment, with what they share
+    built once: the segments (a lone vertex is one of length 0) and, past
+    2 * _RUN of them, the bounding balls of runs of _RUN segments."""
+
+    def __init__(self, V):
+        self.A = V[:max(1, len(V) - 1)]
+        self.D = np.diff(V, axis=0) if len(V) > 1 else 0.0 * V
+        self.L2, self.vmax = _rowdot(self.D, self.D), np.abs(V).max()
+        self.short = len(self.A) <= 2 * _RUN
+        if not self.short:
+            # runs of _RUN segments, the last one padded with its final segment
+            self.seg = np.minimum(np.arange(0, len(self.A), _RUN)[:, None] + np.arange(_RUN),
+                                  len(self.A) - 1)
+            ends = np.concatenate([V[self.seg], V[self.seg + 1]], axis=1)
+            lo, hi = ends.min(axis=1), ends.max(axis=1)
+            self.centre, self.radius = 0.5 * (lo + hi), 0.5 * np.linalg.norm(hi - lo, axis=1)
+
+    def nearest(self, P):
+        """min_dist_to_polyline of the points P."""
+        if self.short or len(P) < 2:
+            # chunks of at least _PAIR_BLOCK pairs, none of them a lone row
+            chunks = min(len(P), len(P) * len(self.A) // _PAIR_BLOCK)
+            rows = np.array_split(np.arange(len(P)), max(1, chunks))
+            return np.concatenate([_segment_dist(P[r], self.A, self.D, self.L2).min(axis=0)
+                                   for r in rows])
+        A, D, L2, seg, best = self.A, self.D, self.L2, self.seg, np.full(len(P), np.inf)
+        slack = PRUNE_SLACK * (np.abs(P).max() + self.vmax)
+        rows = max(2, _PAIR_BLOCK // max(len(seg), _RUN))
+        for r in range(0, len(P), rows):
+            Q = P[r:r + rows]
+            gap = np.linalg.norm(Q[:, None] - self.centre, axis=-1)
+            near = gap - self.radius <= (gap + self.radius).min(axis=1, keepdims=True) + slack
+            runs = np.flatnonzero(near.any(axis=0))
+            # each run against the points near it, padded to a common count
+            # by repeating its first one
+            count = near[:, runs].sum(axis=0)
+            M = max(2, int(count.max()))
+            idx = np.argsort(~near[:, runs], axis=0, kind="stable")[:M].T
+            idx = np.where(np.arange(M) < count[:, None], idx, idx[:, :1])
+            step = max(1, _PAIR_BLOCK // (_RUN * M))
+            for k in range(0, len(runs), step):
+                part = seg[runs[k:k + step]]
+                dist = _segment_dist(Q[idx[k:k + step]], A[part], D[part], L2[part])
+                np.minimum.at(best, r + idx[k:k + step], dist.min(axis=-2))
+        return best
 
 
 def min_dist_to_polyline(points, poly):
@@ -394,80 +443,59 @@ def min_dist_to_polyline(points, poly):
     No array pass holds more than about _PAIR_BLOCK point-segment pairs.
     On a long polyline, a point skips each run of _RUN segments whose
     bounding ball lies farther from it than the far side of another run's
-    ball, by a slack far above rounding: no segment there can hold its
-    minimum.  Of two or more points none is evaluated alone (see the
-    bit-equality note above)."""
-    P = np.asarray(points, dtype=float)
-    V = _vertices_of(poly)
-    if len(V) == 1:
-        return np.linalg.norm(P - V[0], axis=1)
-    A, D = V[:-1], np.diff(V, axis=0)
-    L2 = np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]
-    best = np.full(len(P), np.inf)
-    if len(A) <= 2 * _RUN or len(P) < 2:
-        # row chunks of at least _PAIR_BLOCK rows, each against all segments
-        for rows in np.array_split(np.arange(len(P)), max(1, len(P) // _PAIR_BLOCK)):
-            Q = P[rows]
-            step = max(1, _PAIR_BLOCK // max(len(Q), 1))
-            for k in range(0, len(A), step):
-                part = slice(k, k + step)
-                best[rows] = np.minimum(best[rows], _segment_dist(Q, A[part], D[part], L2[part]))
-        return best
-    # runs of _RUN segments, the last one padded with its final segment
-    seg = np.minimum(np.arange(0, len(A), _RUN)[:, None] + np.arange(_RUN), len(A) - 1)
-    ends = np.concatenate([V[seg], V[seg + 1]], axis=1)
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    centre, radius = 0.5 * (lo + hi), 0.5 * np.linalg.norm(hi - lo, axis=1)
-    slack = PRUNE_SLACK * (np.abs(P).max() + np.abs(V).max())
-    rows = max(2, _PAIR_BLOCK // max(len(seg), _RUN))
-    for r in range(0, len(P), rows):
-        Q = P[r:r + rows]
-        gap = np.linalg.norm(Q[:, None] - centre, axis=-1)
-        near = gap - radius <= (gap + radius).min(axis=1, keepdims=True) + slack
-        runs = np.flatnonzero(near.any(axis=0))
-        # each run against the points near it, padded to a common count
-        # by repeating its first one
-        count = near[:, runs].sum(axis=0)
-        M = max(2, int(count.max()))
-        idx = np.argsort(~near[:, runs], axis=0, kind="stable")[:M].T
-        idx = np.where(np.arange(M) < count[:, None], idx, idx[:, :1])
-        step = max(1, _PAIR_BLOCK // (_RUN * M))
-        for k in range(0, len(runs), step):
-            part = seg[runs[k:k + step]]
-            dist = _segment_dist(Q[idx[k:k + step]], A[part], D[part], L2[part])
-            np.minimum.at(best, r + idx[k:k + step], dist)
-    return best
+    ball, by a slack far above rounding.  Of two or more points none is
+    evaluated alone (see the bit-equality note above)."""
+    return _Polyline(_vertices_of(poly)).nearest(np.asarray(points, dtype=float))
 
 
 def _directed_hausdorff(pts, per_segment, V):
     """max over the samples of polyline `pts`, per_segment to a segment,
-    of their distance to polyline V.
+    of their distance to polyline V, bit for bit: samples that a bound
+    keeps below the max, by a slack far above rounding, are skipped.
 
-    The distance is 1-Lipschitz along the samples, so none between
-    samples i and j exceeds (f_i + f_j + arc_ij) / 2.  Samples are
-    evaluated every _HAUSDORFF_STRIDE, then at the midpoint of every gap
-    whose bound reaches the running max less a slack far above rounding,
-    until no gap is left: the max is that of all samples, bit for bit."""
+    Against V of at most 2 * _RUN segments: the distance to one segment
+    of V is convex along a segment of `pts`, so no sample of it exceeds
+    the least over V's segments of the larger distance of its ends.  Else
+    the distance is 1-Lipschitz along the samples, so none between samples
+    i and j exceeds (f_i + f_j + arc_ij) / 2: samples are evaluated every
+    _HAUSDORFF_STRIDE, then at the midpoint of each gap whose bound
+    reaches the running max, until no gap is left."""
+    target = _Polyline(V)
     S = len(pts) - 1
-    n = S * per_segment + 1
+    if S == 0:
+        return target.nearest(pts).max()
     w = np.linspace(0.0, 1.0, per_segment + 1)[:-1]
     D = np.vstack([np.diff(pts, axis=0), np.zeros((1, pts.shape[1]))])
+    scale = np.abs(pts).max() + target.vmax
+
+    def dist(s, r):
+        # sample r of segment s, pts[s] + w[r] (pts[s+1] - pts[s]); a lone
+        # one is evaluated twice, as a one-row product rounds differently
+        Q = pts[s] + w[r, None] * D[s]
+        return target.nearest(Q if len(Q) > 1 else np.vstack([Q, Q]))[:len(Q)]
+
+    if target.short:
+        # the vertices, in blocks of rows that overlap by one
+        step, best, bound = max(1, _PAIR_BLOCK // len(V)), -np.inf, []
+        for r in range(0, S, step):
+            E = _segment_dist(pts[r:r + step + 1], target.A, target.D, target.L2)
+            best = max(best, E.min(axis=0).max())
+            bound.append(np.maximum(E[:, :-1], E[:, 1:]).min(axis=0))
+        # then, in one pass, each sample of a segment whose bound reaches it
+        s = np.flatnonzero(np.concatenate(bound) >= best - PRUNE_SLACK * scale)
+        s, r = np.repeat(s, per_segment - 1), np.tile(np.arange(1, per_segment), len(s))
+        return max(best, dist(s, r).max()) if len(s) else best
     seg_len = np.linalg.norm(D, axis=1)
     seg_arc = np.concatenate([[0.0], np.cumsum(seg_len)])
 
-    def dist(k):
-        # sample k = s * per_segment + r is pts[s] + w[r] (pts[s+1] - pts[s]);
-        # the last is pts[S] + 0 * 0.  A lone sample of a longer polyline
-        # is evaluated twice, as a one-row product rounds differently.
-        s, r = np.divmod(k if len(k) > 1 or n == 1 else np.append(k, k), per_segment)
-        f = min_dist_to_polyline(pts[s] + w[r, None] * D[s], V)[:len(k)]
-        s, r = s[:len(k)], r[:len(k)]
-        return f, seg_arc[s] + w[r] * seg_len[s]
+    def at(k):
+        s, r = np.divmod(k, per_segment)  # the last sample is pts[S] + 0 * 0
+        return dist(s, r), seg_arc[s] + w[r] * seg_len[s]
 
-    K = np.append(np.arange(0, n - 1, _HAUSDORFF_STRIDE), n - 1)
-    F, L = dist(K)
+    K = np.append(np.arange(0, S * per_segment, _HAUSDORFF_STRIDE), S * per_segment)
+    F, L = at(K)
     best = F.max()
-    slack = PRUNE_SLACK * (seg_arc[-1] + np.abs(pts).max() + np.abs(V).max())
+    slack = PRUNE_SLACK * (seg_arc[-1] + scale)
     # gaps between evaluated samples, as rows (start, end) of sample
     # index K, distance F and arc length L
     K, F, L = (np.stack([x[:-1], x[1:]]) for x in (K, F, L))
@@ -477,7 +505,7 @@ def _directed_hausdorff(pts, per_segment, V):
             return best
         K, F, L = K[:, keep], F[:, keep], L[:, keep]
         km = (K[0] + K[1]) // 2
-        fm, lm = dist(km)
+        fm, lm = at(km)
         best = max(best, fm.max())
         K, F, L = (np.stack([np.append(x[0], m), np.append(m, x[1])])
                    for x, m in ((K, km), (F, fm), (L, lm)))
@@ -493,6 +521,5 @@ def hausdorff(a, b, per_segment=64):
     va, vb = _vertices_of(a), _vertices_of(b)
     if va.shape[1] != vb.shape[1]:
         raise ValueError("dimension mismatch")
-    d_ab = _directed_hausdorff(va, per_segment, vb)
-    d_ba = _directed_hausdorff(vb, per_segment, va)
-    return float(max(d_ab, d_ba))
+    return float(max(_directed_hausdorff(va, per_segment, vb),
+                     _directed_hausdorff(vb, per_segment, va)))

@@ -119,9 +119,7 @@ def propagate_grid(col0, alpha11, m=1):
         raise DegenerateAngle("propagated sector angle hits 0, pi/2 or pi")
     n = len(col0)
     alpha = np.zeros((n, m + 1))
-    alpha[:, 0] = col0
-    for j in range(1, m + 1):
-        alpha[:, j] = col1
+    alpha[:, 0], alpha[:, 1:] = col0, col1[:, None]
     return OrthoAngleGrid(alpha)
 
 

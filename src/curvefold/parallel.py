@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import LayoutError, NoSolution, OutOfRange
 from .foldsim import bootstrap_mv, default_driving_crease
-from .geometry import (AffineParams, Partition, PolyCurve, _arc, _unit, hausdorff,
-                       partition_uniform, staircase, staircase_segments)
+from .geometry import (_SECTION, AffineParams, Partition, PolyCurve, _arc, _rowdot, _unit,
+                       hausdorff, partition_uniform, staircase, staircase_segments)
 from .kinematics import (BRANCH_ORDER, guarded_arccos, row_transfer_residual,
                          solve_first_vertex)
 from .pattern import (DesignReport, assemble_grid, check_embeddable,
@@ -60,8 +60,7 @@ def _in_plane_dir(axis, ref, phi):
 def _arcs_to(dirs, v):
     """_arc(v, d) for every row d of dirs: the per-row product is the dot
     kernel of the scalar `v @ d` (see the bit-equality note of geometry)."""
-    dots = np.matmul(dirs[:, None, :], v[:, None])[:, 0, 0]
-    return np.arccos(np.clip(dots, -1.0, 1.0))
+    return np.arccos(np.clip(_rowdot(dirs, v), -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -145,20 +144,7 @@ def _design_row_state(partition: Partition, rho4):
         if not len(hits):
             raise NoSolution(f"no transfer solution at row vertex {i + 1}", index=i + 1)
         k = hits[0]
-        if vals[k] == 0.0:
-            phi = float(grid[k])
-        else:
-            lo, hi, flo = grid[k], grid[k + 1], vals[k]
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break  # float resolution: (lo, hi) is a fixed point
-                fm = g(np.array([mid]))[0]
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            phi = float(0.5 * (lo + hi))
+        phi = float(grid[k]) if vals[k] == 0.0 else _bisect(g, grid[k], grid[k + 1], vals[k])
         s1p = float(s1_of(np.array([phi]))[0])
         psi = np.pi - s1p
         quad = (s1p, phi, psi, np.pi - phi)
@@ -168,6 +154,30 @@ def _design_row_state(partition: Partition, rho4):
         branch_log.append(_matching_branch(slots[i - 1], quad, beta[i - 1], beta[i],
                                            partition.dihedrals[i - 1]))
     return _RowState(slots, U, D, branch_log, pts)
+
+
+def _bisect(g, lo, hi, flo):
+    """(lo + hi) / 2 after up to 100 halvings of the bracket, g(lo) = flo,
+    until a midpoint is not strictly inside.  The midpoints of _SECTION
+    levels, each formed as the halving forms it, take one call of g."""
+    top = 1 << _SECTION
+    for step in range(100):
+        if step % _SECTION == 0:
+            # e[x] halves (e[x - b], e[x + b]), b = x & -x the lowest bit of x
+            e = np.empty(top + 1)
+            e[0], e[top] = lo, hi
+            for j in range(_SECTION):
+                h = top >> j
+                e[h // 2::h] = 0.5 * (e[:-1:h] + e[h::h])
+            fs, x = g(e[1:-1]), top // 2
+        mid, fm = e[x], fs[x - 1]
+        if not lo < mid < hi:
+            break  # float resolution: (lo, hi) is a fixed point
+        if flo * fm <= 0.0:
+            hi, x = mid, x - (x & -x) // 2
+        else:
+            lo, flo, x = mid, fm, x + (x & -x) // 2
+    return float(0.5 * (lo + hi))
 
 
 def _matching_branch(prev, nxt, bi, bip, thi):
@@ -306,14 +316,13 @@ def _sweep_columns(row1, up, down, m, seg_len):
     seg_len(k, column), down the zigzag `down`, -`up`, `down`, ... to the
     bottom stubs, and the top stubs step from row 1 along `up`."""
     n, dim = row1.shape
+    up, down = np.asarray(up), np.asarray(down)
+    lens = np.array([[seg_len(k, i) for i in range(1, n + 1)] for k in range(m + 1)])[..., None]
     nodes = np.zeros((m + 2, n + 2, dim))
     nodes[1, 1:-1] = row1
     for k in range(1, m + 1):
-        for i in range(n):
-            d = down[i] if k % 2 == 1 else -up[i]
-            nodes[k + 1, i + 1] = nodes[k, i + 1] + seg_len(k, i + 1) * d
-    for i in range(n):
-        nodes[0, i + 1] = row1[i] + seg_len(0, i + 1) * up[i]
+        nodes[k + 1, 1:-1] = nodes[k, 1:-1] + lens[k] * (down if k % 2 == 1 else -up)
+    nodes[0, 1:-1] = row1 + lens[0] * up
     return nodes
 
 
@@ -338,12 +347,9 @@ def _draw_pattern(spec, part: Partition, slots, m, seg_len):
     nodes = _sweep_columns(np.asarray(row1), updir, downdir, m, seg_len)
     inner = nodes[1:-1, 1:-1]
     # parallel-row closure residual (perpendicular drift between columns)
-    drift = 0.0
-    for k in range(1, m):
-        for i in range(n - 1):
-            seg = _unit(inner[k, i + 1] - inner[k, i])
-            ref = _unit(inner[0, i + 1] - inner[0, i])
-            drift = max(drift, abs(seg[0] * ref[1] - seg[1] * ref[0]))
+    seg = np.diff(inner, axis=1)
+    seg = seg / np.sqrt(_rowdot(seg, seg))[..., None]
+    drift = np.abs(seg[1:, :, 0] * seg[0, :, 1] - seg[1:, :, 1] * seg[0, :, 0]).max(initial=0.0)
     if drift > ROW_DRIFT:
         raise LayoutError(f"row translation drift {drift:.3g}")
 

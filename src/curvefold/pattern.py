@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CreaseIntersection, NotRigidFoldable
-from .geometry import _PAIR_BLOCK
+from .geometry import _PAIR_BLOCK, _rowdot
 from .kinematics import VertexAngles
 from .tolerances import CROSSING_REL, LAYOUT_DEV_TOL
 
@@ -262,12 +262,6 @@ def assemble_grid(nodes, design):
             f"(residual {pat.developability_residual():.3g}); "
             "scaling the datum or target curve may help")
     return pat
-
-
-def _rowdot(a, b):
-    """a[k] @ b[k] for every row k, by the dot kernel of the scalar product
-    (see the bit-equality note of geometry)."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def signed_fold_angles(pattern: CreasePattern, coords):

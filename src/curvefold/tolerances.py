@@ -29,7 +29,7 @@ LAYOUT_DEV_TOL = 1e-9    # assemble_grid: a drawn layout's sector-sum residual (
 CROSSING_REL = 1e-12     # check_embeddable: orientation slack, x max(diameter, 1)^2
 # folding, placement and clash tests (foldsim)
 HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
-CLASH_REL = 1e-9         # clash_test: penetration depth that counts, x diameter (at least 1)
+CLASH_REL = 1e-9         # clash_test: penetration depth that counts, x diameter
 COINCIDENT = 1e-9        # clash_test: a crease this close to pi lays its panels on each other
 ZERO_AREA = 1e-30        # clash_test: a triangle whose |e1 x e2| is below this has no plane
 PARALLEL_SIN = 1e-12     # clash_test: unit normals whose cross is shorter meet in no line

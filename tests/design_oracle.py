@@ -5,7 +5,8 @@ evaluate these scans as array passes.  The loops here are the definitions
 the array code must reproduce bit for bit: the per-segment distance, the
 dense Hausdorff distance, the one-image admissibility test and the
 per-theta scan over it, the scalar root scan of the next row vertices, the
-staircase corners, the circumcircle curvature over sample triples, the
+staircase corners, the lengths, turns and dihedrals of a polyline one
+interior point at a time, the circumcircle curvature over sample triples, the
 pairwise crease-crossing test, the per-crease signed fold angles, the
 grid index of `assemble_grid` found through a (u, v) -> crease lookup, and
 the per-chord panel distances, and the depth-first M/V search that
@@ -19,7 +20,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from curvefold.errors import (ClosedCurve, CreaseIntersection, NoSolution,
+from curvefold.errors import (ClosedCurve, CreaseIntersection, DegenerateTurn, NoSolution,
                               NotRigidFoldable, OutOfRange)
 from curvefold.foldsim import default_driving_crease
 from curvefold.geometry import (TAU, AffineParams, Partition, PolyCurve, _arc,
@@ -27,7 +28,8 @@ from curvefold.geometry import (TAU, AffineParams, Partition, PolyCurve, _arc,
 from curvefold.kinematics import BRANCH_ORDER, propagate_both_modes, row_transfer_residual
 from curvefold.pattern import (ROLE_BOUNDARY, ROLE_COL, ROLE_ROW, CreasePattern,
                                _suggest_rescale)
-from curvefold.tolerances import BRANCH_TOL, MONOTONE_TOL, SECTOR_MARGIN, SIGN_FLOOR
+from curvefold.tolerances import (BRANCH_TOL, COLLINEAR_TRIPLE, MONOTONE_TOL, SECTOR_MARGIN,
+                                  SIGN_FLOOR)
 
 
 def densify(obj, per_segment):
@@ -65,6 +67,31 @@ def refined(curve, factor):
     ts.append([curve.param[-1]])
     t = np.concatenate(ts)
     return PolyCurve(curve.point_at(t), t, closed=curve.closed)
+
+
+def measure_polyline(points):
+    """`geometry.measure_polyline` one interior point at a time."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts) - 2
+    if n < 0:
+        raise ValueError("need at least 2 points")
+    pts3 = pts if pts.shape[1] == 3 else np.hstack([pts, np.zeros((len(pts), 1))])
+    lengths = np.linalg.norm(np.diff(pts3, axis=0), axis=1)
+    beta = np.empty(n)
+    for i in range(1, n + 1):
+        v1 = _unit(pts3[i - 1] - pts3[i])
+        v2 = _unit(pts3[i + 1] - pts3[i])
+        beta[i - 1] = np.arccos(np.clip(v1 @ v2, -1.0, 1.0))
+    theta = np.empty(max(n - 1, 0))
+    for i in range(1, n):
+        axis = _unit(pts3[i + 1] - pts3[i])
+        n1 = np.cross(pts3[i] - pts3[i - 1], pts3[i + 1] - pts3[i])
+        n2 = np.cross(pts3[i + 1] - pts3[i], pts3[i + 2] - pts3[i + 1])
+        if np.linalg.norm(n1) < COLLINEAR_TRIPLE or np.linalg.norm(n2) < COLLINEAR_TRIPLE:
+            raise DegenerateTurn(f"collinear triple around interior point {i}")
+        n1, n2 = _unit(n1), _unit(n2)
+        theta[i - 1] = np.arctan2(np.cross(n1, n2) @ axis, n1 @ n2) % TAU
+    return lengths, beta, theta
 
 
 def polyline_curvature(pts):

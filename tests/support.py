@@ -27,16 +27,22 @@ def design_row(partition, rho4):
     return [VertexAngles(s) for s in st.slots], st.branch_log
 
 
+def explore_spec_texts(seed):
+    """The spec documents of one seeded batch of the benchmark's explore
+    workload."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "specs.py"
+    spec = importlib.util.spec_from_file_location("bench_specs", path)
+    specs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(specs)
+    return specs.explore_spec_texts(seed)
+
+
 @lru_cache
 def explore_designs(seed):
     """The designs of one seeded batch of the benchmark's explore workload,
     built once per seed: callers share them, and leave them as they found
     them."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "specs.py"
-    spec = importlib.util.spec_from_file_location("bench_specs", path)
-    specs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(specs)
-    return [_build_from_spec(*load_design_spec(t))[0] for t in specs.explore_spec_texts(seed)]
+    return [_build_from_spec(*load_design_spec(t))[0] for t in explore_spec_texts(seed)]
 
 
 def bare_document(text, keep=()):

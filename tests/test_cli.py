@@ -17,9 +17,10 @@ from hypothesis import strategies as hs
 
 import curvefold
 from curvefold import parallel
-from curvefold.cli import _build_from_spec, main
-from curvefold.errors import CreaseIntersection
-from curvefold.foldio import export_fold, load_design_spec
+from curvefold.cli import _build_from_spec, _check_states, main
+from curvefold.errors import CreaseIntersection, SchemaError
+from curvefold.foldio import (MAX_COUNT, MAX_SAMPLES, MAX_STATES, export_fold,
+                              load_design_spec)
 from curvefold.foldsim import propagate, sweep_to_halt
 from curvefold.geometry import partition_uniform, search_theta
 from curvefold.kinematics import solve_first_vertex
@@ -62,6 +63,10 @@ BAD_SPECS = [
     ("tube_eps-negative", SMALL_ORTHO_SPEC, {"tube_eps": -1}),
     ("samples_n-1", SMALL_PARALLEL_SPEC, {"datum": {"builtin": "fig4-spiralish",
                                                     "samples_n": 1}}),
+    ("samples_n-above", SMALL_PARALLEL_SPEC, {"datum": {"builtin": "fig4-spiralish",
+                                                        "samples_n": MAX_SAMPLES + 1}}),
+    ("n_col-above", SMALL_PARALLEL_SPEC, {"n_col": MAX_COUNT + 1}),
+    ("m-above", SMALL_ORTHO_SPEC, {"m": MAX_COUNT + 1}),
     ("equal-samples", SMALL_ORTHO_SPEC, {"datum": {"samples": [[0, 0], [0, 0], [1, 1]]}}),
     ("nan-sample", SMALL_ORTHO_SPEC, {"datum": {"samples": [[0, 0], [1, float("nan")],
                                                             [2, 0], [3, 1]]}}),
@@ -82,6 +87,28 @@ BAD_OVERRIDES = [
 ]
 MALFORMED = ([(i, base, fields, []) for i, base, fields in BAD_SPECS]
              + [(i, base, {}, flags) for i, base, flags in BAD_OVERRIDES])
+
+
+class TestInputLimits:
+    """Each upper limit of a spec holds at its value and fails one past
+    it, before the pattern is built."""
+
+    def test_samples_n(self):
+        for key in ("datum", "target"):
+            curve = dict(SMALL_PARALLEL_SPEC[key], samples_n=MAX_SAMPLES)
+            _, fields, _ = load_design_spec(json.dumps(dict(SMALL_PARALLEL_SPEC, **{key: curve})))
+            assert len(fields[key].samples) == MAX_SAMPLES
+            curve["samples_n"] += 1
+            with pytest.raises(SchemaError, match=f"{key} curve samples_n must be .*{MAX_SAMPLES}"):
+                load_design_spec(json.dumps(dict(SMALL_PARALLEL_SPEC, **{key: curve})))
+
+    @pytest.mark.parametrize("base, key", [(SMALL_PARALLEL_SPEC, "n_row"),
+                                           (SMALL_PARALLEL_SPEC, "n_col"),
+                                           (SMALL_ORTHO_SPEC, "n"), (SMALL_ORTHO_SPEC, "m")])
+    def test_grid_counts(self, base, key):
+        assert load_design_spec(json.dumps(dict(base, **{key: MAX_COUNT})))[1][key] == MAX_COUNT
+        with pytest.raises(SchemaError, match=f"{key} must be an integer in \\[1, {MAX_COUNT}\\]"):
+            load_design_spec(json.dumps(dict(base, **{key: MAX_COUNT + 1})))
 
 
 def write_spec(tmp_path, doc):
@@ -265,6 +292,17 @@ class TestFoldVerify:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: --states must be at least 2\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", ["fold", "verify"])
+    def test_states_above_limit_exit_1(self, cmd, tmp_path, capsys):
+        # the limit is checked before the document is read
+        argv = [cmd, str(tmp_path / "missing.fold"), "--states", str(MAX_STATES + 1)]
+        if cmd == "fold":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --states must be at most {MAX_STATES}\n"
+        assert not (tmp_path / "out").exists()
+        _check_states(MAX_STATES)
 
     def test_export_roundtrip(self, designed, tmp_path):
         rc = main(["export", str(designed / "pattern.fold"), "--out", str(tmp_path),

@@ -13,14 +13,17 @@ import pytest
 import design_oracle as oracle
 from curvefold import curves, geometry, ortho, parallel
 from curvefold.cli import DEMOS, _build_from_spec, main
-from curvefold.errors import ClosedCurve, CreaseIntersection, CurvefoldError, NoSolution
+from curvefold.errors import (ClosedCurve, CreaseIntersection, CurvefoldError, DegenerateTurn,
+                              NoSolution)
 from curvefold.geometry import (AffineParams, PolyCurve, hausdorff, is_admissible,
-                                min_dist_to_polyline, partition_uniform, search_theta)
+                                measure_polyline, min_dist_to_polyline, partition_uniform,
+                                search_theta)
 from curvefold.kinematics import solve_first_vertex
 from curvefold.foldio import load_design_spec
 from curvefold.pattern import (CreasePattern, assemble_grid, check_embeddable,
                                panel_distances, signed_fold_angles)
-from support import circle, explore_designs
+from curvefold.tolerances import ROOT_SCAN_MARGIN
+from support import circle, explore_designs, explore_spec_texts
 
 
 # the message of a bit-equality failure in a case that hangs on rounding
@@ -115,6 +118,22 @@ class TestHausdorff:
             assert hausdorff(st, target, per_segment) == \
                 oracle.hausdorff(st, target, per_segment)
 
+    @pytest.mark.parametrize("per_segment", [1, 3, 64])
+    @pytest.mark.parametrize("segments", [2 * geometry._RUN, 2 * geometry._RUN + 1])
+    def test_either_side_of_the_convex_bound(self, segments, per_segment):
+        # up to 2 * _RUN segments of the target, the samples of a segment
+        # are skipped by the convex bound; past it, by the Lipschitz rounds
+        rng = np.random.default_rng(10 * segments + per_segment)
+        assert geometry._Polyline(_walk(rng, segments + 1, 2)).short == \
+            (segments <= 2 * geometry._RUN)
+        for dim in (2, 3):
+            for _ in range(8):
+                V = _walk(rng, segments + 1, dim)
+                a = _walk(rng, int(rng.integers(2, 40)), dim)
+                want = oracle.min_dist_to_polyline(oracle.densify(a, per_segment), V).max()
+                assert geometry._directed_hausdorff(a, per_segment, V) == want, BLAS_ROUNDING
+                assert hausdorff(a, V, per_segment) == oracle.hausdorff(a, V, per_segment)
+
     def test_refined(self):
         for c in (curves.space_arc(), curves.exp_curve(65), curves.sine_curve(5)):
             for factor in (1, 2, 4, 8):
@@ -133,6 +152,33 @@ class TestHausdorff:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+class TestMeasurePolyline:
+    def test_random_walks(self):
+        rng = np.random.default_rng(13)
+        for n in [2, 3, 4, 11] + list(rng.integers(2, 200, size=40)):
+            for dim in (2, 3):
+                pts = _walk(rng, int(n), dim)
+                for got, want in zip(measure_polyline(pts), oracle.measure_polyline(pts)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), BLAS_ROUNDING
+
+    def test_degenerate_input(self):
+        # a collinear triple raises at the first turn whose dihedral reads
+        # it, a repeated point before any; a lone triple has no dihedral
+        rng = np.random.default_rng(14)
+        for at in (1, 2, 3, 5):
+            pts = _walk(rng, 8, 3)
+            pts[at + 1] = 2.0 * pts[at] - pts[at - 1]
+            for measure in (measure_polyline, oracle.measure_polyline):
+                with pytest.raises(DegenerateTurn,
+                                   match=f"interior point {max(at - 1, 1)}$"):
+                    measure(pts)
+                with pytest.raises(ValueError, match="zero vector"):
+                    measure(np.vstack([pts[:at], pts[at - 1:]]))
+        line = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
+        for got, want in zip(measure_polyline(line), oracle.measure_polyline(line)):
+            assert np.array_equal(got, want)
 
 
 class TestSearchTheta:
@@ -246,6 +292,97 @@ class TestRootScans:
             assert st.slots == slots
             assert np.array_equal(np.array(st.U), np.array(U))
             assert np.array_equal(np.array(st.D), np.array(D))
+
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_row_state_explore_partitions(self, seed):
+        for text in explore_spec_texts(seed):
+            kind, fields, _ = load_design_spec(text)
+            if kind != "parallel-repeating":
+                continue
+            part = partition_uniform(fields["datum"], fields["n_row"])
+            st = parallel._design_row_state(part, fields["rho4"])
+            slots, U, D = oracle.design_row_state(part, fields["rho4"])
+            assert st.slots == slots, BLAS_ROUNDING
+            assert np.array_equal(np.array(st.U), np.array(U)), BLAS_ROUNDING
+            assert np.array_equal(np.array(st.D), np.array(D)), BLAS_ROUNDING
+
+    def test_row_state_root_on_a_grid_point(self, fig4_partition, monkeypatch):
+        # every arc pi - x, for x a scan point in [pi/2, pi), makes
+        # g(phi) = phi - x, exactly 0 at phi = x: the scan takes it as it
+        # is, with no bisection
+        x = np.linspace(ROOT_SCAN_MARGIN, np.pi - ROOT_SCAN_MARGIN, 720)[500]
+        assert np.pi / 2 <= x < np.pi and x + (np.pi - x) - np.pi == 0.0
+        monkeypatch.setattr(parallel, "_arcs_to", lambda dirs, v: np.full(len(dirs), np.pi - x))
+        monkeypatch.setattr(oracle, "_arc", lambda u, v: np.pi - x)
+        monkeypatch.setattr(parallel, "_matching_branch", lambda *args: None)
+        st = parallel._design_row_state(fig4_partition, 2.7)
+        slots, U, D = oracle.design_row_state(fig4_partition, 2.7)
+        assert [s[1] for s in st.slots[1:]] == [float(x)] * (len(slots) - 1)
+        assert st.slots == slots
+        assert np.array_equal(np.array(st.U), np.array(U))
+        assert np.array_equal(np.array(st.D), np.array(D))
+
+    @pytest.mark.parametrize("size", [1, 2, 63, 720])
+    def test_row_solve_rounds_alike_at_any_length(self, size):
+        # the scan and the multisection evaluate g on arrays of different
+        # lengths: each element must come out as it does alone
+        rng = np.random.default_rng(size)
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        w = parallel._plane_basis(axis, rng.normal(size=3))
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        phi = np.concatenate([np.linspace(ROOT_SCAN_MARGIN, np.pi - ROOT_SCAN_MARGIN, 360),
+                              rng.uniform(0.0, np.pi, 360)])
+        dirs = parallel._in_plane(axis, w, phi)
+        arcs = parallel._arcs_to(dirs, v)
+        for k in range(0, len(phi), size):
+            part = slice(k, k + size)
+            assert np.array_equal(parallel._in_plane(axis, w, phi[part]), dirs[part]), BLAS_ROUNDING
+            assert np.array_equal(parallel._arcs_to(dirs[part], v), arcs[part]), BLAS_ROUNDING
+
+
+def _design_counts(name, monkeypatch):
+    """Calls of parallel._arcs_to, and calls and point-segment pairs of
+    geometry._segment_dist, of one `build_pattern` of a demo."""
+    counts = {"arcs_to": 0, "segment_dist": 0, "pairs": 0}
+    arcs_to, segment_dist = parallel._arcs_to, geometry._segment_dist
+
+    def counted_arcs(dirs, v):
+        counts["arcs_to"] += 1
+        return arcs_to(dirs, v)
+
+    def counted_dist(Q, a, d, l2):
+        counts["segment_dist"] += 1
+        counts["pairs"] += Q.shape[-2] * int(np.prod(a.shape[:-1]))
+        return segment_dist(Q, a, d, l2)
+
+    monkeypatch.setattr(parallel, "_arcs_to", counted_arcs)
+    monkeypatch.setattr(geometry, "_segment_dist", counted_dist)
+    _build_from_spec(*load_design_spec(json.dumps(DEMOS[name])))
+    monkeypatch.undo()
+    return counts
+
+
+class TestWorkCounts:
+    """Deterministic work of a design, where wall time is too noisy to
+    gate: the row solve's arc evaluations (728 on fig5 with one bisection
+    step per call of g) and the Hausdorff distance's point-segment pairs
+    (157,478 on fig5 and 109,466 on fig7 with gap rounds against every
+    target and the set-up in every call)."""
+
+    def test_fig5(self, monkeypatch):
+        counts = _design_counts("fig5", monkeypatch)
+        assert counts["arcs_to"] <= 152
+        assert counts["segment_dist"] <= 15
+        assert counts["pairs"] <= 94_188
+
+    def test_fig7(self, monkeypatch):
+        counts = _design_counts("fig7", monkeypatch)
+        assert counts["arcs_to"] == 0
+        assert counts["segment_dist"] <= 14
+        assert counts["pairs"] <= 51_416
 
 
 class TestStaircase:

@@ -17,7 +17,7 @@ import placement_oracle
 from clash_oracle import _tri_tri_penetration, candidate_pairs
 from curvefold import curves, foldsim, kinematics
 from curvefold import pattern as pattern_mod
-from curvefold.cli import _build_from_spec
+from curvefold.cli import DEMOS, _build_from_spec
 from curvefold.errors import NotRigidFoldable, OutOfRange
 from curvefold.foldio import export_fold, import_fold, load_design_spec
 from curvefold.foldsim import (LANE_BLOCK, _penetrates, _unit_normals, bootstrap_mv,
@@ -27,7 +27,7 @@ from curvefold.geometry import PolyCurve, measure_polyline, partition_uniform
 from curvefold.parallel import ParallelDesignSpec, build_pattern
 from curvefold.pattern import ROLE_BOUNDARY
 from curvefold.tolerances import CLASH_REL, CLOSURE_REL
-from curvefold.verify import TOLERANCES, check_isometry
+from curvefold.verify import TOLERANCES, check_isometry, run_pattern_checks
 from support import bare_document, explore_designs, rigid_align, scrambled
 
 RHO4 = 5 * np.pi / 6
@@ -598,11 +598,25 @@ class TestClash:
         pair = tuple(sorted(pattern.crease_faces[idx].tolist()))
         assert pair in clash_test(pattern, st)
 
+    @pytest.mark.parametrize("scale", [0.01, 0.001])
+    def test_small_drawing_halts_at_its_crease(self, scale):
+        # the clash tolerance scales with the diameter at every size, so
+        # fig5 drawn at a small scale halts, as at scale 1, on a crease
+        # reaching pi, not on a clash the tolerance of a larger drawing hides
+        pattern = _design(dict(DEMOS["fig5"],
+                               datum={"builtin": "fig4-spiralish", "scale": scale},
+                               target={"builtin": "fig5-exp", "scale": scale}))
+        assert pattern.diameter < 1.0
+        traj = sweep_to_halt(pattern, samples=8)
+        assert traj.halt.halt_reason == "crease-at-pi"
+        checks = {c.check_id: c for c in run_pattern_checks(pattern, trajectory=traj)}
+        assert checks["halt-fold"].ok
+
 
 def _brute_force_clash(pattern, coords):
     """Every pair of triangles of distinct panels that share no vertex,
     through the exact triangle test: clash_test without its prefilters."""
-    tol = 1e-9 * max(pattern.diameter, 1.0)
+    tol = CLASH_REL * pattern.diameter
     tris = []
     for f, q in enumerate(pattern.faces.reshape(-1, 4).tolist()):
         tris += [(f, q[:3]), (f, [q[0], q[2], q[3]])]
@@ -748,7 +762,7 @@ def _assert_reference_pairs(pattern, calls):
     call of the exact test holds more than 2 _PAIR_BLOCK pairs.  Returns
     the count of pairs tested."""
     ids = foldsim.grid_schedule(pattern).ids
-    n, tol = len(ids), CLASH_REL * max(pattern.diameter, 1.0)
+    n, tol = len(ids), CLASH_REL * pattern.diameter
     total = 0
     for states, pairs in calls:
         assert all(len(ia) <= 2 * foldsim._PAIR_BLOCK for ia, _ in pairs)
