@@ -15,7 +15,7 @@ from . import curves as curves_mod
 from .errors import CreaseIntersection, NotQuadGrid, SchemaError
 from .foldsim import FoldedState
 from .geometry import PolyCurve
-from .pattern import ROLE_BOUNDARY, UNPLACEABLE, CreasePattern, assemble_grid
+from .pattern import ROLE_BOUNDARY, UNPLACEABLE, CreasePattern, _orient, assemble_grid
 
 _ASSIGN = np.array(["M", "B", "V"])      # by mv + 1; import reads other letters as B
 
@@ -140,6 +140,9 @@ def import_fold(text):
     if min(ext.shape) < 3 or not np.array_equal(np.sort(ext, axis=None), np.arange(nv)):
         raise SchemaError("the grid must have at least 3 x 3 nodes and list "
                           "each vertex id exactly once")
+    if "curvefold:grid" in doc and _mirrored(flat[ext]):
+        raise SchemaError("curvefold:grid is mirrored (clockwise faces): mirror the "
+                          "coordinates back, or drop curvefold:grid to re-grid the drawing")
     _check_design(design, ext.shape)
     pat = _rebuild(edges, assign, design, flat, ext)
     state = None
@@ -210,6 +213,18 @@ def _grid_field(grid, nv):
         raise SchemaError(f"curvefold:grid halting_col = {halting!r}: every fold "
                           "halts on column 1")
     return ext
+
+
+def _mirrored(nodes):
+    """Whether every face of the grid nodes (rows, cols, 2) turns
+    counterclockwise from its top-left node to its top-right and
+    bottom-right ones.  `assemble_grid` measures sector angles
+    counterclockwise from R to U, so only a grid that turns clockwise, rows
+    running down the page, can be developable, and one that turns the other
+    way at every face is the mirror image of one: the faces of a mirrored
+    export wind clockwise."""
+    P = np.moveaxis(nodes, -1, 0)
+    return bool((_orient(P[:, :-1, :-1], P[:, :-1, 1:], P[:, 1:, 1:]) > 0).all())
 
 
 def _rebuild(edges, assign, design, flat, ext):

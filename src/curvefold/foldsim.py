@@ -11,15 +11,13 @@ a group's vertices in floats, and lanes of states, (L,) arrays, in one
 kernel call, with the same branch rule for both.
 Panels are then placed one BFS depth at a time, and every shared edge is
 checked for closure.
-The sweep-to-halt driver locates the smallest driving angle at which any
-crease reaches pi (panel coincidence) or two panels interpenetrate, by a
-march and a bracket that keep the states they make.  An inverse vertex
-chain, from the halting creases back to the driving value, predicts the
-crease halt: the march's lanes stop just past it, and the bracket tries
-it first, then bisects.  The march is guessed in lanes, keeps the lanes a
-re-score shows exact and clash-tests them in batches.  Every other state,
-one at a time or the returned samples as lanes, comes from one store that
-propagates each new state from the nearest kept state below it.
+
+`sweep_to_halt` finds the smallest driving angle at which a crease reaches
+pi (panel coincidence) or two panels interpenetrate, in phases over one
+store of the states they make, `_Kept`: the flat state; `_march`, in
+re-scored lane blocks, to a bracket of the halt; `_search`, from the halt
+an inverse vertex chain predicts (`_chain_halt`), then by bisection; and
+the samples, propagated as lanes.
 """
 from __future__ import annotations
 
@@ -703,162 +701,161 @@ def _clashes(pattern: CreasePattern, states):
     return [sorted(h) for h in hits]
 
 
-def sweep_to_halt(pattern: CreasePattern, samples=64):
-    """Trajectory of `samples` states evenly spaced from flat to d_halt, the
-    smallest driving value (the designated crease driven with its
-    mountain/valley sign) at which a crease reaches pi - HALT_TOL or panels
-    interpenetrate.
+class _Kept:
+    """The states a sweep has propagated, by driving value d (the driving
+    crease driven with its M/V sign, `sgn`).  A state depends only on its
+    driving value and branch choices (`prev` only scores branches), so each
+    new one starts from the nearest kept state at or below it: this changes
+    no bit while the branches agree."""
 
-    Every state propagated is kept, and each new one starts from the
-    nearest kept state at or below it: a state depends only on its driving
-    value and branch choices (`prev` only scores branches), so this changes
-    no bit while the branches agree.  The march steps by pi / MARCH_STEPS
-    and tests for the halt every second step.  It guesses up to LANE_BLOCK
-    steps at a time in one lane pass, scored as from flat, and re-scores it
-    (`_rescored`), lane 0 against the last kept state and lane k against
-    guess k - 1: the lanes before the first that picks otherwise, up to the
-    first failure, are the march's states bit for bit, and from that lane
-    on it goes one state at a time.  A block ends one even step past the
-    first even step at or above the crease halt `_chain_halt` predicts from
-    flat, and the march goes on in full blocks if no event comes by then.
-    Each PLACE_BLOCK of exact lanes is placed at once, and its even steps
-    (8) before a failure or a crease at pi clash-tested in one batch
-    (`_clashes`), the events still taken in order.  The search then holds
-    lo (no event) and hi (a failure or an event).  It tests the chain's
-    halt d, scored against the state at lo, then 1, 3, 7, ... ulps from d
-    on the side that test points to, while they land in (lo, hi), up to
-    CHAIN_STATES states; then it bisects, and stops when the midpoint of lo
-    and hi is one of them.  Each sample is a kept state or is propagated
-    once from the nearest kept march or search state, at most one march
-    step below it; those propagations run as lanes of `propagate_lanes`,
-    LANE_BLOCK at a time, and equal `propagate` bit for bit.  Where the
-    flat state or a sample fails, the first to fail raises its own
-    error."""
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
-    sgn = int(pattern.creases.mv[default_driving_crease(pattern)]) or 1
-    keys, kept = [], []
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.sgn = int(pattern.creases.mv[default_driving_crease(pattern)]) or 1
+        self.keys, self.at = [], {}     # the values kept, sorted, and their states
 
-    def states_at(ds):
-        # the states at ds in order, None where propagate raises: each
-        # value not yet kept is propagated, and kept, from the nearest
-        # state kept at or below it when the call starts
-        prevs = {}
-        for d in ds:
-            i = bisect.bisect_right(keys, d)
-            if not (i and keys[i - 1] == d):
-                prevs[d] = kept[i - 1] if i else None
-        new, got = list(prevs), {}
+    def below(self, d):
+        """The state kept at the largest value at or below d, None if none."""
+        i = bisect.bisect_right(self.keys, d)
+        return self.at[self.keys[i - 1]] if i else None
+
+    def add(self, d, st):
+        bisect.insort(self.keys, d)
+        self.at[d] = st
+
+    def states_at(self, ds):
+        """The states at ds in order, None where propagate raises: each value
+        not yet kept is propagated, and kept, from the nearest state kept at
+        or below it when the call starts, in lanes of `propagate_lanes`,
+        LANE_BLOCK at a time, which equal `propagate` bit for bit."""
+        new = [d for d in dict.fromkeys(ds) if d not in self.at]
+        prevs = [self.below(d) for d in new]
         for b in range(0, len(new), LANE_BLOCK):
             block = new[b:b + LANE_BLOCK]
-            got.update(zip(block, propagate_lanes(pattern, [sgn * d for d in block],
-                                                  [prevs[d] for d in block])))
-        for d, st in got.items():
-            if st is not None:
-                i = bisect.bisect_right(keys, d)
-                keys.insert(i, d)
-                kept.insert(i, st)
-        return [got[d] if d in got else kept[bisect.bisect_right(keys, d) - 1] for d in ds]
+            got = propagate_lanes(self.pattern, [self.sgn * d for d in block],
+                                  prevs[b:b + LANE_BLOCK])
+            for d, st in zip(block, got):
+                if st is not None:
+                    self.add(d, st)
+        return [self.at.get(d) for d in ds]
 
-    def raising(ds):
-        # states_at(ds), raising the error of the first state that fails
-        states = states_at(ds)
+    def raising(self, ds):
+        """states_at(ds), raising the error of the first state that fails."""
+        states = self.states_at(ds)
         for d, st in zip(ds, states):
             if st is None:
-                i = bisect.bisect_right(keys, d)
-                propagate(pattern, sgn * d, prev=kept[i - 1] if i else None)
+                propagate(self.pattern, self.sgn * d, prev=self.below(d))
         return states
 
-    def at_pi(st):
-        return float(np.abs(st.rho).max()) >= np.pi - HALT_TOL
+    def event(self, st):
+        """Whether a state halts the sweep: a crease at pi or a clash."""
+        return _at_pi(st) or bool(_clashes(self.pattern, [st])[0])
 
-    def event(st, pairs=None):
-        # pairs: the state's clash_test where the march has batched it
-        return at_pi(st) or bool(_clashes(pattern, [st])[0] if pairs is None else pairs)
 
-    def march(stop):
-        # (j, d, state, pairs) of the march in order, pairs the clash_test
-        # of an even step the lanes tested in a batch, else None; the caller
-        # stops at the first state None, where propagate raises.  The lanes
-        # before the first that re-scores otherwise against the state
-        # before it are exact (`_rescored`), a failing one included.  Blocks
-        # end at step `stop` while it lies ahead
-        j = 1
-        while j <= MARCH_STEPS:
-            end = min(j + LANE_BLOCK - 1, stop if j <= stop else MARCH_STEPS)
-            ds = [np.pi * i / MARCH_STEPS for i in range(j, end + 1)]
-            driving = [sgn * d for d in ds]
-            guess = _fold_lanes(pattern, driving, np.zeros((len(ds), len(pattern.creases))))
-            if guess is None:  # no lane in range: propagate decides the step
-                break
+def _at_pi(st):
+    return float(np.abs(st.rho).max()) >= np.pi - HALT_TOL
+
+
+def _march(kept, stop):
+    """(lo, hi, found): the march from flat in steps of pi / MARCH_STEPS,
+    tested for the halt every second step, to its first event (found) or
+    failure at hi, lo its last even step before, with no event.
+
+    It guesses up to LANE_BLOCK steps at a time in one lane pass, scored as
+    from flat, and re-scores it (`_rescored`), lane 0 against the last kept
+    state and lane k against guess k - 1: the lanes before the first that
+    picks otherwise, up to the first failure, a failing one included, are
+    the march's states bit for bit, and from that lane on it goes one state
+    at a time.  A block ends at step `stop` while it lies ahead, and the
+    march goes on in full blocks if no event comes by then.  Each
+    PLACE_BLOCK of exact lanes is placed at once, and its even steps before
+    a failure or a crease at pi clash-tested in one batch (`_clashes`), the
+    events still taken in order.  Raises NoHalt where no step halts."""
+    pattern, lo, j, guessing = kept.pattern, 0.0, 1, True
+    while j <= MARCH_STEPS:
+        end = min(j + LANE_BLOCK - 1, stop if j <= stop else MARCH_STEPS) if guessing else j
+        ds = [np.pi * i / MARCH_STEPS for i in range(j, end + 1)]
+        driving = [kept.sgn * d for d in ds]
+        guess = guessing and _fold_lanes(pattern, driving,
+                                         np.zeros((len(ds), len(pattern.creases))))
+        if guess:
             rho, mismatch, ok, modes = guess
-            exact = _rescored(pattern, modes, np.vstack([kept[-1].rho, rho[:-1]]))
+            exact = _rescored(pattern, modes, np.vstack([kept.below(ds[0]).rho, rho[:-1]]))
             del guess, modes  # not needed past the re-score: freed before placing
             # a lane after the first failure is scored against no state
             m = len(ds) if ok.all() else int(ok.argmin()) + 1
             n = m if exact[:m].all() else int(exact.argmin())
-            for chunk in _placed(pattern, driving, rho, mismatch, np.flatnonzero(ok[:n])):
-                # its even steps before a failure or a crease at pi, in one batch
-                live = takewhile(lambda c: c[1] is not None and not at_pi(c[1]), chunk)
-                even = [(k, st) for k, st in live if (j + k) % 2 == 0]
-                pairs = dict(zip([k for k, _ in even],
-                                 _clashes(pattern, [st for _, st in even]) if even else []))
-                for k, st in chunk:
-                    if st is not None:
-                        keys.append(ds[k])
-                        kept.append(st)
-                    yield j + k, ds[k], st, pairs.get(k)
-            if n and not ok[n - 1]:
-                yield j + n - 1, ds[n - 1], None, None
-            j += n
-            if n < len(ds):
-                break
-        for j in range(j, MARCH_STEPS + 1):
-            d = np.pi * j / MARCH_STEPS
-            yield j, d, states_at([d])[0], None
+            guessing = n == len(ds)
+            # a lane out of range ends the march as a failed placement does
+            chunks = chain(_placed(pattern, driving, rho, mismatch, np.flatnonzero(ok[:n])),
+                           [[(n - 1, None)]] if n and not ok[n - 1] else [])
+        else:  # no guess, or none left: one state, as propagate decides it
+            n, guessing = 1, False
+            chunks = [[(0, propagate_lanes(pattern, driving[:1], [kept.below(ds[0])])[0])]]
+        for chunk in chunks:
+            live = takewhile(lambda c: c[1] is not None and not _at_pi(c[1]), chunk)
+            even = {k: st for k, st in live if (j + k) % 2 == 0}
+            clashing = dict(zip(even, _clashes(pattern, list(even.values())))) if even else {}
+            for k, st in chunk:
+                if st is None:
+                    return lo, ds[k], False
+                kept.add(ds[k], st)
+                if (j + k) % 2 == 0:
+                    if bool(clashing[k]) if k in clashing else kept.event(st):
+                        return lo, ds[k], True
+                    lo = ds[k]
+        j += n
+    raise NoHalt("driving reached pi with no crease at pi and no clash")
 
-    raising([0.0])
-    d = _chain_halt(pattern, np.zeros(len(pattern.creases)))
-    stop = MARCH_STEPS if d is None else min(
-        MARCH_STEPS, 2 * math.ceil(d * MARCH_STEPS / (2 * np.pi)) + 2)
-    lo, found = 0.0, False
-    for j, d, st, pairs in march(stop):
-        if st is None:
-            hi = d
-            break
-        if j % 2 == 0:
-            if event(st, pairs):
-                hi, found = d, True
-                break
-            lo = d
-    else:
-        raise NoHalt("driving reached pi with no crease at pi and no clash")
 
-    # from the chain's halt scored against the state at lo, then bisection
-    d = _chain_halt(pattern, kept[bisect.bisect_right(keys, lo) - 1].rho)
+def _search(kept, lo, hi, found):
+    """The halt: hi once the march's bracket closes, lo with no event and hi
+    a failure or an event (found).  It tests the chain's halt d, scored
+    against the state at lo, then 1, 3, 7, ... ulps from d on the side that
+    test points to, while they land in (lo, hi), up to CHAIN_STATES states;
+    then it bisects, and stops when the midpoint of lo and hi is one of
+    them.  Raises NoHalt where hi is no event."""
+    d = _chain_halt(kept.pattern, kept.below(lo).rho)
     k = 0 if d is not None else CHAIN_STATES
     while lo < 0.5 * (lo + hi) < hi:  # else float resolution: nothing can move lo or hi
         x = 0.5 * (lo + hi)
         if k < CHAIN_STATES:
             g = d + math.copysign((2 ** k - 1) * math.ulp(d), lo - d)
             x, k = (g, k + 1) if lo < g < hi else (x, CHAIN_STATES)
-        (st,) = states_at([x])
+        (st,) = kept.states_at([x])
         if st is None:
             hi = x
-        elif event(st):
+        elif kept.event(st):
             hi, found = x, True
         else:
             lo = x
     if not found:
         raise NoHalt("folding range ends with no crease at pi and no clash")
+    return hi
 
-    values = np.linspace(0.0, hi, samples)
-    states = raising(values)
+
+def sweep_to_halt(pattern: CreasePattern, samples=64):
+    """Trajectory of `samples` states evenly spaced from flat to d_halt, the
+    smallest driving value (the designated crease driven with its
+    mountain/valley sign) at which a crease reaches pi - HALT_TOL or panels
+    interpenetrate.  Its phases: the flat state; `_march`, its blocks ending
+    one even step past the first even step at or above the crease halt
+    `_chain_halt` predicts from flat; `_search`; and the samples, each a kept
+    state or propagated once from the nearest kept march or search state,
+    at most one march step below it.  Where the flat state or a sample
+    fails, the first to fail raises its own error."""
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
+    kept = _Kept(pattern)
+    kept.raising([0.0])
+    d = _chain_halt(pattern, np.zeros(len(pattern.creases)))
+    stop = MARCH_STEPS if d is None else min(
+        MARCH_STEPS, 2 * math.ceil(d * MARCH_STEPS / (2 * np.pi)) + 2)
+    values = np.linspace(0.0, _search(kept, *_march(kept, stop)), samples)
+    states = kept.raising(values)
     # the halt is a state the search tested as an event
     halt = states[-1]
     halt.halted = True
-    halt.halt_reason = "crease-at-pi" if at_pi(halt) else "panel-interpenetration"
+    halt.halt_reason = "crease-at-pi" if _at_pi(halt) else "panel-interpenetration"
     halt.residuals["halting_creases"] = [
         int(i) for i in np.nonzero(np.abs(halt.rho) >= np.pi - 10 * HALT_TOL)[0]]
     return Trajectory(states, values)
-

@@ -314,10 +314,23 @@ def partition_uniform(c: PolyCurve, n):
         raise ValueError("n must be >= 1")
     t = np.linspace(c.param[0], c.param[-1], n + 2)
     pts = c.point_at(t)
+    _check_distinct(pts, 1)
     lengths, beta, theta = measure_polyline(pts)
     _check_turns(beta)
     signs = _planar_turn_signs(pts) if c.dim == 2 else None
     return Partition(pts, lengths, beta, theta, turn_signs=signs)
+
+
+def _check_distinct(pts, gap):
+    """Raise DegenerateTurn at the first partition point that repeats the
+    point `gap` places before it: a segment (gap 1) or a chord (gap 2)
+    between them would have no direction."""
+    d = pts[gap:] - pts[:-gap]
+    same = _rowdot(d, d) == 0.0
+    if same.any():
+        i = int(np.argmax(same)) + gap
+        raise DegenerateTurn(f"partition point {i} repeats point {i - gap} at "
+                             f"{tuple(pts[i].tolist())}: the curve passes through it twice")
 
 
 def _planar_turn_signs(pts):
@@ -344,6 +357,7 @@ def partition_tube(c: PolyCurve, n, eps):
             f"eps = {eps:.6g} >= minimal curvature radius {1.0 / kappa:.6g}")
     t = np.linspace(c.param[0], c.param[-1], n + 2)
     base = c.point_at(t)
+    _check_distinct(base, 2)
     pts = base.copy()
     # interior points alternate between the offset curves; the endpoints
     # stay on the curve so the approximation spans it end to end

@@ -197,9 +197,13 @@ def check_perpendicular_rows(pattern, state):
 
 
 def run_pattern_checks(pattern, state=None, trajectory=None):
-    """The full invariant suite for one design; returns CheckResults."""
+    """The full invariant suite for one design; returns CheckResults.  A
+    family's own checks run only on a design of that type: one with no
+    type gets the checks every quad grid must pass."""
+    kind = pattern.design.get("type")
+    ortho, parallel = kind == "orthodiagonal", kind == "parallel-repeating"
     out = [check_developability(pattern)]
-    if pattern.design.get("type") == "orthodiagonal" and "grid_alpha" in pattern.design:
+    if ortho and "grid_alpha" in pattern.design:
         out.append(check_separability(pattern.design["grid_alpha"]))
     else:
         cols = list(range(2, pattern.cols + 1))
@@ -215,26 +219,25 @@ def run_pattern_checks(pattern, state=None, trajectory=None):
         out.append(check_isometry(pattern, st))
         for i in range(1, pattern.cols + 1):
             out.append(check_coplanarity(pattern, st, "column", i))
-        if pattern.design.get("type") == "orthodiagonal":
+        if ortho:
             for r in range(1, pattern.rows + 1):
                 out.append(check_coplanarity(pattern, st, "row", r))
         xi = pattern.design.get("xi")
         if xi and np.abs(st.rho).max() > FLAT_STATE and st.halted:
-            ortho = pattern.design.get("type") == "orthodiagonal"
             for i, x in enumerate(xi, start=1):
                 if ortho and pattern.cols >= 2:
                     out.append(check_xi(pattern, st, i, x, axis="row", skip_first=True))
-                elif not ortho and pattern.rows >= 2:
+                elif parallel and pattern.rows >= 2:
                     out.append(check_xi(pattern, st, i, x, axis="column"))
-            if not ortho:
+            if parallel:
                 out.extend(check_column_dihedrals(pattern, st, xi))
         for r in range(1, pattern.rows + 1):
             out.append(check_row_fold_equal(pattern, st, r))
     if trajectory is not None:
         halt = trajectory.halt
         out.append(check_halt(pattern, halt))
-        if pattern.design.get("type") == "orthodiagonal":
+        if ortho:
             out.append(check_perpendicular_rows(pattern, halt))
-        else:
+        elif parallel:
             out.append(check_opposite_row_folds(pattern, halt))
     return out

@@ -85,6 +85,8 @@ BAD_OVERRIDES = [
     ("flag-alpha11-nan", SMALL_ORTHO_SPEC, ["--alpha11", "nan"]),
     ("flag-theta-inf", SMALL_PARALLEL_SPEC, ["--theta", "inf"]),
 ]
+#: a datum whose uniform partition of 3 points repeats a point
+REPEATED_POINT = {"samples": [[0, 0], [1, 0], [0, 0], [1, 0], [0, 0]]}
 MALFORMED = ([(i, base, fields, []) for i, base, fields in BAD_SPECS]
              + [(i, base, {}, flags) for i, base, flags in BAD_OVERRIDES])
 
@@ -144,6 +146,19 @@ class TestDesign:
         spec = write_spec(tmp_path, doc)
         assert main(["design", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "NotAdmissible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, point", [
+        (dict(SMALL_PARALLEL_SPEC, datum=REPEATED_POINT, n_row=1, n_col=2, theta=1.274,
+              rho4=2.6), 1),
+        (dict(SMALL_ORTHO_SPEC, datum=REPEATED_POINT, n=1, m=2), 2),
+    ], ids=["parallel", "orthodiagonal"])
+    def test_repeated_datum_point_exit_2(self, doc, point, tmp_path, capsys):
+        # the datum's uniform partition lands on (0, 0) three times: a
+        # segment (parallel) or a tube chord (orthodiagonal) has no direction
+        assert main(["design", str(write_spec(tmp_path, doc)), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"DegenerateTurn: partition point {point} repeats point 0 at (0.0, 0.0): "
+            "the curve passes through it twice\n")
 
     @pytest.mark.parametrize("base,fields,flags", [c[1:] for c in MALFORMED],
                              ids=[c[0] for c in MALFORMED])

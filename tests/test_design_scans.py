@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import design_oracle as oracle
-from curvefold import curves, geometry, ortho, parallel
+from curvefold import curves, foldsim, geometry, ortho, parallel
 from curvefold.cli import DEMOS, _build_from_spec, main
 from curvefold.errors import (ClosedCurve, CreaseIntersection, CurvefoldError, DegenerateTurn,
                               NoSolution)
@@ -571,6 +571,30 @@ def test_no_pattern_cache_outside_kept():
         "        store = self.__dict__.get('_kept')\n"
         "        self._kept = store\n"
         "n = len(pattern.creases) + pattern.__class__.__name__.count('_')\n") == []
+
+
+#: the most lines `foldsim.sweep_to_halt` may take, its docstring included
+SWEEP_DRIVER_LINES = 40
+
+
+def _nested_functions(source, name):
+    """Lines of the functions and lambdas defined inside the top-level
+    function `name` of `source`, and that function's length in lines."""
+    (fn,) = [node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    nested = [node.lineno for node in ast.walk(fn) if node is not fn
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    return nested, fn.end_lineno - fn.lineno + 1
+
+
+def test_sweep_to_halt_is_a_short_driver():
+    # the sweep's phases are module-level functions over one store of
+    # states, not closures over shared lists inside the driver
+    nested, length = _nested_functions(Path(foldsim.__file__).read_text(), "sweep_to_halt")
+    assert not nested, nested
+    assert length <= SWEEP_DRIVER_LINES, length
+    assert _nested_functions("def f():\n    def g():\n        pass\n    h = lambda: 1\n"
+                             "    return g, h\n", "f") == ([2, 4], 5)
 
 
 class TestEmbeddable:

@@ -259,6 +259,20 @@ class TestFoldImportValidation:
         assert [c["check_id"] for c in checks if not c["ok"]] == [check]
 
 
+    @pytest.mark.parametrize("design", ["fig5_design", "fig7_design"])
+    def test_mirrored_grid_names_its_winding(self, design, request, tmp_path, capsys):
+        # x -> -x: the curvefold:grid of the full document turns the other
+        # way at every face, which no developable grid does
+        doc = json.loads(export_fold(request.getfixturevalue(design)[0]))
+        doc["vertices_coords"] = [[-x, y] for x, y in doc["vertices_coords"]]
+        path = tmp_path / "mirrored.fold"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"^curvefold:grid is mirrored \(clockwise faces\)"):
+            import_fold(path.read_text())
+        assert main(["fold", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: curvefold:grid is mirrored")
+
+
 def _check_regrid(pattern, scrambles):
     """Scrambled bare exports of the pattern re-grid to its own grid, one
     of the four quarter turns of the oracle's."""
@@ -316,6 +330,16 @@ class TestBareDocument:
                          "--out", str(tmp_path / name)]) == 0
         assert ((tmp_path / "bare" / "halt.json").read_bytes()
                 == (tmp_path / "full" / "halt.json").read_bytes())
+
+    def test_verify_bare_orthodiagonal_document(self, fig7_design, tmp_path, capsys):
+        # a bare document names no design type, so verify runs neither
+        # family's own checks on it, and fig7's other checks pass
+        path = tmp_path / "bare.fold"
+        path.write_text(json.dumps(bare_document(export_fold(fig7_design[0]))))
+        assert main(["verify", str(path)]) == 0
+        ids = {c["check_id"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert {"developability", "closure", "isometry", "halt-fold"} <= ids
+        assert not ids & {"opposite-row-folds", "rows-perpendicular", "rows-contain-tangent"}
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(edits=hs.lists(hs.tuples(
