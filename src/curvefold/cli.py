@@ -13,7 +13,7 @@ import numpy as np
 
 from . import curves as curves_mod
 from .errors import CurvefoldError, SchemaError
-from .foldio import (MAX_STATES, _load_curve, export_fold, export_svg, import_fold,
+from .foldio import (MAX_GRID, MAX_STATES, _load_curve, export_fold, export_svg, import_fold,
                      json_object, load_design_spec, report_json, report_text)
 from .foldsim import sweep_to_halt
 from .geometry import partition_uniform, search_theta
@@ -164,6 +164,8 @@ def cmd_verify(args):
 
 
 def cmd_admissible(args):
+    if args.grid > MAX_GRID:
+        raise SchemaError(f"--grid must be at most {MAX_GRID}")
     if args.curve in curves_mod.BUILTIN:
         curve = curves_mod.builtin(args.curve)
     else:

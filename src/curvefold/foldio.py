@@ -13,9 +13,9 @@ import numpy as np
 
 from . import curves as curves_mod
 from .errors import CreaseIntersection, NotQuadGrid, SchemaError
-from .foldsim import FoldedState
+from .foldsim import FoldedState, placement_order
 from .geometry import PolyCurve
-from .pattern import ROLE_BOUNDARY, UNPLACEABLE, CreasePattern, _orient, assemble_grid
+from .pattern import ROLE_BOUNDARY, CreasePattern, _orient, assemble_grid
 
 _ASSIGN = np.array(["M", "B", "V"])      # by mv + 1; import reads other letters as B
 
@@ -144,7 +144,11 @@ def import_fold(text):
         raise SchemaError("curvefold:grid is mirrored (clockwise faces): mirror the "
                           "coordinates back, or drop curvefold:grid to re-grid the drawing")
     _check_design(design, ext.shape)
-    pat = _rebuild(edges, assign, design, flat, ext)
+    try:
+        pat = _rebuild(edges, assign, design, flat, ext)
+        pat.kept(placement_order)  # refuses a grid whose panels cannot all be placed
+    except CreaseIntersection as e:
+        raise SchemaError(str(e))
     state = None
     if dim3:
         rho = np.radians(np.asarray(angles, dtype=float))
@@ -229,14 +233,8 @@ def _mirrored(nodes):
 
 def _rebuild(edges, assign, design, flat, ext):
     """The pattern of a document's grid under the document's vertex and
-    edge ids: the grid index is built on grid positions and relabelled, so
-    the placement order does not depend on the edge order."""
-    try:
-        pat = assemble_grid(flat[ext], design=dict(design))
-    except CreaseIntersection as e:
-        raise SchemaError(str(e))
-    if len(pat.placement) + 1 < pat.faces[..., 0].size:
-        raise SchemaError(UNPLACEABLE)
+    edge ids: the grid index is built on grid positions and relabelled."""
+    pat = assemble_grid(flat[ext], design=dict(design))
     # grid vertex g is the document's vertex to_doc_vertex[g]; an edge from
     # g to g + 1 is a row crease, one from g to g + cols + 2 a column crease
     to_doc_vertex = ext.ravel()
@@ -262,7 +260,6 @@ def _rebuild(edges, assign, design, flat, ext):
     pat.row_creases = to_doc[pat.row_creases]
     pat.col_creases = to_doc[pat.col_creases]
     pat.crease_faces = pat.crease_faces[order]
-    pat.placement[:, 2] = to_doc[pat.placement[:, 2]]
     return pat
 
 
@@ -384,8 +381,9 @@ def report_text(report):
 _SPEC_KEYS_COMMON = {"type", "datum", "target", "theta", "eps", "phase"}
 # input limits, by peak RSS (x86-64, numpy 2.4): fig5 from curves of 100,000
 # samples takes 107 MB; a fold about 27 kB a grid vertex, 280 MB at 100 x 100,
-# and each folded state 43 bytes a grid vertex, 450 MB for 1000 at 100 x 100
-MAX_SAMPLES, MAX_COUNT, MAX_STATES = 100_000, 100, 1000
+# and each folded state 43 bytes a grid vertex, 450 MB for 1000 at 100 x 100;
+# an admissible scan about 60 bytes a theta, 91 MB and 4.5 s at 1,000,000
+MAX_SAMPLES, MAX_COUNT, MAX_STATES, MAX_GRID = 100_000, 100, 1000, 1_000_000
 _SPEC_KEYS = {
     "parallel-repeating": _SPEC_KEYS_COMMON | {"n_row", "n_col", "rho4"},
     "orthodiagonal": _SPEC_KEYS_COMMON | {"n", "m", "alpha11", "tube_eps"},

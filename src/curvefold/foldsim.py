@@ -1,16 +1,15 @@
 """1-DOF rigid folding simulation of quad-grid crease patterns.
 
 What the grid fixes while the paper folds is built once per pattern and
-kept in its one store, `CreasePattern.kept`: the `Schedule` (the BFS depths
-of the panel placement, the triangle pairs that share a vertex), its
-`FoldPlan` (the crease that drives each vertex and the vertex that wrote
-it), the placement's constants and the vertex stacks.  Folding angles
-follow the data flow of a row-major sweep over the vertices, solved one
-group (one dependency level, one input slot) at a time: one state solves
-a group's vertices in floats, and lanes of states, (L,) arrays, in one
-kernel call, with the same branch rule for both.
-Panels are then placed one BFS depth at a time, and every shared edge is
-checked for closure.
+kept in its one store, `CreasePattern.kept`: the panel placement
+(`placement_order`), the `FoldPlan` (the crease that drives each vertex
+and the vertex that wrote it), the vertex stacks, the placement's
+constants and the clash test's triangles.  Folding angles follow the data
+flow of a row-major sweep over the vertices, solved one group (one
+dependency level, one input slot) at a time: one state solves a group's
+vertices in floats, and lanes of states, (L,) arrays, in one kernel call,
+with the same branch rule for both.  Panels are then placed one BFS depth
+at a time, and every shared edge is checked for closure.
 
 `sweep_to_halt` finds the smallest driving angle at which a crease reaches
 pi (panel coincidence) or two panels interpenetrate, in phases over one
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import CreaseIntersection, NoHalt, NotRigidFoldable, OutOfRange
 from .geometry import _PAIR_BLOCK
 from .kinematics import VertexStack, propagate_both_modes
-from .pattern import ROLE_BOUNDARY, UNPLACEABLE, CreasePattern, sweep_pairs
+from .pattern import ROLE_BOUNDARY, CreasePattern, _vertex_table, sweep_pairs
 from .tolerances import (BRANCH_TOL, CLASH_REL, CLOSURE_REL, COINCIDENT,
                          FOLD_CONSISTENCY, HALT_TOL, LENGTH_FLOOR, PARALLEL_SIN,
                          PREV_FLAT, SIGN_FLOOR, ZERO_AREA)
@@ -40,6 +39,7 @@ LANE_BLOCK = 64          # states propagated in one array pass per vertex
 PLACE_BLOCK = 16         # of those, states placed at once: memory O(block x faces)
 CHAIN_STATES = 8         # states the halt search tries at and beside the chain's halt
 MARCH_STEPS = 128        # driving steps per pi: branch continuity needs modest steps
+UNPLACEABLE = "faces wind against their neighbours: not every panel can be placed"
 
 
 @dataclass
@@ -85,39 +85,41 @@ def assign_fold_angles(pattern: CreasePattern, driving_rho, prev_rho=None):
     return rho, worst
 
 
-class Schedule:
-    """What the grid fixes about a pattern while it folds, kept once per
-    pattern (`grid_schedule`) and built from its grid adjacency in
-    O(vertices + faces).
+def placement_order(pattern: CreasePattern):
+    """The rows (face, parent face, crease, fold sign) that place the panels
+    from face 0, and the rows of each depth, of a breadth-first search over
+    the interior creases in grid order, as `assemble_grid` numbers them, so
+    a document's edge order changes nothing.  A crease folds the other way
+    seen from its left face.  Raises CreaseIntersection if a face is missed."""
+    grid = np.concatenate([pattern.row_creases.ravel(), pattern.col_creases.T.ravel()])
+    adjacency = [[] for _ in range(pattern.faces[..., 0].size)]
+    for idx, (fl, fr) in zip(grid.tolist(), pattern.crease_faces[grid].tolist()):
+        if fl >= 0 and fr >= 0:
+            adjacency[fl].append((fr, idx, -1))
+            adjacency[fr].append((fl, idx, 1))
+    rows, depths, level, placed = [], [], [0], {0}
+    while level:
+        start = len(rows)
+        for parent in level:
+            for face, idx, sign in adjacency[parent]:
+                if face not in placed:
+                    placed.add(face)
+                    rows.append((face, parent, idx, sign))
+        level = [face for face, *_ in rows[start:]]
+        if level:
+            depths.append(np.arange(start, len(rows)))
+    if len(placed) < len(adjacency):
+        raise CreaseIntersection(UNPLACEABLE)
+    return np.array(rows, dtype=int).reshape(-1, 4), depths
 
-    `depths`: the rows of `pattern.placement` by BFS depth, so that every
-    parent face is placed in an earlier depth than its children, and
-    `order`, `hinges` the corners of the creases in placement order.  `ids`:
-    the vertex ids of the triangles (2 f, 2 f + 1) = (q0, q1, q2) and
-    (q0, q2, q3) of each face f, and `apart` which pairs of them, on two
-    faces, share no vertex.  `plan`: the pattern's kept FoldPlan."""
+
+class _Triangles:
+    """The clash test's triangles, kept once per pattern: `ids` the vertex
+    ids of the triangles (2 f, 2 f + 1) = (q0, q1, q2) and (q0, q2, q3) of
+    each face f, and `apart` which pairs of them, on two faces, share no
+    vertex."""
 
     def __init__(self, pattern):
-        if len(pattern.placement) + 1 < pattern.faces[..., 0].size:
-            raise CreaseIntersection(UNPLACEABLE)
-        self.plan = pattern.kept(FoldPlan)
-        depth = [0] * pattern.faces[..., 0].size
-        for f, par in pattern.placement[:, :2].tolist():
-            depth[f] = depth[par] + 1
-        d = np.array(depth)[pattern.placement[:, 0]]
-        rows = np.argsort(d, kind="stable")
-        self.depths = np.split(rows, np.flatnonzero(np.diff(d[rows])) + 1)
-
-        # the faces in placement order, face 0 first; per interior crease, its
-        # two faces and its ends' rows (4 position + corner) among their corners
-        self.order = np.concatenate([[0], pattern.placement[:, 0]])
-        fl, fr = pattern.crease_faces.T
-        inner = np.flatnonzero((fl >= 0) & (fr >= 0))
-        ends = pattern.crease_ends()[inner, :, None]
-        self.hinges = [(f, 4 * np.argsort(self.order)[f, None]
-                        + (pattern.faces.reshape(-1, 4)[f, None] == ends).argmax(axis=2))
-                       for f in (fl[inner], fr[inner])]
-
         # face q > p can share a vertex with p only at the offsets 1, C - 1,
         # C and C + 1 after it, C faces to a row: `_slot` numbers them (4
         # past them), and `_apart[p, slot, k, l]` holds whether triangle k
@@ -194,11 +196,6 @@ class FoldPlan:
         self.cids = vcs[order].T
 
 
-def grid_schedule(pattern: CreasePattern):
-    """The pattern's Schedule, as `CreasePattern.kept` keeps it."""
-    return pattern.kept(Schedule)
-
-
 def _branch(modes, two, prev, signs):
     """The branch rule of one vertex, on one state or on lanes: mode -1
     replaces mode +1 only where it is a branch of its own and scores
@@ -236,8 +233,8 @@ def _branch(modes, two, prev, signs):
 
 def _stacks(pattern: CreasePattern):
     """The VertexStack, which caches its terms, of each FoldPlan group."""
-    verts = pattern.vertex_angles()
-    return [VertexStack([verts[v] for v in g[3]]) for g in pattern.kept(FoldPlan).groups]
+    plan, verts = pattern.kept(FoldPlan, _vertex_table)
+    return [VertexStack([verts[v] for v in g[3]]) for g in plan.groups]
 
 
 def _fold_levels(pattern: CreasePattern, driving_rho, prev, signs):
@@ -253,29 +250,32 @@ def _fold_levels(pattern: CreasePattern, driving_rho, prev, signs):
     folds of a lane with no branch), whether each lane had a branch at
     every vertex, and for `_rescored` the lanes' modes (2, 4, N, L), `two`
     and the folds they chose, or None on one state.  Raises OutOfRange
-    once no state has a branch."""
-    plan = grid_schedule(pattern).plan
-    N, lanes = len(plan.src), isinstance(driving_rho, np.ndarray)
+    once no state has a branch, and CreaseIntersection before any fold
+    where the panels cannot all be placed."""
+    lanes = isinstance(driving_rho, np.ndarray)
+    # what each kernel call solves: a vertex, or on lanes a group's stack
+    _, plan, solved = pattern.kept(placement_order, FoldPlan, _stacks if lanes else _vertex_table)
+    N = len(plan.src)
     P, S = np.asarray(prev)[plan.cids], np.asarray(signs)[plan.cids]
     if lanes:
-        L, stacks = len(driving_rho), pattern.kept(_stacks)
+        L = len(driving_rho)
         buf = np.zeros((4, N + 1, L))
         rows = buf.reshape(-1, L)
         modes, two = np.empty((2, 4, N, L)), np.empty((N, L), dtype=bool)
     else:
-        rows, verts = [0.0] * (4 * (N + 1)), pattern.vertex_angles()
+        rows = [0.0] * (4 * (N + 1))
         P, S, src = P.T.tolist(), S.T.tolist(), plan.src.tolist()
     rows[N] = driving_rho
     ok = True
     for g, (a, b, j, vs) in enumerate(plan.groups):
         if lanes:
             hit, modes[0, :, a:b], modes[1, :, a:b], two[a:b] = propagate_both_modes(
-                stacks[g], j, rows[plan.src[a:b]])
+                solved[g], j, rows[plan.src[a:b]])
             buf[:, a:b] = _branch(modes[:, :, a:b], two[a:b], P[:, a:b], S[:, a:b])
             ok = ok & hit.all(axis=0)
         else:
             for p, v in enumerate(vs, a):
-                h, *pm, tw = propagate_both_modes(verts[v], j, rows[src[p]])
+                h, *pm, tw = propagate_both_modes(solved[v], j, rows[src[p]])
                 rows[p::N + 1] = _branch(pm, tw, P[p], S[p])
                 ok = ok and h
         if not (ok.any() if lanes else ok):
@@ -289,22 +289,29 @@ def _fold_levels(pattern: CreasePattern, driving_rho, prev, signs):
 def _frames(pattern: CreasePattern):
     """The constants of `place_panels`: per hinge its point, K and K @ K of
     its unit axis; the depths' steps (face, parent, rows) by position in
-    placement order; the flat corners in that order; and per vertex its
-    count and corner rows as `np.add.at` visits them, padded."""
-    sched = grid_schedule(pattern)
-    _, parent, idx, sign = pattern.placement.T
+    placement order, face 0 first; the flat corners in that order; per
+    interior crease its two faces' positions and its ends' rows (4 position
+    + corner) among their corners; and per vertex its count and corner
+    rows as `np.add.at` visits them, padded."""
+    placement, depths = pattern.kept(placement_order)
+    face, parent, idx, sign = placement.T
     pts = np.pad(np.asarray(pattern.vertices, dtype=float), ((0, 0), (0, 1)))
     p, q = pts[pattern.crease_ends()[idx].T]
     a = (q - p) / np.linalg.norm(q - p, axis=1)[:, None]
     K = np.zeros((len(a), 3, 3))
     K.reshape(-1, 9)[:, [1, 2, 3, 5, 6, 7]] = a[:, [2, 1, 2, 0, 1, 0]] * [-1, 1, 1, -1, -1, 1]
-    at, quads = np.argsort(sched.order), pattern.faces.reshape(-1, 4)[sched.order]
+    corners, order = pattern.faces.reshape(-1, 4), np.concatenate([[0], face])
+    at, quads = np.argsort(order), corners[order]
     v = quads.ravel()
     by, counts = np.argsort(v, kind="stable"), np.bincount(v, minlength=len(pts))
     table = np.full((len(pts), counts.max()), len(v))      # row 4 F: the zero row
     table[v[by], np.arange(len(v)) - np.searchsorted(v[by], v[by])] = by
-    steps = [(r + 1, at[parent[r]], r) for r in sched.depths]
-    hinges = [(at[f], c) for f, c in sched.hinges]
+    steps = [(r + 1, at[parent[r]], r) for r in depths]
+    fl, fr = pattern.crease_faces.T
+    inner = np.flatnonzero((fl >= 0) & (fr >= 0))
+    ends = pattern.crease_ends()[inner, :, None]
+    hinges = [(at[f], 4 * at[f, None] + (corners[f, None] == ends).argmax(axis=2))
+              for f in (fl[inner], fr[inner])]
     return (p, K, K @ K, sign[:, None], idx, steps, pts[quads], hinges, quads, table.T,
             counts[:, None, None], max(pattern.diameter, LENGTH_FLOOR))
 
@@ -373,7 +380,7 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02):
     agrees within BRANCH_TOL with every crease written before it.  The walk
     never backs up: a vertex with no such mode, or beyond its folding range,
     raises NotRigidFoldable.  Returns the signed fold angles at d0."""
-    plan, verts = pattern.kept(FoldPlan), pattern.vertex_angles()
+    plan, verts = pattern.kept(FoldPlan, _vertex_table)
     N, src = len(plan.src), plan.src.tolist()
     before = [[] for _ in range(N)]     # per position: (slot, row written before it)
     for a, b in plan.pairs.T.tolist():
@@ -463,7 +470,7 @@ def _chain_halt(pattern: CreasePattern, prev):
     slot solves the vertex that wrote that slot, up to the driving value.
     Returns the smallest positive value over the stubs, None if none has
     one."""
-    plan, verts = grid_schedule(pattern).plan, pattern.vertex_angles()
+    plan, verts = pattern.kept(FoldPlan, _vertex_table)
     N, src = len(plan.src), plan.src.tolist()
     sgn = int(pattern.creases.mv[default_driving_crease(pattern)]) or 1
     P, S = (a[plan.cids].T.tolist() for a in _scoring(pattern, prev))
@@ -501,7 +508,7 @@ def _rescored(pattern: CreasePattern, modes, prev):
     prev, folds, mismatch and failure alike, since prev reaches only the
     branch rule and a vertex's modes only its input fold."""
     modes, two, chosen = modes
-    cids = grid_schedule(pattern).plan.cids
+    cids = pattern.kept(FoldPlan).cids
     P, S = (a[cids] for a in _scoring(pattern, prev))
     again = _branch(modes, two, P, S).view(np.uint64)
     return (again == chosen.view(np.uint64)).all(axis=(0, 1))
@@ -649,9 +656,9 @@ def _clashes(pattern: CreasePattern, states):
     own test, are those a triangle x-sweep per state leaves."""
     tol = CLASH_REL * pattern.diameter
     fa, fb = np.sort(pattern.crease_faces, axis=1).T  # fa < fb, fa -1 on the boundary
-    sched = grid_schedule(pattern)
-    n = len(sched.ids)
-    T = np.array([st.vertex_coords for st in states], dtype=float)[:, sched.ids]
+    triangles = pattern.kept(_Triangles)
+    n = len(triangles.ids)
+    T = np.array([st.vertex_coords for st in states], dtype=float)[:, triangles.ids]
     T = np.ascontiguousarray(T.transpose(3, 2, 0, 1)).reshape(3, 3, -1)  # (axis, vertex, S n)
 
     def box_test(lo, hi, axes, *extra):
@@ -682,7 +689,7 @@ def _clashes(pattern: CreasePattern, states):
         if sum(len(p) for p, _ in held) < least:
             return
         # the triangle pairs that share a vertex are hinge contact
-        a, b = sched.apart(*(np.concatenate(x) for x in zip(*held)))
+        a, b = triangles.apart(*(np.concatenate(x) for x in zip(*held)))
         held.clear()
         for box in tris:
             keep = meets(a, b, box)

@@ -18,7 +18,6 @@ from .tolerances import CROSSING_REL, LAYOUT_DEV_TOL
 ROLE_ROW = "row-crease"
 ROLE_COL = "column-crease"
 ROLE_BOUNDARY = "boundary"
-UNPLACEABLE = "faces wind against their neighbours: not every panel can be placed"
 
 
 @dataclass
@@ -36,7 +35,6 @@ class CreasePattern:
     row_creases: np.ndarray       # (rows+2, cols+1) crease from ext_id[r, c] to its right
     col_creases: np.ndarray       # (rows+1, cols+2) crease from ext_id[r, c] downwards
     crease_faces: np.ndarray      # (C, 2) faces left and right of crease u->v, -1 outside
-    placement: np.ndarray         # BFS rows (face, parent face, crease, fold sign) from face 0
     design: dict = field(default_factory=dict)
 
     def line_ids(self, axis, index, include_boundary=False):
@@ -67,21 +65,24 @@ class CreasePattern:
         NotRigidFoldable."""
         return self.kept(_vertex_table)
 
-    def kept(self, build):
+    def kept(self, *builds):
         """build(self), kept in the pattern's one store until an array the
         fold layers read (vertices, sectors, grid index, crease ends) changes
         shape or bytes; the store is then rebuilt whole.  M/V, roles and the
         design are not in the key: every caller reads them fresh, so writing
-        M/V, as `bootstrap_mv` does, rebuilds nothing."""
+        M/V, as `bootstrap_mv` does, rebuilds nothing.  Several builds share
+        one build of the key, are built in order and come back as a tuple."""
         key = [(a.shape, a.tobytes()) for a in (
             self.vertices, self.sectors, self.row_creases, self.col_creases, self.faces,
-            self.placement, self.crease_faces, self.creases["u"], self.creases["v"])]
+            self.crease_faces, self.creases["u"], self.creases["v"])]
         store = self.__dict__.get("_kept")
         if store is None or store[0] != key:
             store = self._kept = key, {}
-        if build not in store[1]:
-            store[1][build] = build(self)
-        return store[1][build]
+        for build in builds:
+            if build not in store[1]:
+                store[1][build] = build(self)
+        got = tuple(store[1][build] for build in builds)
+        return got if len(got) > 1 else got[0]
 
     def developability_residual(self):
         return float(np.max(np.abs(self.sectors.sum(axis=2) - 2.0 * np.pi)))
@@ -231,20 +232,6 @@ def assemble_grid(nodes, design):
     crease_faces[H[:-1], side] = f               # top
     crease_faces[V[:, :-1], 1 - side] = f        # left
 
-    # seen from its left face a crease folds the other way
-    adjacency = [[] for _ in range(flip.size)]
-    for idx, (fl, fr) in enumerate(crease_faces.tolist()):
-        if fl >= 0 and fr >= 0:
-            adjacency[fl].append((fr, idx, -1))
-            adjacency[fr].append((fl, idx, 1))
-    queue, placed, placement = [0], {0}, []
-    for parent in queue:
-        for face, idx, sign in adjacency[parent]:
-            if face not in placed:
-                placed.add(face)
-                queue.append(face)
-                placement.append((face, parent, idx, sign))
-
     d = (np.stack([nodes[1:-1, 2:], nodes[:-2, 1:-1], nodes[1:-1, :-2], nodes[2:, 1:-1]],
                   axis=2) - nodes[1:-1, 1:-1, None])             # R, U, L, D
     angs = np.arctan2(d[..., 1], d[..., 0])
@@ -253,7 +240,6 @@ def assemble_grid(nodes, design):
     pat = CreasePattern(rows=R - 2, cols=C - 2, vertices=verts, ext_id=ext,
                         creases=creases, faces=faces, sectors=sectors,
                         row_creases=H, col_creases=V, crease_faces=crease_faces,
-                        placement=np.array(placement, dtype=int).reshape(-1, 4),
                         design=design)
     if pat.developability_residual() > LAYOUT_DEV_TOL:
         # a winding inversion means the drawn layout folds back on itself

@@ -8,8 +8,9 @@ per-theta scan over it, the scalar root scan of the next row vertices, the
 staircase corners, the lengths, turns and dihedrals of a polyline one
 interior point at a time, the circumcircle curvature over sample triples, the
 pairwise crease-crossing test, the per-crease signed fold angles, the
-grid index of `assemble_grid` found through a (u, v) -> crease lookup, and
-the per-chord panel distances, and the depth-first M/V search that
+grid index of `assemble_grid` found through a (u, v) -> crease lookup, the
+panel placement of `curvefold.foldsim.placement_order` as a queue, the
+per-chord panel distances, and the depth-first M/V search that
 `curvefold.foldsim.bootstrap_mv` replaced with one forward walk.  The
 scan-and-Brent root find of the first row vertex is the reference for
 the closed form of `curvefold.kinematics`, which agrees with it to
@@ -22,7 +23,7 @@ import numpy as np
 
 from curvefold.errors import (ClosedCurve, CreaseIntersection, DegenerateTurn, NoSolution,
                               NotRigidFoldable, OutOfRange)
-from curvefold.foldsim import default_driving_crease
+from curvefold.foldsim import UNPLACEABLE, default_driving_crease
 from curvefold.geometry import (TAU, AffineParams, Partition, PolyCurve, _arc,
                                 _unit, affine_map)
 from curvefold.kinematics import BRANCH_ORDER, propagate_both_modes, row_transfer_residual
@@ -492,18 +493,6 @@ def assemble_grid(nodes, design):
             a, b = quad[j], quad[(j + 1) % 4]
             idx = between(a, b)
             crease_faces[idx, 0 if (a, b) == (creases[idx].u, creases[idx].v) else 1] = f
-    adjacency = [[] for _ in range((m + 1) * (n + 1))]
-    for idx, (fl, fr) in enumerate(crease_faces.tolist()):
-        if fl >= 0 and fr >= 0:
-            adjacency[fl].append((fr, idx, -1))
-            adjacency[fr].append((fl, idx, 1))
-    queue, placed, placement = [0], {0}, []
-    for parent in queue:
-        for face, idx, sign in adjacency[parent]:
-            if face not in placed:
-                placed.add(face)
-                queue.append(face)
-                placement.append((face, parent, idx, sign))
 
     sectors = np.zeros((m, n, 4))
     for k in range(1, m + 1):
@@ -518,8 +507,40 @@ def assemble_grid(nodes, design):
                          creases=np.rec.fromrecords(creases, names="u,v,role,mv"),
                          faces=faces, sectors=sectors, row_creases=row_creases,
                          col_creases=col_creases, crease_faces=crease_faces,
-                         placement=np.array(placement, dtype=int).reshape(-1, 4),
                          design=design)
+
+
+def placement(pattern):
+    """`foldsim.placement_order` as a queue: a breadth-first search from
+    face 0 over the interior creases in grid order, each crease read
+    through its grid position, then each row's depth, one more than its
+    parent's, and the rows grouped by depth."""
+    m, n = pattern.rows, pattern.cols
+    grid = ([pattern.row_creases[r, c] for r in range(m + 2) for c in range(n + 1)]
+            + [pattern.col_creases[r, c] for c in range(n + 2) for r in range(m + 1)])
+    adjacency = [[] for _ in range((m + 1) * (n + 1))]
+    for idx in grid:
+        fl, fr = pattern.crease_faces[idx]
+        if fl >= 0 and fr >= 0:
+            adjacency[fl].append((fr, idx, -1))
+            adjacency[fr].append((fl, idx, 1))
+    queue, placed, rows = [0], {0}, []
+    for parent in queue:
+        for face, idx, sign in adjacency[parent]:
+            if face not in placed:
+                placed.add(face)
+                queue.append(face)
+                rows.append((face, parent, idx, sign))
+    if len(placed) < len(adjacency):
+        raise CreaseIntersection(UNPLACEABLE)
+    depth = [0] * len(adjacency)
+    for face, parent, _, _ in rows:
+        depth[face] = depth[parent] + 1
+    by_depth = {}
+    for k, (face, *_) in enumerate(rows):
+        by_depth.setdefault(depth[face], []).append(k)
+    return (np.array(rows, dtype=int).reshape(-1, 4),
+            [np.array(by_depth[d]) for d in sorted(by_depth)])
 
 
 def panel_distances(pattern, coords):

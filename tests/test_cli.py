@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import curvefold
-from curvefold import parallel
+from curvefold import cli, foldsim, parallel
 from curvefold.cli import _build_from_spec, _check_states, main
 from curvefold.errors import CreaseIntersection, SchemaError
-from curvefold.foldio import (MAX_COUNT, MAX_SAMPLES, MAX_STATES, export_fold,
+from curvefold.foldio import (MAX_COUNT, MAX_GRID, MAX_SAMPLES, MAX_STATES, export_fold,
                               load_design_spec)
 from curvefold.foldsim import propagate, sweep_to_halt
 from curvefold.geometry import partition_uniform, search_theta
@@ -111,6 +111,17 @@ class TestInputLimits:
         assert load_design_spec(json.dumps(dict(base, **{key: MAX_COUNT})))[1][key] == MAX_COUNT
         with pytest.raises(SchemaError, match=f"{key} must be an integer in \\[1, {MAX_COUNT}\\]"):
             load_design_spec(json.dumps(dict(base, **{key: MAX_COUNT + 1})))
+
+    def test_admissible_grid(self, monkeypatch, capsys):
+        # the scan itself is stubbed: the limit is checked before any theta
+        # is allocated, and holds at its value
+        grids = []
+        monkeypatch.setattr(cli, "search_theta", lambda f, xi, grid: grids.append(grid) or [])
+        argv = ["admissible", "fig5-exp", "--xi", "0.3", "--grid"]
+        assert main(argv + [str(MAX_GRID)]) == 0 and grids == [MAX_GRID]
+        capsys.readouterr()
+        assert main(argv + [str(MAX_GRID + 1)]) == 1 and grids == [MAX_GRID]
+        assert capsys.readouterr().err == f"error: --grid must be at most {MAX_GRID}\n"
 
 
 def write_spec(tmp_path, doc):
@@ -212,7 +223,8 @@ def _mixed_winding_pattern(monkeypatch):
     pattern, _ = parallel.build_pattern(parallel.ParallelDesignSpec(
         datum=datum, target=target, n_row=n_row, n_col=n_col, rho4=rho4, theta=theta,
         eps=10.0))
-    assert len(pattern.placement) + 1 < pattern.faces[..., 0].size
+    with pytest.raises(CreaseIntersection, match="faces wind against their neighbours"):
+        foldsim.placement_order(pattern)
     return pattern
 
 
@@ -292,9 +304,15 @@ class TestFoldVerify:
 
     def test_mixed_winding_layout_folds_to_typed_error(self, monkeypatch):
         # a library caller folding the same layout gets the typed error, not
-        # an index error from the placement tables
+        # an index error from the placement tables, and gets it before any
+        # fold: past the placement the fold at -0.1 raises NotRigidFoldable
+        # (a loop mismatch of 1.31 rad), and a lane pass drops that lane
         pattern = _mixed_winding_pattern(monkeypatch)
-        for fold in (lambda: propagate(pattern, 0.1), lambda: sweep_to_halt(pattern)):
+        E = len(pattern.creases)
+        for fold in (lambda: propagate(pattern, 0.1), lambda: propagate(pattern, -0.1),
+                     lambda: foldsim._fold_lanes(pattern, np.array([0.1, -0.1]),
+                                                 np.zeros((2, E))),
+                     lambda: sweep_to_halt(pattern)):
             with pytest.raises(CreaseIntersection, match="faces wind against their neighbours"):
                 fold()
 

@@ -435,9 +435,19 @@ def _same_index(got, want, coords):
     assert [(c.u, c.v, c.role, c.mv) for c in got.creases] == \
         [(c.u, c.v, c.role, c.mv) for c in want.creases]
     for attr in ("vertices", "ext_id", "faces", "sectors", "row_creases", "col_creases",
-                 "vertex_creases", "crease_faces", "placement"):
+                 "vertex_creases", "crease_faces"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    # the placement rows and depths, or the same error where a face is missed
+    placed = _outcome(foldsim.placement_order, got)
+    oracle_placed = _outcome(oracle.placement, want)
+    assert isinstance(placed[0], str) == isinstance(oracle_placed[0], str)
+    if isinstance(placed[0], str):
+        assert placed == oracle_placed
+    else:
+        for a, b in zip([placed[0], *placed[1]], [oracle_placed[0], *oracle_placed[1]],
+                        strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b), "placement"
     for a, b in zip(panel_distances(got, coords), oracle.panel_distances(want, coords)):
         assert np.array_equal(a, b), BLAS_ROUNDING
 
@@ -571,6 +581,36 @@ def test_no_pattern_cache_outside_kept():
         "        store = self.__dict__.get('_kept')\n"
         "        self._kept = store\n"
         "n = len(pattern.creases) + pattern.__class__.__name__.count('_')\n") == []
+
+
+def _names(source):
+    """(name, line) of each name, attribute, keyword, argument, function
+    and class of `source`."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.keyword: "arg", ast.arg: "arg",
+              ast.FunctionDef: "name", ast.ClassDef: "name"}
+    return [(getattr(node, fields[type(node)]), node.lineno)
+            for node in ast.walk(ast.parse(source)) if type(node) in fields]
+
+
+def test_one_owner_of_the_placement_order():
+    # the panel placement order is decided at fold time by
+    # foldsim.placement_order alone: pattern and foldio hold no placement
+    # and no face adjacency to search, and foldsim no second holder of it
+    banned = {"pattern.py": {"placement", "adjacency"}, "foldio.py": {"placement", "adjacency"},
+              "foldsim.py": {"Schedule", "grid_schedule"}}
+    for module, names in banned.items():
+        source = (Path(foldsim.__file__).parent / module).read_text()
+        found = [line for name, line in _names(source) if name in names]
+        assert not found, (module, found)
+    assert sorted(line for name, line in _names(
+        "class Schedule:\n"
+        "    placement: np.ndarray\n"
+        "pat = CreasePattern(placement=rows)\n"
+        "for face in pattern.adjacency:\n"
+        "    x = placement_order(pattern)\n"
+        "def grid_schedule(placement):\n"
+        "    pass\n") if name in {"Schedule", "placement", "adjacency", "grid_schedule"}) \
+        == [1, 2, 3, 4, 6, 6]
 
 
 #: the most lines `foldsim.sweep_to_halt` may take, its docstring included

@@ -761,7 +761,7 @@ def _assert_reference_pairs(pattern, calls):
     triangle broadphase, `clash_oracle.candidate_pairs`, each once, and no
     call of the exact test holds more than 2 _PAIR_BLOCK pairs.  Returns
     the count of pairs tested."""
-    ids = foldsim.grid_schedule(pattern).ids
+    ids = pattern.kept(foldsim._Triangles).ids
     n, tol = len(ids), CLASH_REL * pattern.diameter
     total = 0
     for states, pairs in calls:
@@ -959,7 +959,7 @@ class TestPlacement:
         pattern.vertices *= 1.25
         moved = _assert_placed_as_oracle(pattern, rho)
         assert not np.array_equal(moved, first)
-        for c in pattern.placement[:, 2].tolist():
+        for c in pattern.kept(foldsim.placement_order)[0][:, 2].tolist():
             cr = pattern.creases[c]
             cr.u, cr.v = cr.v, cr.u
         assert not np.array_equal(_assert_placed_as_oracle(pattern, rho), moved)

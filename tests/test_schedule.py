@@ -1,4 +1,4 @@
-"""The grid schedule of `foldsim`, against what it replaces: the fold
+"""What `foldsim` keeps of the grid, against what it replaces: the fold
 plan's data flow against the row-major vertex sweep and the shape that
 leaves no vertex without a known crease, its errors in floats and in
 lanes, the placement depths against the placement order, the clash
@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 
+import design_oracle
 from curvefold import foldsim
 from curvefold import pattern as pattern_mod
 from curvefold.cli import DEMOS, _build_from_spec, main
 from curvefold.errors import CurvefoldError, NotRigidFoldable, OutOfRange, SchemaError
 from curvefold.foldio import export_fold, import_fold, load_design_spec
 from curvefold.foldsim import (assign_fold_angles, bootstrap_mv, default_driving_crease,
-                               grid_schedule, place_panels, propagate, sweep_to_halt)
+                               place_panels, placement_order, propagate, sweep_to_halt)
 from curvefold.kinematics import VertexStack
 from curvefold.pattern import assemble_grid
 from support import SMALL_SPECS, bare_document, scrambled
@@ -99,7 +100,7 @@ def _check_plan_shape(pattern):
     the rest of row 1 reads L, the R of the vertex before it, and every
     other vertex U, the D of the vertex above; vertex (k, i) has level
     (k - 1) + (i - 1).  So every vertex has a known crease."""
-    plan = grid_schedule(pattern).plan
+    plan = pattern.kept(foldsim.FoldPlan)
     rows, cols = pattern.rows, pattern.cols
     N = rows * cols
     vertex, slot = np.empty(N, dtype=int), np.empty(N, dtype=int)
@@ -138,7 +139,7 @@ class TestFoldPlan:
     def test_every_vertex_has_a_known_crease(self, fig, request):
         pattern, _ = request.getfixturevalue(fig)
         _check_plan_shape(pattern)
-        assert len(grid_schedule(pattern).plan.groups) == 25
+        assert len(pattern.kept(foldsim.FoldPlan).groups) == 25
 
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
     @given(SMALL_SPECS)
@@ -158,14 +159,14 @@ class TestFoldPlan:
             "target": {"builtin": "fig7-tlnt"}, "n": 34, "m": 34, "theta": "auto",
             "eps": 0.2})))
         _check_plan_shape(pattern)
-        plan = grid_schedule(pattern).plan
+        plan = pattern.kept(foldsim.FoldPlan)
         assert len(plan.groups) == 100
         assert sorted(v for group in plan.groups for v in group[3]) == list(range(34 * 34))
 
 
     def test_one_plan_per_pattern(self, monkeypatch):
         # a design builds its FoldPlan once, for the M/V bootstrap, and the
-        # sweep's Schedule takes that plan.  A FOLD re-import gets a plan of
+        # sweep reads that plan.  A FOLD re-import gets a plan of
         # its own, and so does the design's pattern object with its crease
         # ids relabelled in place: the cache keys on what the plan reads
         built, real = [], foldsim.FoldPlan
@@ -177,18 +178,18 @@ class TestFoldPlan:
         monkeypatch.setattr(foldsim, "FoldPlan", counted)
         pattern, _ = _build_from_spec(*load_design_spec(json.dumps(DEMOS["fig5"])))
         sweep_to_halt(pattern, samples=2)
-        assert len(built) == 1 and grid_schedule(pattern).plan is built[0]
+        assert len(built) == 1 and pattern.kept(foldsim.FoldPlan) is built[0]
         imported, _ = import_fold(export_fold(pattern))
         sweep_to_halt(imported, samples=2)
-        assert len(built) == 2 and grid_schedule(imported).plan is built[1]
+        assert len(built) == 2 and imported.kept(foldsim.FoldPlan) is built[1]
         relabelled = copy.copy(pattern)
         perm = np.random.default_rng(5).permutation(len(pattern.creases))
         relabelled.row_creases, relabelled.col_creases = perm[pattern.row_creases], \
             perm[pattern.col_creases]
         relabelled.creases = pattern.creases[np.argsort(perm)]
-        assert grid_schedule(relabelled).plan is built[2] and len(built) == 3
+        assert relabelled.kept(foldsim.FoldPlan) is built[2] and len(built) == 3
         assert np.array_equal(built[2].cids, perm[built[0].cids])
-        assert grid_schedule(pattern).plan is built[0] and len(built) == 3
+        assert pattern.kept(foldsim.FoldPlan) is built[0] and len(built) == 3
 
 def _both(pattern, drive):
     """The errors of one state and of lanes at the driving values `drive`,
@@ -288,12 +289,12 @@ class TestPlacementDepths:
         # every hinge row once, each after its parent face is placed, in
         # 18 depths for 99 hinges
         pattern, _ = request.getfixturevalue(fig)
-        depths = grid_schedule(pattern).depths
+        placement, depths = pattern.kept(placement_order)
         assert len(depths) == 18
-        assert sorted(np.concatenate(depths).tolist()) == list(range(len(pattern.placement)))
+        assert sorted(np.concatenate(depths).tolist()) == list(range(len(placement)))
         placed = {0}
         for rows in depths:
-            face, parent = pattern.placement[rows, :2].T
+            face, parent = placement[rows, :2].T
             assert set(parent.tolist()) <= placed
             placed |= set(face.tolist())
         assert placed == set(range(pattern.faces[..., 0].size))
@@ -304,14 +305,14 @@ def _check_touching(pattern):
     one stacked state on, against the per-pair test: the triangle pairs of
     the two faces that share no vertex id.  Returns the count of pairs that
     share one."""
-    sched = grid_schedule(pattern)
-    F = len(sched.ids) // 2
+    triangles = pattern.kept(foldsim._Triangles)
+    F = len(triangles.ids) // 2
     p, q = np.triu_indices(F, 1)
     a = (2 * p[:, None] + [0, 0, 1, 1]).ravel()
     b = (2 * q[:, None] + [0, 1, 0, 1]).ravel()
-    shared = (sched.ids[a][:, :, None] == sched.ids[b][:, None, :]).any(axis=(1, 2))
+    shared = (triangles.ids[a][:, :, None] == triangles.ids[b][:, None, :]).any(axis=(1, 2))
     for s in (0, 1):
-        got = sched.apart(p + s * F, q + s * F)
+        got = triangles.apart(p + s * F, q + s * F)
         assert np.array_equal(np.stack(got), np.stack([a[~shared], b[~shared]]) + 2 * s * F)
     return int(shared.sum())
 
@@ -347,26 +348,26 @@ def _same(a, b):
         return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
     if isinstance(a, VertexStack):
         return _same(a.verts, b.verts)
-    if isinstance(a, (foldsim.Schedule, foldsim.FoldPlan)):
+    if isinstance(a, (foldsim._Triangles, foldsim.FoldPlan)):
         return type(a) is type(b) and _same(vars(a), vars(b))
     return type(a) is type(b) and a == b
 
 
 def _kept(pattern):
-    """What the pattern keeps: its Schedule, FoldPlan, vertex table, vertex
-    stacks and placement constants."""
-    return [grid_schedule(pattern), pattern.kept(foldsim.FoldPlan), pattern.vertex_angles(),
-            pattern.kept(foldsim._stacks), pattern.kept(foldsim._frames)]
+    """What the pattern keeps: its placement, FoldPlan, vertex table, vertex
+    stacks, placement constants and clash triangles."""
+    return [pattern.kept(placement_order), pattern.kept(foldsim.FoldPlan),
+            pattern.vertex_angles(), pattern.kept(foldsim._stacks),
+            pattern.kept(foldsim._frames), pattern.kept(foldsim._Triangles)]
 
 
 def _check_kept_is_fresh(pattern):
     """Everything the pattern keeps equals a build from the pattern as it
-    is now, and the Schedule's plan is the kept FoldPlan."""
-    sched, plan, verts, stacks, frames = _kept(pattern)
-    fresh = foldsim.Schedule(pattern)
-    assert sched.plan is plan
-    for got, want in ((sched.plan, fresh.plan), (sched.hinges, fresh.hinges),
-                      (sched.depths, fresh.depths), (sched, fresh),
+    is now, the placement that of `design_oracle.placement`."""
+    placement, plan, verts, stacks, frames, triangles = _kept(pattern)
+    for got, want in ((placement, placement_order(pattern)),
+                      (placement, design_oracle.placement(pattern)),
+                      (triangles, foldsim._Triangles(pattern)),
                       (plan, foldsim.FoldPlan(pattern)),
                       (verts, pattern_mod._vertex_table(pattern)),
                       (stacks, foldsim._stacks(pattern)), (frames, foldsim._frames(pattern))):
@@ -395,7 +396,7 @@ class TestKept:
         for key in ("edges_vertices", "edges_assignment"):
             doc[key] = [doc[key][k] for k in perm]
         other = import_fold(json.dumps(doc))[0]
-        hinge = pattern.placement[:, 2]
+        hinge = pattern.kept(placement_order)[0][:, 2]
         reversed_hinges = pattern.creases.copy()
         reversed_hinges.u[hinge], reversed_hinges.v[hinge] = (pattern.creases.v[hinge],
                                                               pattern.creases.u[hinge])
@@ -406,11 +407,33 @@ class TestKept:
                   perm[pattern.col_creases]),
                  ("crease sides swapped", pattern.crease_faces, pattern.crease_faces[:, ::-1]),
                  ("sectors turned end for end", pattern.sectors, pattern.sectors[::-1, ::-1]),
-                 ("faces of a relabelled re-import", pattern.faces, other.faces),
-                 ("placement of a relabelled re-import", pattern.placement, other.placement)]
+                 ("faces of a relabelled re-import", pattern.faces, other.faces)]
         for name, array, value in edits:
             before = _kept(pattern)
             array[...] = value.copy()
             assert not any(map(operator.is_, _kept(pattern), before)), name
             _check_kept_is_fresh(pattern)
+
+    def test_one_key_per_fold_layer(self, fig5_design, monkeypatch):
+        # a warm fold reads the store once for the fold loop (placement,
+        # plan and vertex table or stacks) and once for the placement's
+        # constants: a one-state propagate and a two-lane pass alike build
+        # the key twice
+        pattern = fig5_design[0]
+        flat = propagate(pattern, 0.0)
+        foldsim.propagate_lanes(pattern, [0.1, 0.2], [flat, flat])
+        lookups, real = [], pattern_mod.CreasePattern.kept
+
+        def counted(self, *builds):
+            lookups.append(builds)
+            return real(self, *builds)
+
+        monkeypatch.setattr(pattern_mod.CreasePattern, "kept", counted)
+        propagate(pattern, 0.1, prev=flat)
+        assert lookups == [(placement_order, foldsim.FoldPlan, pattern_mod._vertex_table),
+                           (foldsim._frames,)]
+        lookups.clear()
+        foldsim.propagate_lanes(pattern, [0.1, 0.2], [flat, flat])
+        assert lookups == [(placement_order, foldsim.FoldPlan, foldsim._stacks),
+                           (foldsim._frames,)]
 
