@@ -390,15 +390,14 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02):
     for a, _, j, vs in plan.groups:
         for p, v in enumerate(vs, a):
             ok, plus, minus, two = propagate_both_modes(verts[v], j, rows[src[p]])
-            modes = sorted([plus, minus] if two else [plus],
-                           key=lambda r: (sum(1 for x in r if abs(x) < SIGN_FLOOR),
-                                          float(np.linalg.norm(r))))
-            agree = [m for m in modes if ok and all(abs(m[k] - rows[w]) < BRANCH_TOL
-                                                    for k, w in before[p])]
+            agree = [m for m in ([plus, minus] if two else [plus])
+                     if ok and all(abs(m[k] - rows[w]) < BRANCH_TOL for k, w in before[p])]
             if not agree:
                 raise NotRigidFoldable(f"vertex ({v // pattern.cols + 1},{v % pattern.cols + 1}): "
                                        "no branch near flat agrees with the creases before it")
-            rows[p::N + 1] = agree[0]
+            rows[p::N + 1] = agree[0] if len(agree) == 1 else min(
+                agree, key=lambda r: (sum(1 for x in r if abs(x) < SIGN_FLOOR),
+                                      float(np.linalg.norm(r))))
     rho = np.array(rows)[plan.final]
     pattern.creases.mv = (pattern.creases.role != ROLE_BOUNDARY) * np.where(rho >= 0, 1, -1)
     return rho

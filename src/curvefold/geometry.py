@@ -17,13 +17,15 @@ tests/design_oracle.py only while numpy's matmul rounds each batched
 product as the loop's own product; which BLAS kernel numpy picks for a
 shape is not specified.  This was checked with numpy 2.4.6 and its
 bundled OpenBLAS 0.3.31 on x86-64 with AVX-512, where a one-row product
-(the dot kernel) rounds differently from a taller one: hence no point is
-evaluated alone against a polyline of two or more points.  The row solve
-of `parallel` also takes numpy's elementwise functions to round an
-element alike in arrays of any length, as it evaluates a bisection's
-midpoints together.  Another numpy or BLAS build may move a design
-output by an ulp with no defect in the code; tests/test_design_scans.py
-names that cause when a rounding-bound case fails.
+rounds unlike a taller one (1,292 of 4,000 2-D rows; 2 to 17 rows round
+as 4,000 do): no point is evaluated alone against a polyline of two or
+more points.  `_segment_dist` sums its squares left to right, as
+np.linalg.norm(axis=-1) does.  The row solve of `parallel` takes numpy's
+elementwise functions to round an element alike in arrays of any length,
+as it evaluates a bisection's midpoints together.  Another numpy or BLAS
+build may move a design output by an ulp with no defect in the code;
+tests/test_design_scans.py names that cause when a rounding-bound case
+fails.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ TAU = 2.0 * np.pi
 # of pattern.sweep_pairs) per array pass
 _PAIR_BLOCK = 1 << 14
 # dense samples per exactly evaluated one in the first hausdorff pass
-_HAUSDORFF_STRIDE = 16
+_HAUSDORFF_STRIDE = 32
 # consecutive segments per bounding ball in min_dist_to_polyline
 _RUN = 32
 # bisection levels whose midpoints one array pass evaluates (parallel row solve)
@@ -358,13 +360,11 @@ def partition_tube(c: PolyCurve, n, eps):
     t = np.linspace(c.param[0], c.param[-1], n + 2)
     base = c.point_at(t)
     _check_distinct(base, 2)
+    # interior points alternate between the offset curves, left of the chord
+    # first; the endpoints stay on the curve so the approximation spans it
+    chord, side = base[2:] - base[:-2], np.where(np.arange(n) % 2, -eps, eps)[:, None]
     pts = base.copy()
-    # interior points alternate between the offset curves; the endpoints
-    # stay on the curve so the approximation spans it end to end
-    for i in range(1, n + 1):
-        tang = _unit(base[i + 1] - base[i - 1])
-        nrm = np.array([-tang[1], tang[0]])
-        pts[i] = base[i] + eps * ((-1) ** (i + 1)) * nrm
+    pts[1:-1] += side * (chord[:, ::-1] * [-1.0, 1.0] / np.sqrt(_rowdot(chord, chord))[:, None])
     lengths, beta, theta = measure_polyline(pts)
     _check_turns(beta)
     if np.any(beta >= np.pi - TUBE_TURN_MARGIN):
@@ -393,14 +393,16 @@ def _vertices_of(obj):
 
 def _segment_dist(Q, a, d, l2):
     """Distance of each point of Q (..., M, dim) to each of the segments
-    from a to a + d (..., S, dim), squared lengths l2 (..., S), as
-    (..., S, M): the arithmetic of a loop over single segments, in one
-    array pass."""
-    dots = np.matmul(Q[..., None, :, :] - a[..., None, :], d[..., None])[..., 0]
-    pos = l2[..., None] > 0.0
-    t = np.where(pos, np.clip(dots / np.where(pos, l2[..., None], 1.0), 0.0, 1.0), 0.0)
-    proj = a[..., None, :] + t[..., None] * d[..., None, :]
-    return np.linalg.norm(Q[..., None, :, :] - proj, axis=-1)
+    from a to a + d (..., S, dim), l2 (..., S) their squared lengths or 1
+    where 0, as (..., S, M): a loop over single segments in one array pass,
+    with matmul's dot products (elementwise ones round otherwise)."""
+    X = np.empty(np.broadcast_shapes(Q.shape[:-2], a.shape[:-2]) + (a.shape[-2],) + Q.shape[-2:])
+    for c in range(Q.shape[-1]):
+        np.subtract(Q[..., None, :, c], a[..., c, None], out=X[..., c])
+    t = np.clip(np.matmul(X, d[..., None])[..., 0] / l2[..., None], 0.0, 1.0)
+    # Q - (a + t d), squared and summed left to right as np.linalg.norm does
+    return np.sqrt(sum((Q[..., None, :, c] - (a[..., c, None] + t * d[..., c, None])) ** 2
+                       for c in range(Q.shape[-1])))
 
 
 class _Polyline:
@@ -411,42 +413,47 @@ class _Polyline:
     def __init__(self, V):
         self.A = V[:max(1, len(V) - 1)]
         self.D = np.diff(V, axis=0) if len(V) > 1 else 0.0 * V
-        self.L2, self.vmax = _rowdot(self.D, self.D), np.abs(V).max()
+        # a segment of length 0 divides its dot products, 0, by 1: t = 0
+        L2, self.vmax = _rowdot(self.D, self.D), np.abs(V).max()
+        self.L2 = np.where(L2 > 0.0, L2, 1.0)
         self.short = len(self.A) <= 2 * _RUN
         if not self.short:
-            # runs of _RUN segments, the last one padded with its final segment
-            self.seg = np.minimum(np.arange(0, len(self.A), _RUN)[:, None] + np.arange(_RUN),
-                                  len(self.A) - 1)
-            ends = np.concatenate([V[self.seg], V[self.seg + 1]], axis=1)
-            lo, hi = ends.min(axis=1), ends.max(axis=1)
+            # runs of _RUN segments (the last one padded) in boxes of their vertices
+            start = np.arange(0, len(self.A), _RUN)
+            seg = np.minimum(start[:, None] + np.arange(_RUN), len(self.A) - 1)
+            self.run = self.A[seg], self.D[seg], self.L2[seg]
+            end = V[np.minimum(start + _RUN, len(self.A))]
+            lo = np.minimum(np.minimum.reduceat(V, start), end)
+            hi = np.maximum(np.maximum.reduceat(V, start), end)
             self.centre, self.radius = 0.5 * (lo + hi), 0.5 * np.linalg.norm(hi - lo, axis=1)
 
-    def nearest(self, P):
-        """min_dist_to_polyline of the points P."""
+    def nearest(self, P, bound=None):
+        """min_dist_to_polyline of the points P, each under its `bound` if given."""
         if self.short or len(P) < 2:
             # chunks of at least _PAIR_BLOCK pairs, none of them a lone row
             chunks = min(len(P), len(P) * len(self.A) // _PAIR_BLOCK)
             rows = np.array_split(np.arange(len(P)), max(1, chunks))
             return np.concatenate([_segment_dist(P[r], self.A, self.D, self.L2).min(axis=0)
                                    for r in rows])
-        A, D, L2, seg, best = self.A, self.D, self.L2, self.seg, np.full(len(P), np.inf)
+        best = np.full(len(P), np.inf)
         slack = PRUNE_SLACK * (np.abs(P).max() + self.vmax)
-        rows = max(2, _PAIR_BLOCK // max(len(seg), _RUN))
+        rows = max(2, _PAIR_BLOCK // max(len(self.centre), _RUN))
         for r in range(0, len(P), rows):
             Q = P[r:r + rows]
-            gap = np.linalg.norm(Q[:, None] - self.centre, axis=-1)
-            near = gap - self.radius <= (gap + self.radius).min(axis=1, keepdims=True) + slack
+            gap = np.sqrt(sum((Q[:, None, c] - self.centre[:, c]) ** 2 for c in range(P.shape[1])))
+            top = (gap + self.radius).min(axis=1)
+            top = top if bound is None else np.minimum(top, bound[r:r + rows])
+            near = gap - self.radius <= top[:, None] + slack
             runs = np.flatnonzero(near.any(axis=0))
-            # each run against the points near it, padded to a common count
-            # by repeating its first one
+            # each run against the points near it, padded by repeating its first
             count = near[:, runs].sum(axis=0)
             M = max(2, int(count.max()))
             idx = np.argsort(~near[:, runs], axis=0, kind="stable")[:M].T
             idx = np.where(np.arange(M) < count[:, None], idx, idx[:, :1])
             step = max(1, _PAIR_BLOCK // (_RUN * M))
             for k in range(0, len(runs), step):
-                part = seg[runs[k:k + step]]
-                dist = _segment_dist(Q[idx[k:k + step]], A[part], D[part], L2[part])
+                part = runs[k:k + step]
+                dist = _segment_dist(Q[idx[k:k + step]], *(x[part] for x in self.run))
                 np.minimum.at(best, r + idx[k:k + step], dist.min(axis=-2))
         return best
 
@@ -471,22 +478,23 @@ def _directed_hausdorff(pts, per_segment, V):
     of V is convex along a segment of `pts`, so no sample of it exceeds
     the least over V's segments of the larger distance of its ends.  Else
     the distance is 1-Lipschitz along the samples, so none between samples
-    i and j exceeds (f_i + f_j + arc_ij) / 2: samples are evaluated every
-    _HAUSDORFF_STRIDE, then at the midpoint of each gap whose bound
-    reaches the running max, until no gap is left."""
-    target = _Polyline(V)
-    S = len(pts) - 1
+    i and j exceeds (f_i + f_j + arc_ij) / 2, nor f_i + arc_ij: samples are
+    evaluated every _HAUSDORFF_STRIDE, then in each gap whose bound reaches
+    the running max, a quarter of the widest gap apart, until none is left."""
+    target, S = _Polyline(V), len(pts) - 1
     if S == 0:
         return target.nearest(pts).max()
     w = np.linspace(0.0, 1.0, per_segment + 1)[:-1]
     D = np.vstack([np.diff(pts, axis=0), np.zeros((1, pts.shape[1]))])
-    scale = np.abs(pts).max() + target.vmax
+    slack = PRUNE_SLACK * (np.abs(pts).max() + target.vmax)
 
-    def dist(s, r):
-        # sample r of segment s, pts[s] + w[r] (pts[s+1] - pts[s]); a lone
-        # one is evaluated twice, as a one-row product rounds differently
+    def dist(k, bound=None):
+        # samples k % per_segment of segments k // per_segment (the last is
+        # pts[S] + 0 * 0); a lone one twice, as a one-row product rounds apart
+        s, r = np.divmod(k, per_segment)
         Q = pts[s] + w[r, None] * D[s]
-        return target.nearest(Q if len(Q) > 1 else np.vstack([Q, Q]))[:len(Q)]
+        Q, bound = (Q, bound) if len(Q) > 1 else (np.vstack([Q, Q]), None)
+        return target.nearest(Q, bound)[:len(k)]
 
     if target.short:
         # the vertices, in blocks of rows that overlap by one
@@ -496,33 +504,26 @@ def _directed_hausdorff(pts, per_segment, V):
             best = max(best, E.min(axis=0).max())
             bound.append(np.maximum(E[:, :-1], E[:, 1:]).min(axis=0))
         # then, in one pass, each sample of a segment whose bound reaches it
-        s = np.flatnonzero(np.concatenate(bound) >= best - PRUNE_SLACK * scale)
-        s, r = np.repeat(s, per_segment - 1), np.tile(np.arange(1, per_segment), len(s))
-        return max(best, dist(s, r).max()) if len(s) else best
+        s = per_segment * np.flatnonzero(np.concatenate(bound) >= best - slack)
+        return dist((s[:, None] + np.arange(1, per_segment)).ravel()).max(initial=best)
+    # the arc length L of each sample; `done` marks those evaluated
+    s, r = np.divmod(np.arange(S * per_segment + 1), per_segment)
     seg_len = np.linalg.norm(D, axis=1)
-    seg_arc = np.concatenate([[0.0], np.cumsum(seg_len)])
-
-    def at(k):
-        s, r = np.divmod(k, per_segment)  # the last sample is pts[S] + 0 * 0
-        return dist(s, r), seg_arc[s] + w[r] * seg_len[s]
-
-    K = np.append(np.arange(0, S * per_segment, _HAUSDORFF_STRIDE), S * per_segment)
-    F, L = at(K)
-    best = F.max()
-    slack = PRUNE_SLACK * (seg_arc[-1] + scale)
-    # gaps between evaluated samples, as rows (start, end) of sample
-    # index K, distance F and arc length L
-    K, F, L = (np.stack([x[:-1], x[1:]]) for x in (K, F, L))
-    while True:
-        keep = (K[1] - K[0] > 1) & (F[0] + F[1] + (L[1] - L[0]) >= 2.0 * (best - slack))
-        if not keep.any():
-            return best
-        K, F, L = K[:, keep], F[:, keep], L[:, keep]
-        km = (K[0] + K[1]) // 2
-        fm, lm = at(km)
-        best = max(best, fm.max())
-        K, F, L = (np.stack([np.append(x[0], m), np.append(m, x[1])])
-                   for x, m in ((K, km), (F, fm), (L, lm)))
+    L = np.concatenate([[0.0], np.cumsum(seg_len)])[s] + w[r] * seg_len[s]
+    new, bound = np.append(np.arange(0, S * per_segment, _HAUSDORFF_STRIDE), S * per_segment), None
+    F, done, slack = np.empty_like(L), np.zeros(len(L), bool), slack + PRUNE_SLACK * L[-1]
+    while len(new):
+        F[new], done[new] = dist(new, bound), True
+        K = np.flatnonzero(done)
+        lo, hi = K[:-1], K[1:]
+        keep = (hi - lo > 1) & (F[lo] + F[hi] + (L[hi] - L[lo]) >= 2.0 * (F[K].max() - slack))
+        # in each gap left, samples a quarter of the widest apart, bounded by its ends
+        lo, hi = lo[keep, None], hi[keep, None]
+        gap = int((hi - lo).max(initial=0))
+        new = np.minimum(lo + max(1, gap // 4) * np.arange(1, gap), hi)
+        bound = np.minimum(F[lo] + (L[new] - L[lo]), F[hi] + (L[hi] - L[new]))[new < hi] + slack
+        new = new[new < hi]
+    return F[K].max()
 
 
 def hausdorff(a, b, per_segment=64):

@@ -67,14 +67,14 @@ class CreasePattern:
 
     def kept(self, *builds):
         """build(self), kept in the pattern's one store until an array the
-        fold layers read (vertices, sectors, grid index, crease ends) changes
-        shape or bytes; the store is then rebuilt whole.  M/V, roles and the
-        design are not in the key: every caller reads them fresh, so writing
-        M/V, as `bootstrap_mv` does, rebuilds nothing.  Several builds share
-        one build of the key, are built in order and come back as a tuple."""
+        fold layers read (vertices, sectors, grid index, crease ends from
+        the plain array view) changes shape or bytes; the store is then
+        rebuilt whole.  M/V, roles and the design are not in the key: every
+        caller reads them fresh, so writing M/V (`bootstrap_mv`) rebuilds
+        nothing.  Several builds share one key, are built in order and come back as a tuple."""
         key = [(a.shape, a.tobytes()) for a in (
             self.vertices, self.sectors, self.row_creases, self.col_creases, self.faces,
-            self.crease_faces, self.creases["u"], self.creases["v"])]
+            self.crease_faces, *(self.creases.view(np.ndarray)[e] for e in "uv"))]
         store = self.__dict__.get("_kept")
         if store is None or store[0] != key:
             store = self._kept = key, {}
@@ -152,7 +152,7 @@ def check_embeddable(pattern: CreasePattern):
     pts = pattern.vertices
     uv = pattern.crease_ends()
     xs = pts[uv, 0]
-    eps = CROSSING_REL * max(pattern.diameter, 1.0) ** 2
+    eps = CROSSING_REL * pattern.diameter ** 2
     for i, j in sweep_pairs(xs.min(axis=1), xs.max(axis=1), 0.0, _PAIR_BLOCK):
         (u1, v1), (u2, v2) = uv[i].T, uv[j].T
         p1, p2, p3, p4 = pts[u1].T, pts[v1].T, pts[u2].T, pts[v2].T

@@ -26,7 +26,7 @@ COLUMN_ALIGN_REL = 1e-9  # ortho layout: column-line misalignment, x max(1, |x|)
 RATIO_FLOOR = 1e-30      # separability: denominator floor of the relative tan-ratio residual
 # drawn patterns (pattern)
 LAYOUT_DEV_TOL = 1e-9    # assemble_grid: a drawn layout's sector-sum residual (winding)
-CROSSING_REL = 1e-12     # check_embeddable: orientation slack, x max(diameter, 1)^2
+CROSSING_REL = 1e-12     # check_embeddable: orientation slack, x diameter^2 (length^2 units)
 # folding, placement and clash tests (foldsim)
 HALT_TOL = 1e-6          # a crease at pi - HALT_TOL halts the motion
 CLASH_REL = 1e-9         # clash_test: penetration depth that counts, x diameter

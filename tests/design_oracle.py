@@ -409,7 +409,7 @@ def check_embeddable(pattern):
         x0, x1 = sorted((pts[u][0], pts[v][0]))
         boxes.append((x0, x1))
     order = sorted(range(len(segs)), key=lambda i: boxes[i][0])
-    eps = 1e-12 * max(pattern.diameter, 1.0) ** 2
+    eps = 1e-12 * pattern.diameter ** 2
     for a_pos, i in enumerate(order):
         for j in order[a_pos + 1:]:
             if boxes[j][0] > boxes[i][1]:
