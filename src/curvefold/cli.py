@@ -18,8 +18,8 @@ from .foldio import (MAX_GRID, MAX_STATES, _load_curve, export_fold, export_svg,
 from .foldsim import sweep_to_halt
 from .geometry import partition_uniform, search_theta
 from .kinematics import solve_first_vertex
-from .ortho import OrthoDesignSpec, angle_grid, build_ortho_pattern, ortho_xi
-from .parallel import ParallelDesignSpec, build_pattern
+from .ortho import OrthoDesignSpec, angle_grid, build_ortho_pattern
+from .parallel import ParallelDesignSpec, build_pattern, xi_list
 from .verify import run_pattern_checks
 
 DEMOS = {
@@ -69,11 +69,10 @@ def _auto_theta(kind, fields):
     prelude = None
     if kind == "parallel-repeating":
         part = partition_uniform(fields["datum"], fields["n_row"])
-        _, a2 = solve_first_vertex(part.turn_angles[0], fields["rho4"])
-        xi1 = abs(2 * a2 - np.pi)
+        xi1 = xi_list([solve_first_vertex(part.turn_angles[0], fields["rho4"])])[0]
     else:
-        prelude = _, part, _, grid = angle_grid(OrthoDesignSpec(**fields))
-        xi1 = ortho_xi(grid.alpha[0, 1], part.turn_angles[0])
+        prelude = angle_grid(OrthoDesignSpec(**fields))
+        xi1 = prelude[-1][0]  # the first row's xi
     hits = search_theta(fields["target"], xi1, grid=720)
     if not hits:
         raise SchemaError("no admissible theta found on the default grid")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from .errors import (ClosedCurve, DegenerateTurn, LayoutError, NotAdmissible,
-                     TubeSelfIntersect)
+                     OutOfRange, TubeSelfIntersect)
 from .tolerances import (COLLINEAR_TRIPLE, MONOTONE_TOL, PRUNE_SLACK,
                          TUBE_TURN_MARGIN, XI_MARGIN)
 
@@ -305,6 +305,23 @@ def staircase_segments(stair: Partition, a: AffineParams):
     staircase segment."""
     d = np.abs(np.diff(affine_map(stair.points, a), axis=0))
     return [("x" if dx > dy else "y", dx + dy) for dx, dy in d.tolist()]
+
+
+def design_staircase(target: PolyCurve, theta, xs, n, phase, what):
+    """A design's staircase on its target and the base length of each of
+    its segments.  Every angle of xs (`what` names them) is first kept in
+    (XI_MARGIN, pi - XI_MARGIN); the staircase of n corners is taken at
+    (theta, xs[0]), and its segment axes alternate from `phase`."""
+    for x in xs:
+        if not (XI_MARGIN < x < np.pi - XI_MARGIN):
+            raise OutOfRange(f"{what} xi = {x:.6g} too close to 0 or pi")
+    aff = AffineParams(theta, xs[0])
+    stair = staircase(target, aff, n, phase=phase)
+    segs = staircase_segments(stair, aff)
+    axes = "xy" if phase == "x" else "yx"
+    if any(axis != axes[k % 2] for k, (axis, _) in enumerate(segs)):
+        raise LayoutError("staircase segment axes do not alternate from the phase")
+    return stair, [base for _, base in segs]
 
 
 def partition_uniform(c: PolyCurve, n):

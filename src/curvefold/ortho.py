@@ -17,13 +17,10 @@ import numpy as np
 
 from .errors import DegenerateAngle, LayoutError, OutOfRange
 from .foldsim import bootstrap_mv
-from .geometry import (AffineParams, Partition, PolyCurve, hausdorff,
-                       partition_tube, staircase, staircase_segments)
+from .geometry import Partition, PolyCurve, design_staircase, partition_tube
 from .kinematics import guarded_arccos
-from .pattern import (DesignReport, assemble_grid, check_embeddable,
-                      set_corners)
-from .tolerances import (COLUMN_ALIGN_REL, DEGENERATE_ANGLE, RATIO_FLOOR,
-                         XI_MARGIN)
+from .pattern import assemble_grid, finish_design, set_corners, sweep_columns
+from .tolerances import COLUMN_ALIGN_REL, DEGENERATE_ANGLE, RATIO_FLOOR
 
 
 @dataclass(frozen=True)
@@ -155,8 +152,8 @@ def effective_stub_angles(partition: Partition):
 def angle_grid(spec: OrthoDesignSpec):
     """The design up to its angle grid, which theta does not enter: the
     tube radius, the datum's partition on that tube, alpha11 (checked
-    against the halting inequalities) and the grid it spans with the stub
-    angles of column 0."""
+    against the halting inequalities), the grid it spans with the stub
+    angles of column 0, and the row staircase angle xi of each row."""
     tube = spec.tube_eps if spec.tube_eps is not None else spec.eps / 2.0
     part = partition_tube(spec.datum, spec.n, tube)
     col0 = effective_stub_angles(part)
@@ -165,79 +162,50 @@ def angle_grid(spec: OrthoDesignSpec):
         raise DegenerateAngle(
             f"alpha11 = {a11:.6g} violates the halting inequalities against "
             f"alpha10 = {col0[0]:.6g}")
-    return tube, part, a11, propagate_grid(col0, a11, m=spec.m)
+    grid = propagate_grid(col0, a11, m=spec.m)
+    xis = [ortho_xi(grid.alpha[i, 1], part.turn_angles[i]) for i in range(spec.n)]
+    return tube, part, a11, grid, xis
 
 
 def build_ortho_pattern(spec: OrthoDesignSpec, prelude=None):
     """Full orthodiagonal pattern plus design report.  prelude: the
     spec's `angle_grid`, where the caller has it already."""
-    tube, part, a11, grid = prelude or angle_grid(spec)
-    beta = part.turn_angles
+    tube, part, a11, grid, xis = prelude or angle_grid(spec)
     col0, a1col = grid.alpha[:, 0], grid.alpha[:, 1]
-    xis = [ortho_xi(a1col[i], beta[i]) for i in range(spec.n)]
-    for x in xis:
-        if not (XI_MARGIN < x < np.pi - XI_MARGIN):
-            raise OutOfRange(f"row staircase angle xi = {x:.6g} too close to 0 or pi")
-    aff1 = AffineParams(spec.theta, xis[0])
-    stair = staircase(spec.target, aff1, spec.m, phase=spec.phase)
-    base = [b for _, b in staircase_segments(stair, aff1)]
+    stair, base = design_staircase(spec.target, spec.theta, xis, spec.m, spec.phase,
+                                   "row staircase angle")
     scales = np.sin(a1col[0]) / np.sin(a1col)
 
     pattern = _draw_ortho(spec, part, col0, a1col, base, scales)
     rho0 = bootstrap_mv(pattern)
     pattern.design["halt_rho_signs"] = np.sign(rho0).tolist()
-    check_embeddable(pattern)
-
-    eps_datum = hausdorff(part.points, spec.datum.refined(4))
-    eps_curve = hausdorff(stair.points, spec.target.refined(4))
-    report = DesignReport(
-        design_type="orthodiagonal",
-        eps_target=spec.eps,
-        eps_datum=eps_datum,
-        eps_curve=eps_curve,
-        stair=stair.points,
-        notes={
-            "alpha11": float(a11),
-            "theta": spec.theta,
-            "tube_eps": tube,
-            "xi": [float(x) for x in xis],
-            "separability": grid.separability_residual(),
-        },
-    )
-    pattern.design["xi"] = [float(x) for x in xis]
     pattern.design["grid_alpha"] = grid.alpha.tolist()
-    pattern.design["report"] = report
-    return pattern, report
+    return finish_design(pattern, spec, part, stair, xis,
+                         notes={"alpha11": float(a11), "tube_eps": tube,
+                                "separability": grid.separability_residual()})
 
 
 def _draw_ortho(spec, part: Partition, col0, a1col, base, scales):
     """Planar layout among vertical column lines.
 
-    Strip widths are shared by all rows; each row's crease lengths scale
-    with 1/sin(alpha_i1), its stubs with the same row scale."""
+    The datum column runs down from the origin; each row steps right from
+    it, its crease lengths and its stubs scaled with 1/sin(alpha_i1), so
+    that the strip widths are shared by all rows and the columns stay on
+    vertical lines."""
     n, m = spec.n, spec.m
-    widths = [base[k] * np.sin(a1col[0]) for k in range(1, m)]
-    xcol = np.concatenate([[0.0], np.cumsum(widths)])
-
-    nodes = np.zeros((n + 2, m + 2, 2))
+    datum = np.zeros((n, 2))
+    datum[1:, 1] = -np.cumsum(part.lengths[1:n])
+    # the rows are the sweep's columns, the datum column its first row
+    down = np.stack([np.sin(a1col), np.cos(a1col)], axis=1)
+    up = -np.stack([np.sin(np.pi - a1col), np.cos(np.pi - a1col)], axis=1)
+    nodes = sweep_columns(datum, up, down, m, lambda k, i: scales[i - 1] * base[k])
+    nodes = nodes.transpose(1, 0, 2)
     inner = nodes[1:-1, 1:-1]
-    y = 0.0
-    for i in range(n):
-        if i > 0:
-            y -= part.lengths[i]
-        inner[i, 0] = (0.0, y)
-        for j in range(1, m):
-            t = a1col[i] if j % 2 == 1 else np.pi - a1col[i]
-            L = scales[i] * base[j]
-            step = L * np.array([np.sin(t), np.cos(t)])
-            inner[i, j] = inner[i, j - 1] + step
-            if abs(inner[i, j, 0] - xcol[j]) > COLUMN_ALIGN_REL * max(1.0, abs(xcol[j])):
-                raise LayoutError("column line misalignment in ortho layout")
-    nodes[1:-1, 0] = [inner[i, 0] + scales[i] * base[0] *
-                      np.array([-np.sin(col0[i]), np.cos(col0[i])]) for i in range(n)]
-    tl = a1col if m % 2 == 1 else np.pi - a1col
-    nodes[1:-1, -1] = [inner[i, m - 1] + scales[i] * base[m] *
-                       np.array([np.sin(tl[i]), np.cos(tl[i])]) for i in range(n)]
+    xcol = np.concatenate([[0.0], np.cumsum(np.array(base[1:m]) * np.sin(a1col[0]))])
+    if (np.abs(inner[..., 0] - xcol) > COLUMN_ALIGN_REL * np.abs(xcol)).any():
+        raise LayoutError("column line misalignment in ortho layout")
+    nodes[1:-1, 0] = inner[:, 0] + (scales * base[0])[:, None] * np.stack(
+        [-np.sin(col0), np.cos(col0)], axis=1)
     nodes[0, 1:-1] = inner[0] + part.lengths[0] * np.array([0.0, 1.0])
     nodes[-1, 1:-1] = inner[-1] + part.lengths[n] * np.array([0.0, -1.0])
     return assemble_grid(set_corners(nodes),

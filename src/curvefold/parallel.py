@@ -18,14 +18,13 @@ import numpy as np
 
 from .errors import LayoutError, NoSolution, OutOfRange
 from .foldsim import bootstrap_mv, default_driving_crease
-from .geometry import (_SECTION, AffineParams, Partition, PolyCurve, _arc, _rowdot, _unit,
-                       hausdorff, partition_uniform, staircase, staircase_segments)
+from .geometry import (_SECTION, Partition, PolyCurve, _arc, _rowdot, _unit,
+                       design_staircase, partition_uniform)
 from .kinematics import (BRANCH_ORDER, guarded_arccos, row_transfer_residual,
                          solve_first_vertex)
-from .pattern import (DesignReport, assemble_grid, check_embeddable,
-                      panel_distances, set_corners, signed_fold_angles)
-from .tolerances import (COLLINEAR_FRAME, ROOT_SCAN_MARGIN, ROW_DRIFT,
-                         TRANSFER_TOL, XI_MARGIN)
+from .pattern import (assemble_grid, finish_design, panel_distances, set_corners,
+                      signed_fold_angles, sweep_columns)
+from .tolerances import COLLINEAR_FRAME, ROOT_SCAN_MARGIN, ROW_DRIFT, TRANSFER_TOL
 
 #: BRANCH_ORDER as one (4, 16) stack of signs, a column per branch
 _BRANCHES = np.array(BRANCH_ORDER).T
@@ -259,71 +258,27 @@ def build_pattern(spec: ParallelDesignSpec):
     part = partition_uniform(spec.datum, spec.n_row)
     state = _design_row_state(part, spec.rho4)
     slots = state.slots
-    n = len(slots)
-    m = spec.n_col
     xs = xi_list(slots)
-    for x in xs:
-        if not (XI_MARGIN < x < np.pi - XI_MARGIN):
-            raise OutOfRange(f"column crease angle xi = {x:.6g} too close to 0 or pi")
-    aff1 = AffineParams(spec.theta, xs[0])
-    stair = staircase(spec.target, aff1, m, phase=spec.phase)
-    base_segs = staircase_segments(stair, aff1)
-    want = spec.phase
-    for axis, _ in base_segs:
-        if axis != want:
-            raise LayoutError("staircase segment axes do not alternate from the phase")
-        want = "y" if want == "x" else "x"
-    cumx, cumy = column_scales(slots, spec.phase)
+    stair, base = design_staircase(spec.target, spec.theta, xs, spec.n_col, spec.phase,
+                                   "column crease angle")
+    # the k1 scalings carry the segments along the phase's axis, the even
+    # ones, and the k2 scalings the others, whichever the phase
+    k1, k2 = column_scales(slots)
 
     def seg_len(k, i):
-        axis, base = base_segs[k]
-        return base * (cumx[i - 1] if axis == "x" else cumy[i - 1])
+        return base[k] * (k2 if k % 2 else k1)[i - 1]
 
-    pattern = _draw_pattern(spec, part, slots, m, seg_len)
-    folded = _halting_state(part, state, m, seg_len, pattern)
+    pattern = _draw_pattern(spec, part, slots, spec.n_col, seg_len)
+    folded = _halting_state(part, state, spec.n_col, seg_len, pattern)
     # M/V from the motion near flat, driven the way the design folds it:
     # the stubs at pi read no sign of their own from the halting state
     rho = signed_fold_angles(pattern, folded["coords"])
     bootstrap_mv(pattern, d0=math.copysign(0.02, rho[default_driving_crease(pattern)]))
     pattern.design["halt_rho"] = (pattern.creases.mv * np.abs(rho)).tolist()
-    check_embeddable(pattern)
-
-    eps_datum = hausdorff(part.points, spec.datum.refined(4))
-    eps_curve = hausdorff(stair.points, spec.target.refined(4))
-    report = DesignReport(
-        design_type="parallel-repeating",
-        eps_target=spec.eps,
-        eps_datum=eps_datum,
-        eps_curve=eps_curve,
-        branch_log=state.branch_log,
-        stair=stair.points,
-        notes={
-            "rho4": spec.rho4,
-            "theta": spec.theta,
-            "xi": [float(x) for x in xs],
-            "halting_residuals": folded["residuals"],
-        },
-    )
     pattern.design["halting_state"] = folded
-    pattern.design["xi"] = [float(x) for x in xs]
-    pattern.design["report"] = report
-    return pattern, report
-
-
-def _sweep_columns(row1, up, down, m, seg_len):
-    """(m+2, n+2, dim) node grid with its n columns filled, in the plane or
-    in space: row 1 is `row1`, each next row steps along its column by
-    seg_len(k, column), down the zigzag `down`, -`up`, `down`, ... to the
-    bottom stubs, and the top stubs step from row 1 along `up`."""
-    n, dim = row1.shape
-    up, down = np.asarray(up), np.asarray(down)
-    lens = np.array([[seg_len(k, i) for i in range(1, n + 1)] for k in range(m + 1)])[..., None]
-    nodes = np.zeros((m + 2, n + 2, dim))
-    nodes[1, 1:-1] = row1
-    for k in range(1, m + 1):
-        nodes[k + 1, 1:-1] = nodes[k, 1:-1] + lens[k] * (down if k % 2 == 1 else -up)
-    nodes[0, 1:-1] = row1 + lens[0] * up
-    return nodes
+    return finish_design(pattern, spec, part, stair, xs, branch_log=state.branch_log,
+                         notes={"rho4": spec.rho4,
+                                "halting_residuals": folded["residuals"]})
 
 
 def _draw_pattern(spec, part: Partition, slots, m, seg_len):
@@ -344,7 +299,7 @@ def _draw_pattern(spec, part: Partition, slots, m, seg_len):
     updir = [_rot2(headings[i], slots[i][0]) for i in range(n)]
     downdir = [_rot2(headings[i], -slots[i][3]) for i in range(n)]
 
-    nodes = _sweep_columns(np.asarray(row1), updir, downdir, m, seg_len)
+    nodes = sweep_columns(np.asarray(row1), updir, downdir, m, seg_len)
     inner = nodes[1:-1, 1:-1]
     # parallel-row closure residual (perpendicular drift between columns)
     seg = np.diff(inner, axis=1)
@@ -365,32 +320,27 @@ def _halting_state(part: Partition, state: _RowState, m, seg_len, pattern):
     the pattern's vertex indexing."""
     pts = state.points
     n = len(state.slots)
-    nodes = _sweep_columns(pts[1:n + 1], state.U, state.D, m, seg_len)
+    nodes = sweep_columns(pts[1:n + 1], state.U, state.D, m, seg_len)
     inner = nodes[1:-1, 1:-1]
 
-    # row stubs: chained through the margin panel planes
-    residuals = {}
-    ldirs = [_unit(pts[0] - pts[1])]
-    for k in range(1, m):
-        up = -_unit(inner[k, 0] - inner[k - 1, 0])
-        s = pattern.sectors[k, 0]  # measured from the drawing
-        ldirs.append(_in_plane_dir(up, ldirs[-1], s[1]))
-    rdirs = [_unit(pts[n + 1] - pts[n])]
-    for k in range(1, m):
-        up = -_unit(inner[k, n - 1] - inner[k - 1, n - 1])
-        s = pattern.sectors[k, n - 1]
-        rdirs.append(_in_plane_dir(up, rdirs[-1], s[0]))
-    nodes[1:-1, 0] = inner[:, 0] + part.lengths[0] * np.array(ldirs)
-    nodes[1:-1, -1] = inner[:, -1] + part.lengths[n] * np.array(rdirs)
+    # row stubs: chained through the margin panel planes, at sector U of
+    # the first column's vertices and at sector R of the last's; side -1
+    # picks the last partition point, segment and node column
+    for side, col, slot in ((0, 0, 1), (-1, n - 1, 0)):
+        dirs = [_unit(pts[side] - pts[col + 1])]
+        for k in range(1, m):
+            up = -_unit(inner[k, col] - inner[k - 1, col])
+            # the sector as measured from the drawing
+            dirs.append(_in_plane_dir(up, dirs[-1], pattern.sectors[k, col, slot]))
+        nodes[1:-1, side] = inner[:, col] + part.lengths[side] * np.array(dirs)
     V = np.zeros((pattern.vertices.shape[0], 3))
     V[pattern.ext_id] = set_corners(nodes)
 
     # design-consistency residuals: panel isometry against the pattern
     d2, d3 = panel_distances(pattern, V)
-    residuals["isometry"] = float(np.max(np.abs(d2 - d3)))
     xi_geo = max(abs(_arc(state.U[i], state.D[i]) - x)
                  for i, x in enumerate(xi_list(state.slots)))
-    residuals["xi_vs_recurrence"] = float(xi_geo)
-    return {"coords": V, "residuals": residuals}
+    return {"coords": V, "residuals": {"isometry": float(np.max(np.abs(d2 - d3))),
+                                       "xi_vs_recurrence": float(xi_geo)}}
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CreaseIntersection, NotRigidFoldable
-from .geometry import _PAIR_BLOCK, _rowdot
+from .geometry import _PAIR_BLOCK, _rowdot, hausdorff
 from .kinematics import VertexAngles
 from .tolerances import CROSSING_REL, LAYOUT_DEV_TOL
 
@@ -59,12 +59,6 @@ class CreasePattern:
         H, V = self.row_creases, self.col_creases
         return np.stack([H[1:-1, 1:], V[:-1, 1:-1], H[1:-1, :-1], V[1:, 1:-1]], axis=-1)
 
-    def vertex_angles(self):
-        """VertexAngles of every inner vertex, row-major, as a list, kept by
-        `kept`; a vertex that is not a valid degree-4 vertex raises
-        NotRigidFoldable."""
-        return self.kept(_vertex_table)
-
     def kept(self, *builds):
         """build(self), kept in the pattern's one store until an array the
         fold layers read (vertices, sectors, grid index, crease ends from
@@ -89,6 +83,8 @@ class CreasePattern:
 
 
 def _vertex_table(pattern: CreasePattern):
+    """VertexAngles of every inner vertex, row-major, as a list; a vertex
+    that is not a valid degree-4 vertex raises NotRigidFoldable."""
     table = []
     for k, row in enumerate(pattern.sectors.tolist()):
         for i, sec in enumerate(row):
@@ -191,6 +187,23 @@ def set_corners(nodes):
     return nodes
 
 
+def sweep_columns(row1, up, down, m, seg_len):
+    """(m+2, n+2, dim) node grid with its n columns filled, in the plane or
+    in space: row 1 is `row1`, each next row steps along its column by
+    seg_len(k, column), down the zigzag `down`, -`up`, `down`, ... to the
+    bottom stubs, and the top stubs step from row 1 along `up`.  `up` and
+    `down` hold one direction per column."""
+    n, dim = row1.shape
+    up, down = np.asarray(up), np.asarray(down)
+    lens = np.array([[seg_len(k, i) for i in range(1, n + 1)] for k in range(m + 1)])[..., None]
+    nodes = np.zeros((m + 2, n + 2, dim))
+    nodes[1, 1:-1] = row1
+    for k in range(1, m + 1):
+        nodes[k + 1, 1:-1] = nodes[k, 1:-1] + lens[k] * (down if k % 2 == 1 else -up)
+    nodes[0, 1:-1] = row1 + lens[0] * up
+    return nodes
+
+
 def assemble_grid(nodes, design):
     """Build a CreasePattern from its planar node grid.
 
@@ -266,6 +279,25 @@ def signed_fold_angles(pattern: CreasePattern, coords):
     out = np.zeros(len(pattern.creases))
     out[inner] = np.arctan2(_rowdot(np.cross(nr, nl), e), _rowdot(nr, nl))
     return out
+
+
+def finish_design(pattern: CreasePattern, spec, part, stair, xs, notes, branch_log=()):
+    """The tail of both design families: the embedding check, the
+    report with the Hausdorff distances of the datum's partition and the
+    target's staircase to their curves refined 4x, and the xis written to
+    the design and the notes.  Returns (pattern, report)."""
+    check_embeddable(pattern)
+    xi = pattern.design["xi"] = [float(x) for x in xs]
+    report = DesignReport(
+        design_type=pattern.design["type"],
+        eps_target=spec.eps,
+        eps_datum=hausdorff(part.points, spec.datum.refined(4)),
+        eps_curve=hausdorff(stair.points, spec.target.refined(4)),
+        branch_log=list(branch_log),
+        stair=stair.points,
+        notes={"theta": spec.theta, "xi": list(xi), **notes},
+    )
+    return pattern, report
 
 
 @dataclass

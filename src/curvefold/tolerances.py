@@ -22,7 +22,7 @@ ROOT_SCAN_MARGIN = 1e-4  # the next row vertex's root scan runs over (margin, pi
 TRANSFER_TOL = 1e-8      # a transfer sign branch matches a solved vertex within this
 ROW_DRIFT = 1e-8         # parallel layout: perpendicular drift of translated rows
 DEGENERATE_ANGLE = 1e-9  # an ortho grid angle this close to 0, pi/2 or pi is degenerate
-COLUMN_ALIGN_REL = 1e-9  # ortho layout: column-line misalignment, x max(1, |x|)
+COLUMN_ALIGN_REL = 1e-9  # ortho layout: column-line misalignment, x |x| (relative at every scale)
 RATIO_FLOOR = 1e-30      # separability: denominator floor of the relative tan-ratio residual
 # drawn patterns (pattern)
 LAYOUT_DEV_TOL = 1e-9    # assemble_grid: a drawn layout's sector-sum residual (winding)

@@ -28,7 +28,7 @@ from curvefold.geometry import (TAU, AffineParams, Partition, PolyCurve, _arc,
                                 _unit, affine_map)
 from curvefold.kinematics import BRANCH_ORDER, propagate_both_modes, row_transfer_residual
 from curvefold.pattern import (ROLE_BOUNDARY, ROLE_COL, ROLE_ROW, CreasePattern,
-                               _suggest_rescale)
+                               _suggest_rescale, _vertex_table)
 from curvefold.tolerances import (BRANCH_TOL, COLLINEAR_TRIPLE, MONOTONE_TOL, SECTOR_MARGIN,
                                   SIGN_FLOOR)
 
@@ -562,7 +562,7 @@ def bootstrap_mv(pattern: CreasePattern, d0=0.02):
     Branch choices are pruned against already-assigned creases, so the
     search settles on the pattern's folding branch without any prior
     sign information.  Returns the signed fold angles at d0."""
-    verts = pattern.vertex_angles()
+    verts = pattern.kept(_vertex_table)
     vertex_creases = pattern.vertex_creases.reshape(-1, 4).tolist()
 
     rho = [None] * len(pattern.creases)

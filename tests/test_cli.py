@@ -17,14 +17,15 @@ from hypothesis import strategies as hs
 
 import curvefold
 from curvefold import cli, foldsim, parallel
+from curvefold import pattern as pattern_mod
 from curvefold.cli import _build_from_spec, _check_states, main
 from curvefold.errors import CreaseIntersection, SchemaError
 from curvefold.foldio import (MAX_COUNT, MAX_GRID, MAX_SAMPLES, MAX_STATES, export_fold,
-                              load_design_spec)
+                              load_design_spec, report_json)
 from curvefold.foldsim import propagate, sweep_to_halt
 from curvefold.geometry import partition_uniform, search_theta
 from curvefold.kinematics import solve_first_vertex
-from support import FUZZ_SPECS, JSON
+from support import FUZZ_SPECS, JSON, explore_spec_texts
 from test_acceptance import _random_smooth_datum, _random_target
 
 SMALL_PARALLEL_SPEC = {
@@ -219,7 +220,7 @@ def _mixed_winding_pattern(monkeypatch):
         rho4 = rng.uniform(0.65, 0.9) * np.pi
     _, a2 = solve_first_vertex(partition_uniform(datum, n_row).turn_angles[0], rho4)
     theta = search_theta(target, abs(2 * a2 - np.pi), grid=90)[0]
-    monkeypatch.setattr(parallel, "check_embeddable", lambda pattern: True)
+    monkeypatch.setattr(pattern_mod, "check_embeddable", lambda pattern: True)
     pattern, _ = parallel.build_pattern(parallel.ParallelDesignSpec(
         datum=datum, target=target, n_row=n_row, n_col=n_col, rho4=rho4, theta=theta,
         eps=10.0))
@@ -478,6 +479,25 @@ def test_demo_and_fold_bytes(fig, tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == GOLDEN[fig]
+
+
+#: sha256 of `export_fold` and `report_json`, one after the other, of each
+#: design of the explore workload's seed-1 batch in batch order: both
+#: families at every batch size, theta auto.  Pinned as GOLDEN is, and with
+#: numpy's bundled OpenBLAS: the design layers take matmul to round a batched
+#: product as a lone one, and another BLAS build may move a last bit (see
+#: the bit-equality note of curvefold.geometry)
+EXPLORE_DESIGN_DIGEST = "1465f5c3437b210c2d09406966073c9461cff235bc4f2bb6adea9fa40b294fb6"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11) or not np.__version__.startswith("2.4."),
+                    reason="digest pinned under Python 3.11 with numpy 2.4")
+def test_explore_design_bytes():
+    digest = hashlib.sha256()
+    for text in explore_spec_texts(1):
+        pattern, report = _build_from_spec(*load_design_spec(text))
+        digest.update((export_fold(pattern) + report_json(report)).encode())
+    assert digest.hexdigest() == EXPLORE_DESIGN_DIGEST
 
 
 class TestDemo:

@@ -12,6 +12,7 @@ import pytest
 
 import design_oracle as oracle
 from curvefold import curves, foldsim, geometry, ortho, parallel
+from curvefold import pattern as pattern_mod
 from curvefold.cli import DEMOS, _build_from_spec, main
 from curvefold.errors import (ClosedCurve, CreaseIntersection, CurvefoldError, DegenerateTurn,
                               NoSolution)
@@ -166,9 +167,8 @@ class TestHausdorff:
         # the datum and target comparisons of explore seed-1 designs of
         # either family
         cases = []
-        for module in (parallel, ortho):
-            monkeypatch.setattr(module, "hausdorff", lambda a, b: cases.append(
-                (oracle.vertices_of(a), oracle.vertices_of(b))) or 0.0)
+        monkeypatch.setattr(pattern_mod, "hausdorff", lambda a, b: cases.append(
+            (oracle.vertices_of(a), oracle.vertices_of(b))) or 0.0)
         for text in [explore_spec_texts(1)[k] for k in (0, 5, 12, 18)]:
             _build_from_spec(*load_design_spec(text))
         assert len(cases) == 8
@@ -668,6 +668,44 @@ def test_one_owner_of_the_placement_order():
         == [1, 2, 3, 4, 6, 6]
 
 
+#: the steps both design families share, which `geometry.design_staircase`
+#: and `pattern.finish_design` own
+SHARED_DESIGN_STEPS = {"AffineParams", "DesignReport", "check_embeddable", "hausdorff",
+                       "staircase", "staircase_segments"}
+
+
+def _shared_design_steps(source):
+    """Lines of `source` that call one of SHARED_DESIGN_STEPS, by name or
+    as an attribute, or import one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        called = (isinstance(func, ast.Name) and func.id in SHARED_DESIGN_STEPS
+                  or isinstance(func, ast.Attribute) and func.attr in SHARED_DESIGN_STEPS)
+        imported = isinstance(node, ast.alias) and node.name in SHARED_DESIGN_STEPS
+        if called or imported:
+            found.append(node.lineno)
+    return found
+
+
+def test_one_design_tail():
+    # both families take their staircase from geometry.design_staircase and
+    # end in pattern.finish_design, so neither runs those steps on its own
+    for module in (parallel, ortho):
+        found = _shared_design_steps(Path(module.__file__).read_text())
+        assert not found, (module.__name__, found)
+    assert sorted(_shared_design_steps(
+        "stair = staircase(f, AffineParams(t, x), n)\n"
+        "check_embeddable(pattern)\n"
+        "e = geometry.hausdorff(a, b)\n"
+        "r = pattern_mod.DesignReport(**kw)\n"
+        "from .geometry import staircase_segments as segments\n")) == [1, 1, 2, 3, 4, 5]
+    assert _shared_design_steps("stair, base = design_staircase(f, t, xs, n, 'x', 'xi')\n"
+                                "finish_design(pattern, spec, part, stair, xs, {})\n"
+                                "from .geometry import design_staircase\n"
+                                "f = staircase\n") == []
+
+
 #: the most lines `foldsim.sweep_to_halt` may take, its docstring included
 SWEEP_DRIVER_LINES = 40
 
@@ -741,7 +779,6 @@ class TestEmbeddable:
         assert _outcome(check_embeddable, pattern) == _outcome(oracle.check_embeddable, pattern)
 
     def test_block_boundaries(self, fig7_design, monkeypatch):
-        from curvefold import pattern as pattern_mod
         base = fig7_design[0]
         pattern = copy.copy(base)
         rng = np.random.default_rng(9)
@@ -797,11 +834,13 @@ class TestLayoutErrors:
         self._assert_layout_error(tmp_path, capsys, PARALLEL_SPEC, "corners")
 
     def test_staircase_axes(self, tmp_path, capsys, monkeypatch):
-        segments = parallel.staircase_segments
+        # both families take their staircase from geometry.design_staircase
+        segments = geometry.staircase_segments
         flip = {"x": "y", "y": "x"}
-        monkeypatch.setattr(parallel, "staircase_segments", lambda stair, a: [
+        monkeypatch.setattr(geometry, "staircase_segments", lambda stair, a: [
             (flip[axis], base) for axis, base in segments(stair, a)])
-        self._assert_layout_error(tmp_path, capsys, PARALLEL_SPEC, "axes")
+        for doc in (PARALLEL_SPEC, ORTHO_SPEC):
+            self._assert_layout_error(tmp_path, capsys, doc, "axes")
 
     def test_row_translation_drift(self, tmp_path, capsys, monkeypatch):
         draw = parallel._draw_pattern
@@ -822,6 +861,29 @@ class TestLayoutErrors:
 
         monkeypatch.setattr(ortho, "_draw_ortho", uneven)
         self._assert_layout_error(tmp_path, capsys, ORTHO_SPEC, "misalignment")
+
+    def test_column_alignment_at_every_scale(self, tmp_path, capsys, monkeypatch):
+        # the column check is relative to |x| at every size: fig7 drawn a
+        # thousand times smaller or larger designs, and its rows stretched
+        # by 1e-8 i, a relative misalignment near 8e-8, fail a thousand
+        # times smaller as at scale 1 (a floor at |x| = 1 let them through)
+        def fig7(scale):
+            doc = copy.deepcopy(DEMOS["fig7"])
+            doc["datum"]["scale"] = doc["target"]["scale"] = scale
+            doc["eps"] *= scale
+            return doc
+
+        for scale in (1e-3, 1e3):
+            assert _design_exit(tmp_path, capsys, fig7(scale)) == (0, "")
+        draw = ortho._draw_ortho
+
+        def stretched(spec, part, col0, a1col, base, scales):
+            return draw(spec, part, col0, a1col, base,
+                        scales * (1.0 + 1e-8 * np.arange(len(scales))))
+
+        monkeypatch.setattr(ortho, "_draw_ortho", stretched)
+        for scale in (1.0, 1e-3):
+            self._assert_layout_error(tmp_path, capsys, fig7(scale), "misalignment")
 
     def test_is_curvefold_error(self):
         from curvefold.errors import LayoutError

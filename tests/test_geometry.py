@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from curvefold import curves
-from curvefold.errors import (ClosedCurve, DegenerateTurn, NotAdmissible,
+from curvefold.errors import (ClosedCurve, DegenerateTurn, NotAdmissible, OutOfRange,
                               TubeSelfIntersect)
 from curvefold.geometry import (AffineParams, PolyCurve, affine_map,
-                                affine_unmap, hausdorff, is_admissible,
+                                affine_unmap, design_staircase, hausdorff, is_admissible,
                                 measure_polyline, partition_tube,
                                 partition_uniform, search_theta, staircase)
 from support import circle
@@ -137,6 +137,21 @@ class TestStaircase:
             st = staircase(f, AffineParams(th, xi), n)
             assert np.abs(st.turn_angles - xi).max() < 1e-9
             count += 1
+
+
+    def test_design_staircase(self):
+        # the fig3 staircase with its segment bases, whose axes alternate
+        # from the phase; every xi of the design, not only the first, is
+        # kept XI_MARGIN away from 0 and pi, under the family's own name
+        f, theta, xi = curves.parabola(), np.deg2rad(70), np.deg2rad(60)
+        for phase in "xy":
+            stair, base = design_staircase(f, theta, [xi, 1.0], 8, phase, "test")
+            want = staircase(f, AffineParams(theta, xi), 8, phase=phase)
+            assert np.array_equal(stair.points, want.points)
+            assert len(base) == 9 and min(base) > 0.0
+        for bad in (1e-3, np.pi - 1e-3, 5e-4):
+            with pytest.raises(OutOfRange, match=f"^row angle xi = {bad:.6g} too close"):
+                design_staircase(f, theta, [xi, bad], 8, "x", "row angle")
 
 
 class TestPartitionUniform:

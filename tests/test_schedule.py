@@ -57,7 +57,7 @@ def _row_major(pattern, drive):
 def _check_data_flow(pattern, lanes):
     """Fold `pattern` with a kernel that writes `_tag` and records what
     each vertex reads: on one state, or on `lanes` lanes in one pass."""
-    index = {id(v): k for k, v in enumerate(pattern.vertex_angles())}
+    index = {id(v): k for k, v in enumerate(pattern.kept(pattern_mod._vertex_table))}
     seen, calls = [], []
 
     def kernel(v, j, x):
@@ -357,7 +357,7 @@ def _kept(pattern):
     """What the pattern keeps: its placement, FoldPlan, vertex table, vertex
     stacks, placement constants and clash triangles."""
     return [pattern.kept(placement_order), pattern.kept(foldsim.FoldPlan),
-            pattern.vertex_angles(), pattern.kept(foldsim._stacks),
+            pattern.kept(pattern_mod._vertex_table), pattern.kept(foldsim._stacks),
             pattern.kept(foldsim._frames), pattern.kept(foldsim._Triangles)]
 
 
