@@ -72,7 +72,8 @@ def _auto_theta(kind, fields):
         xi1 = xi_list([solve_first_vertex(part.turn_angles[0], fields["rho4"])])[0]
     else:
         prelude = angle_grid(OrthoDesignSpec(**fields))
-        xi1 = prelude[-1][0]  # the first row's xi
+        _, _, _, _, xis = prelude
+        xi1 = xis[0]  # the first row's xi
     hits = search_theta(fields["target"], xi1, grid=720)
     if not hits:
         raise SchemaError("no admissible theta found on the default grid")

@@ -195,7 +195,8 @@ def _draw_ortho(spec, part: Partition, col0, a1col, base, scales):
     n, m = spec.n, spec.m
     datum = np.zeros((n, 2))
     datum[1:, 1] = -np.cumsum(part.lengths[1:n])
-    # the rows are the sweep's columns, the datum column its first row
+    # the rows are the sweep's columns, the datum column its first row; the
+    # sweep's first-row stubs, column 0 here, are replaced by the col0 stubs
     down = np.stack([np.sin(a1col), np.cos(a1col)], axis=1)
     up = -np.stack([np.sin(np.pi - a1col), np.cos(np.pi - a1col)], axis=1)
     nodes = sweep_columns(datum, up, down, m, lambda k, i: scales[i - 1] * base[k])

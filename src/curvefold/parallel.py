@@ -216,22 +216,19 @@ def xi_list(slots):
     return xs
 
 
-def column_scales(slots, phase="x"):
-    """Cumulative per-column staircase scalings (x-image axis, y-image axis).
+def column_scales(slots):
+    """Cumulative per-column products of the scalings k1 and k2.
 
     Adjacent columns relate by k1 = sin s1_j / sin s2_{j+1} on the strips of
-    one parity and k2 = sin s4_j / sin s3_{j+1} on the other; which parity
-    carries the image x axis depends on the staircase phase."""
+    one parity, the even staircase segments, and by k2 = sin s4_j / sin s3_{j+1}
+    on the odd ones."""
     n = len(slots)
-    cumx, cumy = [1.0], [1.0]
+    cum1, cum2 = [1.0], [1.0]
     for j in range(n - 1):
         s, sn = slots[j], slots[j + 1]
-        k1 = np.sin(s[0]) / np.sin(sn[1])
-        k2 = np.sin(s[3]) / np.sin(sn[2])
-        kx, ky = (k1, k2) if phase == "x" else (k2, k1)
-        cumx.append(cumx[-1] * kx)
-        cumy.append(cumy[-1] * ky)
-    return np.array(cumx), np.array(cumy)
+        cum1.append(cum1[-1] * (np.sin(s[0]) / np.sin(sn[1])))
+        cum2.append(cum2[-1] * (np.sin(s[3]) / np.sin(sn[2])))
+    return np.array(cum1), np.array(cum2)
 
 
 def column_dihedrals(sectors, xs):
@@ -261,8 +258,8 @@ def build_pattern(spec: ParallelDesignSpec):
     xs = xi_list(slots)
     stair, base = design_staircase(spec.target, spec.theta, xs, spec.n_col, spec.phase,
                                    "column crease angle")
-    # the k1 scalings carry the segments along the phase's axis, the even
-    # ones, and the k2 scalings the others, whichever the phase
+    # the k1 products scale the even segments, along the phase's axis, and
+    # the k2 products the odd ones, whichever the phase
     k1, k2 = column_scales(slots)
 
     def seg_len(k, i):

@@ -95,19 +95,20 @@ class ColumnProfile:
     phi: float = None        # dihedral between this column's plane and the next
 
 
-def column_curves(f1: PolyCurve, theta, row_vertices, phase="x"):
+def column_curves(f1: PolyCurve, theta, row_vertices):
     """Transformed target curves f_i and inter-plane dihedrals phi_i of a
     parallel design.
 
     f_{i+1} is the cumulative diagonal scaling of f_1 conjugated between the
-    xi_1 and xi_{i+1} shear frames; phi_i from `column_dihedrals`."""
+    xi_1 and xi_{i+1} shear frames, for the x phase (the k1 products on
+    the image x axis); phi_i from `column_dihedrals`."""
     slots = [v.sectors if isinstance(v, VertexAngles) else tuple(v) for v in row_vertices]
     xs = xi_list(slots)
     a1 = AffineParams(theta, xs[0])
     ok, _ = is_admissible(f1, a1)
     if not ok:
         raise NotAdmissible("target curve fails admissibility at (theta, xi_1)")
-    cumx, cumy = column_scales(slots, phase)
+    cumx, cumy = column_scales(slots)
     img = affine_map(f1.samples, a1)
     profiles = []
     for i, s in enumerate(slots):
